@@ -4,32 +4,25 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys as _sys
 
 import numpy as np
 import sympy as sp
 
-from .dsl import ControlSchedule, parse_system
+from .dsl import ControlSchedule, parse_expr, parse_system
 from .errors import CtrlInvError
-from .expr import to_text
+from .expr import evaluate, random_point, to_text
 from .flag import derived_flag, flag_summary
 from .integrals import (
     AnalysisConfig,
-    Classification,
     analyze,
     check_membership,
     gfi_candidates,
-    _escape_json,
+    numeric_evidence,
     _integral_entry,
-    _verdict_json,
 )
-from .numeric import (
-    bracket_rank,
-    escape_test,
-    invariance_test,
-    iterated_brackets,
-    simulate,
-)
+from .numeric import _PyRng, iterated_brackets, simulate, svd_rank
 from .sampling import sample_params
 
 
@@ -103,34 +96,44 @@ def _emit(payload, args):
         _sys.stdout.write(out)
 
 
+def _entry_text(e) -> str:
+    """One line for a report entry: locus, verdict and numeric evidence."""
+    rho = ", ".join(e["rho"]) if e["rho"] else "(none)"
+    extra = ""
+    if "invariance" in e and e["invariance"]:
+        extra += f"  numeric: {e['invariance']['verdict']}"
+    if e.get("leaf_controllability"):
+        lc = e["leaf_controllability"]
+        extra += ("  controllable-on-leaf: "
+                  f"{lc['controllable_on_leaf']} "
+                  f"(rank {lc['bracket_rank']}/"
+                  f"{lc['leaf_dimension']})")
+    if e.get("escape"):
+        extra += f"  escape at t={e['escape']['time']:g}"
+    return f"{{{rho} = 0}}: {e['classification']}{extra}"
+
+
 def render_text(payload) -> str:
     """Human rendering of a report; same information as the JSON."""
-    lines = []
     if "conclusion" in payload:
-        lines.append(payload["conclusion"])
         nu, q = payload["type"]
-        lines.append(f"Pfaffian type ({nu}, {q}); "
-                     f"distribution type ({payload['flag']['distribution_type'][0]}, "
-                     f"{payload['flag']['distribution_type'][1]})")
+        dist = payload["flag"]["distribution_type"]
+        lines = [payload["conclusion"],
+                 f"Pfaffian type ({nu}, {q}); "
+                 f"distribution type ({dist[0]}, {dist[1]})"]
         for section in ("foliation", "isolated", "rejected", "undetermined"):
             for e in payload.get(section, []):
-                rho = ", ".join(e["rho"]) if e["rho"] else "(none)"
-                extra = ""
-                if "invariance" in e and e["invariance"]:
-                    extra += f"  numeric: {e['invariance']['verdict']}"
-                if e.get("leaf_controllability"):
-                    lc = e["leaf_controllability"]
-                    extra += ("  controllable-on-leaf: "
-                              f"{lc['controllable_on_leaf']} "
-                              f"(rank {lc['bracket_rank']}/"
-                              f"{lc['leaf_dimension']})")
-                if e.get("escape"):
-                    extra += f"  escape at t={e['escape']['time']:g}"
-                lines.append(f"  [{section}] {{{rho} = 0}}: "
-                             f"{e['classification']}{extra}")
+                lines.append(f"  [{section}] {_entry_text(e)}")
         if payload.get("domain_constraints"):
             lines.append("assumed nonzero: "
                          + ", ".join(payload["domain_constraints"]))
+        return "\n".join(lines)
+    if "verify" in payload:
+        return _entry_text(payload["verify"])
+    if "brackets" in payload:
+        lines = [f"depth {payload['depth']}, rank "
+                 f"{payload['rank_at_sample_point']} at sample point"]
+        lines += ["  (" + ", ".join(F) + ")" for F in payload["brackets"]]
         return "\n".join(lines)
     return json.dumps(payload, indent=2, sort_keys=True)
 
@@ -193,40 +196,18 @@ def _dispatch(args) -> int:
 
 
 def _cmd_verify(args, cfg) -> int:
-    from .dsl import parse_expr
-
     system = _read_system(args.input)
     flag = derived_flag(system, seed=args.seed)
     rhos = [parse_expr(r, system.ctx) for r in args.rho]
     result = check_membership(rhos, flag.levels[0].system, system.ctx,
                               seed=args.seed)
     entry = _integral_entry(result, None)
-    if result.classification in (Classification.GENERALIZED,
-                                 Classification.FIRST_INTEGRAL):
-        entry["invariance"] = _verdict_json(invariance_test(
-            system, rhos, trials=cfg.trials, pieces=cfg.pieces,
-            horizon=cfg.horizon, h=cfg.step, seed=cfg.seed))
-    elif result.classification is Classification.REJECTED:
-        entry["escape"] = _escape_json(escape_test(
-            system, rhos, seed=cfg.seed, horizon=cfg.horizon))
-    payload = {"schema": 1, "seed": args.seed, "verify": entry}
-    if args.format == "text":
-        extra = ""
-        if entry.get("invariance"):
-            extra = f"  numeric: {entry['invariance']['verdict']}"
-        if entry.get("escape"):
-            extra = f"  escape at t={entry['escape']['time']:g}"
-        _sys.stdout.write(
-            f"{{{', '.join(to_text(r) for r in rhos)} = 0}}: "
-            f"{result.classification.value}{extra}\n")
-        return 0
-    _emit(payload, args)
+    entry.update(numeric_evidence(system, result, system.n - len(rhos), cfg))
+    _emit({"schema": 1, "seed": args.seed, "verify": entry}, args)
     return 0
 
 
 def _cmd_simulate(args) -> int:
-    from .dsl import parse_expr
-
     system = _read_system(args.input)
     ctx = system.ctx
     x0 = [float(v) for v in args.x0.split(",")]
@@ -248,8 +229,6 @@ def _cmd_simulate(args) -> int:
     missing = [p for p in ctx.params if p not in params]
     if missing:
         rng = np.random.default_rng(args.seed)
-        from .numeric import _PyRng
-
         params.update({p: v for p, v in
                        sample_params(ctx, _PyRng(rng)).items()
                        if p in missing})
@@ -270,29 +249,17 @@ def _cmd_simulate(args) -> int:
 def _cmd_brackets(args) -> int:
     system = _read_system(args.input)
     ctx = system.ctx
-    fields = list(system.controls)
-    brackets = iterated_brackets(fields, ctx, depth=args.depth)
-    rng = np.random.default_rng(args.seed)
-    from .numeric import _PyRng
-    from .expr import random_point
-    import random as _random
-
-    point = random_point(ctx, _random.Random(args.seed))
-    rank = bracket_rank(fields, point, ctx, depth=args.depth)
-    payload = {
+    brackets = iterated_brackets(list(system.controls), ctx, depth=args.depth)
+    point = random_point(ctx, random.Random(args.seed))
+    rank = svd_rank([[evaluate(c, point, ctx) for c in F] for F in brackets])
+    _emit({
         "schema": 1,
         "seed": args.seed,
+        "depth": args.depth,
         "brackets": [[to_text(c) for c in F] for F in brackets],
         "rank_at_sample_point": rank,
         "sample_point": {str(k): float(v) for k, v in point.items()},
-    }
-    if args.format == "text":
-        lines = [f"depth {args.depth}, rank {rank} at sample point"]
-        for F in brackets:
-            lines.append("  (" + ", ".join(to_text(c) for c in F) + ")")
-        _sys.stdout.write("\n".join(lines) + "\n")
-        return 0
-    _emit(payload, args)
+    }, args)
     return 0
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import sympy as sp
 
 from .errors import ArityMismatch, EmptyControlSet, ParseError, UnknownSymbol
-from .expr import SymbolContext, normalize
+from .expr import SymbolContext, normalize, to_text
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()]))"
@@ -300,8 +300,6 @@ def parse_system(text: str) -> ControlAffineSystem:
 
 def print_system(sys: ControlAffineSystem) -> str:
     """Canonical text rendering; parse(print_system(parse(t))) == parse(t)."""
-    from .expr import to_text
-
     lines = ["states: " + " ".join(str(s) for s in sys.ctx.states)]
     if sys.ctx.params:
         parts = []

@@ -66,6 +66,14 @@ class NotClosed(CtrlInvError):
     """Poincare integration requires a closed 1-form."""
 
 
+class AnnihilationFailure(CtrlInvError):
+    """A 1-form that must annihilate the system's fields does not."""
+
+
+class FlagNotDecreasing(CtrlInvError):
+    """A derived system failed to drop rank below its parent's."""
+
+
 # --- numeric verifier --------------------------------------------------------
 
 class StepSingular(CtrlInvError):
@@ -74,3 +82,7 @@ class StepSingular(CtrlInvError):
 
 class DomainExit(CtrlInvError):
     """A trajectory crossed a declared-nonzero domain constraint."""
+
+
+class SamplingFailed(CtrlInvError):
+    """Too few random points satisfied the locus or domain constraints."""

@@ -23,6 +23,7 @@ from .errors import (
     DivisionByZeroExpr,
     EvalSingular,
     NotPolynomial,
+    SamplingFailed,
     UnknownSymbol,
 )
 
@@ -208,7 +209,8 @@ def random_point(ctx: SymbolContext, rng, margin=1e-3):
                 break
         if ok:
             return point
-    raise RuntimeError("could not sample a point satisfying domain constraints")
+    raise SamplingFailed("could not sample a point satisfying domain "
+                         "constraints")
 
 
 def is_zero(e, ctx: SymbolContext, seed: int = 0, samples: int = 8) -> ZeroVerdict:
@@ -312,8 +314,6 @@ def _eval(e, point):
         return math.sin(_eval(e.args[0], point))
     if isinstance(e, sp.cos):
         return math.cos(_eval(e.args[0], point))
-    if e is sp.S.NegativeOne:
-        return -1.0
     raise NotPolynomial(f"node outside expression class: {e!r}")
 
 

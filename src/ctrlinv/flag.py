@@ -16,9 +16,16 @@ import numpy as np
 import sympy as sp
 
 from .dsl import ControlAffineSystem
-from .errors import NoValidCompletion, RankNotConstant, RankUndecidable
+from .errors import (
+    AnnihilationFailure,
+    FlagNotDecreasing,
+    NoValidCompletion,
+    RankNotConstant,
+    RankUndecidable,
+)
 from .expr import (
     SymbolContext,
+    _positive_leading,
     evaluate,
     factor,
     is_polynomial,
@@ -28,10 +35,10 @@ from .expr import (
     to_text,
 )
 from .forms import (
-    DifferentialForm,
     coefficient_vector,
     contract,
     d,
+    form_to_text,
     one_form,
     reduce_mod,
 )
@@ -223,8 +230,6 @@ def clear_denominators(vec, ctx):
         scaled = [normalize(sp.cancel(e / g), ctx) for e in scaled]
     # deterministic sign: first nonzero entry gets positive leading coeff
     first = next(e for e in scaled if e != 0)
-    from .expr import _positive_leading
-
     _, unit = _positive_leading(first, ctx)
     if unit < 0:
         scaled = [normalize(-e, ctx) for e in scaled]
@@ -271,7 +276,9 @@ def annihilator(sys: ControlAffineSystem, seed=0) -> PfaffianSystem:
     generators = tuple(one_form(vec, ctx) for vec in basis)
     for g in generators:
         for X in sys.fields():
-            assert contract(g, X) == 0
+            if contract(g, X) != 0:
+                raise AnnihilationFailure(
+                    f"annihilator generator fails against {X}")
     system = PfaffianSystem(generators=generators, pivots=(), constraints=())
     if not generators:
         return system
@@ -387,7 +394,9 @@ def derived_flag(sys: ControlAffineSystem, seed=0) -> PfaffianFlag:
         if T.is_trivial:
             break
         nxt = derived_system(system, T, ctx, seed=seed)
-        assert nxt.rank < system.rank
+        if nxt.rank >= system.rank:
+            raise FlagNotDecreasing(
+                f"derived system rank {nxt.rank} >= {system.rank}")
         system = nxt
     nu = len(levels) - 1
     q = levels[-1].system.rank
@@ -396,23 +405,6 @@ def derived_flag(sys: ControlAffineSystem, seed=0) -> PfaffianFlag:
         if rows:
             certify_rank(rows, level.system.rank, ctx, seed=seed)
     return PfaffianFlag(levels=tuple(levels), nu=nu, q=q)
-
-
-def span_equal(gens_a, gens_b, ctx, seed=0):
-    """True when two generator lists span the same subspace of 1-forms.
-
-    Checked by vanishing (r+1)-minors of the stacked coefficient matrix,
-    where r is the common rank.
-    """
-    rows_a = [coefficient_vector(g) for g in gens_a]
-    rows_b = [coefficient_vector(g) for g in gens_b]
-    _, piv_a = rref([list(r) for r in rows_a], ctx, seed=seed)
-    _, piv_b = rref([list(r) for r in rows_b], ctx, seed=seed)
-    if len(piv_a) != len(piv_b):
-        return False
-    stacked = [list(r) for r in rows_a] + [list(r) for r in rows_b]
-    _, piv_s = rref(stacked, ctx, seed=seed)
-    return len(piv_s) == len(piv_a)
 
 
 def flag_summary(flag: PfaffianFlag, ctx) -> dict:
@@ -424,7 +416,7 @@ def flag_summary(flag: PfaffianFlag, ctx) -> dict:
         system = level.system
         entry = {
             "rank": system.rank,
-            "generators": [form_text(g) for g in system.generators],
+            "generators": [form_to_text(g) for g in system.generators],
             "pivots": [names[i] for i in system.pivots],
             "domain_constraints": [to_text(c) for c in system.constraints],
         }
@@ -442,9 +434,3 @@ def flag_summary(flag: PfaffianFlag, ctx) -> dict:
         "type": list(flag.type),
         "distribution_type": list(flag.dual_type(n)),
     }
-
-
-def form_text(g: DifferentialForm) -> str:
-    from .forms import form_to_text
-
-    return form_to_text(g)

@@ -89,10 +89,6 @@ def zero_form(degree, ctx):
     return DifferentialForm(degree=degree, terms=(), ctx=ctx)
 
 
-def scalar_form(e, ctx):
-    return make_form(0, {(): e}, ctx)
-
-
 def one_form(coeffs, ctx):
     """1-form from an n-vector of coefficients over the coordinate coframe."""
     return make_form(1, {(i,): c for i, c in enumerate(coeffs)}, ctx)

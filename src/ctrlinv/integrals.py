@@ -18,8 +18,8 @@ from enum import Enum
 import numpy as np
 import sympy as sp
 
-from .dsl import ControlAffineSystem
-from .errors import NotClosed, NotPolynomial
+from .dsl import ControlAffineSystem, print_system
+from .errors import AnnihilationFailure, NotClosed, NotPolynomial, SamplingFailed
 from .expr import (
     SymbolContext,
     divide_exact,
@@ -27,7 +27,6 @@ from .expr import (
     factor,
     gradient,
     in_class,
-    is_zero,
     normalize,
     to_text,
 )
@@ -85,16 +84,8 @@ def _base_point(ctx: SymbolContext):
     """Origin, shifted along constrained variables if a constraint vanishes."""
     base = {v: sp.Integer(0) for v in ctx.states}
     for _ in range(8):
-        bad = None
-        for c in ctx.nonzero:
-            c0 = normalize(sp.sympify(c).subs(base), ctx)
-            if c0 == 0 or (not c0.free_symbols.difference(ctx.params)
-                           and not c0.atoms(sp.sin, sp.cos) and c0 == 0):
-                bad = c
-                break
-            if not c0.free_symbols and not c0.atoms(sp.sin, sp.cos) and c0 == 0:
-                bad = c
-                break
+        bad = next((c for c in ctx.nonzero
+                    if normalize(sp.sympify(c).subs(base), ctx) == 0), None)
         if bad is None:
             return base
         for v in ctx.states:
@@ -206,10 +197,11 @@ def first_integrals(flag: PfaffianFlag, ctx: SymbolContext,
 def _validated_first_integral(rho, generator, ctx, fields):
     evidence = {"potential_of": form_to_text(generator)}
     if fields:
+        drho = one_form(gradient(rho, ctx), ctx)
         for X in fields:
-            drho = one_form(gradient(rho, ctx), ctx)
-            assert contract(drho, X) == 0, \
-                f"first integral fails annihilation against {X}"
+            if contract(drho, X) != 0:
+                raise AnnihilationFailure(
+                    f"first integral fails annihilation against {X}")
         evidence["annihilates_fields"] = True
     return CandidateIntegral(rhos=(rho,),
                              classification=Classification.FIRST_INTEGRAL,
@@ -256,7 +248,7 @@ def nondegenerate(rhos, ctx, seed=0, points=10):
     rng = _PyRng(np.random.default_rng(seed + 13))
     try:
         pts = zero_locus_points(rhos, ctx, rng, count=points)
-    except RuntimeError:
+    except SamplingFailed:
         return False
     grads = [[sp.diff(r, v) for v in ctx.states] for r in rhos]
     for pt in pts:
@@ -428,7 +420,7 @@ def _divide_sequential(rhos, residues, names, ctx, ctxe, quotient_cert,
     rng = _PyRng(np.random.default_rng(seed + 29))
     try:
         pts = zero_locus_points(list(rhos), ctxe, rng, count=50)
-    except RuntimeError:
+    except SamplingFailed:
         return (Classification.UNDETERMINED,
                 {"reason": "zero-locus sampling failed for numeric fallback"})
     worst = 0.0
@@ -465,6 +457,43 @@ class AnalysisConfig:
     bracket_depth: int = 4
 
 
+# report section of each classification
+SECTIONS = {
+    Classification.FIRST_INTEGRAL: "foliation",
+    Classification.GENERALIZED: "isolated",
+    Classification.REJECTED: "rejected",
+    Classification.UNDETERMINED: "undetermined",
+}
+
+
+def numeric_evidence(sys: ControlAffineSystem, cand: CandidateIntegral,
+                     leaf_dim, cfg: AnalysisConfig, offset=None) -> dict:
+    """Numeric backing of a symbolic verdict, as report entry fields.
+
+    Rejected candidates get an escape schedule; accepted ones get leaf
+    controllability and RK4 invariance of {rho = 0}, or of the level set
+    {rho = offset} when an offset is given.  Undetermined ones get nothing.
+    """
+    rhos = list(cand.rhos)
+    if cand.classification is Classification.REJECTED:
+        return {"escape": _escape_json(escape_test(
+            sys, rhos, seed=cfg.seed, horizon=cfg.horizon))}
+    if cand.classification is Classification.UNDETERMINED:
+        return {}
+    if offset is not None:
+        rhos = [r - offset for r in rhos]
+    out = {
+        "leaf_controllability": leaf_controllability(
+            sys, rhos, leaf_dim, seed=cfg.seed, depth=cfg.bracket_depth),
+        "invariance": _verdict_json(invariance_test(
+            sys, rhos, trials=cfg.trials, pieces=cfg.pieces,
+            horizon=cfg.horizon, h=cfg.step, seed=cfg.seed)),
+    }
+    if offset is not None:
+        out["leaf_offset"] = offset
+    return out
+
+
 def analyze(sys: ControlAffineSystem, config: AnalysisConfig | None = None) -> dict:
     """Full pipeline: flag, foliation, isolated submanifolds, verdicts.
 
@@ -490,36 +519,28 @@ def analyze(sys: ControlAffineSystem, config: AnalysisConfig | None = None) -> d
             {to_text(c) for lv in flag.levels
              for c in lv.system.constraints}),
     }
-
-    fields = sys.fields()
     rng = np.random.default_rng(cfg.seed)
+
+    def record(cand, entry_dim, evidence_dim):
+        # first integrals are tested on a random level set {rho = offset}
+        section = SECTIONS[cand.classification]
+        entry = _integral_entry(cand, entry_dim)
+        if cfg.run_numeric:
+            offset = (float(rng.uniform(-1, 1)) if section == "foliation"
+                      else None)
+            entry.update(numeric_evidence(sys, cand, evidence_dim, cfg,
+                                          offset))
+        report[section].append(entry)
 
     # foliation by level sets of first integrals (terminal integrable system)
     leaf_dim = n - flag.q
     if flag.q >= 1:
-        for cand in first_integrals(flag, ctx, fields=fields):
-            if cand.classification is Classification.FIRST_INTEGRAL:
-                entry = _integral_entry(cand, leaf_dim)
-                rho = cand.rhos[0]
-                if cfg.run_numeric:
-                    c0 = float(rng.uniform(-1, 1))
-                    entry["leaf_controllability"] = leaf_controllability(
-                        sys, [rho - c0], leaf_dim, seed=cfg.seed,
-                        depth=cfg.bracket_depth)
-                    entry["invariance"] = _verdict_json(invariance_test(
-                        sys, [rho - c0], trials=cfg.trials, pieces=cfg.pieces,
-                        horizon=cfg.horizon, h=cfg.step, seed=cfg.seed))
-                    entry["leaf_offset"] = c0
-                report["foliation"].append(entry)
-            else:
-                report["undetermined"].append(_integral_entry(cand, leaf_dim))
+        for cand in first_integrals(flag, ctx, fields=sys.fields()):
+            record(cand, leaf_dim, leaf_dim)
 
     # candidates for isolated invariant submanifolds
     candidates = []
-    seen = {to_text(c.rhos[0]) if c.rhos else "" for c in []}
-    seen = set()
-    for entry in report["foliation"]:
-        seen.add(entry["rho"][0])
+    seen = {entry["rho"][0] for entry in report["foliation"]}
     T0 = flag.levels[0].torsion
     if T0 is not None and not T0.is_trivial:
         for f in gfi_candidates(T0, ctx, dmax=cfg.dmax, seed=cfg.seed,
@@ -535,38 +556,10 @@ def analyze(sys: ControlAffineSystem, config: AnalysisConfig | None = None) -> d
     for rhos, prov in candidates:
         result = check_membership(rhos, level0, ctx, seed=cfg.seed,
                                   provenance=prov)
-        dd = len(rhos)
-        if result.classification is Classification.GENERALIZED:
-            entry = _integral_entry(result, n - dd)
-            if cfg.run_numeric:
-                entry["leaf_controllability"] = leaf_controllability(
-                    sys, list(rhos), n - dd, seed=cfg.seed,
-                    depth=cfg.bracket_depth)
-                entry["invariance"] = _verdict_json(invariance_test(
-                    sys, list(rhos), trials=cfg.trials, pieces=cfg.pieces,
-                    horizon=cfg.horizon, h=cfg.step, seed=cfg.seed))
-            report["isolated"].append(entry)
-        elif result.classification is Classification.FIRST_INTEGRAL:
-            entry = _integral_entry(result, leaf_dim)
-            if cfg.run_numeric:
-                c0 = float(rng.uniform(-1, 1))
-                entry["leaf_controllability"] = leaf_controllability(
-                    sys, [rhos[0] - c0], n - dd, seed=cfg.seed,
-                    depth=cfg.bracket_depth)
-                entry["invariance"] = _verdict_json(invariance_test(
-                    sys, [rhos[0] - c0], trials=cfg.trials, pieces=cfg.pieces,
-                    horizon=cfg.horizon, h=cfg.step, seed=cfg.seed))
-                entry["leaf_offset"] = c0
-            report["foliation"].append(entry)
-        elif result.classification is Classification.REJECTED:
-            entry = _integral_entry(result, None)
-            if cfg.run_numeric:
-                esc = escape_test(sys, list(rhos), seed=cfg.seed,
-                                  horizon=cfg.horizon)
-                entry["escape"] = _escape_json(esc)
-            report["rejected"].append(entry)
-        else:
-            report["undetermined"].append(_integral_entry(result, None))
+        entry_dim = {Classification.FIRST_INTEGRAL: leaf_dim,
+                     Classification.GENERALIZED: n - len(rhos)}
+        record(result, entry_dim.get(result.classification),
+               n - len(rhos))
 
     report["conclusion"] = _conclusion(report)
     return report
@@ -616,8 +609,6 @@ def _escape_json(esc):
 
 
 def _system_echo(sys: ControlAffineSystem):
-    from .dsl import print_system
-
     return {
         "n": sys.n,
         "m": sys.m,

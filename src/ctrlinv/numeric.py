@@ -3,7 +3,6 @@ invariance and escape testing, Lie brackets, and bracket-rank checks."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,8 +10,8 @@ import sympy as sp
 
 from .dsl import ControlAffineSystem, ControlSchedule
 from .errors import DomainExit, EvalSingular, StepSingular
-from .expr import SymbolContext, normalize
-from .sampling import CONSTRAINT_MARGIN, sample_params, zero_locus_points
+from .expr import SymbolContext, evaluate, normalize
+from .sampling import CONSTRAINT_MARGIN, zero_locus_points
 
 SV_RANK_TOL = 1e-8
 INV_TOL_BASE = 1e-6
@@ -25,11 +24,6 @@ class Trajectory:
     controls: np.ndarray  # control value applied on [t_i, t_{i+1}), (N, m)
     schedule: ControlSchedule
     rho_values: dict  # monitor label -> (N+1,) array
-
-    @property
-    def arc_length(self):
-        return float(np.sum(np.linalg.norm(np.diff(self.states, axis=0),
-                                           axis=1)))
 
     def to_csv(self, names, control_count, rho_labels):
         header = ["t"] + list(names)
@@ -156,7 +150,6 @@ def simulate(sys: ControlAffineSystem, x0, schedule: ControlSchedule,
     point0 = {v: float(x) for v, x in zip(ctx.states, x0)}
     point0.update(param_values)
     for c in ctx.nonzero:
-        from .expr import evaluate
         if abs(evaluate(c, point0, ctx)) <= CONSTRAINT_MARGIN:
             raise DomainExit(f"initial point violates nonzero constraint {c}")
 
@@ -361,34 +354,17 @@ def iterated_brackets(fields, ctx, depth=4):
     return out
 
 
+def svd_rank(vectors):
+    """Numeric rank of a list of row vectors, relative to the largest one."""
+    sv = np.linalg.svd(np.array(vectors), compute_uv=False)
+    scale = max(1.0, sv[0]) if sv.size else 1.0
+    return int(np.sum(sv > SV_RANK_TOL * scale))
+
+
 def bracket_rank(fields, point, ctx, depth=4):
     """Numeric rank at a point of the iterated brackets up to given depth."""
-    from .expr import evaluate
-
-    vectors = []
-    rank = 0
-    n = len(ctx.states)
-    layers = [list(fields)]
-    for level in range(depth):
-        if level > 0:
-            new = []
-            for Y in layers[-1]:
-                for X in fields:
-                    br = lie_bracket(X, Y, ctx)
-                    if any(c != 0 for c in br):
-                        new.append(br)
-            if not new:
-                break
-            layers.append(new)
-        for F in layers[-1]:
-            vectors.append([evaluate(c, point, ctx) for c in F])
-        mat = np.array(vectors)
-        sv = np.linalg.svd(mat, compute_uv=False)
-        scale = max(1.0, sv[0]) if sv.size else 1.0
-        rank = int(np.sum(sv > SV_RANK_TOL * scale))
-        if rank == n:
-            break
-    return rank
+    return svd_rank([[evaluate(c, point, ctx) for c in F]
+                     for F in iterated_brackets(fields, ctx, depth=depth)])
 
 
 def leaf_controllability(sys: ControlAffineSystem, rhos, leaf_dim, seed=42,
@@ -399,8 +375,6 @@ def leaf_controllability(sys: ControlAffineSystem, rhos, leaf_dim, seed=42,
     leaf (gradient pairing below tolerance) and their rank must reach the
     leaf dimension.
     """
-    from .expr import evaluate
-
     ctx = sys.ctx
     rhos = [sp.sympify(r) for r in rhos]
     rng = np.random.default_rng(seed + 7)
@@ -420,9 +394,7 @@ def leaf_controllability(sys: ControlAffineSystem, rhos, leaf_dim, seed=42,
                             float(np.linalg.norm(gval)))
                 if abs(float(gval @ v)) > SV_RANK_TOL * scale:
                     tangent = False
-        sv = np.linalg.svd(np.array(vecs), compute_uv=False)
-        scale = max(1.0, sv[0]) if sv.size else 1.0
-        ranks.append(int(np.sum(sv > SV_RANK_TOL * scale)))
+        ranks.append(svd_rank(vecs))
     rank = max(ranks) if ranks else 0
     return {
         "leaf_dimension": leaf_dim,

@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 import sympy as sp
 
+from .errors import SamplingFailed
 from .expr import SymbolContext, evaluate
 
 NEWTON_RESIDUAL_TOL = 1e-10
@@ -63,19 +64,22 @@ def zero_locus_points(rhos, ctx: SymbolContext, rng, count=20,
             if res <= NEWTON_RESIDUAL_TOL and _constraints_ok(point, ctx):
                 points.append(dict(point))
     if len(points) < count:
-        raise RuntimeError(
+        raise SamplingFailed(
             f"zero-locus sampling produced {len(points)}/{count} points")
     return points
 
 
 def _solve_linear(rhos, point, ctx, rng):
-    """Solve the system one variable at a time where rhos are linear."""
-    remaining = list(rhos)
-    solved = set()
-    for rho in remaining:
+    """Solve the system one variable at a time where rhos are linear.
+
+    Each rho is solved for a state that no earlier solved rho mentions, so
+    later solutions leave the earlier equations satisfied.
+    """
+    fixed = set()
+    for rho in rhos:
         done = False
         for v in ctx.states:
-            if v in solved:
+            if v in fixed:
                 continue
             try:
                 if sp.degree(sp.Poly(rho, v)) != 1:
@@ -93,7 +97,7 @@ def _solve_linear(rhos, point, ctx, rng):
                 continue
             rest = rho - a * v
             point[v] = -evaluate(rest, point, ctx) / aval
-            solved.add(v)
+            fixed |= rho.free_symbols
             done = True
             break
         if not done:

@@ -67,6 +67,26 @@ class TestJsonOutput:
         entry = payload["verify"]
         assert entry["classification"] == "GeneralizedFirstIntegral"
         assert entry["invariance"]["verdict"] == "Held"
+        lc = entry["leaf_controllability"]
+        assert lc["leaf_dimension"] == 2 and lc["controllable_on_leaf"]
+
+    @pytest.mark.parametrize("seed", ["42", "7", "61"])
+    def test_verify_two_linear_functions(self, capsys, seed):
+        # {x + y = 0, y + z = 0} is a line that g1 = (1, y, 0) leaves
+        code, payload = run_json(
+            capsys, ["verify", EX1, "--rho", "x+y", "--rho", "y+z",
+                     "--seed", seed] + FAST)
+        assert code == 0
+        entry = payload["verify"]
+        assert entry["classification"] == "Rejected"
+        assert entry["escape"]["value"] > 0.1
+
+    def test_verify_empty_locus_is_domain_error(self, capsys):
+        # x^2 + 1 has no real zeros, so no start point can be sampled
+        assert run(["verify", EX1, "--rho", "x^2+1"] + FAST) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error [verify]: zero-locus sampling")
 
     def test_verify_rejected(self, capsys):
         code, payload = run_json(
@@ -84,6 +104,7 @@ class TestJsonOutput:
     def test_brackets_payload(self, capsys):
         code, payload = run_json(capsys, ["brackets", EX1, "--depth", "3"])
         assert code == 0
+        assert payload["depth"] == 3
         assert payload["rank_at_sample_point"] == 3
 
 
@@ -124,6 +145,30 @@ class TestTextFormat:
         code = run(["verify", EX1, "--rho", "z", "--format", "text"] + FAST)
         assert code == 0
         assert "GeneralizedFirstIntegral" in capsys.readouterr().out
+
+    def test_brackets_text(self, capsys):
+        code = run(["brackets", EX1, "--depth", "2", "--format", "text"])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "depth 2, rank 3 at sample point"
+        assert lines[1] == "  (1, y, 0)"
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", EX1] + FAST,
+        ["flag", EX1],
+        ["torsion", EX1],
+        ["candidates", EX1],
+        ["verify", EX1, "--rho", "z"] + FAST,
+        ["simulate", EX1, "--x0", "0,1,0", "--control", "0.1:1,0",
+         "--step", "0.01"],
+        ["brackets", EX1, "--depth", "2"],
+    ], ids=lambda argv: argv[0])
+    def test_output_file_leaves_stdout_empty(self, argv, tmp_path, capsys):
+        out = tmp_path / "out.txt"
+        code = run(argv + ["--format", "text", "--output", str(out)])
+        assert code == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_text().strip()
 
 
 class TestDeterminism:

@@ -9,6 +9,7 @@ from ctrlinv.errors import (
     DivisionByZeroExpr,
     EvalSingular,
     NotPolynomial,
+    SamplingFailed,
     UnknownSymbol,
 )
 from ctrlinv.expr import (
@@ -20,6 +21,7 @@ from ctrlinv.expr import (
     factor,
     is_zero,
     normalize,
+    random_point,
 )
 
 from conftest import random_poly
@@ -171,6 +173,15 @@ class TestEvaluate:
     def test_singular_denominator(self):
         with pytest.raises(EvalSingular):
             evaluate(1 / x, {x: 1e-14})
+
+    def test_negative_one(self):
+        assert evaluate(sp.S.NegativeOne, {}) == -1.0
+
+
+def test_random_point_unsatisfiable_raises_named_error():
+    ctx = SymbolContext(states=(x,), nonzero=(x - x,))
+    with pytest.raises(SamplingFailed):
+        random_point(ctx, random.Random(0))
 
 
 class TestProperties:

@@ -1,7 +1,9 @@
 import pytest
 import sympy as sp
 
+import ctrlinv.flag as flag_module
 from ctrlinv.dsl import parse_system
+from ctrlinv.errors import AnnihilationFailure, FlagNotDecreasing
 from ctrlinv.expr import SymbolContext, normalize
 from ctrlinv.flag import (
     annihilator,
@@ -11,15 +13,27 @@ from ctrlinv.flag import (
     flag_summary,
     nullspace,
     rref,
-    span_equal,
     torsion,
 )
-from ctrlinv.forms import contract, one_form
+from ctrlinv.forms import coefficient_vector, contract, one_form
 
 x, y, z, w = sp.symbols("x y z w")
 a, b = sp.symbols("a b")
 
 CTX = SymbolContext(states=(x, y, z))
+
+
+def span_equal(gens_a, gens_b, ctx, seed=0):
+    """True when two generator lists span the same subspace of 1-forms:
+    stacking them does not raise the common rank."""
+    rows_a = [list(coefficient_vector(g)) for g in gens_a]
+    rows_b = [list(coefficient_vector(g)) for g in gens_b]
+    _, piv_a = rref(rows_a, ctx, seed=seed)
+    _, piv_b = rref(rows_b, ctx, seed=seed)
+    if len(piv_a) != len(piv_b):
+        return False
+    _, piv_s = rref(rows_a + rows_b, ctx, seed=seed)
+    return len(piv_s) == len(piv_a)
 
 
 class TestLinearAlgebra:
@@ -169,3 +183,16 @@ class TestDerivedSystem:
         g2 = one_form([0, 1, 0, 0], ex3.ctx)
         assert not span_equal([g1], [g2], ex3.ctx)
         assert span_equal([g1], [g1.scale(3)], ex3.ctx)
+
+
+class TestInvariantErrors:
+    def test_annihilation_failure_raises(self, ex1, monkeypatch):
+        monkeypatch.setattr(flag_module, "contract", lambda g, X: 1)
+        with pytest.raises(AnnihilationFailure):
+            annihilator(ex1)
+
+    def test_flag_not_decreasing_raises(self, ex3, monkeypatch):
+        monkeypatch.setattr(flag_module, "derived_system",
+                            lambda system, T, ctx, seed=0: system)
+        with pytest.raises(FlagNotDecreasing):
+            derived_flag(ex3)

@@ -13,7 +13,6 @@ from ctrlinv.forms import (
     make_form,
     one_form,
     reduce_mod,
-    scalar_form,
     wedge,
     zero_form,
 )
@@ -22,6 +21,10 @@ from conftest import random_form, random_poly
 
 x, y, z, w = sp.symbols("x y z w")
 a, b = sp.symbols("a b")
+
+
+def scalar_form(e, ctx):
+    return make_form(0, {(): e}, ctx)
 
 CTX = SymbolContext(states=(x, y, z))
 CTX4 = SymbolContext(states=(x, y, z, w), params=(a, b),

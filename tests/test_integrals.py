@@ -1,7 +1,9 @@
 import pytest
 import sympy as sp
 
-from ctrlinv.errors import NotClosed
+import ctrlinv.integrals as integrals_module
+from ctrlinv.dsl import parse_system
+from ctrlinv.errors import AnnihilationFailure, NotClosed
 from ctrlinv.expr import SymbolContext, normalize
 from ctrlinv.flag import annihilator, derived_flag, torsion
 from ctrlinv.forms import one_form
@@ -188,3 +190,12 @@ class TestAnalyze:
         rhos = [e["rho"] for e in rep["isolated"]]
         assert any(r in (["-a*z + b*x"], ["b*x - a*z"]) for r in rhos)
         assert rep["isolated"][0]["invariance"]["verdict"] == "Held"
+
+
+def test_first_integral_annihilation_failure_raises(monkeypatch):
+    sys = parse_system(
+        "states: x y z\ncontrol g1: [1, 0, 0]\ncontrol g2: [0, 1, 0]\n")
+    flag = derived_flag(sys)
+    monkeypatch.setattr(integrals_module, "contract", lambda form, X: 1)
+    with pytest.raises(AnnihilationFailure):
+        first_integrals(flag, sys.ctx, fields=sys.fields())

@@ -6,7 +6,7 @@ import pytest
 import sympy as sp
 
 from ctrlinv.dsl import ControlSchedule, parse_system
-from ctrlinv.errors import DomainExit, EvalSingular
+from ctrlinv.errors import DomainExit, EvalSingular, SamplingFailed
 from ctrlinv.expr import SymbolContext, normalize
 from ctrlinv.numeric import (
     bracket_rank,
@@ -26,13 +26,17 @@ a, b = sp.symbols("a b")
 CTX = SymbolContext(states=(x, y, z))
 
 
+def arc_length(traj):
+    return float(np.sum(np.linalg.norm(np.diff(traj.states, axis=0), axis=1)))
+
+
 class TestSimulate:
     def test_constant_field_exact(self):
         sys = parse_system("states: x y\ncontrol g1: [1, 2]\n")
         sched = ControlSchedule(((1.0, (1.0,)),))
         traj = simulate(sys, [0.0, 0.0], sched, h=1e-2)
         assert traj.states[-1] == pytest.approx([1.0, 2.0], abs=1e-12)
-        assert traj.arc_length == pytest.approx(math.sqrt(5), rel=1e-9)
+        assert arc_length(traj) == pytest.approx(math.sqrt(5), rel=1e-9)
 
     def test_rotation_field(self):
         # dx/dt = -y, dy/dt = x with u = 1: rotation by the elapsed time
@@ -62,7 +66,7 @@ class TestSimulate:
         sys = parse_system("states: x y\ncontrol g1: [1, 0]\n")
         traj = simulate(sys, [2.0, 3.0], ControlSchedule(()), h=1e-2)
         assert traj.states.shape == (1, 2)
-        assert traj.arc_length == 0.0
+        assert arc_length(traj) == 0.0
 
     def test_missing_params(self, ex3):
         with pytest.raises(EvalSingular):
@@ -173,6 +177,24 @@ class TestZeroLocusSampling:
         pts = zero_locus_points([x**2 + y**2 - 1], CTX, rng, count=5)
         for pt in pts:
             assert abs(pt[x] ** 2 + pt[y] ** 2 - 1) < 1e-9
+
+    def test_linear_system_sharing_a_state(self):
+        # solving y + z for y would break x + y = 0, already solved for x
+        from ctrlinv.numeric import _PyRng
+
+        rng = _PyRng(np.random.default_rng(5))
+        pts = zero_locus_points([x + y, y + z], CTX, rng, count=5)
+        assert len(pts) == 5
+        for pt in pts:
+            assert abs(pt[x] + pt[y]) < 1e-12
+            assert abs(pt[y] + pt[z]) < 1e-12
+
+    def test_empty_locus_raises_named_error(self):
+        from ctrlinv.numeric import _PyRng
+
+        rng = _PyRng(np.random.default_rng(6))
+        with pytest.raises(SamplingFailed):
+            zero_locus_points([x**2 + 1], CTX, rng, count=2)
 
 
 class TestInvariance:
