@@ -57,19 +57,19 @@ class InvarianceVerdict:
 
 
 def _lambdify(exprs, ctx: SymbolContext):
-    """Vectorized callable (state_cols, param_cols) -> columns for exprs."""
-    args = list(ctx.states) + list(ctx.params)
-    fns = [sp.lambdify(args, e, modules="numpy") for e in exprs]
+    """One vectorized callable (x: (N, n), p: (N, k)) -> (len(exprs), N)
+    block, one row per expression, from a single lambdified function."""
+    fn = sp.lambdify(list(ctx.states) + list(ctx.params), list(exprs),
+                     modules="numpy")
+    size = len(exprs)
 
-    def call(xcols, pcols):
-        vals = list(xcols) + list(pcols)
-        out = []
-        for fn in fns:
-            r = fn(*vals)
-            out.append(np.broadcast_to(np.asarray(r, dtype=float),
-                                       np.shape(xcols[0])).copy()
-                       if np.ndim(r) == 0 else np.asarray(r, dtype=float))
-        return out
+    def call(x, p):
+        cols = [x[:, i] for i in range(x.shape[1])]
+        cols += [p[:, i] for i in range(p.shape[1])]
+        block = np.empty((size, len(x)))
+        for i, val in enumerate(fn(*cols)):
+            block[i] = val  # broadcasts constant components
+        return block
 
     return call
 
@@ -78,34 +78,34 @@ def rhs_function(sys: ControlAffineSystem):
     """Batched right-hand side f(x) + sum_j g_j(x) u_j.
 
     Returned callable maps (x: (N, n), u: (N, m), params: (N, k)) to (N, n).
+    The drift and control fields are evaluated as one block of (m + 1) n
+    rows; the control rows are then added into the drift rows in order.
     """
-    ctx = sys.ctx
-    drift_fn = _lambdify(sys.drift, ctx)
-    ctrl_fns = [_lambdify(g, ctx) for g in sys.controls]
+    n, m = sys.n, sys.m
+    fields = _lambdify(list(sys.drift) + [c for g in sys.controls for c in g],
+                       sys.ctx)
 
     def rhs(x, u, p):
-        xcols = [x[:, i] for i in range(x.shape[1])]
-        pcols = [p[:, i] for i in range(p.shape[1])]
         with np.errstate(all="ignore"):
-            out = np.stack(drift_fn(xcols, pcols), axis=1)
-            for j, fn in enumerate(ctrl_fns):
-                out += np.stack(fn(xcols, pcols), axis=1) * u[:, j:j + 1]
+            block = fields(x, p)
+            out = block[:n]
+            for j in range(m):
+                out += block[(j + 1) * n:(j + 2) * n] * u[:, j]
         if not np.all(np.isfinite(out)):
             raise StepSingular("vector field evaluation produced non-finite "
                                "values")
-        return out
+        return out.T
 
     return rhs
 
 
 def monitor_function(rhos, ctx):
+    """Batched rhos: (x: (N, n), params: (N, k)) -> (N, len(rhos))."""
     fn = _lambdify(rhos, ctx)
 
     def call(x, p):
-        xcols = [x[:, i] for i in range(x.shape[1])]
-        pcols = [p[:, i] for i in range(p.shape[1])]
         with np.errstate(all="ignore"):
-            return np.stack(fn(xcols, pcols), axis=1)
+            return fn(x, p).T
 
     return call
 

@@ -51,6 +51,7 @@ def zero_locus_points(rhos, ctx: SymbolContext, rng, count=20,
     rhos = [sp.sympify(r) for r in rhos]
     states = list(ctx.states)
     grads = [[sp.diff(r, v) for v in states] for r in rhos]
+    plan = _linear_plan(rhos, ctx)
     points = []
     attempts = 0
     while len(points) < count and attempts < 60 * count:
@@ -58,7 +59,7 @@ def zero_locus_points(rhos, ctx: SymbolContext, rng, count=20,
         pvals = dict(param_values) if param_values else sample_params(ctx, rng)
         point = {v: rng.uniform(-box, box) for v in states}
         point.update(pvals)
-        if _solve_linear(rhos, point, ctx, rng) or \
+        if _solve_linear(plan, point, ctx) or \
                 _newton_project(rhos, grads, point, ctx, newton_steps):
             res = max(abs(evaluate(r, point, ctx)) for r in rhos)
             if res <= NEWTON_RESIDUAL_TOL and _constraints_ok(point, ctx):
@@ -69,18 +70,13 @@ def zero_locus_points(rhos, ctx: SymbolContext, rng, count=20,
     return points
 
 
-def _solve_linear(rhos, point, ctx, rng):
-    """Solve the system one variable at a time where rhos are linear.
-
-    Each rho is solved for a state that no earlier solved rho mentions, so
-    later solutions leave the earlier equations satisfied.
-    """
-    fixed = set()
+def _linear_plan(rhos, ctx):
+    """Per rho, its free symbols and every (v, a, rest) with rho = a v + rest
+    and a free of v, over the states in order."""
+    plan = []
     for rho in rhos:
-        done = False
+        terms = []
         for v in ctx.states:
-            if v in fixed:
-                continue
             try:
                 if sp.degree(sp.Poly(rho, v)) != 1:
                     continue
@@ -89,18 +85,32 @@ def _solve_linear(rhos, point, ctx, rng):
             a = sp.diff(rho, v)
             if sp.diff(a, v) != 0:
                 continue  # not actually linear
+            terms.append((v, a, rho - a * v))
+        plan.append((rho.free_symbols, terms))
+    return plan
+
+
+def _solve_linear(plan, point, ctx):
+    """Solve the system one variable at a time where rhos are linear.
+
+    Each rho is solved for a state that no earlier solved rho mentions, so
+    later solutions leave the earlier equations satisfied.
+    """
+    fixed = set()
+    for symbols, terms in plan:
+        for v, a, rest in terms:
+            if v in fixed:
+                continue
             try:
                 aval = evaluate(a, point, ctx)
             except Exception:
                 return False
             if abs(aval) < 1e-6:
                 continue
-            rest = rho - a * v
             point[v] = -evaluate(rest, point, ctx) / aval
-            fixed |= rho.free_symbols
-            done = True
+            fixed |= symbols
             break
-        if not done:
+        else:
             return False
     return True
 

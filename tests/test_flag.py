@@ -3,10 +3,15 @@ import sympy as sp
 
 import ctrlinv.flag as flag_module
 from ctrlinv.dsl import parse_system
-from ctrlinv.errors import AnnihilationFailure, FlagNotDecreasing
+from ctrlinv.errors import (
+    AnnihilationFailure,
+    FlagNotDecreasing,
+    RankNotConstant,
+)
 from ctrlinv.expr import SymbolContext, normalize
 from ctrlinv.flag import (
     annihilator,
+    certify_rank,
     clear_denominators,
     derived_flag,
     derived_system,
@@ -196,3 +201,29 @@ class TestInvariantErrors:
                             lambda system, T, ctx, seed=0: system)
         with pytest.raises(FlagNotDecreasing):
             derived_flag(ex3)
+
+
+class TestCertifyRank:
+    def test_point_on_thin_locus_is_skipped(self, monkeypatch):
+        # rows [[1, 0], [0, x]] have generic rank 2, rank 1 where x = 0
+        real = flag_module.random_point
+        calls = []
+
+        def first_on_hyperplane(ctx, rng):
+            point = real(ctx, rng)
+            if not calls:
+                point[x] = 0
+            calls.append(point)
+            return point
+
+        monkeypatch.setattr(flag_module, "random_point", first_on_hyperplane)
+        certify_rank([[1, 0], [0, x]], 2, CTX)
+        assert calls[0][x] == 0 and len(calls) == 20
+
+    def test_symbolic_rank_too_high_raises(self):
+        with pytest.raises(RankNotConstant, match="attained at only 0 of"):
+            certify_rank([[1, x], [2, 2 * x]], 2, CTX)
+
+    def test_rank_above_symbolic_rank_raises(self):
+        with pytest.raises(RankNotConstant, match="numeric rank 2 > symbolic"):
+            certify_rank([[1, 0], [0, x]], 1, CTX)

@@ -5,8 +5,14 @@ import numpy as np
 import pytest
 import sympy as sp
 
+import ctrlinv.sampling as sampling_module
 from ctrlinv.dsl import ControlSchedule, parse_system
-from ctrlinv.errors import DomainExit, EvalSingular, SamplingFailed
+from ctrlinv.errors import (
+    DomainExit,
+    EvalSingular,
+    SamplingFailed,
+    StepSingular,
+)
 from ctrlinv.expr import SymbolContext, normalize
 from ctrlinv.numeric import (
     bracket_rank,
@@ -14,6 +20,8 @@ from ctrlinv.numeric import (
     invariance_test,
     iterated_brackets,
     lie_bracket,
+    monitor_function,
+    rhs_function,
     simulate,
 )
 from ctrlinv.sampling import zero_locus_points
@@ -28,6 +36,63 @@ CTX = SymbolContext(states=(x, y, z))
 
 def arc_length(traj):
     return float(np.sum(np.linalg.norm(np.diff(traj.states, axis=0), axis=1)))
+
+
+def per_field_rhs(sys, x, u, p):
+    """f(x), then + g_j(x) u_j in order, one lambdified call per component."""
+    args = list(sys.ctx.states) + list(sys.ctx.params)
+    cols = [x[:, i] for i in range(x.shape[1])]
+    cols += [p[:, i] for i in range(p.shape[1])]
+
+    def field(F):
+        return np.stack([np.broadcast_to(np.asarray(
+            sp.lambdify(args, c, modules="numpy")(*cols), dtype=float),
+            (len(x),)) for c in F], axis=1)
+
+    with np.errstate(all="ignore"):
+        out = field(sys.drift)
+        for j, g in enumerate(sys.controls):
+            out = out + field(g) * u[:, j:j + 1]
+    return out
+
+
+def random_batch(sys, rows, seed):
+    rng = np.random.default_rng(seed)
+    return (rng.uniform(-1, 1, size=(rows, sys.n)),
+            rng.uniform(-1, 1, size=(rows, sys.m)),
+            rng.uniform(0.5, 2, size=(rows, len(sys.ctx.params))))
+
+
+# every component sums several nonzero terms, so the order of the control
+# terms shows in the last bits
+DENSE = ("states: x y\nparams: a\ndrift: [x*y + a, y^2]\n"
+         "control g1: [sin(x), a*y]\ncontrol g2: [x^2, cos(y)]\n")
+
+
+class TestFusedEvaluator:
+    @pytest.mark.parametrize("name", ["ex1", "ex2", "ex3", "ex4", "dense"])
+    @pytest.mark.parametrize("rows", [0, 1, 100, 1000])
+    def test_rhs_matches_per_field_reference(self, name, rows, request):
+        sys = (parse_system(DENSE) if name == "dense"
+               else request.getfixturevalue(name))
+        x, u, p = random_batch(sys, rows, seed=rows)
+        out = rhs_function(sys)(x, u, p)
+        assert out.shape == (rows, sys.n)
+        assert np.array_equal(out, per_field_rhs(sys, x, u, p))
+
+    def test_monitor_constant_and_parameter_only(self, ex4):
+        xs, _, ps = random_batch(ex4, 7, seed=1)
+        vals = monitor_function([sp.Integer(3), a, b * x - a * z],
+                                ex4.ctx)(xs, ps)
+        assert vals.shape == (7, 3)
+        assert np.array_equal(vals[:, 0], np.full(7, 3.0))
+        assert np.array_equal(vals[:, 1], ps[:, 0])
+
+    def test_singular_field_raises(self):
+        sys = parse_system("states: x\ncontrol g1: [1/x]\n")
+        rhs = rhs_function(sys)
+        with pytest.raises(StepSingular):
+            rhs(np.zeros((1, 1)), np.ones((1, 1)), np.zeros((1, 0)))
 
 
 class TestSimulate:
@@ -188,6 +253,23 @@ class TestZeroLocusSampling:
         for pt in pts:
             assert abs(pt[x] + pt[y]) < 1e-12
             assert abs(pt[y] + pt[z]) < 1e-12
+
+    def test_linear_plan_built_once_per_call(self, monkeypatch):
+        from ctrlinv.numeric import _PyRng
+
+        real = sp.Poly
+        built = []
+
+        def counting_poly(*args, **kwargs):
+            built.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sampling_module.sp, "Poly", counting_poly)
+        rhos = [x + y, y + z]
+        pts = zero_locus_points(rhos, CTX, _PyRng(np.random.default_rng(5)),
+                                count=50)
+        assert len(pts) == 50
+        assert len(built) <= len(rhos) * len(CTX.states)
 
     def test_empty_locus_raises_named_error(self):
         from ctrlinv.numeric import _PyRng
