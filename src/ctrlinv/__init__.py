@@ -5,7 +5,15 @@ generalized first integrals, and trajectory-based verification."""
 from .dsl import ControlAffineSystem, ControlSchedule, parse_expr, parse_system
 from .expr import SymbolContext, ZeroVerdict, Verdict
 from .flag import PfaffianFlag, PfaffianSystem, TorsionMatrix, derived_flag
-from .forms import DifferentialForm, contract, d, one_form, reduce_mod, wedge
+from .forms import (
+    DifferentialForm,
+    contract,
+    d,
+    one_form,
+    pivot_solution,
+    reduce_mod,
+    wedge,
+)
 from .integrals import (
     AnalysisConfig,
     CandidateIntegral,
@@ -56,6 +64,7 @@ __all__ = [
     "parse_expr",
     "parse_system",
     "poincare_integrate",
+    "pivot_solution",
     "reduce_mod",
     "simulate",
     "wedge",

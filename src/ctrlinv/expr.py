@@ -5,12 +5,15 @@ constants, declared state variables and parameters, sums, products, integer
 powers, quotients, and the trig atoms sin(v), cos(v) of a declared variable.
 sin(v) and cos(v) are treated as independent indeterminates linked only by the
 rewrite sin(v)**2 -> 1 - cos(v)**2, applied during normalization.
+Normalization computes in sympy's sparse rational-function field over QQ
+(rational_field) and converts back to a tree only for its result.
 
 All functions here are pure; randomized ones take explicit seeds.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass, field
@@ -18,6 +21,9 @@ from enum import Enum
 from fractions import Fraction
 
 import sympy as sp
+from sympy.polys.domains import QQ
+from sympy.polys.fields import FracField
+from sympy.polys.orderings import grlex
 
 from .errors import (
     DivisionByZeroExpr,
@@ -111,16 +117,60 @@ class ZeroVerdict:
         return self.kind is Verdict.PROVEN_NONZERO
 
 
-def _trig_reduce(poly_expr, gens):
-    """Rewrite sin(v)**2 -> 1 - cos(v)**2 everywhere in a polynomial."""
-    relations = []
-    for g in gens:
-        if isinstance(g, sp.sin):
-            relations.append(g**2 + sp.cos(g.args[0]) ** 2 - 1)
-    if not relations or not poly_expr.atoms(sp.sin):
-        return sp.expand(poly_expr)
-    _, rem = sp.reduced(poly_expr, relations, gens, order="grlex")
-    return sp.expand(rem)
+@functools.lru_cache(maxsize=None)
+def rational_field(gens):
+    """Sparse rational-function field over QQ in grlex order on `gens` (a
+    SymbolContext.gens_for tuple), and the relation sin(v)**2 + cos(v)**2 - 1
+    of each (sin, cos) pair in it."""
+    K = FracField(gens, QQ, grlex)
+    R = K.ring
+    return K, tuple(s**2 + c**2 - 1
+                    for g, s, c in zip(gens, R.gens, R.gens[1:])
+                    if isinstance(g, sp.sin))
+
+
+def to_field(e, K, relations, ctx: SymbolContext):
+    """Reduced field element of an expression: see reduce_fraction."""
+    try:
+        f = K.from_expr(e)
+    except (ZeroDivisionError, ValueError) as exc:
+        # ValueError: not a rational function in K's generators
+        if isinstance(exc, ValueError) and not sp.sympify(e).has(
+                sp.zoo, sp.nan, sp.oo, -sp.oo):
+            ctx.check_symbols(e)
+            raise NotPolynomial(f"outside the expression class: {e}") from None
+        raise DivisionByZeroExpr("denominator normalizes to zero") from None
+    return reduce_fraction(f, relations)
+
+
+def _rem(p, relations):
+    return p.rem(relations) if relations else p
+
+
+def reduce_fraction(f, relations):
+    """f with sin**2 eliminated from numerator and denominator, cancelled
+    again when the denominator is not a constant."""
+    num, den = _rem(f.numer, relations), _rem(f.denom, relations)
+    if not den:
+        raise DivisionByZeroExpr("denominator normalizes to zero")
+    if not num:
+        return f.field.zero
+    if not den.is_ground:
+        f = f.field.new(num, den)
+        num, den = _rem(f.numer, relations), _rem(f.denom, relations)
+        if not den:
+            raise DivisionByZeroExpr("denominator normalizes to zero")
+    return f.field.raw_new(num, den)
+
+
+def from_field(f):
+    """Expression num/den of a field element, the denominator monic in grlex
+    order (a constant denominator is divided into the numerator)."""
+    lc = f.denom.LC
+    num = f.numer.quo_ground(lc).as_expr()
+    if f.denom.is_ground:
+        return num
+    return num / f.denom.quo_ground(lc).as_expr()
 
 
 def normalize(e, ctx: SymbolContext):
@@ -138,29 +188,7 @@ def normalize(e, ctx: SymbolContext):
     if not e.has(sp.sin) and all(
             p.exp.is_Integer and p.exp > 0 for p in e.atoms(sp.Pow)):
         return sp.expand(e)
-    e = sp.cancel(sp.together(e))
-    num, den = sp.fraction(e)
-    gens = ctx.gens_for(num, den)
-    num = _trig_reduce(sp.expand(num), gens)
-    den = _trig_reduce(sp.expand(den), gens)
-    if den == 0:
-        raise DivisionByZeroExpr("denominator normalizes to zero")
-    if num == 0:
-        return sp.Integer(0)
-    if den.free_symbols or den.atoms(sp.sin, sp.cos):
-        g = sp.cancel(num / den)
-        num, den = sp.fraction(g)
-        num = _trig_reduce(sp.expand(num), gens)
-        den = _trig_reduce(sp.expand(den), gens)
-    if den == 0:
-        raise DivisionByZeroExpr("denominator normalizes to zero")
-    if not (den.free_symbols or den.atoms(sp.sin, sp.cos)):
-        return sp.expand(num / den)
-    # monic denominator in the fixed term order
-    lc = sp.Poly(den, *ctx.gens_for(den)).LC(order="grlex")
-    num = sp.expand(num / lc)
-    den = sp.expand(den / lc)
-    return num / den
+    return from_field(to_field(e, *rational_field(ctx.gens_for(e)), ctx))
 
 
 def is_polynomial(e, ctx: SymbolContext) -> bool:
@@ -270,7 +298,7 @@ def divide_exact(num, den, ctx: SymbolContext):
     num_n = normalize(num, ctx)
     if num_n == 0:
         return sp.Integer(0)
-    q = normalize(sp.cancel(num_n / den_n), ctx)
+    q = normalize(num_n / den_n, ctx)
     if not is_polynomial(q, ctx):
         return None
     if normalize(num_n - q * den_n, ctx) != 0:

@@ -18,8 +18,10 @@ import sympy as sp
 from .dsl import ControlAffineSystem
 from .errors import (
     AnnihilationFailure,
+    EvalSingular,
     FlagNotDecreasing,
     NoValidCompletion,
+    NotPolynomial,
     RankNotConstant,
     RankUndecidable,
 )
@@ -28,10 +30,14 @@ from .expr import (
     _positive_leading,
     evaluate,
     factor,
+    from_field,
     is_polynomial,
     is_zero,
     normalize,
     random_point,
+    rational_field,
+    reduce_fraction,
+    to_field,
     to_text,
 )
 from .forms import (
@@ -40,6 +46,7 @@ from .forms import (
     d,
     form_to_text,
     one_form,
+    pivot_solution,
     reduce_mod,
 )
 
@@ -104,14 +111,16 @@ class PfaffianFlag:
 
 # --- linear algebra over the expression fraction field -----------------------
 
-def _pivot_quality(e, ctx, seed):
+def _pivot_quality(f, ctx, seed):
     """3 = nonzero constant, 2 = product of known-nonzero factors,
-    1 = ProvenNonzero by sampling, 0 = ProvenZero, -1 = Unknown."""
-    n = normalize(e, ctx)
-    if n == 0:
+    1 = ProvenNonzero by sampling, 0 = ProvenZero, -1 = Unknown.
+
+    `f` is a reduced field element (expr.to_field)."""
+    if not f:
         return 0
-    if not (n.free_symbols or n.atoms(sp.sin, sp.cos)):
+    if f.numer.is_ground and f.denom.is_ground:
         return 3
+    n = from_field(f)
     if _known_nonzero(n, ctx):
         return 2
     v = is_zero(n, ctx, seed=seed)
@@ -132,7 +141,7 @@ def _known_nonzero(e, ctx: SymbolContext):
             continue
         try:
             parts = factor(part, ctx)
-        except Exception:
+        except (NotPolynomial, sp.PolynomialError):
             return False
         for f, _ in parts:
             if not _known_nonzero_factor(f, ctx):
@@ -144,8 +153,7 @@ def _known_nonzero_factor(f, ctx):
     if f.is_Symbol and ctx.param_signs.get(f):
         return True
     for c in ctx.nonzero:
-        ratio = sp.cancel(f / c)
-        if ratio.is_Rational and ratio != 0:
+        if c != 0 and normalize(f / c, ctx).is_Rational:
             return True
     return False
 
@@ -157,7 +165,9 @@ def rref(rows, ctx, seed=0):
     certainty; a column whose undecided entries are all Unknown raises
     RankUndecidable naming the offending expression.
     """
-    rows = [[normalize(e, ctx) for e in r] for r in rows]
+    K, relations = rational_field(
+        ctx.gens_for(*itertools.chain.from_iterable(rows)))
+    rows = [[to_field(e, K, relations, ctx) for e in r] for r in rows]
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     pivot_cols = []
@@ -174,7 +184,7 @@ def rref(rows, ctx, seed=0):
                 if q == 3:
                     break
             elif q == -1 and unknown is None:
-                unknown = rows[i][c]
+                unknown = from_field(rows[i][c])
         if best is None:
             if unknown is not None:
                 raise RankUndecidable(
@@ -182,15 +192,15 @@ def rref(rows, ctx, seed=0):
             continue
         rows[r], rows[best] = rows[best], rows[r]
         piv = rows[r][c]
-        rows[r] = [normalize(e / piv, ctx) for e in rows[r]]
+        rows[r] = [reduce_fraction(e / piv, relations) for e in rows[r]]
         for i in range(nrows):
-            if i != r and rows[i][c] != 0:
+            if i != r and rows[i][c]:
                 f = rows[i][c]
-                rows[i] = [normalize(a - f * b, ctx)
+                rows[i] = [reduce_fraction(a - f * b, relations)
                            for a, b in zip(rows[i], rows[r])]
         pivot_cols.append(c)
         r += 1
-    return rows, pivot_cols
+    return [[from_field(e) for e in row] for row in rows], pivot_cols
 
 
 def nullspace(rows, ctx, seed=0):
@@ -227,7 +237,7 @@ def clear_denominators(vec, ctx):
     for e in nonzero[1:]:
         g = sp.gcd(g, e)
     if g != 0 and g != 1:
-        scaled = [normalize(sp.cancel(e / g), ctx) for e in scaled]
+        scaled = [normalize(e / g, ctx) for e in scaled]
     # deterministic sign: first nonzero entry gets positive leading coeff
     first = next(e for e in scaled if e != 0)
     _, unit = _positive_leading(first, ctx)
@@ -260,7 +270,7 @@ def certify_rank(rows, rank, ctx, seed=0, samples=20):
         point = random_point(ctx, rng)
         try:
             nr = numeric_rank_at(rows, ctx, point)
-        except Exception:
+        except (EvalSingular, np.linalg.LinAlgError):
             continue
         if nr > rank:
             raise RankNotConstant(
@@ -356,9 +366,10 @@ def torsion(system: PfaffianSystem, ctx, seed=0) -> TorsionMatrix:
     omega = omega_indices(system, n)
     labels = tuple(itertools.combinations(range(len(omega)), 2))
     entries = []
+    sol = pivot_solution(list(system.generators), list(system.pivots),
+                         seed=seed)
     for g in system.generators:
-        reduced = reduce_mod(d(g), list(system.generators),
-                             list(system.pivots), seed=seed)
+        reduced = reduce_mod(d(g), sol)
         row = []
         for j, k in labels:
             row.append(reduced.coeff((omega[j], omega[k])))

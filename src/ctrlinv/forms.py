@@ -94,10 +94,6 @@ def one_form(coeffs, ctx):
     return make_form(1, {(i,): c for i, c in enumerate(coeffs)}, ctx)
 
 
-def coordinate_differential(i, ctx):
-    return make_form(1, {(i,): sp.Integer(1)}, ctx)
-
-
 def coefficient_vector(a: DifferentialForm):
     """Dense n-vector of a 1-form's coefficients."""
     n = len(a.ctx.states)
@@ -177,26 +173,34 @@ def pivot_solution(theta, pivots, seed=0):
     return sol
 
 
-def reduce_mod(a: DifferentialForm, theta, pivots, seed=0) -> DifferentialForm:
+def reduce_mod(a: DifferentialForm, sol) -> DifferentialForm:
     """Canonical representative of a modulo the algebraic ideal (theta).
 
-    Substitutes every pivot coordinate differential by its solution from
-    theta = 0, leaving a form over non-pivot differentials only.
+    `sol` is pivot_solution(theta, pivots): every pivot coordinate
+    differential is substituted by its solution from theta = 0, leaving a
+    form over non-pivot differentials only.  The substituted wedge products
+    are expanded into one coefficient map, so each output coefficient is
+    normalized once.
     """
-    ctx = a.ctx
-    sol = pivot_solution(theta, pivots, seed=seed)
     if a.degree == 0:
         return a
-    out = zero_form(a.degree, ctx)
+    acc = {}
     for key, c in a.terms:
-        factors = []
+        # expand sol[i1] ^ sol[i2] ^ ... term by term; make_form sorts the
+        # keys, with their permutation signs, and drops repeated indices
+        partial = {(): c}
         for i in key:
-            factors.append(sol[i] if i in sol else coordinate_differential(i, ctx))
-        term = factors[0]
-        for f in factors[1:]:
-            term = wedge(term, f)
-        out = out + term.scale(c)
-    return out
+            factor = sol[i].terms if i in sol else (((i,), sp.Integer(1)),)
+            nxt = {}
+            for k, v in partial.items():
+                for (j,), cj in factor:
+                    if j not in k:
+                        kj = k + (j,)
+                        nxt[kj] = nxt.get(kj, sp.Integer(0)) + v * cj
+            partial = nxt
+        for k, v in partial.items():
+            acc[k] = acc.get(k, sp.Integer(0)) + v
+    return make_form(a.degree, acc, a.ctx)
 
 
 def form_to_text(a: DifferentialForm) -> str:

@@ -45,6 +45,7 @@ from .forms import (
     d,
     form_to_text,
     one_form,
+    pivot_solution,
     reduce_mod,
 )
 from .numeric import (
@@ -327,9 +328,10 @@ def check_membership(rhos, system: PfaffianSystem, ctx: SymbolContext,
     theta_cert = {}
     cleared = {}
     all_in_span = True
+    sol = pivot_solution(gens, pivots, seed=seed)
     for mu, rho in enumerate(rhos, start=1):
         drho = one_form(gradient(rho, ctx), ctx)
-        red = reduce_mod(drho, gens, pivots, seed=seed)
+        red = reduce_mod(drho, sol)
         theta_cert[mu] = _theta_coefficients(drho, red, theta_mat, pivots, ctx)
         residues = {}
         for (i,), c in red.terms:

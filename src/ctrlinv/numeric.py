@@ -218,14 +218,16 @@ def invariance_test(sys: ControlAffineSystem, rhos, trials=100, pieces=10,
     p = np.array([[pt[q] for q in ctx.params] for pt in starts]) \
         if ctx.params else np.zeros((trials, 0))
     total_steps = max(1, round(horizon / h))
-    # per-trial control value per grid step
-    u_steps = np.empty((total_steps, trials, sys.m))
+    # grid step -> (trial, control) of every piece starting there
+    switches = {}
     for t in range(trials):
         sched, _ = _piece_steps(random_schedule(rng, sys.m, pieces, horizon), h)
         i = 0
-        for count, u in sched:
-            u_steps[i:i + count, t, :] = u
+        for count, ut in sched:
+            if count:
+                switches.setdefault(i, []).append((t, ut))
             i += count
+    u = np.zeros((trials, sys.m))  # each trial's current control
     rhs = rhs_function(sys)
     mon = monitor_function(rhos, ctx)
     max_rho = np.max(np.abs(mon(x, p)), axis=1)
@@ -233,7 +235,9 @@ def invariance_test(sys: ControlAffineSystem, rhos, trials=100, pieces=10,
     errors = []
     try:
         for i in range(total_steps):
-            xn = _rk4_step(rhs, x, u_steps[i], p, h)
+            for t, ut in switches.get(i, ()):
+                u[t] = ut
+            xn = _rk4_step(rhs, x, u, p, h)
             arclen += np.linalg.norm(xn - x, axis=1)
             x = xn
             max_rho = np.maximum(max_rho, np.max(np.abs(mon(x, p)), axis=1))

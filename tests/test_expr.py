@@ -22,6 +22,7 @@ from ctrlinv.expr import (
     is_zero,
     normalize,
     random_point,
+    to_text,
 )
 
 from conftest import random_poly
@@ -55,6 +56,16 @@ class TestNormalize:
     def test_division_by_zero_expr(self):
         with pytest.raises(DivisionByZeroExpr):
             normalize(1 / (x - x), CTX)
+
+    def test_unexpanded_zero_denominator(self):
+        with pytest.raises(DivisionByZeroExpr):
+            normalize(1 / ((x + 1) ** 2 - x**2 - 2 * x - 1), CTX)
+
+    def test_quotient_outside_class_is_named(self):
+        with pytest.raises(UnknownSymbol):
+            normalize(x / sp.Symbol("q"), CTX)
+        with pytest.raises(NotPolynomial):
+            normalize(sp.sqrt(x) / y, CTX)
 
     def test_sin_powers_eliminated(self):
         n = normalize(sp.sin(w) ** 4, CTX4)
@@ -214,3 +225,108 @@ class TestProperties:
         e = random_poly(rng, (x, y, z), trig_of=w)
         n = normalize(e, CTX4)
         assert normalize(n, CTX4) == n
+
+
+# --- differential test of normalize against the Expr-tree kernel -----------
+#
+# _reference_normalize and _reference_trig_reduce are the earlier
+# implementation of normalize (sp.cancel(sp.together(...)) on sympy trees),
+# kept verbatim as an independent oracle for the rational-function-field
+# kernel.
+
+def _reference_trig_reduce(poly_expr, gens):
+    """Rewrite sin(v)**2 -> 1 - cos(v)**2 everywhere in a polynomial."""
+    relations = []
+    for g in gens:
+        if isinstance(g, sp.sin):
+            relations.append(g**2 + sp.cos(g.args[0]) ** 2 - 1)
+    if not relations or not poly_expr.atoms(sp.sin):
+        return sp.expand(poly_expr)
+    _, rem = sp.reduced(poly_expr, relations, gens, order="grlex")
+    return sp.expand(rem)
+
+
+def _reference_normalize(e, ctx: SymbolContext):
+    e = sp.sympify(e)
+    if e.has(sp.zoo, sp.nan, sp.oo, -sp.oo):
+        raise DivisionByZeroExpr("denominator normalizes to zero")
+    if not e.has(sp.sin) and all(
+            p.exp.is_Integer and p.exp > 0 for p in e.atoms(sp.Pow)):
+        return sp.expand(e)
+    e = sp.cancel(sp.together(e))
+    num, den = sp.fraction(e)
+    gens = ctx.gens_for(num, den)
+    num = _reference_trig_reduce(sp.expand(num), gens)
+    den = _reference_trig_reduce(sp.expand(den), gens)
+    if den == 0:
+        raise DivisionByZeroExpr("denominator normalizes to zero")
+    if num == 0:
+        return sp.Integer(0)
+    if den.free_symbols or den.atoms(sp.sin, sp.cos):
+        g = sp.cancel(num / den)
+        num, den = sp.fraction(g)
+        num = _reference_trig_reduce(sp.expand(num), gens)
+        den = _reference_trig_reduce(sp.expand(den), gens)
+    if den == 0:
+        raise DivisionByZeroExpr("denominator normalizes to zero")
+    if not (den.free_symbols or den.atoms(sp.sin, sp.cos)):
+        return sp.expand(num / den)
+    lc = sp.Poly(den, *ctx.gens_for(den)).LC(order="grlex")
+    num = sp.expand(num / lc)
+    den = sp.expand(den / lc)
+    return num / den
+
+
+PYTHAGORAS = sp.sin(w) ** 2 + sp.cos(w) ** 2 - 1
+
+
+def _random_expression(rng):
+    """A random member of the expression class over CTX4: sums, products and
+    quotients of small polynomials in states, params, sin(w) and cos(w),
+    some with a common factor to cancel, a few with a zero denominator."""
+    syms = (x, y, z, a, b)
+
+    def poly():
+        return random_poly(rng, syms, terms=rng.randint(1, 2),
+                           degree=rng.randint(1, 2), trig_of=w)
+
+    kind = rng.randrange(7)
+    if kind == 0:
+        return poly() * poly()
+    if kind == 1:
+        return poly() / poly()
+    if kind == 2:
+        common = poly()
+        return poly() * common / (poly() * common)
+    if kind == 3:
+        return poly() / poly() + poly() / poly()
+    if kind == 4:
+        return poly() / (poly() * PYTHAGORAS + poly())
+    if kind == 5:
+        return (poly() + PYTHAGORAS * poly()) / poly() ** rng.randint(1, 2)
+    # a denominator that vanishes by the trig relation or by cancellation
+    p = poly()
+    return poly() / (PYTHAGORAS if rng.random() < 0.5 else p - p)
+
+
+def _outcome(fn, e):
+    try:
+        return fn(e, CTX4)
+    except DivisionByZeroExpr as exc:
+        return type(exc)
+
+
+def test_normalize_matches_reference_kernel():
+    rng = random.Random(20260)
+    kinds = set()
+    for _ in range(500):
+        e = _random_expression(rng)
+        want = _outcome(_reference_normalize, e)
+        got = _outcome(normalize, e)
+        assert got == want, e
+        if isinstance(want, type):
+            kinds.add("raises")
+        else:
+            assert to_text(got) == to_text(want), e
+            kinds.add("fraction" if sp.fraction(want)[1] != 1 else "poly")
+    assert kinds == {"raises", "fraction", "poly"}

@@ -5,6 +5,7 @@ import ctrlinv.flag as flag_module
 from ctrlinv.dsl import parse_system
 from ctrlinv.errors import (
     AnnihilationFailure,
+    EvalSingular,
     FlagNotDecreasing,
     RankNotConstant,
 )
@@ -227,3 +228,51 @@ class TestCertifyRank:
     def test_rank_above_symbolic_rank_raises(self):
         with pytest.raises(RankNotConstant, match="numeric rank 2 > symbolic"):
             certify_rank([[1, 0], [0, x]], 1, CTX)
+
+
+class TestErrorsPropagate:
+    """Only the errors a rank or factor test expects are absorbed."""
+
+    @staticmethod
+    def _raise(*args, **kwargs):
+        raise RuntimeError("unrelated failure")
+
+    def test_known_nonzero_propagates_unrelated_error(self, monkeypatch):
+        monkeypatch.setattr(flag_module, "factor", self._raise)
+        with pytest.raises(RuntimeError, match="unrelated failure"):
+            flag_module._known_nonzero(x * y, CTX)
+
+    def test_certify_rank_propagates_unrelated_error(self, monkeypatch):
+        monkeypatch.setattr(flag_module, "numeric_rank_at", self._raise)
+        with pytest.raises(RuntimeError, match="unrelated failure"):
+            certify_rank([[1, 0], [0, x]], 2, CTX)
+
+    def test_certify_rank_skips_singular_point(self, monkeypatch):
+        real = flag_module.numeric_rank_at
+        calls = []
+
+        def first_singular(rows, ctx, point):
+            calls.append(point)
+            if len(calls) == 1:
+                raise EvalSingular("denominator below threshold")
+            return real(rows, ctx, point)
+
+        monkeypatch.setattr(flag_module, "numeric_rank_at", first_singular)
+        certify_rank([[1, 0], [0, x]], 2, CTX)
+        assert len(calls) == 20
+
+
+def test_torsion_solves_pivots_once_per_level(ex3, monkeypatch):
+    # ex3's first level has two generators: one pivot solution serves both
+    real = flag_module.pivot_solution
+    solved = []
+
+    def counting(theta, pivots, seed=0):
+        solved.append(len(theta))
+        return real(theta, pivots, seed=seed)
+
+    monkeypatch.setattr(flag_module, "pivot_solution", counting)
+    flag = derived_flag(ex3)
+    ranks = [level.system.rank for level in flag.levels
+             if level.torsion is not None]
+    assert solved == ranks and max(ranks) == 2

@@ -3,15 +3,16 @@ import random
 import pytest
 import sympy as sp
 
+import ctrlinv.forms as forms_module
 from ctrlinv.errors import SingularPivot
 from ctrlinv.expr import SymbolContext, normalize
 from ctrlinv.forms import (
     coefficient_vector,
     contract,
-    coordinate_differential,
     d,
     make_form,
     one_form,
+    pivot_solution,
     reduce_mod,
     wedge,
     zero_form,
@@ -25,6 +26,11 @@ a, b = sp.symbols("a b")
 
 def scalar_form(e, ctx):
     return make_form(0, {(): e}, ctx)
+
+
+def coordinate_differential(i, ctx):
+    return make_form(1, {(i,): sp.Integer(1)}, ctx)
+
 
 CTX = SymbolContext(states=(x, y, z))
 CTX4 = SymbolContext(states=(x, y, z, w), params=(a, b),
@@ -141,33 +147,51 @@ class TestContract:
 class TestReduceMod:
     def test_generators_reduce_to_zero(self):
         theta = [one_form([x * y * z, -x * z, 1], CTX)]
-        r = reduce_mod(theta[0], theta, [2])
+        r = reduce_mod(theta[0], pivot_solution(theta, [2]))
         assert r.is_zero_form
 
     def test_idempotent(self):
         theta = [one_form([x * y * z, -x * z, 1], CTX)]
+        sol = pivot_solution(theta, [2])
         rng = random.Random(51)
         for _ in range(10):
             f = random_form(rng, CTX, 2)
-            once = reduce_mod(f, theta, [2])
-            twice = reduce_mod(once, theta, [2])
+            once = reduce_mod(f, sol)
+            twice = reduce_mod(once, sol)
             assert (once - twice).is_zero_form
 
     def test_torsion_reduction(self):
         # dtheta mod theta collapses to a single dx^dy term: -z(1+x) dx^dy
         theta = one_form([x * y * z, -x * z, 1], CTX)
-        r = reduce_mod(d(theta), [theta], [2])
+        r = reduce_mod(d(theta), pivot_solution([theta], [2]))
         assert r.terms == (((0, 1), normalize(-z * (1 + x), CTX)),)
 
     def test_singular_pivot(self):
         theta = [one_form([x, y, 0], CTX)]
         with pytest.raises(SingularPivot):
-            reduce_mod(d(theta[0]), theta, [2])
+            pivot_solution(theta, [2])
 
     def test_two_generator_reduction(self):
         # theta1 = b dx - a dz reduced mod itself via pivot x
         theta = one_form([b, 0, -a, 0], CTX4)
         r = reduce_mod(d(theta) + wedge(theta, one_form([0, 1, 0, 0], CTX4)),
-                       [theta], [0])
+                       pivot_solution([theta], [0]))
         # dtheta = 0, and theta itself vanishes after substitution
         assert r.is_zero_form
+
+    def test_normalizes_once(self, monkeypatch):
+        # one make_form call, however many wedge products the substitution
+        # of dz expands into
+        theta = [one_form([x * y * z, -x * z, 1], CTX)]
+        sol = pivot_solution(theta, [2])
+        f = make_form(2, {(0, 1): 1, (0, 2): x, (1, 2): y * z}, CTX)
+        calls = []
+        real = forms_module.make_form
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(forms_module, "make_form", counting)
+        reduce_mod(f, sol)
+        assert len(calls) == 1
