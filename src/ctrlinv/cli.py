@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys as _sys
 
 import numpy as np
@@ -12,7 +11,7 @@ import sympy as sp
 
 from .dsl import ControlSchedule, parse_expr, parse_system
 from .errors import CtrlInvError
-from .expr import evaluate, random_point, to_text
+from .expr import evaluate, random_point, sample_params, to_text
 from .flag import derived_flag, flag_summary
 from .integrals import (
     AnalysisConfig,
@@ -22,8 +21,7 @@ from .integrals import (
     numeric_evidence,
     _integral_entry,
 )
-from .numeric import _PyRng, iterated_brackets, simulate, svd_rank
-from .sampling import sample_params
+from .numeric import BRACKET_DEPTH, iterated_brackets, simulate, svd_rank
 
 
 def _build_parser():
@@ -32,30 +30,35 @@ def _build_parser():
         description="Invariant submanifolds of affine control systems")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_input=True):
-        if with_input:
-            p.add_argument("input", nargs="?", default="-",
-                           help="system file, or '-' for stdin")
+    def command(name, summary, formats=True):
+        """A subcommand with the options every command reads."""
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("input", nargs="?", default="-",
+                       help="system file, or '-' for stdin")
         p.add_argument("--seed", type=int, default=42)
+        if formats:
+            p.add_argument("--format", choices=["json", "text"],
+                           default="json")
+        p.add_argument("--output", default=None, help="write to path")
+        return p
+
+    def numeric(p):
+        """Options of the RK4 invariance and escape evidence."""
         p.add_argument("--trials", type=int, default=100)
         p.add_argument("--pieces", type=int, default=10)
         p.add_argument("--horizon", type=float, default=5.0)
         p.add_argument("--step", type=float, default=1e-3)
-        p.add_argument("--dmax", type=int, default=3)
-        p.add_argument("--format", choices=["json", "text"], default="json")
-        p.add_argument("--output", default=None, help="write to path")
         return p
 
-    common(sub.add_parser("analyze", help="full pipeline -> invariant report"))
-    common(sub.add_parser("flag", help="derived flag only"))
-    common(sub.add_parser("torsion", help="level-0 torsion matrix only"))
-    common(sub.add_parser("candidates",
-                          help="generalized-first-integral candidates"))
-    pv = common(sub.add_parser("verify",
-                               help="membership + numeric test of a candidate"))
+    numeric(command("analyze", "full pipeline -> invariant report"))
+    command("flag", "derived flag only")
+    command("torsion", "level-0 torsion matrix only")
+    command("candidates", "generalized-first-integral candidates")
+    pv = numeric(command("verify", "membership + numeric test of a candidate"))
     pv.add_argument("--rho", required=True, action="append",
                     help="candidate function (repeatable for systems)")
-    ps = common(sub.add_parser("simulate", help="trajectory CSV export"))
+    ps = command("simulate", "trajectory CSV export", formats=False)
+    ps.add_argument("--step", type=float, default=1e-3)
     ps.add_argument("--x0", required=True, help="comma-separated start state")
     ps.add_argument("--control", required=True,
                     help="schedule 'dur:u1,u2;dur:u1,u2;...'")
@@ -63,8 +66,8 @@ def _build_parser():
                     help="parameter values 'a=1,b=2'")
     ps.add_argument("--monitor", action="append", default=[],
                     help="expression to record along the trajectory")
-    pb = common(sub.add_parser("brackets", help="bracket table and ranks"))
-    pb.add_argument("--depth", type=int, default=4)
+    pb = command("brackets", "bracket table and ranks")
+    pb.add_argument("--depth", type=int, default=BRACKET_DEPTH)
     return parser
 
 
@@ -80,20 +83,20 @@ def _positive(args):
     for knob in ("horizon", "step"):
         if getattr(args, knob, 1.0) <= 0:
             raise SystemExit(f"--{knob} must be positive")
-    if getattr(args, "dmax", 1) <= 0:
-        raise SystemExit("--dmax must be positive")
 
 
 def _emit(payload, args):
-    if args.format == "json":
-        out = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    else:
-        out = render_text(payload) + "\n"
+    text = (json.dumps(payload, indent=2, sort_keys=True)
+            if args.format == "json" else render_text(payload))
+    _write(text + "\n", args)
+
+
+def _write(text, args):
     if args.output:
         with open(args.output, "w") as fh:
-            fh.write(out)
+            fh.write(text)
     else:
-        _sys.stdout.write(out)
+        _sys.stdout.write(text)
 
 
 def _entry_text(e) -> str:
@@ -146,7 +149,8 @@ def run(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         _positive(args)
-        return _dispatch(args)
+        _dispatch(args)
+        return 0
     except SystemExit as e:
         _sys.stderr.write(f"usage error: {e}\n")
         return 2
@@ -155,60 +159,55 @@ def run(argv=None) -> int:
         return 1
 
 
-def _dispatch(args) -> int:
-    cfg = AnalysisConfig(seed=args.seed, trials=args.trials,
-                         pieces=args.pieces, horizon=args.horizon,
-                         step=args.step, dmax=args.dmax)
-    if args.command == "analyze":
-        system = _read_system(args.input)
-        _emit(analyze(system, cfg), args)
-        return 0
-    if args.command == "flag":
-        system = _read_system(args.input)
-        flag = derived_flag(system, seed=args.seed)
-        _emit({"schema": 1, "seed": args.seed,
-               "flag": flag_summary(flag, system.ctx)}, args)
-        return 0
-    if args.command == "torsion":
-        system = _read_system(args.input)
-        flag = derived_flag(system, seed=args.seed)
-        _emit({"schema": 1, "seed": args.seed,
-               "torsion": flag_summary(flag, system.ctx)["levels"][0]
-               .get("torsion")}, args)
-        return 0
-    if args.command == "candidates":
-        system = _read_system(args.input)
-        flag = derived_flag(system, seed=args.seed)
-        T = flag.levels[0].torsion
-        cands = [] if T is None or T.is_trivial else gfi_candidates(
-            T, system.ctx, dmax=args.dmax, seed=args.seed,
-            extra_nonzero=flag.levels[0].system.constraints)
-        _emit({"schema": 1, "seed": args.seed,
-               "candidates": [to_text(c) for c in cands]}, args)
-        return 0
-    if args.command == "verify":
-        return _cmd_verify(args, cfg)
-    if args.command == "simulate":
-        return _cmd_simulate(args)
-    if args.command == "brackets":
-        return _cmd_brackets(args)
-    raise SystemExit(f"unknown command {args.command}")
+def _config(args) -> AnalysisConfig:
+    return AnalysisConfig(seed=args.seed, trials=args.trials,
+                          pieces=args.pieces, horizon=args.horizon,
+                          step=args.step)
 
 
-def _cmd_verify(args, cfg) -> int:
+def _dispatch(args):
     system = _read_system(args.input)
+    if args.command == "analyze":
+        _emit(analyze(system, _config(args)), args)
+    elif args.command == "simulate":
+        _simulate(args, system)
+    elif args.command == "brackets":
+        _brackets(args, system)
+    else:
+        _emit(_flag_payload(args, system), args)
+
+
+def _flag_payload(args, system):
+    """Report of the subcommands built on the derived flag."""
     flag = derived_flag(system, seed=args.seed)
+    payload = {"schema": 1, "seed": args.seed}
+    if args.command == "flag":
+        payload["flag"] = flag_summary(flag, system.ctx)
+    elif args.command == "torsion":
+        payload["torsion"] = flag_summary(flag, system.ctx)["levels"][0] \
+            .get("torsion")
+    elif args.command == "candidates":
+        T = flag.levels[0].torsion
+        payload["candidates"] = [] if T is None or T.is_trivial else [
+            to_text(c) for c in gfi_candidates(
+                T, system.ctx, seed=args.seed,
+                extra_nonzero=flag.levels[0].system.constraints)]
+    else:
+        payload["verify"] = _verify_entry(args, system, flag)
+    return payload
+
+
+def _verify_entry(args, system, flag):
     rhos = [parse_expr(r, system.ctx) for r in args.rho]
     result = check_membership(rhos, flag.levels[0].system, system.ctx,
                               seed=args.seed)
     entry = _integral_entry(result, None)
-    entry.update(numeric_evidence(system, result, system.n - len(rhos), cfg))
-    _emit({"schema": 1, "seed": args.seed, "verify": entry}, args)
-    return 0
+    entry.update(numeric_evidence(system, result, system.n - len(rhos),
+                                  _config(args)))
+    return entry
 
 
-def _cmd_simulate(args) -> int:
-    system = _read_system(args.input)
+def _simulate(args, system):
     ctx = system.ctx
     x0 = [float(v) for v in args.x0.split(",")]
     if len(x0) != system.n:
@@ -220,37 +219,23 @@ def _cmd_simulate(args) -> int:
         if len(u) != system.m:
             raise SystemExit(f"control value needs {system.m} components")
         pieces.append((float(dur), u))
-    sched = ControlSchedule(tuple(pieces))
-    params = {}
-    if args.params:
-        for pair in args.params.split(","):
-            k, _, v = pair.partition("=")
-            params[sp.Symbol(k.strip())] = float(v)
-    missing = [p for p in ctx.params if p not in params]
-    if missing:
-        rng = np.random.default_rng(args.seed)
-        params.update({p: v for p, v in
-                       sample_params(ctx, _PyRng(rng)).items()
-                       if p in missing})
+    # parameters not given are drawn from the seed
+    params = sample_params(ctx, np.random.default_rng(args.seed))
+    for pair in filter(None, args.params.split(",")):
+        k, _, v = pair.partition("=")
+        params[sp.Symbol(k.strip())] = float(v)
     monitors = {f"rho{i+1}": parse_expr(m, ctx)
                 for i, m in enumerate(args.monitor)}
-    traj = simulate(system, x0, sched, h=args.step, param_values=params,
-                    monitors=monitors)
-    csv = traj.to_csv([str(s) for s in ctx.states], system.m,
-                      list(monitors))
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(csv)
-    else:
-        _sys.stdout.write(csv)
-    return 0
+    traj = simulate(system, x0, ControlSchedule(tuple(pieces)), h=args.step,
+                    param_values=params, monitors=monitors)
+    _write(traj.to_csv([str(s) for s in ctx.states], system.m,
+                       list(monitors)), args)
 
 
-def _cmd_brackets(args) -> int:
-    system = _read_system(args.input)
+def _brackets(args, system):
     ctx = system.ctx
     brackets = iterated_brackets(list(system.controls), ctx, depth=args.depth)
-    point = random_point(ctx, random.Random(args.seed))
+    point = random_point(ctx, np.random.default_rng(args.seed))
     rank = svd_rank([[evaluate(c, point, ctx) for c in F] for F in brackets])
     _emit({
         "schema": 1,
@@ -260,7 +245,6 @@ def _cmd_brackets(args) -> int:
         "rank_at_sample_point": rank,
         "sample_point": {str(k): float(v) for k, v in point.items()},
     }, args)
-    return 0
 
 
 def main():

@@ -8,18 +8,19 @@ rewrite sin(v)**2 -> 1 - cos(v)**2, applied during normalization.
 Normalization computes in sympy's sparse rational-function field over QQ
 (rational_field) and converts back to a tree only for its result.
 
-All functions here are pure; randomized ones take explicit seeds.
+All functions here are pure; randomized ones take an explicit seed or a
+numpy Generator.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import random
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
+import numpy as np
 import sympy as sp
 from sympy.polys.domains import QQ
 from sympy.polys.fields import FracField
@@ -35,6 +36,9 @@ from .errors import (
 
 NONZERO_WITNESS_TOL = 1e-9
 EVAL_SINGULAR_TOL = 1e-12
+# what evaluating at a sampled point may raise: a denominator below the
+# threshold, overflow, or math.sin / math.fsum of an infinite value
+POINT_ERRORS = (EvalSingular, ArithmeticError, ValueError)
 
 
 @dataclass(frozen=True)
@@ -208,37 +212,46 @@ def gradient(e, ctx: SymbolContext):
     return [differentiate(e, v, ctx) for v in ctx.states]
 
 
+def sample_params(ctx: SymbolContext, rng) -> dict:
+    """Random parameter values honoring declared sign constraints."""
+    vals = {}
+    for p in ctx.params:
+        v = rng.uniform(0.5, 2.0)
+        sign = ctx.param_signs.get(p)
+        if sign == "-":
+            v = -v
+        elif sign is None and rng.random() < 0.5:
+            v = -v
+        vals[p] = v
+    return vals
+
+
 def _random_rational(rng):
-    return Fraction(rng.randint(-40, 40), rng.randint(1, 20))
+    return Fraction(int(rng.integers(-40, 41)), int(rng.integers(1, 21)))
 
 
 def random_point(ctx: SymbolContext, rng, margin=1e-3):
-    """A random rational point satisfying sign and nonzero constraints."""
+    """A random point satisfying sign and nonzero constraints: rational
+    states and sample_params parameters, drawn from a numpy Generator."""
     for _ in range(200):
-        point = {}
-        for v in ctx.states:
-            point[v] = _random_rational(rng)
-        for p in ctx.params:
-            val = Fraction(rng.randint(1, 40), rng.randint(1, 20))
-            sign = ctx.param_signs.get(p)
-            if sign == "-":
-                val = -val
-            elif sign is None and rng.random() < 0.5:
-                val = -val
-            point[p] = val
-        ok = True
-        for c in ctx.nonzero:
-            try:
-                if abs(evaluate(c, point, ctx)) <= margin:
-                    ok = False
-                    break
-            except EvalSingular:
-                ok = False
-                break
-        if ok:
+        point = {v: _random_rational(rng) for v in ctx.states}
+        point.update(sample_params(ctx, rng))
+        if constraints_ok(point, ctx, margin):
             return point
     raise SamplingFailed("could not sample a point satisfying domain "
                          "constraints")
+
+
+def constraints_ok(point, ctx: SymbolContext, margin):
+    """True when every declared-nonzero expression exceeds margin in
+    absolute value at the point and evaluates there."""
+    for c in ctx.nonzero:
+        try:
+            if abs(evaluate(c, point, ctx)) <= margin:
+                return False
+        except POINT_ERRORS:
+            return False
+    return True
 
 
 def is_zero(e, ctx: SymbolContext, seed: int = 0, samples: int = 8) -> ZeroVerdict:
@@ -246,7 +259,7 @@ def is_zero(e, ctx: SymbolContext, seed: int = 0, samples: int = 8) -> ZeroVerdi
     n = normalize(e, ctx)
     if n == 0:
         return ZeroVerdict(Verdict.PROVEN_ZERO)
-    rng = random.Random(seed)
+    rng = np.random.default_rng(seed)
     for _ in range(samples):
         point = random_point(ctx, rng)
         try:

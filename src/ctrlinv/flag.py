@@ -9,7 +9,6 @@ aborts with a named witness expression instead of guessing.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -264,7 +263,7 @@ def certify_rank(rows, rank, ctx, seed=0, samples=20):
     check fails when some point exceeds the symbolic rank, or when fewer
     than half of the evaluated points attain it.
     """
-    rng = random.Random(seed + 1)
+    rng = np.random.default_rng(seed + 1)
     evaluated = attained = 0
     for _ in range(samples):
         point = random_point(ctx, rng)

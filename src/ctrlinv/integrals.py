@@ -21,6 +21,7 @@ import sympy as sp
 from .dsl import ControlAffineSystem, print_system
 from .errors import AnnihilationFailure, NotClosed, NotPolynomial, SamplingFailed
 from .expr import (
+    POINT_ERRORS,
     SymbolContext,
     divide_exact,
     evaluate,
@@ -48,12 +49,7 @@ from .forms import (
     pivot_solution,
     reduce_mod,
 )
-from .numeric import (
-    _PyRng,
-    escape_test,
-    invariance_test,
-    leaf_controllability,
-)
+from .numeric import escape_test, invariance_test, leaf_controllability
 from .sampling import zero_locus_points
 
 NONDEGENERACY_TOL = 1e-8
@@ -246,9 +242,9 @@ def nondegenerate(rhos, ctx, seed=0, points=10):
                 return False
         except NotPolynomial:
             pass
-    rng = _PyRng(np.random.default_rng(seed + 13))
     try:
-        pts = zero_locus_points(rhos, ctx, rng, count=points)
+        pts = zero_locus_points(rhos, ctx, np.random.default_rng(seed + 13),
+                                count=points)
     except SamplingFailed:
         return False
     grads = [[sp.diff(r, v) for v in ctx.states] for r in rhos]
@@ -260,22 +256,19 @@ def nondegenerate(rhos, ctx, seed=0, points=10):
     return True
 
 
-def gfi_candidates(T: TorsionMatrix, ctx: SymbolContext, dmax=3, seed=0,
+def gfi_candidates(T: TorsionMatrix, ctx: SymbolContext, seed=0,
                    extra_nonzero=()) -> list:
     """Non-degenerate common factors of the torsion minors.
 
-    For each candidate count d, every minor of size s - d + 1 must vanish on
-    the zero locus; factors of one minor that do not divide the rest are
-    excluded.  Candidates deduplicated up to a rational unit.
+    Minors are taken at the generic rank of T, the largest size with a
+    nonzero minor: a common factor of all k-minors divides every
+    (k+1)-minor by Laplace expansion, so smaller sizes add no candidate.
+    Factors of one minor that do not divide the rest are excluded.
+    Candidates deduplicated up to a rational unit.
     """
     s, ncols = T.shape()
     ctxe = _extended_ctx(ctx, extra_nonzero)
-    found = []
-    seen = set()
-    for dd in range(1, min(dmax, s) + 1):
-        size = s - dd + 1
-        if size > s or size > ncols:
-            continue
+    for size in range(min(s, ncols), 0, -1):
         minors = []
         for rows in itertools.combinations(range(s), size):
             for cols in itertools.combinations(range(ncols), size):
@@ -285,20 +278,24 @@ def gfi_candidates(T: TorsionMatrix, ctx: SymbolContext, dmax=3, seed=0,
                 if det != 0:
                     num, _ = _clear_known_denominator(det, ctxe)
                     minors.append(normalize(num, ctx))
-        if not minors:
+        if minors:
+            break
+    else:
+        return []
+    found = []
+    seen = set()
+    for f, _ in factor(minors[0], ctx):
+        if not any(v in f.free_symbols for v in ctx.states) \
+                and not f.atoms(sp.sin, sp.cos):
             continue
-        for f, _ in factor(minors[0], ctx):
-            if not any(v in f.free_symbols for v in ctx.states) \
-                    and not f.atoms(sp.sin, sp.cos):
-                continue
-            if any(divide_exact(mnr, f, ctx) is None for mnr in minors[1:]):
-                continue
-            key = to_text(f)
-            if key in seen:
-                continue
-            seen.add(key)
-            if nondegenerate([f], ctxe, seed=seed):
-                found.append(f)
+        if any(divide_exact(mnr, f, ctx) is None for mnr in minors[1:]):
+            continue
+        key = to_text(f)
+        if key in seen:
+            continue
+        seen.add(key)
+        if nondegenerate([f], ctxe, seed=seed):
+            found.append(f)
     return found
 
 
@@ -419,9 +416,9 @@ def _divide_sequential(rhos, residues, names, ctx, ctxe, quotient_cert,
     if not numeric_cols:
         return None
     # numeric fallback: coefficients must vanish on sampled zero-locus points
-    rng = _PyRng(np.random.default_rng(seed + 29))
     try:
-        pts = zero_locus_points(list(rhos), ctxe, rng, count=50)
+        pts = zero_locus_points(list(rhos), ctxe,
+                                np.random.default_rng(seed + 29), count=50)
     except SamplingFailed:
         return (Classification.UNDETERMINED,
                 {"reason": "zero-locus sampling failed for numeric fallback"})
@@ -430,7 +427,7 @@ def _divide_sequential(rhos, residues, names, ctx, ctxe, quotient_cert,
         for pt in pts:
             try:
                 worst = max(worst, abs(evaluate(c, pt, ctx)))
-            except Exception:
+            except POINT_ERRORS:
                 return (Classification.UNDETERMINED,
                         {"reason": "singular evaluation in numeric fallback",
                          "column": f"d{names[i]}"})
@@ -454,9 +451,7 @@ class AnalysisConfig:
     pieces: int = 10
     horizon: float = 5.0
     step: float = 1e-3
-    dmax: int = 3
     run_numeric: bool = True
-    bracket_depth: int = 4
 
 
 # report section of each classification
@@ -486,7 +481,7 @@ def numeric_evidence(sys: ControlAffineSystem, cand: CandidateIntegral,
         rhos = [r - offset for r in rhos]
     out = {
         "leaf_controllability": leaf_controllability(
-            sys, rhos, leaf_dim, seed=cfg.seed, depth=cfg.bracket_depth),
+            sys, rhos, leaf_dim, seed=cfg.seed),
         "invariance": _verdict_json(invariance_test(
             sys, rhos, trials=cfg.trials, pieces=cfg.pieces,
             horizon=cfg.horizon, h=cfg.step, seed=cfg.seed)),
@@ -545,7 +540,7 @@ def analyze(sys: ControlAffineSystem, config: AnalysisConfig | None = None) -> d
     seen = {entry["rho"][0] for entry in report["foliation"]}
     T0 = flag.levels[0].torsion
     if T0 is not None and not T0.is_trivial:
-        for f in gfi_candidates(T0, ctx, dmax=cfg.dmax, seed=cfg.seed,
+        for f in gfi_candidates(T0, ctx, seed=cfg.seed,
                                 extra_nonzero=level0.constraints):
             if to_text(f) not in seen:
                 seen.add(to_text(f))

@@ -14,6 +14,8 @@ from .expr import SymbolContext, evaluate, normalize
 from .sampling import CONSTRAINT_MARGIN, zero_locus_points
 
 SV_RANK_TOL = 1e-8
+# depth of the iterated Lie brackets behind every bracket-rank check
+BRACKET_DEPTH = 4
 INV_TOL_BASE = 1e-6
 
 
@@ -211,8 +213,7 @@ def invariance_test(sys: ControlAffineSystem, rhos, trials=100, pieces=10,
     ctx = sys.ctx
     rhos = [sp.sympify(r) for r in rhos]
     rng = np.random.default_rng(seed)
-    pt_rng = _PyRng(rng)
-    starts = zero_locus_points(rhos, ctx, pt_rng, count=trials)
+    starts = zero_locus_points(rhos, ctx, rng, count=trials)
 
     x = np.array([[pt[v] for v in ctx.states] for pt in starts])
     p = np.array([[pt[q] for q in ctx.params] for pt in starts]) \
@@ -254,22 +255,6 @@ def invariance_test(sys: ControlAffineSystem, rhos, trials=100, pieces=10,
         trials=per_trial, seed=seed, errors=tuple(errors))
 
 
-class _PyRng:
-    """random.Random-like facade over a numpy Generator (determinism)."""
-
-    def __init__(self, gen):
-        self.gen = gen
-
-    def uniform(self, a, b):
-        return float(self.gen.uniform(a, b))
-
-    def random(self):
-        return float(self.gen.random())
-
-    def randint(self, a, b):
-        return int(self.gen.integers(a, b + 1))
-
-
 def escape_test(sys: ControlAffineSystem, rhos, seed=42, horizon=5.0,
                 h=1e-2, threshold=0.1, starts=20, random_controls=50):
     """Greedy search for a constant control leaving the zero locus of rhos.
@@ -281,7 +266,7 @@ def escape_test(sys: ControlAffineSystem, rhos, seed=42, horizon=5.0,
     ctx = sys.ctx
     rhos = [sp.sympify(r) for r in rhos]
     rng = np.random.default_rng(seed)
-    pts = zero_locus_points(rhos, ctx, _PyRng(rng), count=starts)
+    pts = zero_locus_points(rhos, ctx, rng, count=starts)
     m = sys.m
     controls = [np.zeros(m)]
     for j in range(m):
@@ -339,7 +324,7 @@ def lie_bracket(X, Y, ctx: SymbolContext):
     return tuple(out)
 
 
-def iterated_brackets(fields, ctx, depth=4):
+def iterated_brackets(fields, ctx, depth=BRACKET_DEPTH):
     """Left iterated brackets [X_{i1},[...,[X_{ik-1}, X_{ik}]...]] to depth."""
     layers = [list(fields)]
     for _ in range(1, depth):
@@ -365,14 +350,14 @@ def svd_rank(vectors):
     return int(np.sum(sv > SV_RANK_TOL * scale))
 
 
-def bracket_rank(fields, point, ctx, depth=4):
+def bracket_rank(fields, point, ctx, depth=BRACKET_DEPTH):
     """Numeric rank at a point of the iterated brackets up to given depth."""
     return svd_rank([[evaluate(c, point, ctx) for c in F]
                      for F in iterated_brackets(fields, ctx, depth=depth)])
 
 
 def leaf_controllability(sys: ControlAffineSystem, rhos, leaf_dim, seed=42,
-                         depth=4, points=5):
+                         points=5):
     """Rashevsky-Chow check restricted to a leaf {rho = const}.
 
     At sampled leaf points: all iterated g-brackets must be tangent to the
@@ -381,10 +366,10 @@ def leaf_controllability(sys: ControlAffineSystem, rhos, leaf_dim, seed=42,
     """
     ctx = sys.ctx
     rhos = [sp.sympify(r) for r in rhos]
-    rng = np.random.default_rng(seed + 7)
-    pts = zero_locus_points(rhos, ctx, _PyRng(rng), count=points)
+    pts = zero_locus_points(rhos, ctx, np.random.default_rng(seed + 7),
+                            count=points)
     grads = [[sp.diff(r, v) for v in ctx.states] for r in rhos]
-    brackets = iterated_brackets(list(sys.controls), ctx, depth=depth)
+    brackets = iterated_brackets(list(sys.controls), ctx)
     ranks = []
     tangent = True
     for pt in pts:

@@ -1,4 +1,4 @@
-"""Numeric sampling of parameter values and zero-locus points.
+"""Numeric sampling of points on the zero locus of candidate functions.
 
 Shared by the membership checker (non-degeneracy, numeric fallback) and the
 trajectory verifier (initial conditions on a candidate submanifold).
@@ -10,38 +10,20 @@ import numpy as np
 import sympy as sp
 
 from .errors import SamplingFailed
-from .expr import SymbolContext, evaluate
+from .expr import (
+    POINT_ERRORS,
+    SymbolContext,
+    constraints_ok,
+    evaluate,
+    sample_params,
+)
 
 NEWTON_RESIDUAL_TOL = 1e-10
 CONSTRAINT_MARGIN = 1e-6
 
 
-def sample_params(ctx: SymbolContext, rng) -> dict:
-    """Random parameter values honoring declared sign constraints."""
-    vals = {}
-    for p in ctx.params:
-        v = rng.uniform(0.5, 2.0)
-        sign = ctx.param_signs.get(p)
-        if sign == "-":
-            v = -v
-        elif sign is None and rng.random() < 0.5:
-            v = -v
-        vals[p] = v
-    return vals
-
-
-def _constraints_ok(point, ctx, margin=CONSTRAINT_MARGIN):
-    for c in ctx.nonzero:
-        try:
-            if abs(evaluate(c, point, ctx)) <= margin:
-                return False
-        except Exception:
-            return False
-    return True
-
-
-def zero_locus_points(rhos, ctx: SymbolContext, rng, count=20,
-                      param_values=None, box=1.0, newton_steps=20):
+def zero_locus_points(rhos, ctx: SymbolContext, rng, count=20, box=1.0,
+                      newton_steps=20):
     """Points (state + parameter assignments) on the common zero set of rhos.
 
     Solves for one state variable when some rho is linear in it; otherwise
@@ -56,13 +38,14 @@ def zero_locus_points(rhos, ctx: SymbolContext, rng, count=20,
     attempts = 0
     while len(points) < count and attempts < 60 * count:
         attempts += 1
-        pvals = dict(param_values) if param_values else sample_params(ctx, rng)
+        pvals = sample_params(ctx, rng)
         point = {v: rng.uniform(-box, box) for v in states}
         point.update(pvals)
         if _solve_linear(plan, point, ctx) or \
                 _newton_project(rhos, grads, point, ctx, newton_steps):
             res = max(abs(evaluate(r, point, ctx)) for r in rhos)
-            if res <= NEWTON_RESIDUAL_TOL and _constraints_ok(point, ctx):
+            if res <= NEWTON_RESIDUAL_TOL and \
+                    constraints_ok(point, ctx, CONSTRAINT_MARGIN):
                 points.append(dict(point))
     if len(points) < count:
         raise SamplingFailed(
@@ -103,7 +86,7 @@ def _solve_linear(plan, point, ctx):
                 continue
             try:
                 aval = evaluate(a, point, ctx)
-            except Exception:
+            except POINT_ERRORS:
                 return False
             if abs(aval) < 1e-6:
                 continue
@@ -124,7 +107,7 @@ def _newton_project(rhos, grads, point, ctx, steps):
                           for rho in rhos])
             J = np.array([[evaluate(g, _assign(point, states, x), ctx)
                            for g in row] for row in grads])
-        except Exception:
+        except POINT_ERRORS:
             return False
         if np.max(np.abs(r)) <= NEWTON_RESIDUAL_TOL:
             break

@@ -1,4 +1,5 @@
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -40,6 +41,21 @@ class TestExitCodes:
     def test_usage_error_bad_knob(self, capsys):
         assert run(["analyze", EX1, "--trials", "0"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", [
+        ["flag", EX1, "--trials", "3"],
+        ["torsion", EX1, "--step", "0.01"],
+        ["candidates", EX1, "--dmax", "2"],
+        ["analyze", EX1, "--dmax", "2"],
+        ["brackets", EX1, "--horizon", "1"],
+        ["simulate", EX1, "--x0", "0,1,0", "--control", "0.1:1,0",
+         "--trials", "3"],
+        ["simulate", EX1, "--x0", "0,1,0", "--control", "0.1:1,0",
+         "--format", "text"],
+    ], ids=lambda argv: argv[0] + argv[-2])
+    def test_unread_option_is_usage_error(self, argv, capsys):
+        assert run(argv) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestJsonOutput:
@@ -153,19 +169,20 @@ class TestTextFormat:
         assert lines[0] == "depth 2, rank 3 at sample point"
         assert lines[1] == "  (1, y, 0)"
 
+    # simulate writes CSV and has no --format
     @pytest.mark.parametrize("argv", [
-        ["analyze", EX1] + FAST,
-        ["flag", EX1],
-        ["torsion", EX1],
-        ["candidates", EX1],
-        ["verify", EX1, "--rho", "z"] + FAST,
+        ["analyze", EX1, "--format", "text"] + FAST,
+        ["flag", EX1, "--format", "text"],
+        ["torsion", EX1, "--format", "text"],
+        ["candidates", EX1, "--format", "text"],
+        ["verify", EX1, "--rho", "z", "--format", "text"] + FAST,
         ["simulate", EX1, "--x0", "0,1,0", "--control", "0.1:1,0",
          "--step", "0.01"],
-        ["brackets", EX1, "--depth", "2"],
+        ["brackets", EX1, "--depth", "2", "--format", "text"],
     ], ids=lambda argv: argv[0])
     def test_output_file_leaves_stdout_empty(self, argv, tmp_path, capsys):
         out = tmp_path / "out.txt"
-        code = run(argv + ["--format", "text", "--output", str(out)])
+        code = run(argv + ["--output", str(out)])
         assert code == 0
         assert capsys.readouterr().out == ""
         assert out.read_text().strip()
@@ -184,8 +201,13 @@ class TestDeterminism:
 
 
 def test_console_entry_point():
+    # the child process does not inherit pytest's pythonpath setting
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src + (os.pathsep + path if path else ""))
     proc = subprocess.run(
         [sys.executable, "-m", "ctrlinv.cli", "flag", EX1],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["schema"] == 1

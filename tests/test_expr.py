@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 import sympy as sp
 from hypothesis import given, settings
@@ -192,7 +193,7 @@ class TestEvaluate:
 def test_random_point_unsatisfiable_raises_named_error():
     ctx = SymbolContext(states=(x,), nonzero=(x - x,))
     with pytest.raises(SamplingFailed):
-        random_point(ctx, random.Random(0))
+        random_point(ctx, np.random.default_rng(0))
 
 
 class TestProperties:

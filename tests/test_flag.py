@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 import sympy as sp
 
@@ -211,6 +212,7 @@ class TestCertifyRank:
         calls = []
 
         def first_on_hyperplane(ctx, rng):
+            assert isinstance(rng, np.random.Generator)
             point = real(ctx, rng)
             if not calls:
                 point[x] = 0

@@ -1,15 +1,27 @@
+import itertools
+import random
+import time
+
 import pytest
 import sympy as sp
 
 import ctrlinv.integrals as integrals_module
 from ctrlinv.dsl import parse_system
-from ctrlinv.errors import AnnihilationFailure, NotClosed
-from ctrlinv.expr import SymbolContext, normalize
-from ctrlinv.flag import annihilator, derived_flag, torsion
+from ctrlinv.errors import AnnihilationFailure, EvalSingular, NotClosed
+from ctrlinv.expr import (
+    SymbolContext,
+    divide_exact,
+    factor,
+    normalize,
+    to_text,
+)
+from ctrlinv.flag import TorsionMatrix, annihilator, derived_flag, torsion
 from ctrlinv.forms import one_form
 from ctrlinv.integrals import (
     AnalysisConfig,
     Classification,
+    _clear_known_denominator,
+    _extended_ctx,
     analyze,
     check_membership,
     first_integrals,
@@ -46,8 +58,6 @@ class TestPoincareIntegrate:
             poincare_integrate(one_form([y, 0, 0], CTX))
 
     def test_gradient_round_trip(self):
-        import random
-
         from ctrlinv.expr import gradient
         from conftest import random_poly
 
@@ -96,6 +106,185 @@ class TestGfiCandidates:
         assert any(normalize(c - (a * z - b * x), ex4.ctx) == 0
                    or normalize(c - (b * x - a * z), ex4.ctx) == 0
                    for c in cands)
+
+
+# ex1 extended by a chain: four torsion rows, one column, so the nonzero
+# minors are the entries (size 1)
+CHAIN = """states: x y z u v w
+control g1: [1, y, 0, x, u, v]
+control g2: [0, 1, x*z, 0, 0, 0]
+"""
+
+
+class TestGenericRankMinors:
+    def test_chain_torsion_candidates(self):
+        sys = parse_system(CHAIN)
+        ann = annihilator(sys)
+        T = torsion(ann, sys.ctx)
+        assert T.shape() == (4, 1)
+        cands = gfi_candidates(T, sys.ctx, seed=42,
+                               extra_nonzero=ann.constraints)
+        assert [to_text(c) for c in cands] == ["z", "x + 1"]
+
+    def test_chain_isolated_submanifold(self):
+        rep = analyze(parse_system(CHAIN), AnalysisConfig(
+            seed=42, trials=10, pieces=3, horizon=1.0))
+        isolated = {tuple(e["rho"]): e for e in rep["isolated"]}
+        entry = isolated[("z",)]
+        assert entry["classification"] == "GeneralizedFirstIntegral"
+        assert entry["invariance"]["verdict"] == "Held"
+
+    def test_all_zero_torsion_has_no_candidates(self):
+        T = TorsionMatrix(entries=((0,), (0,)), omega=(), labels=((0, 1),))
+        assert gfi_candidates(T, CTX) == []
+
+
+def _loop_over_dmax(T, ctx, dmax, seed=0, extra_nonzero=()):
+    """gfi_candidates as it was with a `dmax` knob: every minor size from s
+    down to s - dmax + 1, factors deduplicated across sizes."""
+    s, ncols = T.shape()
+    ctxe = _extended_ctx(ctx, extra_nonzero)
+    found = []
+    seen = set()
+    for dd in range(1, min(dmax, s) + 1):
+        size = s - dd + 1
+        if size > s or size > ncols:
+            continue
+        minors = []
+        for rows in itertools.combinations(range(s), size):
+            for cols in itertools.combinations(range(ncols), size):
+                sub = sp.Matrix([[T.entries[r][c] for c in cols]
+                                 for r in rows])
+                det = normalize(sub.det(method="berkowitz"), ctx)
+                if det != 0:
+                    num, _ = _clear_known_denominator(det, ctxe)
+                    minors.append(normalize(num, ctx))
+        if not minors:
+            continue
+        for f, _ in factor(minors[0], ctx):
+            if not any(v in f.free_symbols for v in ctx.states) \
+                    and not f.atoms(sp.sin, sp.cos):
+                continue
+            if any(divide_exact(mnr, f, ctx) is None for mnr in minors[1:]):
+                continue
+            key = to_text(f)
+            if key in seen:
+                continue
+            seen.add(key)
+            if nondegenerate([f], ctxe, seed=seed):
+                found.append(f)
+    return found
+
+
+STATES = sp.symbols("x y z u v")
+
+
+def _random_term(rng, names):
+    kind = rng.randrange(5)
+    if kind == 0:
+        return str(rng.randint(-2, 2))
+    if kind in (1, 2):
+        return rng.choice(names)
+    if kind == 3:
+        return f"{rng.choice(names)} + {rng.randint(-2, 2)}"
+    return f"{rng.choice(names)}*{rng.choice(names)}"
+
+
+def _random_system(rng):
+    """n = 3..5 states, m = 1..2 controls, often a drift; field k is 1 in
+    coordinate k, 0 before it and sparse of degree <= 2 after it."""
+    n, m = rng.randint(3, 5), rng.randint(1, 2)
+    names = [str(v) for v in STATES[:n]]
+    fields = m + 1 if m == 1 or rng.random() < 0.6 else m
+    rows = [["0"] * k + ["1"] + [_random_term(rng, names)
+                                 if rng.random() < 0.7 else "0"
+                                 for _ in range(n - k - 1)]
+            for k in range(fields)]
+    lines = ["states: " + " ".join(names)]
+    if fields > m:
+        lines.append(f"drift: [{', '.join(rows[m])}]")
+    lines += [f"control g{j + 1}: [{', '.join(r)}]"
+              for j, r in enumerate(rows[:m])]
+    return parse_system("\n".join(lines) + "\n")
+
+
+def _random_torsion(rng):
+    """s = 1..4 rows and 1..3 columns of degree <= 2 entries over 3..5
+    states, most of them sharing one linear factor."""
+    states = STATES[:rng.randint(3, 5)]
+    s, ncols = rng.randint(1, 4), rng.randint(1, 3)
+    common = rng.choice(states) + rng.randint(-1, 1)
+
+    def entry():
+        kind = rng.randrange(6)
+        e = (sp.Integer(0) if kind == 0 else
+             sp.Integer(rng.randint(-2, 2)) if kind == 1 else
+             rng.choice(states) + rng.randint(-1, 1) if kind < 4 else
+             rng.choice(states) * rng.choice(states))
+        return e * common if rng.random() < 0.6 else e
+
+    entries = tuple(tuple(entry() for _ in range(ncols)) for _ in range(s))
+    return (SymbolContext(states=states),
+            TorsionMatrix(entries=entries, omega=(),
+                          labels=tuple(range(ncols))), ())
+
+
+def _system_torsion(rng):
+    sys = _random_system(rng)
+    ann = annihilator(sys)
+    if ann.rank == 0:
+        return sys.ctx, None, ()
+    return sys.ctx, torsion(ann, sys.ctx), ann.constraints
+
+
+class TestGenericRankAgainstDmaxLoop:
+    """The generic-rank scan returns the list that the loop over every
+    minor size (dmax = s) returns, in the same order."""
+
+    @pytest.mark.parametrize("draw", [_system_torsion, _random_torsion],
+                             ids=["systems", "torsions"])
+    def test_same_candidates(self, draw):
+        start = time.perf_counter()
+        compared = with_candidates = 0
+        for seed in range(60):
+            if compared >= 10 and time.perf_counter() - start > 3.0:
+                break
+            ctx, T, constraints = draw(random.Random(seed))
+            if T is None or T.is_trivial:
+                continue
+            want = _loop_over_dmax(T, ctx, T.shape()[0], seed=seed,
+                                   extra_nonzero=constraints)
+            got = gfi_candidates(T, ctx, seed=seed,
+                                 extra_nonzero=constraints)
+            assert got == want, (seed, T.entries)
+            compared += 1
+            with_candidates += bool(want)
+        assert compared >= 10 and with_candidates >= 2
+
+
+class TestDivideSequentialErrors:
+    """The numeric fallback absorbs a singular point and nothing else."""
+
+    @staticmethod
+    def _divide(monkeypatch, exc):
+        def raising(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(integrals_module, "evaluate", raising)
+        # z is not in the ideal (x, y), so the column goes to the fallback
+        return integrals_module._divide_sequential(
+            (x, y), {2: (z, z, 1)}, ["x", "y", "z"], CTX, CTX, {}, {}, 1, 0)
+
+    def test_unrelated_error_propagates(self, monkeypatch):
+        with pytest.raises(RuntimeError, match="unrelated failure"):
+            self._divide(monkeypatch, RuntimeError("unrelated failure"))
+
+    def test_singular_point_is_undetermined(self, monkeypatch):
+        verdict, evidence = self._divide(
+            monkeypatch, EvalSingular("denominator below threshold"))
+        assert verdict is Classification.UNDETERMINED
+        assert evidence == {"reason": "singular evaluation in numeric "
+                                      "fallback", "column": "dz"}
 
 
 class TestCheckMembership:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
+import ctrlinv.expr as expr_module
 import ctrlinv.sampling as sampling_module
 from ctrlinv.dsl import ControlSchedule, parse_system
 from ctrlinv.errors import (
@@ -225,9 +226,7 @@ class TestBracketRank:
 
 class TestZeroLocusSampling:
     def test_points_on_locus(self, ex4):
-        from ctrlinv.numeric import _PyRng
-
-        rng = _PyRng(np.random.default_rng(3))
+        rng = np.random.default_rng(3)
         pts = zero_locus_points([b * x - a * z], ex4.ctx, rng, count=10)
         assert len(pts) == 10
         for pt in pts:
@@ -236,18 +235,14 @@ class TestZeroLocusSampling:
             assert abs(math.cos(pt[w])) > 1e-6
 
     def test_nonlinear_locus(self):
-        from ctrlinv.numeric import _PyRng
-
-        rng = _PyRng(np.random.default_rng(4))
+        rng = np.random.default_rng(4)
         pts = zero_locus_points([x**2 + y**2 - 1], CTX, rng, count=5)
         for pt in pts:
             assert abs(pt[x] ** 2 + pt[y] ** 2 - 1) < 1e-9
 
     def test_linear_system_sharing_a_state(self):
         # solving y + z for y would break x + y = 0, already solved for x
-        from ctrlinv.numeric import _PyRng
-
-        rng = _PyRng(np.random.default_rng(5))
+        rng = np.random.default_rng(5)
         pts = zero_locus_points([x + y, y + z], CTX, rng, count=5)
         assert len(pts) == 5
         for pt in pts:
@@ -255,8 +250,6 @@ class TestZeroLocusSampling:
             assert abs(pt[y] + pt[z]) < 1e-12
 
     def test_linear_plan_built_once_per_call(self, monkeypatch):
-        from ctrlinv.numeric import _PyRng
-
         real = sp.Poly
         built = []
 
@@ -266,17 +259,62 @@ class TestZeroLocusSampling:
 
         monkeypatch.setattr(sampling_module.sp, "Poly", counting_poly)
         rhos = [x + y, y + z]
-        pts = zero_locus_points(rhos, CTX, _PyRng(np.random.default_rng(5)),
+        pts = zero_locus_points(rhos, CTX, np.random.default_rng(5),
                                 count=50)
         assert len(pts) == 50
         assert len(built) <= len(rhos) * len(CTX.states)
 
     def test_empty_locus_raises_named_error(self):
-        from ctrlinv.numeric import _PyRng
-
-        rng = _PyRng(np.random.default_rng(6))
+        rng = np.random.default_rng(6)
         with pytest.raises(SamplingFailed):
             zero_locus_points([x**2 + 1], CTX, rng, count=2)
+
+
+class TestSamplingErrors:
+    """Sampling skips a point where evaluation is singular and lets any
+    other exception through."""
+
+    # rho, declared-nonzero constraints, expression whose evaluation fails:
+    # the coefficient y of the linear solve for x, the Newton residual of a
+    # circle, and a declared-nonzero constraint
+    SITES = [
+        ([x * y - 1], (), y),
+        ([x**2 + y**2 - 1], (), x**2 + y**2 - 1),
+        ([x - y], (z,), z),
+    ]
+    IDS = ["solve_linear", "newton_project", "constraints_ok"]
+
+    @staticmethod
+    def _failing_once(monkeypatch, target, exc):
+        real = sampling_module.evaluate
+        failed = []
+
+        def evaluate(e, point, ctx=None):
+            if not failed and sp.sympify(e) == target:
+                failed.append(e)
+                raise exc
+            return real(e, point, ctx)
+
+        monkeypatch.setattr(sampling_module, "evaluate", evaluate)
+        monkeypatch.setattr(expr_module, "evaluate", evaluate)  # constraints
+        return failed
+
+    @pytest.mark.parametrize("rhos, nonzero, target", SITES, ids=IDS)
+    def test_unrelated_error_propagates(self, monkeypatch, rhos, nonzero,
+                                        target):
+        self._failing_once(monkeypatch, target, RuntimeError("unrelated"))
+        ctx = SymbolContext(states=(x, y, z), nonzero=nonzero)
+        with pytest.raises(RuntimeError, match="unrelated"):
+            zero_locus_points(rhos, ctx, np.random.default_rng(7), count=3)
+
+    @pytest.mark.parametrize("rhos, nonzero, target", SITES, ids=IDS)
+    def test_singular_point_is_skipped(self, monkeypatch, rhos, nonzero,
+                                       target):
+        failed = self._failing_once(monkeypatch, target,
+                                    EvalSingular("below threshold"))
+        ctx = SymbolContext(states=(x, y, z), nonzero=nonzero)
+        pts = zero_locus_points(rhos, ctx, np.random.default_rng(7), count=3)
+        assert failed and len(pts) == 3
 
 
 class TestInvariance:
