@@ -11,7 +11,14 @@ import sympy as sp
 
 from .dsl import ControlSchedule, parse_expr, parse_system
 from .errors import CtrlInvError
-from .expr import evaluate, random_point, sample_params, to_text
+from .expr import (
+    evaluate,
+    from_field,
+    random_point,
+    sample_params,
+    to_field,
+    to_text,
+)
 from .flag import derived_flag, flag_summary
 from .integrals import (
     AnalysisConfig,
@@ -189,7 +196,7 @@ def _flag_payload(args, system):
     elif args.command == "candidates":
         T = flag.levels[0].torsion
         payload["candidates"] = [] if T is None or T.is_trivial else [
-            to_text(c) for c in gfi_candidates(
+            to_text(from_field(c)) for c in gfi_candidates(
                 T, system.ctx, seed=args.seed,
                 extra_nonzero=flag.levels[0].system.constraints)]
     else:
@@ -198,7 +205,7 @@ def _flag_payload(args, system):
 
 
 def _verify_entry(args, system, flag):
-    rhos = [parse_expr(r, system.ctx) for r in args.rho]
+    rhos = [to_field(parse_expr(r, system.ctx), system.ctx) for r in args.rho]
     result = check_membership(rhos, flag.levels[0].system, system.ctx,
                               seed=args.seed)
     entry = _integral_entry(result, None)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import sympy as sp
 
 from .errors import ArityMismatch, EmptyControlSet, ParseError, UnknownSymbol
-from .expr import SymbolContext, normalize, to_text
+from .expr import SymbolContext, normalize, to_field, to_text
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()]))"
@@ -55,6 +55,10 @@ class ControlAffineSystem:
         out = [] if self.is_driftless else [self.drift]
         out.extend(self.controls)
         return out
+
+    def exact_fields(self):
+        """fields() with components in the system's field, ctx.field."""
+        return [tuple(to_field(e, self.ctx) for e in X) for X in self.fields()]
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,14 @@ Expressions are sympy trees restricted to a fixed class: exact rational
 constants, declared state variables and parameters, sums, products, integer
 powers, quotients, and the trig atoms sin(v), cos(v) of a declared variable.
 sin(v) and cos(v) are treated as independent indeterminates linked only by the
-rewrite sin(v)**2 -> 1 - cos(v)**2, applied during normalization.
-Normalization computes in sympy's sparse rational-function field over QQ
-(rational_field) and converts back to a tree only for its result.
+rewrite sin(v)**2 -> 1 - cos(v)**2.
+
+The exact layer (forms, flag, integrals) computes on field elements: members
+of the one sparse rational-function field over QQ of a system,
+`SymbolContext.field`, kept reduced by `reduce_fraction`.  Expressions are
+built only at three boundaries: parsing in (`to_field`, `normalize`), numeric
+evaluation out (`evaluate` and its callers) and report text out
+(`from_field`, `to_text`).
 
 All functions here are pure; randomized ones take an explicit seed or a
 numpy Generator.
@@ -16,7 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field as dataclass_field
 from enum import Enum
 from fractions import Fraction
 
@@ -24,6 +29,7 @@ import numpy as np
 import sympy as sp
 from sympy.polys.domains import QQ
 from sympy.polys.fields import FracField
+from sympy.polys.matrices import DomainMatrix
 from sympy.polys.orderings import grlex
 
 from .errors import (
@@ -52,7 +58,7 @@ class SymbolContext:
     states: tuple[sp.Symbol, ...]
     params: tuple[sp.Symbol, ...] = ()
     # parameter -> '+' or '-' for declared sign constraints
-    param_signs: dict = field(default_factory=dict)
+    param_signs: dict = dataclass_field(default_factory=dict)
     # expressions the user asserts nonzero on the working domain
     nonzero: tuple = ()
 
@@ -60,31 +66,22 @@ class SymbolContext:
     def symbols(self):
         return self.states + self.params
 
-    def trig_atoms(self):
-        atoms = []
-        for v in self.symbols:
-            atoms.append(sp.sin(v))
-            atoms.append(sp.cos(v))
-        return tuple(atoms)
+    @functools.cached_property
+    def field(self):
+        """The system's rational-function field (rational_field) on the
+        generators: states, then parameters, then sin(v), cos(v) of each.
 
-    def gens_for(self, *exprs):
-        """Ordered generator list covering the given expressions.
-
-        States first, then parameters, then (sin, cos) pairs of variables
-        that actually occur under a trig atom.  sin before cos so that the
+        Its grlex order restricted to any expression's own generators is
+        that expression's grlex order, and sin(v) precedes cos(v), so the
         leading term of sin(v)**2 + cos(v)**2 - 1 is sin(v)**2.
         """
-        used_trig = set()
-        for e in exprs:
-            e = sp.sympify(e)
-            for f in e.atoms(sp.sin, sp.cos):
-                used_trig.add(f.args[0])
-        trig = []
-        for v in self.symbols:
-            if v in used_trig:
-                trig.append(sp.sin(v))
-                trig.append(sp.cos(v))
-        return self.states + self.params + tuple(trig)
+        return rational_field(self.symbols + tuple(
+            f(v) for v in self.symbols for f in (sp.sin, sp.cos)))
+
+    @functools.cached_property
+    def nonzero_elements(self):
+        """The declared-nonzero expressions as elements of the field."""
+        return tuple(to_field(c, self) for c in self.nonzero)
 
     def check_symbols(self, e):
         """Raise UnknownSymbol if e mentions an undeclared symbol."""
@@ -123,38 +120,50 @@ class ZeroVerdict:
 
 @functools.lru_cache(maxsize=None)
 def rational_field(gens):
-    """Sparse rational-function field over QQ in grlex order on `gens` (a
-    SymbolContext.gens_for tuple), and the relation sin(v)**2 + cos(v)**2 - 1
-    of each (sin, cos) pair in it."""
-    K = FracField(gens, QQ, grlex)
+    """Sparse rational-function field over QQ in grlex order on `gens`."""
+    return FracField(gens, QQ, grlex)
+
+
+@functools.lru_cache(maxsize=None)
+def _relations(K):
+    """Indices of K's sin generators, and sin(v)**2 + cos(v)**2 - 1 of each
+    (sin, cos) generator pair."""
     R = K.ring
-    return K, tuple(s**2 + c**2 - 1
-                    for g, s, c in zip(gens, R.gens, R.gens[1:])
-                    if isinstance(g, sp.sin))
+    sins = [i for i, g in enumerate(K.symbols) if isinstance(g, sp.sin)]
+    return sins, tuple(R.gens[i]**2 + R.gens[i + 1]**2 - 1 for i in sins)
 
 
-def to_field(e, K, relations, ctx: SymbolContext):
-    """Reduced field element of an expression: see reduce_fraction."""
+def _rem(p, relations):
+    """p modulo the relations; p itself, found in linear time, when no
+    monomial has a squared sin factor."""
+    sins, polys = relations
+    if all(m[i] < 2 for m in p for i in sins):
+        return p
+    return p.rem(polys)
+
+
+def to_field(e, ctx: SymbolContext):
+    """Reduced element of the system's field for an expression."""
     try:
-        f = K.from_expr(e)
+        f = ctx.field.from_expr(e)
     except (ZeroDivisionError, ValueError) as exc:
-        # ValueError: not a rational function in K's generators
+        # ValueError: not a rational function in the field's generators
         if isinstance(exc, ValueError) and not sp.sympify(e).has(
                 sp.zoo, sp.nan, sp.oo, -sp.oo):
             ctx.check_symbols(e)
             raise NotPolynomial(f"outside the expression class: {e}") from None
         raise DivisionByZeroExpr("denominator normalizes to zero") from None
-    return reduce_fraction(f, relations)
+    return reduce_fraction(f)
 
 
-def _rem(p, relations):
-    return p.rem(relations) if relations else p
-
-
-def reduce_fraction(f, relations):
+def reduce_fraction(f):
     """f with sin**2 eliminated from numerator and denominator, cancelled
-    again when the denominator is not a constant."""
+    again when the denominator is not a constant.  Field arithmetic cancels
+    but knows nothing of the trig relations: exact results pass here once."""
+    relations = _relations(f.field)
     num, den = _rem(f.numer, relations), _rem(f.denom, relations)
+    if num is f.numer and den is f.denom:
+        return f
     if not den:
         raise DivisionByZeroExpr("denominator normalizes to zero")
     if not num:
@@ -165,6 +174,23 @@ def reduce_fraction(f, relations):
         if not den:
             raise DivisionByZeroExpr("denominator normalizes to zero")
     return f.field.raw_new(num, den)
+
+
+def determinant(rows):
+    """Reduced determinant of a square matrix of field elements.  A row with
+    polynomial denominators is first scaled to polynomials by their lcm,
+    which spares the elimination its costly cancellations."""
+    K = rows[0][0].field
+    scale, scaled = K.one, []
+    for row in rows:
+        L = functools.reduce(lambda a, b: a.lcm(b), [
+            e.denom for e in row if not e.denom.is_ground], K.ring.one)
+        if L != 1:
+            row = [K(e.numer * L.exquo(e.denom)) for e in row]
+            scale *= K(L)
+        scaled.append(row)
+    det = DomainMatrix(scaled, (len(rows),) * 2, K.to_domain()).det()
+    return reduce_fraction(det / scale if scale != 1 else det)
 
 
 def from_field(f):
@@ -192,24 +218,33 @@ def normalize(e, ctx: SymbolContext):
     if not e.has(sp.sin) and all(
             p.exp.is_Integer and p.exp > 0 for p in e.atoms(sp.Pow)):
         return sp.expand(e)
-    return from_field(to_field(e, *rational_field(ctx.gens_for(e)), ctx))
+    return from_field(to_field(e, ctx))
 
 
-def is_polynomial(e, ctx: SymbolContext) -> bool:
-    """True when normalize(e) has trivial denominator."""
-    _, den = sp.fraction(normalize(e, ctx))
-    return not (den.free_symbols or den.atoms(sp.sin, sp.cos))
+def differentiate(f, v, ctx: SymbolContext):
+    """Partial derivative of a field element with respect to a declared state
+    variable; sin(v) and cos(v) are differentiated by the chain rule.
 
-
-def differentiate(e, v, ctx: SymbolContext):
-    """Partial derivative with respect to a declared state variable."""
+    The result is not reduced: callers reduce it once, together with
+    whatever they add to it (gradient, forms.d)."""
     if v not in ctx.states:
         raise UnknownSymbol(f"not a declared state variable: {v}")
-    return normalize(sp.diff(sp.sympify(e), v), ctx)
+    K = f.field
+    gens = K.ring.gens
+    i = K.symbols.index(v)
+    j = K.symbols.index(sp.sin(v))
+    sin, cos = gens[j], gens[j + 1]
+
+    def D(p):
+        return p.diff(gens[i]) + cos * p.diff(sin) - sin * p.diff(cos)
+
+    if f.denom.is_ground:
+        return K.new(D(f.numer), f.denom)
+    return K.new(D(f.numer) * f.denom - f.numer * D(f.denom), f.denom**2)
 
 
-def gradient(e, ctx: SymbolContext):
-    return [differentiate(e, v, ctx) for v in ctx.states]
+def gradient(f, ctx: SymbolContext):
+    return [reduce_fraction(differentiate(f, v, ctx)) for v in ctx.states]
 
 
 def sample_params(ctx: SymbolContext, rng) -> dict:
@@ -254,16 +289,17 @@ def constraints_ok(point, ctx: SymbolContext, margin):
     return True
 
 
-def is_zero(e, ctx: SymbolContext, seed: int = 0, samples: int = 8) -> ZeroVerdict:
-    """Three-valued zero test: symbolic normal form, then random sampling."""
-    n = normalize(e, ctx)
-    if n == 0:
+def is_zero(f, ctx: SymbolContext, seed: int = 0, samples: int = 8) -> ZeroVerdict:
+    """Three-valued zero test of a field element: exact, then by evaluating
+    at random points."""
+    if not f:
         return ZeroVerdict(Verdict.PROVEN_ZERO)
+    e = from_field(f)
     rng = np.random.default_rng(seed)
     for _ in range(samples):
         point = random_point(ctx, rng)
         try:
-            val = evaluate(n, point, ctx)
+            val = evaluate(e, point, ctx)
         except EvalSingular:
             continue
         if abs(val) > NONZERO_WITNESS_TOL:
@@ -272,51 +308,39 @@ def is_zero(e, ctx: SymbolContext, seed: int = 0, samples: int = 8) -> ZeroVerdi
     return ZeroVerdict(Verdict.UNKNOWN)
 
 
-def _positive_leading(e, ctx):
-    """Scale by -1 if the grlex leading coefficient is negative."""
-    if not (e.free_symbols or e.atoms(sp.sin, sp.cos)):
-        return (e, -1) if e.could_extract_minus_sign() else (e, 1)
-    lc = sp.Poly(e, *ctx.gens_for(e)).LC(order="grlex")
-    if lc.is_negative:
-        return sp.expand(-e), -1
-    return e, 1
+def factor(f):
+    """Irreducible factors of a polynomial field element with multiplicities,
+    up to a rational unit.
 
-
-def factor(e, ctx: SymbolContext):
-    """Irreducible factors with multiplicities, up to a rational unit.
-
-    Factors are normalized with positive leading coefficient and sorted in a
-    deterministic order.  Trig atoms are treated as opaque indeterminates.
+    Factors are primitive over ZZ with positive grlex leading coefficient,
+    sorted in sympy's default order of their expressions.  Trig atoms are
+    treated as opaque indeterminates.
     """
-    n = normalize(e, ctx)
-    if not is_polynomial(n, ctx):
-        raise NotPolynomial(f"not a polynomial after normalization: {n}")
-    if n == 0:
+    if not f.denom.is_ground:
+        raise NotPolynomial(
+            f"not a polynomial after normalization: {from_field(f)}")
+    if not f:
         return []
-    _, factors = sp.factor_list(n, *ctx.gens_for(n))
-    out = []
-    for base, mult in factors:
-        base = sp.expand(base)
-        base, _ = _positive_leading(base, ctx)
-        out.append((normalize(base, ctx), int(mult)))
-    out.sort(key=lambda fm: sp.default_sort_key(fm[0]))
+    K = f.field
+    out = [(K(-p if p.LC < 0 else p), int(mult))
+           for p, mult in f.numer.factor_list()[1]]
+    out.sort(key=lambda fm: sp.default_sort_key(from_field(fm[0])))
     return out
 
 
-def divide_exact(num, den, ctx: SymbolContext):
-    """Exact polynomial quotient q with normalize(num - q*den) = 0, or None."""
-    den_n = normalize(den, ctx)
-    if den_n == 0:
+def divide_exact(num, den):
+    """Exact polynomial quotient num/den of field elements, or None.
+
+    num/den = P/Q with P = num.numer * den.denom, Q = num.denom * den.numer;
+    it is a polynomial exactly when Q's cofactor by gcd(P, Q) is constant.
+    (The gcd rules a divisor out much faster than sparse division.)
+    """
+    if not den:
         raise DivisionByZeroExpr("division by zero expression")
-    num_n = normalize(num, ctx)
-    if num_n == 0:
-        return sp.Integer(0)
-    q = normalize(num_n / den_n, ctx)
-    if not is_polynomial(q, ctx):
+    _, p, q = (num.numer * den.denom).cofactors(num.denom * den.numer)
+    if not q.is_ground:
         return None
-    if normalize(num_n - q * den_n, ctx) != 0:
-        return None
-    return q
+    return reduce_fraction(num.field(p.quo_ground(q.LC)))
 
 
 def evaluate(e, point, ctx: SymbolContext | None = None) -> float:
@@ -356,28 +380,6 @@ def _eval(e, point):
     if isinstance(e, sp.cos):
         return math.cos(_eval(e.args[0], point))
     raise NotPolynomial(f"node outside expression class: {e!r}")
-
-
-def in_class(e, ctx: SymbolContext) -> bool:
-    """True when e is built only from the allowed node types."""
-    e = sp.sympify(e)
-    try:
-        ctx.check_symbols(e)
-    except (UnknownSymbol, NotPolynomial):
-        return False
-
-    def walk(node):
-        if node.is_Rational or node.is_Symbol:
-            return True
-        if node.is_Add or node.is_Mul:
-            return all(walk(a) for a in node.args)
-        if node.is_Pow:
-            return node.exp.is_Integer and walk(node.base)
-        if isinstance(node, (sp.sin, sp.cos)):
-            return node.args[0].is_Symbol
-        return False
-
-    return walk(e)
 
 
 def to_text(e) -> str:

@@ -8,11 +8,12 @@ aborts with a named witness expression instead of guessing.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
-import sympy as sp
+from sympy.polys.domains import ZZ
 
 from .dsl import ControlAffineSystem
 from .errors import (
@@ -20,23 +21,18 @@ from .errors import (
     EvalSingular,
     FlagNotDecreasing,
     NoValidCompletion,
-    NotPolynomial,
     RankNotConstant,
     RankUndecidable,
 )
 from .expr import (
     SymbolContext,
-    _positive_leading,
+    determinant,
     evaluate,
     factor,
     from_field,
-    is_polynomial,
     is_zero,
-    normalize,
     random_point,
-    rational_field,
     reduce_fraction,
-    to_field,
     to_text,
 )
 from .forms import (
@@ -56,15 +52,12 @@ NUMERIC_RANK_TOL = 1e-8
 class PfaffianSystem:
     generators: tuple  # independent 1-forms
     pivots: tuple  # pivot coordinate indices, len == rank
-    constraints: tuple  # exprs required nonzero (accumulated pivot dets)
+    # field elements required nonzero (factors of accumulated pivot dets)
+    constraints: tuple
 
     @property
     def rank(self):
         return len(self.generators)
-
-    @property
-    def ctx(self):
-        return self.generators[0].ctx if self.generators else None
 
     def coefficient_matrix(self):
         return [coefficient_vector(g) for g in self.generators]
@@ -72,13 +65,13 @@ class PfaffianSystem:
 
 @dataclass(frozen=True)
 class TorsionMatrix:
-    entries: tuple  # s rows, C(p,2) columns of exprs
+    entries: tuple  # s rows, C(p,2) columns of field elements
     omega: tuple  # non-pivot coordinate indices (the coframe completion)
     labels: tuple  # column labels: (j,k) index pairs into omega
 
     @property
     def is_trivial(self):
-        return all(e == 0 for row in self.entries for e in row)
+        return not any(e for row in self.entries for e in row)
 
     def shape(self):
         return (len(self.entries), len(self.labels))
@@ -108,21 +101,18 @@ class PfaffianFlag:
         return self.levels[-1].system
 
 
-# --- linear algebra over the expression fraction field -----------------------
+# --- linear algebra over the system's rational-function field --------------
 
 def _pivot_quality(f, ctx, seed):
     """3 = nonzero constant, 2 = product of known-nonzero factors,
-    1 = ProvenNonzero by sampling, 0 = ProvenZero, -1 = Unknown.
-
-    `f` is a reduced field element (expr.to_field)."""
+    1 = ProvenNonzero by sampling, 0 = ProvenZero, -1 = Unknown."""
     if not f:
         return 0
     if f.numer.is_ground and f.denom.is_ground:
         return 3
-    n = from_field(f)
-    if _known_nonzero(n, ctx):
+    if _known_nonzero(f, ctx):
         return 2
-    v = is_zero(n, ctx, seed=seed)
+    v = is_zero(f, ctx, seed=seed)
     if v.is_nonzero:
         return 1
     if v.is_zero:
@@ -130,43 +120,42 @@ def _pivot_quality(f, ctx, seed):
     return -1
 
 
-def _known_nonzero(e, ctx: SymbolContext):
+def _known_nonzero(f, ctx: SymbolContext):
     """True when every irreducible factor is declared or constrained nonzero."""
-    num, den = sp.fraction(normalize(e, ctx))
-    for part in (num, den):
-        if not (part.free_symbols or part.atoms(sp.sin, sp.cos)):
-            if part == 0:
+    K = f.field
+    for part in (f.numer, f.denom):
+        if part.is_ground:
+            if not part:
                 return False
             continue
-        try:
-            parts = factor(part, ctx)
-        except (NotPolynomial, sp.PolynomialError):
-            return False
-        for f, _ in parts:
-            if not _known_nonzero_factor(f, ctx):
+        for g, _ in factor(K(part)):
+            if not _known_nonzero_factor(g, ctx):
                 return False
     return True
 
 
 def _known_nonzero_factor(f, ctx):
-    if f.is_Symbol and ctx.param_signs.get(f):
+    """f is a sign-constrained parameter or a multiple of a nonzero one."""
+    K = f.field
+    if any(sign and f == K.gens[K.symbols.index(p)]
+           for p, sign in ctx.param_signs.items()):
         return True
-    for c in ctx.nonzero:
-        if c != 0 and normalize(f / c, ctx).is_Rational:
-            return True
+    for c in ctx.nonzero_elements:
+        if c:
+            q = reduce_fraction(f / c)
+            if q.numer.is_ground and q.denom.is_ground:
+                return True
     return False
 
 
 def rref(rows, ctx, seed=0):
-    """Reduced row echelon form over the fraction field.
+    """Reduced row echelon form of field-element rows.
 
     Returns (rows, pivot_columns).  Pivot entries are chosen by decreasing
     certainty; a column whose undecided entries are all Unknown raises
     RankUndecidable naming the offending expression.
     """
-    K, relations = rational_field(
-        ctx.gens_for(*itertools.chain.from_iterable(rows)))
-    rows = [[to_field(e, K, relations, ctx) for e in r] for r in rows]
+    rows = [list(r) for r in rows]
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     pivot_cols = []
@@ -183,23 +172,23 @@ def rref(rows, ctx, seed=0):
                 if q == 3:
                     break
             elif q == -1 and unknown is None:
-                unknown = from_field(rows[i][c])
+                unknown = rows[i][c]
         if best is None:
             if unknown is not None:
-                raise RankUndecidable(
-                    f"cannot decide whether pivot candidate is zero: {unknown}")
+                raise RankUndecidable("cannot decide whether pivot candidate "
+                                      f"is zero: {from_field(unknown)}")
             continue
         rows[r], rows[best] = rows[best], rows[r]
         piv = rows[r][c]
-        rows[r] = [reduce_fraction(e / piv, relations) for e in rows[r]]
+        rows[r] = [reduce_fraction(e / piv) for e in rows[r]]
         for i in range(nrows):
             if i != r and rows[i][c]:
                 f = rows[i][c]
-                rows[i] = [reduce_fraction(a - f * b, relations)
+                rows[i] = [reduce_fraction(a - f * b)
                            for a, b in zip(rows[i], rows[r])]
         pivot_cols.append(c)
         r += 1
-    return [[from_field(e) for e in row] for row in rows], pivot_cols
+    return rows, pivot_cols
 
 
 def nullspace(rows, ctx, seed=0):
@@ -209,40 +198,35 @@ def nullspace(rows, ctx, seed=0):
     ncols = len(rows[0])
     red, pivot_cols = rref(rows, ctx, seed=seed)
     free_cols = [c for c in range(ncols) if c not in pivot_cols]
+    K = ctx.field
     basis = []
     for fc in free_cols:
-        vec = [sp.Integer(0)] * ncols
-        vec[fc] = sp.Integer(1)
+        vec = [K.zero] * ncols
+        vec[fc] = K.one
         for r, pc in enumerate(pivot_cols):
-            vec[pc] = normalize(-red[r][fc], ctx)
+            vec[pc] = -red[r][fc]
         basis.append(clear_denominators(vec, ctx))
     return basis
 
 
 def clear_denominators(vec, ctx):
-    """Scale a vector to primitive polynomial entries, positive leading sign."""
-    dens = []
-    for e in vec:
-        _, den = sp.fraction(normalize(e, ctx))
-        dens.append(den)
-    lcm = sp.Integer(1)
-    for den in dens:
-        lcm = sp.lcm(lcm, den)
-    scaled = [normalize(e * lcm, ctx) for e in vec]
-    nonzero = [e for e in scaled if e != 0]
-    if not nonzero:
-        return scaled
-    g = nonzero[0]
-    for e in nonzero[1:]:
-        g = sp.gcd(g, e)
-    if g != 0 and g != 1:
-        scaled = [normalize(e / g, ctx) for e in scaled]
-    # deterministic sign: first nonzero entry gets positive leading coeff
-    first = next(e for e in scaled if e != 0)
-    _, unit = _positive_leading(first, ctx)
-    if unit < 0:
-        scaled = [normalize(-e, ctx) for e in scaled]
-    return scaled
+    """Scale a vector to polynomial entries that are primitive over ZZ
+    together, the first nonzero one with positive grlex leading
+    coefficient."""
+    K = ctx.field
+    Z = K.ring.clone(domain=ZZ)
+    vec = [reduce_fraction(e) for e in vec]
+    lcm = functools.reduce(lambda a, b: a.lcm(b),
+                           [e.denom.set_ring(Z) for e in vec], Z.one)
+    scaled = [(e.numer * lcm.set_ring(K.ring)).exquo(e.denom) for e in vec]
+    g = functools.reduce(lambda a, b: a.gcd(b),
+                         [p.set_ring(Z) for p in scaled], Z.zero)
+    if not g:
+        return vec
+    g = g.set_ring(K.ring)
+    if next(filter(None, scaled)).LC < 0:
+        g = -g
+    return [K(p.exquo(g)) for p in scaled]
 
 
 def numeric_rank_at(rows, ctx, point):
@@ -287,18 +271,18 @@ def certify_rank(rows, rank, ctx, seed=0, samples=20):
 def annihilator(sys: ControlAffineSystem, seed=0) -> PfaffianSystem:
     """s = n - p independent 1-forms annihilating f and every g_j."""
     ctx = sys.ctx
-    rows = [list(X) for X in sys.fields()]
+    rows = sys.exact_fields()
     try:
         red, pivot_cols = rref(rows, ctx, seed=seed)
     except RankUndecidable as e:
         raise RankNotConstant(str(e)) from e
     p = len(pivot_cols)
-    certify_rank(rows, p, ctx, seed=seed)
+    certify_rank(sys.fields(), p, ctx, seed=seed)
     basis = nullspace(rows, ctx, seed=seed)
     generators = tuple(one_form(vec, ctx) for vec in basis)
     for g in generators:
-        for X in sys.fields():
-            if contract(g, X) != 0:
+        for X, row in zip(sys.fields(), rows):
+            if contract(g, row):
                 raise AnnihilationFailure(
                     f"annihilator generator fails against {X}")
     system = PfaffianSystem(generators=generators, pivots=(), constraints=())
@@ -322,47 +306,38 @@ def complete_coframe(system: PfaffianSystem, ctx, seed=0) -> PfaffianSystem:
     mat = system.coefficient_matrix()
     fallback = None
     for combo in itertools.combinations(range(n), s):
-        sub = sp.Matrix([[mat[r][c] for c in combo] for r in range(s)])
-        det = normalize(sub.det(method="berkowitz"), ctx)
-        if det == 0:
+        det = determinant([[mat[r][c] for c in combo] for r in range(s)])
+        if not det:
             continue
-        if not (det.free_symbols or det.atoms(sp.sin, sp.cos)):
-            return _with_pivots(system, combo, det, ctx)
+        # a nonzero constant or a product of known-nonzero factors
         if _known_nonzero(det, ctx):
-            return _with_pivots(system, combo, det, ctx)
+            return _with_pivots(system, combo, det)
         if fallback is None and is_zero(det, ctx, seed=seed).is_nonzero:
             fallback = (combo, det)
     if fallback is not None:
-        return _with_pivots(system, *fallback, ctx)
+        return _with_pivots(system, *fallback)
     raise NoValidCompletion("no coordinate completion with certified "
                             "nonzero pivot determinant")
 
 
-def _with_pivots(system, combo, det, ctx):
+def _with_pivots(system, combo, det):
     constraints = list(system.constraints)
-    num, den = sp.fraction(det)
-    for part in (num, den):
-        if not (part.free_symbols or part.atoms(sp.sin, sp.cos)):
+    K = det.field
+    for part in (det.numer, det.denom):
+        if part.is_ground:
             continue
-        if is_polynomial(part, ctx):
-            for f, _ in factor(part, ctx):
-                if (f.free_symbols or f.atoms(sp.sin, sp.cos)) \
-                        and f not in constraints:
-                    constraints.append(f)
-        elif part not in constraints:
-            constraints.append(part)
+        for f, _ in factor(K(part)):
+            if f not in constraints:
+                constraints.append(f)
     return PfaffianSystem(generators=system.generators, pivots=tuple(combo),
                           constraints=tuple(constraints))
 
 
-def omega_indices(system: PfaffianSystem, n):
-    return tuple(i for i in range(n) if i not in system.pivots)
-
-
 def torsion(system: PfaffianSystem, ctx, seed=0) -> TorsionMatrix:
-    """Torsion matrix of d(theta) modulo (theta) in the completed coframe."""
-    n = len(ctx.states)
-    omega = omega_indices(system, n)
+    """Torsion matrix of d(theta) modulo (theta) in the completed coframe;
+    empty for the rank-0 system."""
+    omega = tuple(i for i in range(len(ctx.states))
+                  if i not in system.pivots)
     labels = tuple(itertools.combinations(range(len(omega)), 2))
     entries = []
     sol = pivot_solution(list(system.generators), list(system.pivots),
@@ -391,7 +366,7 @@ def derived_system(system: PfaffianSystem, T: TorsionMatrix, ctx,
     basis = nullspace(transposed, ctx, seed=seed)
     new_gens = []
     for a in basis:
-        comb = [sp.Integer(0)] * len(ctx.states)
+        comb = [ctx.field.zero] * len(ctx.states)
         for coeff, g in zip(a, system.generators):
             vec = coefficient_vector(g)
             comb = [u + coeff * v for u, v in zip(comb, vec)]
@@ -426,7 +401,8 @@ def derived_flag(sys: ControlAffineSystem, seed=0) -> PfaffianFlag:
     for level in levels:
         rows = level.system.coefficient_matrix()
         if rows:
-            certify_rank(rows, level.system.rank, ctx, seed=seed)
+            certify_rank([[from_field(e) for e in r] for r in rows],
+                         level.system.rank, ctx, seed=seed)
     return PfaffianFlag(levels=tuple(levels), nu=nu, q=q)
 
 
@@ -441,7 +417,8 @@ def flag_summary(flag: PfaffianFlag, ctx) -> dict:
             "rank": system.rank,
             "generators": [form_to_text(g) for g in system.generators],
             "pivots": [names[i] for i in system.pivots],
-            "domain_constraints": [to_text(c) for c in system.constraints],
+            "domain_constraints": [to_text(from_field(c))
+                                   for c in system.constraints],
         }
         if level.torsion is not None:
             T = level.torsion
@@ -449,7 +426,8 @@ def flag_summary(flag: PfaffianFlag, ctx) -> dict:
                 "omega": [f"d{names[i]}" for i in T.omega],
                 "columns": [f"d{names[T.omega[j]]}^d{names[T.omega[k]]}"
                             for j, k in T.labels],
-                "entries": [[to_text(e) for e in row] for row in T.entries],
+                "entries": [[to_text(from_field(e)) for e in row]
+                            for row in T.entries],
             }
         levels.append(entry)
     return {

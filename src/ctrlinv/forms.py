@@ -1,18 +1,28 @@
-"""Differential forms with exact symbolic coefficients.
+"""Differential forms with coefficients in the system's rational-function
+field.
 
 A k-form is stored as a map from strictly increasing coordinate index tuples
-to coefficients; zero coefficients are pruned.  All operations normalize
-coefficients through the symbolic kernel so equal forms compare equal.
+to field elements of `ctx.field`; zero coefficients are pruned.  Every
+coefficient is reduced (expr.reduce_fraction) once when a form is built, so
+equal forms compare equal.  Expressions are built only for report text.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import sympy as sp
+from sympy.polys.matrices import DomainMatrix
 
 from .errors import SingularPivot
-from .expr import SymbolContext, is_zero, normalize, to_text
+from .expr import (
+    SymbolContext,
+    determinant,
+    differentiate,
+    from_field,
+    is_zero,
+    reduce_fraction,
+    to_text,
+)
 
 
 @dataclass(frozen=True)
@@ -26,7 +36,7 @@ class DifferentialForm:
         for k, c in self.terms:
             if k == key:
                 return c
-        return sp.Integer(0)
+        return self.ctx.field.zero
 
     @property
     def is_zero_form(self):
@@ -37,7 +47,7 @@ class DifferentialForm:
             raise ValueError("cannot add forms of different degree")
         acc = dict(self.terms)
         for k, c in other.terms:
-            acc[k] = acc.get(k, sp.Integer(0)) + c
+            acc[k] = acc[k] + c if k in acc else c
         return make_form(self.degree, acc, self.ctx)
 
     def __sub__(self, other):
@@ -47,12 +57,10 @@ class DifferentialForm:
         return make_form(self.degree,
                          {k: c * v for k, v in self.terms}, self.ctx)
 
-    def __str__(self):
-        return form_to_text(self)
-
 
 def make_form(degree, coeffs, ctx: SymbolContext) -> DifferentialForm:
-    """Build a form from an index-tuple -> coefficient map, normalizing."""
+    """Build a form from an index-tuple -> field element map, reducing each
+    coefficient."""
     acc = {}
     for key, c in coeffs.items():
         key = tuple(key)
@@ -60,16 +68,15 @@ def make_form(degree, coeffs, ctx: SymbolContext) -> DifferentialForm:
             raise ValueError(f"key {key} does not match degree {degree}")
         if len(set(key)) != len(key):
             continue
-        sign = 1
         skey = tuple(sorted(key))
-        if skey != key:
-            sign = _permutation_sign(key)
-            key = skey
-        acc[key] = acc.get(key, sp.Integer(0)) + sign * c
+        if skey != key and _permutation_sign(key) < 0:
+            c = -c
+        key = skey
+        acc[key] = acc[key] + c if key in acc else c
     terms = []
     for key in sorted(acc):
-        c = normalize(acc[key], ctx)
-        if c != 0:
+        c = reduce_fraction(acc[key])
+        if c:
             terms.append((key, c))
     return DifferentialForm(degree=degree, terms=tuple(terms), ctx=ctx)
 
@@ -97,7 +104,7 @@ def one_form(coeffs, ctx):
 def coefficient_vector(a: DifferentialForm):
     """Dense n-vector of a 1-form's coefficients."""
     n = len(a.ctx.states)
-    out = [sp.Integer(0)] * n
+    out = [a.ctx.field.zero] * n
     for (i,), c in a.terms:
         out[i] = c
     return out
@@ -116,7 +123,7 @@ def wedge(a: DifferentialForm, b: DifferentialForm) -> DifferentialForm:
             key = ka + kb
             if len(set(key)) != len(key):
                 continue
-            acc[key] = acc.get(key, sp.Integer(0)) + ca * cb
+            acc[key] = acc[key] + ca * cb if key in acc else ca * cb
     return make_form(degree, acc, ctx)
 
 
@@ -126,33 +133,36 @@ def d(a: DifferentialForm) -> DifferentialForm:
     acc = {}
     for key, c in a.terms:
         for i, v in enumerate(ctx.states):
-            dc = sp.diff(c, v)
-            if dc == 0:
+            if i in key:
                 continue
+            dc = differentiate(c, v, ctx)
             full = (i,) + key
-            if len(set(full)) != len(full):
-                continue
-            acc[full] = acc.get(full, sp.Integer(0)) + dc
+            if dc:
+                acc[full] = acc[full] + dc if full in acc else dc
     return make_form(a.degree + 1, acc, ctx)
 
 
 def contract(a: DifferentialForm, X):
-    """Interior evaluation of a 1-form on a vector field (n-tuple of exprs)."""
+    """Interior evaluation of a 1-form on a vector field (n-tuple of field
+    elements)."""
     if a.degree != 1:
         raise ValueError("contract expects a 1-form")
-    total = sp.Integer(0)
+    total = a.ctx.field.zero
     for (i,), c in a.terms:
         total += c * X[i]
-    return normalize(total, a.ctx)
+    return reduce_fraction(total)
 
 
 def pivot_solution(theta, pivots, seed=0):
     """Solve theta = 0 for the pivot differentials.
 
     Returns a map pivot index -> 1-form in the non-pivot differentials such
-    that substituting it makes every generator vanish.  Raises SingularPivot
-    when the pivot submatrix determinant cannot be certified nonzero.
+    that substituting it makes every generator vanish (empty for the rank-0
+    system).  Raises SingularPivot when the pivot submatrix determinant
+    cannot be certified nonzero.
     """
+    if not theta:
+        return {}
     ctx = theta[0].ctx
     n = len(ctx.states)
     pivots = list(pivots)
@@ -160,16 +170,20 @@ def pivot_solution(theta, pivots, seed=0):
     if len(pivots) != s:
         raise ValueError("pivot count must equal the number of generators")
     nonpivots = [i for i in range(n) if i not in pivots]
-    A = sp.Matrix([[t.coeff((i,)) for i in pivots] for t in theta])
-    B = sp.Matrix([[t.coeff((i,)) for i in nonpivots] for t in theta])
-    det = normalize(A.det(method="berkowitz"), ctx)
+    K = ctx.field.to_domain()
+    A = [[t.coeff((i,)) for i in pivots] for t in theta]
+    B = DomainMatrix([[t.coeff((i,)) for i in nonpivots] for t in theta],
+                     (s, n - s), K)
+    det = determinant(A)
     if not is_zero(det, ctx, seed=seed).is_nonzero:
-        raise SingularPivot(f"pivot determinant not certified nonzero: {det}")
+        raise SingularPivot("pivot determinant not certified nonzero: "
+                            f"{from_field(det)}")
     # dx_pivot = -A^{-1} B dx_nonpivot
-    S = -A.adjugate() * B / det
+    S = (DomainMatrix(A, (s, s), K).inv() * B).to_list()
     sol = {}
     for r, i in enumerate(pivots):
-        sol[i] = make_form(1, {(q,): S[r, c] for c, q in enumerate(nonpivots)}, ctx)
+        sol[i] = make_form(1, {(q,): -S[r][c]
+                               for c, q in enumerate(nonpivots)}, ctx)
     return sol
 
 
@@ -180,7 +194,7 @@ def reduce_mod(a: DifferentialForm, sol) -> DifferentialForm:
     differential is substituted by its solution from theta = 0, leaving a
     form over non-pivot differentials only.  The substituted wedge products
     are expanded into one coefficient map, so each output coefficient is
-    normalized once.
+    reduced once.
     """
     if a.degree == 0:
         return a
@@ -190,28 +204,29 @@ def reduce_mod(a: DifferentialForm, sol) -> DifferentialForm:
         # keys, with their permutation signs, and drops repeated indices
         partial = {(): c}
         for i in key:
-            factor = sol[i].terms if i in sol else (((i,), sp.Integer(1)),)
+            factor = sol[i].terms if i in sol else (((i,), None),)
             nxt = {}
             for k, v in partial.items():
                 for (j,), cj in factor:
                     if j not in k:
                         kj = k + (j,)
-                        nxt[kj] = nxt.get(kj, sp.Integer(0)) + v * cj
+                        vj = v if cj is None else v * cj
+                        nxt[kj] = nxt[kj] + vj if kj in nxt else vj
             partial = nxt
         for k, v in partial.items():
-            acc[k] = acc.get(k, sp.Integer(0)) + v
+            acc[k] = acc[k] + v if k in acc else v
     return make_form(a.degree, acc, a.ctx)
 
 
 def form_to_text(a: DifferentialForm) -> str:
     """Canonical text: sorted index tuples, kernel-canonical coefficients."""
     if a.degree == 0:
-        return to_text(a.coeff(())) if a.terms else "0"
+        return to_text(from_field(a.coeff(()))) if a.terms else "0"
     if not a.terms:
         return "0"
     names = [str(s) for s in a.ctx.states]
     parts = []
     for key, c in a.terms:
         basis = "^".join(f"d{names[i]}" for i in key)
-        parts.append(f"({to_text(c)}) {basis}")
+        parts.append(f"({to_text(from_field(c))}) {basis}")
     return " + ".join(parts)

@@ -17,18 +17,29 @@ from enum import Enum
 
 import numpy as np
 import sympy as sp
+from sympy.polys.domains import QQ
+from sympy.polys.matrices import DomainMatrix
 
 from .dsl import ControlAffineSystem, print_system
-from .errors import AnnihilationFailure, NotClosed, NotPolynomial, SamplingFailed
+from .errors import (
+    AnnihilationFailure,
+    DivisionByZeroExpr,
+    NotClosed,
+    NotPolynomial,
+    SamplingFailed,
+    UnknownSymbol,
+)
 from .expr import (
     POINT_ERRORS,
     SymbolContext,
+    determinant,
     divide_exact,
     evaluate,
     factor,
+    from_field,
     gradient,
-    in_class,
-    normalize,
+    reduce_fraction,
+    to_field,
     to_text,
 )
 from .flag import (
@@ -65,14 +76,10 @@ class Classification(Enum):
 
 @dataclass(frozen=True)
 class CandidateIntegral:
-    rhos: tuple  # the functions rho^1..rho^d
+    rhos: tuple  # the functions rho^1..rho^d, field elements
     classification: Classification
     provenance: str  # FromFlag | FromTorsionMinors | UserDeclared
     evidence: dict
-
-    @property
-    def d(self):
-        return len(self.rhos)
 
 
 # --- Poincare-lemma integration ---------------------------------------------
@@ -81,18 +88,18 @@ def _base_point(ctx: SymbolContext):
     """Origin, shifted along constrained variables if a constraint vanishes."""
     base = {v: sp.Integer(0) for v in ctx.states}
     for _ in range(8):
-        bad = next((c for c in ctx.nonzero
-                    if normalize(sp.sympify(c).subs(base), ctx) == 0), None)
+        bad = next((c for c in ctx.nonzero if c.subs(base) == 0), None)
         if bad is None:
             return base
         for v in ctx.states:
-            if v in sp.sympify(bad).free_symbols:
+            if v in bad.free_symbols:
                 base[v] = base[v] + 1
     return base
 
 
 def poincare_integrate(omega: DifferentialForm):
-    """Potential of a closed 1-form by the straight-line homotopy, or None.
+    """Potential of a closed 1-form by the straight-line homotopy, as a
+    field element, or None.
 
     rho(x) = integral_0^1 sum_i a_i(base + t(x - base)) (x_i - base_i) dt.
     Returns None when the integral leaves the polynomial-trig class.
@@ -108,7 +115,7 @@ def poincare_integrate(omega: DifferentialForm):
     integrand = sp.Integer(0)
     for (i,), c in omega.terms:
         v = ctx.states[i]
-        integrand += sp.sympify(c).subs(subs, simultaneous=True) * (v - base[v])
+        integrand += from_field(c).subs(subs, simultaneous=True) * (v - base[v])
     try:
         rho = sp.integrate(sp.expand_mul(integrand), (t, 0, 1))
     except Exception:
@@ -116,36 +123,32 @@ def poincare_integrate(omega: DifferentialForm):
     if rho.has(sp.Integral):
         return None
     rho = sp.simplify(rho) if rho.atoms(sp.sin, sp.cos) else rho
-    if not in_class(rho, ctx):
+    try:
+        rho = to_field(rho, ctx)
+    except (DivisionByZeroExpr, NotPolynomial, UnknownSymbol):
         return None
-    rho = normalize(rho, ctx)
     check = one_form(gradient(rho, ctx), ctx) - omega
     if not check.is_zero_form:
         return None
     return rho
 
 
-def _closed_pair_combination(gi, gj, ctx):
-    """Rational constants (l, m) with d(l*gi + m*gj) = 0, or None."""
-    l, m = sp.symbols("_l _m")
-    dcomb = {}
-    for form, coeff in ((d(gi), l), (d(gj), m)):
-        for key, c in form.terms:
-            dcomb[key] = dcomb.get(key, sp.Integer(0)) + coeff * c
+def _closed_pair_combination(gi, gj):
+    """Rational constants (l, m) with d(l*gi + m*gj) = 0, or None: every
+    monomial coefficient of l*P1*Q2 + m*P2*Q1 vanishes, where P/Q are the
+    coefficients of d(gi), d(gj).  Every free unknown is set to 1."""
+    di, dj = d(gi), d(gj)
     equations = []
-    for c in dcomb.values():
-        poly = sp.Poly(sp.expand(c), *ctx.gens_for(c))
-        equations.extend(poly.coeffs())
-    sol = sp.linsolve(equations, [l, m])
-    for vec in sol:
-        lv, mv = vec
-        free = lv.free_symbols | mv.free_symbols
-        # pick a nontrivial instance of the solution family
-        subs = {s: sp.Integer(1) for s in free}
-        lv, mv = lv.subs(subs), mv.subs(subs)
-        if (lv, mv) != (0, 0) and lv.is_Rational and mv.is_Rational:
-            return lv, mv
-    return None
+    for key in {k for k, _ in di.terms + dj.terms}:
+        c1, c2 = di.coeff(key), dj.coeff(key)
+        p1, p2 = c1.numer * c2.denom, c2.numer * c1.denom
+        for mono in set(p1) | set(p2):
+            equations.append([p1.get(mono, QQ.zero), p2.get(mono, QQ.zero)])
+    null = DomainMatrix(equations, (len(equations), 2), QQ).nullspace()
+    if null.shape[0] == 0:
+        return None
+    lv, mv = (sum(col, QQ.zero) for col in zip(*null.to_list()))
+    return lv, mv
 
 
 def first_integrals(flag: PfaffianFlag, ctx: SymbolContext,
@@ -154,7 +157,8 @@ def first_integrals(flag: PfaffianFlag, ctx: SymbolContext,
 
     Integrates closed terminal generators (and constant-coefficient pairs of
     non-closed ones); generators not captured are reported Undetermined with
-    their closedness defect.
+    their closedness defect.  Each integral is checked to annihilate the
+    given fields (ControlAffineSystem.exact_fields).
     """
     terminal = flag.terminal
     out = []
@@ -169,7 +173,7 @@ def first_integrals(flag: PfaffianFlag, ctx: SymbolContext,
     for gi, gj in itertools.combinations(unresolved, 2):
         if len(out) >= flag.q:
             break
-        combo = _closed_pair_combination(gi, gj, ctx)
+        combo = _closed_pair_combination(gi, gj)
         if combo is None:
             continue
         lv, mv = combo
@@ -196,7 +200,7 @@ def _validated_first_integral(rho, generator, ctx, fields):
     if fields:
         drho = one_form(gradient(rho, ctx), ctx)
         for X in fields:
-            if contract(drho, X) != 0:
+            if contract(drho, X):
                 raise AnnihilationFailure(
                     f"first integral fails annihilation against {X}")
         evidence["annihilates_fields"] = True
@@ -208,46 +212,42 @@ def _validated_first_integral(rho, generator, ctx, fields):
 # --- candidates from torsion minors -----------------------------------------
 
 def _extended_ctx(ctx, extra_nonzero):
-    extra = tuple(e for e in extra_nonzero if e not in ctx.nonzero)
+    extra = tuple(e for e in map(from_field, extra_nonzero)
+                  if e not in ctx.nonzero)
     if not extra:
         return ctx
     return dataclasses.replace(ctx, nonzero=ctx.nonzero + extra)
 
 
-def _clear_known_denominator(e, ctx):
-    """Split a normalized expr into (numerator, cleared denominator).
+def _clear_known_denominator(f, ctx):
+    """Split a field element into (numerator, cleared monic denominator).
 
     The denominator must be a product of declared- or certified-nonzero
     factors; otherwise NotPolynomial is raised.
     """
-    n = normalize(e, ctx)
-    num, den = sp.fraction(n)
-    if den.free_symbols or den.atoms(sp.sin, sp.cos):
-        if not _known_nonzero(den, ctx):
-            raise NotPolynomial(
-                f"denominator {den} is not certified nonzero on the domain")
-    return sp.expand(num), den
+    K, lc = f.field, f.denom.LC
+    num, den = K(f.numer.quo_ground(lc)), K(f.denom.quo_ground(lc))
+    if not den.numer.is_ground and not _known_nonzero(den, ctx):
+        raise NotPolynomial(f"denominator {from_field(den)} is not "
+                            "certified nonzero on the domain")
+    return num, den
 
 
 def nondegenerate(rhos, ctx, seed=0, points=10):
     """drho^1 ^ ... ^ drho^d nonzero at sampled zero-locus points."""
-    rhos = [sp.sympify(r) for r in rhos]
     for r in rhos:
-        grad = gradient(r, ctx)
-        if all(g == 0 for g in grad):
+        if not any(gradient(r, ctx)):
             return False
         # a repeated factor makes the gradient vanish on part of the locus
-        try:
-            if any(mult > 1 for _, mult in factor(r, ctx)):
-                return False
-        except NotPolynomial:
-            pass
+        if r.denom.is_ground and any(mult > 1 for _, mult in factor(r)):
+            return False
+    exprs = [from_field(r) for r in rhos]
     try:
-        pts = zero_locus_points(rhos, ctx, np.random.default_rng(seed + 13),
+        pts = zero_locus_points(exprs, ctx, np.random.default_rng(seed + 13),
                                 count=points)
     except SamplingFailed:
         return False
-    grads = [[sp.diff(r, v) for v in ctx.states] for r in rhos]
+    grads = [[sp.diff(r, v) for v in ctx.states] for r in exprs]
     for pt in pts:
         J = np.array([[evaluate(g, pt, ctx) for g in row] for row in grads])
         sv = np.linalg.svd(J, compute_uv=False)
@@ -258,13 +258,13 @@ def nondegenerate(rhos, ctx, seed=0, points=10):
 
 def gfi_candidates(T: TorsionMatrix, ctx: SymbolContext, seed=0,
                    extra_nonzero=()) -> list:
-    """Non-degenerate common factors of the torsion minors.
+    """Non-degenerate common factors of the torsion minors, as field
+    elements.
 
     Minors are taken at the generic rank of T, the largest size with a
     nonzero minor: a common factor of all k-minors divides every
     (k+1)-minor by Laplace expansion, so smaller sizes add no candidate.
     Factors of one minor that do not divide the rest are excluded.
-    Candidates deduplicated up to a rational unit.
     """
     s, ncols = T.shape()
     ctxe = _extended_ctx(ctx, extra_nonzero)
@@ -272,44 +272,35 @@ def gfi_candidates(T: TorsionMatrix, ctx: SymbolContext, seed=0,
         minors = []
         for rows in itertools.combinations(range(s), size):
             for cols in itertools.combinations(range(ncols), size):
-                sub = sp.Matrix([[T.entries[r][c] for c in cols]
-                                 for r in rows])
-                det = normalize(sub.det(method="berkowitz"), ctx)
-                if det != 0:
-                    num, _ = _clear_known_denominator(det, ctxe)
-                    minors.append(normalize(num, ctx))
+                det = determinant([[T.entries[r][c] for c in cols]
+                                   for r in rows])
+                if det:
+                    minors.append(_clear_known_denominator(det, ctxe)[0])
         if minors:
             break
     else:
         return []
-    found = []
-    seen = set()
-    for f, _ in factor(minors[0], ctx):
-        if not any(v in f.free_symbols for v in ctx.states) \
-                and not f.atoms(sp.sin, sp.cos):
-            continue
-        if any(divide_exact(mnr, f, ctx) is None for mnr in minors[1:]):
-            continue
-        key = to_text(f)
-        if key in seen:
-            continue
-        seen.add(key)
-        if nondegenerate([f], ctxe, seed=seed):
-            found.append(f)
-    return found
+    # generator positions of the parameters: a factor in them alone is skipped
+    params = range(len(ctx.states), len(ctx.symbols))
+    return [f for f, _ in factor(minors[0])
+            if any(k for i, k in enumerate(f.numer.degrees())
+                   if i not in params)
+            and all(divide_exact(mnr, f) is not None for mnr in minors[1:])
+            and nondegenerate([f], ctxe, seed=seed)]
 
 
 # --- membership condition d(rho) in (rho, theta) ----------------------------
 
 def check_membership(rhos, system: PfaffianSystem, ctx: SymbolContext,
                      seed=0, provenance="UserDeclared") -> CandidateIntegral:
-    """Classify a candidate system rho^1..rho^d against the ideal (rho, theta).
+    """Classify a candidate system rho^1..rho^d (field elements) against the
+    ideal (rho, theta).
 
     Reduces each d(rho^mu) modulo (theta); surviving coefficients must be
     divisible by the candidate (with the reduction's cleared denominators
     certified nonzero).  All outcomes are classifications, never exceptions.
     """
-    rhos = tuple(normalize(r, ctx) for r in rhos)
+    rhos = tuple(rhos)
     ctxe = _extended_ctx(ctx, system.constraints)
     names = [str(v) for v in ctx.states]
     if not nondegenerate(rhos, ctxe, seed=seed):
@@ -320,16 +311,19 @@ def check_membership(rhos, system: PfaffianSystem, ctx: SymbolContext,
 
     gens = list(system.generators)
     pivots = list(system.pivots)
-    theta_mat = sp.Matrix([coefficient_vector(g) for g in gens])
+    sol = pivot_solution(gens, pivots, seed=seed)
+    # inverse of theta's pivot columns: b . theta = d(rho) - reduced(d(rho))
+    theta_inv = DomainMatrix(
+        [[g.coeff((i,)) for i in pivots] for g in gens],
+        (len(gens), len(pivots)), ctx.field.to_domain()).inv()
     quotient_cert = {}
     theta_cert = {}
     cleared = {}
     all_in_span = True
-    sol = pivot_solution(gens, pivots, seed=seed)
     for mu, rho in enumerate(rhos, start=1):
         drho = one_form(gradient(rho, ctx), ctx)
         red = reduce_mod(drho, sol)
-        theta_cert[mu] = _theta_coefficients(drho, red, theta_mat, pivots, ctx)
+        theta_cert[mu] = _theta_coefficients(drho, red, theta_inv, pivots)
         residues = {}
         for (i,), c in red.terms:
             all_in_span = False
@@ -341,11 +335,11 @@ def check_membership(rhos, system: PfaffianSystem, ctx: SymbolContext,
                     classification=Classification.UNDETERMINED,
                     provenance=provenance,
                     evidence={"reason": str(e),
-                              "coefficient": to_text(c),
+                              "coefficient": _text(c),
                               "column": f"d{names[i]}"})
             residues[i] = (c, num, den)
         if len(rhos) == 1:
-            verdict = _divide_single(rho, residues, names, ctx, quotient_cert,
+            verdict = _divide_single(rho, residues, names, quotient_cert,
                                      cleared, mu)
         else:
             verdict = _divide_sequential(rhos, residues, names, ctx, ctxe,
@@ -367,57 +361,60 @@ def check_membership(rhos, system: PfaffianSystem, ctx: SymbolContext,
                   "cleared_denominators": cleared})
 
 
-def _theta_coefficients(drho, red, theta_mat, pivots, ctx):
+def _text(f):
+    return to_text(from_field(f))
+
+
+def _theta_coefficients(drho, red, theta_inv, pivots):
     """Row vector b with d(rho) - reduced(d(rho)) = b . theta."""
     diff = drho - red
-    v = sp.Matrix([[diff.coeff((i,)) for i in pivots]])
-    M = theta_mat[:, list(pivots)]
-    b = v * M.inv()
-    return [normalize(e, ctx) for e in b]
+    v = DomainMatrix([[diff.coeff((i,)) for i in pivots]], (1, len(pivots)),
+                     theta_inv.domain)
+    return [reduce_fraction(e) for e in (v * theta_inv).to_list()[0]]
 
 
 def _render_theta(theta_cert):
-    return {f"rho{mu}": [to_text(e) for e in b]
+    return {f"rho{mu}": [_text(e) for e in b]
             for mu, b in theta_cert.items()}
 
 
-def _divide_single(rho, residues, names, ctx, quotient_cert, cleared, mu):
+def _divide_single(rho, residues, names, quotient_cert, cleared, mu):
     for i, (c, num, den) in residues.items():
-        q = divide_exact(num, rho, ctx)
+        q = divide_exact(num, rho)
         if q is None:
             return (Classification.REJECTED,
                     {"reason": "membership failure: coefficient not "
                                "divisible by candidate",
                      "column": f"d{names[i]}",
-                     "coefficient": to_text(c)})
-        quotient_cert[f"rho{mu}:d{names[i]}"] = to_text(normalize(q / den, ctx))
+                     "coefficient": _text(c)})
+        quotient_cert[f"rho{mu}:d{names[i]}"] = _text(reduce_fraction(q / den))
         if den != 1:
-            cleared[f"rho{mu}:d{names[i]}"] = to_text(den)
+            cleared[f"rho{mu}:d{names[i]}"] = _text(den)
     return None
 
 
 def _divide_sequential(rhos, residues, names, ctx, ctxe, quotient_cert,
                        cleared, mu, seed):
     numeric_cols = []
+    exact = all(r.denom.is_ground for r in rhos)
+    # the grlex division of sympy's `reduced`, on the field's ring
+    divisors = [r.numer.quo_ground(r.denom.LC) for r in rhos] if exact else []
     for i, (c, num, den) in residues.items():
-        gens_ = ctx.gens_for(num, *rhos)
-        try:
-            qs, rem = sp.reduced(num, list(rhos), gens_, order="grlex")
-        except Exception:
-            qs, rem = None, num
-        if rem == 0:
+        qs, rem = (num.numer.quo_ground(num.denom.LC).div(divisors) if exact
+                   else (None, num))
+        if not rem:
             for lam, q in enumerate(qs, start=1):
                 quotient_cert[f"rho{mu}:d{names[i]}:rho{lam}"] = \
-                    to_text(normalize(q / den, ctx))
+                    _text(reduce_fraction(num.field(q) / den))
             if den != 1:
-                cleared[f"rho{mu}:d{names[i]}"] = to_text(den)
+                cleared[f"rho{mu}:d{names[i]}"] = _text(den)
         else:
-            numeric_cols.append((i, c))
+            numeric_cols.append((i, from_field(c)))
     if not numeric_cols:
         return None
     # numeric fallback: coefficients must vanish on sampled zero-locus points
     try:
-        pts = zero_locus_points(list(rhos), ctxe,
+        pts = zero_locus_points([from_field(r) for r in rhos], ctxe,
                                 np.random.default_rng(seed + 29), count=50)
     except SamplingFailed:
         return (Classification.UNDETERMINED,
@@ -471,7 +468,7 @@ def numeric_evidence(sys: ControlAffineSystem, cand: CandidateIntegral,
     controllability and RK4 invariance of {rho = 0}, or of the level set
     {rho = offset} when an offset is given.  Undetermined ones get nothing.
     """
-    rhos = list(cand.rhos)
+    rhos = [from_field(r) for r in cand.rhos]
     if cand.classification is Classification.REJECTED:
         return {"escape": _escape_json(escape_test(
             sys, rhos, seed=cfg.seed, horizon=cfg.horizon))}
@@ -513,7 +510,7 @@ def analyze(sys: ControlAffineSystem, config: AnalysisConfig | None = None) -> d
         "undetermined": [],
         "domain_constraints": sorted(
             {to_text(c) for c in ctx.nonzero} |
-            {to_text(c) for lv in flag.levels
+            {_text(c) for lv in flag.levels
              for c in lv.system.constraints}),
     }
     rng = np.random.default_rng(cfg.seed)
@@ -532,7 +529,7 @@ def analyze(sys: ControlAffineSystem, config: AnalysisConfig | None = None) -> d
     # foliation by level sets of first integrals (terminal integrable system)
     leaf_dim = n - flag.q
     if flag.q >= 1:
-        for cand in first_integrals(flag, ctx, fields=sys.fields()):
+        for cand in first_integrals(flag, ctx, fields=sys.exact_fields()):
             record(cand, leaf_dim, leaf_dim)
 
     # candidates for isolated invariant submanifolds
@@ -542,13 +539,13 @@ def analyze(sys: ControlAffineSystem, config: AnalysisConfig | None = None) -> d
     if T0 is not None and not T0.is_trivial:
         for f in gfi_candidates(T0, ctx, seed=cfg.seed,
                                 extra_nonzero=level0.constraints):
-            if to_text(f) not in seen:
-                seen.add(to_text(f))
+            if _text(f) not in seen:
+                seen.add(_text(f))
                 candidates.append(((f,), "FromTorsionMinors"))
     for rho in sys.candidates:
         if to_text(rho) not in seen:
             seen.add(to_text(rho))
-            candidates.append(((rho,), "UserDeclared"))
+            candidates.append(((to_field(rho, ctx),), "UserDeclared"))
 
     for rhos, prov in candidates:
         result = check_membership(rhos, level0, ctx, seed=cfg.seed,
@@ -564,24 +561,14 @@ def analyze(sys: ControlAffineSystem, config: AnalysisConfig | None = None) -> d
 
 def _integral_entry(cand: CandidateIntegral, leaf_dim):
     entry = {
-        "rho": [to_text(r) for r in cand.rhos],
+        "rho": [_text(r) for r in cand.rhos],
         "classification": cand.classification.value,
         "provenance": cand.provenance,
-        "evidence": _jsonable(cand.evidence),
+        "evidence": cand.evidence,
     }
     if leaf_dim is not None:
         entry["leaf_dimension"] = leaf_dim
     return entry
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (str, int, float, bool)) or obj is None:
-        return obj
-    return to_text(obj) if isinstance(obj, sp.Basic) else str(obj)
 
 
 def _verdict_json(v):
@@ -623,6 +610,9 @@ def _conclusion(report):
     if report["isolated"]:
         parts.append(f"{len(report['isolated'])} isolated invariant "
                      "submanifold(s)")
+    if report["undetermined"]:
+        parts.append(f"{len(report['undetermined'])} undetermined "
+                     "candidate(s)")
     if not parts:
         return "no invariant submanifolds"
     return "; ".join(parts)

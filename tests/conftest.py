@@ -5,6 +5,7 @@ import pytest
 import sympy as sp
 
 from ctrlinv.dsl import parse_system
+from ctrlinv.expr import to_field
 
 SYSTEMS_DIR = pathlib.Path(__file__).resolve().parent.parent / "systems"
 
@@ -62,4 +63,17 @@ def random_form(rng, ctx, degree, terms=2):
     for _ in range(terms):
         key = keys[rng.randrange(len(keys))]
         coeffs[key] = coeffs.get(key, 0) + random_poly(rng, ctx.states)
-    return make_form(degree, coeffs, ctx)
+    return make_form(degree, {k: to_field(c, ctx) for k, c in coeffs.items()},
+                     ctx)
+
+
+def one_form_of(exprs, ctx):
+    """1-form whose coefficients are the given expressions."""
+    from ctrlinv.forms import one_form
+
+    return one_form([to_field(e, ctx) for e in exprs], ctx)
+
+
+def field_rows(rows, ctx):
+    """Rows of expressions as rows of field elements of ctx.field."""
+    return [[to_field(e, ctx) for e in r] for r in rows]

@@ -12,10 +12,19 @@ import random
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from ctrlinv.dsl import ControlSchedule, parse_system
-from ctrlinv.expr import SymbolContext, differentiate, evaluate, normalize
-from ctrlinv.flag import annihilator, derived_flag
+from ctrlinv.expr import (
+    SymbolContext,
+    differentiate,
+    evaluate,
+    from_field,
+    normalize,
+    to_field,
+)
+from ctrlinv.flag import annihilator, derived_flag, flag_summary
 from ctrlinv.forms import coefficient_vector, d, make_form, one_form, wedge
 from ctrlinv.integrals import (
     AnalysisConfig,
@@ -59,22 +68,28 @@ def _unit_ratio(e1, e2, ctx):
     return r if r.is_Rational and r != 0 else None
 
 
+def _exprs(fs):
+    return [from_field(f) for f in fs]
+
+
 def test_criterion_1_isolated_submanifold_end_to_end(ex1):
     ctx = ex1.ctx
     ann = annihilator(ex1)
     assert ann.rank == 1
-    theta = coefficient_vector(ann.generators[0])
+    theta = _exprs(coefficient_vector(ann.generators[0]))
     assert _span_equal_by_minors(theta, [x * y * z, -x * z, 1], ctx)
 
     flag = derived_flag(ex1)
     T = flag.levels[0].torsion
     assert T.shape() == (1, 1)
-    assert _unit_ratio(T.entries[0][0], -z * (1 + x), ctx) is not None
+    assert _unit_ratio(from_field(T.entries[0][0]), -z * (1 + x), ctx) \
+        is not None
 
     cands = gfi_candidates(T, ctx)
-    assert z in cands
+    assert z in _exprs(cands)
 
-    res = check_membership([z], ann, ctx, provenance="FromTorsionMinors")
+    res = check_membership([to_field(z, ctx)], ann, ctx,
+                           provenance="FromTorsionMinors")
     assert res.classification is Classification.GENERALIZED
     # certificate dz = theta - z*(x*y dx - x dy), scaled by the unit between
     # the computed generator and the reference theta
@@ -106,14 +121,15 @@ def test_criterion_2_no_invariant_submanifolds(ex2):
     ctx = ex2.ctx
     flag = derived_flag(ex2)
     T = flag.levels[0].torsion
-    assert _unit_ratio(T.entries[0][0], -y * (1 + 2 * x), ctx) is not None
+    assert _unit_ratio(from_field(T.entries[0][0]), -y * (1 + 2 * x), ctx) \
+        is not None
 
     ann = flag.levels[0].system
-    res_y = check_membership([y], ann, ctx)
+    res_y = check_membership([to_field(y, ctx)], ann, ctx)
     assert res_y.classification is Classification.REJECTED
     # the offending reduced coefficient is the unit 1, trivially indivisible
     assert normalize(sp.sympify(res_y.evidence["coefficient"]), ctx) == 1
-    res_f = check_membership([1 + 2 * x], ann, ctx)
+    res_f = check_membership([to_field(1 + 2 * x, ctx)], ann, ctx)
     assert res_f.classification is Classification.REJECTED
 
     esc = escape_test(ex2, [y], seed=42, horizon=5.0)
@@ -134,14 +150,15 @@ def test_criterion_3_foliation(ex3):
     assert flag.type == (1, 1)
     term = flag.terminal
     assert term.rank == 1
-    assert _span_equal_by_minors(coefficient_vector(term.generators[0]),
+    assert _span_equal_by_minors(_exprs(coefficient_vector(term.generators[0])),
                                  [b, 0, -a, 0], ctx)
 
-    integrals = first_integrals(flag, ctx, fields=ex3.fields())
+    integrals = first_integrals(flag, ctx, fields=ex3.exact_fields())
     assert len(integrals) == 1
     cand = integrals[0]
     assert cand.classification is Classification.FIRST_INTEGRAL
-    assert _unit_ratio(cand.rhos[0], b * x - a * z, ctx) is not None
+    assert _unit_ratio(from_field(cand.rhos[0]), b * x - a * z, ctx) \
+        is not None
 
     br = lie_bracket(*ex3.controls, ctx)
     want = (a * sp.sin(w), -sp.cos(w), b * sp.sin(w), 0)
@@ -206,6 +223,67 @@ def _oracle_torsion(sys, pivot):
     return {k: v for k, v in out.items() if sp.simplify(v) != 0}
 
 
+def _report_torsion(sys):
+    """Level-0 pivot index and torsion entries {(i, j): expr} of the flag
+    report, keyed by state indices."""
+    names = [str(v) for v in sys.ctx.states]
+    symbols = {str(v): v for v in sys.ctx.symbols}
+    level = flag_summary(derived_flag(sys), sys.ctx)["levels"][0]
+    columns = [tuple(names.index(c[1:]) for c in label.split("^"))
+               for label in level["torsion"]["columns"]]
+    entries = [sp.sympify(e, locals=symbols)
+               for e in level["torsion"]["entries"][0]]
+    return names.index(level["pivots"][0]), dict(zip(columns, entries))
+
+
+# a polynomial of degree <= 2: at most one term plus a constant, small
+# integer coefficients (richer fields make the sympy oracle slow)
+_POLY_TERMS = st.lists(
+    st.tuples(st.integers(-2, 2), st.lists(st.integers(0, 3), max_size=2)),
+    max_size=2).map(lambda terms: terms[:1] + [(c, []) for c, _ in terms[1:]])
+
+
+def _field_text(terms, names):
+    parts = [f"{c}" + "".join(f"*{names[i]}" for i in mono if i < len(names))
+             for c, mono in terms if c]
+    return " + ".join(parts) or "0"
+
+
+@settings(max_examples=10, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much,
+                                 HealthCheck.too_slow])
+@given(drift=st.booleans(),
+       fields=st.lists(st.lists(_POLY_TERMS, min_size=4, max_size=4),
+                       min_size=3, max_size=3))
+def test_torsion_matches_oracle_on_random_rank_one_systems(drift, fields):
+    """n = 3 driftless or n = 4 with drift, m = 2, degree <= 2: on every
+    rank-1 annihilator the pipeline's torsion is the brute-force oracle's
+    times one common function."""
+    n = 4 if drift else 3
+    names = ["x", "y", "z", "w"][:n]
+    rows = [", ".join(_field_text(f, names) for f in field[:n])
+            for field in fields[:n - 1]]
+    text = f"states: {' '.join(names)}\n"
+    if drift:
+        text += f"drift: [{rows[2]}]\n"
+    text += f"control g1: [{rows[0]}]\ncontrol g2: [{rows[1]}]\n"
+    sys = parse_system(text)
+    M = sp.Matrix([list(X) for X in sys.fields()])
+    assume(M.rank() == n - 1)
+    pivot, entries = _report_torsion(sys)
+    oracle = _oracle_torsion(sys, pivot)
+    keys = set(oracle) | set(entries)
+    scale = next((sp.cancel(entries[k] / oracle[k]) for k in keys
+                  if k in oracle and entries.get(k, 0) != 0), None)
+    for k in keys:
+        want = oracle.get(k, sp.Integer(0))
+        got = entries.get(k, sp.Integer(0))
+        if scale is None:
+            assert got == 0 and sp.cancel(want) == 0, (text, k)
+        else:
+            assert sp.cancel(got - scale * want) == 0, (text, k)
+
+
 def test_criterion_4_drift_cases(ex3, ex4):
     ctx = ex4.ctx
     ann = annihilator(ex4)
@@ -215,7 +293,7 @@ def test_criterion_4_drift_cases(ex3, ex4):
     # independent oracle for the torsion entries, in the pipeline's coframe
     oracle = _oracle_torsion(ex4, ann.pivots[0])
     entries = dict(zip([(T.omega[i], T.omega[j]) for i, j in T.labels],
-                       T.entries[0]))
+                       _exprs(T.entries[0])))
     first_key = next(k for k, v in oracle.items()
                      if normalize(v, ctx) != 0)
     scale = normalize(sp.cancel(entries[first_key] / oracle[first_key]), ctx)
@@ -228,11 +306,11 @@ def test_criterion_4_drift_cases(ex3, ex4):
         if key not in oracle:
             assert normalize(val, ctx) == 0
     # concrete values: single nonzero column proportional to (a*z - b*x)/cos(w)
-    nonzero = [v for v in T.entries[0] if normalize(v, ctx) != 0]
+    nonzero = [v for v in _exprs(T.entries[0]) if normalize(v, ctx) != 0]
     assert len(nonzero) == 1
     assert _unit_ratio(nonzero[0], (a * z - b * x) / sp.cos(w), ctx) is not None
 
-    res = check_membership([b * x - a * z], ann, ctx)
+    res = check_membership([to_field(b * x - a * z, ctx)], ann, ctx)
     assert res.classification is Classification.GENERALIZED
     # certificates are polynomial after the recorded denominator clearing
     for key, qtext in res.evidence["quotients"].items():
@@ -254,7 +332,8 @@ def test_criterion_4_drift_cases(ex3, ex4):
         "control g1: [a*cos(w), sin(w), b*cos(w), 0]\n"
         "control g2: [0, 0, 0, 1]\n"
         "assume_nonzero: cos(w)\n")
-    res_b = check_membership([b * x - a * z], annihilator(sys_b), sys_b.ctx)
+    res_b = check_membership([to_field(b * x - a * z, sys_b.ctx)],
+                             annihilator(sys_b), sys_b.ctx)
     assert res_b.classification is Classification.FIRST_INTEGRAL
 
     # case (a): drift f = g1 + g2 in the distribution matches driftless output
@@ -345,7 +424,8 @@ def test_criterion_5_property_suites(ex1, ex2, ex3, ex4):
         e = random_poly(rng, (x, y, z), trig_of=w)
         v = (x, y, z, w)[rng.randrange(4)]
         point = {s: rng.uniform(-1.5, 1.5) for s in (x, y, z, w)}
-        sym = evaluate(differentiate(e, v, ctx4), point)
+        sym = evaluate(from_field(differentiate(to_field(e, ctx4), v, ctx4)),
+                       point)
         up = dict(point)
         up[v] = point[v] + fd_h
         dn = dict(point)

@@ -20,9 +20,12 @@ from ctrlinv.expr import (
     divide_exact,
     evaluate,
     factor,
+    from_field,
     is_zero,
     normalize,
     random_point,
+    reduce_fraction,
+    to_field,
     to_text,
 )
 
@@ -73,59 +76,73 @@ class TestNormalize:
         assert sp.degree(sp.Poly(n, sp.sin(w)), sp.sin(w)) == 0
 
 
+def F(e, ctx=CTX):
+    return to_field(sp.sympify(e), ctx)
+
+
+def derivative(e, v, ctx=CTX):
+    """Reduced derivative of an expression, as an expression."""
+    return from_field(reduce_fraction(differentiate(F(e, ctx), v, ctx)))
+
+
 class TestDifferentiate:
     def test_product(self):
-        assert normalize(differentiate(x * y * z, x, CTX) - y * z, CTX) == 0
+        assert normalize(derivative(x * y * z, x) - y * z, CTX) == 0
 
     def test_trig(self):
-        got = differentiate(b * sp.cos(w) * y, w, CTX4)
+        got = derivative(b * sp.cos(w) * y, w, CTX4)
         assert normalize(got + b * sp.sin(w) * y, CTX4) == 0
 
     def test_parameter_is_constant(self):
-        assert differentiate(c, x, CTX) == 0
+        assert not differentiate(F(c), x, CTX)
 
     def test_undeclared(self):
         with pytest.raises(UnknownSymbol):
-            differentiate(x, sp.Symbol("q"), CTX)
+            differentiate(F(x), sp.Symbol("q"), CTX)
 
     def test_param_not_state(self):
         with pytest.raises(UnknownSymbol):
-            differentiate(c * x, c, CTX)
+            differentiate(F(c * x), c, CTX)
 
 
 class TestIsZero:
     def test_pythagorean_zero(self):
-        assert is_zero(sp.sin(w) ** 2 + sp.cos(w) ** 2 - 1, CTX4).is_zero
+        assert is_zero(F(sp.sin(w) ** 2 + sp.cos(w) ** 2 - 1, CTX4),
+                       CTX4).is_zero
 
     def test_torsion_nonzero(self):
-        v = is_zero(-z * (1 + x), CTX, seed=5)
+        v = is_zero(F(-z * (1 + x)), CTX, seed=5)
         assert v.is_nonzero
         assert abs(evaluate(-z * (1 + x), v.witness)) > 1e-9
 
     def test_trivial_zero(self):
-        assert is_zero(x - x, CTX).is_zero
+        assert is_zero(F(x) - F(x), CTX).is_zero
 
     def test_consistent_across_normalization(self):
         rng = random.Random(11)
         for _ in range(30):
             e = random_poly(rng, (x, y, z))
-            v1 = is_zero(e, CTX, seed=3)
-            v2 = is_zero(normalize(e, CTX), CTX, seed=3)
+            v1 = is_zero(F(e), CTX, seed=3)
+            v2 = is_zero(F(normalize(e, CTX)), CTX, seed=3)
             assert not (v1.is_zero and v2.is_nonzero)
             assert not (v1.is_nonzero and v2.is_zero)
 
 
+def factor_exprs(e, ctx=CTX):
+    return [(from_field(f), m) for f, m in factor(F(e, ctx))]
+
+
 class TestFactor:
     def test_torsion_example_one(self):
-        fs = factor(-z * (1 + x), CTX)
+        fs = factor_exprs(-z * (1 + x))
         assert set(fs) == {(z, 1), (x + 1, 1)}
 
     def test_torsion_example_two(self):
-        fs = factor(-y * (1 + 2 * x), CTX)
+        fs = factor_exprs(-y * (1 + 2 * x))
         assert set(fs) == {(y, 1), (2 * x + 1, 1)}
 
     def test_difference_of_squares(self):
-        fs = factor(x**2 - y**2, CTX)
+        fs = factor_exprs(x**2 - y**2)
         assert set(fs) == {(x - y, 1), (x + y, 1)}
 
     def test_product_reconstruction(self):
@@ -135,27 +152,27 @@ class TestFactor:
             if normalize(e, CTX) == 0:
                 continue
             prod = sp.Integer(1)
-            for f, m in factor(e, CTX):
+            for f, m in factor_exprs(e):
                 prod *= f**m
             ratio = sp.cancel(normalize(e, CTX) / prod)
             assert ratio.is_Rational and ratio != 0
 
     def test_rejects_quotient(self):
         with pytest.raises(NotPolynomial):
-            factor(1 / x, CTX)
+            factor(F(1 / x))
 
 
 class TestDivideExact:
     def test_multiple(self):
         alpha = x**2 + y + 1
         rho = z
-        assert divide_exact(rho * alpha, rho, CTX) == normalize(alpha, CTX)
+        assert divide_exact(F(rho * alpha), F(rho)) == F(alpha)
 
     def test_remainder(self):
-        assert divide_exact(x * y + 1, x, CTX) is None
+        assert divide_exact(F(x * y + 1), F(x)) is None
 
     def test_zero_numerator(self):
-        assert divide_exact(0, x, CTX) == 0
+        assert divide_exact(F(0), F(x)) == 0
 
     def test_random_products(self):
         rng = random.Random(9)
@@ -164,8 +181,8 @@ class TestDivideExact:
             q = random_poly(rng, (x, y, z))
             if normalize(q, CTX) == 0:
                 continue
-            got = divide_exact(p * q, q, CTX)
-            assert got == normalize(p, CTX)
+            got = divide_exact(F(p * q), F(q))
+            assert got == F(p)
 
 
 class TestEvaluate:
@@ -210,14 +227,12 @@ class TestProperties:
         for _ in range(30):
             e1 = random_poly(rng, (x, y, z), trig_of=None)
             e2 = random_poly(rng, (x, y, z))
-            got = differentiate(e1 * e2, x, CTX)
-            want = (differentiate(e1, x, CTX) * e2
-                    + e1 * differentiate(e2, x, CTX))
+            got = derivative(e1 * e2, x)
+            want = derivative(e1, x) * e2 + e1 * derivative(e2, x)
             assert normalize(got - want, CTX) == 0
-            lin = differentiate(e1 + 3 * e2, x, CTX)
+            lin = derivative(e1 + 3 * e2, x)
             assert normalize(
-                lin - differentiate(e1, x, CTX)
-                - 3 * differentiate(e2, x, CTX), CTX) == 0
+                lin - derivative(e1, x) - 3 * derivative(e2, x), CTX) == 0
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=0, max_value=10**6))
@@ -234,6 +249,18 @@ class TestProperties:
 # implementation of normalize (sp.cancel(sp.together(...)) on sympy trees),
 # kept verbatim as an independent oracle for the rational-function-field
 # kernel.
+
+def _gens_for(ctx, *exprs):
+    """States, parameters, then (sin, cos) pairs of the variables that occur
+    under a trig atom in the expressions."""
+    used_trig = {f.args[0] for e in exprs
+                 for f in sp.sympify(e).atoms(sp.sin, sp.cos)}
+    trig = []
+    for v in ctx.symbols:
+        if v in used_trig:
+            trig += [sp.sin(v), sp.cos(v)]
+    return ctx.states + ctx.params + tuple(trig)
+
 
 def _reference_trig_reduce(poly_expr, gens):
     """Rewrite sin(v)**2 -> 1 - cos(v)**2 everywhere in a polynomial."""
@@ -256,7 +283,7 @@ def _reference_normalize(e, ctx: SymbolContext):
         return sp.expand(e)
     e = sp.cancel(sp.together(e))
     num, den = sp.fraction(e)
-    gens = ctx.gens_for(num, den)
+    gens = _gens_for(ctx, num, den)
     num = _reference_trig_reduce(sp.expand(num), gens)
     den = _reference_trig_reduce(sp.expand(den), gens)
     if den == 0:
@@ -272,7 +299,7 @@ def _reference_normalize(e, ctx: SymbolContext):
         raise DivisionByZeroExpr("denominator normalizes to zero")
     if not (den.free_symbols or den.atoms(sp.sin, sp.cos)):
         return sp.expand(num / den)
-    lc = sp.Poly(den, *ctx.gens_for(den)).LC(order="grlex")
+    lc = sp.Poly(den, *_gens_for(ctx, den)).LC(order="grlex")
     num = sp.expand(num / lc)
     den = sp.expand(den / lc)
     return num / den

@@ -10,7 +10,7 @@ from ctrlinv.errors import (
     FlagNotDecreasing,
     RankNotConstant,
 )
-from ctrlinv.expr import SymbolContext, normalize
+from ctrlinv.expr import SymbolContext, reduce_fraction, to_field
 from ctrlinv.flag import (
     annihilator,
     certify_rank,
@@ -22,12 +22,25 @@ from ctrlinv.flag import (
     rref,
     torsion,
 )
-from ctrlinv.forms import coefficient_vector, contract, one_form
+from ctrlinv.forms import coefficient_vector, contract
+
+from conftest import field_rows, one_form_of
 
 x, y, z, w = sp.symbols("x y z w")
 a, b = sp.symbols("a b")
 
 CTX = SymbolContext(states=(x, y, z))
+
+
+def F(e, ctx=CTX):
+    return to_field(sp.sympify(e), ctx)
+
+
+def unit_ratio(f, e, ctx):
+    """True when the field element f is a nonzero rational multiple of the
+    expression e."""
+    r = reduce_fraction(f / F(e, ctx))
+    return bool(r) and r.numer.is_ground and r.denom.is_ground
 
 
 def span_equal(gens_a, gens_b, ctx, seed=0):
@@ -45,43 +58,43 @@ def span_equal(gens_a, gens_b, ctx, seed=0):
 
 class TestLinearAlgebra:
     def test_rref_identity(self):
-        rows, piv = rref([[1, 0], [0, 1]], CTX)
+        rows, piv = rref(field_rows([[1, 0], [0, 1]], CTX), CTX)
         assert piv == [0, 1]
 
     def test_rref_dependent_rows(self):
-        rows, piv = rref([[x, y, 0], [2 * x, 2 * y, 0]], CTX)
+        rows, piv = rref(field_rows([[x, y, 0], [2 * x, 2 * y, 0]], CTX), CTX)
         assert len(piv) == 1
 
     def test_nullspace_orthogonality(self):
-        rows = [[1, y, 0], [0, 1, x * z]]
+        rows = field_rows([[1, y, 0], [0, 1, x * z]], CTX)
         for vec in nullspace(rows, CTX):
             for r in rows:
                 dot = sum(c * v for c, v in zip(r, vec))
-                assert normalize(dot, CTX) == 0
+                assert reduce_fraction(dot) == 0
 
     def test_clear_denominators(self):
-        vec = clear_denominators([x / y, 1 / y], CTX)
-        assert vec == [x, 1]
+        vec = clear_denominators([F(x / y), F(1 / y)], CTX)
+        assert vec == [F(x), F(1)]
 
     def test_clear_denominators_sign(self):
-        vec = clear_denominators([-x, -y], CTX)
-        assert vec == [x, y]
+        vec = clear_denominators([F(-x), F(-y)], CTX)
+        assert vec == [F(x), F(y)]
 
 
 class TestAnnihilator:
     def test_driftless_single_generator(self, ex1):
         ann = annihilator(ex1)
         assert ann.rank == 1
-        target = one_form([x * y * z, -x * z, 1], ex1.ctx)
+        target = one_form_of([x * y * z, -x * z, 1], ex1.ctx)
         assert span_equal(ann.generators, [target], ex1.ctx)
-        for X in ex1.fields():
+        for X in field_rows(ex1.fields(), ex1.ctx):
             assert contract(ann.generators[0], X) == 0
 
     def test_four_state_two_generators(self, ex3):
         ann = annihilator(ex3)
         assert ann.rank == 2
         for g in ann.generators:
-            for X in ex3.fields():
+            for X in field_rows(ex3.fields(), ex3.ctx):
                 assert contract(g, X) == 0
 
     def test_drift_reduces_corank(self, ex4):
@@ -103,15 +116,13 @@ class TestTorsion:
         assert T.shape() == (1, 1)
         # unique entry vanishes exactly on {z=0} u {x=-1}
         entry = T.entries[0][0]
-        ratio = normalize(entry / (-z * (1 + x)), ex1.ctx)
-        assert ratio.is_Rational and ratio != 0
+        assert unit_ratio(entry, -z * (1 + x), ex1.ctx)
 
     def test_no_invariant_variant(self, ex2):
         ann = annihilator(ex2)
         T = torsion(ann, ex2.ctx)
         entry = T.entries[0][0]
-        ratio = normalize(entry / (-y * (1 + 2 * x)), ex2.ctx)
-        assert ratio.is_Rational and ratio != 0
+        assert unit_ratio(entry, -y * (1 + 2 * x), ex2.ctx)
 
     def test_integrable_row_vanishes(self, ex3):
         ann = annihilator(ex3)
@@ -144,7 +155,7 @@ class TestDerivedFlag:
         flag = derived_flag(ex3)
         assert flag.type == (1, 1)
         term = flag.terminal
-        target = one_form([b, 0, -a, 0], ex3.ctx)
+        target = one_form_of([b, 0, -a, 0], ex3.ctx)
         assert span_equal(term.generators, [target], ex3.ctx)
 
     def test_drift_tangent_type(self, ex4):
@@ -157,7 +168,7 @@ class TestDerivedFlag:
             "states: x y z\ncontrol g1: [1, 0, 0]\ncontrol g2: [0, 1, 0]\n")
         flag = derived_flag(sys)
         assert flag.type == (0, 1)
-        target = one_form([0, 0, 1], sys.ctx)
+        target = one_form_of([0, 0, 1], sys.ctx)
         assert span_equal(flag.terminal.generators, [target], sys.ctx)
 
     def test_rank_strictly_decreases(self, ex3):
@@ -183,11 +194,11 @@ class TestDerivedSystem:
         assert nxt.rank == 1
         # the derived generator, expressed over the original ones, kills T
         assert span_equal(nxt.generators,
-                          [one_form([b, 0, -a, 0], ex3.ctx)], ex3.ctx)
+                          [one_form_of([b, 0, -a, 0], ex3.ctx)], ex3.ctx)
 
     def test_span_equal_negative(self, ex3):
-        g1 = one_form([b, 0, -a, 0], ex3.ctx)
-        g2 = one_form([0, 1, 0, 0], ex3.ctx)
+        g1 = one_form_of([b, 0, -a, 0], ex3.ctx)
+        g2 = one_form_of([0, 1, 0, 0], ex3.ctx)
         assert not span_equal([g1], [g2], ex3.ctx)
         assert span_equal([g1], [g1.scale(3)], ex3.ctx)
 
@@ -242,7 +253,7 @@ class TestErrorsPropagate:
     def test_known_nonzero_propagates_unrelated_error(self, monkeypatch):
         monkeypatch.setattr(flag_module, "factor", self._raise)
         with pytest.raises(RuntimeError, match="unrelated failure"):
-            flag_module._known_nonzero(x * y, CTX)
+            flag_module._known_nonzero(F(x * y), CTX)
 
     def test_certify_rank_propagates_unrelated_error(self, monkeypatch):
         monkeypatch.setattr(flag_module, "numeric_rank_at", self._raise)
@@ -278,3 +289,14 @@ def test_torsion_solves_pivots_once_per_level(ex3, monkeypatch):
     ranks = [level.system.rank for level in flag.levels
              if level.torsion is not None]
     assert solved == ranks and max(ranks) == 2
+
+
+def test_torsion_of_rank_zero_system_is_empty():
+    # drift and controls span R^3: the annihilator is the zero system
+    sys = parse_system("states: x y z\ndrift: [0, 1, 0]\n"
+                       "control g1: [1, 0, 0]\ncontrol g2: [0, 0, 1]\n")
+    ann = annihilator(sys)
+    assert ann.rank == 0
+    T = torsion(ann, sys.ctx)
+    assert T.entries == () and T.is_trivial
+    assert T.shape() == (0, 3)

@@ -1,8 +1,10 @@
 """Analyze reports for the worked systems, byte for byte.
 
 The files under tests/golden/ hold the JSON and text reports of ex1..ex4 at
-seed 42 with the determinism config of the acceptance suite.  A change that
-moves them must regenerate them deliberately and say why.
+seed 42 with the determinism config of the acceptance suite, and the
+symbolic-only JSON reports (no numerics, seed 61) of the generated systems
+poly(3), poly(4) and chained(6).  A change that moves them must regenerate
+them deliberately and say why.
 """
 
 import json
@@ -11,6 +13,7 @@ import pathlib
 import pytest
 
 from ctrlinv.cli import render_text
+from ctrlinv.dsl import parse_system
 from ctrlinv.integrals import AnalysisConfig, analyze
 
 from conftest import load_system
@@ -26,3 +29,33 @@ def test_analyze_matches_golden(name):
     as_text = render_text(report) + "\n"
     assert as_json == (GOLDEN_DIR / f"{name}.json").read_text()
     assert as_text == (GOLDEN_DIR / f"{name}.txt").read_text()
+
+
+def poly_text(n):
+    """poly(n): g1 = [1, x1*x2, ..., x(n-1)*xn], g2 = [0, 1, x1^2+x3, ...]."""
+    xs = [f"x{i}" for i in range(1, n + 1)]
+    g1 = ["1"] + [f"x{i}*x{i + 1}" for i in range(1, n)]
+    g2 = ["0", "1"] + [f"x{i}^2+x{i + 2}" for i in range(1, n - 1)]
+    return (f"# poly({n})\nstates: {' '.join(xs)}\n"
+            f"control g1: [{', '.join(g1)}]\n"
+            f"control g2: [{', '.join(g2)}]\n")
+
+
+def chained_text(n):
+    """The chained form: g1 = [1, 0, x2, ..., x(n-1)], g2 = [0, 1, 0, ...]."""
+    xs = [f"x{i}" for i in range(1, n + 1)]
+    g1 = ["1", "0"] + [f"x{i}" for i in range(2, n)]
+    g2 = ["0", "1"] + ["0"] * (n - 2)
+    return (f"# chained({n})\nstates: {' '.join(xs)}\n"
+            f"control g1: [{', '.join(g1)}]\n"
+            f"control g2: [{', '.join(g2)}]\n")
+
+
+@pytest.mark.parametrize("name, text", [
+    ("poly3", poly_text(3)), ("poly4", poly_text(4)),
+    ("chained6", chained_text(6))])
+def test_symbolic_analyze_matches_golden(name, text):
+    report = analyze(parse_system(text),
+                     AnalysisConfig(seed=61, run_numeric=False))
+    as_json = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    assert as_json == (GOLDEN_DIR / f"{name}.json").read_text()

@@ -10,13 +10,12 @@ from ctrlinv.dsl import parse_system
 from ctrlinv.errors import AnnihilationFailure, EvalSingular, NotClosed
 from ctrlinv.expr import (
     SymbolContext,
-    divide_exact,
-    factor,
+    from_field,
     normalize,
+    to_field,
     to_text,
 )
 from ctrlinv.flag import TorsionMatrix, annihilator, derived_flag, torsion
-from ctrlinv.forms import one_form
 from ctrlinv.integrals import (
     AnalysisConfig,
     Classification,
@@ -30,6 +29,8 @@ from ctrlinv.integrals import (
     poincare_integrate,
 )
 
+from conftest import one_form_of
+
 x, y, z, w = sp.symbols("x y z w")
 a, b = sp.symbols("a b")
 
@@ -41,49 +42,58 @@ CTX4 = SymbolContext(states=(x, y, z, w), params=(a, b),
 FAST = AnalysisConfig(seed=42, trials=5, pieces=3, horizon=1.0, step=1e-3)
 
 
+def F(e, ctx=CTX):
+    return to_field(sp.sympify(e), ctx)
+
+
+def exprs(fs):
+    return [from_field(f) for f in fs]
+
+
 class TestPoincareIntegrate:
     def test_linear_combination(self):
-        rho = poincare_integrate(one_form([b, 0, -a, 0], CTX4))
-        assert normalize(rho - (b * x - a * z), CTX4) == 0
+        rho = poincare_integrate(one_form_of([b, 0, -a, 0], CTX4))
+        assert normalize(from_field(rho) - (b * x - a * z), CTX4) == 0
 
     def test_coordinate(self):
-        assert poincare_integrate(one_form([0, 0, 1], CTX)) == z
+        assert from_field(poincare_integrate(one_form_of([0, 0, 1], CTX))) == z
 
     def test_product(self):
-        rho = poincare_integrate(one_form([y, x, 0], CTX))
-        assert normalize(rho - x * y, CTX) == 0
+        rho = poincare_integrate(one_form_of([y, x, 0], CTX))
+        assert normalize(from_field(rho) - x * y, CTX) == 0
 
     def test_not_closed(self):
         with pytest.raises(NotClosed):
-            poincare_integrate(one_form([y, 0, 0], CTX))
+            poincare_integrate(one_form_of([y, 0, 0], CTX))
 
     def test_gradient_round_trip(self):
         from ctrlinv.expr import gradient
+        from ctrlinv.forms import one_form
         from conftest import random_poly
 
         rng = random.Random(61)
         for _ in range(15):
             rho = random_poly(rng, (x, y, z))
-            omega = one_form(gradient(rho, CTX), CTX)
+            omega = one_form(gradient(F(rho), CTX), CTX)
             got = poincare_integrate(omega)
             # potentials agree up to an additive constant
-            diff = normalize(got - rho, CTX)
+            diff = normalize(from_field(got) - rho, CTX)
             assert not any(v in diff.free_symbols for v in CTX.states)
 
 
 class TestNondegenerate:
     def test_coordinate_function(self):
-        assert nondegenerate([z], CTX)
+        assert nondegenerate([F(z)], CTX)
 
     def test_linear(self):
-        assert nondegenerate([b * x - a * z], CTX4)
+        assert nondegenerate([F(b * x - a * z, CTX4)], CTX4)
 
     def test_constant_rejected(self):
-        assert not nondegenerate([sp.Integer(1)], CTX)
+        assert not nondegenerate([F(1)], CTX)
 
     def test_square_degenerate(self):
         # dz(z^2) = 2z dz vanishes on the zero locus {z = 0}
-        assert not nondegenerate([z**2], CTX)
+        assert not nondegenerate([F(z**2)], CTX)
 
 
 class TestGfiCandidates:
@@ -91,13 +101,13 @@ class TestGfiCandidates:
         ann = annihilator(ex1)
         T = torsion(ann, ex1.ctx)
         cands = gfi_candidates(T, ex1.ctx)
-        assert set(cands) == {z, x + 1}
+        assert set(exprs(cands)) == {z, x + 1}
 
     def test_no_invariant_variant(self, ex2):
         ann = annihilator(ex2)
         T = torsion(ann, ex2.ctx)
         cands = gfi_candidates(T, ex2.ctx)
-        assert set(cands) == {y, 2 * x + 1}
+        assert set(exprs(cands)) == {y, 2 * x + 1}
 
     def test_drift_case(self, ex4):
         ann = annihilator(ex4)
@@ -105,7 +115,7 @@ class TestGfiCandidates:
         cands = gfi_candidates(T, ex4.ctx, extra_nonzero=ann.constraints)
         assert any(normalize(c - (a * z - b * x), ex4.ctx) == 0
                    or normalize(c - (b * x - a * z), ex4.ctx) == 0
-                   for c in cands)
+                   for c in exprs(cands))
 
 
 # ex1 extended by a chain: four torsion rows, one column, so the nonzero
@@ -113,6 +123,14 @@ class TestGfiCandidates:
 CHAIN = """states: x y z u v w
 control g1: [1, y, 0, x, u, v]
 control g2: [0, 1, x*z, 0, 0, 0]
+"""
+
+
+# states x y z u v; the level-0 torsion is 2x3 with large entries
+SLOW_MINORS = """states: x y z u v
+drift: [v*z, y*u, -1, x*u, y*y]
+control g1: [v*v, 1, -2, 0, x - 1]
+control g2: [y - 1, 0, v*z, z, 0]
 """
 
 
@@ -124,7 +142,7 @@ class TestGenericRankMinors:
         assert T.shape() == (4, 1)
         cands = gfi_candidates(T, sys.ctx, seed=42,
                                extra_nonzero=ann.constraints)
-        assert [to_text(c) for c in cands] == ["z", "x + 1"]
+        assert [to_text(c) for c in exprs(cands)] == ["z", "x + 1"]
 
     def test_chain_isolated_submanifold(self):
         rep = analyze(parse_system(CHAIN), AnalysisConfig(
@@ -134,16 +152,56 @@ class TestGenericRankMinors:
         assert entry["classification"] == "GeneralizedFirstIntegral"
         assert entry["invariance"]["verdict"] == "Held"
 
+    def test_slow_minor_system(self):
+        # a 5-state system whose three 2x2 torsion minors took minutes as
+        # expression determinants
+        sys = parse_system(SLOW_MINORS)
+        ann = annihilator(sys)
+        T = torsion(ann, sys.ctx)
+        assert T.shape() == (2, 3)
+        # the expected list, derived without gfi_candidates: restricted to a
+        # random rational line x_i = a_i + b_i t, the gcd of the three
+        # minors' numerators is the restriction of the pivot-determinant
+        # factor F below.  Every common factor of the minors restricts to a
+        # factor of that gcd, so F is the only one, and F is a recorded
+        # domain constraint, nonzero on the domain: no candidate is left.
+        F = "u*v**3*y*z - v**2*z**2 + 2*u*y**2 - 2*u*y - y + 1"
+        assert F in [to_text(c) for c in exprs(ann.constraints)]
+        t = sp.Symbol("t")
+        rng = random.Random(5)
+        line = {v: rng.randint(-9, 9) + rng.randint(1, 9) * t
+                for v in sys.ctx.states}
+
+        def on_line(e):
+            return sp.Poly(sp.sympify(e).subs(line), t, domain="QQ")
+
+        E = [[[on_line(p) for p in sp.fraction(from_field(e))] for e in row]
+             for row in T.entries]
+        gcd = None
+        for i, j in itertools.combinations(range(3), 2):
+            (a, da), (b, db) = E[0][i], E[0][j]
+            (c, dc), (d, dd) = E[1][i], E[1][j]
+            _, num, _ = (a * d * db * dc - b * c * da * dd).cancel(
+                da * dd * db * dc)
+            gcd = num if gcd is None else gcd.gcd(num)
+        assert gcd.monic() == on_line(F).monic()
+        assert gfi_candidates(T, sys.ctx, seed=42,
+                              extra_nonzero=ann.constraints) == []
+
     def test_all_zero_torsion_has_no_candidates(self):
-        T = TorsionMatrix(entries=((0,), (0,)), omega=(), labels=((0, 1),))
+        T = TorsionMatrix(entries=((F(0),), (F(0),)), omega=(),
+                          labels=((0, 1),))
         assert gfi_candidates(T, CTX) == []
 
 
 def _loop_over_dmax(T, ctx, dmax, seed=0, extra_nonzero=()):
-    """gfi_candidates as it was with a `dmax` knob: every minor size from s
-    down to s - dmax + 1, factors deduplicated across sizes."""
+    """gfi_candidates as it was with a `dmax` knob, recomputed on sympy
+    expressions: every minor size from s down to s - dmax + 1, factors
+    deduplicated across sizes.  Returns expressions."""
     s, ncols = T.shape()
     ctxe = _extended_ctx(ctx, extra_nonzero)
+    gens = ctx.states + ctx.params
+    entries = [[from_field(e) for e in row] for row in T.entries]
     found = []
     seen = set()
     for dd in range(1, min(dmax, s) + 1):
@@ -153,25 +211,29 @@ def _loop_over_dmax(T, ctx, dmax, seed=0, extra_nonzero=()):
         minors = []
         for rows in itertools.combinations(range(s), size):
             for cols in itertools.combinations(range(ncols), size):
-                sub = sp.Matrix([[T.entries[r][c] for c in cols]
-                                 for r in rows])
-                det = normalize(sub.det(method="berkowitz"), ctx)
+                sub = sp.Matrix([[entries[r][c] for c in cols] for r in rows])
+                det = sp.cancel(sub.det(method="berkowitz"))
                 if det != 0:
-                    num, _ = _clear_known_denominator(det, ctxe)
-                    minors.append(normalize(num, ctx))
+                    # the pipeline requires a known-nonzero denominator
+                    _clear_known_denominator(F(det, ctx), ctxe)
+                    minors.append(sp.expand(sp.fraction(det)[0]))
         if not minors:
             continue
-        for f, _ in factor(minors[0], ctx):
-            if not any(v in f.free_symbols for v in ctx.states) \
-                    and not f.atoms(sp.sin, sp.cos):
+        factors = []
+        for f, _ in sp.factor_list(minors[0], *gens)[1]:
+            f = sp.expand(f)
+            if sp.Poly(f, *gens).LC(order="grlex") < 0:
+                f = sp.expand(-f)
+            factors.append(f)
+        for f in sorted(factors, key=sp.default_sort_key):
+            if not f.free_symbols & set(ctx.states):
                 continue
-            if any(divide_exact(mnr, f, ctx) is None for mnr in minors[1:]):
+            if any(sp.div(mnr, f, *gens)[1] != 0 for mnr in minors[1:]):
                 continue
-            key = to_text(f)
-            if key in seen:
+            if f in seen:
                 continue
-            seen.add(key)
-            if nondegenerate([f], ctxe, seed=seed):
+            seen.add(f)
+            if nondegenerate([F(f, ctx)], ctxe, seed=seed):
                 found.append(f)
     return found
 
@@ -223,10 +285,11 @@ def _random_torsion(rng):
              rng.choice(states) * rng.choice(states))
         return e * common if rng.random() < 0.6 else e
 
-    entries = tuple(tuple(entry() for _ in range(ncols)) for _ in range(s))
-    return (SymbolContext(states=states),
-            TorsionMatrix(entries=entries, omega=(),
-                          labels=tuple(range(ncols))), ())
+    ctx = SymbolContext(states=states)
+    entries = tuple(tuple(F(entry(), ctx) for _ in range(ncols))
+                    for _ in range(s))
+    return ctx, TorsionMatrix(entries=entries, omega=(),
+                              labels=tuple(range(ncols))), ()
 
 
 def _system_torsion(rng):
@@ -256,7 +319,7 @@ class TestGenericRankAgainstDmaxLoop:
                                    extra_nonzero=constraints)
             got = gfi_candidates(T, ctx, seed=seed,
                                  extra_nonzero=constraints)
-            assert got == want, (seed, T.entries)
+            assert exprs(got) == want, (seed, T.entries)
             compared += 1
             with_candidates += bool(want)
         assert compared >= 10 and with_candidates >= 2
@@ -273,7 +336,8 @@ class TestDivideSequentialErrors:
         monkeypatch.setattr(integrals_module, "evaluate", raising)
         # z is not in the ideal (x, y), so the column goes to the fallback
         return integrals_module._divide_sequential(
-            (x, y), {2: (z, z, 1)}, ["x", "y", "z"], CTX, CTX, {}, {}, 1, 0)
+            (F(x), F(y)), {2: (F(z), F(z), F(1))}, ["x", "y", "z"], CTX, CTX,
+            {}, {}, 1, 0)
 
     def test_unrelated_error_propagates(self, monkeypatch):
         with pytest.raises(RuntimeError, match="unrelated failure"):
@@ -290,7 +354,7 @@ class TestDivideSequentialErrors:
 class TestCheckMembership:
     def test_generalized(self, ex1):
         ann = annihilator(ex1)
-        res = check_membership([z], ann, ex1.ctx)
+        res = check_membership([F(z)], ann, ex1.ctx)
         assert res.classification is Classification.GENERALIZED
         # dz = theta - z*(x*y dx - x dy): quotients against rho = z
         q = res.evidence["quotients"]
@@ -299,39 +363,48 @@ class TestCheckMembership:
 
     def test_rejected(self, ex2):
         ann = annihilator(ex2)
-        res = check_membership([y], ann, ex2.ctx)
+        res = check_membership([F(y)], ann, ex2.ctx)
         assert res.classification is Classification.REJECTED
 
     def test_rejected_second_factor(self, ex2):
         ann = annihilator(ex2)
-        res = check_membership([2 * x + 1], ann, ex2.ctx)
+        res = check_membership([F(2 * x + 1)], ann, ex2.ctx)
         assert res.classification is Classification.REJECTED
 
     def test_drift_generalized(self, ex4):
         ann = annihilator(ex4)
-        res = check_membership([b * x - a * z], ann, ex4.ctx)
+        res = check_membership([F(b * x - a * z, ex4.ctx)], ann, ex4.ctx)
         assert res.classification is Classification.GENERALIZED
 
     def test_degenerate_candidate(self, ex1):
         ann = annihilator(ex1)
-        res = check_membership([z**2], ann, ex1.ctx)
+        res = check_membership([F(z**2)], ann, ex1.ctx)
         assert res.classification is Classification.REJECTED
         assert res.evidence["reason"] == "NonDegeneracyFailure"
 
+    def test_rank_zero_system_rejects_candidate(self):
+        # the fields span R^3, so theta = 0 and dz is not in (z)
+        sys = parse_system("states: x y z\ndrift: [0, 1, 0]\n"
+                           "control g1: [1, 0, 0]\ncontrol g2: [0, 0, 1]\n")
+        ann = annihilator(sys)
+        assert ann.rank == 0
+        res = check_membership([F(z)], ann, sys.ctx)
+        assert res.classification is Classification.REJECTED
+
     def test_first_integral_detected(self, ex3):
         ann = annihilator(ex3)
-        res = check_membership([b * x - a * z], ann, ex3.ctx)
+        res = check_membership([F(b * x - a * z, ex3.ctx)], ann, ex3.ctx)
         assert res.classification is Classification.FIRST_INTEGRAL
 
 
 class TestFirstIntegrals:
     def test_foliation_integral(self, ex3):
         flag = derived_flag(ex3)
-        out = first_integrals(flag, ex3.ctx, fields=ex3.fields())
+        out = first_integrals(flag, ex3.ctx, fields=ex3.exact_fields())
         assert len(out) == 1
         cand = out[0]
         assert cand.classification is Classification.FIRST_INTEGRAL
-        rho = cand.rhos[0]
+        rho = from_field(cand.rhos[0])
         ratio = normalize(rho / (b * x - a * z), ex3.ctx)
         assert ratio.is_Rational and ratio != 0
 
@@ -341,10 +414,10 @@ class TestFirstIntegrals:
         sys = parse_system(
             "states: x y z\ncontrol g1: [1, 0, 0]\ncontrol g2: [0, 1, 0]\n")
         flag = derived_flag(sys)
-        out = first_integrals(flag, sys.ctx, fields=sys.fields())
+        out = first_integrals(flag, sys.ctx, fields=sys.exact_fields())
         assert len(out) == 1
         assert out[0].classification is Classification.FIRST_INTEGRAL
-        assert out[0].rhos[0] == z
+        assert from_field(out[0].rhos[0]) == z
 
 
 class TestAnalyze:
@@ -374,6 +447,18 @@ class TestAnalyze:
         assert entry["invariance"]["verdict"] == "Held"
         assert entry["leaf_controllability"]["controllable_on_leaf"] is True
 
+    def test_undetermined_entry_is_named_in_conclusion(self):
+        # y dx - x dy is integrable (x/y is a first integral) but neither
+        # closed nor part of a constant-coefficient pair, so the flag's
+        # generator stays Undetermined; the conclusion must say so
+        sys = parse_system(
+            "states: x y z\ncontrol g1: [x, y, 0]\ncontrol g2: [0, 0, 1]\n")
+        rep = analyze(sys, FAST)
+        assert rep["type"] == [0, 1]
+        assert len(rep["undetermined"]) == 1
+        assert rep["foliation"] == [] and rep["isolated"] == []
+        assert rep["conclusion"] == "1 undetermined candidate(s)"
+
     def test_drift_report(self, ex4):
         rep = analyze(ex4, FAST)
         rhos = [e["rho"] for e in rep["isolated"]]
@@ -387,4 +472,4 @@ def test_first_integral_annihilation_failure_raises(monkeypatch):
     flag = derived_flag(sys)
     monkeypatch.setattr(integrals_module, "contract", lambda form, X: 1)
     with pytest.raises(AnnihilationFailure):
-        first_integrals(flag, sys.ctx, fields=sys.fields())
+        first_integrals(flag, sys.ctx, fields=sys.exact_fields())
