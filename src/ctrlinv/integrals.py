@@ -138,6 +138,8 @@ def _closed_pair_combination(gi, gj):
     monomial coefficient of l*P1*Q2 + m*P2*Q1 vanishes, where P/Q are the
     coefficients of d(gi), d(gj).  Every free unknown is set to 1."""
     di, dj = d(gi), d(gj)
+    if di.is_zero_form and dj.is_zero_form:
+        return None  # both closed: their potentials already failed
     equations = []
     for key in {k for k, _ in di.terms + dj.terms}:
         c1, c2 = di.coeff(key), dj.coeff(key)

@@ -391,10 +391,29 @@ class TestCheckMembership:
         res = check_membership([F(z)], ann, sys.ctx)
         assert res.classification is Classification.REJECTED
 
+    def test_codimension_two_generalized(self):
+        # {x = y = 0} is invariant: dx = theta1 + x dz, dy = theta2 + y dw
+        sys = parse_system("states: x y z w\ncontrol g1: [x, 0, 1, 0]\n"
+                           "control g2: [0, y, 0, 1]\n")
+        res = check_membership([F(x, sys.ctx), F(y, sys.ctx)],
+                               annihilator(sys), sys.ctx)
+        assert res.classification is Classification.GENERALIZED
+        assert res.evidence["quotients"] == {
+            "rho1:dz:rho1": "1", "rho1:dz:rho2": "0",
+            "rho2:dw:rho1": "0", "rho2:dw:rho2": "1"}
+
     def test_first_integral_detected(self, ex3):
         ann = annihilator(ex3)
         res = check_membership([F(b * x - a * z, ex3.ctx)], ann, ex3.ctx)
         assert res.classification is Classification.FIRST_INTEGRAL
+
+
+def test_closed_pair_combination():
+    # d(x dy) = dx^dy and d(2y dx) = -2 dx^dy: 2 (x dy) + 1 (2y dx) = d(2xy)
+    gi, gj = one_form_of([0, x, 0], CTX), one_form_of([2 * y, 0, 0], CTX)
+    assert integrals_module._closed_pair_combination(gi, gj) == (2, 1)
+    closed = one_form_of([1, 0, 0], CTX)
+    assert integrals_module._closed_pair_combination(closed, closed) is None
 
 
 class TestFirstIntegrals:
