@@ -204,6 +204,7 @@ def reduce_mod(a: DifferentialForm, sol) -> DifferentialForm:
         # keys, with their permutation signs, and drops repeated indices
         partial = {(): c}
         for i in key:
+            # None: dx_i kept, coefficient 1 (a product with one cancels)
             factor = sol[i].terms if i in sol else (((i,), None),)
             nxt = {}
             for k, v in partial.items():
