@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import pathlib
 import sys as _sys
 
 import numpy as np
-import sympy as sp
 
 from .dsl import ControlSchedule, parse_expr, parse_system
 from .errors import CtrlInvError
@@ -79,17 +80,21 @@ def _build_parser():
 
 
 def _read_system(path):
-    text = _sys.stdin.read() if path == "-" else open(path).read()
+    try:
+        text = (_sys.stdin.read() if path == "-"
+                else pathlib.Path(path).read_text())
+    except (OSError, UnicodeDecodeError) as e:
+        raise SystemExit(str(e)) from None
     return parse_system(text)
 
 
 def _positive(args):
-    for knob in ("trials", "pieces"):
-        if getattr(args, knob, 1) <= 0:
-            raise SystemExit(f"--{knob} must be positive")
-    for knob in ("horizon", "step"):
-        if getattr(args, knob, 1.0) <= 0:
-            raise SystemExit(f"--{knob} must be positive")
+    if args.seed < 0:
+        raise SystemExit("--seed must be non-negative")
+    for knob in ("trials", "pieces", "horizon", "step"):
+        value = getattr(args, knob, 1)
+        if not (value > 0 and math.isfinite(value)):
+            raise SystemExit(f"--{knob} must be positive and finite")
 
 
 def _emit(payload, args):
@@ -216,25 +221,31 @@ def _verify_entry(args, system, flag):
 
 def _simulate(args, system):
     ctx = system.ctx
-    x0 = [float(v) for v in args.x0.split(",")]
-    if len(x0) != system.n:
-        raise SystemExit(f"--x0 needs {system.n} components")
-    pieces = []
-    for chunk in args.control.split(";"):
-        dur, _, vals = chunk.partition(":")
-        u = tuple(float(v) for v in vals.split(","))
-        if len(u) != system.m:
-            raise SystemExit(f"control value needs {system.m} components")
-        pieces.append((float(dur), u))
     # parameters not given are drawn from the seed
     params = sample_params(ctx, np.random.default_rng(args.seed))
-    for pair in filter(None, args.params.split(",")):
-        k, _, v = pair.partition("=")
-        params[sp.Symbol(k.strip())] = float(v)
+    declared = {str(p): p for p in ctx.params}
+    try:
+        x0 = [float(v) for v in args.x0.split(",")]
+        pieces = []
+        for chunk in args.control.split(";"):
+            dur, _, vals = chunk.partition(":")
+            pieces.append((float(dur), tuple(map(float, vals.split(",")))))
+        schedule = ControlSchedule(tuple(pieces))
+        for pair in filter(None, args.params.split(",")):
+            k, _, v = pair.partition("=")
+            if k.strip() not in declared:
+                raise ValueError(f"undeclared parameter {k.strip()!r}")
+            params[declared[k.strip()]] = float(v)
+    except ValueError as e:
+        raise SystemExit(f"simulate: {e}") from None
+    if len(x0) != system.n:
+        raise SystemExit(f"--x0 needs {system.n} components")
+    if any(len(u) != system.m for _, u in pieces):
+        raise SystemExit(f"control value needs {system.m} components")
     monitors = {f"rho{i+1}": parse_expr(m, ctx)
                 for i, m in enumerate(args.monitor)}
-    traj = simulate(system, x0, ControlSchedule(tuple(pieces)), h=args.step,
-                    param_values=params, monitors=monitors)
+    traj = simulate(system, x0, schedule, h=args.step, param_values=params,
+                    monitors=monitors)
     _write(traj.to_csv([str(s) for s in ctx.states], system.m,
                        list(monitors)), args)
 

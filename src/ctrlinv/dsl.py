@@ -69,8 +69,8 @@ class ControlSchedule:
 
     def __post_init__(self):
         for dur, _ in self.pieces:
-            if dur <= 0:
-                raise ValueError("piece durations must be strictly positive")
+            if not 0 < dur < float("inf"):
+                raise ValueError("piece durations must be positive and finite")
 
     @property
     def horizon(self):

@@ -47,19 +47,15 @@ class EmptyControlSet(CtrlInvError):
 # --- exterior calculus / flag ------------------------------------------------
 
 class SingularPivot(CtrlInvError):
-    """Pivot submatrix determinant could not be certified nonzero."""
+    """Pivot submatrix determinant is zero."""
 
 
 class RankNotConstant(CtrlInvError):
-    """Rank certification failed: an undecidable minor or sample disagreement."""
-
-
-class RankUndecidable(CtrlInvError):
-    """A pivot decision during elimination returned an Unknown verdict."""
+    """Rank certification failed: sampled and symbolic ranks disagree."""
 
 
 class NoValidCompletion(CtrlInvError):
-    """No coordinate-differential completion with certified nonzero determinant."""
+    """No coordinate-differential completion with nonzero determinant."""
 
 
 class NotClosed(CtrlInvError):

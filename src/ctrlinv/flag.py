@@ -1,9 +1,11 @@
 """Derived flag of the Pfaffian system annihilating a control system.
 
 Pipeline: annihilator -> coframe completion -> torsion matrix -> left
-null-space -> derived system, iterated until the rank stabilizes.  Every
-rank decision goes through the three-valued zero test; an Unknown verdict
-aborts with a named witness expression instead of guessing.
+null-space -> derived system, iterated until the rank stabilizes.  Entries
+are reduced elements of the system's field, whose numerators are normal
+forms modulo sin**2 + cos**2 - 1, so a rank decision is the exact test
+`not f`.  Sampling only certifies that each symbolic rank is attained at
+random points (certify_rank).
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .errors import (
     FlagNotDecreasing,
     NoValidCompletion,
     RankNotConstant,
-    RankUndecidable,
 )
 from .expr import (
     SymbolContext,
@@ -30,7 +31,6 @@ from .expr import (
     evaluate,
     factor,
     from_field,
-    is_zero,
     random_point,
     reduce_fraction,
     to_text,
@@ -44,8 +44,7 @@ from .forms import (
     pivot_solution,
     reduce_mod,
 )
-
-NUMERIC_RANK_TOL = 1e-8
+from .numeric import svd_rank
 
 
 @dataclass(frozen=True)
@@ -103,23 +102,6 @@ class PfaffianFlag:
 
 # --- linear algebra over the system's rational-function field --------------
 
-def _pivot_quality(f, ctx, seed):
-    """3 = nonzero constant, 2 = product of known-nonzero factors,
-    1 = ProvenNonzero by sampling, 0 = ProvenZero, -1 = Unknown."""
-    if not f:
-        return 0
-    if f.numer.is_ground and f.denom.is_ground:
-        return 3
-    if _known_nonzero(f, ctx):
-        return 2
-    v = is_zero(f, ctx, seed=seed)
-    if v.is_nonzero:
-        return 1
-    if v.is_zero:
-        return 0
-    return -1
-
-
 def _known_nonzero(f, ctx: SymbolContext):
     """True when every irreducible factor is declared or constrained nonzero."""
     K = f.field
@@ -148,12 +130,13 @@ def _known_nonzero_factor(f, ctx):
     return False
 
 
-def rref(rows, ctx, seed=0):
+def rref(rows):
     """Reduced row echelon form of field-element rows.
 
-    Returns (rows, pivot_columns).  Pivot entries are chosen by decreasing
-    certainty; a column whose undecided entries are all Unknown raises
-    RankUndecidable naming the offending expression.
+    Returns (rows, pivot_columns).  The pivot row of a column is the first
+    remaining row whose entry there is a nonzero constant, else the first
+    with a nonzero entry: the reduced form does not depend on the choice,
+    and a constant pivot divides without cancellation.
     """
     rows = [list(r) for r in rows]
     nrows = len(rows)
@@ -161,23 +144,11 @@ def rref(rows, ctx, seed=0):
     pivot_cols = []
     r = 0
     for c in range(ncols):
-        if r >= nrows:
-            break
-        best, best_q = None, 0
-        unknown = None
-        for i in range(r, nrows):
-            q = _pivot_quality(rows[i][c], ctx, seed)
-            if q > best_q:
-                best, best_q = i, q
-                if q == 3:
-                    break
-            elif q == -1 and unknown is None:
-                unknown = rows[i][c]
-        if best is None:
-            if unknown is not None:
-                raise RankUndecidable("cannot decide whether pivot candidate "
-                                      f"is zero: {from_field(unknown)}")
+        nonzero = [i for i in range(r, nrows) if rows[i][c]]
+        if not nonzero:
             continue
+        best = next((i for i in nonzero if rows[i][c].numer.is_ground
+                     and rows[i][c].denom.is_ground), nonzero[0])
         rows[r], rows[best] = rows[best], rows[r]
         piv = rows[r][c]
         rows[r] = [reduce_fraction(e / piv) for e in rows[r]]
@@ -191,12 +162,12 @@ def rref(rows, ctx, seed=0):
     return rows, pivot_cols
 
 
-def nullspace(rows, ctx, seed=0):
+def nullspace(rows, ctx):
     """Basis of the right null-space, denominator-cleared and primitive."""
     if not rows:
         return []
     ncols = len(rows[0])
-    red, pivot_cols = rref(rows, ctx, seed=seed)
+    red, pivot_cols = rref(rows)
     free_cols = [c for c in range(ncols) if c not in pivot_cols]
     K = ctx.field
     basis = []
@@ -229,16 +200,6 @@ def clear_denominators(vec, ctx):
     return [K(p.exquo(g)) for p in scaled]
 
 
-def numeric_rank_at(rows, ctx, point):
-    mat = np.array([[evaluate(e, point, ctx) for e in r] for r in rows],
-                   dtype=float)
-    if mat.size == 0:
-        return 0
-    sv = np.linalg.svd(mat, compute_uv=False)
-    scale = sv[0] if sv[0] > 0 else 1.0
-    return int(np.sum(sv > NUMERIC_RANK_TOL * max(1.0, scale)))
-
-
 def certify_rank(rows, rank, ctx, seed=0, samples=20):
     """Random-point check that the numeric rank matches the symbolic rank.
 
@@ -252,7 +213,8 @@ def certify_rank(rows, rank, ctx, seed=0, samples=20):
     for _ in range(samples):
         point = random_point(ctx, rng)
         try:
-            nr = numeric_rank_at(rows, ctx, point)
+            nr = svd_rank([[evaluate(e, point, ctx) for e in r]
+                           for r in rows])
         except (EvalSingular, np.linalg.LinAlgError):
             continue
         if nr > rank:
@@ -272,13 +234,8 @@ def annihilator(sys: ControlAffineSystem, seed=0) -> PfaffianSystem:
     """s = n - p independent 1-forms annihilating f and every g_j."""
     ctx = sys.ctx
     rows = sys.exact_fields()
-    try:
-        red, pivot_cols = rref(rows, ctx, seed=seed)
-    except RankUndecidable as e:
-        raise RankNotConstant(str(e)) from e
-    p = len(pivot_cols)
-    certify_rank(sys.fields(), p, ctx, seed=seed)
-    basis = nullspace(rows, ctx, seed=seed)
+    basis = nullspace(rows, ctx)
+    certify_rank(sys.fields(), sys.n - len(basis), ctx, seed=seed)
     generators = tuple(one_form(vec, ctx) for vec in basis)
     for g in generators:
         for X, row in zip(sys.fields(), rows):
@@ -288,16 +245,18 @@ def annihilator(sys: ControlAffineSystem, seed=0) -> PfaffianSystem:
     system = PfaffianSystem(generators=generators, pivots=(), constraints=())
     if not generators:
         return system
-    return complete_coframe(system, ctx, seed=seed)
+    return complete_coframe(system, ctx)
 
 
-def complete_coframe(system: PfaffianSystem, ctx, seed=0) -> PfaffianSystem:
-    """Choose pivot coordinates with a certified-nonzero s x s determinant.
+def complete_coframe(system: PfaffianSystem, ctx) -> PfaffianSystem:
+    """Choose pivot coordinates with a nonzero s x s determinant.
 
     The non-pivot coordinate differentials complete the generators to a
     coframe; the pivot determinant's factors are recorded as domain
-    constraints.  Prefers determinants that are nonzero constants or products
-    of declared-nonzero factors over merely sampled-nonzero ones.
+    constraints.  Coordinate combinations are scanned in lexicographic
+    order; the first whose determinant is a nonzero constant or a product
+    of known-nonzero factors wins, else the first with any nonzero
+    determinant.
     """
     s = system.rank
     n = len(ctx.states)
@@ -312,12 +271,12 @@ def complete_coframe(system: PfaffianSystem, ctx, seed=0) -> PfaffianSystem:
         # a nonzero constant or a product of known-nonzero factors
         if _known_nonzero(det, ctx):
             return _with_pivots(system, combo, det)
-        if fallback is None and is_zero(det, ctx, seed=seed).is_nonzero:
+        if fallback is None:
             fallback = (combo, det)
     if fallback is not None:
         return _with_pivots(system, *fallback)
-    raise NoValidCompletion("no coordinate completion with certified "
-                            "nonzero pivot determinant")
+    raise NoValidCompletion("no coordinate completion with nonzero pivot "
+                            "determinant")
 
 
 def _with_pivots(system, combo, det):
@@ -333,15 +292,14 @@ def _with_pivots(system, combo, det):
                           constraints=tuple(constraints))
 
 
-def torsion(system: PfaffianSystem, ctx, seed=0) -> TorsionMatrix:
+def torsion(system: PfaffianSystem, ctx) -> TorsionMatrix:
     """Torsion matrix of d(theta) modulo (theta) in the completed coframe;
     empty for the rank-0 system."""
     omega = tuple(i for i in range(len(ctx.states))
                   if i not in system.pivots)
     labels = tuple(itertools.combinations(range(len(omega)), 2))
     entries = []
-    sol = pivot_solution(list(system.generators), list(system.pivots),
-                         seed=seed)
+    sol = pivot_solution(list(system.generators), list(system.pivots))
     for g in system.generators:
         reduced = reduce_mod(d(g), sol)
         row = []
@@ -351,8 +309,8 @@ def torsion(system: PfaffianSystem, ctx, seed=0) -> TorsionMatrix:
     return TorsionMatrix(entries=tuple(entries), omega=omega, labels=labels)
 
 
-def derived_system(system: PfaffianSystem, T: TorsionMatrix, ctx,
-                   seed=0) -> PfaffianSystem:
+def derived_system(system: PfaffianSystem, T: TorsionMatrix,
+                   ctx) -> PfaffianSystem:
     """Generators of the next derived system from the left null-space of T."""
     s = system.rank
     if T.is_trivial:
@@ -363,7 +321,7 @@ def derived_system(system: PfaffianSystem, T: TorsionMatrix, ctx,
         col = [T.entries[r][c] for r in range(s)]
         cols.append(clear_denominators(col, ctx))
     transposed = [[cols[c][r] for r in range(s)] for c in range(len(cols))]
-    basis = nullspace(transposed, ctx, seed=seed)
+    basis = nullspace(transposed, ctx)
     new_gens = []
     for a in basis:
         comb = [ctx.field.zero] * len(ctx.states)
@@ -375,7 +333,7 @@ def derived_system(system: PfaffianSystem, T: TorsionMatrix, ctx,
                          constraints=system.constraints)
     if not new_gens:
         return out
-    return complete_coframe(out, ctx, seed=seed)
+    return complete_coframe(out, ctx)
 
 
 def derived_flag(sys: ControlAffineSystem, seed=0) -> PfaffianFlag:
@@ -387,11 +345,11 @@ def derived_flag(sys: ControlAffineSystem, seed=0) -> PfaffianFlag:
         if system.rank == 0:
             levels.append(FlagLevel(system=system, torsion=None))
             break
-        T = torsion(system, ctx, seed=seed)
+        T = torsion(system, ctx)
         levels.append(FlagLevel(system=system, torsion=T))
         if T.is_trivial:
             break
-        nxt = derived_system(system, T, ctx, seed=seed)
+        nxt = derived_system(system, T, ctx)
         if nxt.rank >= system.rank:
             raise FlagNotDecreasing(
                 f"derived system rank {nxt.rank} >= {system.rank}")

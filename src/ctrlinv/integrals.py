@@ -313,7 +313,7 @@ def check_membership(rhos, system: PfaffianSystem, ctx: SymbolContext,
 
     gens = list(system.generators)
     pivots = list(system.pivots)
-    sol = pivot_solution(gens, pivots, seed=seed)
+    sol = pivot_solution(gens, pivots)
     # inverse of theta's pivot columns: b . theta = d(rho) - reduced(d(rho))
     theta_inv = DomainMatrix(
         [[g.coeff((i,)) for i in pivots] for g in gens],
@@ -539,8 +539,15 @@ def analyze(sys: ControlAffineSystem, config: AnalysisConfig | None = None) -> d
     seen = {entry["rho"][0] for entry in report["foliation"]}
     T0 = flag.levels[0].torsion
     if T0 is not None and not T0.is_trivial:
-        for f in gfi_candidates(T0, ctx, seed=cfg.seed,
-                                extra_nonzero=level0.constraints):
+        try:
+            found = gfi_candidates(T0, ctx, seed=cfg.seed,
+                                   extra_nonzero=level0.constraints)
+        except NotPolynomial as e:  # a minor's denominator not known nonzero
+            found = []
+            record(CandidateIntegral((), Classification.UNDETERMINED,
+                                     "FromTorsionMinors", {"reason": str(e)}),
+                   None, n)
+        for f in found:
             if _text(f) not in seen:
                 seen.add(_text(f))
                 candidates.append(((f,), "FromTorsionMinors"))

@@ -5,6 +5,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ctrlinv.cli import run
 
@@ -13,6 +15,7 @@ from conftest import SYSTEMS_DIR
 EX1 = str(SYSTEMS_DIR / "ex1.sys")
 EX2 = str(SYSTEMS_DIR / "ex2.sys")
 EX3 = str(SYSTEMS_DIR / "ex3.sys")
+MISSING = str(SYSTEMS_DIR / "missing.sys")
 
 FAST = ["--trials", "3", "--pieces", "2", "--horizon", "0.5"]
 
@@ -56,6 +59,42 @@ class TestExitCodes:
     def test_unread_option_is_usage_error(self, argv, capsys):
         assert run(argv) == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", MISSING],
+        ["analyze", str(SYSTEMS_DIR)],
+        ["simulate", EX1, "--x0", "0,1,0", "--control", "x:1,0"],
+        ["simulate", EX1, "--x0", "a,1,0", "--control", "1:1,0"],
+        ["simulate", EX1, "--x0", "0,1,0", "--control", "0:1,0"],
+        ["simulate", EX1, "--x0", "0,1,0", "--control", "nan:1,0"],
+        ["simulate", EX3, "--x0", "0,0,0,0", "--control", "1:1,0",
+         "--params", "a=foo"],
+        ["simulate", EX3, "--x0", "0,0,0,0", "--control", "1:1,0",
+         "--params", "q=1"],
+        ["simulate", EX3, "--x0", "0,0,0,0", "--control", "1:1,0",
+         "--params", "=3"],
+        ["simulate", EX1, "--x0", "0,1,0", "--control", "0.1:1,0",
+         "--step", "nan"],
+        ["analyze", EX1, "--horizon", "nan"],
+        ["analyze", EX1, "--step", "inf"],
+        ["brackets", EX1, "--seed", "-1"],
+    ])
+    def test_malformed_input_is_usage_error(self, argv, capsys):
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+
+    def test_uncertified_minor_denominator_is_named_error(self, tmp_path,
+                                                          capsys):
+        path = tmp_path / "minor.sys"
+        path.write_text(
+            "states: x y z w\n"
+            "control g1: [sin(w), sin(w)*y - 2, 2, w*sin(w) + 1]\n"
+            "control g2: [0, -4, y, y*cos(w) + 2]\n"
+            "assume_nonzero: cos(w)\n")
+        assert run(["candidates", str(path)]) == 1
+        assert "is not certified nonzero" in capsys.readouterr().err
 
 
 class TestJsonOutput:
@@ -198,6 +237,60 @@ class TestDeterminism:
             assert code == 0
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
+
+
+# option -> a valid, cheap value, per subcommand
+COMMON = {"--seed": "7", "--format": "text", "--output": "out.txt"}
+NUMERIC = {"--trials": "2", "--pieces": "2", "--horizon": "0.2",
+           "--step": "0.1"}
+FUZZ_OPTIONS = {
+    "analyze": {**COMMON, **NUMERIC},
+    "verify": {**COMMON, **NUMERIC, "--rho": "x"},
+    "flag": COMMON,
+    "torsion": COMMON,
+    "candidates": COMMON,
+    "brackets": {**COMMON, "--depth": "3"},
+    "simulate": {"--seed": "7", "--output": "out.csv", "--step": "0.05",
+                 "--x0": None, "--control": "0.1:1,0", "--params": "a=1",
+                 "--monitor": "x"},
+}
+# settings every argv of a subcommand starts with, so each run stays cheap
+CHEAP = {
+    "analyze": ["--trials", "2", "--horizon", "0.2", "--step", "0.1"],
+    "verify": ["--trials", "2", "--horizon", "0.2", "--step", "0.1",
+               "--rho", "z"],
+    "brackets": ["--depth", "2"],
+    "simulate": ["--x0", None, "--control", "0.1:1,0"],
+}
+FUZZ_VALUES = ["0", "-1", "nan", "inf", "abc", ""]
+# system file -> its number of states
+FUZZ_SYSTEMS = {str(SYSTEMS_DIR / f"ex{i}.sys"): n
+                for i, n in enumerate((3, 3, 4, 4), start=1)}
+FUZZ_SYSTEMS[MISSING] = 3
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(sorted(FUZZ_OPTIONS)))
+    path = draw(st.sampled_from(sorted(FUZZ_SYSTEMS)))
+    # None stands for a start state of the right arity
+    x0 = ",".join(["0.5"] * FUZZ_SYSTEMS[path])
+    argv = [command, path] + CHEAP.get(command, [])
+    options = FUZZ_OPTIONS[command]
+    for option in draw(st.lists(st.sampled_from(sorted(options)),
+                                max_size=3)):
+        argv += [option, draw(st.sampled_from([options[option]]
+                                              + FUZZ_VALUES))]
+    return [x0 if a is None else a for a in argv]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=cli_argv())
+def test_fuzzed_argv_ends_in_exit_code(argv, tmp_path, monkeypatch):
+    # --output values are relative paths: keep them out of the checkout
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) in (0, 1, 2)
 
 
 def test_console_entry_point():

@@ -179,6 +179,14 @@ class TestReduceMod:
         with pytest.raises(SingularPivot):
             pivot_solution(theta, [2])
 
+    def test_singular_pivot_only_through_trig_identity(self):
+        # det = sin(w)**2 - (1 - cos(w))*(1 + cos(w)) vanishes only by
+        # sin**2 + cos**2 = 1
+        theta = [one_form_of([sp.sin(w), 1 - sp.cos(w), 0, 0], CTX4),
+                 one_form_of([1 + sp.cos(w), sp.sin(w), 0, 0], CTX4)]
+        with pytest.raises(SingularPivot):
+            pivot_solution(theta, [0, 1])
+
     def test_two_generator_reduction(self):
         # theta1 = b dx - a dz reduced mod itself via pivot x
         theta = one_form_of([b, 0, -a, 0], CTX4)

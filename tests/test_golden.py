@@ -3,7 +3,8 @@
 The files under tests/golden/ hold the JSON and text reports of ex1..ex4 at
 seed 42 with the determinism config of the acceptance suite, and the
 symbolic-only JSON reports (no numerics, seed 61) of the generated systems
-poly(3), poly(4) and chained(6).  A change that moves them must regenerate
+poly(3), poly(4) and chained(6), and of trig4, a four-state system with a
+signed parameter whose torsion entries have trig denominators.  A change that moves them must regenerate
 them deliberately and say why.
 """
 
@@ -51,9 +52,16 @@ def chained_text(n):
             f"control g2: [{', '.join(g2)}]\n")
 
 
+TRIG4 = """states: x y z w
+params: a > 0
+control g1: [w + y, 0, z*cos(w) + 2, z]
+control g2: [y*cos(w) + z + a*w, -1, 2*w + y*z, -2]
+"""
+
+
 @pytest.mark.parametrize("name, text", [
     ("poly3", poly_text(3)), ("poly4", poly_text(4)),
-    ("chained6", chained_text(6))])
+    ("chained6", chained_text(6)), ("trig4", TRIG4)])
 def test_symbolic_analyze_matches_golden(name, text):
     report = analyze(parse_system(text),
                      AnalysisConfig(seed=61, run_numeric=False))

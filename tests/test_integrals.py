@@ -41,6 +41,14 @@ CTX4 = SymbolContext(states=(x, y, z, w), params=(a, b),
 
 FAST = AnalysisConfig(seed=42, trials=5, pieces=3, horizon=1.0, step=1e-3)
 
+# a torsion minor of this system has a trig denominator factor that is not
+# declared nonzero
+MINOR_DENOMINATOR = """states: x y z w
+control g1: [sin(w), sin(w)*y - 2, 2, w*sin(w) + 1]
+control g2: [0, -4, y, y*cos(w) + 2]
+assume_nonzero: cos(w)
+"""
+
 
 def F(e, ctx=CTX):
     return to_field(sp.sympify(e), ctx)
@@ -476,6 +484,20 @@ class TestAnalyze:
         assert rep["type"] == [0, 1]
         assert len(rep["undetermined"]) == 1
         assert rep["foliation"] == [] and rep["isolated"] == []
+        assert rep["conclusion"] == "1 undetermined candidate(s)"
+
+    def test_uncertified_minor_denominator_is_undetermined(self):
+        # the torsion minor's denominator has a factor no declared
+        # constraint covers: one Undetermined entry, not an aborted report
+        sys = parse_system(MINOR_DENOMINATOR)
+        rep = analyze(sys, AnalysisConfig(seed=61, run_numeric=False))
+        assert rep["type"] == [2, 0]
+        assert rep["undetermined"] == [{
+            "rho": [], "classification": "Undetermined",
+            "provenance": "FromTorsionMinors",
+            "evidence": {"reason": "denominator w*y*sin(w) - 2*y*cos(w) "
+                                   "+ y - 4 is not certified nonzero on "
+                                   "the domain"}}]
         assert rep["conclusion"] == "1 undetermined candidate(s)"
 
     def test_drift_report(self, ex4):
