@@ -91,7 +91,7 @@ def _read_system(path):
 def _positive(args):
     if args.seed < 0:
         raise SystemExit("--seed must be non-negative")
-    for knob in ("trials", "pieces", "horizon", "step"):
+    for knob in ("trials", "pieces", "horizon", "step", "depth"):
         value = getattr(args, knob, 1)
         if not (value > 0 and math.isfinite(value)):
             raise SystemExit(f"--{knob} must be positive and finite")
@@ -235,7 +235,12 @@ def _simulate(args, system):
             k, _, v = pair.partition("=")
             if k.strip() not in declared:
                 raise ValueError(f"undeclared parameter {k.strip()!r}")
-            params[declared[k.strip()]] = float(v)
+            q = declared[k.strip()]
+            params[q] = float(v)
+            sign = ctx.param_signs.get(q)
+            if sign and not (params[q] > 0 if sign == "+" else params[q] < 0):
+                raise ValueError(f"{q} = {v} breaks the declared "
+                                 f"{q} {'>' if sign == '+' else '<'} 0")
     except ValueError as e:
         raise SystemExit(f"simulate: {e}") from None
     if len(x0) != system.n:

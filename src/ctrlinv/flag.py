@@ -189,7 +189,7 @@ def clear_denominators(vec, ctx):
     vec = [reduce_fraction(e) for e in vec]
     lcm = functools.reduce(lambda a, b: a.lcm(b),
                            [e.denom.set_ring(Z) for e in vec], Z.one)
-    scaled = [(e.numer * lcm.set_ring(K.ring)).exquo(e.denom) for e in vec]
+    scaled = [e.numer * lcm.set_ring(K.ring).exquo(e.denom) for e in vec]
     g = functools.reduce(lambda a, b: a.gcd(b),
                          [p.set_ring(Z) for p in scaled], Z.zero)
     if not g:

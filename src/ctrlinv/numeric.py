@@ -58,62 +58,70 @@ class InvarianceVerdict:
         return self.verdict == "Held"
 
 
-def _lambdify(exprs, ctx: SymbolContext):
-    """One vectorized callable (x: (N, n), p: (N, k)) -> (len(exprs), N)
-    block, one row per expression, from a single lambdified function."""
-    fn = sp.lambdify(list(ctx.states) + list(ctx.params), list(exprs),
-                     modules="numpy")
-    size = len(exprs)
+class _FieldEvaluator:
+    """A system's field rows (its drift, then each control field) and monitor
+    rows, held component-major in one (rows, N) block.  Rows without a state
+    symbol are filled once per parameter block p: (N, k), bound by identity;
+    `evaluate` refills the others from one lambdified call."""
 
-    def call(x, p):
-        cols = [x[:, i] for i in range(x.shape[1])]
-        cols += [p[:, i] for i in range(p.shape[1])]
-        block = np.empty((size, len(x)))
-        for i, val in enumerate(fn(*cols)):
-            block[i] = val  # broadcasts constant components
-        return block
+    def __init__(self, ctx: SymbolContext, fields, monitors):
+        rows = [sp.sympify(e) for F in fields for e in F]
+        self._n, self._count, self._p = len(ctx.states), len(rows), None
+        rows += [sp.sympify(e) for e in monitors]
+        self._size = len(rows)
+        live = [i for i, e in enumerate(rows)
+                if e.free_symbols & set(ctx.states)]
+        fixed = [i for i in range(len(rows)) if i not in live]
+        args = list(ctx.states) + list(ctx.params)
+        # (row indices, one lambdified function returning those rows)
+        self._stage, self._live, self._fixed = [
+            (index, sp.lambdify(args, [rows[i] for i in index], "numpy"))
+            for index in ([i for i in live if i < self._count], live, fixed)]
 
-    return call
+    def evaluate(self, x, p, monitors=True):
+        """Fill the state-dependent rows at x: (N, n); return the monitors."""
+        fills = [self._live if monitors else self._stage]
+        if p is not self._p:  # a new batch: the rows without a state first
+            self._p, self._params = p, list(np.ascontiguousarray(p.T))
+            self._block = np.empty((self._size, len(p)))
+            fills.insert(0, self._fixed)
+        for rows, fn in fills:
+            for i, val in zip(rows, fn(*x.T, *self._params)):
+                self._block[i] = val  # broadcasts constant rows
+        return self._block[self._count:]
 
-
-def rhs_function(sys: ControlAffineSystem):
-    """Batched right-hand side f(x) + sum_j g_j(x) u_j.
-
-    Returned callable maps (x: (N, n), u: (N, m), params: (N, k)) to (N, n).
-    The drift and control fields are evaluated as one block of (m + 1) n
-    rows; the control rows are then added into the drift rows in order.
-    """
-    n, m = sys.n, sys.m
-    fields = _lambdify(list(sys.drift) + [c for g in sys.controls for c in g],
-                       sys.ctx)
-
-    def rhs(x, u, p):
-        with np.errstate(all="ignore"):
-            block = fields(x, p)
-            out = block[:n]
-            for j in range(m):
-                out += block[(j + 1) * n:(j + 2) * n] * u[:, j]
-        if not np.all(np.isfinite(out)):
+    def field(self, u):
+        """f(x) + sum_j g_j(x) u_j at the last evaluation, for u: (N, m), as
+        an (N, n) view; the control rows are added into the drift in order."""
+        n, block = self._n, self._block
+        out = block[:n].copy()
+        for j in range(1, self._count // n):
+            out += block[j * n:(j + 1) * n] * u[:, j - 1]
+        if not np.isfinite(out).all():
             raise StepSingular("vector field evaluation produced non-finite "
                                "values")
         return out.T
 
+
+def rhs_function(sys: ControlAffineSystem, monitors=()):
+    """Batched right-hand side f(x) + sum_j g_j(x) u_j.
+
+    Returned callable maps (x: (N, n), u: (N, m), params: (N, k)) to (N, n),
+    leaving floating-point errors to the caller's `np.errstate`.  Its
+    `fields` evaluator also holds the monitor rows: an RK4 loop takes each
+    step's first stage and monitors from one `fields.evaluate`.
+    """
+    fields = _FieldEvaluator(sys.ctx, [sys.drift, *sys.controls], monitors)
+
+    def rhs(x, u, p):
+        fields.evaluate(x, p, monitors=False)
+        return fields.field(u)
+
+    rhs.fields = fields
     return rhs
 
 
-def monitor_function(rhos, ctx):
-    """Batched rhos: (x: (N, n), params: (N, k)) -> (N, len(rhos))."""
-    fn = _lambdify(rhos, ctx)
-
-    def call(x, p):
-        with np.errstate(all="ignore"):
-            return fn(x, p).T
-
-    return call
-
-
-def _rk4_step(rhs, x, u, p, h):
-    k1 = rhs(x, u, p)
+def _rk4_step(rhs, x, u, p, h, k1):
     k2 = rhs(x + 0.5 * h * k1, u, p)
     k3 = rhs(x + 0.5 * h * k2, u, p)
     k4 = rhs(x + h * k3, u, p)
@@ -155,9 +163,8 @@ def simulate(sys: ControlAffineSystem, x0, schedule: ControlSchedule,
         if abs(evaluate(c, point0, ctx)) <= CONSTRAINT_MARGIN:
             raise DomainExit(f"initial point violates nonzero constraint {c}")
 
-    rhs = rhs_function(sys)
+    rhs = rhs_function(sys, ctx.nonzero)
     p = np.array([[float(param_values[q]) for q in ctx.params]])
-    cons_fn = monitor_function(list(ctx.nonzero), ctx) if ctx.nonzero else None
 
     steps, total_steps = _piece_steps(schedule, h)
     xs = np.empty((total_steps + 1, sys.n))
@@ -165,30 +172,28 @@ def simulate(sys: ControlAffineSystem, x0, schedule: ControlSchedule,
     xs[0] = [float(v) for v in x0]
     x = xs[0:1].copy()
     i = 0
-    prev_cons = cons_fn(x, p)[0] if cons_fn is not None else None
-    for count, u in steps:
-        ub = np.array([list(u)], dtype=float)
-        for _ in range(count):
-            x = _rk4_step(rhs, x, ub, p, h)
-            xs[i + 1] = x[0]
-            us[i] = u
-            i += 1
-            if cons_fn is not None:
-                cur = cons_fn(x, p)[0]
-                if np.any(np.abs(cur) < 1e-9) or np.any(cur * prev_cons < 0):
-                    raise DomainExit(
-                        "declared-nonzero constraint crossed zero at "
-                        f"t = {i * h:.6g}")
-                prev_cons = cur
-    times = np.arange(total_steps + 1) * h
-    rho_values = {}
-    if monitors:
-        mon_fn = monitor_function(list(monitors.values()), ctx)
-        vals = mon_fn(xs, np.repeat(p, len(xs), axis=0))
-        for k, lbl in enumerate(monitors):
-            rho_values[lbl] = vals[:, k]
-    return Trajectory(times=times, states=xs, controls=us,
-                      schedule=schedule, rho_values=rho_values)
+    with np.errstate(all="ignore"):
+        prev_cons = rhs.fields.evaluate(x, p).copy()
+        for count, u in steps:
+            ub = np.array([list(u)], dtype=float)
+            for _ in range(count):
+                x = _rk4_step(rhs, x, ub, p, h, rhs.fields.field(ub))
+                xs[i + 1] = x[0]
+                us[i] = u
+                i += 1
+                cur = rhs.fields.evaluate(x, p)  # and the next first stage
+                if ctx.nonzero and (np.any(np.abs(cur) < 1e-9)
+                                    or np.any(cur * prev_cons < 0)):
+                    raise DomainExit("declared-nonzero constraint crossed "
+                                     f"zero at t = {i * h:.6g}")
+                prev_cons = cur.copy()
+        rho_values = {}
+        if monitors:  # one batched evaluation over the whole grid
+            vals = _FieldEvaluator(ctx, (), monitors.values()).evaluate(
+                xs, np.repeat(p, len(xs), axis=0))
+            rho_values = dict(zip(monitors, vals))
+    return Trajectory(times=np.arange(total_steps + 1) * h, states=xs,
+                      controls=us, schedule=schedule, rho_values=rho_values)
 
 
 def random_schedule(rng, m, pieces, horizon) -> ControlSchedule:
@@ -215,9 +220,9 @@ def invariance_test(sys: ControlAffineSystem, rhos, trials=100, pieces=10,
     rng = np.random.default_rng(seed)
     starts = zero_locus_points(rhos, ctx, rng, count=trials)
 
-    x = np.array([[pt[v] for v in ctx.states] for pt in starts])
-    p = np.array([[pt[q] for q in ctx.params] for pt in starts]) \
-        if ctx.params else np.zeros((trials, 0))
+    x = np.array([[pt[v] for v in ctx.states] for pt in starts], order="F")
+    p = np.array([[pt[q] for q in ctx.params] for pt in starts],
+                 dtype=float).reshape(trials, len(ctx.params))
     total_steps = max(1, round(horizon / h))
     # grid step -> (trial, control) of every piece starting there
     switches = {}
@@ -228,22 +233,24 @@ def invariance_test(sys: ControlAffineSystem, rhos, trials=100, pieces=10,
             if count:
                 switches.setdefault(i, []).append((t, ut))
             i += count
-    u = np.zeros((trials, sys.m))  # each trial's current control
-    rhs = rhs_function(sys)
-    mon = monitor_function(rhos, ctx)
-    max_rho = np.max(np.abs(mon(x, p)), axis=1)
+    u = np.zeros((sys.m, trials)).T  # each trial's current control
+    rhs = rhs_function(sys, rhos)
     arclen = np.zeros(trials)
     errors = []
-    try:
-        for i in range(total_steps):
-            for t, ut in switches.get(i, ()):
-                u[t] = ut
-            xn = _rk4_step(rhs, x, u, p, h)
-            arclen += np.linalg.norm(xn - x, axis=1)
-            x = xn
-            max_rho = np.maximum(max_rho, np.max(np.abs(mon(x, p)), axis=1))
-    except StepSingular as e:
-        errors.append(str(e))
+    with np.errstate(all="ignore"):
+        max_rho = np.max(np.abs(rhs.fields.evaluate(x, p)), axis=0)
+        try:
+            for i in range(total_steps):
+                for t, ut in switches.get(i, ()):
+                    u[t] = ut
+                xn = _rk4_step(rhs, x, u, p, h, rhs.fields.field(u))
+                # numpy sums a C-ordered row pairwise from 8 components on
+                arclen += np.linalg.norm(np.ascontiguousarray(xn - x), axis=1)
+                x = xn
+                rho = rhs.fields.evaluate(x, p)  # and the next first stage
+                max_rho = np.maximum(max_rho, np.max(np.abs(rho), axis=0))
+        except StepSingular as e:
+            errors.append(str(e))
     tols = INV_TOL_BASE * (1.0 + arclen)
     held = bool(np.all(max_rho < tols)) and not errors
     per_trial = tuple((float(m_), float(a), float(t_))
@@ -268,45 +275,36 @@ def escape_test(sys: ControlAffineSystem, rhos, seed=42, horizon=5.0,
     rng = np.random.default_rng(seed)
     pts = zero_locus_points(rhos, ctx, rng, count=starts)
     m = sys.m
-    controls = [np.zeros(m)]
-    for j in range(m):
-        e = np.zeros(m)
-        e[j] = 1.0
-        controls.append(e.copy())
-        controls.append(-e)
+    # the axis controls 0, e_1, -e_1, ..., e_m, -e_m, then random ones
+    controls = [np.zeros(m)] + [s * e for e in np.eye(m) for s in (1.0, -1.0)]
     controls += [rng.uniform(-1, 1, size=m) for _ in range(random_controls)]
-
-    batch_x, batch_p, batch_u, meta = [], [], [], []
-    for pt in pts:
-        for u in controls:
-            batch_x.append([pt[v] for v in ctx.states])
-            batch_p.append([pt[q] for q in ctx.params])
-            batch_u.append(u)
-            meta.append((pt, u))
-    x = np.array(batch_x)
-    p = np.array(batch_p) if ctx.params else np.zeros((len(batch_x), 0))
-    u = np.array(batch_u)
-    rhs = rhs_function(sys)
-    mon = monitor_function(rhos, ctx)
+    # one row per (start, control)
+    x = np.array([[pt[v] for v in ctx.states] for pt in pts for _ in controls],
+                 order="F")
+    p = np.array([[pt[q] for q in ctx.params] for pt in pts for _ in controls],
+                 dtype=float).reshape(len(x), len(ctx.params))
+    u = np.array(controls * len(pts), order="F")
+    rhs = rhs_function(sys, rhos)
     steps = max(1, round(horizon / h))
-    alive = np.ones(len(x), dtype=bool)
-    for i in range(steps):
-        with np.errstate(all="ignore"):
+    alive = np.arange(len(x))  # batch index of each row of x
+    with np.errstate(all="ignore"):
+        rhs.fields.evaluate(x, p, monitors=False)
+        for i in range(steps):
             try:
-                x[alive] = _rk4_step(rhs, x[alive], u[alive], p[alive], h)
+                x = _rk4_step(rhs, x, u, p, h, rhs.fields.field(u))
             except StepSingular:
                 break
-        bad = ~np.all(np.isfinite(x), axis=1)
-        alive &= ~bad
-        vals = np.max(np.abs(mon(x[alive], p[alive])), axis=1)
-        idx = np.flatnonzero(alive)
-        hit = idx[vals > threshold]
-        if hit.size:
-            k = int(hit[0])
-            pt, uc = meta[k]
-            sched = ControlSchedule(((horizon, tuple(map(float, uc))),))
-            return sched, float((i + 1) * h), float(
-                np.max(np.abs(mon(x[k:k + 1], p[k:k + 1]))))
+            finite = np.isfinite(x).all(axis=1)
+            if not finite.all():
+                x, u, p, alive = x[finite], u[finite], p[finite], alive[finite]
+            rho = rhs.fields.evaluate(x, p)  # and the next first stage
+            hit = np.flatnonzero(np.max(np.abs(rho), axis=0) > threshold)
+            if hit.size:
+                j = int(hit[0])
+                uc = controls[alive[j] % len(controls)]
+                sched = ControlSchedule(((horizon, tuple(map(float, uc))),))
+                rho = rhs.fields.evaluate(x[j:j + 1], p[j:j + 1])
+                return sched, float((i + 1) * h), float(np.max(np.abs(rho)))
     return None
 
 
@@ -373,12 +371,14 @@ def leaf_controllability(sys: ControlAffineSystem, rhos, leaf_dim, seed=42,
     ranks = []
     tangent = True
     for pt in pts:
-        vecs = []
+        vecs, gvals = [], None
         for F in brackets:
             v = np.array([evaluate(c, pt, ctx) for c in F])
             vecs.append(v)
-            for grow in grads:
-                gval = np.array([evaluate(g, pt, ctx) for g in grow])
+            if gvals is None:  # once per point, after its first bracket
+                gvals = [np.array([evaluate(g, pt, ctx) for g in grow])
+                         for grow in grads]
+            for gval in gvals:
                 scale = max(1.0, float(np.linalg.norm(v)),
                             float(np.linalg.norm(gval)))
                 if abs(float(gval @ v)) > SV_RANK_TOL * scale:

@@ -15,6 +15,7 @@ from conftest import SYSTEMS_DIR
 EX1 = str(SYSTEMS_DIR / "ex1.sys")
 EX2 = str(SYSTEMS_DIR / "ex2.sys")
 EX3 = str(SYSTEMS_DIR / "ex3.sys")
+EX4 = str(SYSTEMS_DIR / "ex4.sys")
 MISSING = str(SYSTEMS_DIR / "missing.sys")
 
 FAST = ["--trials", "3", "--pieces", "2", "--horizon", "0.5"]
@@ -79,6 +80,13 @@ class TestExitCodes:
         ["analyze", EX1, "--horizon", "nan"],
         ["analyze", EX1, "--step", "inf"],
         ["brackets", EX1, "--seed", "-1"],
+        ["brackets", EX1, "--depth", "0"],
+        ["brackets", EX1, "--depth", "-1"],
+        # ex4 declares a > 0, b > 0
+        ["simulate", EX4, "--x0", "0,0,0,0", "--control", "0.2:1,0",
+         "--params", "a=-1,b=-2"],
+        ["simulate", EX4, "--x0", "0,0,0,0", "--control", "0.2:1,0",
+         "--params", "b=0"],
     ])
     def test_malformed_input_is_usage_error(self, argv, capsys):
         assert run(argv) == 2

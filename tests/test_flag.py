@@ -1,9 +1,11 @@
+import functools
 import itertools
 import random
 
 import numpy as np
 import pytest
 import sympy as sp
+from sympy import ZZ
 
 import ctrlinv.flag as flag_module
 from ctrlinv.dsl import parse_system
@@ -107,6 +109,41 @@ class TestLinearAlgebra:
     def test_clear_denominators_sign(self):
         vec = clear_denominators([F(-x), F(-y)], CTX)
         assert vec == [F(x), F(y)]
+
+    def test_clear_denominators_matches_reference(self):
+        # sin/cos entries, rational constants, zero entries and zero vectors
+        rng = random.Random(11)
+        ctx = SymbolContext(states=(x, y, z, w))
+        for _ in range(60):
+            vec = []
+            for _ in range(rng.randint(1, 4)):
+                num = random_poly(rng, (x, y, w), terms=rng.randint(0, 3),
+                                  trig_of=w)
+                den = random_poly(rng, (x, z), terms=rng.randint(1, 2),
+                                  trig_of=w)
+                vec.append(num / den if den != 0 else num)
+            vec = [F(e, ctx) for e in vec]
+            assert clear_denominators(vec, ctx) == \
+                _reference_clear_denominators(vec, ctx)
+
+
+def _reference_clear_denominators(vec, ctx):
+    """clear_denominators as it was, multiplying each numerator by the
+    whole lcm before dividing by its own denominator."""
+    K = ctx.field
+    Z = K.ring.clone(domain=ZZ)
+    vec = [reduce_fraction(e) for e in vec]
+    lcm = functools.reduce(lambda a, b: a.lcm(b),
+                           [e.denom.set_ring(Z) for e in vec], Z.one)
+    scaled = [(e.numer * lcm.set_ring(K.ring)).exquo(e.denom) for e in vec]
+    g = functools.reduce(lambda a, b: a.gcd(b),
+                         [p.set_ring(Z) for p in scaled], Z.zero)
+    if not g:
+        return vec
+    g = g.set_ring(K.ring)
+    if next(filter(None, scaled)).LC < 0:
+        g = -g
+    return [K(p.exquo(g)) for p in scaled]
 
 
 class TestAnnihilator:

@@ -6,26 +6,32 @@ import pytest
 import sympy as sp
 
 import ctrlinv.expr as expr_module
+import ctrlinv.numeric as numeric_module
 import ctrlinv.sampling as sampling_module
-from ctrlinv.dsl import ControlSchedule, parse_system
+from ctrlinv.dsl import ControlAffineSystem, ControlSchedule, parse_system
 from ctrlinv.errors import (
+    CtrlInvError,
     DomainExit,
     EvalSingular,
     SamplingFailed,
     StepSingular,
 )
-from ctrlinv.expr import SymbolContext, normalize
+from ctrlinv.expr import SymbolContext, evaluate, normalize
 from ctrlinv.numeric import (
+    INV_TOL_BASE,
+    InvarianceVerdict,
+    Trajectory,
+    _piece_steps,
     bracket_rank,
     escape_test,
     invariance_test,
     iterated_brackets,
     lie_bracket,
-    monitor_function,
+    random_schedule,
     rhs_function,
     simulate,
 )
-from ctrlinv.sampling import zero_locus_points
+from ctrlinv.sampling import CONSTRAINT_MARGIN, zero_locus_points
 
 from conftest import random_poly
 
@@ -83,8 +89,8 @@ class TestFusedEvaluator:
 
     def test_monitor_constant_and_parameter_only(self, ex4):
         xs, _, ps = random_batch(ex4, 7, seed=1)
-        vals = monitor_function([sp.Integer(3), a, b * x - a * z],
-                                ex4.ctx)(xs, ps)
+        vals = rhs_function(ex4, [sp.Integer(3), a, b * x - a * z]) \
+            .fields.evaluate(xs, ps).T
         assert vals.shape == (7, 3)
         assert np.array_equal(vals[:, 0], np.full(7, 3.0))
         assert np.array_equal(vals[:, 1], ps[:, 0])
@@ -346,3 +352,378 @@ class TestEscape:
     def test_no_escape_from_invariant(self, ex1):
         esc = escape_test(ex1, [z], seed=2, horizon=1.0)
         assert esc is None
+
+
+# --- the RK4 loops against the earlier per-call kernel ------------------------
+#
+# _reference_* are the earlier per-call lambdified kernel and the loops built
+# on it (a fresh (rows, N) block per call, a separate monitor call per step),
+# kept verbatim as an oracle: the component-major evaluator must reproduce
+# them bit for bit.
+
+def _reference_lambdify(exprs, ctx: SymbolContext):
+    """One vectorized callable (x: (N, n), p: (N, k)) -> (len(exprs), N)
+    block, one row per expression, from a single lambdified function."""
+    fn = sp.lambdify(list(ctx.states) + list(ctx.params), list(exprs),
+                     modules="numpy")
+    size = len(exprs)
+
+    def call(x, p):
+        cols = [x[:, i] for i in range(x.shape[1])]
+        cols += [p[:, i] for i in range(p.shape[1])]
+        block = np.empty((size, len(x)))
+        for i, val in enumerate(fn(*cols)):
+            block[i] = val  # broadcasts constant components
+        return block
+
+    return call
+
+
+def _reference_rhs_function(sys: ControlAffineSystem):
+    """Batched right-hand side f(x) + sum_j g_j(x) u_j.
+
+    Returned callable maps (x: (N, n), u: (N, m), params: (N, k)) to (N, n).
+    The drift and control fields are evaluated as one block of (m + 1) n
+    rows; the control rows are then added into the drift rows in order.
+    """
+    n, m = sys.n, sys.m
+    fields = _reference_lambdify(list(sys.drift) + [c for g in sys.controls for c in g],
+                       sys.ctx)
+
+    def rhs(x, u, p):
+        with np.errstate(all="ignore"):
+            block = fields(x, p)
+            out = block[:n]
+            for j in range(m):
+                out += block[(j + 1) * n:(j + 2) * n] * u[:, j]
+        if not np.all(np.isfinite(out)):
+            raise StepSingular("vector field evaluation produced non-finite "
+                               "values")
+        return out.T
+
+    return rhs
+
+
+def _reference_monitor_function(rhos, ctx):
+    """Batched rhos: (x: (N, n), params: (N, k)) -> (N, len(rhos))."""
+    fn = _reference_lambdify(rhos, ctx)
+
+    def call(x, p):
+        with np.errstate(all="ignore"):
+            return fn(x, p).T
+
+    return call
+
+
+def _reference_rk4_step(rhs, x, u, p, h):
+    k1 = rhs(x, u, p)
+    k2 = rhs(x + 0.5 * h * k1, u, p)
+    k3 = rhs(x + 0.5 * h * k2, u, p)
+    k4 = rhs(x + h * k3, u, p)
+    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+def _reference_simulate(sys: ControlAffineSystem, x0, schedule: ControlSchedule,
+             h=1e-3, param_values=None, monitors=None) -> Trajectory:
+    """Classical fixed-step RK4 per piece; states recorded on the grid."""
+    if h <= 0:
+        raise ValueError("step must be positive")
+    ctx = sys.ctx
+    param_values = dict(param_values or {})
+    missing = [p for p in ctx.params if p not in param_values]
+    if missing:
+        raise EvalSingular(f"no parameter values for {missing}")
+    point0 = {v: float(x) for v, x in zip(ctx.states, x0)}
+    point0.update(param_values)
+    for c in ctx.nonzero:
+        if abs(evaluate(c, point0, ctx)) <= CONSTRAINT_MARGIN:
+            raise DomainExit(f"initial point violates nonzero constraint {c}")
+
+    rhs = _reference_rhs_function(sys)
+    p = np.array([[float(param_values[q]) for q in ctx.params]])
+    cons_fn = _reference_monitor_function(list(ctx.nonzero), ctx) if ctx.nonzero else None
+
+    steps, total_steps = _piece_steps(schedule, h)
+    xs = np.empty((total_steps + 1, sys.n))
+    us = np.zeros((total_steps, sys.m))
+    xs[0] = [float(v) for v in x0]
+    x = xs[0:1].copy()
+    i = 0
+    prev_cons = cons_fn(x, p)[0] if cons_fn is not None else None
+    for count, u in steps:
+        ub = np.array([list(u)], dtype=float)
+        for _ in range(count):
+            x = _reference_rk4_step(rhs, x, ub, p, h)
+            xs[i + 1] = x[0]
+            us[i] = u
+            i += 1
+            if cons_fn is not None:
+                cur = cons_fn(x, p)[0]
+                if np.any(np.abs(cur) < 1e-9) or np.any(cur * prev_cons < 0):
+                    raise DomainExit(
+                        "declared-nonzero constraint crossed zero at "
+                        f"t = {i * h:.6g}")
+                prev_cons = cur
+    times = np.arange(total_steps + 1) * h
+    rho_values = {}
+    if monitors:
+        mon_fn = _reference_monitor_function(list(monitors.values()), ctx)
+        vals = mon_fn(xs, np.repeat(p, len(xs), axis=0))
+        for k, lbl in enumerate(monitors):
+            rho_values[lbl] = vals[:, k]
+    return Trajectory(times=times, states=xs, controls=us,
+                      schedule=schedule, rho_values=rho_values)
+
+def _reference_invariance_test(sys: ControlAffineSystem, rhos, trials=100, pieces=10,
+                    horizon=5.0, h=1e-3, seed=42) -> InvarianceVerdict:
+    """Monte-Carlo invariance check of the zero locus of rhos.
+
+    Starts on {rho = 0}, applies random piecewise-constant controls, and
+    holds iff every trial keeps max |rho| below 1e-6 * (1 + arc length).
+    All trials integrate in one batched RK4 sweep.
+    """
+    ctx = sys.ctx
+    rhos = [sp.sympify(r) for r in rhos]
+    rng = np.random.default_rng(seed)
+    starts = zero_locus_points(rhos, ctx, rng, count=trials)
+
+    x = np.array([[pt[v] for v in ctx.states] for pt in starts])
+    p = np.array([[pt[q] for q in ctx.params] for pt in starts]) \
+        if ctx.params else np.zeros((trials, 0))
+    total_steps = max(1, round(horizon / h))
+    # grid step -> (trial, control) of every piece starting there
+    switches = {}
+    for t in range(trials):
+        sched, _ = _piece_steps(random_schedule(rng, sys.m, pieces, horizon), h)
+        i = 0
+        for count, ut in sched:
+            if count:
+                switches.setdefault(i, []).append((t, ut))
+            i += count
+    u = np.zeros((trials, sys.m))  # each trial's current control
+    rhs = _reference_rhs_function(sys)
+    mon = _reference_monitor_function(rhos, ctx)
+    max_rho = np.max(np.abs(mon(x, p)), axis=1)
+    arclen = np.zeros(trials)
+    errors = []
+    try:
+        for i in range(total_steps):
+            for t, ut in switches.get(i, ()):
+                u[t] = ut
+            xn = _reference_rk4_step(rhs, x, u, p, h)
+            arclen += np.linalg.norm(xn - x, axis=1)
+            x = xn
+            max_rho = np.maximum(max_rho, np.max(np.abs(mon(x, p)), axis=1))
+    except StepSingular as e:
+        errors.append(str(e))
+    tols = INV_TOL_BASE * (1.0 + arclen)
+    held = bool(np.all(max_rho < tols)) and not errors
+    per_trial = tuple((float(m_), float(a), float(t_))
+                      for m_, a, t_ in zip(max_rho, arclen, tols))
+    return InvarianceVerdict(
+        verdict="Held" if held else "Violated",
+        max_rho=float(np.max(max_rho)),
+        tolerance=float(np.min(tols)),
+        trials=per_trial, seed=seed, errors=tuple(errors))
+
+
+def _reference_escape_test(sys: ControlAffineSystem, rhos, seed=42, horizon=5.0,
+                h=1e-2, threshold=0.1, starts=20, random_controls=50):
+    """Greedy search for a constant control leaving the zero locus of rhos.
+
+    Tries the 2m+1 axis controls {0, +-e_j} plus random values from each of
+    several zero-locus starts; returns (schedule, time, value) for the first
+    trajectory driving max |rho| above the threshold, or None.
+    """
+    ctx = sys.ctx
+    rhos = [sp.sympify(r) for r in rhos]
+    rng = np.random.default_rng(seed)
+    pts = zero_locus_points(rhos, ctx, rng, count=starts)
+    m = sys.m
+    controls = [np.zeros(m)]
+    for j in range(m):
+        e = np.zeros(m)
+        e[j] = 1.0
+        controls.append(e.copy())
+        controls.append(-e)
+    controls += [rng.uniform(-1, 1, size=m) for _ in range(random_controls)]
+
+    batch_x, batch_p, batch_u, meta = [], [], [], []
+    for pt in pts:
+        for u in controls:
+            batch_x.append([pt[v] for v in ctx.states])
+            batch_p.append([pt[q] for q in ctx.params])
+            batch_u.append(u)
+            meta.append((pt, u))
+    x = np.array(batch_x)
+    p = np.array(batch_p) if ctx.params else np.zeros((len(batch_x), 0))
+    u = np.array(batch_u)
+    rhs = _reference_rhs_function(sys)
+    mon = _reference_monitor_function(rhos, ctx)
+    steps = max(1, round(horizon / h))
+    alive = np.ones(len(x), dtype=bool)
+    for i in range(steps):
+        with np.errstate(all="ignore"):
+            try:
+                x[alive] = _reference_rk4_step(rhs, x[alive], u[alive], p[alive], h)
+            except StepSingular:
+                break
+        bad = ~np.all(np.isfinite(x), axis=1)
+        alive &= ~bad
+        vals = np.max(np.abs(mon(x[alive], p[alive])), axis=1)
+        idx = np.flatnonzero(alive)
+        hit = idx[vals > threshold]
+        if hit.size:
+            k = int(hit[0])
+            pt, uc = meta[k]
+            sched = ControlSchedule(((horizon, tuple(map(float, uc))),))
+            return sched, float((i + 1) * h), float(
+                np.max(np.abs(mon(x[k:k + 1], p[k:k + 1]))))
+    return None
+
+
+# a parameter-only and a constant row in every field, and in the drift
+PARAM_ROWS = ("states: x y z\nparams: a\ndrift: [a, 0, x*y]\n"
+              "control g1: [1, 2*a, z]\ncontrol g2: [y, a^2, 3]\n")
+SINGULAR = "states: x\ncontrol g1: [1/x]\n"
+# rows whose u1 = 1 overflow to inf within one step and drop out of escape_test
+OVERFLOW = "states: x y\ncontrol g1: [15*10^307, 0]\ncontrol g2: [0, 1]\n"
+CHAINED8 = ("states: x1 x2 x3 x4 x5 x6 x7 x8\n"
+            "control g1: [1, 0, x2, x3, x4, x5, x6, x7]\n"
+            "control g2: [0, 1, 0, 0, 0, 0, 0, 0]\n")
+X1 = sp.Symbol("x1")
+# system -> loci tested for invariance and escape
+ORACLE_LOCI = {
+    "ex1": [[z], [x], [x + y, z]],
+    "ex2": [[y], [z]],
+    "ex3": [[b * x - a * z], [y]],
+    "ex4": [[b * x - a * z], [w]],
+    "dense": [[x - y]],
+    "params": [[x - y], [z]],
+    "singular": [[x]],
+    "overflow": [[y], [x - y]],
+    "chained8": [[X1]],
+}
+
+
+def oracle_system(name, request):
+    text = {"dense": DENSE, "params": PARAM_ROWS, "singular": SINGULAR,
+            "overflow": OVERFLOW, "chained8": CHAINED8}.get(name)
+    return parse_system(text) if text else request.getfixturevalue(name)
+
+
+def outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except CtrlInvError as e:
+        return type(e), str(e)
+
+
+def assert_same(got, want):
+    """Equal field for field, per-trial tuples and errors included; the repr
+    also matches NaN with NaN and tells -0.0 from 0.0."""
+    assert repr(got) == repr(want)
+
+
+# the reference loops warn on overflow outside their np.errstate blocks
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestAgainstReferenceLoops:
+    @pytest.mark.parametrize("name", sorted(ORACLE_LOCI))
+    @pytest.mark.parametrize("trials, seed", [(30, 3), (200, 8)])
+    def test_invariance_test(self, name, trials, seed, request):
+        sys = oracle_system(name, request)
+        for rhos in ORACLE_LOCI[name]:
+            kwargs = dict(trials=trials, pieces=3, horizon=0.3, h=1e-2,
+                          seed=seed)
+            assert_same(outcome(invariance_test, sys, rhos, **kwargs),
+                        outcome(_reference_invariance_test, sys, rhos,
+                                **kwargs))
+
+    def test_singular_start_ends_in_errors(self):
+        sys = parse_system(SINGULAR)
+        got = invariance_test(sys, [x], trials=5, pieces=2, horizon=0.1,
+                              h=1e-2, seed=1)
+        assert got.errors and not got.held
+        assert got == _reference_invariance_test(sys, [x], trials=5,
+                                                 pieces=2, horizon=0.1,
+                                                 h=1e-2, seed=1)
+
+    def test_overflowing_rows_drop_out_of_escape(self):
+        sys = parse_system(OVERFLOW)
+        kwargs = dict(seed=4, horizon=0.5, starts=4, random_controls=5)
+        got = escape_test(sys, [y], **kwargs)
+        # the first hit, u = e2, comes after the dropped row of u = e1
+        assert got[0].pieces[0][1] == (0.0, 1.0)
+        assert got == _reference_escape_test(sys, [y], **kwargs)
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_LOCI))
+    def test_escape_test(self, name, request):
+        sys = oracle_system(name, request)
+        for rhos in ORACLE_LOCI[name]:
+            kwargs = dict(seed=4, horizon=0.5, starts=4, random_controls=5)
+            assert_same(outcome(escape_test, sys, rhos, **kwargs),
+                        outcome(_reference_escape_test, sys, rhos, **kwargs))
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_LOCI))
+    def test_simulate(self, name, request):
+        sys = oracle_system(name, request)
+        rng = np.random.default_rng(6)
+        x0 = list(rng.uniform(-1, 1, size=sys.n))
+        if name == "singular":
+            x0 = [0.0]
+        params = {q: float(rng.uniform(0.5, 2)) for q in sys.ctx.params}
+        sched = ControlSchedule(tuple(
+            (0.05, tuple(rng.uniform(-1, 1, size=sys.m))) for _ in range(3)))
+        monitors = {f"rho{i + 1}": sp.Add(*rhos)
+                    for i, rhos in enumerate(ORACLE_LOCI[name])}
+        self.assert_same_run(sys, x0, sched, params, monitors)
+
+    def test_simulate_domain_exit(self, ex3):
+        # u2 = 1 drives cos(w) through zero at w = pi/2
+        sched = ControlSchedule(((1.0, (0.3, 0.0)), (2.0, (0.0, 1.0))))
+        params = {a: 1.0, b: 1.5}
+        got = self.assert_same_run(ex3, [0.1, 0.2, 0.3, 0.0], sched, params,
+                                   {"rho1": y})
+        assert got[0] is DomainExit
+
+    @staticmethod
+    def assert_same_run(sys, x0, sched, params, monitors):
+        got, want = (outcome(fn, sys, x0, sched, h=1e-2, param_values=params,
+                             monitors=monitors)
+                     for fn in (simulate, _reference_simulate))
+        if isinstance(want, Trajectory):
+            assert np.array_equal(got.times, want.times)
+            assert np.array_equal(got.states, want.states, equal_nan=True)
+            assert np.array_equal(got.controls, want.controls)
+            assert list(got.rho_values) == list(want.rho_values)
+            for lbl, vals in want.rho_values.items():
+                assert np.array_equal(got.rho_values[lbl], vals,
+                                      equal_nan=True)
+        else:
+            assert_same(got, want)
+        return got
+
+
+def test_invariance_step_evaluates_fields_four_times(ex3, monkeypatch):
+    # the monitor rides on the next step's first stage: three more stages
+    # and one fused evaluation per step, where a separate monitor made five
+    real = sp.lambdify
+    calls = []
+
+    def counting_lambdify(*args, **kwargs):
+        fn = real(*args, **kwargs)
+
+        def counted(*values):
+            calls.append(fn)
+            return fn(*values)
+
+        return counted
+
+    monkeypatch.setattr(numeric_module.sp, "lambdify", counting_lambdify)
+
+    def evaluations(steps):
+        calls.clear()
+        invariance_test(ex3, [b * x - a * z], trials=7, pieces=1,
+                        horizon=steps * 0.01, h=0.01, seed=3)
+        return len(calls)
+
+    assert evaluations(3) - evaluations(2) == 4
