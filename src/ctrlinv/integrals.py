@@ -60,7 +60,12 @@ from .forms import (
     pivot_solution,
     reduce_mod,
 )
-from .numeric import escape_test, invariance_test, leaf_controllability
+from .numeric import (
+    escape_test,
+    invariance_test,
+    leaf_controllability,
+    require_positive,
+)
 from .sampling import zero_locus_points
 
 NONDEGENERACY_TOL = 1e-8
@@ -451,6 +456,10 @@ class AnalysisConfig:
     horizon: float = 5.0
     step: float = 1e-3
     run_numeric: bool = True
+
+    def __post_init__(self):
+        require_positive(trials=self.trials, pieces=self.pieces,
+                         horizon=self.horizon, step=self.step)
 
 
 # report section of each classification

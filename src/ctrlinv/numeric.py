@@ -3,10 +3,12 @@ invariance and escape testing, Lie brackets, and bracket-rank checks."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import sympy as sp
+from sympy.printing.numpy import NumPyPrinter
 
 from .dsl import ControlAffineSystem, ControlSchedule
 from .errors import DomainExit, EvalSingular, StepSingular
@@ -58,74 +60,239 @@ class InvarianceVerdict:
         return self.verdict == "Held"
 
 
+class _RowPrinter(NumPyPrinter):
+    """The printer lambdify uses for numpy, except that a subexpression in
+    `names` prints as its name.  `printed` counts the other compound
+    subexpressions printed, in the order their printing ends (a subtree
+    before the expressions that contain it); `used` counts the names."""
+
+    def __init__(self, names):
+        super().__init__({"fully_qualified_modules": False, "inline": True,
+                          "allow_unknown_functions": True,
+                          "user_functions": {}})
+        self.names, self.printed, self.used = names, {}, {}
+
+    def _print(self, expr, **kwargs):
+        if not (isinstance(expr, sp.Basic) and expr.args):
+            return super()._print(expr, **kwargs)
+        name = self.names.get(expr)
+        if name is not None:
+            self.used[name] = self.used.get(name, 0) + 1
+            return name
+        text = super()._print(expr, **kwargs)
+        self.printed[expr] = self.printed.get(expr, 0) + 1
+        return text
+
+
+def _assignments(targets, rows, prefix, imports):
+    """Source lines `target = row`, each row printed as lambdify prints it,
+    except that a compound subexpression printed more than once is bound to
+    a name once, before its first use, and printed as that name.  Nothing is
+    rebuilt or reordered, so every value is the same float lambdify gives.
+    The printed functions' modules go into `imports`."""
+    printer = _RowPrinter({})
+    for e in rows:
+        printer.doprint(e)
+    shared = [e for e, c in printer.printed.items() if c > 1]
+    while True:
+        names = {e: f"{prefix}{i}" for i, e in enumerate(shared)}
+        printer = _RowPrinter(names)
+        lines = []
+        for e in shared:  # its own text, with the names of its subtrees
+            name = names.pop(e)
+            lines.append(f"{name} = {printer.doprint(e)}")
+            names[e] = name
+        lines += [f"{t} = {printer.doprint(e)}" for t, e in zip(targets, rows)]
+        # a name used once (only inside a larger shared subexpression) is
+        # printed inline again
+        once = {e for e in shared if printer.used.get(names[e], 0) < 2}
+        if not once:
+            for module, keys in printer.module_imports.items():
+                imports.update((module, k) for k in keys)
+            return lines
+        shared = [e for e in shared if e not in once]
+
+
 class _FieldEvaluator:
     """A system's field rows (its drift, then each control field) and monitor
-    rows, held component-major in one (rows, N) block.  Rows without a state
-    symbol are filled once per parameter block p: (N, k), bound by identity;
-    `evaluate` refills the others from one lambdified call."""
+    rows, held component-major in one (rows, N) block, with generated
+    kernels that fill it and combine the fields.
+
+    Rows without a state symbol are filled once per parameter block p: (N, k);
+    the product g_j u_j of a control field without one is formed once per
+    control block u: (N, m).  Both are bound by identity: a caller that
+    changes p or u passes a new array.  `evaluate` fills the other rows at
+    x: (N, n), `field` combines the rows of the last fill, and `stage` does
+    both, each in one generated function with no loop over rows or blocks.
+    """
 
     def __init__(self, ctx: SymbolContext, fields, monitors):
         rows = [sp.sympify(e) for F in fields for e in F]
-        self._n, self._count, self._p = len(ctx.states), len(rows), None
+        n, count = len(ctx.states), len(rows)
         rows += [sp.sympify(e) for e in monitors]
-        self._size = len(rows)
         live = [i for i, e in enumerate(rows)
                 if e.free_symbols & set(ctx.states)]
         fixed = [i for i in range(len(rows)) if i not in live]
-        args = list(ctx.states) + list(ctx.params)
-        # (row indices, one lambdified function returning those rows)
-        self._stage, self._live, self._fixed = [
-            (index, sp.lambdify(args, [rows[i] for i in index], "numpy"))
-            for index in ([i for i in live if i < self._count], live, fixed)]
+        names = {s: _RowPrinter({}).doprint(s) for s in ctx.symbols}
+        pre = "_k"  # prefix of every generated name
+        while any(name.startswith(pre) for name in names.values()):
+            pre = "_" + pre
+        # each symbol is a row of the component-major states _kx or one of
+        # the parameter columns _kp
+        column = {s: f"{pre}x[{i}]" for i, s in enumerate(ctx.states)}
+        column.update((s, f"{pre}p[{i}]") for i, s in enumerate(ctx.params))
+        imports = set()
 
-    def evaluate(self, x, p, monitors=True):
-        """Fill the state-dependent rows at x: (N, n); return the monitors."""
-        fills = [self._live if monitors else self._stage]
+        def fill(index):
+            used = set().union(*(rows[i].free_symbols for i in index))
+            return [f"{names[s]} = {column[s]}"
+                    for s in ctx.symbols if s in used] + _assignments(
+                [f"{pre}b[{i}]" for i in index], [rows[i] for i in index],
+                pre, imports)
+
+        blocks = len(fields)
+        # control fields without a state-dependent row: their products
+        # g_j u_j are held between control switches
+        self._held = [j for j in range(1, blocks)
+                      if not any(j * n <= i < (j + 1) * n for i in live)]
+        combine = []  # ((f + g_1 u_1) + g_2 u_2) + ..., in block ops
+        for j in range(1, blocks):
+            term = f"{pre}h{j}"
+            if j not in self._held:
+                combine.append(f"{pre}mul({pre}g{j}, {pre}u{j}, out={pre}t)")
+                term = f"{pre}t"
+            combine.append(f"{pre}k = {pre}add({pre}g0, {term})" if j == 1
+                           else f"{pre}add({pre}k, {term}, out={pre}k)")
+        combine.append(f"return {pre}k")
+        bodies = {
+            "fixed": fill(fixed),
+            "evaluate": fill(live) + [f"return {pre}m"],
+            "stage": fill([i for i in live if i < count]) + combine,
+            "field": combine,
+        }
+        text = ""
+        for name, body in bodies.items():
+            arg = pre + "x" if name in ("evaluate", "stage") else ""
+            text += (f"def {pre}{name}({arg}):\n    "
+                     + "\n    ".join(body or ["pass"]) + "\n")
+        ns = {f"{pre}add": np.add, f"{pre}mul": np.multiply}
+        for module, key in sorted(imports):
+            exec(f"from {module} import {key}", ns)
+        self._fixed, self._evaluate, self._stage, self._field = _compile(
+            text, ns, [pre + name for name in bodies])
+        self._ns, self._pre, self._n, self._count = ns, pre, n, count
+        self._size, self._blocks = len(rows), blocks
+        self._p = self._u = None
+
+    def _bind(self, p, u):
+        """Hold what depends only on p: (N, k) and u: (N, m)."""
+        ns, pre, n = self._ns, self._pre, self._n
         if p is not self._p:  # a new batch: the rows without a state first
-            self._p, self._params = p, list(np.ascontiguousarray(p.T))
-            self._block = np.empty((self._size, len(p)))
-            fills.insert(0, self._fixed)
-        for rows, fn in fills:
-            for i, val in zip(rows, fn(*x.T, *self._params)):
-                self._block[i] = val  # broadcasts constant rows
-        return self._block[self._count:]
+            self._p, self._u = p, None
+            ns[pre + "p"] = list(np.ascontiguousarray(p.T))
+            block = ns[pre + "b"] = np.empty((self._size, len(p)))
+            ns[pre + "m"] = block[self._count:]
+            ns[pre + "t"] = np.empty((n, len(p)))
+            for j in range(self._blocks):
+                ns[f"{pre}g{j}"] = block[j * n:(j + 1) * n]
+            self._fixed()
+        if u is not None and u is not self._u:  # a control switch
+            self._u = u
+            for j in range(1, self._blocks):
+                ns[f"{pre}u{j}"] = u[:, j - 1]
+            for j in self._held:
+                ns[f"{pre}h{j}"] = ns[f"{pre}g{j}"] * u[:, j - 1]
+
+    def evaluate(self, x, p):
+        """Fill the state-dependent rows at x: (N, n); return the monitors
+        as a (monitors, N) view."""
+        if p is not self._p:
+            self._bind(p, None)
+        return self._evaluate(x.T)
 
     def field(self, u):
         """f(x) + sum_j g_j(x) u_j at the last evaluation, for u: (N, m), as
         an (N, n) view; the control rows are added into the drift in order."""
-        n, block = self._n, self._block
-        out = block[:n].copy()
-        for j in range(1, self._count // n):
-            out += block[j * n:(j + 1) * n] * u[:, j - 1]
-        if not np.isfinite(out).all():
-            raise StepSingular("vector field evaluation produced non-finite "
-                               "values")
-        return out.T
+        if u is not self._u:
+            self._bind(self._p, u)
+        return self._field().T
+
+    def stage(self, x, u, p):
+        """`evaluate` without the monitor rows, then `field(u)`."""
+        if p is not self._p or u is not self._u:
+            self._bind(p, u)
+        return self._stage(x.T).T
+
+
+def _compile(source, namespace, names):
+    """The functions `names` defined by executing generated `source`."""
+    exec(compile(source, "<ctrlinv kernel>", "exec"), namespace)
+    return [namespace[name] for name in names]
+
+
+_SINGULAR = "vector field evaluation produced non-finite values"
+
+
+def _finite(k):
+    """True iff every entry of k is finite: one sum, and a full test only
+    when the sum is not finite (it may have overflowed)."""
+    return (math.isfinite(np.add.reduce(k, axis=None))
+            or bool(np.isfinite(k).all()))
 
 
 def rhs_function(sys: ControlAffineSystem, monitors=()):
     """Batched right-hand side f(x) + sum_j g_j(x) u_j.
 
     Returned callable maps (x: (N, n), u: (N, m), params: (N, k)) to (N, n),
-    leaving floating-point errors to the caller's `np.errstate`.  Its
-    `fields` evaluator also holds the monitor rows: an RK4 loop takes each
-    step's first stage and monitors from one `fields.evaluate`.
+    leaving floating-point errors to the caller's `np.errstate`; u and params
+    are bound by identity (see `_FieldEvaluator`).  It raises StepSingular
+    on a non-finite value unless called with `check=False`, as the RK4 loops
+    do: they check each step once.  Its `fields` evaluator also holds the
+    monitor rows: an RK4 loop takes each step's first stage and monitors
+    from one `fields.evaluate`.
     """
     fields = _FieldEvaluator(sys.ctx, [sys.drift, *sys.controls], monitors)
 
-    def rhs(x, u, p):
-        fields.evaluate(x, p, monitors=False)
-        return fields.field(u)
+    def rhs(x, u, p, check=True):
+        k = fields.stage(x, u, p)
+        if check and not _finite(k):
+            raise StepSingular(_SINGULAR)
+        return k
 
     rhs.fields = fields
     return rhs
 
 
 def _rk4_step(rhs, x, u, p, h, k1):
-    k2 = rhs(x + 0.5 * h * k1, u, p)
-    k3 = rhs(x + 0.5 * h * k2, u, p)
-    k4 = rhs(x + h * k3, u, p)
-    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    """One RK4 step from x with first stage k1.  A non-finite stage makes
+    the stages' combination non-finite, so finiteness is checked once on it,
+    and stage by stage only when it fails."""
+    k2 = rhs(x + 0.5 * h * k1, u, p, check=False)
+    k3 = rhs(x + 0.5 * h * k2, u, p, check=False)
+    k4 = rhs(x + h * k3, u, p, check=False)
+    ks = k1 + 2.0 * k2 + 2.0 * k3 + k4
+    if not math.isfinite(np.add.reduce(ks, axis=None)) and not all(
+            map(_finite, (k1, k2, k3, k4))):
+        raise StepSingular(_SINGULAR)
+    return x + (h / 6.0) * ks
+
+
+def require_positive(**values):
+    """Raise ValueError naming the first value that is not positive and
+    finite."""
+    for name, value in values.items():
+        if not (value > 0 and math.isfinite(value)):
+            raise ValueError(f"{name} must be positive and finite")
+
+
+def _norms(d):
+    """The Euclidean norm of each column of d: (n, N), summed in the order
+    np.linalg.norm sums a C-ordered (N, n) row: one component after another
+    below 8 components, pairwise from 8 on."""
+    sq = d * d
+    if len(d) < 8:
+        return np.sqrt(np.add.reduce(sq, axis=0))
+    return np.sqrt(np.add.reduce(np.ascontiguousarray(sq.T), axis=1))
 
 
 def _piece_steps(schedule: ControlSchedule, h):
@@ -150,8 +317,7 @@ def _piece_steps(schedule: ControlSchedule, h):
 def simulate(sys: ControlAffineSystem, x0, schedule: ControlSchedule,
              h=1e-3, param_values=None, monitors=None) -> Trajectory:
     """Classical fixed-step RK4 per piece; states recorded on the grid."""
-    if h <= 0:
-        raise ValueError("step must be positive")
+    require_positive(step=h)
     ctx = sys.ctx
     param_values = dict(param_values or {})
     missing = [p for p in ctx.params if p not in param_values]
@@ -164,6 +330,7 @@ def simulate(sys: ControlAffineSystem, x0, schedule: ControlSchedule,
             raise DomainExit(f"initial point violates nonzero constraint {c}")
 
     rhs = rhs_function(sys, ctx.nonzero)
+    fields = rhs.fields
     p = np.array([[float(param_values[q]) for q in ctx.params]])
 
     steps, total_steps = _piece_steps(schedule, h)
@@ -173,15 +340,15 @@ def simulate(sys: ControlAffineSystem, x0, schedule: ControlSchedule,
     x = xs[0:1].copy()
     i = 0
     with np.errstate(all="ignore"):
-        prev_cons = rhs.fields.evaluate(x, p).copy()
+        prev_cons = fields.evaluate(x, p).copy()
         for count, u in steps:
             ub = np.array([list(u)], dtype=float)
             for _ in range(count):
-                x = _rk4_step(rhs, x, ub, p, h, rhs.fields.field(ub))
+                x = _rk4_step(rhs, x, ub, p, h, fields.field(ub))
                 xs[i + 1] = x[0]
                 us[i] = u
                 i += 1
-                cur = rhs.fields.evaluate(x, p)  # and the next first stage
+                cur = fields.evaluate(x, p)  # and the next first stage
                 if ctx.nonzero and (np.any(np.abs(cur) < 1e-9)
                                     or np.any(cur * prev_cons < 0)):
                     raise DomainExit("declared-nonzero constraint crossed "
@@ -215,6 +382,7 @@ def invariance_test(sys: ControlAffineSystem, rhos, trials=100, pieces=10,
     holds iff every trial keeps max |rho| below 1e-6 * (1 + arc length).
     All trials integrate in one batched RK4 sweep.
     """
+    require_positive(trials=trials, pieces=pieces, horizon=horizon, h=h)
     ctx = sys.ctx
     rhos = [sp.sympify(r) for r in rhos]
     rng = np.random.default_rng(seed)
@@ -235,20 +403,23 @@ def invariance_test(sys: ControlAffineSystem, rhos, trials=100, pieces=10,
             i += count
     u = np.zeros((sys.m, trials)).T  # each trial's current control
     rhs = rhs_function(sys, rhos)
+    fields = rhs.fields
     arclen = np.zeros(trials)
     errors = []
     with np.errstate(all="ignore"):
-        max_rho = np.max(np.abs(rhs.fields.evaluate(x, p)), axis=0)
+        max_rho = np.maximum.reduce(np.abs(fields.evaluate(x, p)), axis=0)
         try:
             for i in range(total_steps):
-                for t, ut in switches.get(i, ()):
-                    u[t] = ut
-                xn = _rk4_step(rhs, x, u, p, h, rhs.fields.field(u))
-                # numpy sums a C-ordered row pairwise from 8 components on
-                arclen += np.linalg.norm(np.ascontiguousarray(xn - x), axis=1)
+                if i in switches:  # a new control block, bound by identity
+                    u = u.copy(order="F")
+                    for t, ut in switches[i]:
+                        u[t] = ut
+                xn = _rk4_step(rhs, x, u, p, h, fields.field(u))
+                arclen += _norms((xn - x).T)
                 x = xn
-                rho = rhs.fields.evaluate(x, p)  # and the next first stage
-                max_rho = np.maximum(max_rho, np.max(np.abs(rho), axis=0))
+                rho = fields.evaluate(x, p)  # and the next first stage
+                np.maximum(max_rho, np.maximum.reduce(np.abs(rho), axis=0),
+                           out=max_rho)
         except StepSingular as e:
             errors.append(str(e))
     tols = INV_TOL_BASE * (1.0 + arclen)
@@ -270,6 +441,7 @@ def escape_test(sys: ControlAffineSystem, rhos, seed=42, horizon=5.0,
     several zero-locus starts; returns (schedule, time, value) for the first
     trajectory driving max |rho| above the threshold, or None.
     """
+    require_positive(horizon=horizon, h=h, starts=starts)
     ctx = sys.ctx
     rhos = [sp.sympify(r) for r in rhos]
     rng = np.random.default_rng(seed)
@@ -285,25 +457,27 @@ def escape_test(sys: ControlAffineSystem, rhos, seed=42, horizon=5.0,
                  dtype=float).reshape(len(x), len(ctx.params))
     u = np.array(controls * len(pts), order="F")
     rhs = rhs_function(sys, rhos)
+    fields = rhs.fields
     steps = max(1, round(horizon / h))
     alive = np.arange(len(x))  # batch index of each row of x
     with np.errstate(all="ignore"):
-        rhs.fields.evaluate(x, p, monitors=False)
+        fields.evaluate(x, p)
         for i in range(steps):
             try:
-                x = _rk4_step(rhs, x, u, p, h, rhs.fields.field(u))
+                x = _rk4_step(rhs, x, u, p, h, fields.field(u))
             except StepSingular:
                 break
-            finite = np.isfinite(x).all(axis=1)
-            if not finite.all():
+            if not _finite(x):  # overflowed rows drop out
+                finite = np.isfinite(x).all(axis=1)
                 x, u, p, alive = x[finite], u[finite], p[finite], alive[finite]
-            rho = rhs.fields.evaluate(x, p)  # and the next first stage
-            hit = np.flatnonzero(np.max(np.abs(rho), axis=0) > threshold)
+            rho = fields.evaluate(x, p)  # and the next first stage
+            hit = np.flatnonzero(
+                np.maximum.reduce(np.abs(rho), axis=0) > threshold)
             if hit.size:
                 j = int(hit[0])
                 uc = controls[alive[j] % len(controls)]
                 sched = ControlSchedule(((horizon, tuple(map(float, uc))),))
-                rho = rhs.fields.evaluate(x[j:j + 1], p[j:j + 1])
+                rho = fields.evaluate(x[j:j + 1], p[j:j + 1])
                 return sched, float((i + 1) * h), float(np.max(np.abs(rho)))
     return None
 

@@ -500,6 +500,16 @@ class TestAnalyze:
                                    "the domain"}}]
         assert rep["conclusion"] == "1 undetermined candidate(s)"
 
+    @pytest.mark.parametrize("field, value", [
+        ("trials", 0), ("pieces", 0), ("pieces", -2), ("horizon", 0.0),
+        ("horizon", float("nan")), ("step", -1.0), ("step", float("nan")),
+        ("step", float("inf"))])
+    def test_numeric_setting_rejected(self, ex1, field, value):
+        # at one time trials=0 ended in a TypeError from numpy, pieces=0 and
+        # step=-1 reported Held, and step=nan failed converting NaN to int
+        with pytest.raises(ValueError, match=f"^{field} must be positive"):
+            analyze(ex1, AnalysisConfig(**{field: value}))
+
     def test_drift_report(self, ex4):
         rep = analyze(ex4, FAST)
         rhos = [e["rho"] for e in rep["isolated"]]

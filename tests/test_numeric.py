@@ -75,13 +75,24 @@ def random_batch(sys, rows, seed):
 DENSE = ("states: x y\nparams: a\ndrift: [x*y + a, y^2]\n"
          "control g1: [sin(x), a*y]\ncontrol g2: [x^2, cos(y)]\n")
 
+# cos(w) repeated inside multi-factor products, a power and a nested call
+# (which the DSL cannot spell), a whole row repeated, and a constant control
+# g2; the loci's monitors share cos(w) with the rows
+ZERO, ONE = sp.Integer(0), sp.Integer(1)
+SHARED = ControlAffineSystem(
+    ctx=SymbolContext(states=(x, y, z, w), params=(a, b)),
+    drift=(a * b * sp.cos(w), y * z * sp.cos(w), ZERO, ONE),
+    controls=((sp.cos(w) ** 2, sp.sin(sp.cos(w)), y * z * sp.cos(w), ZERO),
+              (ZERO, ZERO, ZERO, ONE)))
+
 
 class TestFusedEvaluator:
-    @pytest.mark.parametrize("name", ["ex1", "ex2", "ex3", "ex4", "dense"])
+    @pytest.mark.parametrize("name",
+                             ["ex1", "ex2", "ex3", "ex4", "dense", "shared"])
     @pytest.mark.parametrize("rows", [0, 1, 100, 1000])
     def test_rhs_matches_per_field_reference(self, name, rows, request):
-        sys = (parse_system(DENSE) if name == "dense"
-               else request.getfixturevalue(name))
+        sys = {"dense": parse_system(DENSE), "shared": SHARED}.get(name) \
+            or request.getfixturevalue(name)
         x, u, p = random_batch(sys, rows, seed=rows)
         out = rhs_function(sys)(x, u, p)
         assert out.shape == (rows, sys.n)
@@ -99,7 +110,66 @@ class TestFusedEvaluator:
         sys = parse_system("states: x\ncontrol g1: [1/x]\n")
         rhs = rhs_function(sys)
         with pytest.raises(StepSingular):
-            rhs(np.zeros((1, 1)), np.ones((1, 1)), np.zeros((1, 0)))
+            with np.errstate(divide="ignore"):
+                rhs(np.zeros((1, 1)), np.ones((1, 1)), np.zeros((1, 0)))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_shared_subexpressions_match_lambdify(self, seed):
+        # rows and monitors drawn from a pool of overlapping subexpressions,
+        # so whole rows, products, powers and nested calls repeat
+        rng = random.Random(seed)
+        pool = [sp.cos(w), sp.sin(w), x * y, sp.cos(w) ** 2, a * sp.cos(w),
+                sp.sin(sp.cos(w)), 1 / (1 + x**2), x * y * sp.cos(w), -x * z,
+                sp.cos(x * y), a**2, ONE]
+
+        def draw():
+            e = ZERO
+            for _ in range(rng.randint(1, 3)):
+                e += sp.Mul(*rng.sample(pool, rng.randint(1, 3)))
+            return e
+
+        ctx = SymbolContext(states=(x, y, z, w), params=(a,))
+        sys = ControlAffineSystem(
+            ctx=ctx, drift=tuple(draw() for _ in range(4)),
+            controls=tuple(tuple(draw() for _ in range(4)) for _ in range(2)))
+        monitors = [draw() for _ in range(3)]
+        xs, us, ps = random_batch(sys, 50, seed=seed)
+        rhs = rhs_function(sys, monitors)
+        assert np.array_equal(rhs(xs, us, ps), per_field_rhs(sys, xs, us, ps))
+        want = sp.lambdify(list(ctx.states) + list(ctx.params), monitors,
+                           "numpy")(*xs.T, *ps.T)
+        got = rhs.fields.evaluate(xs, ps)
+        for row, vals in zip(got, want):
+            assert np.array_equal(row, np.broadcast_to(vals, row.shape))
+
+    def test_shared_call_evaluated_once_per_kernel_call(self, ex3,
+                                                        monkeypatch):
+        # g1 = [a*cos(w), sin(w), b*cos(w), 0], and a monitor sharing cos(w)
+        real = np.cos
+        calls = []
+
+        def counting_cos(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np, "cos", counting_cos)
+        rhs = rhs_function(ex3, [sp.cos(w) - 1])
+        xs, us, ps = random_batch(ex3, 5, seed=2)
+        rhs(xs, us, ps)
+        assert len(calls) == 1
+        rhs.fields.evaluate(xs, ps)
+        assert len(calls) == 2
+
+    def test_control_switch_updates_held_products(self, ex3):
+        # g2 = [0, 0, 0, 1] has no state: its product with u is held until a
+        # new control block is passed
+        rhs = rhs_function(ex3)
+        xs, us, ps = random_batch(ex3, 6, seed=3)
+        rhs(xs, us, ps)
+        switched = us.copy()
+        switched[:, 1] = -us[:, 1]
+        assert np.array_equal(rhs(xs, switched, ps),
+                              per_field_rhs(ex3, xs, switched, ps))
 
 
 class TestSimulate:
@@ -160,6 +230,31 @@ class TestSimulate:
         lines = csv.strip().splitlines()
         assert lines[0] == "t,x,y,u1,rho1"
         assert len(lines) == 3
+
+
+class TestNumericSettings:
+    """A setting that cannot define a run is a ValueError naming it."""
+
+    @pytest.mark.parametrize("field, value", [
+        ("trials", 0), ("trials", -3), ("pieces", 0), ("horizon", 0.0),
+        ("horizon", math.inf), ("h", -1.0), ("h", math.nan), ("h", 0.0)])
+    def test_invariance_test_rejects(self, ex1, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be positive"):
+            invariance_test(ex1, [z], **{"trials": 3, "pieces": 2,
+                                         "horizon": 0.1, field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("starts", 0), ("horizon", -1.0), ("horizon", math.nan),
+        ("h", 0.0), ("h", math.inf)])
+    def test_escape_test_rejects(self, ex1, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be positive"):
+            escape_test(ex1, [z], **{"horizon": 0.1, field: value})
+
+    @pytest.mark.parametrize("h", [0.0, -1e-3, math.nan, math.inf])
+    def test_simulate_rejects_step(self, ex1, h):
+        with pytest.raises(ValueError, match="^step must be positive"):
+            simulate(ex1, [0.0, 1.0, 0.0],
+                     ControlSchedule(((0.1, (1.0, 0.0)),)), h=h)
 
 
 class TestRK4Order:
@@ -587,6 +682,8 @@ PARAM_ROWS = ("states: x y z\nparams: a\ndrift: [a, 0, x*y]\n"
 SINGULAR = "states: x\ncontrol g1: [1/x]\n"
 # rows whose u1 = 1 overflow to inf within one step and drop out of escape_test
 OVERFLOW = "states: x y\ncontrol g1: [15*10^307, 0]\ncontrol g2: [0, 1]\n"
+# g1 = 10^60 x^2 overflows in a later stage of the first step, never in k1
+BLOWUP = "states: x y\ncontrol g1: [10^60*x^2, 0]\ncontrol g2: [0, 1]\n"
 CHAINED8 = ("states: x1 x2 x3 x4 x5 x6 x7 x8\n"
             "control g1: [1, 0, x2, x3, x4, x5, x6, x7]\n"
             "control g2: [0, 1, 0, 0, 0, 0, 0, 0]\n")
@@ -602,12 +699,17 @@ ORACLE_LOCI = {
     "singular": [[x]],
     "overflow": [[y], [x - y]],
     "chained8": [[X1]],
+    "shared": [[y - sp.cos(w)], [x * sp.cos(w) - z, w]],
+    "blowup": [[y], [x - 1]],
 }
 
 
 def oracle_system(name, request):
+    if name == "shared":
+        return SHARED
     text = {"dense": DENSE, "params": PARAM_ROWS, "singular": SINGULAR,
-            "overflow": OVERFLOW, "chained8": CHAINED8}.get(name)
+            "overflow": OVERFLOW, "blowup": BLOWUP,
+            "chained8": CHAINED8}.get(name)
     return parse_system(text) if text else request.getfixturevalue(name)
 
 
@@ -646,6 +748,16 @@ class TestAgainstReferenceLoops:
         assert got == _reference_invariance_test(sys, [x], trials=5,
                                                  pieces=2, horizon=0.1,
                                                  h=1e-2, seed=1)
+
+    def test_later_stage_overflow_raises(self):
+        # BLOWUP's first step: k1 is finite, a later stage is not
+        rhs = rhs_function(parse_system(BLOWUP))
+        x0, u = np.array([[1.0, 0.0]]), np.array([[1.0, 0.0]])
+        p = np.zeros((1, 0))
+        with np.errstate(all="ignore"):
+            k1 = rhs(x0, u, p)
+            with pytest.raises(StepSingular):
+                numeric_module._rk4_step(rhs, x0, u, p, 1e-2, k1)
 
     def test_overflowing_rows_drop_out_of_escape(self):
         sys = parse_system(OVERFLOW)
@@ -706,19 +818,22 @@ class TestAgainstReferenceLoops:
 def test_invariance_step_evaluates_fields_four_times(ex3, monkeypatch):
     # the monitor rides on the next step's first stage: three more stages
     # and one fused evaluation per step, where a separate monitor made five
-    real = sp.lambdify
+    real = numeric_module._compile
     calls = []
 
-    def counting_lambdify(*args, **kwargs):
-        fn = real(*args, **kwargs)
-
-        def counted(*values):
+    def counted(fn):
+        def call(*values):
             calls.append(fn)
             return fn(*values)
 
-        return counted
+        return call
 
-    monkeypatch.setattr(numeric_module.sp, "lambdify", counting_lambdify)
+    def counting_compile(source, namespace, names):
+        # the generated functions that evaluate rows at a state
+        return [counted(fn) if name.endswith(("evaluate", "stage")) else fn
+                for name, fn in zip(names, real(source, namespace, names))]
+
+    monkeypatch.setattr(numeric_module, "_compile", counting_compile)
 
     def evaluations(steps):
         calls.clear()
