@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import pathlib
 import sys as _sys
 
@@ -29,7 +28,13 @@ from .integrals import (
     numeric_evidence,
     _integral_entry,
 )
-from .numeric import BRACKET_DEPTH, iterated_brackets, simulate, svd_rank
+from .numeric import (
+    BRACKET_DEPTH,
+    iterated_brackets,
+    require_positive,
+    simulate,
+    svd_rank,
+)
 
 
 def _build_parser():
@@ -91,10 +96,12 @@ def _read_system(path):
 def _positive(args):
     if args.seed < 0:
         raise SystemExit("--seed must be non-negative")
-    for knob in ("trials", "pieces", "horizon", "step", "depth"):
-        value = getattr(args, knob, 1)
-        if not (value > 0 and math.isfinite(value)):
-            raise SystemExit(f"--{knob} must be positive and finite")
+    knobs = ("trials", "pieces", "horizon", "step", "depth")
+    try:
+        require_positive(**{k: getattr(args, k) for k in knobs
+                            if hasattr(args, k)})
+    except ValueError as e:
+        raise SystemExit(f"--{e}") from None
 
 
 def _emit(payload, args):

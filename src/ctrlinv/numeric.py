@@ -60,70 +60,19 @@ class InvarianceVerdict:
         return self.verdict == "Held"
 
 
-class _RowPrinter(NumPyPrinter):
-    """The printer lambdify uses for numpy, except that a subexpression in
-    `names` prints as its name.  `printed` counts the other compound
-    subexpressions printed, in the order their printing ends (a subtree
-    before the expressions that contain it); `used` counts the names."""
-
-    def __init__(self, names):
-        super().__init__({"fully_qualified_modules": False, "inline": True,
-                          "allow_unknown_functions": True,
-                          "user_functions": {}})
-        self.names, self.printed, self.used = names, {}, {}
-
-    def _print(self, expr, **kwargs):
-        if not (isinstance(expr, sp.Basic) and expr.args):
-            return super()._print(expr, **kwargs)
-        name = self.names.get(expr)
-        if name is not None:
-            self.used[name] = self.used.get(name, 0) + 1
-            return name
-        text = super()._print(expr, **kwargs)
-        self.printed[expr] = self.printed.get(expr, 0) + 1
-        return text
-
-
-def _assignments(targets, rows, prefix, imports):
-    """Source lines `target = row`, each row printed as lambdify prints it,
-    except that a compound subexpression printed more than once is bound to
-    a name once, before its first use, and printed as that name.  Nothing is
-    rebuilt or reordered, so every value is the same float lambdify gives.
-    The printed functions' modules go into `imports`."""
-    printer = _RowPrinter({})
-    for e in rows:
-        printer.doprint(e)
-    shared = [e for e, c in printer.printed.items() if c > 1]
-    while True:
-        names = {e: f"{prefix}{i}" for i, e in enumerate(shared)}
-        printer = _RowPrinter(names)
-        lines = []
-        for e in shared:  # its own text, with the names of its subtrees
-            name = names.pop(e)
-            lines.append(f"{name} = {printer.doprint(e)}")
-            names[e] = name
-        lines += [f"{t} = {printer.doprint(e)}" for t, e in zip(targets, rows)]
-        # a name used once (only inside a larger shared subexpression) is
-        # printed inline again
-        once = {e for e in shared if printer.used.get(names[e], 0) < 2}
-        if not once:
-            for module, keys in printer.module_imports.items():
-                imports.update((module, k) for k in keys)
-            return lines
-        shared = [e for e in shared if e not in once]
-
-
 class _FieldEvaluator:
     """A system's field rows (its drift, then each control field) and monitor
     rows, held component-major in one (rows, N) block, with generated
     kernels that fill it and combine the fields.
 
-    Rows without a state symbol are filled once per parameter block p: (N, k);
-    the product g_j u_j of a control field without one is formed once per
-    control block u: (N, m).  Both are bound by identity: a caller that
-    changes p or u passes a new array.  `evaluate` fills the other rows at
-    x: (N, n), `field` combines the rows of the last fill, and `stage` does
-    both, each in one generated function with no loop over rows or blocks.
+    `evaluate` fills the rows that depend on the states at x: (N, n),
+    `field` combines the rows of the last fill, and `stage` does both, each
+    in one generated function with no loop over rows or blocks.  Rows
+    without a state symbol are held while `evaluate` sees the same parameter
+    block p: (N, k), and the product g_j u_j of a control field without a
+    state-dependent row while `field` sees the same control block u: (N, m):
+    the RK4 loops pass a new array when either changes.  `stage` with any
+    other block fills and forms them anew.
     """
 
     def __init__(self, ctx: SymbolContext, fields, monitors):
@@ -133,7 +82,12 @@ class _FieldEvaluator:
         live = [i for i, e in enumerate(rows)
                 if e.free_symbols & set(ctx.states)]
         fixed = [i for i in range(len(rows)) if i not in live]
-        names = {s: _RowPrinter({}).doprint(s) for s in ctx.symbols}
+        # the printer and settings lambdify uses for numpy
+        printer = NumPyPrinter({"fully_qualified_modules": False,
+                                "inline": True,
+                                "allow_unknown_functions": True,
+                                "user_functions": {}})
+        names = {s: printer.doprint(s) for s in ctx.symbols}
         pre = "_k"  # prefix of every generated name
         while any(name.startswith(pre) for name in names.values()):
             pre = "_" + pre
@@ -141,14 +95,13 @@ class _FieldEvaluator:
         # the parameter columns _kp
         column = {s: f"{pre}x[{i}]" for i, s in enumerate(ctx.states)}
         column.update((s, f"{pre}p[{i}]") for i, s in enumerate(ctx.params))
-        imports = set()
 
         def fill(index):
             used = set().union(*(rows[i].free_symbols for i in index))
-            return [f"{names[s]} = {column[s]}"
-                    for s in ctx.symbols if s in used] + _assignments(
-                [f"{pre}b[{i}]" for i in index], [rows[i] for i in index],
-                pre, imports)
+            return ([f"{names[s]} = {column[s]}"
+                     for s in ctx.symbols if s in used]
+                    + [f"{pre}b[{i}] = {printer.doprint(rows[i])}"
+                       for i in index])
 
         blocks = len(fields)
         # control fields without a state-dependent row: their products
@@ -176,52 +129,62 @@ class _FieldEvaluator:
             text += (f"def {pre}{name}({arg}):\n    "
                      + "\n    ".join(body or ["pass"]) + "\n")
         ns = {f"{pre}add": np.add, f"{pre}mul": np.multiply}
-        for module, key in sorted(imports):
-            exec(f"from {module} import {key}", ns)
+        for module, keys in printer.module_imports.items():
+            for key in keys:
+                exec(f"from {module} import {key}", ns)
         self._fixed, self._evaluate, self._stage, self._field = _compile(
             text, ns, [pre + name for name in bodies])
         self._ns, self._pre, self._n, self._count = ns, pre, n, count
         self._size, self._blocks = len(rows), blocks
         self._p = self._u = None
 
-    def _bind(self, p, u):
-        """Hold what depends only on p: (N, k) and u: (N, m)."""
+    def _bind(self, p):
+        """A new batch: fill the rows that depend only on p: (N, k)."""
         ns, pre, n = self._ns, self._pre, self._n
-        if p is not self._p:  # a new batch: the rows without a state first
-            self._p, self._u = p, None
-            ns[pre + "p"] = list(np.ascontiguousarray(p.T))
-            block = ns[pre + "b"] = np.empty((self._size, len(p)))
-            ns[pre + "m"] = block[self._count:]
-            ns[pre + "t"] = np.empty((n, len(p)))
-            for j in range(self._blocks):
-                ns[f"{pre}g{j}"] = block[j * n:(j + 1) * n]
-            self._fixed()
-        if u is not None and u is not self._u:  # a control switch
-            self._u = u
-            for j in range(1, self._blocks):
-                ns[f"{pre}u{j}"] = u[:, j - 1]
-            for j in self._held:
-                ns[f"{pre}h{j}"] = ns[f"{pre}g{j}"] * u[:, j - 1]
+        self._p, self._u = p, None
+        ns[pre + "p"] = list(np.ascontiguousarray(p.T))
+        block = ns[pre + "b"] = np.empty((self._size, len(p)))
+        ns[pre + "m"] = block[self._count:]
+        ns[pre + "t"] = np.empty((n, len(p)))
+        for j in range(self._blocks):
+            ns[f"{pre}g{j}"] = block[j * n:(j + 1) * n]
+        self._fixed()
+
+    def _control(self, u):
+        """Bind the columns of u: (N, m) and form the held products."""
+        ns, pre = self._ns, self._pre
+        for j in range(1, self._blocks):
+            ns[f"{pre}u{j}"] = u[:, j - 1]
+        for j in self._held:
+            ns[f"{pre}h{j}"] = ns[f"{pre}g{j}"] * u[:, j - 1]
 
     def evaluate(self, x, p):
         """Fill the state-dependent rows at x: (N, n); return the monitors
         as a (monitors, N) view."""
         if p is not self._p:
-            self._bind(p, None)
+            self._bind(p)
         return self._evaluate(x.T)
 
     def field(self, u):
         """f(x) + sum_j g_j(x) u_j at the last evaluation, for u: (N, m), as
-        an (N, n) view; the control rows are added into the drift in order."""
+        an (N, n) view; the control rows are added into the drift in order.
+        The held products stay bound to u until another array is passed."""
         if u is not self._u:
-            self._bind(self._p, u)
-        return self._field().T
+            self._control(u)
+            self._u = u
+        return _checked(self._field())
 
     def stage(self, x, u, p):
-        """`evaluate` without the monitor rows, then `field(u)`."""
-        if p is not self._p or u is not self._u:
-            self._bind(p, u)
-        return self._stage(x.T).T
+        """`evaluate` without the monitor rows, then the combination with u.
+        Held rows and products are reused only for the blocks `evaluate` and
+        `field` bound."""
+        if p is not self._p:
+            self._bind(p)
+            self._p = None
+        if u is not self._u:
+            self._control(u)
+            self._u = None
+        return _checked(self._stage(x.T))
 
 
 def _compile(source, namespace, names):
@@ -230,51 +193,39 @@ def _compile(source, namespace, names):
     return [namespace[name] for name in names]
 
 
-_SINGULAR = "vector field evaluation produced non-finite values"
-
-
-def _finite(k):
-    """True iff every entry of k is finite: one sum, and a full test only
-    when the sum is not finite (it may have overflowed)."""
-    return (math.isfinite(np.add.reduce(k, axis=None))
-            or bool(np.isfinite(k).all()))
+def _checked(k):
+    """k: (n, N) as (N, n), after testing every entry finite: one sum, and a
+    full test only when the sum is not finite (it may have overflowed)."""
+    if not (math.isfinite(np.add.reduce(k, axis=None))
+            or np.isfinite(k).all()):
+        raise StepSingular("vector field evaluation produced non-finite "
+                           "values")
+    return k.T
 
 
 def rhs_function(sys: ControlAffineSystem, monitors=()):
     """Batched right-hand side f(x) + sum_j g_j(x) u_j.
 
     Returned callable maps (x: (N, n), u: (N, m), params: (N, k)) to (N, n),
-    leaving floating-point errors to the caller's `np.errstate`; u and params
-    are bound by identity (see `_FieldEvaluator`).  It raises StepSingular
-    on a non-finite value unless called with `check=False`, as the RK4 loops
-    do: they check each step once.  Its `fields` evaluator also holds the
-    monitor rows: an RK4 loop takes each step's first stage and monitors
-    from one `fields.evaluate`.
+    leaving floating-point errors to the caller's `np.errstate`.  It raises
+    StepSingular on a non-finite value.  Its `fields` evaluator also holds the monitor rows: an
+    RK4 loop takes each step's first stage and monitors from one
+    `fields.evaluate`, and that first stage from `fields.field`.
     """
     fields = _FieldEvaluator(sys.ctx, [sys.drift, *sys.controls], monitors)
 
-    def rhs(x, u, p, check=True):
-        k = fields.stage(x, u, p)
-        if check and not _finite(k):
-            raise StepSingular(_SINGULAR)
-        return k
+    def rhs(x, u, p):
+        return fields.stage(x, u, p)
 
     rhs.fields = fields
     return rhs
 
 
 def _rk4_step(rhs, x, u, p, h, k1):
-    """One RK4 step from x with first stage k1.  A non-finite stage makes
-    the stages' combination non-finite, so finiteness is checked once on it,
-    and stage by stage only when it fails."""
-    k2 = rhs(x + 0.5 * h * k1, u, p, check=False)
-    k3 = rhs(x + 0.5 * h * k2, u, p, check=False)
-    k4 = rhs(x + h * k3, u, p, check=False)
-    ks = k1 + 2.0 * k2 + 2.0 * k3 + k4
-    if not math.isfinite(np.add.reduce(ks, axis=None)) and not all(
-            map(_finite, (k1, k2, k3, k4))):
-        raise StepSingular(_SINGULAR)
-    return x + (h / 6.0) * ks
+    k2 = rhs(x + 0.5 * h * k1, u, p)
+    k3 = rhs(x + 0.5 * h * k2, u, p)
+    k4 = rhs(x + h * k3, u, p)
+    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def require_positive(**values):
@@ -283,16 +234,6 @@ def require_positive(**values):
     for name, value in values.items():
         if not (value > 0 and math.isfinite(value)):
             raise ValueError(f"{name} must be positive and finite")
-
-
-def _norms(d):
-    """The Euclidean norm of each column of d: (n, N), summed in the order
-    np.linalg.norm sums a C-ordered (N, n) row: one component after another
-    below 8 components, pairwise from 8 on."""
-    sq = d * d
-    if len(d) < 8:
-        return np.sqrt(np.add.reduce(sq, axis=0))
-    return np.sqrt(np.add.reduce(np.ascontiguousarray(sq.T), axis=1))
 
 
 def _piece_steps(schedule: ControlSchedule, h):
@@ -415,7 +356,9 @@ def invariance_test(sys: ControlAffineSystem, rhos, trials=100, pieces=10,
                     for t, ut in switches[i]:
                         u[t] = ut
                 xn = _rk4_step(rhs, x, u, p, h, fields.field(u))
-                arclen += _norms((xn - x).T)
+                # numpy sums a C-ordered row pairwise from 8 components on
+                d = np.ascontiguousarray(xn - x)
+                arclen += np.sqrt(np.add.reduce(d * d, axis=1))
                 x = xn
                 rho = fields.evaluate(x, p)  # and the next first stage
                 np.maximum(max_rho, np.maximum.reduce(np.abs(rho), axis=0),
@@ -467,7 +410,8 @@ def escape_test(sys: ControlAffineSystem, rhos, seed=42, horizon=5.0,
                 x = _rk4_step(rhs, x, u, p, h, fields.field(u))
             except StepSingular:
                 break
-            if not _finite(x):  # overflowed rows drop out
+            # overflowed rows drop out; one sum is finite when all of x is
+            if not math.isfinite(np.add.reduce(x, axis=None)):
                 finite = np.isfinite(x).all(axis=1)
                 x, u, p, alive = x[finite], u[finite], p[finite], alive[finite]
             rho = fields.evaluate(x, p)  # and the next first stage

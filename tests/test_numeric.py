@@ -114,9 +114,9 @@ class TestFusedEvaluator:
                 rhs(np.zeros((1, 1)), np.ones((1, 1)), np.zeros((1, 0)))
 
     @pytest.mark.parametrize("seed", range(20))
-    def test_shared_subexpressions_match_lambdify(self, seed):
-        # rows and monitors drawn from a pool of overlapping subexpressions,
-        # so whole rows, products, powers and nested calls repeat
+    def test_generated_rows_match_lambdify(self, seed):
+        # rows and monitors drawn from a pool of overlapping subexpressions:
+        # calls, products, powers, quotients and nested calls
         rng = random.Random(seed)
         pool = [sp.cos(w), sp.sin(w), x * y, sp.cos(w) ** 2, a * sp.cos(w),
                 sp.sin(sp.cos(w)), 1 / (1 + x**2), x * y * sp.cos(w), -x * z,
@@ -142,27 +142,9 @@ class TestFusedEvaluator:
         for row, vals in zip(got, want):
             assert np.array_equal(row, np.broadcast_to(vals, row.shape))
 
-    def test_shared_call_evaluated_once_per_kernel_call(self, ex3,
-                                                        monkeypatch):
-        # g1 = [a*cos(w), sin(w), b*cos(w), 0], and a monitor sharing cos(w)
-        real = np.cos
-        calls = []
-
-        def counting_cos(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(np, "cos", counting_cos)
-        rhs = rhs_function(ex3, [sp.cos(w) - 1])
-        xs, us, ps = random_batch(ex3, 5, seed=2)
-        rhs(xs, us, ps)
-        assert len(calls) == 1
-        rhs.fields.evaluate(xs, ps)
-        assert len(calls) == 2
-
     def test_control_switch_updates_held_products(self, ex3):
-        # g2 = [0, 0, 0, 1] has no state: its product with u is held until a
-        # new control block is passed
+        # g2 = [0, 0, 0, 1] has no state: its product with u is held between
+        # control switches
         rhs = rhs_function(ex3)
         xs, us, ps = random_batch(ex3, 6, seed=3)
         rhs(xs, us, ps)
@@ -170,6 +152,23 @@ class TestFusedEvaluator:
         switched[:, 1] = -us[:, 1]
         assert np.array_equal(rhs(xs, switched, ps),
                               per_field_rhs(ex3, xs, switched, ps))
+
+    def test_control_changed_in_place(self, ex3):
+        # the same control array, its values changed between two calls
+        rhs = rhs_function(ex3)
+        xs, us, ps = random_batch(ex3, 6, seed=4)
+        rhs(xs, us, ps)
+        us[:, 1] = -us[:, 1]
+        assert np.array_equal(rhs(xs, us, ps), per_field_rhs(ex3, xs, us, ps))
+
+    def test_parameters_changed_in_place(self):
+        # PARAM_ROWS' drift row `a` has no state symbol
+        sys = parse_system(PARAM_ROWS)
+        rhs = rhs_function(sys)
+        xs, us, ps = random_batch(sys, 6, seed=5)
+        rhs(xs, us, ps)
+        ps *= 3.0
+        assert np.array_equal(rhs(xs, us, ps), per_field_rhs(sys, xs, us, ps))
 
 
 class TestSimulate:
