@@ -32,6 +32,7 @@ from .numeric import (
     BRACKET_DEPTH,
     iterated_brackets,
     require_positive,
+    require_seed,
     simulate,
     svd_rank,
 )
@@ -56,11 +57,14 @@ def _build_parser():
         return p
 
     def numeric(p):
-        """Options of the RK4 invariance and escape evidence."""
+        """Options of the invariance and escape evidence."""
         p.add_argument("--trials", type=int, default=100)
         p.add_argument("--pieces", type=int, default=10)
         p.add_argument("--horizon", type=float, default=5.0)
-        p.add_argument("--step", type=float, default=1e-3)
+        p.add_argument("--step", type=float, default=1e-3,
+                       help="first step of the error-controlled invariance "
+                            "test; horizon/step attempted steps are its "
+                            "budget")
         return p
 
     numeric(command("analyze", "full pipeline -> invariant report"))
@@ -71,7 +75,8 @@ def _build_parser():
     pv.add_argument("--rho", required=True, action="append",
                     help="candidate function (repeatable for systems)")
     ps = command("simulate", "trajectory CSV export", formats=False)
-    ps.add_argument("--step", type=float, default=1e-3)
+    ps.add_argument("--step", type=float, default=1e-3,
+                    help="fixed RK4 step of the uniform output grid")
     ps.add_argument("--x0", required=True, help="comma-separated start state")
     ps.add_argument("--control", required=True,
                     help="schedule 'dur:u1,u2;dur:u1,u2;...'")
@@ -94,10 +99,9 @@ def _read_system(path):
 
 
 def _positive(args):
-    if args.seed < 0:
-        raise SystemExit("--seed must be non-negative")
     knobs = ("trials", "pieces", "horizon", "step", "depth")
     try:
+        require_seed(args.seed)
         require_positive(**{k: getattr(args, k) for k in knobs
                             if hasattr(args, k)})
     except ValueError as e:

@@ -18,6 +18,7 @@ from enum import Enum
 import numpy as np
 import sympy as sp
 from sympy.polys.domains import QQ
+from sympy.polys.polyerrors import BasePolynomialError
 from sympy.polys.matrices import DomainMatrix
 
 from .dsl import ControlAffineSystem, print_system
@@ -64,7 +65,9 @@ from .numeric import (
     escape_test,
     invariance_test,
     leaf_controllability,
+    require_integer,
     require_positive,
+    require_seed,
 )
 from .sampling import zero_locus_points
 
@@ -123,7 +126,8 @@ def poincare_integrate(omega: DifferentialForm):
         integrand += from_field(c).subs(subs, simultaneous=True) * (v - base[v])
     try:
         rho = sp.integrate(sp.expand_mul(integrand), (t, 0, 1))
-    except Exception:
+    except (NotImplementedError, BasePolynomialError):
+        # an integrand outside what sympy's integration algorithms handle
         return None
     if rho.has(sp.Integral):
         return None
@@ -450,6 +454,16 @@ def _divide_sequential(rhos, residues, names, ctx, ctxe, quotient_cert,
 
 @dataclass(frozen=True)
 class AnalysisConfig:
+    """Settings of `analyze`.
+
+    `seed` drives every random draw.  The numeric evidence, run unless
+    `run_numeric` is false, integrates `trials` trajectories on each
+    accepted locus under `pieces` random control pieces up to `horizon`
+    with error-controlled Dormand-Prince 5(4) steps: `step` is each
+    trial's first step, and round(horizon / step) attempted steps are the
+    budget after which the invariance test ends Violated with an error.
+    """
+
     seed: int = 42
     trials: int = 100
     pieces: int = 10
@@ -458,8 +472,10 @@ class AnalysisConfig:
     run_numeric: bool = True
 
     def __post_init__(self):
+        require_integer(trials=self.trials, pieces=self.pieces)
         require_positive(trials=self.trials, pieces=self.pieces,
                          horizon=self.horizon, step=self.step)
+        require_seed(self.seed)
 
 
 # report section of each classification
@@ -476,7 +492,7 @@ def numeric_evidence(sys: ControlAffineSystem, cand: CandidateIntegral,
     """Numeric backing of a symbolic verdict, as report entry fields.
 
     Rejected candidates get an escape schedule; accepted ones get leaf
-    controllability and RK4 invariance of {rho = 0}, or of the level set
+    controllability and the invariance test of {rho = 0}, or of the level set
     {rho = offset} when an offset is given.  Undetermined ones get nothing.
     """
     rhos = [from_field(r) for r in cand.rhos]

@@ -1,9 +1,11 @@
 """Numeric evidence: RK4 simulation under piecewise-constant controls,
-invariance and escape testing, Lie brackets, and bracket-rank checks."""
+error-controlled invariance testing, escape testing, Lie brackets, and
+bracket-rank checks."""
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +21,24 @@ SV_RANK_TOL = 1e-8
 # depth of the iterated Lie brackets behind every bracket-rank check
 BRACKET_DEPTH = 4
 INV_TOL_BASE = 1e-6
+# relative and absolute error tolerance of the invariance test's steps
+RTOL = 1e-10
+ATOL = 1e-12
+
+# Dormand & Prince (1980) 5(4) pair: the stage rows a_sj, whose last row is
+# the fifth-order weights (so the last stage is f at the new state), and the
+# weights b_j - b*_j of the difference to the embedded fourth-order solution
+_DP_A = np.array([
+    [0, 0, 0, 0, 0, 0],
+    [1 / 5, 0, 0, 0, 0, 0],
+    [3 / 40, 9 / 40, 0, 0, 0, 0],
+    [44 / 45, -56 / 15, 32 / 9, 0, 0, 0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0, 0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0],
+    [35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+])[:, :, None, None]
+_DP_E = np.array([71 / 57600, 0, -71 / 16695, 71 / 1920, -17253 / 339200,
+                  22 / 525, -1 / 40])[:, None, None]
 
 
 @dataclass(frozen=True)
@@ -71,8 +91,8 @@ class _FieldEvaluator:
     without a state symbol are held while `evaluate` sees the same parameter
     block p: (N, k), and the product g_j u_j of a control field without a
     state-dependent row while `field` sees the same control block u: (N, m):
-    the RK4 loops pass a new array when either changes.  `stage` with any
-    other block fills and forms them anew.
+    the integration loops pass a new array when either changes.  `stage`
+    with any other block fills and forms them anew.
     """
 
     def __init__(self, ctx: SymbolContext, fields, monitors):
@@ -208,9 +228,10 @@ def rhs_function(sys: ControlAffineSystem, monitors=()):
 
     Returned callable maps (x: (N, n), u: (N, m), params: (N, k)) to (N, n),
     leaving floating-point errors to the caller's `np.errstate`.  It raises
-    StepSingular on a non-finite value.  Its `fields` evaluator also holds the monitor rows: an
-    RK4 loop takes each step's first stage and monitors from one
-    `fields.evaluate`, and that first stage from `fields.field`.
+    StepSingular on a non-finite value.  Its `fields` evaluator also holds
+    the monitor rows: an integration loop takes the monitors and the next
+    step's first stage at a new state from one `fields.evaluate`, and that
+    first stage from `fields.field`.
     """
     fields = _FieldEvaluator(sys.ctx, [sys.drift, *sys.controls], monitors)
 
@@ -236,6 +257,21 @@ def require_positive(**values):
             raise ValueError(f"{name} must be positive and finite")
 
 
+def require_integer(**values):
+    """Raise ValueError naming the first value that is not an integer; a
+    bool is not one."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer")
+
+
+def require_seed(seed):
+    """Raise ValueError unless seed is a non-negative integer."""
+    require_integer(seed=seed)
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
+
+
 def _piece_steps(schedule: ControlSchedule, h):
     """Snap piece boundaries onto the uniform grid."""
     if not schedule.pieces:
@@ -257,7 +293,14 @@ def _piece_steps(schedule: ControlSchedule, h):
 
 def simulate(sys: ControlAffineSystem, x0, schedule: ControlSchedule,
              h=1e-3, param_values=None, monitors=None) -> Trajectory:
-    """Classical fixed-step RK4 per piece; states recorded on the grid."""
+    """Classical fixed-step RK4 per piece; states recorded on the grid.
+
+    `simulate` keeps fixed steps because its CSV promises a uniform time
+    grid, and `escape_test` because it stops at its first step past the
+    threshold (by t = 0.1 on the worked systems), where fewer, longer steps
+    would save little; `invariance_test` runs every trial to the horizon
+    and controls its steps by their error.
+    """
     require_positive(step=h)
     ctx = sys.ctx
     param_values = dict(param_values or {})
@@ -315,58 +358,128 @@ def random_schedule(rng, m, pieces, horizon) -> ControlSchedule:
                                  for d, v in zip(durs, vals)))
 
 
+def _dp_step(rhs, x, u, p, h, k1):
+    """One Dormand-Prince 5(4) step of every trial, component-major: x and
+    its first stage k1: (n, N), steps h: (N,).
+
+    Returns the fifth-order state, its difference to the embedded
+    fourth-order one, the monitors at the new state and the last stage,
+    f at the new state, which is the next step's first stage.
+    """
+    K = np.empty((7,) + x.shape)  # h k_j, stage by stage
+    np.multiply(k1, h, out=K[0])
+    for s in range(1, 7):
+        xs = x + np.add.reduce(_DP_A[s, :s] * K[:s], axis=0)
+        if s < 6:
+            k = rhs(xs.T, u, p).T
+        else:  # the monitors and the last stage from one evaluation
+            rho = rhs.fields.evaluate(xs.T, p)
+            k = rhs.fields.field(u).T
+        np.multiply(k, h, out=K[s])
+    return xs, np.add.reduce(_DP_E * K, axis=0), rho, k
+
+
+def _dp_sweep(rhs, x, p, ends, controls, h, budget):
+    """Error-controlled Dormand-Prince 5(4) integration of every trial of x:
+    (n, N), component-major.  Trial i applies controls[i, k]: (m,) until
+    time ends[i, k]; its last end is the horizon.
+
+    Each trial has its own time and step, starting at h.  A step is clipped
+    so that it lands exactly on the trial's next switch or on the horizon,
+    and it is accepted when the RMS over components of
+    err / (ATOL + RTOL max(|x|, |x_new|)) is at most 1; the next step is
+    scaled by clip(0.9 RMS^(-1/5), 0.2, 5), and after a clipped accepted
+    step it is at least the step proposed before the clip.
+
+    Yields (t, accepted, chord, monitors) per trial for the start, then
+    after every attempted step; a trial's chord x_new - x and monitors at
+    x_new count only where it is accepted.  Raises StepSingular when a
+    trial is short of the horizon after `budget` attempted steps.
+    """
+    fields = rhs.fields
+    rows = np.arange(x.shape[1])
+    horizon = ends[:, -1]
+    piece = np.zeros(len(rows), dtype=int)
+    t = np.zeros(len(rows))
+    h = np.full(len(rows), h)
+    u = controls[:, 0]
+    yield t, np.ones(len(rows), dtype=bool), np.zeros_like(x), \
+        fields.evaluate(x.T, p)
+    k1 = fields.field(u).T
+    for _ in range(budget):
+        if not np.any(t < horizon):
+            return
+        stop = ends[rows, piece]
+        lands = t + h >= stop
+        t_new = np.where(lands, stop, t + h)
+        step = t_new - t  # 0 once a trial is at its horizon
+        x_new, err, rho, k_new = _dp_step(rhs, x, u, p, step, k1)
+        scale = ATOL + RTOL * np.maximum(np.abs(x), np.abs(x_new))
+        e = np.sqrt(np.add.reduce(np.square(err / scale), axis=0) / len(x))
+        e[np.isnan(e)] = np.inf
+        accepted = (t < horizon) & (e <= 1.0)
+        proposed = step * np.clip(0.9 * e ** -0.2, 0.2, 5.0)
+        h = np.where(accepted & lands, np.maximum(h, proposed), proposed)
+        chord = x_new - x
+        x = np.where(accepted, x_new, x)
+        t = np.where(accepted, t_new, t)
+        switched = accepted & lands & (t < horizon)
+        if switched.any():  # a new control block, bound by identity
+            piece = piece + switched
+            u = controls[rows, piece]
+            k_new = fields.field(u).T
+        k1 = np.where(accepted, k_new, k1)
+        yield t, accepted, chord, rho
+    if np.any(t < horizon):
+        raise StepSingular(f"error-controlled steps fell short of the "
+                           f"horizon within the budget of {budget} steps")
+
+
 def invariance_test(sys: ControlAffineSystem, rhos, trials=100, pieces=10,
                     horizon=5.0, h=1e-3, seed=42) -> InvarianceVerdict:
     """Monte-Carlo invariance check of the zero locus of rhos.
 
     Starts on {rho = 0}, applies random piecewise-constant controls, and
     holds iff every trial keeps max |rho| below 1e-6 * (1 + arc length).
-    All trials integrate in one batched RK4 sweep.
+    All trials integrate in one batched error-controlled Dormand-Prince
+    5(4) sweep (see `_dp_sweep`): h is each trial's first step, and
+    round(horizon / h) attempted steps are the sweep's budget.
     """
+    require_integer(trials=trials, pieces=pieces)
     require_positive(trials=trials, pieces=pieces, horizon=horizon, h=h)
+    require_seed(seed)
     ctx = sys.ctx
     rhos = [sp.sympify(r) for r in rhos]
     rng = np.random.default_rng(seed)
     starts = zero_locus_points(rhos, ctx, rng, count=trials)
 
-    x = np.array([[pt[v] for v in ctx.states] for pt in starts], order="F")
+    x = np.array([[pt[v] for v in ctx.states] for pt in starts]).T.copy()
     p = np.array([[pt[q] for q in ctx.params] for pt in starts],
                  dtype=float).reshape(trials, len(ctx.params))
-    total_steps = max(1, round(horizon / h))
-    # grid step -> (trial, control) of every piece starting there
-    switches = {}
-    for t in range(trials):
-        sched, _ = _piece_steps(random_schedule(rng, sys.m, pieces, horizon), h)
-        i = 0
-        for count, ut in sched:
-            if count:
-                switches.setdefault(i, []).append((t, ut))
-            i += count
-    u = np.zeros((sys.m, trials)).T  # each trial's current control
+    schedules = [random_schedule(rng, sys.m, pieces, horizon).pieces
+                 for _ in range(trials)]
+    ends = np.minimum(np.cumsum([[d for d, _ in s] for s in schedules],
+                                axis=1), horizon)
+    ends[:, -1] = horizon
+    controls = np.array([[u for _, u in s] for s in schedules])
     rhs = rhs_function(sys, rhos)
-    fields = rhs.fields
+    max_rho = np.zeros(trials)
     arclen = np.zeros(trials)
     errors = []
     with np.errstate(all="ignore"):
-        max_rho = np.maximum.reduce(np.abs(fields.evaluate(x, p)), axis=0)
         try:
-            for i in range(total_steps):
-                if i in switches:  # a new control block, bound by identity
-                    u = u.copy(order="F")
-                    for t, ut in switches[i]:
-                        u[t] = ut
-                xn = _rk4_step(rhs, x, u, p, h, fields.field(u))
-                # numpy sums a C-ordered row pairwise from 8 components on
-                d = np.ascontiguousarray(xn - x)
-                arclen += np.sqrt(np.add.reduce(d * d, axis=1))
-                x = xn
-                rho = fields.evaluate(x, p)  # and the next first stage
-                np.maximum(max_rho, np.maximum.reduce(np.abs(rho), axis=0),
-                           out=max_rho)
+            for _, accepted, chord, rho in _dp_sweep(
+                    rhs, x, p, ends, controls, h, max(1, round(horizon / h))):
+                arclen += np.where(accepted, np.sqrt(
+                    np.add.reduce(chord * chord, axis=0)), 0.0)
+                np.maximum(max_rho, np.where(accepted, np.maximum.reduce(
+                    np.abs(rho), axis=0), 0.0), out=max_rho)
         except StepSingular as e:
             errors.append(str(e))
     tols = INV_TOL_BASE * (1.0 + arclen)
-    held = bool(np.all(max_rho < tols)) and not errors
+    # an arc length that overflowed gives no bound at all
+    held = bool(np.all(max_rho < tols) and np.all(np.isfinite(tols))) \
+        and not errors
     per_trial = tuple((float(m_), float(a), float(t_))
                       for m_, a, t_ in zip(max_rho, arclen, tols))
     return InvarianceVerdict(
@@ -384,7 +497,9 @@ def escape_test(sys: ControlAffineSystem, rhos, seed=42, horizon=5.0,
     several zero-locus starts; returns (schedule, time, value) for the first
     trajectory driving max |rho| above the threshold, or None.
     """
+    require_integer(starts=starts)
     require_positive(horizon=horizon, h=h, starts=starts)
+    require_seed(seed)
     ctx = sys.ctx
     rhos = [sp.sympify(r) for r in rhos]
     rng = np.random.default_rng(seed)

@@ -301,14 +301,32 @@ def test_fuzzed_argv_ends_in_exit_code(argv, tmp_path, monkeypatch):
     assert run(argv) in (0, 1, 2)
 
 
-def test_console_entry_point():
-    # the child process does not inherit pytest's pythonpath setting
+def child_env():
+    """The environment of a child Python process that imports ctrlinv from
+    this checkout; it does not inherit pytest's pythonpath setting."""
     src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ,
-               PYTHONPATH=src + (os.pathsep + path if path else ""))
+    return dict(os.environ,
+                PYTHONPATH=src + (os.pathsep + path if path else ""))
+
+
+def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "ctrlinv.cli", "flag", EX1],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["schema"] == 1
+
+
+def test_analyze_imports_no_scipy():
+    # sympy and numpy are the only dependencies: a full default analyze,
+    # numeric evidence included, must not load scipy even where it is
+    # installed
+    script = ("import sys\n"
+              "from ctrlinv.cli import run\n"
+              f"code = run(['analyze', {EX4!r}, '--output', sys.argv[1]])\n"
+              "print(code, sorted(m for m in sys.modules\n"
+              "                   if m.split('.')[0] == 'scipy'))\n")
+    proc = subprocess.run([sys.executable, "-c", script, os.devnull],
+                          capture_output=True, text=True, env=child_env())
+    assert proc.stdout == "0 []\n", proc.stderr

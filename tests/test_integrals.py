@@ -4,6 +4,7 @@ import time
 
 import pytest
 import sympy as sp
+from sympy.polys.polyerrors import PolynomialError
 
 import ctrlinv.integrals as integrals_module
 from ctrlinv.dsl import parse_system
@@ -73,6 +74,23 @@ class TestPoincareIntegrate:
     def test_not_closed(self):
         with pytest.raises(NotClosed):
             poincare_integrate(one_form_of([y, 0, 0], CTX))
+
+    @pytest.mark.parametrize("error", [NotImplementedError("risch"),
+                                       PolynomialError("heuristic")])
+    def test_integration_failure_is_none(self, monkeypatch, error):
+        def failing(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(integrals_module.sp, "integrate", failing)
+        assert poincare_integrate(one_form_of([y, x, 0], CTX)) is None
+
+    def test_unrelated_error_propagates(self, monkeypatch):
+        def failing(*args, **kwargs):
+            raise KeyError("unrelated")
+
+        monkeypatch.setattr(integrals_module.sp, "integrate", failing)
+        with pytest.raises(KeyError, match="unrelated"):
+            poincare_integrate(one_form_of([y, x, 0], CTX))
 
     def test_gradient_round_trip(self):
         from ctrlinv.expr import gradient
@@ -509,6 +527,16 @@ class TestAnalyze:
         # step=-1 reported Held, and step=nan failed converting NaN to int
         with pytest.raises(ValueError, match=f"^{field} must be positive"):
             analyze(ex1, AnalysisConfig(**{field: value}))
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("trials", 2.5, "an integer"), ("trials", True, "an integer"),
+        ("pieces", 1.5, "an integer"), ("seed", -1, "non-negative"),
+        ("seed", 1.5, "an integer")])
+    def test_count_or_seed_rejected(self, field, value, message):
+        # these once ended in TypeErrors and ValueErrors from Python or
+        # numpy that did not name the setting
+        with pytest.raises(ValueError, match=f"^{field} must be {message}"):
+            AnalysisConfig(**{field: value})
 
     def test_drift_report(self, ex4):
         rep = analyze(ex4, FAST)

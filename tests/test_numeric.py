@@ -249,11 +249,98 @@ class TestNumericSettings:
         with pytest.raises(ValueError, match=f"^{field} must be positive"):
             escape_test(ex1, [z], **{"horizon": 0.1, field: value})
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("trials", 2.5, "an integer"), ("trials", True, "an integer"),
+        ("pieces", 1.5, "an integer"), ("seed", -1, "non-negative"),
+        ("seed", 1.5, "an integer")])
+    def test_invariance_test_rejects_count(self, ex1, field, value, message):
+        with pytest.raises(ValueError, match=f"^{field} must be {message}"):
+            invariance_test(ex1, [z], **{"trials": 3, "pieces": 2,
+                                         "horizon": 0.1, field: value})
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("starts", 2.5, "an integer"), ("starts", True, "an integer"),
+        ("seed", -1, "non-negative"), ("seed", 1.5, "an integer")])
+    def test_escape_test_rejects_count(self, ex1, field, value, message):
+        with pytest.raises(ValueError, match=f"^{field} must be {message}"):
+            escape_test(ex1, [z], **{"horizon": 0.1, field: value})
+
     @pytest.mark.parametrize("h", [0.0, -1e-3, math.nan, math.inf])
     def test_simulate_rejects_step(self, ex1, h):
         with pytest.raises(ValueError, match="^step must be positive"):
             simulate(ex1, [0.0, 1.0, 0.0],
                      ControlSchedule(((0.1, (1.0, 0.0)),)), h=h)
+
+
+class TestDormandPrince:
+    ROTATION = "states: x y\ncontrol g1: [-y, x]\n"
+
+    @staticmethod
+    def recording_sweep(monkeypatch):
+        """Replace `_dp_sweep` by a wrapper; returns the list that collects
+        its arguments and then every item it yields."""
+        real = numeric_module._dp_sweep
+        seen = []
+
+        def sweep(*args):
+            seen.append(args)
+            for item in real(*args):
+                seen.append(item)
+                yield item
+
+        monkeypatch.setattr(numeric_module, "_dp_sweep", sweep)
+        return seen
+
+    def test_step_order(self):
+        # one step of the rotation x' = -y, y' = x from (1, 0): halving h
+        # divides the fifth-order error by about 2^6 and the embedded
+        # estimate, led by the fourth-order error, by about 2^5
+        rhs = rhs_function(parse_system(self.ROTATION))
+        u, p = np.ones((1, 1)), np.zeros((1, 0))
+        errors, estimates = [], []
+        for h in (0.2, 0.1, 0.05):
+            x0 = np.array([[1.0], [0.0]])
+            rhs.fields.evaluate(x0.T, p)
+            x5, err, _, _ = numeric_module._dp_step(
+                rhs, x0, u, p, np.array([h]), rhs.fields.field(u).T)
+            errors.append(np.linalg.norm(x5[:, 0]
+                                         - [math.cos(h), math.sin(h)]))
+            estimates.append(np.linalg.norm(err[:, 0]))
+        for fine, coarse in ((1, 0), (2, 1)):
+            assert 56 < errors[coarse] / errors[fine] < 72
+            assert 28 < estimates[coarse] / estimates[fine] < 36
+
+    def test_rotation_circle_held_and_line_violated(self):
+        sys = parse_system(self.ROTATION)
+        kwargs = dict(trials=20, pieces=4, horizon=5.0, h=1e-2, seed=2)
+        circle = invariance_test(sys, [x**2 + y**2 - 1], **kwargs)
+        assert circle.held and circle.max_rho < 1e-9
+        assert not invariance_test(sys, [y], **kwargs).held
+
+    def test_accepted_times_include_switch_times(self, ex4, monkeypatch):
+        seen = self.recording_sweep(monkeypatch)
+        invariance_test(ex4, [b * x - a * z], trials=10, pieces=5,
+                        horizon=1.0, h=1e-2, seed=7)
+        ends = seen[0][3]  # the switch times, then the horizon, per trial
+        accepted = [set() for _ in ends]
+        for t, ok, _, _ in seen[1:]:
+            for i in np.flatnonzero(ok):
+                accepted[i].add(float(t[i]))
+        for trial, times in zip(ends, accepted):
+            assert set(trial.tolist()) <= times
+            assert max(times) == 1.0
+
+    def test_blowup_ends_in_error_within_budget(self, monkeypatch):
+        # x' = x^2 u from x = 1 blows up at t = 1/u for u > 0
+        seen = self.recording_sweep(monkeypatch)
+        v = invariance_test(parse_system("states: x\ncontrol g1: [x^2]\n"),
+                            [x - 1], trials=20, pieces=3, horizon=5.0,
+                            h=1e-2, seed=1)
+        assert v.verdict == "Violated"
+        assert len(v.errors) == 1
+        assert "within the budget of 500 steps" in v.errors[0] \
+            or "non-finite" in v.errors[0]
+        assert len(seen) - 2 <= 500  # the arguments, the start, the steps
 
 
 class TestRK4Order:
@@ -725,6 +812,23 @@ def assert_same(got, want):
     assert repr(got) == repr(want)
 
 
+def assert_same_verdict(got, want):
+    """The error-controlled sweep against the fixed-step reference: the same
+    verdict, trial count and errors (or the same named error), and per-trial
+    arc lengths within 1e-2 relative, not finite where the reference's are
+    not."""
+    if not isinstance(want, InvarianceVerdict):
+        assert got == want
+        return
+    assert (got.verdict, len(got.trials), got.errors) \
+        == (want.verdict, len(want.trials), want.errors)
+    got_len, want_len = (np.array([a for _, a, _ in v.trials])
+                         for v in (got, want))
+    finite = np.isfinite(want_len)  # OVERFLOW's chords overflow when squared
+    assert np.array_equal(np.isfinite(got_len), finite)
+    assert got_len[finite] == pytest.approx(want_len[finite], rel=1e-2)
+
+
 # the reference loops warn on overflow outside their np.errstate blocks
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestAgainstReferenceLoops:
@@ -733,20 +837,21 @@ class TestAgainstReferenceLoops:
     def test_invariance_test(self, name, trials, seed, request):
         sys = oracle_system(name, request)
         for rhos in ORACLE_LOCI[name]:
-            kwargs = dict(trials=trials, pieces=3, horizon=0.3, h=1e-2,
+            # the reference snaps each switch onto its step grid, which
+            # moves it by up to h/2: a step of 1e-3 keeps that inside 1e-2
+            kwargs = dict(trials=trials, pieces=3, horizon=0.3, h=1e-3,
                           seed=seed)
-            assert_same(outcome(invariance_test, sys, rhos, **kwargs),
-                        outcome(_reference_invariance_test, sys, rhos,
-                                **kwargs))
+            assert_same_verdict(
+                outcome(invariance_test, sys, rhos, **kwargs),
+                outcome(_reference_invariance_test, sys, rhos, **kwargs))
 
     def test_singular_start_ends_in_errors(self):
         sys = parse_system(SINGULAR)
-        got = invariance_test(sys, [x], trials=5, pieces=2, horizon=0.1,
-                              h=1e-2, seed=1)
+        kwargs = dict(trials=5, pieces=2, horizon=0.1, h=1e-2, seed=1)
+        got = invariance_test(sys, [x], **kwargs)
         assert got.errors and not got.held
-        assert got == _reference_invariance_test(sys, [x], trials=5,
-                                                 pieces=2, horizon=0.1,
-                                                 h=1e-2, seed=1)
+        assert_same_verdict(got, _reference_invariance_test(sys, [x],
+                                                            **kwargs))
 
     def test_later_stage_overflow_raises(self):
         # BLOWUP's first step: k1 is finite, a later stage is not
@@ -814,9 +919,9 @@ class TestAgainstReferenceLoops:
         return got
 
 
-def test_invariance_step_evaluates_fields_four_times(ex3, monkeypatch):
-    # the monitor rides on the next step's first stage: three more stages
-    # and one fused evaluation per step, where a separate monitor made five
+def test_invariance_attempt_evaluates_fields_six_times(ex3, monkeypatch):
+    # five stages, then the monitors and the last stage from one fused
+    # evaluation per attempted step, plus the evaluation at the start
     real = numeric_module._compile
     calls = []
 
@@ -833,11 +938,17 @@ def test_invariance_step_evaluates_fields_four_times(ex3, monkeypatch):
                 for name, fn in zip(names, real(source, namespace, names))]
 
     monkeypatch.setattr(numeric_module, "_compile", counting_compile)
+    real_sweep = numeric_module._dp_sweep
+    yields = []
 
-    def evaluations(steps):
-        calls.clear()
-        invariance_test(ex3, [b * x - a * z], trials=7, pieces=1,
-                        horizon=steps * 0.01, h=0.01, seed=3)
-        return len(calls)
+    def counting_sweep(*args):
+        for item in real_sweep(*args):
+            yields.append(item)
+            yield item
 
-    assert evaluations(3) - evaluations(2) == 4
+    monkeypatch.setattr(numeric_module, "_dp_sweep", counting_sweep)
+    invariance_test(ex3, [b * x - a * z], trials=7, pieces=3, horizon=0.5,
+                    h=0.01, seed=3)
+    attempts = len(yields) - 1  # the first item is the start
+    assert attempts > 3
+    assert len(calls) == 1 + 6 * attempts
