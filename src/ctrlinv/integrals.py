@@ -18,8 +18,8 @@ from enum import Enum
 import numpy as np
 import sympy as sp
 from sympy.polys.domains import QQ
-from sympy.polys.polyerrors import BasePolynomialError
 from sympy.polys.matrices import DomainMatrix
+from sympy.polys.polyerrors import BasePolynomialError
 
 from .dsl import ControlAffineSystem, print_system
 from .errors import (
