@@ -456,13 +456,13 @@ def invariance_test(sys: ControlAffineSystem, rhos, trials=100, pieces=10,
     x = np.array([[pt[v] for v in ctx.states] for pt in starts]).T.copy()
     p = np.array([[pt[q] for q in ctx.params] for pt in starts],
                  dtype=float).reshape(trials, len(ctx.params))
-    ends = np.empty((trials, pieces))
+    durations = np.empty((trials, pieces))
     controls = np.empty((trials, pieces, sys.m))
-    for i in range(trials):  # each trial's piece durations and controls
+    for i in range(trials):
         sched = random_schedule(rng, sys.m, pieces, horizon).pieces
-        ends[i] = [d for d, _ in sched]
+        durations[i] = [d for d, _ in sched]
         controls[i] = [u for _, u in sched]
-    ends = np.minimum(np.cumsum(ends, axis=1), horizon)
+    ends = np.minimum(np.cumsum(durations, axis=1), horizon)
     ends[:, -1] = horizon
     rhs = rhs_function(sys, rhos)
     max_rho = np.zeros(trials)
