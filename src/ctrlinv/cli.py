@@ -63,8 +63,8 @@ def _build_parser():
         p.add_argument("--horizon", type=float, default=5.0)
         p.add_argument("--step", type=float, default=1e-3,
                        help="first step of the error-controlled invariance "
-                            "test; horizon/step attempted steps are its "
-                            "budget")
+                            "test; horizon/step attempted steps, but at "
+                            "least 100, are its budget")
         return p
 
     numeric(command("analyze", "full pipeline -> invariant report"))
@@ -76,7 +76,8 @@ def _build_parser():
                     help="candidate function (repeatable for systems)")
     ps = command("simulate", "trajectory CSV export", formats=False)
     ps.add_argument("--step", type=float, default=1e-3,
-                    help="fixed RK4 step of the uniform output grid")
+                    help="fixed RK4 step of the uniform output grid, at "
+                         "most the schedule's horizon")
     ps.add_argument("--x0", required=True, help="comma-separated start state")
     ps.add_argument("--control", required=True,
                     help="schedule 'dur:u1,u2;dur:u1,u2;...'")
@@ -260,8 +261,11 @@ def _simulate(args, system):
         raise SystemExit(f"control value needs {system.m} components")
     monitors = {f"rho{i+1}": parse_expr(m, ctx)
                 for i, m in enumerate(args.monitor)}
-    traj = simulate(system, x0, schedule, h=args.step, param_values=params,
-                    monitors=monitors)
+    try:
+        traj = simulate(system, x0, schedule, h=args.step,
+                        param_values=params, monitors=monitors)
+    except ValueError as e:
+        raise SystemExit(f"--{e}") from None
     _write(traj.to_csv([str(s) for s in ctx.states], system.m,
                        list(monitors)), args)
 

@@ -24,6 +24,8 @@ INV_TOL_BASE = 1e-6
 # relative and absolute error tolerance of the invariance test's steps
 RTOL = 1e-10
 ATOL = 1e-12
+# fewest attempted steps the invariance test is given, whatever its step
+MIN_BUDGET = 100
 
 # Dormand & Prince (1980) 5(4) pair: the stage rows a_sj, whose last row is
 # the fifth-order weights (so the last stage is f at the new state), and the
@@ -82,26 +84,21 @@ class InvarianceVerdict:
 
 class _FieldEvaluator:
     """A system's field rows (its drift, then each control field) and monitor
-    rows, held component-major in one (rows, N) block, with generated
-    kernels that fill it and combine the fields.
+    rows, filled component-major into one (rows, N) block by one generated
+    function.
 
-    `evaluate` fills the rows that depend on the states at x: (N, n),
-    `field` combines the rows of the last fill, and `stage` does both, each
-    in one generated function with no loop over rows or blocks.  Rows
-    without a state symbol are held while `evaluate` sees the same parameter
-    block p: (N, k), and the product g_j u_j of a control field without a
-    state-dependent row while `field` sees the same control block u: (N, m):
-    the integration loops pass a new array when either changes.  `stage`
-    with any other block fills and forms them anew.
+    `evaluate` fills every row at the states x: (N, n) and parameters
+    p: (N, k) and returns the monitor rows; `field` combines the field rows
+    of the last fill with a control block u: (N, m).  The block is reused
+    while N stays the same, so a returned monitor view holds until the next
+    `evaluate`.
     """
 
     def __init__(self, ctx: SymbolContext, fields, monitors):
         rows = [sp.sympify(e) for F in fields for e in F]
-        n, count = len(ctx.states), len(rows)
+        self._n, self._count, self._blocks = len(ctx.states), len(rows), \
+            len(fields)
         rows += [sp.sympify(e) for e in monitors]
-        live = [i for i, e in enumerate(rows)
-                if e.free_symbols & set(ctx.states)]
-        fixed = [i for i in range(len(rows)) if i not in live]
         # the printer and settings lambdify uses for numpy
         printer = NumPyPrinter({"fully_qualified_modules": False,
                                 "inline": True,
@@ -111,116 +108,53 @@ class _FieldEvaluator:
         pre = "_k"  # prefix of every generated name
         while any(name.startswith(pre) for name in names.values()):
             pre = "_" + pre
-        # each symbol is a row of the component-major states _kx or one of
-        # the parameter columns _kp
+        # each symbol is a row of the component-major states _kx or of the
+        # parameters _kp
         column = {s: f"{pre}x[{i}]" for i, s in enumerate(ctx.states)}
         column.update((s, f"{pre}p[{i}]") for i, s in enumerate(ctx.params))
-
-        def fill(index):
-            used = set().union(*(rows[i].free_symbols for i in index))
-            return ([f"{names[s]} = {column[s]}"
-                     for s in ctx.symbols if s in used]
-                    + [f"{pre}b[{i}] = {printer.doprint(rows[i])}"
-                       for i in index])
-
-        blocks = len(fields)
-        # control fields without a state-dependent row: their products
-        # g_j u_j are held between control switches
-        self._held = [j for j in range(1, blocks)
-                      if not any(j * n <= i < (j + 1) * n for i in live)]
-        combine = []  # ((f + g_1 u_1) + g_2 u_2) + ..., in block ops
-        for j in range(1, blocks):
-            term = f"{pre}h{j}"
-            if j not in self._held:
-                combine.append(f"{pre}mul({pre}g{j}, {pre}u{j}, out={pre}t)")
-                term = f"{pre}t"
-            combine.append(f"{pre}k = {pre}add({pre}g0, {term})" if j == 1
-                           else f"{pre}add({pre}k, {term}, out={pre}k)")
-        combine.append(f"return {pre}k")
-        bodies = {
-            "fixed": fill(fixed),
-            "evaluate": fill(live) + [f"return {pre}m"],
-            "stage": fill([i for i in live if i < count]) + combine,
-            "field": combine,
-        }
-        text = ""
-        for name, body in bodies.items():
-            arg = pre + "x" if name in ("evaluate", "stage") else ""
-            text += (f"def {pre}{name}({arg}):\n    "
-                     + "\n    ".join(body or ["pass"]) + "\n")
-        ns = {f"{pre}add": np.add, f"{pre}mul": np.multiply}
+        used = set().union(*(e.free_symbols for e in rows))
+        body = ([f"{names[s]} = {column[s]}" for s in ctx.symbols if s in used]
+                + [f"{pre}b[{i}] = {printer.doprint(e)}"
+                   for i, e in enumerate(rows)])
+        ns = {}
         for module, keys in printer.module_imports.items():
             for key in keys:
                 exec(f"from {module} import {key}", ns)
-        self._fixed, self._evaluate, self._stage, self._field = _compile(
-            text, ns, [pre + name for name in bodies])
-        self._ns, self._pre, self._n, self._count = ns, pre, n, count
-        self._size, self._blocks = len(rows), blocks
-        self._p = self._u = None
-
-    def _bind(self, p):
-        """A new batch: fill the rows that depend only on p: (N, k)."""
-        ns, pre, n = self._ns, self._pre, self._n
-        self._p, self._u = p, None
-        ns[pre + "p"] = list(np.ascontiguousarray(p.T))
-        block = ns[pre + "b"] = np.empty((self._size, len(p)))
-        ns[pre + "m"] = block[self._count:]
-        ns[pre + "t"] = np.empty((n, len(p)))
-        for j in range(self._blocks):
-            ns[f"{pre}g{j}"] = block[j * n:(j + 1) * n]
-        self._fixed()
-
-    def _control(self, u):
-        """Bind the columns of u: (N, m) and form the held products."""
-        ns, pre = self._ns, self._pre
-        for j in range(1, self._blocks):
-            ns[f"{pre}u{j}"] = u[:, j - 1]
-        for j in self._held:
-            ns[f"{pre}h{j}"] = ns[f"{pre}g{j}"] * u[:, j - 1]
+        self._fill = _compile(
+            f"def {pre}fill({pre}x, {pre}p, {pre}b):\n    "
+            + "\n    ".join(body or ["pass"]) + "\n", ns, pre + "fill")
+        self._block = np.empty((len(rows), 0))
 
     def evaluate(self, x, p):
-        """Fill the state-dependent rows at x: (N, n); return the monitors
-        as a (monitors, N) view."""
-        if p is not self._p:
-            self._bind(p)
-        return self._evaluate(x.T)
+        """Fill every row at x: (N, n) and p: (N, k); return the monitors as
+        a (monitors, N) view."""
+        if self._block.shape[1] != len(x):
+            self._block = np.empty((len(self._block), len(x)))
+        self._fill(x.T, np.ascontiguousarray(p.T), self._block)
+        return self._block[self._count:]
+
+    def combine(self, u):
+        """((f + g_1 u_1) + g_2 u_2) + ... at the last evaluation, for
+        u: (N, m), as an (N, n) array that may hold non-finite values."""
+        n, block = self._n, self._block
+        k = block[:n].copy()
+        for j in range(1, self._blocks):
+            k += block[j * n:(j + 1) * n] * u[:, j - 1]
+        return k.T
 
     def field(self, u):
-        """f(x) + sum_j g_j(x) u_j at the last evaluation, for u: (N, m), as
-        an (N, n) view; the control rows are added into the drift in order.
-        The held products stay bound to u until another array is passed."""
-        if u is not self._u:
-            self._control(u)
-            self._u = u
-        return _checked(self._field())
-
-    def stage(self, x, u, p):
-        """`evaluate` without the monitor rows, then the combination with u.
-        Held rows and products are reused only for the blocks `evaluate` and
-        `field` bound."""
-        if p is not self._p:
-            self._bind(p)
-            self._p = None
-        if u is not self._u:
-            self._control(u)
-            self._u = None
-        return _checked(self._stage(x.T))
+        """`combine`, raising StepSingular on a non-finite value."""
+        k = self.combine(u)
+        if not np.isfinite(k).all():
+            raise StepSingular("vector field evaluation produced non-finite "
+                               "values")
+        return k
 
 
-def _compile(source, namespace, names):
-    """The functions `names` defined by executing generated `source`."""
+def _compile(source, namespace, name):
+    """The function `name` defined by executing generated `source`."""
     exec(compile(source, "<ctrlinv kernel>", "exec"), namespace)
-    return [namespace[name] for name in names]
-
-
-def _checked(k):
-    """k: (n, N) as (N, n), after testing every entry finite: one sum, and a
-    full test only when the sum is not finite (it may have overflowed)."""
-    if not (math.isfinite(np.add.reduce(k, axis=None))
-            or np.isfinite(k).all()):
-        raise StepSingular("vector field evaluation produced non-finite "
-                           "values")
-    return k.T
+    return namespace[name]
 
 
 def rhs_function(sys: ControlAffineSystem, monitors=()):
@@ -228,15 +162,16 @@ def rhs_function(sys: ControlAffineSystem, monitors=()):
 
     Returned callable maps (x: (N, n), u: (N, m), params: (N, k)) to (N, n),
     leaving floating-point errors to the caller's `np.errstate`.  It raises
-    StepSingular on a non-finite value.  Its `fields` evaluator also holds
-    the monitor rows: an integration loop takes the monitors and the next
-    step's first stage at a new state from one `fields.evaluate`, and that
-    first stage from `fields.field`.
+    StepSingular on a non-finite value.  It is `fields.evaluate` followed by
+    `fields.field`; its `fields` evaluator also fills the monitor rows, so an
+    integration loop takes the monitors at a new state and the next step's
+    first stage from one `fields.evaluate` and a `fields.field`.
     """
     fields = _FieldEvaluator(sys.ctx, [sys.drift, *sys.controls], monitors)
 
     def rhs(x, u, p):
-        return fields.stage(x, u, p)
+        fields.evaluate(x, p)
+        return fields.field(u)
 
     rhs.fields = fields
     return rhs
@@ -302,6 +237,9 @@ def simulate(sys: ControlAffineSystem, x0, schedule: ControlSchedule,
     and controls its steps by their error.
     """
     require_positive(step=h)
+    if schedule.pieces and h > schedule.horizon:
+        raise ValueError("step must not exceed the schedule's horizon "
+                         f"{schedule.horizon:g}")
     ctx = sys.ctx
     param_values = dict(param_values or {})
     missing = [p for p in ctx.params if p not in param_values]
@@ -424,7 +362,7 @@ def _dp_sweep(rhs, x, p, ends, controls, h, budget):
         x = np.where(accepted, x_new, x)
         t = np.where(accepted, t_new, t)
         switched = accepted & lands & (t < horizon)
-        if switched.any():  # a new control block, bound by identity
+        if switched.any():  # the next piece's controls
             piece = piece + switched
             u = controls[rows, piece]
             k_new = fields.field(u).T
@@ -443,7 +381,8 @@ def invariance_test(sys: ControlAffineSystem, rhos, trials=100, pieces=10,
     holds iff every trial keeps max |rho| below 1e-6 * (1 + arc length).
     All trials integrate in one batched error-controlled Dormand-Prince
     5(4) sweep (see `_dp_sweep`): h is each trial's first step, and
-    round(horizon / h) attempted steps are the sweep's budget.
+    round(horizon / h) attempted steps, but at least MIN_BUDGET, are the
+    sweep's budget.
     """
     require_integer(trials=trials, pieces=pieces)
     require_positive(trials=trials, pieces=pieces, horizon=horizon, h=h)
@@ -471,7 +410,8 @@ def invariance_test(sys: ControlAffineSystem, rhos, trials=100, pieces=10,
     with np.errstate(all="ignore"):
         try:
             for _, accepted, chord, rho in _dp_sweep(
-                    rhs, x, p, ends, controls, h, max(1, round(horizon / h))):
+                    rhs, x, p, ends, controls, h,
+                    max(MIN_BUDGET, round(horizon / h))):
                 arclen += np.where(accepted, np.sqrt(
                     np.add.reduce(chord * chord, axis=0)), 0.0)
                 np.maximum(max_rho, np.where(accepted, np.maximum.reduce(
@@ -497,7 +437,8 @@ def escape_test(sys: ControlAffineSystem, rhos, seed=42, horizon=5.0,
 
     Tries the 2m+1 axis controls {0, +-e_j} plus random values from each of
     several zero-locus starts; returns (schedule, time, value) for the first
-    trajectory driving max |rho| above the threshold, or None.
+    trajectory driving max |rho| above the threshold, or None.  A row whose
+    step is not finite (it overflowed or met a singular field) drops out.
     """
     require_integer(starts=starts)
     require_positive(horizon=horizon, h=h, starts=starts)
@@ -516,21 +457,25 @@ def escape_test(sys: ControlAffineSystem, rhos, seed=42, horizon=5.0,
     p = np.array([[pt[q] for q in ctx.params] for pt in pts for _ in controls],
                  dtype=float).reshape(len(x), len(ctx.params))
     u = np.array(controls * len(pts), order="F")
-    rhs = rhs_function(sys, rhos)
-    fields = rhs.fields
+    fields = rhs_function(sys, rhos).fields
+
+    def stage(x, u, p):
+        # unchecked: a row with a non-finite stage takes a non-finite step
+        fields.evaluate(x, p)
+        return fields.combine(u)
+
     steps = max(1, round(horizon / h))
     alive = np.arange(len(x))  # batch index of each row of x
     with np.errstate(all="ignore"):
         fields.evaluate(x, p)
         for i in range(steps):
-            try:
-                x = _rk4_step(rhs, x, u, p, h, fields.field(u))
-            except StepSingular:
-                break
-            # overflowed rows drop out; one sum is finite when all of x is
-            if not math.isfinite(np.add.reduce(x, axis=None)):
-                finite = np.isfinite(x).all(axis=1)
+            x = _rk4_step(stage, x, u, p, h, fields.combine(u))
+            # rows that overflowed or met a singular field drop out
+            finite = np.isfinite(x).all(axis=1)
+            if not finite.all():
                 x, u, p, alive = x[finite], u[finite], p[finite], alive[finite]
+                if not len(x):
+                    break
             rho = fields.evaluate(x, p)  # and the next first stage
             hit = np.flatnonzero(
                 np.maximum.reduce(np.abs(rho), axis=0) > threshold)

@@ -87,6 +87,9 @@ class TestExitCodes:
          "--params", "a=-1,b=-2"],
         ["simulate", EX4, "--x0", "0,0,0,0", "--control", "0.2:1,0",
          "--params", "b=0"],
+        # a step longer than the 0.1 s schedule
+        ["simulate", EX1, "--x0", "0,1,0", "--control", "0.1:1,0",
+         "--step", "1"],
     ])
     def test_malformed_input_is_usage_error(self, argv, capsys):
         assert run(argv) == 2
@@ -132,6 +135,17 @@ class TestJsonOutput:
         assert entry["invariance"]["verdict"] == "Held"
         lc = entry["leaf_controllability"]
         assert lc["leaf_dimension"] == 2 and lc["controllable_on_leaf"]
+
+    def test_verify_coarse_step_holds(self, capsys):
+        # horizon/step is 2 attempted steps; the budget's floor still lets
+        # the rejected first step of 0.1 shrink and reach the horizon
+        code, payload = run_json(
+            capsys, ["verify", EX1, "--rho", "z", "--trials", "2",
+                     "--horizon", "0.2", "--step", "0.1"])
+        assert code == 0
+        invariance = payload["verify"]["invariance"]
+        assert invariance["verdict"] == "Held"
+        assert invariance["errors"] == []
 
     @pytest.mark.parametrize("seed", ["42", "7", "61"])
     def test_verify_two_linear_functions(self, capsys, seed):

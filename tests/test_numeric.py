@@ -143,8 +143,8 @@ class TestFusedEvaluator:
             assert np.array_equal(row, np.broadcast_to(vals, row.shape))
 
     def test_control_switch_updates_held_products(self, ex3):
-        # g2 = [0, 0, 0, 1] has no state: its product with u is held between
-        # control switches
+        # g2 = [0, 0, 0, 1] has no state: a product g2 u2 cached between
+        # calls would miss the switch
         rhs = rhs_function(ex3)
         xs, us, ps = random_batch(ex3, 6, seed=3)
         rhs(xs, us, ps)
@@ -169,6 +169,22 @@ class TestFusedEvaluator:
         rhs(xs, us, ps)
         ps *= 3.0
         assert np.array_equal(rhs(xs, us, ps), per_field_rhs(sys, xs, us, ps))
+
+    @pytest.mark.parametrize("name", ["params", "dense", "shared"])
+    def test_one_callable_across_batch_sizes(self, name, request):
+        # the block is reused while N stays the same and replaced when it
+        # changes; rhs calls and evaluate/field pairs interleave
+        sys = oracle_system(name, request)
+        rhs = rhs_function(sys)
+        for seed, rows in enumerate([1000, 1, 0, 100, 100, 1]):
+            xs, us, ps = random_batch(sys, rows, seed=seed)
+            want = per_field_rhs(sys, xs, us, ps)
+            assert np.array_equal(rhs(xs, us, ps), want)
+            rhs.fields.evaluate(xs, ps)
+            assert np.array_equal(rhs.fields.field(us), want)
+            other = -us
+            assert np.array_equal(rhs.fields.field(other),
+                                  per_field_rhs(sys, xs, other, ps))
 
 
 class TestSimulate:
@@ -270,6 +286,12 @@ class TestNumericSettings:
         with pytest.raises(ValueError, match="^step must be positive"):
             simulate(ex1, [0.0, 1.0, 0.0],
                      ControlSchedule(((0.1, (1.0, 0.0)),)), h=h)
+
+    def test_simulate_rejects_step_past_horizon(self, ex1):
+        # a step of 1 would write a row at t = 1 for a 0.1 s schedule
+        with pytest.raises(ValueError, match="^step must not exceed"):
+            simulate(ex1, [0.0, 1.0, 0.0],
+                     ControlSchedule(((0.1, (1.0, 0.0)),)), h=1.0)
 
 
 def recording_sweep(monkeypatch):
@@ -872,11 +894,29 @@ class TestAgainstReferenceLoops:
         assert got[0].pieces[0][1] == (0.0, 1.0)
         assert got == _reference_escape_test(sys, [y], **kwargs)
 
+    def test_singular_rows_drop_out_of_escape(self):
+        # u = e1 blows up x' = 10^60 x^2 from every start; u = e2 still
+        # leaves {y = 0}
+        got = escape_test(parse_system(BLOWUP), [y], seed=0)
+        assert got is not None
+        assert got[0].pieces[0][1] == (0.0, 1.0)
+        assert got[1] == pytest.approx(0.11)
+
     @pytest.mark.parametrize("name", sorted(ORACLE_LOCI))
     def test_escape_test(self, name, request):
         sys = oracle_system(name, request)
+        kwargs = dict(seed=4, horizon=0.5, starts=4, random_controls=5)
+        if name == "blowup":
+            # the reference stops the whole search at the first singular row
+            # and finds nothing; the rows of u1 != 0 blow up and drop out,
+            # and u = e2 leaves {y = 0} while x stays put
+            got = escape_test(sys, [y], **kwargs)
+            assert got[0].pieces == ((0.5, (0.0, 1.0)),)
+            assert got[1] == pytest.approx(0.11)
+            assert got[2] > 0.1
+            assert escape_test(sys, [x - 1], **kwargs) is None
+            return
         for rhos in ORACLE_LOCI[name]:
-            kwargs = dict(seed=4, horizon=0.5, starts=4, random_controls=5)
             assert_same(outcome(escape_test, sys, rhos, **kwargs),
                         outcome(_reference_escape_test, sys, rhos, **kwargs))
 
@@ -926,17 +966,15 @@ def test_invariance_attempt_evaluates_fields_six_times(ex3, monkeypatch):
     real = numeric_module._compile
     calls = []
 
-    def counted(fn):
+    def counting_compile(source, namespace, name):
+        # the one generated function, which fills every row at a state
+        fn = real(source, namespace, name)
+
         def call(*values):
             calls.append(fn)
             return fn(*values)
 
         return call
-
-    def counting_compile(source, namespace, names):
-        # the generated functions that evaluate rows at a state
-        return [counted(fn) if name.endswith(("evaluate", "stage")) else fn
-                for name, fn in zip(names, real(source, namespace, names))]
 
     monkeypatch.setattr(numeric_module, "_compile", counting_compile)
     seen = recording_sweep(monkeypatch)
