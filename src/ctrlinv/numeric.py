@@ -95,9 +95,9 @@ class _FieldEvaluator:
     """
 
     def __init__(self, ctx: SymbolContext, fields, monitors):
+        self._n, self._blocks = len(ctx.states), len(fields)
         rows = [sp.sympify(e) for F in fields for e in F]
-        self._n, self._count, self._blocks = len(ctx.states), len(rows), \
-            len(fields)
+        self._count = len(rows)  # field rows, then the monitor rows
         rows += [sp.sympify(e) for e in monitors]
         # the printer and settings lambdify uses for numpy
         printer = NumPyPrinter({"fully_qualified_modules": False,
