@@ -203,7 +203,7 @@ def _dispatch(args):
 
 def _flag_payload(args, system):
     """Report of the subcommands built on the derived flag."""
-    flag = derived_flag(system, seed=args.seed)
+    flag = derived_flag(system)
     payload = {"schema": 1, "seed": args.seed}
     if args.command == "flag":
         payload["flag"] = flag_summary(flag, system.ctx)

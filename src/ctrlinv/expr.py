@@ -345,11 +345,7 @@ def divide_exact(num, den):
 
 def evaluate(e, point, ctx: SymbolContext | None = None) -> float:
     """IEEE-double evaluation; denominators below 1e-12 raise EvalSingular."""
-    e = sp.sympify(e)
-    lookup = {}
-    for k, v in point.items():
-        lookup[sp.Symbol(k) if isinstance(k, str) else k] = v
-    return _eval(e, lookup)
+    return _eval(sp.sympify(e), point)
 
 
 def _eval(e, point):

@@ -4,23 +4,25 @@ Pipeline: annihilator -> coframe completion -> torsion matrix -> left
 null-space -> derived system, iterated until the rank stabilizes.  Entries
 are reduced elements of the system's field, whose numerators are normal
 forms modulo sin**2 + cos**2 - 1, so a rank decision is the exact test
-`not f`.  Sampling only certifies that each symbolic rank is attained at
-random points (certify_rank).
+`not f`.  certify_rank proves each symbolic rank attained by evaluating the
+rows exactly at a rational point.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
+import random
 from dataclasses import dataclass
 
-import numpy as np
-from sympy.polys.domains import ZZ
+import sympy as sp
+from sympy.polys.domains import QQ, ZZ
+from sympy.polys.matrices import DM
 
 from .dsl import ControlAffineSystem
 from .errors import (
     AnnihilationFailure,
-    EvalSingular,
     FlagNotDecreasing,
     NoValidCompletion,
     RankNotConstant,
@@ -28,10 +30,8 @@ from .errors import (
 from .expr import (
     SymbolContext,
     determinant,
-    evaluate,
     factor,
     from_field,
-    random_point,
     reduce_fraction,
     to_text,
 )
@@ -44,7 +44,8 @@ from .forms import (
     pivot_solution,
     reduce_mod,
 )
-from .numeric import svd_rank
+
+CERTIFY_POINTS = 8  # points tried before a symbolic rank counts as unattained
 
 
 @dataclass(frozen=True)
@@ -200,42 +201,56 @@ def clear_denominators(vec, ctx):
     return [K(p.exquo(g)) for p in scaled]
 
 
-def certify_rank(rows, rank, ctx, seed=0, samples=20):
-    """Random-point check that the numeric rank matches the symbolic rank.
-
-    A point below the symbolic rank lies where the generic rank drops (say,
-    on a coordinate hyperplane) and is skipped like a singular one.  The
-    check fails when some point exceeds the symbolic rank, or when fewer
-    than half of the evaluated points attain it.
-    """
-    rng = np.random.default_rng(seed + 1)
-    evaluated = attained = 0
-    for _ in range(samples):
-        point = random_point(ctx, rng)
+def certify_rank(rows, rank, ctx):
+    """Prove that field-element rows have rank `rank`: the exact rank at a
+    rational point is at most the generic one (Schwartz 1980; Zippel 1979),
+    so the first point attaining it proves it.  A point below it, or where a
+    denominator vanishes, is passed over; one above it, or none attaining it
+    among CERTIFY_POINTS, raises RankNotConstant."""
+    for k in range(CERTIFY_POINTS):
+        point = _certify_point(ctx.field, k)
         try:
-            nr = svd_rank([[evaluate(e, point, ctx) for e in r]
-                           for r in rows])
-        except (EvalSingular, np.linalg.LinAlgError):
+            nr = DM([[_value(e.numer, point) / _value(e.denom, point)
+                      for e in r] for r in rows], QQ).rank()
+        except ZeroDivisionError:
             continue
         if nr > rank:
-            raise RankNotConstant(
-                f"numeric rank {nr} > symbolic rank {rank} at {point}")
-        evaluated += 1
-        attained += nr == rank
-    if 2 * attained < evaluated:
-        raise RankNotConstant(
-            f"symbolic rank {rank} attained at only {attained} of "
-            f"{evaluated} sample points")
+            raise RankNotConstant(f"rank {nr} > symbolic rank {rank} at "
+                                  f"certification point {k}")
+        if nr == rank:
+            return
+    raise RankNotConstant(f"symbolic rank {rank} attained at none of "
+                          f"{CERTIFY_POINTS} certification points")
+
+
+def _certify_point(K, k):
+    """The k-th certification point, a rational value per generator of K;
+    each (sin v, cos v) pair is the circle point (2t, 1 - t**2)/(1 + t**2)."""
+    rng, point = random.Random(k), []
+    for g in K.symbols:
+        t = QQ(rng.randint(-40, 40), rng.randint(1, 20))
+        if isinstance(g, sp.sin):
+            point += [2 * t / (1 + t**2), (1 - t**2) / (1 + t**2)]
+        elif not isinstance(g, sp.cos):  # cos(v) is placed with sin(v)
+            point.append(t)
+    return point
+
+
+def _value(p, point):
+    """Exact value of a polynomial at a point, term by term
+    (PolyElement.evaluate builds a new ring per generator)."""
+    return sum((c * math.prod(v**e for v, e in zip(point, m) if e)
+                for m, c in p.items()), QQ.zero)
 
 
 # --- pipeline stages ---------------------------------------------------------
 
-def annihilator(sys: ControlAffineSystem, seed=0) -> PfaffianSystem:
+def annihilator(sys: ControlAffineSystem) -> PfaffianSystem:
     """s = n - p independent 1-forms annihilating f and every g_j."""
     ctx = sys.ctx
     rows = sys.exact_fields()
     basis = nullspace(rows, ctx)
-    certify_rank(sys.fields(), sys.n - len(basis), ctx, seed=seed)
+    certify_rank(rows, sys.n - len(basis), ctx)
     generators = tuple(one_form(vec, ctx) for vec in basis)
     for g in generators:
         for X, row in zip(sys.fields(), rows):
@@ -336,10 +351,10 @@ def derived_system(system: PfaffianSystem, T: TorsionMatrix,
     return complete_coframe(out, ctx)
 
 
-def derived_flag(sys: ControlAffineSystem, seed=0) -> PfaffianFlag:
+def derived_flag(sys: ControlAffineSystem) -> PfaffianFlag:
     """Iterate derived systems to stabilization; type (nu, q) of the flag."""
     ctx = sys.ctx
-    system = annihilator(sys, seed=seed)
+    system = annihilator(sys)
     levels = []
     while True:
         if system.rank == 0:
@@ -357,10 +372,7 @@ def derived_flag(sys: ControlAffineSystem, seed=0) -> PfaffianFlag:
     nu = len(levels) - 1
     q = levels[-1].system.rank
     for level in levels:
-        rows = level.system.coefficient_matrix()
-        if rows:
-            certify_rank([[from_field(e) for e in r] for r in rows],
-                         level.system.rank, ctx, seed=seed)
+        certify_rank(level.system.coefficient_matrix(), level.system.rank, ctx)
     return PfaffianFlag(levels=tuple(levels), nu=nu, q=q)
 
 

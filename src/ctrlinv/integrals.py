@@ -246,19 +246,20 @@ def _clear_known_denominator(f, ctx):
 
 def nondegenerate(rhos, ctx, seed=0, points=10):
     """drho^1 ^ ... ^ drho^d nonzero at sampled zero-locus points."""
+    grads = []
     for r in rhos:
-        if not any(gradient(r, ctx)):
+        grad = gradient(r, ctx)
+        if not any(grad):
             return False
         # a repeated factor makes the gradient vanish on part of the locus
         if r.denom.is_ground and any(mult > 1 for _, mult in factor(r)):
             return False
-    exprs = [from_field(r) for r in rhos]
+        grads.append([from_field(g) for g in grad])
     try:
-        pts = zero_locus_points(exprs, ctx, np.random.default_rng(seed + 13),
-                                count=points)
+        pts = zero_locus_points([from_field(r) for r in rhos], ctx,
+                                np.random.default_rng(seed + 13), count=points)
     except SamplingFailed:
         return False
-    grads = [[sp.diff(r, v) for v in ctx.states] for r in exprs]
     for pt in pts:
         J = np.array([[evaluate(g, pt, ctx) for g in row] for row in grads])
         sv = np.linalg.svd(J, compute_uv=False)
@@ -523,7 +524,7 @@ def analyze(sys: ControlAffineSystem, config: AnalysisConfig | None = None) -> d
     cfg = config or AnalysisConfig()
     ctx = sys.ctx
     n = sys.n
-    flag = derived_flag(sys, seed=cfg.seed)
+    flag = derived_flag(sys)
     level0 = flag.levels[0].system
     report = {
         "schema": 1,

@@ -60,15 +60,9 @@ def _linear_plan(rhos, ctx):
     for rho in rhos:
         terms = []
         for v in ctx.states:
-            try:
-                if sp.degree(sp.Poly(rho, v)) != 1:
-                    continue
-            except sp.PolynomialError:
-                continue
             a = sp.diff(rho, v)
-            if sp.diff(a, v) != 0:
-                continue  # not actually linear
-            terms.append((v, a, rho - a * v))
+            if a != 0 and sp.diff(a, v) == 0:
+                terms.append((v, a, rho - a * v))
         plan.append((rho.free_symbols, terms))
     return plan
 
@@ -102,11 +96,11 @@ def _newton_project(rhos, grads, point, ctx, steps):
     states = list(ctx.states)
     x = np.array([point[v] for v in states], dtype=float)
     for _ in range(steps):
+        at = _assign(point, states, x)
         try:
-            r = np.array([evaluate(rho, _assign(point, states, x), ctx)
-                          for rho in rhos])
-            J = np.array([[evaluate(g, _assign(point, states, x), ctx)
-                           for g in row] for row in grads])
+            r = np.array([evaluate(rho, at, ctx) for rho in rhos])
+            J = np.array([[evaluate(g, at, ctx) for g in row]
+                          for row in grads])
         except POINT_ERRORS:
             return False
         if np.max(np.abs(r)) <= NEWTON_RESIDUAL_TOL:

@@ -32,6 +32,14 @@ class TestExitCodes:
         assert run(["flag", EX1]) == 0
         capsys.readouterr()
 
+    def test_tiny_coefficient_system_succeeds(self, capsys, tmp_path):
+        # once a RankNotConstant exit: x/10^10 fell below a float tolerance
+        path = tmp_path / "tiny.sys"
+        path.write_text("states: x y z\ncontrol g1: [1, 0, 0]\n"
+                        "control g2: [0, x/10000000000, 0]\n")
+        assert run(["analyze", str(path)] + FAST) == 0
+        capsys.readouterr()
+
     def test_domain_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.sys"
         bad.write_text("states: x y\ncontrol g1: [1, q]\n")

@@ -2,7 +2,6 @@ import functools
 import itertools
 import random
 
-import numpy as np
 import pytest
 import sympy as sp
 from sympy import ZZ
@@ -11,7 +10,6 @@ import ctrlinv.flag as flag_module
 from ctrlinv.dsl import parse_system
 from ctrlinv.errors import (
     AnnihilationFailure,
-    EvalSingular,
     FlagNotDecreasing,
     RankNotConstant,
 )
@@ -281,31 +279,44 @@ class TestInvariantErrors:
             derived_flag(ex3)
 
 
+def on_hyperplane_first(monkeypatch, v):
+    """Patch the certification points so that the first puts v = 0; returns
+    the list of points used."""
+    real = flag_module._certify_point
+    calls = []
+
+    def first_on_hyperplane(K, k):
+        point = real(K, k)
+        if not calls:
+            point[K.symbols.index(v)] = 0
+        calls.append(point)
+        return point
+
+    monkeypatch.setattr(flag_module, "_certify_point", first_on_hyperplane)
+    return calls
+
+
 class TestCertifyRank:
     def test_point_on_thin_locus_is_skipped(self, monkeypatch):
         # rows [[1, 0], [0, x]] have generic rank 2, rank 1 where x = 0
-        real = flag_module.random_point
-        calls = []
-
-        def first_on_hyperplane(ctx, rng):
-            assert isinstance(rng, np.random.Generator)
-            point = real(ctx, rng)
-            if not calls:
-                point[x] = 0
-            calls.append(point)
-            return point
-
-        monkeypatch.setattr(flag_module, "random_point", first_on_hyperplane)
-        certify_rank([[1, 0], [0, x]], 2, CTX)
-        assert calls[0][x] == 0 and len(calls) == 20
+        calls = on_hyperplane_first(monkeypatch, x)
+        certify_rank(field_rows([[1, 0], [0, x]], CTX), 2, CTX)
+        assert calls[0][0] == 0 and len(calls) == 2
 
     def test_symbolic_rank_too_high_raises(self):
-        with pytest.raises(RankNotConstant, match="attained at only 0 of"):
-            certify_rank([[1, x], [2, 2 * x]], 2, CTX)
+        with pytest.raises(RankNotConstant, match="attained at none of 8"):
+            certify_rank(field_rows([[1, x], [2, 2 * x]], CTX), 2, CTX)
 
     def test_rank_above_symbolic_rank_raises(self):
-        with pytest.raises(RankNotConstant, match="numeric rank 2 > symbolic"):
-            certify_rank([[1, 0], [0, x]], 1, CTX)
+        with pytest.raises(RankNotConstant, match="rank 2 > symbolic rank 1"):
+            certify_rank(field_rows([[1, 0], [0, x]], CTX), 1, CTX)
+
+    def test_trig_rows_certified_on_the_circle(self):
+        # the determinant cos**2 - (1 - sin**2) vanishes only where
+        # sin**2 + cos**2 = 1, so independent sin and cos values give rank 2
+        rows = field_rows([[sp.cos(w), 1 - sp.sin(w)],
+                           [1 + sp.sin(w), sp.cos(w)]], CTX4)
+        certify_rank(rows, 1, CTX4)
 
 
 class TestErrorsPropagate:
@@ -321,23 +332,15 @@ class TestErrorsPropagate:
             flag_module._known_nonzero(F(x * y), CTX)
 
     def test_certify_rank_propagates_unrelated_error(self, monkeypatch):
-        monkeypatch.setattr(flag_module, "svd_rank", self._raise)
+        monkeypatch.setattr(flag_module, "_value", self._raise)
         with pytest.raises(RuntimeError, match="unrelated failure"):
-            certify_rank([[1, 0], [0, x]], 2, CTX)
+            certify_rank(field_rows([[1, 0], [0, x]], CTX), 2, CTX)
 
     def test_certify_rank_skips_singular_point(self, monkeypatch):
-        real = flag_module.svd_rank
-        calls = []
-
-        def first_singular(vectors):
-            calls.append(vectors)
-            if len(calls) == 1:
-                raise EvalSingular("denominator below threshold")
-            return real(vectors)
-
-        monkeypatch.setattr(flag_module, "svd_rank", first_singular)
-        certify_rank([[1, 0], [0, x]], 2, CTX)
-        assert len(calls) == 20
+        # the first point puts x = 0, where the entry 1/x has no value
+        calls = on_hyperplane_first(monkeypatch, x)
+        certify_rank(field_rows([[1, 0], [0, 1 / x]], CTX), 2, CTX)
+        assert calls[0][0] == 0 and len(calls) == 2
 
 
 def test_torsion_solves_pivots_once_per_level(ex3, monkeypatch):

@@ -42,6 +42,11 @@ CTX4 = SymbolContext(states=(x, y, z, w), params=(a, b),
 
 FAST = AnalysisConfig(seed=42, trials=5, pieces=3, horizon=1.0, step=1e-3)
 
+TINY_COEFFICIENT = """states: x y z
+control g1: [1, 0, 0]
+control g2: [0, x/10000000000, 0]
+"""
+
 # a torsion minor of this system has a trig denominator factor that is not
 # declared nonzero
 MINOR_DENOMINATOR = """states: x y z w
@@ -503,6 +508,12 @@ class TestAnalyze:
         assert len(rep["undetermined"]) == 1
         assert rep["foliation"] == [] and rep["isolated"] == []
         assert rep["conclusion"] == "1 undetermined candidate(s)"
+
+    def test_tiny_coefficient_rank_is_certified(self):
+        # x/10^10 lies below a float rank tolerance; exact evaluation at a
+        # rational point still sees rank 2 in the field matrix
+        sys = parse_system(TINY_COEFFICIENT)
+        assert analyze(sys, FAST)["type"] == [0, 1]
 
     def test_uncertified_minor_denominator_is_undetermined(self):
         # the torsion minor's denominator has a factor no declared

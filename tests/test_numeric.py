@@ -474,6 +474,15 @@ class TestZeroLocusSampling:
         assert len(pts) == 50
         assert len(built) <= len(rhos) * len(CTX.states)
 
+    @pytest.mark.parametrize("rho", [
+        x + y, x**2 + y, x**2 * y + z, z, y + 1 / x, (x + y) / (z + 1),
+        sp.sin(x) + y, x * sp.sin(y) + sp.cos(z), x * sp.sin(x) + y,
+        a * x + z, a * x**2 - b * y, x / a + b], ids=str)
+    def test_linear_plan_matches_degree_test(self, rho):
+        ctx = SymbolContext(states=(x, y, z), params=(a, b))
+        assert sampling_module._linear_plan([rho], ctx) == \
+            _reference_linear_plan([rho], ctx)
+
     def test_empty_locus_raises_named_error(self):
         rng = np.random.default_rng(6)
         with pytest.raises(SamplingFailed):
@@ -564,6 +573,27 @@ class TestEscape:
 # on it (a fresh (rows, N) block per call, a separate monitor call per step),
 # kept verbatim as an oracle: the component-major evaluator must reproduce
 # them bit for bit.
+
+def _reference_linear_plan(rhos, ctx):
+    """The linear plan as built with sympy's degree test: rho is linear in v
+    when Poly(rho, v) exists with degree 1 and its coefficient is free of
+    v."""
+    plan = []
+    for rho in rhos:
+        terms = []
+        for v in ctx.states:
+            try:
+                if sp.degree(sp.Poly(rho, v)) != 1:
+                    continue
+            except sp.PolynomialError:
+                continue
+            coeff = sp.diff(rho, v)
+            if sp.diff(coeff, v) != 0:
+                continue
+            terms.append((v, coeff, rho - coeff * v))
+        plan.append((rho.free_symbols, terms))
+    return plan
+
 
 def _reference_lambdify(exprs, ctx: SymbolContext):
     """One vectorized callable (x: (N, n), p: (N, k)) -> (len(exprs), N)
