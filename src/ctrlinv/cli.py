@@ -19,7 +19,7 @@ from .expr import (
     to_field,
     to_text,
 )
-from .flag import derived_flag, flag_summary
+from .flag import annihilator, derived_flag, flag_summary
 from .integrals import (
     AnalysisConfig,
     analyze,
@@ -202,9 +202,13 @@ def _dispatch(args):
 
 
 def _flag_payload(args, system):
-    """Report of the subcommands built on the derived flag."""
-    flag = derived_flag(system)
+    """Report of the subcommands built on the derived flag (level 0 only,
+    the annihilator, for `verify`)."""
     payload = {"schema": 1, "seed": args.seed}
+    if args.command == "verify":
+        payload["verify"] = _verify_entry(args, system, annihilator(system))
+        return payload
+    flag = derived_flag(system)
     if args.command == "flag":
         payload["flag"] = flag_summary(flag, system.ctx)
     elif args.command == "torsion":
@@ -216,15 +220,12 @@ def _flag_payload(args, system):
             to_text(from_field(c)) for c in gfi_candidates(
                 T, system.ctx, seed=args.seed,
                 extra_nonzero=flag.levels[0].system.constraints)]
-    else:
-        payload["verify"] = _verify_entry(args, system, flag)
     return payload
 
 
-def _verify_entry(args, system, flag):
+def _verify_entry(args, system, pfaffian):
     rhos = [to_field(parse_expr(r, system.ctx), system.ctx) for r in args.rho]
-    result = check_membership(rhos, flag.levels[0].system, system.ctx,
-                              seed=args.seed)
+    result = check_membership(rhos, pfaffian, system.ctx, seed=args.seed)
     entry = _integral_entry(result, None)
     entry.update(numeric_evidence(system, result, system.n - len(rhos),
                                   _config(args)))

@@ -271,22 +271,14 @@ def random_point(ctx: SymbolContext, rng, margin=1e-3):
     for _ in range(200):
         point = {v: _random_rational(rng) for v in ctx.states}
         point.update(sample_params(ctx, rng))
-        if constraints_ok(point, ctx, margin):
-            return point
+        try:  # each declared-nonzero expression evaluates beyond margin
+            if all(not abs(evaluate(c, point, ctx)) <= margin
+                   for c in ctx.nonzero):
+                return point
+        except POINT_ERRORS:
+            pass
     raise SamplingFailed("could not sample a point satisfying domain "
                          "constraints")
-
-
-def constraints_ok(point, ctx: SymbolContext, margin):
-    """True when every declared-nonzero expression exceeds margin in
-    absolute value at the point and evaluates there."""
-    for c in ctx.nonzero:
-        try:
-            if abs(evaluate(c, point, ctx)) <= margin:
-                return False
-        except POINT_ERRORS:
-            return False
-    return True
 
 
 def is_zero(f, ctx: SymbolContext, seed: int = 0, samples: int = 8) -> ZeroVerdict:
@@ -376,6 +368,58 @@ def _eval(e, point):
     if isinstance(e, sp.cos):
         return math.cos(_eval(e.args[0], point))
     raise NotPolynomial(f"node outside expression class: {e!r}")
+
+
+def compile_evaluators(groups, symbols):
+    """Per group of expressions, a function of the float values of
+    `symbols` returning the group's values as `evaluate` does: `_eval`'s
+    float operations in its order, once per node, raising what it raises
+    where it raises (fsum gets a tuple, not `_eval`'s lazy items)."""
+    ns = {"fsum": math.fsum, "sin": math.sin, "cos": math.cos,
+          "EvalSingular": EvalSingular, "NotPolynomial": NotPolynomial,
+          "UnknownSymbol": UnknownSymbol}
+    args = ", ".join(f"_v{i}" for i in range(len(symbols)))
+    source = ["def fail(error, message):", "    raise error(message)"]
+    for g, exprs in enumerate(groups):
+        body, names = [], {s: f"_v{i}" for i, s in enumerate(symbols)}
+        values = "".join(_emit(sp.sympify(e), body, names) + ", "
+                         for e in exprs)
+        source += [f"def _f{g}({args}):", *body, f"    return ({values})"]
+    exec(compile("\n".join(source), "<ctrlinv evaluator>", "exec"), ns)
+    return [ns[f"_f{g}"] for g in range(len(groups))]
+
+
+def _emit(e, body, names):
+    """The local holding e's value after body, appended to: `_eval`'s cases."""
+    if e in names:
+        return names[e]
+    if e.is_Number:
+        value = float(e)
+        code = repr(value) if math.isfinite(value) else f"float('{value}')"
+    elif e.is_Symbol:  # not one of the symbols
+        code = f"fail(UnknownSymbol, {f'no value assigned for {e}'!r})"
+    elif e.is_Add:
+        args = "".join(_emit(a, body, names) + ", " for a in e.args)
+        code = f"fsum(({args}))"
+    elif e.is_Mul:
+        code = " * ".join(["1.0"] + [_emit(a, body, names) for a in e.args])
+    elif e.is_Pow:
+        base = _emit(e.base, body, names)
+        code = f"{base} ** {e.exp}"
+        if not e.exp.is_Integer:
+            code = f"fail(NotPolynomial, {f'non-integer exponent: {e}'!r})"
+        elif e.exp < 0:
+            message = repr(f"denominator below threshold in {e}")
+            body.append(f"    if abs({base}) < {EVAL_SINGULAR_TOL!r}: "
+                        f"fail(EvalSingular, {message})")
+    elif isinstance(e, (sp.sin, sp.cos)):
+        code = f"{type(e).__name__}({_emit(e.args[0], body, names)})"
+    else:
+        message = repr(f"node outside expression class: {e!r}")
+        code = f"fail(NotPolynomial, {message})"
+    names[e] = f"_t{len(names)}"
+    body.append(f"    {names[e]} = {code}")
+    return names[e]
 
 
 def to_text(e) -> str:

@@ -271,7 +271,8 @@ def complete_coframe(system: PfaffianSystem, ctx) -> PfaffianSystem:
     constraints.  Coordinate combinations are scanned in lexicographic
     order; the first whose determinant is a nonzero constant or a product
     of known-nonzero factors wins, else the first with any nonzero
-    determinant.
+    determinant.  A block whose nonzero pattern has no perfect row-column
+    matching has every term of its determinant zero and is skipped.
     """
     s = system.rank
     n = len(ctx.states)
@@ -280,6 +281,9 @@ def complete_coframe(system: PfaffianSystem, ctx) -> PfaffianSystem:
     mat = system.coefficient_matrix()
     fallback = None
     for combo in itertools.combinations(range(n), s):
+        if not _has_matching(sorted(([c for c in combo if mat[r][c]]
+                                     for r in range(s)), key=len)):
+            continue
         det = determinant([[mat[r][c] for c in combo] for r in range(s)])
         if not det:
             continue
@@ -292,6 +296,12 @@ def complete_coframe(system: PfaffianSystem, ctx) -> PfaffianSystem:
         return _with_pivots(system, *fallback)
     raise NoValidCompletion("no coordinate completion with nonzero pivot "
                             "determinant")
+
+
+def _has_matching(columns, used=()):
+    """True when each row, given as its nonzero columns, takes its own."""
+    return not columns or any(_has_matching(columns[1:], used + (c,))
+                              for c in columns[0] if c not in used)
 
 
 def _with_pivots(system, combo, det):

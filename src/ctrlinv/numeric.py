@@ -89,9 +89,9 @@ class _FieldEvaluator:
 
     `evaluate` fills every row at the states x: (N, n) and parameters
     p: (N, k) and returns the monitor rows; `field` combines the field rows
-    of the last fill with a control block u: (N, m).  The block is reused
-    while N stays the same, so a returned monitor view holds until the next
-    `evaluate`.
+    of the last fill with a control block u: (N, m).  The block is the first
+    N columns of a buffer that is reused while N does not grow, so a
+    returned monitor view holds until the next `evaluate`.
     """
 
     def __init__(self, ctx: SymbolContext, fields, monitors):
@@ -123,13 +123,14 @@ class _FieldEvaluator:
         self._fill = _compile(
             f"def {pre}fill({pre}x, {pre}p, {pre}b):\n    "
             + "\n    ".join(body or ["pass"]) + "\n", ns, pre + "fill")
-        self._block = np.empty((len(rows), 0))
+        self._buffer = np.empty((len(rows), 0))
 
     def evaluate(self, x, p):
         """Fill every row at x: (N, n) and p: (N, k); return the monitors as
         a (monitors, N) view."""
-        if self._block.shape[1] != len(x):
-            self._block = np.empty((len(self._block), len(x)))
+        if self._buffer.shape[1] < len(x):
+            self._buffer = np.empty((len(self._buffer), len(x)))
+        self._block = self._buffer[:, :len(x)]
         self._fill(x.T, np.ascontiguousarray(p.T), self._block)
         return self._block[self._count:]
 
@@ -285,17 +286,6 @@ def simulate(sys: ControlAffineSystem, x0, schedule: ControlSchedule,
                       controls=us, schedule=schedule, rho_values=rho_values)
 
 
-def random_schedule(rng, m, pieces, horizon) -> ControlSchedule:
-    cuts = np.sort(rng.uniform(0, horizon, size=pieces - 1)) if pieces > 1 \
-        else np.array([])
-    bounds = np.concatenate([[0.0], cuts, [horizon]])
-    durs = np.diff(bounds)
-    durs = np.maximum(durs, 1e-6)
-    vals = rng.uniform(-1.0, 1.0, size=(pieces, m))
-    return ControlSchedule(tuple((float(d), tuple(map(float, v)))
-                                 for d, v in zip(durs, vals)))
-
-
 def _dp_step(rhs, x, u, p, h, k1):
     """One Dormand-Prince 5(4) step of every trial, component-major: x and
     its first stage k1: (n, N), steps h: (N,).
@@ -329,25 +319,36 @@ def _dp_sweep(rhs, x, p, ends, controls, h, budget):
     scaled by clip(0.9 RMS^(-1/5), 0.2, 5), and after a clipped accepted
     step it is at least the step proposed before the clip.
 
-    Yields (t, accepted, chord, monitors) per trial for the start, then
-    after every attempted step; a trial's chord x_new - x and monitors at
-    x_new count only where it is accepted.  Raises StepSingular when a
-    trial is short of the horizon after `budget` attempted steps.
+    Yields (trials, t, accepted, chord, monitors) for the start, then after
+    every attempted step: each column's trial, time, whether its step was
+    accepted, chord x_new - x and monitors at x_new (the last two count only
+    where accepted).  A trial leaves the batch at its horizon.  Raises
+    StepSingular when a trial is short of the horizon after `budget` steps.
     """
     fields = rhs.fields
-    rows = np.arange(x.shape[1])
+    trials = np.arange(x.shape[1])
     horizon = ends[:, -1]
-    piece = np.zeros(len(rows), dtype=int)
-    t = np.zeros(len(rows))
-    h = np.full(len(rows), h)
+    piece = np.zeros(len(trials), dtype=int)
+    t = np.zeros(len(trials))
+    h = np.full(len(trials), h)
     u = controls[:, 0]
-    yield t, np.ones(len(rows), dtype=bool), np.zeros_like(x), \
+    yield trials, t, np.ones(len(trials), dtype=bool), np.zeros_like(x), \
         fields.evaluate(x.T, p)
     k1 = fields.field(u).T
     for _ in range(budget):
-        if not np.any(t < horizon):
+        live = t < horizon
+        if not live.any():
             return
-        stop = ends[rows, piece]
+        # numpy sums the components of a lone column pairwise (n >= 8), not
+        # in order as across a wider block: one finished trial, which takes
+        # steps of 0, stays beside the last live one
+        if np.count_nonzero(live) == 1:
+            live[np.argmin(live)] = True
+        if not live.all():
+            x, k1 = x[:, live], k1[:, live]
+            trials, horizon, piece, t, h, u, p = (
+                a[live] for a in (trials, horizon, piece, t, h, u, p))
+        stop = ends[trials, piece]
         lands = t + h >= stop
         t_new = np.where(lands, stop, t + h)
         step = t_new - t  # 0 once a trial is at its horizon
@@ -364,10 +365,10 @@ def _dp_sweep(rhs, x, p, ends, controls, h, budget):
         switched = accepted & lands & (t < horizon)
         if switched.any():  # the next piece's controls
             piece = piece + switched
-            u = controls[rows, piece]
+            u = controls[trials, piece]
             k_new = fields.field(u).T
         k1 = np.where(accepted, k_new, k1)
-        yield t, accepted, chord, rho
+        yield trials, t, accepted, chord, rho
     if np.any(t < horizon):
         raise StepSingular(f"error-controlled steps fell short of the "
                            f"horizon within the budget of {budget} steps")
@@ -395,12 +396,14 @@ def invariance_test(sys: ControlAffineSystem, rhos, trials=100, pieces=10,
     x = np.array([[pt[v] for v in ctx.states] for pt in starts]).T.copy()
     p = np.array([[pt[q] for q in ctx.params] for pt in starts],
                  dtype=float).reshape(trials, len(ctx.params))
-    durations = np.empty((trials, pieces))
-    controls = np.empty((trials, pieces, sys.m))
-    for i in range(trials):
-        sched = random_schedule(rng, sys.m, pieces, horizon).pieces
-        durations[i] = [d for d, _ in sched]
-        controls[i] = [u for _, u in sched]
+    # each trial's pieces - 1 switch times, then its controls, drawn as
+    # rng.uniform(lo, hi) draws them: lo + (hi - lo) u
+    draws = rng.random((trials, pieces - 1 + pieces * sys.m))
+    cuts = np.sort(horizon * draws[:, :pieces - 1], axis=1)
+    durations = np.maximum(np.diff(cuts, prepend=0.0, append=horizon), 1e-6)
+    controls = (2.0 * draws[:, pieces - 1:] - 1.0).reshape(trials, pieces,
+                                                            sys.m)
+    del draws, cuts  # not held through the sweep
     ends = np.minimum(np.cumsum(durations, axis=1), horizon)
     ends[:, -1] = horizon
     rhs = rhs_function(sys, rhos)
@@ -409,13 +412,13 @@ def invariance_test(sys: ControlAffineSystem, rhos, trials=100, pieces=10,
     errors = []
     with np.errstate(all="ignore"):
         try:
-            for _, accepted, chord, rho in _dp_sweep(
+            for i, _, accepted, chord, rho in _dp_sweep(
                     rhs, x, p, ends, controls, h,
                     max(MIN_BUDGET, round(horizon / h))):
-                arclen += np.where(accepted, np.sqrt(
+                arclen[i] += np.where(accepted, np.sqrt(
                     np.add.reduce(chord * chord, axis=0)), 0.0)
-                np.maximum(max_rho, np.where(accepted, np.maximum.reduce(
-                    np.abs(rho), axis=0), 0.0), out=max_rho)
+                max_rho[i] = np.maximum(max_rho[i], np.where(
+                    accepted, np.maximum.reduce(np.abs(rho), axis=0), 0.0))
         except StepSingular as e:
             errors.append(str(e))
     tols = INV_TOL_BASE * (1.0 + arclen)
@@ -450,7 +453,7 @@ def escape_test(sys: ControlAffineSystem, rhos, seed=42, horizon=5.0,
     m = sys.m
     # the axis controls 0, e_1, -e_1, ..., e_m, -e_m, then random ones
     controls = [np.zeros(m)] + [s * e for e in np.eye(m) for s in (1.0, -1.0)]
-    controls += [rng.uniform(-1, 1, size=m) for _ in range(random_controls)]
+    controls += list(rng.uniform(-1, 1, size=(random_controls, m)))
     # one row per (start, control)
     x = np.array([[pt[v] for v in ctx.states] for pt in pts for _ in controls],
                  order="F")

@@ -10,13 +10,7 @@ import numpy as np
 import sympy as sp
 
 from .errors import SamplingFailed
-from .expr import (
-    POINT_ERRORS,
-    SymbolContext,
-    constraints_ok,
-    evaluate,
-    sample_params,
-)
+from .expr import POINT_ERRORS, SymbolContext, compile_evaluators
 
 NEWTON_RESIDUAL_TOL = 1e-10
 CONSTRAINT_MARGIN = 1e-6
@@ -29,28 +23,54 @@ def zero_locus_points(rhos, ctx: SymbolContext, rng, count=20, box=1.0,
     Solves for one state variable when some rho is linear in it; otherwise
     projects random points by damped Newton steps.  Points that fail to
     converge or violate domain constraints are discarded and resampled.
+    Each round draws as many attempts as points are missing in one block.
     """
     rhos = [sp.sympify(r) for r in rhos]
     states = list(ctx.states)
     grads = [[sp.diff(r, v) for v in states] for r in rhos]
     plan = _linear_plan(rhos, ctx)
+    fns = iter(compile_evaluators(
+        [rhos, rhos + sum(grads, [])] + [[c] for c in ctx.nonzero]
+        + [[e] for _, ts in plan for _, *pair in ts for e in pair],
+        ctx.symbols))
+    residual, newton = next(fns), next(fns)
+    constraints = [next(fns) for _ in ctx.nonzero]
+    linear = [(symbols, [(v, states.index(v), next(fns), next(fns))
+                         for v, _, _ in ts]) for symbols, ts in plan]
     points = []
-    attempts = 0
-    while len(points) < count and attempts < 60 * count:
-        attempts += 1
-        pvals = sample_params(ctx, rng)
-        point = {v: rng.uniform(-box, box) for v in states}
-        point.update(pvals)
-        if _solve_linear(plan, point, ctx) or \
-                _newton_project(rhos, grads, point, ctx, newton_steps):
-            res = max(abs(evaluate(r, point, ctx)) for r in rhos)
-            if res <= NEWTON_RESIDUAL_TOL and \
-                    constraints_ok(point, ctx, CONSTRAINT_MARGIN):
-                points.append(dict(point))
+    attempts, budget = 0, 60 * count
+    while len(points) < count and attempts < budget:
+        # the loop would make at least this many attempts
+        for values in map(np.ndarray.tolist, _attempts(
+                ctx, rng, min(count - len(points), budget - attempts), box)):
+            attempts += 1
+            if _solve_linear(linear, values) or _newton_project(
+                    newton, (len(rhos), len(states)), values, newton_steps):
+                res = max(map(abs, residual(*values)))
+                if res <= NEWTON_RESIDUAL_TOL and \
+                        _constraints_ok(constraints, values):
+                    points.append(dict(zip(ctx.symbols, values)))
     if len(points) < count:
         raise SamplingFailed(
             f"zero-locus sampling produced {len(points)}/{count} points")
     return points
+
+
+def _attempts(ctx, rng, k, box):
+    """k attempts' rows of values in ctx.symbols order, drawn as sample_params
+    and a uniform(-box, box) per state do: uniform(lo, hi) = lo+(hi-lo)u."""
+    signs = [ctx.param_signs.get(q) for q in ctx.params]
+    u = rng.random((k, len(signs) + signs.count(None) + len(ctx.states)))
+    params, col = [], 0
+    for sign in signs:
+        v = 0.5 + 1.5 * u[:, col]
+        if sign is None:  # its sign draw comes next
+            col += 1
+            v = np.where(u[:, col] < 0.5, -v, v)
+        params.append(-v if sign == "-" else v)
+        col += 1
+    states = -box + (box - -box) * u[:, col:]
+    return np.column_stack([states, *params])
 
 
 def _linear_plan(rhos, ctx):
@@ -67,24 +87,25 @@ def _linear_plan(rhos, ctx):
     return plan
 
 
-def _solve_linear(plan, point, ctx):
-    """Solve the system one variable at a time where rhos are linear.
+def _solve_linear(plan, values):
+    """Solve the system one variable at a time where rhos are linear, by
+    the plan's (v, index of v, compiled a, compiled rest) terms.
 
     Each rho is solved for a state that no earlier solved rho mentions, so
     later solutions leave the earlier equations satisfied.
     """
     fixed = set()
     for symbols, terms in plan:
-        for v, a, rest in terms:
+        for v, i, a, rest in terms:
             if v in fixed:
                 continue
             try:
-                aval = evaluate(a, point, ctx)
+                aval, = a(*values)
             except POINT_ERRORS:
                 return False
             if abs(aval) < 1e-6:
                 continue
-            point[v] = -evaluate(rest, point, ctx) / aval
+            values[i] = -rest(*values)[0] / aval
             fixed |= symbols
             break
         else:
@@ -92,17 +113,16 @@ def _solve_linear(plan, point, ctx):
     return True
 
 
-def _newton_project(rhos, grads, point, ctx, steps):
-    states = list(ctx.states)
-    x = np.array([point[v] for v in states], dtype=float)
+def _newton_project(newton, shape, values, steps):
+    """Damped Newton steps on values[:n] by newton's k rhos and Jacobian."""
+    k, n = shape
+    x = np.array(values[:n], dtype=float)
     for _ in range(steps):
-        at = _assign(point, states, x)
         try:
-            r = np.array([evaluate(rho, at, ctx) for rho in rhos])
-            J = np.array([[evaluate(g, at, ctx) for g in row]
-                          for row in grads])
+            out = newton(*x.tolist(), *values[n:])
         except POINT_ERRORS:
             return False
+        r, J = np.array(out[:k]), np.array(out[k:]).reshape(shape)
         if np.max(np.abs(r)) <= NEWTON_RESIDUAL_TOL:
             break
         try:
@@ -110,13 +130,15 @@ def _newton_project(rhos, grads, point, ctx, steps):
         except np.linalg.LinAlgError:
             return False
         x = x - 0.8 * step
-    for v, xv in zip(states, x):
-        point[v] = float(xv)
+    values[:n] = x.tolist()
     return True
 
 
-def _assign(point, states, x):
-    out = dict(point)
-    for v, xv in zip(states, x):
-        out[v] = float(xv)
-    return out
+def _constraints_ok(constraints, values):
+    """True when every compiled declared-nonzero expression evaluates at the
+    values and exceeds the margin in absolute value (or is NaN)."""
+    try:
+        return all(not abs(c(*values)[0]) <= CONSTRAINT_MARGIN
+                   for c in constraints)
+    except POINT_ERRORS:
+        return False

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -14,8 +15,10 @@ from ctrlinv.errors import (
     UnknownSymbol,
 )
 from ctrlinv.expr import (
+    EVAL_SINGULAR_TOL,
     SymbolContext,
     Verdict,
+    compile_evaluators,
     differentiate,
     divide_exact,
     evaluate,
@@ -205,6 +208,94 @@ class TestEvaluate:
 
     def test_negative_one(self):
         assert evaluate(sp.S.NegativeOne, {}) == -1.0
+
+
+def _reference_eval(e, point):
+    """`evaluate`'s tree walk, kept as the oracle of the generated
+    evaluators."""
+    if e.is_Number:
+        return float(e)
+    if e.is_Symbol:
+        try:
+            return float(point[e])
+        except KeyError:
+            raise UnknownSymbol(f"no value assigned for {e}") from None
+    if e.is_Add:
+        return math.fsum(_reference_eval(a, point) for a in e.args)
+    if e.is_Mul:
+        out = 1.0
+        for a in e.args:
+            out *= _reference_eval(a, point)
+        return out
+    if e.is_Pow:
+        base = _reference_eval(e.base, point)
+        exp = e.exp
+        if not exp.is_Integer:
+            raise NotPolynomial(f"non-integer exponent: {e}")
+        if exp < 0 and abs(base) < EVAL_SINGULAR_TOL:
+            raise EvalSingular(f"denominator below threshold in {e}")
+        return base ** int(exp)
+    if isinstance(e, sp.sin):
+        return math.sin(_reference_eval(e.args[0], point))
+    if isinstance(e, sp.cos):
+        return math.cos(_reference_eval(e.args[0], point))
+    raise NotPolynomial(f"node outside expression class: {e!r}")
+
+
+def _result(fn, *args):
+    """fn's value, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # compared, whatever it is
+        return type(exc), str(exc)
+
+
+class TestCompiledEvaluators:
+    SYMBOLS = (x, y, z, w, a, b)
+
+    def assert_evaluates_as_evaluate(self, groups, points):
+        fns = compile_evaluators(groups, self.SYMBOLS)
+        for point in points:
+            values = [point[s] for s in self.SYMBOLS]
+            for fn, group in zip(fns, groups):
+                want = _result(lambda: tuple(
+                    evaluate(e, point) for e in group))
+                assert repr(_result(fn, *values)) == repr(want), group
+                assert repr(want) == repr(_result(lambda: tuple(
+                    _reference_eval(sp.sympify(e), point) for e in group)))
+
+    def test_random_expressions(self):
+        rng = random.Random(20261)
+        extra = [c * x, x ** sp.Rational(1, 2), sp.exp(y), 1 / (x - y),
+                 sp.Rational(2, 3) / (z * w ** 2), sp.sin(x) / sp.cos(w),
+                 sp.cos(x * y) ** -3, sp.nan, sp.oo * y]
+        groups = [[_random_expression(rng) for _ in range(rng.randint(1, 4))]
+                  + rng.sample(extra, rng.randint(0, 1)) for _ in range(120)]
+        points = []
+        for _ in range(12):
+            point = {s: rng.uniform(-2, 2) for s in self.SYMBOLS}
+            if rng.random() < 0.5:  # a vanishing or tiny denominator
+                point[rng.choice(self.SYMBOLS)] = rng.choice([0.0, 1e-13])
+            points.append(point)
+        self.assert_evaluates_as_evaluate(groups, points)
+        kinds = {type(_result(lambda: tuple(evaluate(e, p) for e in g)))
+                 for g in groups for p in points}
+        raised = {_result(lambda: tuple(evaluate(e, p) for e in g))[0]
+                  for g in groups for p in points}
+        assert kinds == {tuple} and {EvalSingular, UnknownSymbol,
+                                     NotPolynomial} <= raised
+
+    def test_raises_when_called(self):
+        groups = [[sp.exp(x)], [x ** sp.Rational(1, 2)], [y + c],
+                  [x + 1, 1 / y, c], [sp.sin(c) + y]]
+        self.assert_evaluates_as_evaluate(
+            groups, [dict.fromkeys(self.SYMBOLS, 0.0),
+                     dict.fromkeys(self.SYMBOLS, 0.5)])
+        fns = compile_evaluators(groups, self.SYMBOLS)
+        with pytest.raises(EvalSingular):  # 1/y before the unknown c
+            fns[3](*[0.0] * 6)
+        with pytest.raises(UnknownSymbol, match="no value assigned for c"):
+            fns[3](*[1.0] * 6)
 
 
 def test_random_point_unsatisfiable_raises_named_error():

@@ -172,6 +172,42 @@ class TestAnnihilator:
         assert ann.rank == 2
 
 
+# the chained form in 8 states, whose flag descends one rank per level
+CHAINED8 = ("states: x1 x2 x3 x4 x5 x6 x7 x8\n"
+            "control g1: [1, 0, x2, x3, x4, x5, x6, x7]\n"
+            "control g2: [0, 1, 0, 0, 0, 0, 0, 0]\n")
+
+
+class TestCompleteCoframe:
+    @pytest.mark.parametrize("columns, matched", [
+        ([[0, 1], [0]], True), ([[0], [0]], False), ([[1], [0, 2], [0]], True),
+        ([[0, 1], [0, 1], [1]], False), ([], True)])
+    def test_matching(self, columns, matched):
+        assert flag_module._has_matching(columns) is matched
+
+    def test_determinants_only_where_nonzero(self, monkeypatch):
+        # every zero pivot determinant of chained(8)'s flag is zero by its
+        # nonzero pattern alone, so each one computed is nonzero
+        def run(has_matching):
+            real, dets = flag_module.determinant, []
+
+            def determinant(rows):
+                dets.append(real(rows))
+                return dets[-1]
+
+            monkeypatch.setattr(flag_module, "determinant", determinant)
+            monkeypatch.setattr(flag_module, "_has_matching", has_matching)
+            flag = derived_flag(parse_system(CHAINED8))
+            monkeypatch.undo()
+            return flag, dets
+
+        flag, dets = run(flag_module._has_matching)
+        every_flag, every = run(lambda columns: True)  # no block skipped
+        assert len(dets) == sum(1 for d in every if d) == 27
+        assert all(dets) and len(every) == 246
+        assert flag == every_flag
+
+
 class TestTorsion:
     def test_single_entry(self, ex1):
         ann = annihilator(ex1)

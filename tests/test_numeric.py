@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 import sympy as sp
 
-import ctrlinv.expr as expr_module
 import ctrlinv.numeric as numeric_module
 import ctrlinv.sampling as sampling_module
 from ctrlinv.dsl import ControlAffineSystem, ControlSchedule, parse_system
@@ -16,7 +15,13 @@ from ctrlinv.errors import (
     SamplingFailed,
     StepSingular,
 )
-from ctrlinv.expr import SymbolContext, evaluate, normalize
+from ctrlinv.expr import (
+    POINT_ERRORS,
+    SymbolContext,
+    evaluate,
+    normalize,
+    sample_params,
+)
 from ctrlinv.numeric import (
     INV_TOL_BASE,
     InvarianceVerdict,
@@ -27,7 +32,6 @@ from ctrlinv.numeric import (
     invariance_test,
     iterated_brackets,
     lie_bracket,
-    random_schedule,
     rhs_function,
     simulate,
 )
@@ -345,9 +349,9 @@ class TestDormandPrince:
                         horizon=1.0, h=1e-2, seed=7)
         ends = seen[0][3]  # the switch times, then the horizon, per trial
         accepted = [set() for _ in ends]
-        for t, ok, _, _ in seen[1:]:
+        for trials, t, ok, _, _ in seen[1:]:
             for i in np.flatnonzero(ok):
-                accepted[i].add(float(t[i]))
+                accepted[trials[i]].add(float(t[i]))
         for trial, times in zip(ends, accepted):
             assert set(trial.tolist()) <= times
             assert max(times) == 1.0
@@ -505,17 +509,26 @@ class TestSamplingErrors:
 
     @staticmethod
     def _failing_once(monkeypatch, target, exc):
-        real = sampling_module.evaluate
+        """The first call of a compiled function that evaluates target
+        raises exc."""
+        real = sampling_module.compile_evaluators
         failed = []
 
-        def evaluate(e, point, ctx=None):
-            if not failed and sp.sympify(e) == target:
-                failed.append(e)
-                raise exc
-            return real(e, point, ctx)
+        def failing_first(fn, group):
+            def call(*values):
+                if not failed:
+                    failed.append(group)
+                    raise exc
+                return fn(*values)
 
-        monkeypatch.setattr(sampling_module, "evaluate", evaluate)
-        monkeypatch.setattr(expr_module, "evaluate", evaluate)  # constraints
+            return call if target in group else fn
+
+        def compile_evaluators(groups, symbols):
+            return [failing_first(fn, group)
+                    for fn, group in zip(real(groups, symbols), groups)]
+
+        monkeypatch.setattr(sampling_module, "compile_evaluators",
+                            compile_evaluators)
         return failed
 
     @pytest.mark.parametrize("rhos, nonzero, target", SITES, ids=IDS)
@@ -707,6 +720,17 @@ def _reference_simulate(sys: ControlAffineSystem, x0, schedule: ControlSchedule,
     return Trajectory(times=times, states=xs, controls=us,
                       schedule=schedule, rho_values=rho_values)
 
+def _reference_random_schedule(rng, m, pieces, horizon) -> ControlSchedule:
+    cuts = np.sort(rng.uniform(0, horizon, size=pieces - 1)) if pieces > 1 \
+        else np.array([])
+    bounds = np.concatenate([[0.0], cuts, [horizon]])
+    durs = np.diff(bounds)
+    durs = np.maximum(durs, 1e-6)
+    vals = rng.uniform(-1.0, 1.0, size=(pieces, m))
+    return ControlSchedule(tuple((float(d), tuple(map(float, v)))
+                                 for d, v in zip(durs, vals)))
+
+
 def _reference_invariance_test(sys: ControlAffineSystem, rhos, trials=100, pieces=10,
                     horizon=5.0, h=1e-3, seed=42) -> InvarianceVerdict:
     """Monte-Carlo invariance check of the zero locus of rhos.
@@ -718,7 +742,7 @@ def _reference_invariance_test(sys: ControlAffineSystem, rhos, trials=100, piece
     ctx = sys.ctx
     rhos = [sp.sympify(r) for r in rhos]
     rng = np.random.default_rng(seed)
-    starts = zero_locus_points(rhos, ctx, rng, count=trials)
+    starts = _reference_zero_locus_points(rhos, ctx, rng, count=trials)
 
     x = np.array([[pt[v] for v in ctx.states] for pt in starts])
     p = np.array([[pt[q] for q in ctx.params] for pt in starts]) \
@@ -727,7 +751,8 @@ def _reference_invariance_test(sys: ControlAffineSystem, rhos, trials=100, piece
     # grid step -> (trial, control) of every piece starting there
     switches = {}
     for t in range(trials):
-        sched, _ = _piece_steps(random_schedule(rng, sys.m, pieces, horizon), h)
+        sched, _ = _piece_steps(_reference_random_schedule(
+            rng, sys.m, pieces, horizon), h)
         i = 0
         for count, ut in sched:
             if count:
@@ -771,7 +796,7 @@ def _reference_escape_test(sys: ControlAffineSystem, rhos, seed=42, horizon=5.0,
     ctx = sys.ctx
     rhos = [sp.sympify(r) for r in rhos]
     rng = np.random.default_rng(seed)
-    pts = zero_locus_points(rhos, ctx, rng, count=starts)
+    pts = _reference_zero_locus_points(rhos, ctx, rng, count=starts)
     m = sys.m
     controls = [np.zeros(m)]
     for j in range(m):
@@ -826,6 +851,13 @@ BLOWUP = "states: x y\ncontrol g1: [10^60*x^2, 0]\ncontrol g2: [0, 1]\n"
 CHAINED8 = ("states: x1 x2 x3 x4 x5 x6 x7 x8\n"
             "control g1: [1, 0, x2, x3, x4, x5, x6, x7]\n"
             "control g2: [0, 1, 0, 0, 0, 0, 0, 0]\n")
+# a parameter of each sign and an unsigned one between them
+SIGNS = ("states: x y z\nparams: a < 0, b, c > 0\n"
+         "drift: [a*x + c, b*y, 0]\n"
+         "control g1: [1, c*z, b]\ncontrol g2: [0, a, x*y]\n")
+# a locus reached by Newton steps only: no rho is linear in a state
+CIRCLE = "states: x y\ncontrol g1: [-y, x]\ncontrol g2: [x, y]\n"
+C = sp.Symbol("c")
 X1 = sp.Symbol("x1")
 # system -> loci tested for invariance and escape
 ORACLE_LOCI = {
@@ -840,6 +872,8 @@ ORACLE_LOCI = {
     "chained8": [[X1]],
     "shared": [[y - sp.cos(w)], [x * sp.cos(w) - z, w]],
     "blowup": [[y], [x - 1]],
+    "signs": [[x - a * y], [z + b, x * y - C]],
+    "circle": [[x**2 + y**2 - 1]],
 }
 
 
@@ -847,8 +881,8 @@ def oracle_system(name, request):
     if name == "shared":
         return SHARED
     text = {"dense": DENSE, "params": PARAM_ROWS, "singular": SINGULAR,
-            "overflow": OVERFLOW, "blowup": BLOWUP,
-            "chained8": CHAINED8}.get(name)
+            "overflow": OVERFLOW, "blowup": BLOWUP, "signs": SIGNS,
+            "circle": CIRCLE, "chained8": CHAINED8}.get(name)
     return parse_system(text) if text else request.getfixturevalue(name)
 
 
@@ -1013,3 +1047,239 @@ def test_invariance_attempt_evaluates_fields_six_times(ex3, monkeypatch):
     attempts = len(seen) - 2  # the arguments and the start come first
     assert attempts > 3
     assert len(calls) == 1 + 6 * attempts
+
+
+# --- block draws and the live-trial sweep against the loops they replace -----
+#
+# _reference_zero_locus_points (one attempt per loop, tree-walking
+# `evaluate`), _reference_dp_sweep (every trial to the end) and
+# _reference_sweep_invariance_test (one `_reference_random_schedule` per
+# trial, the sums over the whole batch) are the earlier code, kept verbatim:
+# the same floats, verdicts and generator state are required.
+
+def _reference_zero_locus_points(rhos, ctx: SymbolContext, rng, count=20,
+                                 box=1.0, newton_steps=20):
+    rhos = [sp.sympify(r) for r in rhos]
+    states = list(ctx.states)
+    grads = [[sp.diff(r, v) for v in states] for r in rhos]
+    plan = sampling_module._linear_plan(rhos, ctx)
+    points = []
+    attempts = 0
+    while len(points) < count and attempts < 60 * count:
+        attempts += 1
+        pvals = sample_params(ctx, rng)
+        point = {v: rng.uniform(-box, box) for v in states}
+        point.update(pvals)
+        if _reference_solve_linear(plan, point, ctx) or \
+                _reference_newton_project(rhos, grads, point, ctx,
+                                          newton_steps):
+            res = max(abs(evaluate(r, point, ctx)) for r in rhos)
+            if res <= sampling_module.NEWTON_RESIDUAL_TOL and \
+                    _reference_constraints_ok(point, ctx, CONSTRAINT_MARGIN):
+                points.append(dict(point))
+    if len(points) < count:
+        raise SamplingFailed(
+            f"zero-locus sampling produced {len(points)}/{count} points")
+    return points
+
+
+def _reference_constraints_ok(point, ctx: SymbolContext, margin):
+    for c in ctx.nonzero:
+        try:
+            if abs(evaluate(c, point, ctx)) <= margin:
+                return False
+        except POINT_ERRORS:
+            return False
+    return True
+
+
+def _reference_solve_linear(plan, point, ctx):
+    fixed = set()
+    for symbols, terms in plan:
+        for v, a, rest in terms:
+            if v in fixed:
+                continue
+            try:
+                aval = evaluate(a, point, ctx)
+            except POINT_ERRORS:
+                return False
+            if abs(aval) < 1e-6:
+                continue
+            point[v] = -evaluate(rest, point, ctx) / aval
+            fixed |= symbols
+            break
+        else:
+            return False
+    return True
+
+
+def _reference_newton_project(rhos, grads, point, ctx, steps):
+    states = list(ctx.states)
+    x = np.array([point[v] for v in states], dtype=float)
+    for _ in range(steps):
+        at = dict(point)
+        for v, xv in zip(states, x):
+            at[v] = float(xv)
+        try:
+            r = np.array([evaluate(rho, at, ctx) for rho in rhos])
+            J = np.array([[evaluate(g, at, ctx) for g in row]
+                          for row in grads])
+        except POINT_ERRORS:
+            return False
+        if np.max(np.abs(r)) <= sampling_module.NEWTON_RESIDUAL_TOL:
+            break
+        try:
+            step = J.T @ np.linalg.solve(J @ J.T, r)
+        except np.linalg.LinAlgError:
+            return False
+        x = x - 0.8 * step
+    for v, xv in zip(states, x):
+        point[v] = float(xv)
+    return True
+
+
+def _reference_dp_sweep(rhs, x, p, ends, controls, h, budget):
+    fields = rhs.fields
+    rows = np.arange(x.shape[1])
+    horizon = ends[:, -1]
+    piece = np.zeros(len(rows), dtype=int)
+    t = np.zeros(len(rows))
+    h = np.full(len(rows), h)
+    u = controls[:, 0]
+    yield t, np.ones(len(rows), dtype=bool), np.zeros_like(x), \
+        fields.evaluate(x.T, p)
+    k1 = fields.field(u).T
+    for _ in range(budget):
+        if not np.any(t < horizon):
+            return
+        stop = ends[rows, piece]
+        lands = t + h >= stop
+        t_new = np.where(lands, stop, t + h)
+        step = t_new - t  # 0 once a trial is at its horizon
+        x_new, err, rho, k_new = numeric_module._dp_step(rhs, x, u, p, step,
+                                                         k1)
+        scale = numeric_module.ATOL + numeric_module.RTOL * np.maximum(
+            np.abs(x), np.abs(x_new))
+        e = np.sqrt(np.add.reduce(np.square(err / scale), axis=0) / len(x))
+        e[np.isnan(e)] = np.inf
+        accepted = (t < horizon) & (e <= 1.0)
+        proposed = step * np.clip(0.9 * e ** -0.2, 0.2, 5.0)
+        h = np.where(accepted & lands, np.maximum(h, proposed), proposed)
+        chord = x_new - x
+        x = np.where(accepted, x_new, x)
+        t = np.where(accepted, t_new, t)
+        switched = accepted & lands & (t < horizon)
+        if switched.any():  # the next piece's controls
+            piece = piece + switched
+            u = controls[rows, piece]
+            k_new = fields.field(u).T
+        k1 = np.where(accepted, k_new, k1)
+        yield t, accepted, chord, rho
+    if np.any(t < horizon):
+        raise StepSingular(f"error-controlled steps fell short of the "
+                           f"horizon within the budget of {budget} steps")
+
+
+def _reference_sweep_invariance_test(sys: ControlAffineSystem, rhos,
+                                     trials=100, pieces=10, horizon=5.0,
+                                     h=1e-3, seed=42) -> InvarianceVerdict:
+    ctx = sys.ctx
+    rhos = [sp.sympify(r) for r in rhos]
+    rng = np.random.default_rng(seed)
+    starts = _reference_zero_locus_points(rhos, ctx, rng, count=trials)
+
+    x = np.array([[pt[v] for v in ctx.states] for pt in starts]).T.copy()
+    p = np.array([[pt[q] for q in ctx.params] for pt in starts],
+                 dtype=float).reshape(trials, len(ctx.params))
+    durations = np.empty((trials, pieces))
+    controls = np.empty((trials, pieces, sys.m))
+    for i in range(trials):
+        sched = _reference_random_schedule(rng, sys.m, pieces, horizon).pieces
+        durations[i] = [d for d, _ in sched]
+        controls[i] = [u for _, u in sched]
+    ends = np.minimum(np.cumsum(durations, axis=1), horizon)
+    ends[:, -1] = horizon
+    rhs = rhs_function(sys, rhos)
+    max_rho = np.zeros(trials)
+    arclen = np.zeros(trials)
+    errors = []
+    with np.errstate(all="ignore"):
+        try:
+            for _, accepted, chord, rho in _reference_dp_sweep(
+                    rhs, x, p, ends, controls, h,
+                    max(numeric_module.MIN_BUDGET, round(horizon / h))):
+                arclen += np.where(accepted, np.sqrt(
+                    np.add.reduce(chord * chord, axis=0)), 0.0)
+                np.maximum(max_rho, np.where(accepted, np.maximum.reduce(
+                    np.abs(rho), axis=0), 0.0), out=max_rho)
+        except StepSingular as e:
+            errors.append(str(e))
+    tols = INV_TOL_BASE * (1.0 + arclen)
+    held = bool(np.all(max_rho < tols) and np.all(np.isfinite(tols))) \
+        and not errors
+    per_trial = tuple((float(m_), float(a), float(t_))
+                      for m_, a, t_ in zip(max_rho, arclen, tols))
+    return InvarianceVerdict(
+        verdict="Held" if held else "Violated",
+        max_rho=float(np.max(max_rho)),
+        tolerance=float(np.min(tols)),
+        trials=per_trial, seed=seed, errors=tuple(errors))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestBlocksAgainstLoops:
+    @pytest.mark.parametrize("name", sorted(ORACLE_LOCI))
+    @pytest.mark.parametrize("count, seed, box", [(1, 2, 1.0), (30, 3, 1.0),
+                                                  (200, 8, 2.5)])
+    def test_zero_locus_points(self, name, count, seed, box, request):
+        ctx = oracle_system(name, request).ctx
+        for rhos in ORACLE_LOCI[name]:
+            got_rng, want_rng = (np.random.default_rng(seed) for _ in "ab")
+            assert_same(
+                outcome(zero_locus_points, rhos, ctx, got_rng, count=count,
+                        box=box),
+                outcome(_reference_zero_locus_points, rhos, ctx, want_rng,
+                        count=count, box=box))
+            assert got_rng.random() == want_rng.random()
+
+    def test_sampling_failure_leaves_same_generator(self):
+        got_rng, want_rng = (np.random.default_rng(6) for _ in "ab")
+        for fn, rng in ((zero_locus_points, got_rng),
+                        (_reference_zero_locus_points, want_rng)):
+            with pytest.raises(SamplingFailed, match="produced 0/7 points"):
+                fn([x**2 + 1], CTX, rng, count=7)
+        assert got_rng.random() == want_rng.random()
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_LOCI))
+    @pytest.mark.parametrize("trials, pieces, seed", [(1, 3, 5), (30, 3, 3),
+                                                      (200, 5, 8), (40, 1, 4)])
+    def test_invariance_test(self, name, trials, pieces, seed, request):
+        sys = oracle_system(name, request)
+        for rhos in ORACLE_LOCI[name]:
+            kwargs = dict(trials=trials, pieces=pieces, horizon=0.3, h=1e-2,
+                          seed=seed)
+            assert_same(
+                outcome(invariance_test, sys, rhos, **kwargs),
+                outcome(_reference_sweep_invariance_test, sys, rhos,
+                        **kwargs))
+
+    @pytest.mark.parametrize("rho, trials, horizon, seed",
+                             [(X1, 2, 3.0, 1), (sp.Symbol("x8"), 3, 1.0, 0)])
+    def test_last_live_trial_of_eight_states(self, rho, trials, horizon,
+                                             seed):
+        # numpy sums the 8 components of a lone column pairwise, not in
+        # order; the last live trial of these runs would take other steps
+        # alone than beside a finished one
+        kwargs = dict(trials=trials, pieces=3, horizon=horizon, h=1e-2,
+                      seed=seed)
+        sys = parse_system(CHAINED8)
+        assert_same(invariance_test(sys, [rho], **kwargs),
+                    _reference_sweep_invariance_test(sys, [rho], **kwargs))
+
+    def test_sweep_drops_trials_at_their_horizon(self, ex4, monkeypatch):
+        seen = recording_sweep(monkeypatch)
+        invariance_test(ex4, [b * x - a * z], trials=50, pieces=3,
+                        horizon=1.0, h=1e-2, seed=7)
+        widths = [len(item[0]) for item in seen[1:]]
+        assert widths[0] == 50 and widths[-1] == 2
+        assert widths == sorted(widths, reverse=True)
