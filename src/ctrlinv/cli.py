@@ -26,6 +26,7 @@ from .integrals import (
     check_membership,
     gfi_candidates,
     numeric_evidence,
+    _extended_ctx,
     _integral_entry,
 )
 from .numeric import (
@@ -273,8 +274,15 @@ def _simulate(args, system):
 
 def _brackets(args, system):
     ctx = system.ctx
-    brackets = iterated_brackets(list(system.controls), ctx, depth=args.depth)
-    point = random_point(ctx, np.random.default_rng(args.seed))
+    brackets = iterated_brackets(
+        [tuple(to_field(e, ctx) for e in g) for g in system.controls], ctx,
+        depth=args.depth)
+    # at a pole of a bracket its evaluation below would raise EvalSingular
+    poles = dict.fromkeys(ctx.field(c.denom.monic()) for F in brackets
+                          for c in F if not c.denom.is_ground)
+    point = random_point(_extended_ctx(ctx, poles),
+                         np.random.default_rng(args.seed))
+    brackets = [[from_field(c) for c in F] for F in brackets]
     rank = svd_rank([[evaluate(c, point, ctx) for c in F] for F in brackets])
     _emit({
         "schema": 1,

@@ -79,6 +79,13 @@ class SymbolContext:
             f(v) for v in self.symbols for f in (sp.sin, sp.cos)))
 
     @functools.cached_property
+    def state_generators(self):
+        """Each state v -> the positions in field.symbols of v and of sin(v);
+        cos(v) follows sin(v)."""
+        index = {g: i for i, g in enumerate(self.field.symbols)}
+        return {v: (index[v], index[sp.sin(v)]) for v in self.states}
+
+    @functools.cached_property
     def nonzero_elements(self):
         """The declared-nonzero expressions as elements of the field."""
         return tuple(to_field(c, self) for c in self.nonzero)
@@ -227,16 +234,15 @@ def differentiate(f, v, ctx: SymbolContext):
 
     The result is not reduced: callers reduce it once, together with
     whatever they add to it (gradient, forms.d)."""
-    if v not in ctx.states:
-        raise UnknownSymbol(f"not a declared state variable: {v}")
+    try:
+        i, j = ctx.state_generators[v]
+    except KeyError:
+        raise UnknownSymbol(f"not a declared state variable: {v}") from None
     K = f.field
-    gens = K.ring.gens
-    i = K.symbols.index(v)
-    j = K.symbols.index(sp.sin(v))
-    sin, cos = gens[j], gens[j + 1]
+    sin, cos = K.ring.gens[j], K.ring.gens[j + 1]
 
     def D(p):
-        return p.diff(gens[i]) + cos * p.diff(sin) - sin * p.diff(cos)
+        return p.diff(i) + cos * p.diff(j) - sin * p.diff(j + 1)
 
     if f.denom.is_ground:
         return K.new(D(f.numer), f.denom)

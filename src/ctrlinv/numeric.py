@@ -14,7 +14,14 @@ from sympy.printing.numpy import NumPyPrinter
 
 from .dsl import ControlAffineSystem, ControlSchedule
 from .errors import DomainExit, EvalSingular, StepSingular
-from .expr import SymbolContext, evaluate, normalize
+from .expr import (
+    SymbolContext,
+    differentiate,
+    evaluate,
+    from_field,
+    reduce_fraction,
+    to_field,
+)
 from .sampling import CONSTRAINT_MARGIN, zero_locus_points
 
 SV_RANK_TOL = 1e-8
@@ -494,34 +501,34 @@ def escape_test(sys: ControlAffineSystem, rhos, seed=42, horizon=5.0,
 # --- Lie brackets and rank checks -------------------------------------------
 
 def lie_bracket(X, Y, ctx: SymbolContext):
-    """[X, Y]_i = sum_k (X_k dY_i/dx_k - Y_k dX_i/dx_k), exact."""
-    n = len(ctx.states)
+    """[X, Y]_i = sum_k (X_k dY_i/dx_k - Y_k dX_i/dx_k) on ctx.field rows."""
     out = []
-    for i in range(n):
-        total = sp.Integer(0)
+    for i in range(len(ctx.states)):
+        total = ctx.field.zero
         for k, v in enumerate(ctx.states):
-            total += X[k] * sp.diff(Y[i], v) - Y[k] * sp.diff(X[i], v)
-        out.append(normalize(total, ctx))
+            if X[k]:
+                total += X[k] * differentiate(Y[i], v, ctx)
+            if Y[k]:
+                total -= Y[k] * differentiate(X[i], v, ctx)
+        out.append(reduce_fraction(total))
     return tuple(out)
 
 
 def iterated_brackets(fields, ctx, depth=BRACKET_DEPTH):
-    """Left iterated brackets [X_{i1},[...,[X_{ik-1}, X_{ik}]...]] to depth."""
+    """Nonzero left iterated brackets [X_{i1},[...,[X_{ik-1}, X_{ik}]...]]
+    of ctx.field rows to depth."""
     layers = [list(fields)]
     for _ in range(1, depth):
         new = []
         for Y in layers[-1]:
             for X in fields:
                 br = lie_bracket(X, Y, ctx)
-                if any(c != 0 for c in br):
+                if any(br):
                     new.append(br)
         if not new:
             break
         layers.append(new)
-    out = []
-    for layer in layers:
-        out.extend(layer)
-    return out
+    return [F for layer in layers for F in layer]
 
 
 def svd_rank(vectors):
@@ -533,7 +540,7 @@ def svd_rank(vectors):
 
 def bracket_rank(fields, point, ctx, depth=BRACKET_DEPTH):
     """Numeric rank at a point of the iterated brackets up to given depth."""
-    return svd_rank([[evaluate(c, point, ctx) for c in F]
+    return svd_rank([[evaluate(from_field(c), point, ctx) for c in F]
                      for F in iterated_brackets(fields, ctx, depth=depth)])
 
 
@@ -550,7 +557,8 @@ def leaf_controllability(sys: ControlAffineSystem, rhos, leaf_dim, seed=42,
     pts = zero_locus_points(rhos, ctx, np.random.default_rng(seed + 7),
                             count=points)
     grads = [[sp.diff(r, v) for v in ctx.states] for r in rhos]
-    brackets = iterated_brackets(list(sys.controls), ctx)
+    brackets = [[from_field(c) for c in F] for F in iterated_brackets(
+        [tuple(to_field(e, ctx) for e in g) for g in sys.controls], ctx)]
     ranks = []
     tangent = True
     for pt in pts:

@@ -192,6 +192,17 @@ class TestJsonOutput:
         assert payload["depth"] == 3
         assert payload["rank_at_sample_point"] == 3
 
+    def test_brackets_point_avoids_poles(self, capsys, tmp_path):
+        # seed 25 draws x = 0 first, where g1 = (1/x, 0) has its pole
+        path = tmp_path / "pole.sys"
+        path.write_text("states: x y\ncontrol g1: [1/x, 0]\n"
+                        "control g2: [0, 1]\n")
+        code, payload = run_json(capsys, ["brackets", str(path),
+                                          "--seed", "25"])
+        assert code == 0
+        assert payload["sample_point"]["x"] != 0
+        assert payload["rank_at_sample_point"] == 2
+
 
 class TestSimulateCommand:
     def test_csv(self, capsys):

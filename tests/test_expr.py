@@ -107,6 +107,10 @@ class TestDifferentiate:
         with pytest.raises(UnknownSymbol):
             differentiate(F(c * x), c, CTX)
 
+    def test_trig_atom_not_state(self):
+        with pytest.raises(UnknownSymbol):
+            differentiate(F(sp.sin(w), CTX4), sp.sin(w), CTX4)
+
 
 class TestIsZero:
     def test_pythagorean_zero(self):

@@ -19,10 +19,13 @@ from ctrlinv.expr import (
     POINT_ERRORS,
     SymbolContext,
     evaluate,
+    from_field,
     normalize,
     sample_params,
+    to_field,
 )
 from ctrlinv.numeric import (
+    BRACKET_DEPTH,
     INV_TOL_BASE,
     InvarianceVerdict,
     Trajectory,
@@ -37,7 +40,8 @@ from ctrlinv.numeric import (
 )
 from ctrlinv.sampling import CONSTRAINT_MARGIN, zero_locus_points
 
-from conftest import random_poly
+from conftest import field_rows, random_poly
+from test_golden import TRIG4
 
 x, y, z, w = sp.symbols("x y z w")
 a, b = sp.symbols("a b")
@@ -386,56 +390,133 @@ class TestRK4Order:
 
 class TestLieBracket:
     def test_worked_example(self, ex3):
-        g1, g2 = ex3.controls
+        g1, g2 = field_rows(ex3.controls, ex3.ctx)
         br = lie_bracket(g1, g2, ex3.ctx)
         want = (a * sp.sin(w), -sp.cos(w), b * sp.sin(w), 0)
         for got, exp in zip(br, want):
-            assert normalize(got - exp, ex3.ctx) == 0
+            assert not got - to_field(exp, ex3.ctx)
 
     def test_coordinate_fields_commute(self):
-        assert lie_bracket((1, 0, 0), (0, 1, 0), CTX) == (0, 0, 0)
+        X, Y = field_rows([(1, 0, 0), (0, 1, 0)], CTX)
+        assert not any(lie_bracket(X, Y, CTX))
 
     def test_antisymmetry(self):
         rng = random.Random(71)
         for _ in range(30):
-            X = tuple(random_poly(rng, (x, y, z)) for _ in range(3))
-            Y = tuple(random_poly(rng, (x, y, z)) for _ in range(3))
+            X, Y = field_rows([[random_poly(rng, (x, y, z)) for _ in range(3)]
+                               for _ in range(2)], CTX)
             XY = lie_bracket(X, Y, CTX)
             YX = lie_bracket(Y, X, CTX)
             for u, v in zip(XY, YX):
-                assert normalize(u + v, CTX) == 0
+                assert not u + v
 
     def test_jacobi(self):
         rng = random.Random(72)
         for _ in range(10):
-            X = tuple(random_poly(rng, (x, y, z), degree=1) for _ in range(3))
-            Y = tuple(random_poly(rng, (x, y, z), degree=1) for _ in range(3))
-            Z = tuple(random_poly(rng, (x, y, z), degree=1) for _ in range(3))
-            total = [sp.Integer(0)] * 3
+            X, Y, Z = field_rows([[random_poly(rng, (x, y, z), degree=1)
+                                   for _ in range(3)] for _ in range(3)], CTX)
+            total = [CTX.field.zero] * 3
             for A, B, C in ((X, Y, Z), (Y, Z, X), (Z, X, Y)):
                 t = lie_bracket(A, lie_bracket(B, C, CTX), CTX)
                 total = [u + v for u, v in zip(total, t)]
             for c in total:
-                assert normalize(c, CTX) == 0
+                assert not c
 
 
 class TestBracketRank:
     def test_full_rank(self, ex1):
         pt = {x: 1.0, y: 1.0, z: 1.0}
-        assert bracket_rank(list(ex1.controls), pt, ex1.ctx) == 3
+        assert bracket_rank(field_rows(ex1.controls, ex1.ctx), pt,
+                            ex1.ctx) == 3
 
     def test_rank_three_of_four(self, ex3):
         pt = {x: 0.5, y: 0.5, z: 0.5, w: 0.3, a: 1.0, b: 2.0}
-        assert bracket_rank(list(ex3.controls), pt, ex3.ctx, depth=4) == 3
+        assert bracket_rank(field_rows(ex3.controls, ex3.ctx), pt, ex3.ctx,
+                            depth=4) == 3
 
     def test_involutive_stays_low(self):
-        fields = [(1, 0, 0), (0, 1, 0)]
+        fields = field_rows([(1, 0, 0), (0, 1, 0)], CTX)
         pt = {x: 0.2, y: 0.4, z: 0.7}
         assert bracket_rank(fields, pt, CTX) == 2
 
     def test_iterated_brackets_grow(self, ex1):
-        brs = iterated_brackets(list(ex1.controls), ex1.ctx, depth=2)
+        brs = iterated_brackets(field_rows(ex1.controls, ex1.ctx), ex1.ctx,
+                                depth=2)
         assert len(brs) > 2
+
+
+def _reference_lie_bracket(X, Y, ctx: SymbolContext):
+    """[X, Y]_i = sum_k (X_k dY_i/dx_k - Y_k dX_i/dx_k), exact."""
+    n = len(ctx.states)
+    out = []
+    for i in range(n):
+        total = sp.Integer(0)
+        for k, v in enumerate(ctx.states):
+            total += X[k] * sp.diff(Y[i], v) - Y[k] * sp.diff(X[i], v)
+        out.append(normalize(total, ctx))
+    return tuple(out)
+
+
+def _reference_iterated_brackets(fields, ctx, depth=BRACKET_DEPTH):
+    """Left iterated brackets [X_{i1},[...,[X_{ik-1}, X_{ik}]...]] to depth."""
+    layers = [list(fields)]
+    for _ in range(1, depth):
+        new = []
+        for Y in layers[-1]:
+            for X in fields:
+                br = _reference_lie_bracket(X, Y, ctx)
+                if any(c != 0 for c in br):
+                    new.append(br)
+        if not new:
+            break
+        layers.append(new)
+    out = []
+    for layer in layers:
+        out.extend(layer)
+    return out
+
+
+# x y w with an unsigned parameter a and sin(w), cos(w)
+CTX3 = SymbolContext(states=(x, y, w), params=(a,))
+
+
+def random_rational_system(rng):
+    """Two random fields on CTX3 in normal form, as the DSL leaves them:
+    entries affine in x, y, a, sin(w) and cos(w), some divided by one more
+    such entry."""
+    def entry():
+        e = random_poly(rng, (x, y, a), terms=2, degree=1, trig_of=w)
+        if rng.random() < 0.3:
+            den = random_poly(rng, (x, y, a), terms=2, degree=1, trig_of=w)
+            if normalize(den, CTX3) != 0:
+                e = e / den
+        return normalize(e, CTX3)
+
+    return [tuple(entry() for _ in range(3)) for _ in range(2)]
+
+
+def assert_brackets_match(fields, ctx, depth):
+    """iterated_brackets of the fields as field rows is the reference's
+    table, entry by entry and in order."""
+    got = iterated_brackets(field_rows(fields, ctx), ctx, depth=depth)
+    want = _reference_iterated_brackets(fields, ctx, depth=depth)
+    assert [tuple(map(from_field, F)) for F in got] == want
+
+
+class TestBracketsAgainstReference:
+    @pytest.mark.parametrize("name", ["ex1", "ex2", "ex3", "ex4"])
+    def test_worked_systems(self, name, request):
+        sys = request.getfixturevalue(name)
+        assert_brackets_match(sys.controls, sys.ctx, 4)
+
+    def test_trig4(self):
+        sys = parse_system(TRIG4)
+        assert_brackets_match(sys.controls, sys.ctx, 4)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_rational_trig_systems(self, seed):
+        assert_brackets_match(
+            random_rational_system(random.Random(500 + seed)), CTX3, 3)
 
 
 class TestZeroLocusSampling:
