@@ -26,7 +26,6 @@ from .integrals import (
     check_membership,
     gfi_candidates,
     numeric_evidence,
-    _extended_ctx,
     _integral_entry,
 )
 from .numeric import (
@@ -280,7 +279,7 @@ def _brackets(args, system):
     # at a pole of a bracket its evaluation below would raise EvalSingular
     poles = dict.fromkeys(ctx.field(c.denom.monic()) for F in brackets
                           for c in F if not c.denom.is_ground)
-    point = random_point(_extended_ctx(ctx, poles),
+    point = random_point(ctx.assuming(poles),
                          np.random.default_rng(args.seed))
     brackets = [[from_field(c) for c in F] for F in brackets]
     rank = svd_rank([[evaluate(c, point, ctx) for c in F] for F in brackets])

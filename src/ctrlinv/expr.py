@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 from enum import Enum
 from fractions import Fraction
 
@@ -86,9 +86,43 @@ class SymbolContext:
         return {v: (index[v], index[sp.sin(v)]) for v in self.states}
 
     @functools.cached_property
-    def nonzero_elements(self):
-        """The declared-nonzero expressions as elements of the field."""
-        return tuple(to_field(c, self) for c in self.nonzero)
+    def known_factors(self):
+        """Irreducible polynomials of the field's ring known nonzero on the
+        working domain: the generator of each sign-constrained parameter, and
+        the numerator of each declared-nonzero element that is a constant
+        times one irreducible polynomial of multiplicity 1."""
+        R = self.field.ring
+        known = [R.gens[self.symbols.index(p)]
+                 for p, sign in self.param_signs.items() if sign]
+        for e in (to_field(c, self) for c in self.nonzero):
+            if e.denom.is_ground and [m for _, m in factor(e)] == [1]:
+                known.append(e.numer)
+        return tuple(known)
+
+    def known_nonzero(self, f):
+        """True when the field element f is nonzero and each irreducible
+        factor of it is a known factor: dividing them out of its numerator
+        and denominator leaves constants (unique factorization in the ring)."""
+        if not f:
+            return False
+        for part in (f.numer, f.denom):
+            for p in self.known_factors:
+                while not part.is_ground:
+                    q, r = part.div(p)
+                    if r:
+                        break
+                    part = q
+            if not part.is_ground:
+                return False
+        return True
+
+    def assuming(self, elements):
+        """This context with the field elements also declared nonzero."""
+        extra = tuple(e for e in map(from_field, elements)
+                      if e not in self.nonzero)
+        if not extra:
+            return self
+        return replace(self, nonzero=self.nonzero + extra)
 
     def check_symbols(self, e):
         """Raise UnknownSymbol if e mentions an undeclared symbol."""
@@ -381,18 +415,23 @@ def compile_evaluators(groups, symbols):
     `symbols` returning the group's values as `evaluate` does: `_eval`'s
     float operations in its order, once per node, raising what it raises
     where it raises (fsum gets a tuple, not `_eval`'s lazy items)."""
-    ns = {"fsum": math.fsum, "sin": math.sin, "cos": math.cos,
+    ns = {"fsum": math.fsum, "sin": math.sin, "cos": math.cos, "fail": _fail,
           "EvalSingular": EvalSingular, "NotPolynomial": NotPolynomial,
           "UnknownSymbol": UnknownSymbol}
     args = ", ".join(f"_v{i}" for i in range(len(symbols)))
-    source = ["def fail(error, message):", "    raise error(message)"]
+    source = []
     for g, exprs in enumerate(groups):
         body, names = [], {s: f"_v{i}" for i, s in enumerate(symbols)}
         values = "".join(_emit(sp.sympify(e), body, names) + ", "
                          for e in exprs)
         source += [f"def _f{g}({args}):", *body, f"    return ({values})"]
     exec(compile("\n".join(source), "<ctrlinv evaluator>", "exec"), ns)
-    return [ns[f"_f{g}"] for g in range(len(groups))]
+    # popped: a function left in its own globals is freed only by gc
+    return [ns.pop(f"_f{g}") for g in range(len(groups))]
+
+
+def _fail(error, message):
+    raise error(message)
 
 
 def _emit(e, body, names):

@@ -28,7 +28,6 @@ from .errors import (
     RankNotConstant,
 )
 from .expr import (
-    SymbolContext,
     determinant,
     factor,
     from_field,
@@ -102,34 +101,6 @@ class PfaffianFlag:
 
 
 # --- linear algebra over the system's rational-function field --------------
-
-def _known_nonzero(f, ctx: SymbolContext):
-    """True when every irreducible factor is declared or constrained nonzero."""
-    K = f.field
-    for part in (f.numer, f.denom):
-        if part.is_ground:
-            if not part:
-                return False
-            continue
-        for g, _ in factor(K(part)):
-            if not _known_nonzero_factor(g, ctx):
-                return False
-    return True
-
-
-def _known_nonzero_factor(f, ctx):
-    """f is a sign-constrained parameter or a multiple of a nonzero one."""
-    K = f.field
-    if any(sign and f == K.gens[K.symbols.index(p)]
-           for p, sign in ctx.param_signs.items()):
-        return True
-    for c in ctx.nonzero_elements:
-        if c:
-            q = reduce_fraction(f / c)
-            if q.numer.is_ground and q.denom.is_ground:
-                return True
-    return False
-
 
 def rref(rows):
     """Reduced row echelon form of field-element rows.
@@ -285,12 +256,9 @@ def complete_coframe(system: PfaffianSystem, ctx) -> PfaffianSystem:
                                      for r in range(s)), key=len)):
             continue
         det = determinant([[mat[r][c] for c in combo] for r in range(s)])
-        if not det:
-            continue
-        # a nonzero constant or a product of known-nonzero factors
-        if _known_nonzero(det, ctx):
+        if ctx.known_nonzero(det):
             return _with_pivots(system, combo, det)
-        if fallback is None:
+        if det and fallback is None:
             fallback = (combo, det)
     if fallback is not None:
         return _with_pivots(system, *fallback)

@@ -10,7 +10,6 @@ annihilating 1-forms.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from dataclasses import dataclass
 from enum import Enum
@@ -47,7 +46,6 @@ from .flag import (
     PfaffianFlag,
     PfaffianSystem,
     TorsionMatrix,
-    _known_nonzero,
     derived_flag,
     flag_summary,
 )
@@ -222,14 +220,6 @@ def _validated_first_integral(rho, generator, ctx, fields):
 
 # --- candidates from torsion minors -----------------------------------------
 
-def _extended_ctx(ctx, extra_nonzero):
-    extra = tuple(e for e in map(from_field, extra_nonzero)
-                  if e not in ctx.nonzero)
-    if not extra:
-        return ctx
-    return dataclasses.replace(ctx, nonzero=ctx.nonzero + extra)
-
-
 def _clear_known_denominator(f, ctx):
     """Split a field element into (numerator, cleared monic denominator).
 
@@ -238,7 +228,7 @@ def _clear_known_denominator(f, ctx):
     """
     K, lc = f.field, f.denom.LC
     num, den = K(f.numer.quo_ground(lc)), K(f.denom.quo_ground(lc))
-    if not den.numer.is_ground and not _known_nonzero(den, ctx):
+    if not den.numer.is_ground and not ctx.known_nonzero(den):
         raise NotPolynomial(f"denominator {from_field(den)} is not "
                             "certified nonzero on the domain")
     return num, den
@@ -279,7 +269,7 @@ def gfi_candidates(T: TorsionMatrix, ctx: SymbolContext, seed=0,
     Factors of one minor that do not divide the rest are excluded.
     """
     s, ncols = T.shape()
-    ctxe = _extended_ctx(ctx, extra_nonzero)
+    ctxe = ctx.assuming(extra_nonzero)
     for size in range(min(s, ncols), 0, -1):
         minors = []
         for rows in itertools.combinations(range(s), size):
@@ -313,7 +303,7 @@ def check_membership(rhos, system: PfaffianSystem, ctx: SymbolContext,
     certified nonzero).  All outcomes are classifications, never exceptions.
     """
     rhos = tuple(rhos)
-    ctxe = _extended_ctx(ctx, system.constraints)
+    ctxe = ctx.assuming(system.constraints)
     names = [str(v) for v in ctx.states]
     if not nondegenerate(rhos, ctxe, seed=seed):
         return CandidateIntegral(
@@ -498,8 +488,11 @@ def numeric_evidence(sys: ControlAffineSystem, cand: CandidateIntegral,
     """
     rhos = [from_field(r) for r in cand.rhos]
     if cand.classification is Classification.REJECTED:
-        return {"escape": _escape_json(escape_test(
-            sys, rhos, seed=cfg.seed, horizon=cfg.horizon))}
+        try:
+            return {"escape": _escape_json(escape_test(
+                sys, rhos, seed=cfg.seed, horizon=cfg.horizon))}
+        except SamplingFailed:  # no start point: nothing to escape from
+            return {"escape": None}
     if cand.classification is Classification.UNDETERMINED:
         return {}
     if offset is not None:

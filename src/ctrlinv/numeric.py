@@ -162,7 +162,8 @@ class _FieldEvaluator:
 def _compile(source, namespace, name):
     """The function `name` defined by executing generated `source`."""
     exec(compile(source, "<ctrlinv kernel>", "exec"), namespace)
-    return namespace[name]
+    # popped: a function left in its own globals is freed only by gc
+    return namespace.pop(name)
 
 
 def rhs_function(sys: ControlAffineSystem, monitors=()):

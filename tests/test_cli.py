@@ -166,12 +166,27 @@ class TestJsonOutput:
         assert entry["classification"] == "Rejected"
         assert entry["escape"]["value"] > 0.1
 
-    def test_verify_empty_locus_is_domain_error(self, capsys):
-        # x^2 + 1 has no real zeros, so no start point can be sampled
-        assert run(["verify", EX1, "--rho", "x^2+1"] + FAST) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error [verify]: zero-locus sampling")
+    @pytest.mark.parametrize("rho", ["x^2+1", "1"])
+    def test_verify_empty_locus_rejected_without_escape(self, capsys, rho):
+        # no real zeros: rejected as degenerate, and with no start point
+        # there is nothing to escape from
+        code, payload = run_json(capsys, ["verify", EX1, "--rho", rho] + FAST)
+        assert code == 0
+        entry = payload["verify"]
+        assert entry["classification"] == "Rejected"
+        assert entry["evidence"] == {"reason": "NonDegeneracyFailure"}
+        assert entry["escape"] is None
+
+    def test_analyze_reports_candidate_with_empty_locus(self, capsys,
+                                                        tmp_path):
+        path = tmp_path / "ex1_candidate.sys"
+        path.write_text(pathlib.Path(EX1).read_text()
+                        + "candidate rho1: x^2 + 1\n")
+        code, payload = run_json(capsys, ["analyze", str(path)] + FAST)
+        assert code == 0
+        rejected = {e["rho"][0]: e for e in payload["rejected"]}
+        assert rejected["x**2 + 1"]["escape"] is None
+        assert payload["conclusion"] == "1 isolated invariant submanifold(s)"
 
     def test_verify_rejected(self, capsys):
         code, payload = run_json(

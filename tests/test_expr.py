@@ -1,5 +1,7 @@
+import gc
 import math
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -300,6 +302,18 @@ class TestCompiledEvaluators:
             fns[3](*[0.0] * 6)
         with pytest.raises(UnknownSymbol, match="no value assigned for c"):
             fns[3](*[1.0] * 6)
+
+
+    def test_functions_freed_without_cyclic_collector(self):
+        # each function is freed with its last reference, not by gc
+        gc.disable()
+        try:
+            fns = compile_evaluators([[x + y], [1 / x, c]], self.SYMBOLS)
+            refs = [weakref.ref(fn) for fn in fns]
+            del fns
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
 
 
 def test_random_point_unsatisfiable_raises_named_error():

@@ -6,6 +6,7 @@ import pytest
 import sympy as sp
 from sympy import ZZ
 
+import ctrlinv.expr as expr_module
 import ctrlinv.flag as flag_module
 from ctrlinv.dsl import parse_system
 from ctrlinv.errors import (
@@ -13,7 +14,7 @@ from ctrlinv.errors import (
     FlagNotDecreasing,
     RankNotConstant,
 )
-from ctrlinv.expr import SymbolContext, reduce_fraction, to_field
+from ctrlinv.expr import SymbolContext, factor, reduce_fraction, to_field
 from ctrlinv.flag import (
     annihilator,
     certify_rank,
@@ -144,6 +145,105 @@ def _reference_clear_denominators(vec, ctx):
     return [K(p.exquo(g)) for p in scaled]
 
 
+def _reference_known_nonzero(f, ctx: SymbolContext):
+    """The known-nonzero test as it was in flag, factoring f: True when
+    every irreducible factor is declared or constrained nonzero."""
+    K = f.field
+    for part in (f.numer, f.denom):
+        if part.is_ground:
+            if not part:
+                return False
+            continue
+        for g, _ in factor(K(part)):
+            if not _reference_known_nonzero_factor(g, ctx):
+                return False
+    return True
+
+
+def _reference_known_nonzero_factor(f, ctx):
+    """f is a sign-constrained parameter or a multiple of a nonzero one."""
+    K = f.field
+    if any(sign and f == K.gens[K.symbols.index(p)]
+           for p, sign in ctx.param_signs.items()):
+        return True
+    for c in (to_field(e, ctx) for e in ctx.nonzero):
+        if c:
+            q = reduce_fraction(f / c)
+            if q.numer.is_ground and q.denom.is_ground:
+                return True
+    return False
+
+
+# declared-nonzero kinds: irreducible, reducible, power, constant multiple,
+# denominator, constant, trig atom, a reducible trig power, unsigned parameter
+DECLARED = (x + y * z, x * y, z**2, 2 * x, 1 / (x + y), sp.Integer(3),
+            sp.cos(w), sp.sin(w)**2, b)
+IRREDUCIBLES = (x, y, z, a, b, sp.cos(w), sp.sin(w), x + y, x + y * z, x + 1,
+                1 + sp.cos(w), a * x - b * z, y * z + 1)
+
+
+def _random_element(rng):
+    """Zero, a constant, or a constant times a quotient of powers of
+    irreducibles, now and then plus one more (a sum that may not factor)."""
+    if rng.random() < 0.05:
+        return sp.Integer(0)
+    e = sp.Rational(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 4))
+    for _ in range(rng.randint(0, 3)):
+        e *= rng.choice(IRREDUCIBLES) ** rng.randint(1, 3)
+    if rng.random() < 0.2:
+        e += rng.choice(IRREDUCIBLES)
+    for _ in range(rng.choice([0, 0, 1, 2])):
+        e /= rng.choice(IRREDUCIBLES) ** rng.randint(1, 2)
+    return e
+
+
+class TestKnownNonzero:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_factoring_reference(self, seed):
+        rng = random.Random(seed)
+        answers = set()
+        for _ in range(12):
+            ctx = SymbolContext(
+                states=(x, y, z, w), params=(a, b),
+                param_signs={p: rng.choice("+-") for p in (a, b)
+                             if rng.random() < 0.5},
+                nonzero=tuple(rng.sample(DECLARED, rng.randint(0, 4))))
+            if rng.random() < 0.5:  # pivot factors certified nonzero
+                ctx = ctx.assuming([to_field(e, ctx) for e in rng.sample(
+                    IRREDUCIBLES, rng.randint(1, 2))])
+            for _ in range(8):
+                f = to_field(_random_element(rng), ctx)
+                known = ctx.known_nonzero(f)
+                answers.add(known)
+                assert known == _reference_known_nonzero(f, ctx), (ctx, f)
+        assert answers == {True, False}
+
+    @pytest.mark.parametrize("declared, element, known", [
+        ((x * y,), x, False), ((x * y,), x * y, False),
+        ((z**2,), z, False), ((2 * x,), x**3 / 7, True),
+        ((1 / (x + y),), x + y, False), ((1 / (x + y),), 1 / (x + y), False),
+        ((sp.Integer(3),), x, False), ((sp.cos(w),), 2 / sp.cos(w)**2, True),
+        ((), sp.Integer(-2), True), ((), sp.Integer(0), False),
+        ((x,), sp.Integer(0), False), ((x,), x * y, False)])
+    def test_declared_kinds(self, declared, element, known):
+        ctx = SymbolContext(states=(x, y, z, w), nonzero=declared)
+        assert ctx.known_nonzero(F(element, ctx)) is known
+        assert _reference_known_nonzero(F(element, ctx), ctx) is known
+
+    def test_signed_parameters_only(self):
+        ctx = SymbolContext(states=(x,), params=(a, b), param_signs={a: "-"})
+        assert ctx.known_nonzero(F(a**2 / 3, ctx))
+        assert not ctx.known_nonzero(F(a * b, ctx))
+
+    def test_assuming_adds_only_new_elements(self):
+        ctx = SymbolContext(states=(x, y), nonzero=(x,))
+        assert ctx.assuming([F(x, ctx)]) is ctx
+        wider = ctx.assuming([F(x, ctx), F(x + y, ctx)])
+        assert wider.nonzero == (x, x + y)
+        assert wider.known_nonzero(F(x * (x + y), ctx))
+        assert not ctx.known_nonzero(F(x * (x + y), ctx))
+
+
 class TestAnnihilator:
     def test_driftless_single_generator(self, ex1):
         ann = annihilator(ex1)
@@ -178,6 +278,13 @@ CHAINED8 = ("states: x1 x2 x3 x4 x5 x6 x7 x8\n"
             "control g2: [0, 1, 0, 0, 0, 0, 0, 0]\n")
 
 
+# poly(4): its scans pass non-constant determinants, and its second
+# completion keeps one
+POLY4 = ("states: x1 x2 x3 x4\n"
+         "control g1: [1, x1*x2, x2*x3, x3*x4]\n"
+         "control g2: [0, 1, x1^2+x3, x2^2+x4]\n")
+
+
 class TestCompleteCoframe:
     @pytest.mark.parametrize("columns, matched", [
         ([[0, 1], [0]], True), ([[0], [0]], False), ([[1], [0, 2], [0]], True),
@@ -206,6 +313,29 @@ class TestCompleteCoframe:
         assert len(dets) == sum(1 for d in every if d) == 27
         assert all(dets) and len(every) == 246
         assert flag == every_flag
+
+    def test_only_the_kept_determinant_is_factored(self, monkeypatch):
+        # the scan decides known-nonzero by trial division; factoring is
+        # left to the determinant each completion keeps
+        factored, kept = [], []
+        real_factor = flag_module.factor
+        real_with_pivots = flag_module._with_pivots
+
+        def factor(f):
+            factored.append(f)
+            return real_factor(f)
+
+        def with_pivots(system, combo, det):
+            kept.append(det)
+            return real_with_pivots(system, combo, det)
+
+        monkeypatch.setattr(flag_module, "factor", factor)
+        monkeypatch.setattr(flag_module, "_with_pivots", with_pivots)
+        derived_flag(parse_system(POLY4))
+        K = kept[0].field
+        parts = [K(p) for det in kept for p in (det.numer, det.denom)
+                 if not p.is_ground]
+        assert len(kept) == 2 and factored == parts == [K(kept[1].numer)]
 
 
 class TestTorsion:
@@ -363,9 +493,11 @@ class TestErrorsPropagate:
         raise RuntimeError("unrelated failure")
 
     def test_known_nonzero_propagates_unrelated_error(self, monkeypatch):
-        monkeypatch.setattr(flag_module, "factor", self._raise)
+        # the factor that known_factors calls on each declared element
+        monkeypatch.setattr(expr_module, "factor", self._raise)
+        ctx = SymbolContext(states=(x, y, z), nonzero=(x,))
         with pytest.raises(RuntimeError, match="unrelated failure"):
-            flag_module._known_nonzero(F(x * y), CTX)
+            ctx.known_nonzero(F(x * y, ctx))
 
     def test_certify_rank_propagates_unrelated_error(self, monkeypatch):
         monkeypatch.setattr(flag_module, "_value", self._raise)

@@ -21,7 +21,6 @@ from ctrlinv.integrals import (
     AnalysisConfig,
     Classification,
     _clear_known_denominator,
-    _extended_ctx,
     analyze,
     check_membership,
     first_integrals,
@@ -230,7 +229,7 @@ def _loop_over_dmax(T, ctx, dmax, seed=0, extra_nonzero=()):
     expressions: every minor size from s down to s - dmax + 1, factors
     deduplicated across sizes.  Returns expressions."""
     s, ncols = T.shape()
-    ctxe = _extended_ctx(ctx, extra_nonzero)
+    ctxe = ctx.assuming(extra_nonzero)
     gens = ctx.states + ctx.params
     entries = [[from_field(e) for e in row] for row in T.entries]
     found = []

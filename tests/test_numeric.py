@@ -1,5 +1,7 @@
+import gc
 import math
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -193,6 +195,18 @@ class TestFusedEvaluator:
             other = -us
             assert np.array_equal(rhs.fields.field(other),
                                   per_field_rhs(sys, xs, other, ps))
+
+
+    def test_kernel_freed_without_cyclic_collector(self, ex4):
+        # the generated fill is freed with its evaluator, not by gc
+        gc.disable()
+        try:
+            rhs = rhs_function(ex4, [x])
+            ref = weakref.ref(rhs.fields._fill)
+            del rhs
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestSimulate:
