@@ -11,14 +11,7 @@ import numpy as np
 
 from .dsl import ControlSchedule, parse_expr, parse_system
 from .errors import CtrlInvError
-from .expr import (
-    evaluate,
-    from_field,
-    random_point,
-    sample_params,
-    to_field,
-    to_text,
-)
+from .expr import from_field, random_point, sample_params, to_field, to_text
 from .flag import annihilator, derived_flag, flag_summary
 from .integrals import (
     AnalysisConfig,
@@ -31,6 +24,7 @@ from .integrals import (
 from .numeric import (
     BRACKET_DEPTH,
     iterated_brackets,
+    matrix_at,
     require_positive,
     require_seed,
     simulate,
@@ -260,7 +254,7 @@ def _simulate(args, system):
         raise SystemExit(f"--x0 needs {system.n} components")
     if any(len(u) != system.m for _, u in pieces):
         raise SystemExit(f"control value needs {system.m} components")
-    monitors = {f"rho{i+1}": parse_expr(m, ctx)
+    monitors = {f"rho{i+1}": to_field(parse_expr(m, ctx), ctx)
                 for i, m in enumerate(args.monitor)}
     try:
         traj = simulate(system, x0, schedule, h=args.step,
@@ -273,22 +267,18 @@ def _simulate(args, system):
 
 def _brackets(args, system):
     ctx = system.ctx
-    brackets = iterated_brackets(
-        [tuple(to_field(e, ctx) for e in g) for g in system.controls], ctx,
-        depth=args.depth)
+    brackets = iterated_brackets(system.field_rows[1:], ctx, depth=args.depth)
     # at a pole of a bracket its evaluation below would raise EvalSingular
     poles = dict.fromkeys(ctx.field(c.denom.monic()) for F in brackets
                           for c in F if not c.denom.is_ground)
     point = random_point(ctx.assuming(poles),
                          np.random.default_rng(args.seed))
-    brackets = [[from_field(c) for c in F] for F in brackets]
-    rank = svd_rank([[evaluate(c, point, ctx) for c in F] for F in brackets])
     _emit({
         "schema": 1,
         "seed": args.seed,
         "depth": args.depth,
-        "brackets": [[to_text(c) for c in F] for F in brackets],
-        "rank_at_sample_point": rank,
+        "brackets": [[to_text(from_field(c)) for c in F] for F in brackets],
+        "rank_at_sample_point": svd_rank(matrix_at(brackets, ctx)(point)),
         "sample_point": {str(k): float(v) for k, v in point.items()},
     }, args)
 

@@ -16,6 +16,7 @@ Expressions use infix ``+ - * / ^`` with integer exponents, ``sin(v)``,
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 
@@ -56,9 +57,16 @@ class ControlAffineSystem:
         out.extend(self.controls)
         return out
 
+    @functools.cached_property
+    def field_rows(self):
+        """The drift, then each control field, as ctx.field rows."""
+        return tuple(tuple(to_field(e, self.ctx) for e in X)
+                     for X in (self.drift, *self.controls))
+
     def exact_fields(self):
         """fields() with components in the system's field, ctx.field."""
-        return [tuple(to_field(e, self.ctx) for e in X) for X in self.fields()]
+        rows = self.field_rows
+        return list(rows[1:] if self.is_driftless else rows)
 
 
 @dataclass(frozen=True)

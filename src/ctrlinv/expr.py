@@ -9,9 +9,11 @@ rewrite sin(v)**2 -> 1 - cos(v)**2.
 The exact layer (forms, flag, integrals) computes on field elements: members
 of the one sparse rational-function field over QQ of a system,
 `SymbolContext.field`, kept reduced by `reduce_fraction`.  Expressions are
-built only at three boundaries: parsing in (`to_field`, `normalize`), numeric
-evaluation out (`evaluate` and its callers) and report text out
-(`from_field`, `to_text`).
+built only at two boundaries: parsing in (`to_field`, `normalize`) and report
+text out (`from_field`, `to_text`).  Float evaluation reads field elements
+directly: one source generator writes a kernel from each element's numerator
+and denominator terms, compiled with floats and `math` or with numpy arrays
+(`kernels`, `evaluate`).
 
 All functions here are pure; randomized ones take an explicit seed or a
 numpy Generator.
@@ -43,7 +45,8 @@ from .errors import (
 NONZERO_WITNESS_TOL = 1e-9
 EVAL_SINGULAR_TOL = 1e-12
 # what evaluating at a sampled point may raise: a denominator below the
-# threshold, overflow, or math.sin / math.fsum of an infinite value
+# threshold or a value that is not finite, overflow in `**`, or math.sin of
+# an infinite value
 POINT_ERRORS = (EvalSingular, ArithmeticError, ValueError)
 
 
@@ -86,6 +89,11 @@ class SymbolContext:
         return {v: (index[v], index[sp.sin(v)]) for v in self.states}
 
     @functools.cached_property
+    def nonzero_elements(self):
+        """The declared-nonzero expressions as field elements."""
+        return tuple(to_field(c, self) for c in self.nonzero)
+
+    @functools.cached_property
     def known_factors(self):
         """Irreducible polynomials of the field's ring known nonzero on the
         working domain: the generator of each sign-constrained parameter, and
@@ -94,7 +102,7 @@ class SymbolContext:
         R = self.field.ring
         known = [R.gens[self.symbols.index(p)]
                  for p, sign in self.param_signs.items() if sign]
-        for e in (to_field(c, self) for c in self.nonzero):
+        for e in self.nonzero_elements:
             if e.denom.is_ground and [m for _, m in factor(e)] == [1]:
                 known.append(e.numer)
         return tuple(known)
@@ -305,15 +313,16 @@ def _random_rational(rng):
     return Fraction(int(rng.integers(-40, 41)), int(rng.integers(1, 21)))
 
 
-def random_point(ctx: SymbolContext, rng, margin=1e-3):
+def random_point(ctx: SymbolContext, rng, margin=1e-3, tries=200):
     """A random point satisfying sign and nonzero constraints: rational
     states and sample_params parameters, drawn from a numpy Generator."""
-    for _ in range(200):
+    constraints, = kernels([ctx.nonzero_elements], ctx)
+    for _ in range(tries):
         point = {v: _random_rational(rng) for v in ctx.states}
         point.update(sample_params(ctx, rng))
-        try:  # each declared-nonzero expression evaluates beyond margin
-            if all(not abs(evaluate(c, point, ctx)) <= margin
-                   for c in ctx.nonzero):
+        try:  # each declared-nonzero element evaluates beyond margin
+            if all(abs(c) > margin for c in constraints(
+                    [float(point[s]) for s in ctx.symbols])):
                 return point
         except POINT_ERRORS:
             pass
@@ -322,22 +331,17 @@ def random_point(ctx: SymbolContext, rng, margin=1e-3):
 
 
 def is_zero(f, ctx: SymbolContext, seed: int = 0, samples: int = 8) -> ZeroVerdict:
-    """Three-valued zero test of a field element: exact, then by evaluating
-    at random points."""
+    """Three-valued zero test of a field element: exact, then by drawing up
+    to `samples` domain points for one where |f| exceeds 1e-9."""
     if not f:
         return ZeroVerdict(Verdict.PROVEN_ZERO)
-    e = from_field(f)
-    rng = np.random.default_rng(seed)
-    for _ in range(samples):
-        point = random_point(ctx, rng)
-        try:
-            val = evaluate(e, point, ctx)
-        except EvalSingular:
-            continue
-        if abs(val) > NONZERO_WITNESS_TOL:
-            witness = {s: float(v) for s, v in point.items()}
-            return ZeroVerdict(Verdict.PROVEN_NONZERO, witness)
-    return ZeroVerdict(Verdict.UNKNOWN)
+    try:
+        point = random_point(ctx.assuming([f]), np.random.default_rng(seed),
+                             NONZERO_WITNESS_TOL, samples)
+    except SamplingFailed:
+        return ZeroVerdict(Verdict.UNKNOWN)
+    witness = {s: float(v) for s, v in point.items()}
+    return ZeroVerdict(Verdict.PROVEN_NONZERO, witness)
 
 
 def factor(f):
@@ -375,96 +379,94 @@ def divide_exact(num, den):
     return reduce_fraction(num.field(p.quo_ground(q.LC)))
 
 
-def evaluate(e, point, ctx: SymbolContext | None = None) -> float:
-    """IEEE-double evaluation; denominators below 1e-12 raise EvalSingular."""
-    return _eval(sp.sympify(e), point)
+def _generators(f):
+    """Positions in f.field.symbols of the generators f depends on."""
+    return {i for p in (f.numer, f.denom) for m in p.itermonoms()
+            for i, e in enumerate(m) if e}
 
 
-def _eval(e, point):
-    if e.is_Number:
-        return float(e)
-    if e.is_Symbol:
-        try:
-            return float(point[e])
-        except KeyError:
-            raise UnknownSymbol(f"no value assigned for {e}") from None
-    if e.is_Add:
-        return math.fsum(_eval(a, point) for a in e.args)
-    if e.is_Mul:
-        out = 1.0
-        for a in e.args:
-            out *= _eval(a, point)
-        return out
-    if e.is_Pow:
-        base = _eval(e.base, point)
-        exp = e.exp
-        if not exp.is_Integer:
-            raise NotPolynomial(f"non-integer exponent: {e}")
-        if exp < 0 and abs(base) < EVAL_SINGULAR_TOL:
-            raise EvalSingular(f"denominator below threshold in {e}")
-        return base ** int(exp)
-    if isinstance(e, sp.sin):
-        return math.sin(_eval(e.args[0], point))
-    if isinstance(e, sp.cos):
-        return math.cos(_eval(e.args[0], point))
-    raise NotPolynomial(f"node outside expression class: {e!r}")
+def evaluate(f, point) -> float:
+    """IEEE-double value of a field element at a point (declared symbol ->
+    value), by the float form of `kernels`."""
+    count = len(f.field.symbols) // 3  # the declared symbols, then sin, cos
+    ctx = SymbolContext(states=f.field.symbols[:count])
+    for i in _generators(f):
+        s = ctx.symbols[i if i < count else (i - count) // 2]
+        if s not in point:
+            raise UnknownSymbol(f"no value assigned for {s}")
+    value, = kernels([[f]], ctx)
+    return value([float(point.get(s, 0.0)) for s in ctx.symbols])[0]
 
 
-def compile_evaluators(groups, symbols):
-    """Per group of expressions, a function of the float values of
-    `symbols` returning the group's values as `evaluate` does: `_eval`'s
-    float operations in its order, once per node, raising what it raises
-    where it raises (fsum gets a tuple, not `_eval`'s lazy items)."""
-    ns = {"fsum": math.fsum, "sin": math.sin, "cos": math.cos, "fail": _fail,
-          "EvalSingular": EvalSingular, "NotPolynomial": NotPolynomial,
-          "UnknownSymbol": UnknownSymbol}
-    args = ", ".join(f"_v{i}" for i in range(len(symbols)))
+def _checked(value, text):
+    if abs(value) < EVAL_SINGULAR_TOL:
+        raise EvalSingular(f"denominator below threshold: {text}")
+    return value
+
+
+# the names in the generated kernels: the float form and the array form
+_FLOATS = {"sin": math.sin, "cos": math.cos, "den": _checked, "inf": math.inf}
+_ARRAYS = {"sin": np.sin, "cos": np.cos, "den": lambda value, text: value,
+           "inf": np.inf}
+
+
+def kernels(groups, ctx: SymbolContext, arrays=False):
+    """Per group of field elements, a kernel compiled from one source: each
+    generator read once, each value num / den as `from_field` writes it,
+    sums in grlex order, coefficients as float literals (inf beyond the
+    double range).  The array form fill(x, p, out) takes numpy rows of the
+    states x: (n, N) and parameters p: (k, N) and leaves non-finite values;
+    the float form maps the list of ctx.symbols' values to the group's and
+    raises EvalSingular at a denominator below 1e-12 or a non-finite value
+    (`**` and math.sin raise the rest of POINT_ERRORS)."""
+    n = len(ctx.states)
+    # each declared symbol, then sin and cos of each, as ctx.field orders them
+    reads = [f"_x[{j}]" if j < n else f"_p[{j - n}]"
+             for j in range(len(ctx.symbols))]
+    reads += [f"{trig}({read})" for read in reads for trig in ("sin", "cos")]
     source = []
-    for g, exprs in enumerate(groups):
-        body, names = [], {s: f"_v{i}" for i, s in enumerate(symbols)}
-        values = "".join(_emit(sp.sympify(e), body, names) + ", "
-                         for e in exprs)
-        source += [f"def _f{g}({args}):", *body, f"    return ({values})"]
-    exec(compile("\n".join(source), "<ctrlinv evaluator>", "exec"), ns)
+    for g, group in enumerate(groups):
+        source.append(f"def _k{g}(_x, _p, _out):")
+        source += [f"    _g{i} = {reads[i]}"
+                   for i in sorted(set().union(*map(_generators, group)))]
+        for r, f in enumerate(group):
+            value = _sum(f.numer, f.denom.LC)
+            if not f.denom.is_ground:
+                den = f.denom.quo_ground(f.denom.LC)
+                value = f"({value}) / den({_sum(den, 1)}, {str(den)!r})"
+            source.append(f"    _out[{r}] = {value}")
+        source.append("    return _out")
+    namespace = dict(_ARRAYS if arrays else _FLOATS)
+    exec(compile("\n".join(source), "<ctrlinv kernel>", "exec"), namespace)
     # popped: a function left in its own globals is freed only by gc
-    return [ns.pop(f"_f{g}") for g in range(len(groups))]
+    fills = [namespace.pop(f"_k{g}") for g in range(len(groups))]
+    if arrays:
+        return fills
+    return [functools.partial(_at_point, fill, n, len(group))
+            for fill, group in zip(fills, groups)]
 
 
-def _fail(error, message):
-    raise error(message)
+def _at_point(fill, n, size, values):
+    out = fill(values, values[n:], [0.0] * size)
+    if not all(map(math.isfinite, out)):
+        raise EvalSingular("evaluation produced a non-finite value")
+    return out
 
 
-def _emit(e, body, names):
-    """The local holding e's value after body, appended to: `_eval`'s cases."""
-    if e in names:
-        return names[e]
-    if e.is_Number:
-        value = float(e)
-        code = repr(value) if math.isfinite(value) else f"float('{value}')"
-    elif e.is_Symbol:  # not one of the symbols
-        code = f"fail(UnknownSymbol, {f'no value assigned for {e}'!r})"
-    elif e.is_Add:
-        args = "".join(_emit(a, body, names) + ", " for a in e.args)
-        code = f"fsum(({args}))"
-    elif e.is_Mul:
-        code = " * ".join(["1.0"] + [_emit(a, body, names) for a in e.args])
-    elif e.is_Pow:
-        base = _emit(e.base, body, names)
-        code = f"{base} ** {e.exp}"
-        if not e.exp.is_Integer:
-            code = f"fail(NotPolynomial, {f'non-integer exponent: {e}'!r})"
-        elif e.exp < 0:
-            message = repr(f"denominator below threshold in {e}")
-            body.append(f"    if abs({base}) < {EVAL_SINGULAR_TOL!r}: "
-                        f"fail(EvalSingular, {message})")
-    elif isinstance(e, (sp.sin, sp.cos)):
-        code = f"{type(e).__name__}({_emit(e.args[0], body, names)})"
-    else:
-        message = repr(f"node outside expression class: {e!r}")
-        code = f"fail(NotPolynomial, {message})"
-    names[e] = f"_t{len(names)}"
-    body.append(f"    {names[e]} = {code}")
-    return names[e]
+def _sum(p, scale):
+    """p / scale as the sum of its terms in grlex order."""
+    text = ""
+    for m, c in p.terms():
+        c /= scale
+        try:
+            literal = repr(float(abs(c)))
+        except OverflowError:  # beyond the double range
+            literal = "inf"
+        term = "*".join(([literal] if literal != "1.0" or not any(m) else [])
+                        + [f"_g{i}" + (f"**{e}" if e > 1 else "")
+                           for i, e in enumerate(m) if e])
+        text += (" - " if c < 0 else " + ") + term
+    return text.lstrip(" +") or "0.0"
 
 
 def to_text(e) -> str:

@@ -34,10 +34,10 @@ from .expr import (
     SymbolContext,
     determinant,
     divide_exact,
-    evaluate,
     factor,
     from_field,
     gradient,
+    kernels,
     reduce_fraction,
     to_field,
     to_text,
@@ -63,6 +63,7 @@ from .numeric import (
     escape_test,
     invariance_test,
     leaf_controllability,
+    matrix_at,
     require_integer,
     require_positive,
     require_seed,
@@ -244,15 +245,15 @@ def nondegenerate(rhos, ctx, seed=0, points=10):
         # a repeated factor makes the gradient vanish on part of the locus
         if r.denom.is_ground and any(mult > 1 for _, mult in factor(r)):
             return False
-        grads.append([from_field(g) for g in grad])
+        grads.append(grad)
     try:
-        pts = zero_locus_points([from_field(r) for r in rhos], ctx,
-                                np.random.default_rng(seed + 13), count=points)
+        pts = zero_locus_points(rhos, ctx, np.random.default_rng(seed + 13),
+                                count=points)
     except SamplingFailed:
         return False
+    jacobian = matrix_at(grads, ctx)
     for pt in pts:
-        J = np.array([[evaluate(g, pt, ctx) for g in row] for row in grads])
-        sv = np.linalg.svd(J, compute_uv=False)
+        sv = np.linalg.svd(jacobian(pt), compute_uv=False)
         if sv.size == 0 or sv[-1] <= NONDEGENERACY_TOL:
             return False
     return True
@@ -411,21 +412,22 @@ def _divide_sequential(rhos, residues, names, ctx, ctxe, quotient_cert,
             if den != 1:
                 cleared[f"rho{mu}:d{names[i]}"] = _text(den)
         else:
-            numeric_cols.append((i, from_field(c)))
+            numeric_cols.append((i, c))
     if not numeric_cols:
         return None
     # numeric fallback: coefficients must vanish on sampled zero-locus points
     try:
-        pts = zero_locus_points([from_field(r) for r in rhos], ctxe,
-                                np.random.default_rng(seed + 29), count=50)
+        pts = zero_locus_points(rhos, ctxe, np.random.default_rng(seed + 29),
+                                count=50)
     except SamplingFailed:
         return (Classification.UNDETERMINED,
                 {"reason": "zero-locus sampling failed for numeric fallback"})
     worst = 0.0
-    for i, c in numeric_cols:
+    values = kernels([[c] for _, c in numeric_cols], ctx)
+    for (i, _), value in zip(numeric_cols, values):
         for pt in pts:
             try:
-                worst = max(worst, abs(evaluate(c, pt, ctx)))
+                worst = max(worst, abs(value([pt[s] for s in ctx.symbols])[0]))
             except POINT_ERRORS:
                 return (Classification.UNDETERMINED,
                         {"reason": "singular evaluation in numeric fallback",
@@ -451,8 +453,9 @@ class AnalysisConfig:
     `run_numeric` is false, integrates `trials` trajectories on each
     accepted locus under `pieces` random control pieces up to `horizon`
     with error-controlled Dormand-Prince 5(4) steps: `step` is each
-    trial's first step, and round(horizon / step) attempted steps are the
-    budget after which the invariance test ends Violated with an error.
+    trial's first step, and max(MIN_BUDGET, round(horizon / step))
+    attempted steps (MIN_BUDGET = 100) are the budget after which the
+    invariance test ends Violated with an error.
     """
 
     seed: int = 42
@@ -486,7 +489,7 @@ def numeric_evidence(sys: ControlAffineSystem, cand: CandidateIntegral,
     controllability and the invariance test of {rho = 0}, or of the level set
     {rho = offset} when an offset is given.  Undetermined ones get nothing.
     """
-    rhos = [from_field(r) for r in cand.rhos]
+    rhos = cand.rhos
     if cand.classification is Classification.REJECTED:
         try:
             return {"escape": _escape_json(escape_test(
@@ -495,8 +498,8 @@ def numeric_evidence(sys: ControlAffineSystem, cand: CandidateIntegral,
             return {"escape": None}
     if cand.classification is Classification.UNDETERMINED:
         return {}
-    if offset is not None:
-        rhos = [r - offset for r in rhos]
+    if offset is not None:  # the float's exact value
+        rhos = [r - QQ(*offset.as_integer_ratio()) for r in rhos]
     out = {
         "leaf_controllability": leaf_controllability(
             sys, rhos, leaf_dim, seed=cfg.seed),

@@ -1,6 +1,7 @@
 """Numeric evidence: RK4 simulation under piecewise-constant controls,
 error-controlled invariance testing, escape testing, Lie brackets, and
-bracket-rank checks."""
+bracket-rank checks.  Loci, monitors and field rows are ctx.field elements,
+evaluated by the kernels of `expr.kernels`."""
 
 from __future__ import annotations
 
@@ -9,18 +10,15 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-import sympy as sp
-from sympy.printing.numpy import NumPyPrinter
 
 from .dsl import ControlAffineSystem, ControlSchedule
 from .errors import DomainExit, EvalSingular, StepSingular
 from .expr import (
     SymbolContext,
     differentiate,
-    evaluate,
-    from_field,
+    gradient,
+    kernels,
     reduce_fraction,
-    to_field,
 )
 from .sampling import CONSTRAINT_MARGIN, zero_locus_points
 
@@ -91,8 +89,8 @@ class InvarianceVerdict:
 
 class _FieldEvaluator:
     """A system's field rows (its drift, then each control field) and monitor
-    rows, filled component-major into one (rows, N) block by one generated
-    function.
+    rows, all ctx.field elements, filled component-major into one (rows, N)
+    block by one generated kernel.
 
     `evaluate` fills every row at the states x: (N, n) and parameters
     p: (N, k) and returns the monitor rows; `field` combines the field rows
@@ -103,33 +101,9 @@ class _FieldEvaluator:
 
     def __init__(self, ctx: SymbolContext, fields, monitors):
         self._n, self._blocks = len(ctx.states), len(fields)
-        rows = [sp.sympify(e) for F in fields for e in F]
-        self._count = len(rows)  # field rows, then the monitor rows
-        rows += [sp.sympify(e) for e in monitors]
-        # the printer and settings lambdify uses for numpy
-        printer = NumPyPrinter({"fully_qualified_modules": False,
-                                "inline": True,
-                                "allow_unknown_functions": True,
-                                "user_functions": {}})
-        names = {s: printer.doprint(s) for s in ctx.symbols}
-        pre = "_k"  # prefix of every generated name
-        while any(name.startswith(pre) for name in names.values()):
-            pre = "_" + pre
-        # each symbol is a row of the component-major states _kx or of the
-        # parameters _kp
-        column = {s: f"{pre}x[{i}]" for i, s in enumerate(ctx.states)}
-        column.update((s, f"{pre}p[{i}]") for i, s in enumerate(ctx.params))
-        used = set().union(*(e.free_symbols for e in rows))
-        body = ([f"{names[s]} = {column[s]}" for s in ctx.symbols if s in used]
-                + [f"{pre}b[{i}] = {printer.doprint(e)}"
-                   for i, e in enumerate(rows)])
-        ns = {}
-        for module, keys in printer.module_imports.items():
-            for key in keys:
-                exec(f"from {module} import {key}", ns)
-        self._fill = _compile(
-            f"def {pre}fill({pre}x, {pre}p, {pre}b):\n    "
-            + "\n    ".join(body or ["pass"]) + "\n", ns, pre + "fill")
+        rows = [f for F in fields for f in F] + list(monitors)
+        self._count = len(rows) - len(monitors)  # then the monitor rows
+        self._fill, = kernels([rows], ctx, arrays=True)
         self._buffer = np.empty((len(rows), 0))
 
     def evaluate(self, x, p):
@@ -159,13 +133,6 @@ class _FieldEvaluator:
         return k
 
 
-def _compile(source, namespace, name):
-    """The function `name` defined by executing generated `source`."""
-    exec(compile(source, "<ctrlinv kernel>", "exec"), namespace)
-    # popped: a function left in its own globals is freed only by gc
-    return namespace.pop(name)
-
-
 def rhs_function(sys: ControlAffineSystem, monitors=()):
     """Batched right-hand side f(x) + sum_j g_j(x) u_j.
 
@@ -176,7 +143,7 @@ def rhs_function(sys: ControlAffineSystem, monitors=()):
     integration loop takes the monitors at a new state and the next step's
     first stage from one `fields.evaluate` and a `fields.field`.
     """
-    fields = _FieldEvaluator(sys.ctx, [sys.drift, *sys.controls], monitors)
+    fields = _FieldEvaluator(sys.ctx, sys.field_rows, monitors)
 
     def rhs(x, u, p):
         fields.evaluate(x, p)
@@ -237,7 +204,8 @@ def _piece_steps(schedule: ControlSchedule, h):
 
 def simulate(sys: ControlAffineSystem, x0, schedule: ControlSchedule,
              h=1e-3, param_values=None, monitors=None) -> Trajectory:
-    """Classical fixed-step RK4 per piece; states recorded on the grid.
+    """Classical fixed-step RK4 per piece; states and monitors recorded on
+    the grid.
 
     `simulate` keeps fixed steps because its CSV promises a uniform time
     grid, and `escape_test` because it stops at its first step past the
@@ -254,13 +222,7 @@ def simulate(sys: ControlAffineSystem, x0, schedule: ControlSchedule,
     missing = [p for p in ctx.params if p not in param_values]
     if missing:
         raise EvalSingular(f"no parameter values for {missing}")
-    point0 = {v: float(x) for v, x in zip(ctx.states, x0)}
-    point0.update(param_values)
-    for c in ctx.nonzero:
-        if abs(evaluate(c, point0, ctx)) <= CONSTRAINT_MARGIN:
-            raise DomainExit(f"initial point violates nonzero constraint {c}")
-
-    rhs = rhs_function(sys, ctx.nonzero)
+    rhs = rhs_function(sys, ctx.nonzero_elements)
     fields = rhs.fields
     p = np.array([[float(param_values[q]) for q in ctx.params]])
 
@@ -272,6 +234,10 @@ def simulate(sys: ControlAffineSystem, x0, schedule: ControlSchedule,
     i = 0
     with np.errstate(all="ignore"):
         prev_cons = fields.evaluate(x, p).copy()
+        for c, value in zip(ctx.nonzero, prev_cons[:, 0]):
+            if not CONSTRAINT_MARGIN < abs(value) < math.inf:
+                raise DomainExit(
+                    f"initial point violates nonzero constraint {c}")
         for count, u in steps:
             ub = np.array([list(u)], dtype=float)
             for _ in range(count):
@@ -384,7 +350,7 @@ def _dp_sweep(rhs, x, p, ends, controls, h, budget):
 
 def invariance_test(sys: ControlAffineSystem, rhos, trials=100, pieces=10,
                     horizon=5.0, h=1e-3, seed=42) -> InvarianceVerdict:
-    """Monte-Carlo invariance check of the zero locus of rhos.
+    """Monte-Carlo invariance check of the zero locus of field elements rhos.
 
     Starts on {rho = 0}, applies random piecewise-constant controls, and
     holds iff every trial keeps max |rho| below 1e-6 * (1 + arc length).
@@ -397,7 +363,6 @@ def invariance_test(sys: ControlAffineSystem, rhos, trials=100, pieces=10,
     require_positive(trials=trials, pieces=pieces, horizon=horizon, h=h)
     require_seed(seed)
     ctx = sys.ctx
-    rhos = [sp.sympify(r) for r in rhos]
     rng = np.random.default_rng(seed)
     starts = zero_locus_points(rhos, ctx, rng, count=trials)
 
@@ -455,7 +420,6 @@ def escape_test(sys: ControlAffineSystem, rhos, seed=42, horizon=5.0,
     require_positive(horizon=horizon, h=h, starts=starts)
     require_seed(seed)
     ctx = sys.ctx
-    rhos = [sp.sympify(r) for r in rhos]
     rng = np.random.default_rng(seed)
     pts = zero_locus_points(rhos, ctx, rng, count=starts)
     m = sys.m
@@ -539,10 +503,18 @@ def svd_rank(vectors):
     return int(np.sum(sv > SV_RANK_TOL * scale))
 
 
+def matrix_at(rows, ctx):
+    """The values of ctx.field rows at a point (symbol -> value) as a
+    matrix, a function taking every entry by one kernel."""
+    values, = kernels([[c for F in rows for c in F]], ctx)
+    return lambda point: np.reshape(values(
+        [float(point[s]) for s in ctx.symbols]), (len(rows), -1))
+
+
 def bracket_rank(fields, point, ctx, depth=BRACKET_DEPTH):
     """Numeric rank at a point of the iterated brackets up to given depth."""
-    return svd_rank([[evaluate(from_field(c), point, ctx) for c in F]
-                     for F in iterated_brackets(fields, ctx, depth=depth)])
+    return svd_rank(matrix_at(iterated_brackets(fields, ctx, depth=depth),
+                              ctx)(point))
 
 
 def leaf_controllability(sys: ControlAffineSystem, rhos, leaf_dim, seed=42,
@@ -554,22 +526,17 @@ def leaf_controllability(sys: ControlAffineSystem, rhos, leaf_dim, seed=42,
     leaf dimension.
     """
     ctx = sys.ctx
-    rhos = [sp.sympify(r) for r in rhos]
     pts = zero_locus_points(rhos, ctx, np.random.default_rng(seed + 7),
                             count=points)
-    grads = [[sp.diff(r, v) for v in ctx.states] for r in rhos]
-    brackets = [[from_field(c) for c in F] for F in iterated_brackets(
-        [tuple(to_field(e, ctx) for e in g) for g in sys.controls], ctx)]
+    rows = iterated_brackets(sys.field_rows[1:], ctx)
+    count = len(rows)
+    rows += [gradient(r, ctx) for r in rhos]
+    values = matrix_at(rows, ctx)
     ranks = []
     tangent = True
     for pt in pts:
-        vecs, gvals = [], None
-        for F in brackets:
-            v = np.array([evaluate(c, pt, ctx) for c in F])
-            vecs.append(v)
-            if gvals is None:  # once per point, after its first bracket
-                gvals = [np.array([evaluate(g, pt, ctx) for g in grow])
-                         for grow in grads]
+        vecs, gvals = np.split(values(pt), [count])
+        for v in vecs:
             for gval in gvals:
                 scale = max(1.0, float(np.linalg.norm(v)),
                             float(np.linalg.norm(gval)))

@@ -1,4 +1,5 @@
-"""Numeric sampling of points on the zero locus of candidate functions.
+"""Numeric sampling of points on the zero locus of candidate functions,
+ctx.field elements.
 
 Shared by the membership checker (non-degeneracy, numeric fallback) and the
 trajectory verifier (initial conditions on a candidate submanifold).
@@ -7,10 +8,9 @@ trajectory verifier (initial conditions on a candidate submanifold).
 from __future__ import annotations
 
 import numpy as np
-import sympy as sp
 
 from .errors import SamplingFailed
-from .expr import POINT_ERRORS, SymbolContext, compile_evaluators
+from .expr import POINT_ERRORS, SymbolContext, differentiate, gradient, kernels
 
 NEWTON_RESIDUAL_TOL = 1e-10
 CONSTRAINT_MARGIN = 1e-6
@@ -23,18 +23,16 @@ def zero_locus_points(rhos, ctx: SymbolContext, rng, count=20, box=1.0,
     Solves for one state variable when some rho is linear in it; otherwise
     projects random points by damped Newton steps.  Points that fail to
     converge or violate domain constraints are discarded and resampled.
-    Each round draws as many attempts as points are missing in one block.
+    Each round draws as many attempts as points are missing in one block;
+    every value is taken by the kernels of one compile.
     """
-    rhos = [sp.sympify(r) for r in rhos]
-    states = list(ctx.states)
-    grads = [[sp.diff(r, v) for v in states] for r in rhos]
-    plan = _linear_plan(rhos, ctx)
-    fns = iter(compile_evaluators(
-        [rhos, rhos + sum(grads, [])] + [[c] for c in ctx.nonzero]
-        + [[e] for _, ts in plan for _, *pair in ts for e in pair],
-        ctx.symbols))
-    residual, newton = next(fns), next(fns)
-    constraints = [next(fns) for _ in ctx.nonzero]
+    rhos, states = list(rhos), list(ctx.states)
+    grads = [gradient(r, ctx) for r in rhos]
+    plan = _linear_plan(rhos, grads, ctx)
+    fns = iter(kernels(
+        [rhos + list(ctx.nonzero_elements), rhos + sum(grads, [])]
+        + [[e] for _, ts in plan for _, *pair in ts for e in pair], ctx))
+    check, newton = next(fns), next(fns)
     linear = [(symbols, [(v, states.index(v), next(fns), next(fns))
                          for v, _, _ in ts]) for symbols, ts in plan]
     points = []
@@ -44,12 +42,10 @@ def zero_locus_points(rhos, ctx: SymbolContext, rng, count=20, box=1.0,
         for values in map(np.ndarray.tolist, _attempts(
                 ctx, rng, min(count - len(points), budget - attempts), box)):
             attempts += 1
-            if _solve_linear(linear, values) or _newton_project(
-                    newton, (len(rhos), len(states)), values, newton_steps):
-                res = max(map(abs, residual(*values)))
-                if res <= NEWTON_RESIDUAL_TOL and \
-                        _constraints_ok(constraints, values):
-                    points.append(dict(zip(ctx.symbols, values)))
+            if (_solve_linear(linear, values) or _newton_project(
+                    newton, (len(rhos), len(states)), values, newton_steps)) \
+                    and _accepted(check, len(rhos), values):
+                points.append(dict(zip(ctx.symbols, values)))
     if len(points) < count:
         raise SamplingFailed(
             f"zero-locus sampling produced {len(points)}/{count} points")
@@ -73,17 +69,15 @@ def _attempts(ctx, rng, k, box):
     return np.column_stack([states, *params])
 
 
-def _linear_plan(rhos, ctx):
-    """Per rho, its free symbols and every (v, a, rest) with rho = a v + rest
-    and a free of v, over the states in order."""
+def _linear_plan(rhos, grads, ctx):
+    """Per rho and its gradient, the states it depends on and every
+    (v, a, rest) with rho = a v + rest and a free of v, in state order."""
     plan = []
-    for rho in rhos:
-        terms = []
-        for v in ctx.states:
-            a = sp.diff(rho, v)
-            if a != 0 and sp.diff(a, v) == 0:
-                terms.append((v, a, rho - a * v))
-        plan.append((rho.free_symbols, terms))
+    for rho, grad in zip(rhos, grads):
+        terms = [(v, a, rho - a * ctx.field.gens[i])
+                 for i, (v, a) in enumerate(zip(ctx.states, grad))
+                 if a and not differentiate(a, v, ctx)]
+        plan.append(({v for v, a in zip(ctx.states, grad) if a}, terms))
     return plan
 
 
@@ -100,12 +94,12 @@ def _solve_linear(plan, values):
             if v in fixed:
                 continue
             try:
-                aval, = a(*values)
+                aval, = a(values)
+                if abs(aval) < 1e-6:
+                    continue
+                values[i] = -rest(values)[0] / aval
             except POINT_ERRORS:
                 return False
-            if abs(aval) < 1e-6:
-                continue
-            values[i] = -rest(*values)[0] / aval
             fixed |= symbols
             break
         else:
@@ -119,7 +113,7 @@ def _newton_project(newton, shape, values, steps):
     x = np.array(values[:n], dtype=float)
     for _ in range(steps):
         try:
-            out = newton(*x.tolist(), *values[n:])
+            out = newton(x.tolist() + values[n:])
         except POINT_ERRORS:
             return False
         r, J = np.array(out[:k]), np.array(out[k:]).reshape(shape)
@@ -134,11 +128,13 @@ def _newton_project(newton, shape, values, steps):
     return True
 
 
-def _constraints_ok(constraints, values):
-    """True when every compiled declared-nonzero expression evaluates at the
-    values and exceeds the margin in absolute value (or is NaN)."""
+def _accepted(check, k, values):
+    """True when check evaluates at the values, its first k values (the
+    rhos) within the residual tolerance and the rest (the declared-nonzero
+    elements) beyond the margin in absolute value."""
     try:
-        return all(not abs(c(*values)[0]) <= CONSTRAINT_MARGIN
-                   for c in constraints)
+        out = check(values)
     except POINT_ERRORS:
         return False
+    return all(abs(r) <= NEWTON_RESIDUAL_TOL for r in out[:k]) and \
+        all(abs(c) > CONSTRAINT_MARGIN for c in out[k:])

@@ -74,6 +74,11 @@ def one_form_of(exprs, ctx):
     return one_form([to_field(e, ctx) for e in exprs], ctx)
 
 
+def elements(exprs, ctx):
+    """Expressions as field elements of ctx.field."""
+    return [to_field(e, ctx) for e in exprs]
+
+
 def field_rows(rows, ctx):
     """Rows of expressions as rows of field elements of ctx.field."""
-    return [[to_field(e, ctx) for e in r] for r in rows]
+    return [elements(r, ctx) for r in rows]

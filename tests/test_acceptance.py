@@ -43,7 +43,7 @@ from ctrlinv.numeric import (
     simulate,
 )
 
-from conftest import field_rows, random_form, random_poly
+from conftest import elements, field_rows, random_form, random_poly
 
 x, y, z, w = sp.symbols("x y z w")
 a, b = sp.symbols("a b")
@@ -101,7 +101,7 @@ def test_criterion_1_isolated_submanifold_end_to_end(ex1):
     assert [normalize(sp.sympify(e) * u, ctx)
             for e in res.evidence["theta_coefficients"]["rho1"]] == [1]
 
-    lc = leaf_controllability(ex1, [z], leaf_dim=2, seed=42)
+    lc = leaf_controllability(ex1, elements([z], ctx), leaf_dim=2, seed=42)
     assert lc["bracket_rank"] == 2 == lc["leaf_dimension"]
     assert lc["controllable_on_leaf"] is True
 
@@ -110,7 +110,7 @@ def test_criterion_1_isolated_submanifold_end_to_end(ex1):
     assert rep["conclusion"] == "1 isolated invariant submanifold(s)"
     assert rep["isolated"][0]["rho"] == ["z"]
 
-    v = invariance_test(ex1, [z], seed=42, **FULL_NUMERIC)
+    v = invariance_test(ex1, elements([z], ctx), seed=42, **FULL_NUMERIC)
     assert v.held
     for max_rho, arclen, tol in v.trials:
         assert max_rho < 1e-6 * (1 + arclen) and tol == 1e-6 * (1 + arclen)
@@ -132,7 +132,7 @@ def test_criterion_2_no_invariant_submanifolds(ex2):
     res_f = check_membership([to_field(1 + 2 * x, ctx)], ann, ctx)
     assert res_f.classification is Classification.REJECTED
 
-    esc = escape_test(ex2, [y], seed=42, horizon=5.0)
+    esc = escape_test(ex2, elements([y], ctx), seed=42, horizon=5.0)
     assert esc is not None
     sched, t, val = esc
     assert val > 0.1 and t <= 5.0
@@ -165,14 +165,16 @@ def test_criterion_3_foliation(ex3):
     for got, exp in zip(br, want):
         assert not got - to_field(exp, ctx)
 
-    lc = leaf_controllability(ex3, [b * x - a * z], leaf_dim=3, seed=42)
+    lc = leaf_controllability(ex3, elements([b * x - a * z], ctx), leaf_dim=3,
+                              seed=42)
     assert lc["bracket_rank"] == 3
     assert lc["controllable_on_leaf"] is True
 
     rng = np.random.default_rng(42)
     for _ in range(5):
         c0 = float(rng.uniform(-1, 1))
-        v = invariance_test(ex3, [b * x - a * z - c0], seed=42, **FULL_NUMERIC)
+        v = invariance_test(ex3, elements([b * x - a * z - c0], ctx), seed=42,
+                            **FULL_NUMERIC)
         assert v.held
         for max_rho, arclen, _tol in v.trials:
             assert max_rho < 1e-6 * (1 + arclen)
@@ -425,13 +427,13 @@ def test_criterion_5_property_suites(ex1, ex2, ex3, ex4):
         e = random_poly(rng, (x, y, z), trig_of=w)
         v = (x, y, z, w)[rng.randrange(4)]
         point = {s: rng.uniform(-1.5, 1.5) for s in (x, y, z, w)}
-        sym = evaluate(from_field(differentiate(to_field(e, ctx4), v, ctx4)),
-                       point)
+        sym = evaluate(differentiate(to_field(e, ctx4), v, ctx4), point)
         up = dict(point)
         up[v] = point[v] + fd_h
         dn = dict(point)
         dn[v] = point[v] - fd_h
-        fd = (evaluate(e, up) - evaluate(e, dn)) / (2 * fd_h)
+        f = to_field(e, ctx4)
+        fd = (evaluate(f, up) - evaluate(f, dn)) / (2 * fd_h)
         assert abs(fd - sym) <= 1e-6 * (1 + abs(sym))
 
     # flag duality: Pfaffian type vs numeric bracket-rank distribution type
@@ -444,8 +446,7 @@ def test_criterion_5_property_suites(ex1, ex2, ex3, ex4):
         ranks = []
         for depth in range(1, 5):
             brs = iterated_brackets(sys.exact_fields(), sys.ctx, depth=depth)
-            mat = np.array([[evaluate(from_field(c), point, sys.ctx)
-                             for c in F] for F in brs])
+            mat = np.array([[evaluate(c, point) for c in F] for F in brs])
             sv = np.linalg.svd(mat, compute_uv=False)
             scale = max(1.0, sv[0])
             ranks.append(int(np.sum(sv > 1e-8 * scale)))

@@ -40,6 +40,32 @@ class TestExitCodes:
         assert run(["analyze", str(path)] + FAST) == 0
         capsys.readouterr()
 
+    # ex1 with the coefficient 1 of g1 raised to 10^400, beyond the double
+    # range: each float evaluation writes it as inf
+    HUGE = ("states: x y z\ncontrol g1: [10^400, y, 0]\n"
+            "control g2: [0, 1, x*z]\n")
+
+    @pytest.mark.parametrize("argv, code, err", [
+        (["analyze", "HUGE"] + FAST, 1,
+         "error [analyze]: evaluation produced a non-finite value\n"),
+        (["verify", EX1, "--rho", "z-10^400"] + FAST, 0, ""),
+        (["simulate", "HUGE", "--x0", "0,0,0", "--control", "1:1,0",
+          "--step", "0.5"], 1, "error [simulate]: vector field evaluation "
+                               "produced non-finite values\n"),
+    ], ids=["analyze", "verify", "simulate"])
+    def test_coefficient_beyond_double_range(self, argv, code, err, capsys,
+                                             tmp_path):
+        # once a ValueError from fsum or an OverflowError: a traceback
+        path = tmp_path / "huge.sys"
+        path.write_text(self.HUGE)
+        assert run([str(path) if a == "HUGE" else a for a in argv]) == code
+        out = capsys.readouterr()
+        assert out.err == err
+        if argv[0] == "verify":
+            entry = json.loads(out.out)["verify"]
+            assert entry["classification"] == "Rejected"
+            assert entry["escape"] is None
+
     def test_domain_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.sys"
         bad.write_text("states: x y\ncontrol g1: [1, q]\n")

@@ -20,13 +20,13 @@ from ctrlinv.expr import (
     EVAL_SINGULAR_TOL,
     SymbolContext,
     Verdict,
-    compile_evaluators,
     differentiate,
     divide_exact,
     evaluate,
     factor,
     from_field,
     is_zero,
+    kernels,
     normalize,
     random_point,
     reduce_fraction,
@@ -122,7 +122,7 @@ class TestIsZero:
     def test_torsion_nonzero(self):
         v = is_zero(F(-z * (1 + x)), CTX, seed=5)
         assert v.is_nonzero
-        assert abs(evaluate(-z * (1 + x), v.witness)) > 1e-9
+        assert abs(evaluate(F(-z * (1 + x)), v.witness)) > 1e-9
 
     def test_trivial_zero(self):
         assert is_zero(F(x) - F(x), CTX).is_zero
@@ -196,24 +196,39 @@ class TestDivideExact:
 
 class TestEvaluate:
     def test_direct(self):
-        assert evaluate(-z * (1 + x), {x: 1, z: 2}) == -4
+        assert evaluate(F(-z * (1 + x)), {x: 1, z: 2}) == -4
 
     def test_first_integral_zero_locus(self):
-        assert evaluate(b * x - a * z, {a: 1, b: 1, x: 3, z: 3}) == 0
+        assert evaluate(F(b * x - a * z, CTX4),
+                        {a: 1, b: 1, x: 3, z: 3}) == 0
 
     def test_trig(self):
-        assert evaluate(sp.sin(w), {w: 0}) == 0
+        assert evaluate(F(sp.sin(w), CTX4), {w: 0}) == 0
 
     def test_missing_symbol(self):
         with pytest.raises(UnknownSymbol):
-            evaluate(x + y, {x: 1})
+            evaluate(F(x + y), {x: 1})
 
     def test_singular_denominator(self):
         with pytest.raises(EvalSingular):
-            evaluate(1 / x, {x: 1e-14})
+            evaluate(F(1 / x), {x: 1e-14})
 
     def test_negative_one(self):
-        assert evaluate(sp.S.NegativeOne, {}) == -1.0
+        assert evaluate(F(sp.S.NegativeOne), {}) == -1.0
+
+    def test_coefficient_beyond_double_range_is_infinite(self):
+        # a float literal of 10^400 would not fit: it is written as inf,
+        # and the float form takes a value that is not finite as singular
+        big = [F(10**400 * x + 1), F(1 - 10**400 * x)]
+        out = np.empty((2, 2))
+        with np.errstate(invalid="ignore"):
+            fill, = kernels([big], CTX, arrays=True)
+            fill(np.array([[1.0, 0.0], [0, 0], [0, 0]]), np.ones((1, 2)), out)
+        assert out[:, 0].tolist() == [math.inf, -math.inf]
+        assert np.isnan(out[:, 1]).all()
+        for f in big:
+            with pytest.raises(EvalSingular, match="non-finite value"):
+                evaluate(f, {x: 1.0})
 
 
 def _reference_eval(e, point):
@@ -249,69 +264,131 @@ def _reference_eval(e, point):
 
 
 def _result(fn, *args):
-    """fn's value, or the type and message of what it raised."""
+    """fn's value, or the type of what it raised."""
     try:
         return fn(*args)
     except Exception as exc:  # compared, whatever it is
-        return type(exc), str(exc)
+        return type(exc)
+
+
+# x y z w with a positive parameter a and an unsigned one c
+CTX5 = SymbolContext(states=(x, y, z, w), params=(a, c),
+                     param_signs={a: "+"})
+
+
+def _random_element(rng):
+    """A random element of CTX5.field: a quotient of small polynomials in
+    the states and parameters and the sin, cos of one or two states, or a
+    polynomial, with rational coefficients."""
+    syms = (x, y, z, a, c)
+
+    def poly():
+        e = random_poly(rng, syms, terms=rng.randint(1, 3),
+                        degree=rng.randint(1, 2), trig_of=w)
+        if rng.random() < 0.5:  # a second sin, cos pair
+            e += random_poly(rng, syms, terms=1, trig_of=x)
+        return e
+
+    while True:
+        e = poly() / poly() if rng.random() < 0.7 else poly()
+        try:
+            return to_field(e, CTX5)
+        except DivisionByZeroExpr:
+            pass
+
+
+def _parts(p, scale, gens):
+    """The fsum of p / scale's terms at the generator values gens, and the
+    sum of their absolute values."""
+    terms = [float(k / scale) * math.prod(g ** e for g, e in zip(gens, m))
+             for m, k in p.terms()]
+    return math.fsum(terms), math.fsum(map(abs, terms))
+
+
+def _magnitude(f, point):
+    """The scale of the rounding error of f's value at the point in any
+    order of its sums: |terms| of the numerator over |den|, plus |num|
+    times |terms| of the denominator over den^2 (num, den as from_field
+    writes them)."""
+    gens = [math.sin(point[g.args[0]]) if isinstance(g, sp.sin) else
+            math.cos(point[g.args[0]]) if isinstance(g, sp.cos) else point[g]
+            for g in f.field.symbols]
+    lc = f.denom.LC
+    num, num_scale = _parts(f.numer, lc, gens)
+    den, den_scale = _parts(f.denom, lc, gens)
+    return num_scale / abs(den) + abs(num) * den_scale / den ** 2
 
 
 class TestCompiledEvaluators:
-    SYMBOLS = (x, y, z, w, a, b)
-
-    def assert_evaluates_as_evaluate(self, groups, points):
-        fns = compile_evaluators(groups, self.SYMBOLS)
-        for point in points:
-            values = [point[s] for s in self.SYMBOLS]
-            for fn, group in zip(fns, groups):
-                want = _result(lambda: tuple(
-                    evaluate(e, point) for e in group))
-                assert repr(_result(fn, *values)) == repr(want), group
-                assert repr(want) == repr(_result(lambda: tuple(
-                    _reference_eval(sp.sympify(e), point) for e in group)))
+    """The generated kernels against `_reference_eval` of the expression
+    `from_field` writes for each field element."""
 
     def test_random_expressions(self):
         rng = random.Random(20261)
-        extra = [c * x, x ** sp.Rational(1, 2), sp.exp(y), 1 / (x - y),
-                 sp.Rational(2, 3) / (z * w ** 2), sp.sin(x) / sp.cos(w),
-                 sp.cos(x * y) ** -3, sp.nan, sp.oo * y]
-        groups = [[_random_expression(rng) for _ in range(rng.randint(1, 4))]
-                  + rng.sample(extra, rng.randint(0, 1)) for _ in range(120)]
+        groups = [[_random_element(rng) for _ in range(rng.randint(1, 4))]
+                  for _ in range(60)]
         points = []
         for _ in range(12):
-            point = {s: rng.uniform(-2, 2) for s in self.SYMBOLS}
-            if rng.random() < 0.5:  # a vanishing or tiny denominator
-                point[rng.choice(self.SYMBOLS)] = rng.choice([0.0, 1e-13])
+            point = {s: rng.uniform(-2, 2) for s in CTX5.symbols}
+            if rng.random() < 0.5:  # a vanishing denominator
+                point[rng.choice(CTX5.states)] = 0.0
             points.append(point)
-        self.assert_evaluates_as_evaluate(groups, points)
-        kinds = {type(_result(lambda: tuple(evaluate(e, p) for e in g)))
-                 for g in groups for p in points}
-        raised = {_result(lambda: tuple(evaluate(e, p) for e in g))[0]
-                  for g in groups for p in points}
-        assert kinds == {tuple} and {EvalSingular, UnknownSymbol,
-                                     NotPolynomial} <= raised
+        values = [[[_result(_reference_eval, from_field(f), p) for p in points]
+                   for f in group] for group in groups]
+        fns = kernels(groups, CTX5)
+        fills = kernels(groups, CTX5, arrays=True)
+        args = np.array([[p[s] for s in CTX5.symbols] for p in points]).T
+        singular = 0
+        for group, kernel, fill, want in zip(groups, fns, fills, values):
+            # the float form, point by point: a group raises EvalSingular
+            # where the reference does for one of its elements
+            for j, point in enumerate(points):
+                got = _result(kernel, [point[s] for s in CTX5.symbols])
+                if any(row[j] is EvalSingular for row in want):
+                    assert got is EvalSingular, group
+                    singular += 1
+                    continue
+                assert isinstance(got, list), group
+                for f, row, value in zip(group, want, got):
+                    assert abs(value - row[j]) \
+                        <= 1e-12 * _magnitude(f, point), (f, point)
+            # the array form, all points at once: not finite where the
+            # reference raises
+            out = np.empty((len(group), len(points)))
+            with np.errstate(all="ignore"):
+                fill(args[:4], args[4:], out)
+            for f, row, got in zip(group, want, out):
+                for j, point in enumerate(points):
+                    if row[j] is EvalSingular:
+                        assert not math.isfinite(got[j]), (f, point)
+                    else:
+                        assert abs(got[j] - row[j]) \
+                            <= 1e-12 * _magnitude(f, point), (f, point)
+        assert singular > 5
 
     def test_raises_when_called(self):
-        groups = [[sp.exp(x)], [x ** sp.Rational(1, 2)], [y + c],
-                  [x + 1, 1 / y, c], [sp.sin(c) + y]]
-        self.assert_evaluates_as_evaluate(
-            groups, [dict.fromkeys(self.SYMBOLS, 0.0),
-                     dict.fromkeys(self.SYMBOLS, 0.5)])
-        fns = compile_evaluators(groups, self.SYMBOLS)
-        with pytest.raises(EvalSingular):  # 1/y before the unknown c
-            fns[3](*[0.0] * 6)
-        with pytest.raises(UnknownSymbol, match="no value assigned for c"):
-            fns[3](*[1.0] * 6)
-
+        group = [F(x + 1), F(1 / y), F(c), F(1 / (x * y + y))]
+        (value,), (fill,) = (kernels([group], CTX, arrays=arrays)
+                             for arrays in (False, True))
+        with pytest.raises(EvalSingular, match="denominator below threshold"):
+            value([0.5, 0.0, 0.0, 1.0])
+        assert value([1.0, 2.0, 0.0, 3.0]) == [2.0, 0.5, 3.0, 0.25]
+        out = np.empty((4, 2))
+        with np.errstate(divide="ignore"):
+            fill(np.array([[0.5, 1.0], [0.0, 2.0], [0.0, 0.0]]),
+                 np.array([[1.0, 3.0]]), out)
+        assert out[:, 1].tolist() == [2.0, 0.5, 3.0, 0.25]
+        assert out[1, 0] == math.inf and out[3, 0] == math.inf
 
     def test_functions_freed_without_cyclic_collector(self):
         # each function is freed with its last reference, not by gc
         gc.disable()
         try:
-            fns = compile_evaluators([[x + y], [1 / x, c]], self.SYMBOLS)
+            fns = kernels([[F(x + y)], [F(1 / x), F(c)]], CTX)
+            fns += kernels([[F(x + y), F(1 / x)]], CTX, arrays=True)
             refs = [weakref.ref(fn) for fn in fns]
             del fns
-            assert [ref() for ref in refs] == [None, None]
+            assert [ref() for ref in refs] == [None, None, None]
         finally:
             gc.enable()
 

@@ -4,6 +4,7 @@ import time
 
 import pytest
 import sympy as sp
+from sympy.polys.domains import QQ
 from sympy.polys.polyerrors import PolynomialError
 
 import ctrlinv.integrals as integrals_module
@@ -360,10 +361,11 @@ class TestDivideSequentialErrors:
 
     @staticmethod
     def _divide(monkeypatch, exc):
-        def raising(*args, **kwargs):
+        def raising(values):
             raise exc
 
-        monkeypatch.setattr(integrals_module, "evaluate", raising)
+        monkeypatch.setattr(integrals_module, "kernels",
+                            lambda groups, ctx: [raising for _ in groups])
         # z is not in the ideal (x, y), so the column goes to the fallback
         return integrals_module._divide_sequential(
             (F(x), F(y)), {2: (F(z), F(z), F(1))}, ["x", "y", "z"], CTX, CTX,
@@ -562,3 +564,25 @@ def test_first_integral_annihilation_failure_raises(monkeypatch):
     monkeypatch.setattr(integrals_module, "contract", lambda form, X: 1)
     with pytest.raises(AnnihilationFailure):
         first_integrals(flag, sys.ctx, fields=sys.exact_fields())
+
+
+def test_level_set_offset_is_exact(ex3, monkeypatch):
+    # rho - offset holds the float offset's exact value; QQ.convert would
+    # take a nearby rational of small denominator instead
+    offset = 0.37412345678901234
+    exact = QQ(*offset.as_integer_ratio())
+    assert QQ.convert(offset) != exact
+    cand, = first_integrals(derived_flag(ex3), ex3.ctx,
+                            fields=ex3.exact_fields())
+
+    class Seen(Exception):
+        pass
+
+    def seen(sys, rhos, *args, **kwargs):
+        raise Seen(rhos)
+
+    monkeypatch.setattr(integrals_module, "leaf_controllability", seen)
+    with pytest.raises(Seen) as info:
+        integrals_module.numeric_evidence(ex3, cand, 3, FAST, offset)
+    level, = info.value.args[0]
+    assert level + exact == cand.rhos[0]

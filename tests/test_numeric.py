@@ -1,12 +1,15 @@
 import gc
 import math
 import random
+import types
 import weakref
 
 import numpy as np
 import pytest
 import sympy as sp
 
+import ctrlinv.expr as expr_module
+import ctrlinv.integrals as integrals_module
 import ctrlinv.numeric as numeric_module
 import ctrlinv.sampling as sampling_module
 from ctrlinv.dsl import ControlAffineSystem, ControlSchedule, parse_system
@@ -20,12 +23,14 @@ from ctrlinv.errors import (
 from ctrlinv.expr import (
     POINT_ERRORS,
     SymbolContext,
-    evaluate,
     from_field,
+    gradient,
+    kernels,
     normalize,
     sample_params,
     to_field,
 )
+from ctrlinv.integrals import analyze
 from ctrlinv.numeric import (
     BRACKET_DEPTH,
     INV_TOL_BASE,
@@ -42,8 +47,8 @@ from ctrlinv.numeric import (
 )
 from ctrlinv.sampling import CONSTRAINT_MARGIN, zero_locus_points
 
-from conftest import field_rows, random_poly
-from test_golden import TRIG4
+from conftest import elements, field_rows, load_system, random_poly
+from test_golden import CONFIG as GOLDEN_CONFIG, TRIG4
 
 x, y, z, w = sp.symbols("x y z w")
 a, b = sp.symbols("a b")
@@ -85,14 +90,15 @@ def random_batch(sys, rows, seed):
 DENSE = ("states: x y\nparams: a\ndrift: [x*y + a, y^2]\n"
          "control g1: [sin(x), a*y]\ncontrol g2: [x^2, cos(y)]\n")
 
-# cos(w) repeated inside multi-factor products, a power and a nested call
-# (which the DSL cannot spell), a whole row repeated, and a constant control
-# g2; the loci's monitors share cos(w) with the rows
+# cos(w) repeated inside multi-factor products, a power and a quotient, a
+# whole row repeated, and a constant control g2; the loci's monitors share
+# cos(w) with the rows
 ZERO, ONE = sp.Integer(0), sp.Integer(1)
 SHARED = ControlAffineSystem(
     ctx=SymbolContext(states=(x, y, z, w), params=(a, b)),
     drift=(a * b * sp.cos(w), y * z * sp.cos(w), ZERO, ONE),
-    controls=((sp.cos(w) ** 2, sp.sin(sp.cos(w)), y * z * sp.cos(w), ZERO),
+    controls=((sp.cos(w) ** 2, sp.sin(w) / (2 + sp.cos(w)), y * z * sp.cos(w),
+               ZERO),
               (ZERO, ZERO, ZERO, ONE)))
 
 
@@ -110,7 +116,7 @@ class TestFusedEvaluator:
 
     def test_monitor_constant_and_parameter_only(self, ex4):
         xs, _, ps = random_batch(ex4, 7, seed=1)
-        vals = rhs_function(ex4, [sp.Integer(3), a, b * x - a * z]) \
+        vals = rhs_function(ex4, elements([3, a, b * x - a * z], ex4.ctx)) \
             .fields.evaluate(xs, ps).T
         assert vals.shape == (7, 3)
         assert np.array_equal(vals[:, 0], np.full(7, 3.0))
@@ -126,11 +132,13 @@ class TestFusedEvaluator:
     @pytest.mark.parametrize("seed", range(20))
     def test_generated_rows_match_lambdify(self, seed):
         # rows and monitors drawn from a pool of overlapping subexpressions:
-        # calls, products, powers, quotients and nested calls
+        # calls, products, powers and quotients.  The kernel sums each
+        # field element's expanded terms, lambdify the drawn expression as
+        # written, so the two agree to rounding: every term is O(1)
         rng = random.Random(seed)
         pool = [sp.cos(w), sp.sin(w), x * y, sp.cos(w) ** 2, a * sp.cos(w),
-                sp.sin(sp.cos(w)), 1 / (1 + x**2), x * y * sp.cos(w), -x * z,
-                sp.cos(x * y), a**2, ONE]
+                sp.sin(w) / (2 + sp.cos(w)), 1 / (1 + x**2), x * y * sp.cos(w),
+                -x * z, sp.cos(y), a**2, ONE]
 
         def draw():
             e = ZERO
@@ -144,13 +152,15 @@ class TestFusedEvaluator:
             controls=tuple(tuple(draw() for _ in range(4)) for _ in range(2)))
         monitors = [draw() for _ in range(3)]
         xs, us, ps = random_batch(sys, 50, seed=seed)
-        rhs = rhs_function(sys, monitors)
-        assert np.array_equal(rhs(xs, us, ps), per_field_rhs(sys, xs, us, ps))
+        rhs = rhs_function(sys, elements(monitors, ctx))
+        assert np.allclose(rhs(xs, us, ps), per_field_rhs(sys, xs, us, ps),
+                           rtol=1e-12, atol=1e-12)
         want = sp.lambdify(list(ctx.states) + list(ctx.params), monitors,
                            "numpy")(*xs.T, *ps.T)
         got = rhs.fields.evaluate(xs, ps)
         for row, vals in zip(got, want):
-            assert np.array_equal(row, np.broadcast_to(vals, row.shape))
+            assert np.allclose(row, np.broadcast_to(vals, row.shape),
+                               rtol=1e-12, atol=1e-12)
 
     def test_control_switch_updates_held_products(self, ex3):
         # g2 = [0, 0, 0, 1] has no state: a product g2 u2 cached between
@@ -201,7 +211,7 @@ class TestFusedEvaluator:
         # the generated fill is freed with its evaluator, not by gc
         gc.disable()
         try:
-            rhs = rhs_function(ex4, [x])
+            rhs = rhs_function(ex4, elements([x], ex4.ctx))
             ref = weakref.ref(rhs.fields._fill)
             del rhs
             assert ref() is None
@@ -238,7 +248,7 @@ class TestSimulate:
     def test_monitor_values(self, ex1):
         sched = ControlSchedule(((1.0, (1.0, 0.0)),))
         traj = simulate(ex1, [0.0, 1.0, 0.0], sched, h=1e-2,
-                        monitors={"rho1": z})
+                        monitors={"rho1": to_field(z, ex1.ctx)})
         assert np.max(np.abs(traj.rho_values["rho1"])) < 1e-9
 
     def test_empty_schedule(self):
@@ -262,7 +272,7 @@ class TestSimulate:
         sys = parse_system("states: x y\ncontrol g1: [1, 0]\n")
         traj = simulate(sys, [0.0, 0.0],
                         ControlSchedule(((0.01, (1.0,)),)), h=1e-2,
-                        monitors={"rho1": x})
+                        monitors={"rho1": to_field(x, sys.ctx)})
         csv = traj.to_csv(["x", "y"], 1, ["rho1"])
         lines = csv.strip().splitlines()
         assert lines[0] == "t,x,y,u1,rho1"
@@ -357,14 +367,15 @@ class TestDormandPrince:
     def test_rotation_circle_held_and_line_violated(self):
         sys = parse_system(self.ROTATION)
         kwargs = dict(trials=20, pieces=4, horizon=5.0, h=1e-2, seed=2)
-        circle = invariance_test(sys, [x**2 + y**2 - 1], **kwargs)
+        circle = invariance_test(sys, elements([x**2 + y**2 - 1], sys.ctx),
+                                 **kwargs)
         assert circle.held and circle.max_rho < 1e-9
-        assert not invariance_test(sys, [y], **kwargs).held
+        assert not invariance_test(sys, elements([y], sys.ctx), **kwargs).held
 
     def test_accepted_times_include_switch_times(self, ex4, monkeypatch):
         seen = recording_sweep(monkeypatch)
-        invariance_test(ex4, [b * x - a * z], trials=10, pieces=5,
-                        horizon=1.0, h=1e-2, seed=7)
+        invariance_test(ex4, elements([b * x - a * z], ex4.ctx), trials=10,
+                        pieces=5, horizon=1.0, h=1e-2, seed=7)
         ends = seen[0][3]  # the switch times, then the horizon, per trial
         accepted = [set() for _ in ends]
         for trials, t, ok, _, _ in seen[1:]:
@@ -377,9 +388,9 @@ class TestDormandPrince:
     def test_blowup_ends_in_error_within_budget(self, monkeypatch):
         # x' = x^2 u from x = 1 blows up at t = 1/u for u > 0
         seen = recording_sweep(monkeypatch)
-        v = invariance_test(parse_system("states: x\ncontrol g1: [x^2]\n"),
-                            [x - 1], trials=20, pieces=3, horizon=5.0,
-                            h=1e-2, seed=1)
+        sys = parse_system("states: x\ncontrol g1: [x^2]\n")
+        v = invariance_test(sys, elements([x - 1], sys.ctx), trials=20,
+                            pieces=3, horizon=5.0, h=1e-2, seed=1)
         # the steps shrink towards the blow-up until the budget of
         # round(5.0 / 1e-2) attempts runs out
         assert v.verdict == "Violated"
@@ -536,7 +547,8 @@ class TestBracketsAgainstReference:
 class TestZeroLocusSampling:
     def test_points_on_locus(self, ex4):
         rng = np.random.default_rng(3)
-        pts = zero_locus_points([b * x - a * z], ex4.ctx, rng, count=10)
+        pts = zero_locus_points(elements([b * x - a * z], ex4.ctx), ex4.ctx,
+                                rng, count=10)
         assert len(pts) == 10
         for pt in pts:
             val = pt[b] * pt[x] - pt[a] * pt[z]
@@ -545,33 +557,36 @@ class TestZeroLocusSampling:
 
     def test_nonlinear_locus(self):
         rng = np.random.default_rng(4)
-        pts = zero_locus_points([x**2 + y**2 - 1], CTX, rng, count=5)
+        pts = zero_locus_points(elements([x**2 + y**2 - 1], CTX), CTX, rng,
+                                count=5)
         for pt in pts:
             assert abs(pt[x] ** 2 + pt[y] ** 2 - 1) < 1e-9
 
     def test_linear_system_sharing_a_state(self):
         # solving y + z for y would break x + y = 0, already solved for x
         rng = np.random.default_rng(5)
-        pts = zero_locus_points([x + y, y + z], CTX, rng, count=5)
+        pts = zero_locus_points(elements([x + y, y + z], CTX), CTX, rng,
+                                count=5)
         assert len(pts) == 5
         for pt in pts:
             assert abs(pt[x] + pt[y]) < 1e-12
             assert abs(pt[y] + pt[z]) < 1e-12
 
     def test_linear_plan_built_once_per_call(self, monkeypatch):
-        real = sp.Poly
+        real = sampling_module.differentiate
         built = []
 
-        def counting_poly(*args, **kwargs):
+        def counting_differentiate(*args, **kwargs):
             built.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(sampling_module.sp, "Poly", counting_poly)
-        rhos = [x + y, y + z]
+        monkeypatch.setattr(sampling_module, "differentiate",
+                            counting_differentiate)
+        rhos = elements([x + y, y + z], CTX)
         pts = zero_locus_points(rhos, CTX, np.random.default_rng(5),
                                 count=50)
         assert len(pts) == 50
-        assert len(built) <= len(rhos) * len(CTX.states)
+        assert 0 < len(built) <= len(rhos) * len(CTX.states)
 
     @pytest.mark.parametrize("rho", [
         x + y, x**2 + y, x**2 * y + z, z, y + 1 / x, (x + y) / (z + 1),
@@ -579,13 +594,18 @@ class TestZeroLocusSampling:
         a * x + z, a * x**2 - b * y, x / a + b], ids=str)
     def test_linear_plan_matches_degree_test(self, rho):
         ctx = SymbolContext(states=(x, y, z), params=(a, b))
-        assert sampling_module._linear_plan([rho], ctx) == \
-            _reference_linear_plan([rho], ctx)
+        f = to_field(rho, ctx)
+        (symbols, terms), = sampling_module._linear_plan(
+            [f], [gradient(f, ctx)], ctx)
+        (want_symbols, want_terms), = _reference_linear_plan([rho], ctx)
+        assert symbols == want_symbols & set(ctx.states)
+        assert [(v, a, r) for v, a, r in terms] == [
+            (v, to_field(a, ctx), to_field(r, ctx)) for v, a, r in want_terms]
 
     def test_empty_locus_raises_named_error(self):
         rng = np.random.default_rng(6)
         with pytest.raises(SamplingFailed):
-            zero_locus_points([x**2 + 1], CTX, rng, count=2)
+            zero_locus_points(elements([x**2 + 1], CTX), CTX, rng, count=2)
 
 
 class TestSamplingErrors:
@@ -603,75 +623,79 @@ class TestSamplingErrors:
     IDS = ["solve_linear", "newton_project", "constraints_ok"]
 
     @staticmethod
-    def _failing_once(monkeypatch, target, exc):
+    def _failing_once(monkeypatch, ctx, target, exc):
         """The first call of a compiled function that evaluates target
         raises exc."""
-        real = sampling_module.compile_evaluators
+        real = sampling_module.kernels
+        target = to_field(target, ctx)
         failed = []
 
         def failing_first(fn, group):
-            def call(*values):
+            def call(values):
                 if not failed:
                     failed.append(group)
                     raise exc
-                return fn(*values)
+                return fn(values)
 
             return call if target in group else fn
 
-        def compile_evaluators(groups, symbols):
+        def kernels(groups, ctx):
             return [failing_first(fn, group)
-                    for fn, group in zip(real(groups, symbols), groups)]
+                    for fn, group in zip(real(groups, ctx), groups)]
 
-        monkeypatch.setattr(sampling_module, "compile_evaluators",
-                            compile_evaluators)
+        monkeypatch.setattr(sampling_module, "kernels", kernels)
         return failed
 
     @pytest.mark.parametrize("rhos, nonzero, target", SITES, ids=IDS)
     def test_unrelated_error_propagates(self, monkeypatch, rhos, nonzero,
                                         target):
-        self._failing_once(monkeypatch, target, RuntimeError("unrelated"))
         ctx = SymbolContext(states=(x, y, z), nonzero=nonzero)
+        self._failing_once(monkeypatch, ctx, target,
+                           RuntimeError("unrelated"))
         with pytest.raises(RuntimeError, match="unrelated"):
-            zero_locus_points(rhos, ctx, np.random.default_rng(7), count=3)
+            zero_locus_points(elements(rhos, ctx), ctx,
+                              np.random.default_rng(7), count=3)
 
     @pytest.mark.parametrize("rhos, nonzero, target", SITES, ids=IDS)
     def test_singular_point_is_skipped(self, monkeypatch, rhos, nonzero,
                                        target):
-        failed = self._failing_once(monkeypatch, target,
-                                    EvalSingular("below threshold"))
         ctx = SymbolContext(states=(x, y, z), nonzero=nonzero)
-        pts = zero_locus_points(rhos, ctx, np.random.default_rng(7), count=3)
+        failed = self._failing_once(monkeypatch, ctx, target,
+                                    EvalSingular("below threshold"))
+        pts = zero_locus_points(elements(rhos, ctx), ctx,
+                                np.random.default_rng(7), count=3)
         assert failed and len(pts) == 3
 
 
 class TestInvariance:
     def test_invariant_locus_holds(self, ex1):
-        v = invariance_test(ex1, [z], trials=10, pieces=3, horizon=1.0,
-                            h=1e-3, seed=1)
+        v = invariance_test(ex1, elements([z], ex1.ctx), trials=10, pieces=3,
+                            horizon=1.0, h=1e-3, seed=1)
         assert v.held
         assert v.max_rho < v.tolerance
 
     def test_non_invariant_locus_violated(self, ex2):
-        v = invariance_test(ex2, [y], trials=10, pieces=3, horizon=1.0,
-                            h=1e-3, seed=1)
+        v = invariance_test(ex2, elements([y], ex2.ctx), trials=10, pieces=3,
+                            horizon=1.0, h=1e-3, seed=1)
         assert not v.held
 
     def test_deterministic(self, ex1):
-        v1 = invariance_test(ex1, [z], trials=5, pieces=2, horizon=0.5, seed=9)
-        v2 = invariance_test(ex1, [z], trials=5, pieces=2, horizon=0.5, seed=9)
+        rhos = elements([z], ex1.ctx)
+        v1 = invariance_test(ex1, rhos, trials=5, pieces=2, horizon=0.5, seed=9)
+        v2 = invariance_test(ex1, rhos, trials=5, pieces=2, horizon=0.5, seed=9)
         assert v1 == v2
 
 
 class TestEscape:
     def test_escape_found(self, ex2):
-        esc = escape_test(ex2, [y], seed=2, horizon=2.0)
+        esc = escape_test(ex2, elements([y], ex2.ctx), seed=2, horizon=2.0)
         assert esc is not None
         sched, t, val = esc
         assert val > 0.1
         assert 0 < t <= sched.horizon
 
     def test_no_escape_from_invariant(self, ex1):
-        esc = escape_test(ex1, [z], seed=2, horizon=1.0)
+        esc = escape_test(ex1, elements([z], ex1.ctx), seed=2, horizon=1.0)
         assert esc is None
 
 
@@ -776,8 +800,8 @@ def _reference_simulate(sys: ControlAffineSystem, x0, schedule: ControlSchedule,
         raise EvalSingular(f"no parameter values for {missing}")
     point0 = {v: float(x) for v, x in zip(ctx.states, x0)}
     point0.update(param_values)
-    for c in ctx.nonzero:
-        if abs(evaluate(c, point0, ctx)) <= CONSTRAINT_MARGIN:
+    for c, e in zip(ctx.nonzero, ctx.nonzero_elements):
+        if abs(_evaluate(e, point0, ctx)) <= CONSTRAINT_MARGIN:
             raise DomainExit(f"initial point violates nonzero constraint {c}")
 
     rhs = _reference_rhs_function(sys)
@@ -808,7 +832,8 @@ def _reference_simulate(sys: ControlAffineSystem, x0, schedule: ControlSchedule,
     times = np.arange(total_steps + 1) * h
     rho_values = {}
     if monitors:
-        mon_fn = _reference_monitor_function(list(monitors.values()), ctx)
+        mon_fn = _reference_monitor_function(
+            [from_field(m) for m in monitors.values()], ctx)
         vals = mon_fn(xs, np.repeat(p, len(xs), axis=0))
         for k, lbl in enumerate(monitors):
             rho_values[lbl] = vals[:, k]
@@ -835,7 +860,6 @@ def _reference_invariance_test(sys: ControlAffineSystem, rhos, trials=100, piece
     All trials integrate in one batched RK4 sweep.
     """
     ctx = sys.ctx
-    rhos = [sp.sympify(r) for r in rhos]
     rng = np.random.default_rng(seed)
     starts = _reference_zero_locus_points(rhos, ctx, rng, count=trials)
 
@@ -855,7 +879,7 @@ def _reference_invariance_test(sys: ControlAffineSystem, rhos, trials=100, piece
             i += count
     u = np.zeros((trials, sys.m))  # each trial's current control
     rhs = _reference_rhs_function(sys)
-    mon = _reference_monitor_function(rhos, ctx)
+    mon = _reference_monitor_function([from_field(r) for r in rhos], ctx)
     max_rho = np.max(np.abs(mon(x, p)), axis=1)
     arclen = np.zeros(trials)
     errors = []
@@ -889,7 +913,6 @@ def _reference_escape_test(sys: ControlAffineSystem, rhos, seed=42, horizon=5.0,
     trajectory driving max |rho| above the threshold, or None.
     """
     ctx = sys.ctx
-    rhos = [sp.sympify(r) for r in rhos]
     rng = np.random.default_rng(seed)
     pts = _reference_zero_locus_points(rhos, ctx, rng, count=starts)
     m = sys.m
@@ -912,7 +935,7 @@ def _reference_escape_test(sys: ControlAffineSystem, rhos, seed=42, horizon=5.0,
     p = np.array(batch_p) if ctx.params else np.zeros((len(batch_x), 0))
     u = np.array(batch_u)
     rhs = _reference_rhs_function(sys)
-    mon = _reference_monitor_function(rhos, ctx)
+    mon = _reference_monitor_function([from_field(r) for r in rhos], ctx)
     steps = max(1, round(horizon / h))
     alive = np.ones(len(x), dtype=bool)
     for i in range(steps):
@@ -1018,7 +1041,7 @@ class TestAgainstReferenceLoops:
     @pytest.mark.parametrize("trials, seed", [(30, 3), (200, 8)])
     def test_invariance_test(self, name, trials, seed, request):
         sys = oracle_system(name, request)
-        for rhos in ORACLE_LOCI[name]:
+        for rhos in field_rows(ORACLE_LOCI[name], sys.ctx):
             # the reference snaps each switch onto its step grid, which
             # moves it by up to h/2: a step of 1e-3 keeps that inside 1e-2
             kwargs = dict(trials=trials, pieces=3, horizon=0.3, h=1e-3,
@@ -1030,9 +1053,10 @@ class TestAgainstReferenceLoops:
     def test_singular_start_ends_in_errors(self):
         sys = parse_system(SINGULAR)
         kwargs = dict(trials=5, pieces=2, horizon=0.1, h=1e-2, seed=1)
-        got = invariance_test(sys, [x], **kwargs)
+        rhos = elements([x], sys.ctx)
+        got = invariance_test(sys, rhos, **kwargs)
         assert got.errors and not got.held
-        assert_same_verdict(got, _reference_invariance_test(sys, [x],
+        assert_same_verdict(got, _reference_invariance_test(sys, rhos,
                                                             **kwargs))
 
     def test_later_stage_overflow_raises(self):
@@ -1048,15 +1072,17 @@ class TestAgainstReferenceLoops:
     def test_overflowing_rows_drop_out_of_escape(self):
         sys = parse_system(OVERFLOW)
         kwargs = dict(seed=4, horizon=0.5, starts=4, random_controls=5)
-        got = escape_test(sys, [y], **kwargs)
+        rhos = elements([y], sys.ctx)
+        got = escape_test(sys, rhos, **kwargs)
         # the first hit, u = e2, comes after the dropped row of u = e1
         assert got[0].pieces[0][1] == (0.0, 1.0)
-        assert got == _reference_escape_test(sys, [y], **kwargs)
+        assert got == _reference_escape_test(sys, rhos, **kwargs)
 
     def test_singular_rows_drop_out_of_escape(self):
         # u = e1 blows up x' = 10^60 x^2 from every start; u = e2 still
         # leaves {y = 0}
-        got = escape_test(parse_system(BLOWUP), [y], seed=0)
+        sys = parse_system(BLOWUP)
+        got = escape_test(sys, elements([y], sys.ctx), seed=0)
         assert got is not None
         assert got[0].pieces[0][1] == (0.0, 1.0)
         assert got[1] == pytest.approx(0.11)
@@ -1069,13 +1095,14 @@ class TestAgainstReferenceLoops:
             # the reference stops the whole search at the first singular row
             # and finds nothing; the rows of u1 != 0 blow up and drop out,
             # and u = e2 leaves {y = 0} while x stays put
-            got = escape_test(sys, [y], **kwargs)
+            got = escape_test(sys, elements([y], sys.ctx), **kwargs)
             assert got[0].pieces == ((0.5, (0.0, 1.0)),)
             assert got[1] == pytest.approx(0.11)
             assert got[2] > 0.1
-            assert escape_test(sys, [x - 1], **kwargs) is None
+            assert escape_test(sys, elements([x - 1], sys.ctx),
+                               **kwargs) is None
             return
-        for rhos in ORACLE_LOCI[name]:
+        for rhos in field_rows(ORACLE_LOCI[name], sys.ctx):
             assert_same(outcome(escape_test, sys, rhos, **kwargs),
                         outcome(_reference_escape_test, sys, rhos, **kwargs))
 
@@ -1089,7 +1116,7 @@ class TestAgainstReferenceLoops:
         params = {q: float(rng.uniform(0.5, 2)) for q in sys.ctx.params}
         sched = ControlSchedule(tuple(
             (0.05, tuple(rng.uniform(-1, 1, size=sys.m))) for _ in range(3)))
-        monitors = {f"rho{i + 1}": sp.Add(*rhos)
+        monitors = {f"rho{i + 1}": to_field(sp.Add(*rhos), sys.ctx)
                     for i, rhos in enumerate(ORACLE_LOCI[name])}
         self.assert_same_run(sys, x0, sched, params, monitors)
 
@@ -1098,7 +1125,7 @@ class TestAgainstReferenceLoops:
         sched = ControlSchedule(((1.0, (0.3, 0.0)), (2.0, (0.0, 1.0))))
         params = {a: 1.0, b: 1.5}
         got = self.assert_same_run(ex3, [0.1, 0.2, 0.3, 0.0], sched, params,
-                                   {"rho1": y})
+                                   {"rho1": to_field(y, ex3.ctx)})
         assert got[0] is DomainExit
 
     @staticmethod
@@ -1111,9 +1138,11 @@ class TestAgainstReferenceLoops:
             assert np.array_equal(got.states, want.states, equal_nan=True)
             assert np.array_equal(got.controls, want.controls)
             assert list(got.rho_values) == list(want.rho_values)
+            # the kernel sums a monitor's terms in grlex order, lambdify in
+            # its printing order: the sums of O(1) terms agree to rounding
             for lbl, vals in want.rho_values.items():
-                assert np.array_equal(got.rho_values[lbl], vals,
-                                      equal_nan=True)
+                assert np.allclose(got.rho_values[lbl], vals, rtol=1e-12,
+                                   atol=1e-14, equal_nan=True)
         else:
             assert_same(got, want)
         return got
@@ -1122,23 +1151,23 @@ class TestAgainstReferenceLoops:
 def test_invariance_attempt_evaluates_fields_six_times(ex3, monkeypatch):
     # five stages, then the monitors and the last stage from one fused
     # evaluation per attempted step, plus the evaluation at the start
-    real = numeric_module._compile
+    real = numeric_module.kernels
     calls = []
 
-    def counting_compile(source, namespace, name):
+    def counting_kernels(groups, ctx, arrays=False):
         # the one generated function, which fills every row at a state
-        fn = real(source, namespace, name)
+        fn, = real(groups, ctx, arrays)
 
         def call(*values):
             calls.append(fn)
             return fn(*values)
 
-        return call
+        return [call]
 
-    monkeypatch.setattr(numeric_module, "_compile", counting_compile)
+    monkeypatch.setattr(numeric_module, "kernels", counting_kernels)
     seen = recording_sweep(monkeypatch)
-    invariance_test(ex3, [b * x - a * z], trials=7, pieces=3, horizon=0.5,
-                    h=0.01, seed=3)
+    invariance_test(ex3, elements([b * x - a * z], ex3.ctx), trials=7,
+                    pieces=3, horizon=0.5, h=0.01, seed=3)
     attempts = len(seen) - 2  # the arguments and the start come first
     assert attempts > 3
     assert len(calls) == 1 + 6 * attempts
@@ -1146,18 +1175,30 @@ def test_invariance_attempt_evaluates_fields_six_times(ex3, monkeypatch):
 
 # --- block draws and the live-trial sweep against the loops they replace -----
 #
-# _reference_zero_locus_points (one attempt per loop, tree-walking
-# `evaluate`), _reference_dp_sweep (every trial to the end) and
+# _reference_zero_locus_points (one attempt per loop, one evaluation per
+# element and point), _reference_dp_sweep (every trial to the end) and
 # _reference_sweep_invariance_test (one `_reference_random_schedule` per
-# trial, the sums over the whole batch) are the earlier code, kept verbatim:
-# the same floats, verdicts and generator state are required.
+# trial, the sums over the whole batch) are the earlier code, kept verbatim
+# but for evaluating field elements by the generator's float form and for
+# a residual or linear solution that cannot be evaluated rejecting the
+# point: the same floats, verdicts and generator state are required.
+
+_POINT_VALUES = {}
+
+
+def _evaluate(f, point, ctx):
+    """`evaluate` of a field element, its kernel compiled once."""
+    key = f, len(ctx.states)
+    if key not in _POINT_VALUES:
+        _POINT_VALUES[key], = kernels([[f]], ctx)
+    return _POINT_VALUES[key]([float(point[s]) for s in ctx.symbols])[0]
+
 
 def _reference_zero_locus_points(rhos, ctx: SymbolContext, rng, count=20,
                                  box=1.0, newton_steps=20):
-    rhos = [sp.sympify(r) for r in rhos]
     states = list(ctx.states)
-    grads = [[sp.diff(r, v) for v in states] for r in rhos]
-    plan = sampling_module._linear_plan(rhos, ctx)
+    grads = [gradient(r, ctx) for r in rhos]
+    plan = sampling_module._linear_plan(rhos, grads, ctx)
     points = []
     attempts = 0
     while len(points) < count and attempts < 60 * count:
@@ -1168,8 +1209,7 @@ def _reference_zero_locus_points(rhos, ctx: SymbolContext, rng, count=20,
         if _reference_solve_linear(plan, point, ctx) or \
                 _reference_newton_project(rhos, grads, point, ctx,
                                           newton_steps):
-            res = max(abs(evaluate(r, point, ctx)) for r in rhos)
-            if res <= sampling_module.NEWTON_RESIDUAL_TOL and \
+            if _reference_residual_ok(rhos, point, ctx) and \
                     _reference_constraints_ok(point, ctx, CONSTRAINT_MARGIN):
                 points.append(dict(point))
     if len(points) < count:
@@ -1178,10 +1218,18 @@ def _reference_zero_locus_points(rhos, ctx: SymbolContext, rng, count=20,
     return points
 
 
+def _reference_residual_ok(rhos, point, ctx):
+    try:
+        res = max(abs(_evaluate(r, point, ctx)) for r in rhos)
+    except POINT_ERRORS:
+        return False
+    return res <= sampling_module.NEWTON_RESIDUAL_TOL
+
+
 def _reference_constraints_ok(point, ctx: SymbolContext, margin):
-    for c in ctx.nonzero:
+    for c in ctx.nonzero_elements:
         try:
-            if abs(evaluate(c, point, ctx)) <= margin:
+            if abs(_evaluate(c, point, ctx)) <= margin:
                 return False
         except POINT_ERRORS:
             return False
@@ -1195,12 +1243,12 @@ def _reference_solve_linear(plan, point, ctx):
             if v in fixed:
                 continue
             try:
-                aval = evaluate(a, point, ctx)
+                aval = _evaluate(a, point, ctx)
+                if abs(aval) < 1e-6:
+                    continue
+                point[v] = -_evaluate(rest, point, ctx) / aval
             except POINT_ERRORS:
                 return False
-            if abs(aval) < 1e-6:
-                continue
-            point[v] = -evaluate(rest, point, ctx) / aval
             fixed |= symbols
             break
         else:
@@ -1216,8 +1264,8 @@ def _reference_newton_project(rhos, grads, point, ctx, steps):
         for v, xv in zip(states, x):
             at[v] = float(xv)
         try:
-            r = np.array([evaluate(rho, at, ctx) for rho in rhos])
-            J = np.array([[evaluate(g, at, ctx) for g in row]
+            r = np.array([_evaluate(rho, at, ctx) for rho in rhos])
+            J = np.array([[_evaluate(g, at, ctx) for g in row]
                           for row in grads])
         except POINT_ERRORS:
             return False
@@ -1279,7 +1327,6 @@ def _reference_sweep_invariance_test(sys: ControlAffineSystem, rhos,
                                      trials=100, pieces=10, horizon=5.0,
                                      h=1e-3, seed=42) -> InvarianceVerdict:
     ctx = sys.ctx
-    rhos = [sp.sympify(r) for r in rhos]
     rng = np.random.default_rng(seed)
     starts = _reference_zero_locus_points(rhos, ctx, rng, count=trials)
 
@@ -1328,7 +1375,7 @@ class TestBlocksAgainstLoops:
                                                   (200, 8, 2.5)])
     def test_zero_locus_points(self, name, count, seed, box, request):
         ctx = oracle_system(name, request).ctx
-        for rhos in ORACLE_LOCI[name]:
+        for rhos in field_rows(ORACLE_LOCI[name], ctx):
             got_rng, want_rng = (np.random.default_rng(seed) for _ in "ab")
             assert_same(
                 outcome(zero_locus_points, rhos, ctx, got_rng, count=count,
@@ -1342,7 +1389,7 @@ class TestBlocksAgainstLoops:
         for fn, rng in ((zero_locus_points, got_rng),
                         (_reference_zero_locus_points, want_rng)):
             with pytest.raises(SamplingFailed, match="produced 0/7 points"):
-                fn([x**2 + 1], CTX, rng, count=7)
+                fn(elements([x**2 + 1], CTX), CTX, rng, count=7)
         assert got_rng.random() == want_rng.random()
 
     @pytest.mark.parametrize("name", sorted(ORACLE_LOCI))
@@ -1350,7 +1397,7 @@ class TestBlocksAgainstLoops:
                                                       (200, 5, 8), (40, 1, 4)])
     def test_invariance_test(self, name, trials, pieces, seed, request):
         sys = oracle_system(name, request)
-        for rhos in ORACLE_LOCI[name]:
+        for rhos in field_rows(ORACLE_LOCI[name], sys.ctx):
             kwargs = dict(trials=trials, pieces=pieces, horizon=0.3, h=1e-2,
                           seed=seed)
             assert_same(
@@ -1368,13 +1415,45 @@ class TestBlocksAgainstLoops:
         kwargs = dict(trials=trials, pieces=3, horizon=horizon, h=1e-2,
                       seed=seed)
         sys = parse_system(CHAINED8)
-        assert_same(invariance_test(sys, [rho], **kwargs),
-                    _reference_sweep_invariance_test(sys, [rho], **kwargs))
+        rhos = elements([rho], sys.ctx)
+        assert_same(invariance_test(sys, rhos, **kwargs),
+                    _reference_sweep_invariance_test(sys, rhos, **kwargs))
 
     def test_sweep_drops_trials_at_their_horizon(self, ex4, monkeypatch):
         seen = recording_sweep(monkeypatch)
-        invariance_test(ex4, [b * x - a * z], trials=50, pieces=3,
-                        horizon=1.0, h=1e-2, seed=7)
+        invariance_test(ex4, elements([b * x - a * z], ex4.ctx), trials=50,
+                        pieces=3, horizon=1.0, h=1e-2, seed=7)
         widths = [len(item[0]) for item in seen[1:]]
         assert widths[0] == 50 and widths[-1] == 2
         assert widths == sorted(widths, reverse=True)
+
+
+@pytest.mark.parametrize("module", [numeric_module, sampling_module],
+                         ids=lambda m: m.__name__)
+def test_numeric_layer_holds_no_sympy(module):
+    # the float layer reads field elements through the generated kernels
+    # alone: no sympy module, function or class in its namespace
+    held = [name for name, value in vars(module).items()
+            if (value.__name__ if isinstance(value, types.ModuleType)
+                else getattr(value, "__module__", None) or "")
+            .split(".")[0] == "sympy"]
+    assert held == []
+
+
+@pytest.mark.parametrize("name, compiles", [("ex1", 14), ("ex2", 12),
+                                            ("ex3", 4), ("ex4", 8)])
+def test_kernel_compiles_per_analyze(name, compiles, monkeypatch):
+    # one compile per sampler, field evaluator, Jacobian and bracket table,
+    # never one per element or per point
+    real = expr_module.kernels
+    calls = []
+
+    def counting_kernels(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in (expr_module, sampling_module, numeric_module,
+                   integrals_module):
+        monkeypatch.setattr(module, "kernels", counting_kernels)
+    analyze(load_system(name), GOLDEN_CONFIG)
+    assert len(calls) == compiles
