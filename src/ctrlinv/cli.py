@@ -25,8 +25,8 @@ from .numeric import (
     BRACKET_DEPTH,
     iterated_brackets,
     matrix_at,
+    require_count,
     require_positive,
-    require_seed,
     simulate,
     svd_rank,
 )
@@ -70,8 +70,9 @@ def _build_parser():
                     help="candidate function (repeatable for systems)")
     ps = command("simulate", "trajectory CSV export", formats=False)
     ps.add_argument("--step", type=float, default=1e-3,
-                    help="fixed RK4 step of the uniform output grid, at "
-                         "most the schedule's horizon")
+                    help="spacing of the output grid and first step of "
+                         "the error-controlled integration, at most the "
+                         "schedule's horizon")
     ps.add_argument("--x0", required=True, help="comma-separated start state")
     ps.add_argument("--control", required=True,
                     help="schedule 'dur:u1,u2;dur:u1,u2;...'")
@@ -96,7 +97,7 @@ def _read_system(path):
 def _positive(args):
     knobs = ("trials", "pieces", "horizon", "step", "depth")
     try:
-        require_seed(args.seed)
+        require_count(seed=args.seed)
         require_positive(**{k: getattr(args, k) for k in knobs
                             if hasattr(args, k)})
     except ValueError as e:

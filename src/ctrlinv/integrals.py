@@ -64,9 +64,9 @@ from .numeric import (
     invariance_test,
     leaf_controllability,
     matrix_at,
+    require_count,
     require_integer,
     require_positive,
-    require_seed,
 )
 from .sampling import zero_locus_points
 
@@ -469,7 +469,7 @@ class AnalysisConfig:
         require_integer(trials=self.trials, pieces=self.pieces)
         require_positive(trials=self.trials, pieces=self.pieces,
                          horizon=self.horizon, step=self.step)
-        require_seed(self.seed)
+        require_count(seed=self.seed)
 
 
 # report section of each classification

@@ -1,7 +1,8 @@
-"""Numeric evidence: RK4 simulation under piecewise-constant controls,
-error-controlled invariance testing, escape testing, Lie brackets, and
-bracket-rank checks.  Loci, monitors and field rows are ctx.field elements,
-evaluated by the kernels of `expr.kernels`."""
+"""Numeric evidence: simulation under piecewise-constant controls,
+invariance testing and escape testing, all on one error-controlled
+Dormand-Prince sweep, then Lie brackets and bracket-rank checks.  Loci,
+monitors and field rows are ctx.field elements, evaluated by the kernels of
+`expr.kernels`."""
 
 from __future__ import annotations
 
@@ -46,13 +47,18 @@ _DP_A = np.array([
 ])[:, :, None, None]
 _DP_E = np.array([71 / 57600, 0, -71 / 16695, 71 / 1920, -17253 / 339200,
                   22 / 525, -1 / 40])[:, None, None]
+# the d_j of the pair's fourth-order continuous extension (see `_dense`)
+_DP_D = np.array([-12715105075 / 11282082432, 0, 87487479700 / 32700410799,
+                  -10690763975 / 1880347072, 701980252875 / 199316789632,
+                  -1453857185 / 822651844, 69997945 / 29380423])
+_NON_FINITE = "vector field evaluation produced non-finite values"
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    times: np.ndarray  # uniform grid, shape (N+1,)
+    times: np.ndarray  # t_i = i h below the horizon, then it: (N+1,)
     states: np.ndarray  # shape (N+1, n)
-    controls: np.ndarray  # control value applied on [t_i, t_{i+1}), (N, m)
+    controls: np.ndarray  # control value in force from t_i on, (N, m)
     schedule: ControlSchedule
     rho_values: dict  # monitor label -> (N+1,) array
 
@@ -93,8 +99,8 @@ class _FieldEvaluator:
     block by one generated kernel.
 
     `evaluate` fills every row at the states x: (N, n) and parameters
-    p: (N, k) and returns the monitor rows; `field` combines the field rows
-    of the last fill with a control block u: (N, m).  The block is the first
+    p: (N, k) and returns the monitor rows; `combine` forms the field of the
+    last fill under a control block u: (N, m).  The block is the first
     N columns of a buffer that is reused while N does not grow, so a
     returned monitor view holds until the next `evaluate`.
     """
@@ -124,40 +130,25 @@ class _FieldEvaluator:
             k += block[j * n:(j + 1) * n] * u[:, j - 1]
         return k.T
 
-    def field(self, u):
-        """`combine`, raising StepSingular on a non-finite value."""
-        k = self.combine(u)
-        if not np.isfinite(k).all():
-            raise StepSingular("vector field evaluation produced non-finite "
-                               "values")
-        return k
-
 
 def rhs_function(sys: ControlAffineSystem, monitors=()):
     """Batched right-hand side f(x) + sum_j g_j(x) u_j.
 
     Returned callable maps (x: (N, n), u: (N, m), params: (N, k)) to (N, n),
-    leaving floating-point errors to the caller's `np.errstate`.  It raises
-    StepSingular on a non-finite value.  It is `fields.evaluate` followed by
-    `fields.field`; its `fields` evaluator also fills the monitor rows, so an
-    integration loop takes the monitors at a new state and the next step's
-    first stage from one `fields.evaluate` and a `fields.field`.
+    leaving floating-point errors to the caller's `np.errstate` and
+    non-finite values in place.  It is `fields.evaluate` followed by
+    `fields.combine`; its `fields` evaluator also fills the monitor rows, so
+    the sweep takes the monitors at a new state and the next step's first
+    stage from one `fields.evaluate` and a `fields.combine`.
     """
     fields = _FieldEvaluator(sys.ctx, sys.field_rows, monitors)
 
     def rhs(x, u, p):
         fields.evaluate(x, p)
-        return fields.field(u)
+        return fields.combine(u)
 
     rhs.fields = fields
     return rhs
-
-
-def _rk4_step(rhs, x, u, p, h, k1):
-    k2 = rhs(x + 0.5 * h * k1, u, p)
-    k3 = rhs(x + 0.5 * h * k2, u, p)
-    k4 = rhs(x + h * k3, u, p)
-    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def require_positive(**values):
@@ -176,42 +167,23 @@ def require_integer(**values):
             raise ValueError(f"{name} must be an integer")
 
 
-def require_seed(seed):
-    """Raise ValueError unless seed is a non-negative integer."""
-    require_integer(seed=seed)
-    if seed < 0:
-        raise ValueError("seed must be non-negative")
-
-
-def _piece_steps(schedule: ControlSchedule, h):
-    """Snap piece boundaries onto the uniform grid."""
-    if not schedule.pieces:
-        return [], 0
-    total_steps = max(1, round(schedule.horizon / h))
-    bounds = []
-    acc = 0.0
-    for dur, _ in schedule.pieces:
-        acc += dur
-        bounds.append(min(total_steps, round(acc / h)))
-    bounds[-1] = total_steps
-    steps = []
-    prev = 0
-    for b, (_, u) in zip(bounds, schedule.pieces):
-        steps.append((max(0, b - prev), u))
-        prev = max(prev, b)
-    return steps, total_steps
+def require_count(**values):
+    """Raise ValueError naming the first value that is not a non-negative
+    integer."""
+    require_integer(**values)
+    for name, value in values.items():
+        if value < 0:
+            raise ValueError(f"{name} must be non-negative")
 
 
 def simulate(sys: ControlAffineSystem, x0, schedule: ControlSchedule,
              h=1e-3, param_values=None, monitors=None) -> Trajectory:
-    """Classical fixed-step RK4 per piece; states and monitors recorded on
-    the grid.
-
-    `simulate` keeps fixed steps because its CSV promises a uniform time
-    grid, and `escape_test` because it stops at its first step past the
-    threshold (by t = 0.1 on the worked systems), where fewer, longer steps
-    would save little; `invariance_test` runs every trial to the horizon
-    and controls its steps by their error.
+    """One trajectory of the Dormand-Prince sweep (see `_dp_sweep`), h its
+    first step, landing exactly on each switch and on the horizon, with the
+    declared-nonzero constraints checked at every accepted step.  States
+    are written on the grid t_i = i h below the horizon, then at the
+    horizon, from each step's continuous extension; a grid time within
+    1e-9 h of a switch or of the horizon counts as reaching it.
     """
     require_positive(step=h)
     if schedule.pieces and h > schedule.horizon:
@@ -223,41 +195,45 @@ def simulate(sys: ControlAffineSystem, x0, schedule: ControlSchedule,
     if missing:
         raise EvalSingular(f"no parameter values for {missing}")
     rhs = rhs_function(sys, ctx.nonzero_elements)
-    fields = rhs.fields
     p = np.array([[float(param_values[q]) for q in ctx.params]])
-
-    steps, total_steps = _piece_steps(schedule, h)
-    xs = np.empty((total_steps + 1, sys.n))
-    us = np.zeros((total_steps, sys.m))
+    # no pieces: the start alone, a sweep whose horizon is 0
+    pieces = schedule.pieces or ((0.0, (0.0,) * sys.m),)
+    ends = np.cumsum([d for d, _ in pieces])[None]
+    controls = np.array([[u for _, u in pieces]], dtype=float)
+    horizon = ends[0, -1]
+    times = np.append(np.arange(math.ceil(horizon / h - 1e-9)) * h, horizon)
+    xs = np.empty((len(times), sys.n))
     xs[0] = [float(v) for v in x0]
-    x = xs[0:1].copy()
-    i = 0
     with np.errstate(all="ignore"):
-        prev_cons = fields.evaluate(x, p).copy()
-        for c, value in zip(ctx.nonzero, prev_cons[:, 0]):
+        sweep = _dp_sweep(rhs, xs[:1].T.copy(), p, ends, controls, h)
+        *_, prev = next(sweep)
+        for c, value in zip(ctx.nonzero, prev[:, 0]):
             if not CONSTRAINT_MARGIN < abs(value) < math.inf:
                 raise DomainExit(
                     f"initial point violates nonzero constraint {c}")
-        for count, u in steps:
-            ub = np.array([list(u)], dtype=float)
-            for _ in range(count):
-                x = _rk4_step(rhs, x, ub, p, h, fields.field(ub))
-                xs[i + 1] = x[0]
-                us[i] = u
-                i += 1
-                cur = fields.evaluate(x, p)  # and the next first stage
-                if ctx.nonzero and (np.any(np.abs(cur) < 1e-9)
-                                    or np.any(cur * prev_cons < 0)):
-                    raise DomainExit("declared-nonzero constraint crossed "
-                                     f"zero at t = {i * h:.6g}")
-                prev_cons = cur.copy()
+        prev, i, t_prev = prev.copy(), 1, 0.0
+        for _, (t,), (accepted,), (finite,), (x, x_new, K), cur in sweep:
+            if not finite:
+                raise StepSingular(_NON_FINITE)
+            if not accepted:
+                continue
+            if ctx.nonzero and (np.any(np.abs(cur) < 1e-9)
+                                or np.any(cur * prev < 0)):
+                raise DomainExit("declared-nonzero constraint crossed zero "
+                                 f"at t = {t:.6g}")
+            prev = cur.copy()
+            j = np.searchsorted(times, t, side="right")
+            xs[i:j] = _dense(x[:, 0], x_new[:, 0], K[:, :, 0],
+                             (times[i:j] - t_prev) / (t - t_prev))
+            i, t_prev = j, t
         rho_values = {}
         if monitors:  # one batched evaluation over the whole grid
             vals = _FieldEvaluator(ctx, (), monitors.values()).evaluate(
                 xs, np.repeat(p, len(xs), axis=0))
             rho_values = dict(zip(monitors, vals))
-    return Trajectory(times=np.arange(total_steps + 1) * h, states=xs,
-                      controls=us, schedule=schedule, rho_values=rho_values)
+    piece = np.searchsorted(ends[0], times[:-1] + 1e-9 * h, side="right")
+    return Trajectory(times=times, states=xs, controls=controls[0, piece],
+                      schedule=schedule, rho_values=rho_values)
 
 
 def _dp_step(rhs, x, u, p, h, k1):
@@ -265,59 +241,77 @@ def _dp_step(rhs, x, u, p, h, k1):
     its first stage k1: (n, N), steps h: (N,).
 
     Returns the fifth-order state, its difference to the embedded
-    fourth-order one, the monitors at the new state and the last stage,
-    f at the new state, which is the next step's first stage.
+    fourth-order one, the stages h k_j: (7, n, N), the monitors at the new
+    state, the last stage (f at the new state, the next step's first
+    stage) and, per trial, whether every stage is finite.
     """
     K = np.empty((7,) + x.shape)  # h k_j, stage by stage
     np.multiply(k1, h, out=K[0])
+    finite = np.isfinite(k1).all(axis=0)
     for s in range(1, 7):
         xs = x + np.add.reduce(_DP_A[s, :s] * K[:s], axis=0)
         if s < 6:
             k = rhs(xs.T, u, p).T
         else:  # the monitors and the last stage from one evaluation
             rho = rhs.fields.evaluate(xs.T, p)
-            k = rhs.fields.field(u).T
+            k = rhs.fields.combine(u).T
+        finite &= np.isfinite(k).all(axis=0)
         np.multiply(k, h, out=K[s])
-    return xs, np.add.reduce(_DP_E * K, axis=0), rho, k
+    return xs, np.add.reduce(_DP_E * K, axis=0), K, rho, k, finite
 
 
-def _dp_sweep(rhs, x, p, ends, controls, h, budget):
+def _dense(x, x_new, K, theta):
+    """The fourth-order continuous extension of one Dormand-Prince step
+    from x to x_new: (n,) with stages K = h k_j: (7, n), at the fractions
+    theta of the step, as (len(theta), n) (Hairer, Norsett & Wanner,
+    Solving ODEs I, II.6)."""
+    d = x_new - x
+    b = K[0] - d
+    c = d - K[6] - b
+    s = theta[:, None]
+    return x + s * (d + (1 - s) * (b + s * (c + (1 - s) * (_DP_D @ K))))
+
+
+def _dp_sweep(rhs, x, p, ends, controls, h):
     """Error-controlled Dormand-Prince 5(4) integration of every trial of x:
     (n, N), component-major.  Trial i applies controls[i, k]: (m,) until
     time ends[i, k]; its last end is the horizon.
 
     Each trial has its own time and step, starting at h.  A step is clipped
     so that it lands exactly on the trial's next switch or on the horizon,
-    and it is accepted when the RMS over components of
-    err / (ATOL + RTOL max(|x|, |x_new|)) is at most 1; the next step is
-    scaled by clip(0.9 RMS^(-1/5), 0.2, 5), and after a clipped accepted
-    step it is at least the step proposed before the clip.
+    and it is accepted when every stage is finite and the RMS over
+    components of err / (ATOL + RTOL max(|x|, |x_new|)) is at most 1; the
+    next step is scaled by clip(0.9 RMS^(-1/5), 0.2, 5), and after a clipped
+    accepted step it is at least the step proposed before the clip.
 
-    Yields (trials, t, accepted, chord, monitors) for the start, then after
-    every attempted step: each column's trial, time, whether its step was
-    accepted, chord x_new - x and monitors at x_new (the last two count only
-    where accepted).  A trial leaves the batch at its horizon.  Raises
-    StepSingular when a trial is short of the horizon after `budget` steps.
+    Yields (trials, t, accepted, finite, step, monitors) for the start, then
+    after every attempted step: each column's trial, time, whether its step
+    was accepted and whether its stages were finite, the step (x, x_new,
+    stages h k_j) and the monitors at x_new (the last two count only where
+    accepted).  A trial leaves the batch at its horizon or after a
+    non-finite stage.  Raises StepSingular when a trial is short of the
+    horizon after max(MIN_BUDGET, round(horizon / h)) attempted steps.
     """
     fields = rhs.fields
+    budget = max(MIN_BUDGET, round(float(ends[:, -1].max()) / h))
     trials = np.arange(x.shape[1])
     horizon = ends[:, -1]
     piece = np.zeros(len(trials), dtype=int)
     t = np.zeros(len(trials))
     h = np.full(len(trials), h)
     u = controls[:, 0]
-    yield trials, t, np.ones(len(trials), dtype=bool), np.zeros_like(x), \
-        fields.evaluate(x.T, p)
-    k1 = fields.field(u).T
+    finite = np.ones(len(trials), dtype=bool)
+    yield trials, t, finite, finite, (x, x, None), fields.evaluate(x.T, p)
+    k1 = fields.combine(u).T
     for _ in range(budget):
-        live = t < horizon
+        live = (t < horizon) & finite
         if not live.any():
             return
         # numpy sums the components of a lone column pairwise (n >= 8), not
         # in order as across a wider block: one finished trial, which takes
         # steps of 0, stays beside the last live one
         if np.count_nonzero(live) == 1:
-            live[np.argmin(live)] = True
+            live[np.argmin(live | ~finite)] = True
         if not live.all():
             x, k1 = x[:, live], k1[:, live]
             trials, horizon, piece, t, h, u, p = (
@@ -326,24 +320,23 @@ def _dp_sweep(rhs, x, p, ends, controls, h, budget):
         lands = t + h >= stop
         t_new = np.where(lands, stop, t + h)
         step = t_new - t  # 0 once a trial is at its horizon
-        x_new, err, rho, k_new = _dp_step(rhs, x, u, p, step, k1)
+        x_new, err, K, rho, k_new, finite = _dp_step(rhs, x, u, p, step, k1)
         scale = ATOL + RTOL * np.maximum(np.abs(x), np.abs(x_new))
         e = np.sqrt(np.add.reduce(np.square(err / scale), axis=0) / len(x))
         e[np.isnan(e)] = np.inf
-        accepted = (t < horizon) & (e <= 1.0)
+        accepted = (t < horizon) & (e <= 1.0) & finite
         proposed = step * np.clip(0.9 * e ** -0.2, 0.2, 5.0)
         h = np.where(accepted & lands, np.maximum(h, proposed), proposed)
-        chord = x_new - x
-        x = np.where(accepted, x_new, x)
+        x_old, x = x, np.where(accepted, x_new, x)
         t = np.where(accepted, t_new, t)
         switched = accepted & lands & (t < horizon)
         if switched.any():  # the next piece's controls
             piece = piece + switched
             u = controls[trials, piece]
-            k_new = fields.field(u).T
+            k_new = fields.combine(u).T
         k1 = np.where(accepted, k_new, k1)
-        yield trials, t, accepted, chord, rho
-    if np.any(t < horizon):
+        yield trials, t, accepted, finite, (x_old, x_new, K), rho
+    if np.any((t < horizon) & finite):
         raise StepSingular(f"error-controlled steps fell short of the "
                            f"horizon within the budget of {budget} steps")
 
@@ -355,13 +348,12 @@ def invariance_test(sys: ControlAffineSystem, rhos, trials=100, pieces=10,
     Starts on {rho = 0}, applies random piecewise-constant controls, and
     holds iff every trial keeps max |rho| below 1e-6 * (1 + arc length).
     All trials integrate in one batched error-controlled Dormand-Prince
-    5(4) sweep (see `_dp_sweep`): h is each trial's first step, and
-    round(horizon / h) attempted steps, but at least MIN_BUDGET, are the
-    sweep's budget.
+    5(4) sweep (see `_dp_sweep`), h each trial's first step; a non-finite
+    stage ends the sweep with an entry in `errors`.
     """
     require_integer(trials=trials, pieces=pieces)
     require_positive(trials=trials, pieces=pieces, horizon=horizon, h=h)
-    require_seed(seed)
+    require_count(seed=seed)
     ctx = sys.ctx
     rng = np.random.default_rng(seed)
     starts = zero_locus_points(rhos, ctx, rng, count=trials)
@@ -385,9 +377,12 @@ def invariance_test(sys: ControlAffineSystem, rhos, trials=100, pieces=10,
     errors = []
     with np.errstate(all="ignore"):
         try:
-            for i, _, accepted, chord, rho in _dp_sweep(
-                    rhs, x, p, ends, controls, h,
-                    max(MIN_BUDGET, round(horizon / h))):
+            for i, _, accepted, finite, (x_old, x_new, _), rho in _dp_sweep(
+                    rhs, x, p, ends, controls, h):
+                if not finite.all():
+                    errors.append(_NON_FINITE)
+                    break
+                chord = x_new - x_old
                 arclen[i] += np.where(accepted, np.sqrt(
                     np.add.reduce(chord * chord, axis=0)), 0.0)
                 max_rho[i] = np.maximum(max_rho[i], np.where(
@@ -411,14 +406,16 @@ def escape_test(sys: ControlAffineSystem, rhos, seed=42, horizon=5.0,
                 h=1e-2, threshold=0.1, starts=20, random_controls=50):
     """Greedy search for a constant control leaving the zero locus of rhos.
 
-    Tries the 2m+1 axis controls {0, +-e_j} plus random values from each of
-    several zero-locus starts; returns (schedule, time, value) for the first
-    trajectory driving max |rho| above the threshold, or None.  A row whose
-    step is not finite (it overflowed or met a singular field) drops out.
+    Integrates the 2m+1 axis controls {0, +-e_j} and random ones from each
+    of several zero-locus starts as one-piece trials of the Dormand-Prince
+    sweep (see `_dp_sweep`), h their first step.  Returns (schedule, time,
+    value) at the end of the first accepted step, in sweep order, whose
+    max |rho| exceeds the threshold, or None when no trial gets there within
+    the sweep's budget.  A trial with a non-finite stage drops out.
     """
     require_integer(starts=starts)
-    require_positive(horizon=horizon, h=h, starts=starts)
-    require_seed(seed)
+    require_positive(horizon=horizon, h=h, starts=starts, threshold=threshold)
+    require_count(seed=seed, random_controls=random_controls)
     ctx = sys.ctx
     rng = np.random.default_rng(seed)
     pts = zero_locus_points(rhos, ctx, rng, count=starts)
@@ -426,40 +423,28 @@ def escape_test(sys: ControlAffineSystem, rhos, seed=42, horizon=5.0,
     # the axis controls 0, e_1, -e_1, ..., e_m, -e_m, then random ones
     controls = [np.zeros(m)] + [s * e for e in np.eye(m) for s in (1.0, -1.0)]
     controls += list(rng.uniform(-1, 1, size=(random_controls, m)))
-    # one row per (start, control)
-    x = np.array([[pt[v] for v in ctx.states] for pt in pts for _ in controls],
-                 order="F")
+    # one trial per (start, control)
+    x = np.array([[pt[v] for v in ctx.states] for pt in pts
+                  for _ in controls]).T.copy()
     p = np.array([[pt[q] for q in ctx.params] for pt in pts for _ in controls],
-                 dtype=float).reshape(len(x), len(ctx.params))
-    u = np.array(controls * len(pts), order="F")
-    fields = rhs_function(sys, rhos).fields
-
-    def stage(x, u, p):
-        # unchecked: a row with a non-finite stage takes a non-finite step
-        fields.evaluate(x, p)
-        return fields.combine(u)
-
-    steps = max(1, round(horizon / h))
-    alive = np.arange(len(x))  # batch index of each row of x
+                 dtype=float).reshape(x.shape[1], len(ctx.params))
+    u = np.array(controls * len(pts))[:, None]
+    ends = np.full((len(u), 1), float(horizon))
+    sweep = _dp_sweep(rhs_function(sys, rhos), x, p, ends, u, h)
     with np.errstate(all="ignore"):
-        fields.evaluate(x, p)
-        for i in range(steps):
-            x = _rk4_step(stage, x, u, p, h, fields.combine(u))
-            # rows that overflowed or met a singular field drop out
-            finite = np.isfinite(x).all(axis=1)
-            if not finite.all():
-                x, u, p, alive = x[finite], u[finite], p[finite], alive[finite]
-                if not len(x):
-                    break
-            rho = fields.evaluate(x, p)  # and the next first stage
-            hit = np.flatnonzero(
-                np.maximum.reduce(np.abs(rho), axis=0) > threshold)
-            if hit.size:
-                j = int(hit[0])
-                uc = controls[alive[j] % len(controls)]
-                sched = ControlSchedule(((horizon, tuple(map(float, uc))),))
-                rho = fields.evaluate(x[j:j + 1], p[j:j + 1])
-                return sched, float((i + 1) * h), float(np.max(np.abs(rho)))
+        next(sweep)  # the starts, on the locus
+        try:
+            for trials, t, accepted, _, _, rho in sweep:
+                value = np.maximum.reduce(np.abs(rho), axis=0)
+                hit = np.flatnonzero(accepted & (value > threshold))
+                if hit.size:
+                    j = hit[0]
+                    uc = controls[trials[j] % len(controls)]
+                    sched = ((horizon, tuple(map(float, uc))),)
+                    return (ControlSchedule(sched), float(t[j]),
+                            float(value[j]))
+        except StepSingular:  # the budget ran out
+            pass
     return None
 
 

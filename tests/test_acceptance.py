@@ -6,7 +6,6 @@ summary on success.
 
 import itertools
 import json
-import math
 import random
 
 import numpy as np
@@ -399,25 +398,24 @@ def test_criterion_5_property_suites(ex1, ex2, ex3, ex4):
         for c in total:
             assert not c
 
-    # RK4 convergence order on the foliation example against the closed form
+    # simulate on the foliation example against the closed form: every
+    # grid row, read from the continuous extension, and the horizon's
     params = {a: 1.0, b: 2.0}
     u1, u2, horizon = 1.0, 1.0, 1.0
     sched = ControlSchedule(((horizon, (u1, u2)),))
 
     def exact(t):
-        return np.array([
-            params[a] * (u1 / u2) * (math.sin(u2 * t) - 0.0),
-            -(u1 / u2) * (math.cos(u2 * t) - 1.0),
-            params[b] * (u1 / u2) * (math.sin(u2 * t) - 0.0),
+        return np.column_stack([
+            params[a] * (u1 / u2) * (np.sin(u2 * t) - 0.0),
+            -(u1 / u2) * (np.cos(u2 * t) - 1.0),
+            params[b] * (u1 / u2) * (np.sin(u2 * t) - 0.0),
             u2 * t,
         ])
 
-    errs = []
-    for h in (0.05, 0.025):
+    for h in (0.05, 0.03, 1e-3):
         traj = simulate(ex3, [0, 0, 0, 0], sched, h=h, param_values=params)
-        errs.append(np.linalg.norm(traj.states[-1] - exact(traj.times[-1])))
-    ratio = errs[0] / errs[1]
-    assert 10 < ratio < 25
+        assert traj.times[-1] == horizon
+        assert np.abs(traj.states - exact(traj.times)).max() < 1e-8
 
     # finite-difference vs symbolic derivative on 200 random pairs
     rng = random.Random(105)

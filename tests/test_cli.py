@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -268,6 +269,35 @@ class TestSimulateCommand:
         assert run(["simulate", EX1, "--x0", "0,1",
                     "--control", "0.1:1,0"]) == 2
         capsys.readouterr()
+
+    @staticmethod
+    def rows(capsys, control):
+        """The CSV rows of ex1 from (0, 1, 0) on a grid of 0.1."""
+        assert run(["simulate", EX1, "--x0", "0,1,0", "--control", control,
+                    "--step", "0.1"]) == 0
+        header, *lines = capsys.readouterr().out.splitlines()
+        return [dict(zip(header.split(","), map(float, line.split(","))))
+                for line in lines]
+
+    def test_horizon_off_the_grid_is_reached(self, capsys):
+        # the run once stopped at t = 0.2, its horizon snapped to the grid
+        rows = self.rows(capsys, "0.25:1,0")
+        assert [r["t"] for r in rows] == [0.0, 0.1, 0.2, 0.25]
+        assert rows[-1]["x"] == pytest.approx(0.25, abs=1e-12)
+
+    def test_switch_off_the_grid_is_kept(self, capsys):
+        # the switch at t = 0.15 once moved to t = 0.1, onto the grid
+        rows = self.rows(capsys, "0.15:1,0;0.1:0,1")
+        last = rows[-1]
+        assert last["t"] == 0.25
+        assert last["x"] == pytest.approx(0.15, abs=1e-9)
+        assert last["y"] == pytest.approx(math.exp(0.15) + 0.1, abs=1e-9)
+        assert (rows[2]["t"], rows[2]["u1"], rows[2]["u2"]) == (0.2, 0, 1)
+        assert (rows[1]["u1"], rows[1]["u2"]) == (1, 0)
+        # y = e^t before the switch; fixed RK4 steps of 0.1 were off by
+        # 8.5e-8 at t = 0.1, a row the sweep reads from its interpolant
+        assert rows[1]["t"] == 0.1
+        assert abs(rows[1]["y"] - math.exp(0.1)) < 1e-9
 
 
 class TestTextFormat:
