@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import pathlib
 import sys as _sys
 
@@ -11,8 +12,8 @@ import numpy as np
 
 from .dsl import ControlSchedule, parse_expr, parse_system
 from .errors import CtrlInvError
-from .expr import from_field, random_point, sample_params, to_field, to_text
-from .flag import annihilator, derived_flag, flag_summary
+from .expr import from_field, sample_params, to_field, to_text
+from .flag import annihilator, derived_flag, exact_rank, flag_summary
 from .integrals import (
     AnalysisConfig,
     analyze,
@@ -24,11 +25,9 @@ from .integrals import (
 from .numeric import (
     BRACKET_DEPTH,
     iterated_brackets,
-    matrix_at,
     require_count,
     require_positive,
     simulate,
-    svd_rank,
 )
 
 
@@ -126,10 +125,10 @@ def _entry_text(e) -> str:
         extra += f"  numeric: {e['invariance']['verdict']}"
     if e.get("leaf_controllability"):
         lc = e["leaf_controllability"]
-        extra += ("  controllable-on-leaf: "
-                  f"{lc['controllable_on_leaf']} "
-                  f"(rank {lc['bracket_rank']}/"
-                  f"{lc['leaf_dimension']})")
+        extra += "  controllable-on-leaf: " + (
+            "undetermined" if lc["bracket_rank"] is None else
+            f"{lc['controllable_on_leaf']} "
+            f"(rank {lc['bracket_rank']}/{lc['leaf_dimension']})")
     if e.get("escape"):
         extra += f"  escape at t={e['escape']['time']:g}"
     return f"{{{rho} = 0}}: {e['classification']}{extra}"
@@ -153,8 +152,7 @@ def render_text(payload) -> str:
     if "verify" in payload:
         return _entry_text(payload["verify"])
     if "brackets" in payload:
-        lines = [f"depth {payload['depth']}, rank "
-                 f"{payload['rank_at_sample_point']} at sample point"]
+        lines = [f"depth {payload['depth']}, rank {payload['rank']}"]
         lines += ["  (" + ", ".join(F) + ")" for F in payload["brackets"]]
         return "\n".join(lines)
     return json.dumps(payload, indent=2, sort_keys=True)
@@ -249,6 +247,11 @@ def _simulate(args, system):
             if sign and not (params[q] > 0 if sign == "+" else params[q] < 0):
                 raise ValueError(f"{q} = {v} breaks the declared "
                                  f"{q} {'>' if sign == '+' else '<'} 0")
+        controls = [v for _, u in pieces for v in u]
+        for option, values in (("x0", x0), ("control", controls),
+                               ("params", params.values())):
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"--{option} values must be finite")
     except ValueError as e:
         raise SystemExit(f"simulate: {e}") from None
     if len(x0) != system.n:
@@ -269,18 +272,13 @@ def _simulate(args, system):
 def _brackets(args, system):
     ctx = system.ctx
     brackets = iterated_brackets(system.field_rows[1:], ctx, depth=args.depth)
-    # at a pole of a bracket its evaluation below would raise EvalSingular
-    poles = dict.fromkeys(ctx.field(c.denom.monic()) for F in brackets
-                          for c in F if not c.denom.is_ground)
-    point = random_point(ctx.assuming(poles),
-                         np.random.default_rng(args.seed))
     _emit({
         "schema": 1,
         "seed": args.seed,
         "depth": args.depth,
         "brackets": [[to_text(from_field(c)) for c in F] for F in brackets],
-        "rank_at_sample_point": svd_rank(matrix_at(brackets, ctx)(point)),
-        "sample_point": {str(k): float(v) for k, v in point.items()},
+        # numeric.bracket_rank of these brackets, not built again
+        "rank": exact_rank(brackets, system.n, ctx.field),
     }, args)
 
 

@@ -173,25 +173,34 @@ def clear_denominators(vec, ctx):
 
 
 def certify_rank(rows, rank, ctx):
-    """Prove that field-element rows have rank `rank`: the exact rank at a
-    rational point is at most the generic one (Schwartz 1980; Zippel 1979),
-    so the first point attaining it proves it.  A point below it, or where a
-    denominator vanishes, is passed over; one above it, or none attaining it
-    among CERTIFY_POINTS, raises RankNotConstant."""
-    for k in range(CERTIFY_POINTS):
-        point = _certify_point(ctx.field, k)
+    """Prove that field-element rows have rank `rank` (see `exact_rank`):
+    one certification point above it, or none at it, raises RankNotConstant."""
+    nr = exact_rank(rows, rank, ctx.field)
+    if nr is not None and nr > rank:
+        raise RankNotConstant(f"rank {nr} > symbolic rank {rank} at a "
+                              "certification point")
+    if nr != rank:
+        raise RankNotConstant(f"symbolic rank {rank} attained at none of "
+                              f"{CERTIFY_POINTS} certification points")
+
+
+def exact_rank(rows, cap, K, place=lambda point: point):
+    """Largest exact rank over QQ of rows of K's elements at the
+    certification points, at most the generic rank, which a generic point
+    attains (Schwartz 1980; Zippel 1979); stops once one reaches cap.  Each
+    point is moved by `place`, which must not raise; one it maps to None, or
+    where a denominator vanishes, is passed over.  None when none is left."""
+    best = None
+    points = (place(_certify_point(K, k)) for k in range(CERTIFY_POINTS))
+    for point in (p for p in points if p is not None):
         try:
-            nr = DM([[_value(e.numer, point) / _value(e.denom, point)
-                      for e in r] for r in rows], QQ).rank()
+            best = max(best or 0, DM([[_value(e, point) for e in r]
+                                      for r in rows], QQ).rank())
         except ZeroDivisionError:
             continue
-        if nr > rank:
-            raise RankNotConstant(f"rank {nr} > symbolic rank {rank} at "
-                                  f"certification point {k}")
-        if nr == rank:
-            return
-    raise RankNotConstant(f"symbolic rank {rank} attained at none of "
-                          f"{CERTIFY_POINTS} certification points")
+        if best >= cap:
+            break
+    return best
 
 
 def _certify_point(K, k):
@@ -207,11 +216,13 @@ def _certify_point(K, k):
     return point
 
 
-def _value(p, point):
-    """Exact value of a polynomial at a point, term by term
-    (PolyElement.evaluate builds a new ring per generator)."""
-    return sum((c * math.prod(v**e for v, e in zip(point, m) if e)
-                for m, c in p.items()), QQ.zero)
+def _value(f, point):
+    """Exact value of a field element at a point, term by term (sympy's
+    `evaluate` builds a ring per generator); ZeroDivisionError at a pole."""
+    num, den = (sum((c * math.prod(v**e for v, e in zip(point, m) if e)
+                     for m, c in p.items()), QQ.zero)
+                for p in (f.numer, f.denom))
+    return num / den
 
 
 # --- pipeline stages ---------------------------------------------------------

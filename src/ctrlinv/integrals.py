@@ -498,17 +498,15 @@ def numeric_evidence(sys: ControlAffineSystem, cand: CandidateIntegral,
             return {"escape": None}
     if cand.classification is Classification.UNDETERMINED:
         return {}
+    # a level set at a random offset is a generic leaf: no rhos, generic rank
+    out = {"leaf_controllability": leaf_controllability(
+        sys, rhos if offset is None else (), leaf_dim)}
     if offset is not None:  # the float's exact value
         rhos = [r - QQ(*offset.as_integer_ratio()) for r in rhos]
-    out = {
-        "leaf_controllability": leaf_controllability(
-            sys, rhos, leaf_dim, seed=cfg.seed),
-        "invariance": _verdict_json(invariance_test(
-            sys, rhos, trials=cfg.trials, pieces=cfg.pieces,
-            horizon=cfg.horizon, h=cfg.step, seed=cfg.seed)),
-    }
-    if offset is not None:
         out["leaf_offset"] = offset
+    out["invariance"] = _verdict_json(invariance_test(
+        sys, rhos, trials=cfg.trials, pieces=cfg.pieces,
+        horizon=cfg.horizon, h=cfg.step, seed=cfg.seed))
     return out
 
 

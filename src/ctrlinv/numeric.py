@@ -14,16 +14,10 @@ import numpy as np
 
 from .dsl import ControlAffineSystem, ControlSchedule
 from .errors import DomainExit, EvalSingular, StepSingular
-from .expr import (
-    SymbolContext,
-    differentiate,
-    gradient,
-    kernels,
-    reduce_fraction,
-)
-from .sampling import CONSTRAINT_MARGIN, zero_locus_points
+from .expr import SymbolContext, differentiate, kernels, reduce_fraction
+from .flag import exact_rank
+from .sampling import CONSTRAINT_MARGIN, exact_zero_point, zero_locus_points
 
-SV_RANK_TOL = 1e-8
 # depth of the iterated Lie brackets behind every bracket-rank check
 BRACKET_DEPTH = 4
 INV_TOL_BASE = 1e-6
@@ -243,7 +237,7 @@ def _dp_step(rhs, x, u, p, h, k1):
     Returns the fifth-order state, its difference to the embedded
     fourth-order one, the stages h k_j: (7, n, N), the monitors at the new
     state, the last stage (f at the new state, the next step's first
-    stage) and, per trial, whether every stage is finite.
+    stage) and, per trial, whether every stage and the new state are finite.
     """
     K = np.empty((7,) + x.shape)  # h k_j, stage by stage
     np.multiply(k1, h, out=K[0])
@@ -257,6 +251,7 @@ def _dp_step(rhs, x, u, p, h, k1):
             k = rhs.fields.combine(u).T
         finite &= np.isfinite(k).all(axis=0)
         np.multiply(k, h, out=K[s])
+    finite &= np.isfinite(xs).all(axis=0)  # finite stages may overflow it
     return xs, np.add.reduce(_DP_E * K, axis=0), K, rho, k, finite
 
 
@@ -279,17 +274,17 @@ def _dp_sweep(rhs, x, p, ends, controls, h):
 
     Each trial has its own time and step, starting at h.  A step is clipped
     so that it lands exactly on the trial's next switch or on the horizon,
-    and it is accepted when every stage is finite and the RMS over
-    components of err / (ATOL + RTOL max(|x|, |x_new|)) is at most 1; the
-    next step is scaled by clip(0.9 RMS^(-1/5), 0.2, 5), and after a clipped
-    accepted step it is at least the step proposed before the clip.
+    and it is accepted when every stage and x_new are finite and the RMS
+    over components of err / (ATOL + RTOL max(|x|, |x_new|)) is at most 1;
+    the next step is scaled by clip(0.9 RMS^(-1/5), 0.2, 5), and after a
+    clipped accepted step it is at least the step proposed before the clip.
 
     Yields (trials, t, accepted, finite, step, monitors) for the start, then
     after every attempted step: each column's trial, time, whether its step
-    was accepted and whether its stages were finite, the step (x, x_new,
-    stages h k_j) and the monitors at x_new (the last two count only where
-    accepted).  A trial leaves the batch at its horizon or after a
-    non-finite stage.  Raises StepSingular when a trial is short of the
+    was accepted and whether its stages and x_new were finite, the step
+    (x, x_new, stages h k_j) and the monitors at x_new (the last two count
+    only where accepted).  A trial leaves the batch at its horizon or after
+    a non-finite step.  Raises StepSingular when a trial is short of the
     horizon after max(MIN_BUDGET, round(horizon / h)) attempted steps.
     """
     fields = rhs.fields
@@ -481,13 +476,6 @@ def iterated_brackets(fields, ctx, depth=BRACKET_DEPTH):
     return [F for layer in layers for F in layer]
 
 
-def svd_rank(vectors):
-    """Numeric rank of a list of row vectors, relative to the largest one."""
-    sv = np.linalg.svd(np.array(vectors), compute_uv=False)
-    scale = max(1.0, sv[0]) if sv.size else 1.0
-    return int(np.sum(sv > SV_RANK_TOL * scale))
-
-
 def matrix_at(rows, ctx):
     """The values of ctx.field rows at a point (symbol -> value) as a
     matrix, a function taking every entry by one kernel."""
@@ -496,42 +484,27 @@ def matrix_at(rows, ctx):
         [float(point[s]) for s in ctx.symbols]), (len(rows), -1))
 
 
-def bracket_rank(fields, point, ctx, depth=BRACKET_DEPTH):
-    """Numeric rank at a point of the iterated brackets up to given depth."""
-    return svd_rank(matrix_at(iterated_brackets(fields, ctx, depth=depth),
-                              ctx)(point))
+def bracket_rank(fields, ctx, depth=BRACKET_DEPTH):
+    """Generic rank of the iterated brackets of ctx.field rows up to depth,
+    by `flag.exact_rank`; None when they have a pole at every point."""
+    return exact_rank(iterated_brackets(fields, ctx, depth=depth),
+                      len(ctx.states), ctx.field)
 
 
-def leaf_controllability(sys: ControlAffineSystem, rhos, leaf_dim, seed=42,
-                         points=5):
-    """Rashevsky-Chow check restricted to a leaf {rho = const}.
-
-    At sampled leaf points: all iterated g-brackets must be tangent to the
-    leaf (gradient pairing below tolerance) and their rank must reach the
-    leaf dimension.
-    """
-    ctx = sys.ctx
-    pts = zero_locus_points(rhos, ctx, np.random.default_rng(seed + 7),
-                            count=points)
-    rows = iterated_brackets(sys.field_rows[1:], ctx)
-    count = len(rows)
-    rows += [gradient(r, ctx) for r in rhos]
-    values = matrix_at(rows, ctx)
-    ranks = []
-    tangent = True
-    for pt in pts:
-        vecs, gvals = np.split(values(pt), [count])
-        for v in vecs:
-            for gval in gvals:
-                scale = max(1.0, float(np.linalg.norm(v)),
-                            float(np.linalg.norm(gval)))
-                if abs(float(gval @ v)) > SV_RANK_TOL * scale:
-                    tangent = False
-        ranks.append(svd_rank(vecs))
-    rank = max(ranks) if ranks else 0
+def leaf_controllability(sys: ControlAffineSystem, rhos, leaf_dim):
+    """Rashevsky-Chow check on the leaf {rho = 0} of an accepted entry: the
+    iterated g-brackets' exact rank at points placed on it by
+    `sampling.exact_zero_point` must reach leaf_dim.  With no rhos it is
+    their generic rank, the rank on a generic leaf of a foliation they are
+    tangent to.  With no point left, the rank and the verdict are None."""
+    rows = iterated_brackets(sys.field_rows[1:], sys.ctx)
+    rank = exact_rank(rows, leaf_dim, sys.ctx.field,
+                      exact_zero_point(rhos, rows, sys.ctx))
     return {
         "leaf_dimension": leaf_dim,
         "bracket_rank": rank,
-        "tangent": tangent,
-        "controllable_on_leaf": bool(tangent and rank >= leaf_dim),
+        # every accepted entry's membership certificate puts each g_j(rho)
+        # in (rho), so the g_j and their brackets are tangent to the leaf
+        "tangent": True,
+        "controllable_on_leaf": None if rank is None else rank >= leaf_dim,
     }

@@ -10,7 +10,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import SamplingFailed
-from .expr import POINT_ERRORS, SymbolContext, differentiate, gradient, kernels
+from .expr import (POINT_ERRORS, SymbolContext, _generators, differentiate,
+                   gradient, kernels)
+from .flag import _value
 
 NEWTON_RESIDUAL_TOL = 1e-10
 CONSTRAINT_MARGIN = 1e-6
@@ -81,12 +83,14 @@ def _linear_plan(rhos, grads, ctx):
     return plan
 
 
-def _solve_linear(plan, values):
+def _solve_linear(plan, values, at=lambda f, values: f(values)[0],
+                  tol=1e-6):
     """Solve the system one variable at a time where rhos are linear, by
-    the plan's (v, index of v, compiled a, compiled rest) terms.
+    the plan's (v, index of v, a, rest) terms, valued by at(a, values).
 
     Each rho is solved for a state that no earlier solved rho mentions, so
-    later solutions leave the earlier equations satisfied.
+    later solutions leave the earlier equations satisfied; a term whose a
+    is at most tol in absolute value is passed over.
     """
     fixed = set()
     for symbols, terms in plan:
@@ -94,10 +98,10 @@ def _solve_linear(plan, values):
             if v in fixed:
                 continue
             try:
-                aval, = a(values)
-                if abs(aval) < 1e-6:
+                aval = at(a, values)
+                if abs(aval) <= tol:
                     continue
-                values[i] = -rest(values)[0] / aval
+                values[i] = -at(rest, values) / aval
             except POINT_ERRORS:
                 return False
             fixed |= symbols
@@ -105,6 +109,20 @@ def _solve_linear(plan, values):
         else:
             return False
     return True
+
+
+def exact_zero_point(rhos, rows, ctx):
+    """A map of a point of exact values (see `flag.exact_rank`) onto
+    {rho = 0} by `_solve_linear`, or to None.  A rho is solved only for a
+    state v whose sin(v), cos(v) occur in none of the rows and rhos: their
+    values at the point would not be v's."""
+    used = set().union(*(_generators(e) for F in [*rows, rhos] for e in F))
+    pos = ctx.state_generators  # v -> positions of v and sin(v); cos follows
+    linear = [(symbols, [(v, pos[v][0], a, rest) for v, a, rest in terms
+                         if not {pos[v][1], pos[v][1] + 1} & used])
+              for symbols, terms in _linear_plan(
+                  rhos, [gradient(r, ctx) for r in rhos], ctx)]
+    return lambda pt: pt if _solve_linear(linear, pt, _value, 0) else None
 
 
 def _newton_project(newton, shape, values, steps):

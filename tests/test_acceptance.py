@@ -100,7 +100,7 @@ def test_criterion_1_isolated_submanifold_end_to_end(ex1):
     assert [normalize(sp.sympify(e) * u, ctx)
             for e in res.evidence["theta_coefficients"]["rho1"]] == [1]
 
-    lc = leaf_controllability(ex1, elements([z], ctx), leaf_dim=2, seed=42)
+    lc = leaf_controllability(ex1, elements([z], ctx), leaf_dim=2)
     assert lc["bracket_rank"] == 2 == lc["leaf_dimension"]
     assert lc["controllable_on_leaf"] is True
 
@@ -164,8 +164,7 @@ def test_criterion_3_foliation(ex3):
     for got, exp in zip(br, want):
         assert not got - to_field(exp, ctx)
 
-    lc = leaf_controllability(ex3, elements([b * x - a * z], ctx), leaf_dim=3,
-                              seed=42)
+    lc = leaf_controllability(ex3, elements([b * x - a * z], ctx), leaf_dim=3)
     assert lc["bracket_rank"] == 3
     assert lc["controllable_on_leaf"] is True
 

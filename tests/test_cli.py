@@ -6,12 +6,14 @@ import subprocess
 import sys
 
 import pytest
+import sympy as sp
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ctrlinv.cli import run
 
 from conftest import SYSTEMS_DIR
+from test_flag import on_hyperplane_first
 
 EX1 = str(SYSTEMS_DIR / "ex1.sys")
 EX2 = str(SYSTEMS_DIR / "ex2.sys")
@@ -47,13 +49,13 @@ class TestExitCodes:
             "control g2: [0, 1, x*z]\n")
 
     @pytest.mark.parametrize("argv, code, err", [
-        (["analyze", "HUGE"] + FAST, 1,
-         "error [analyze]: evaluation produced a non-finite value\n"),
+        (["analyze", "HUGE"] + FAST, 0, ""),
         (["verify", EX1, "--rho", "z-10^400"] + FAST, 0, ""),
         (["simulate", "HUGE", "--x0", "0,0,0", "--control", "1:1,0",
           "--step", "0.5"], 1, "error [simulate]: vector field evaluation "
                                "produced non-finite values\n"),
-    ], ids=["analyze", "verify", "simulate"])
+        (["brackets", "HUGE"], 0, ""),
+    ], ids=["analyze", "verify", "simulate", "brackets"])
     def test_coefficient_beyond_double_range(self, argv, code, err, capsys,
                                              tmp_path):
         # once a ValueError from fsum or an OverflowError: a traceback
@@ -66,6 +68,12 @@ class TestExitCodes:
             entry = json.loads(out.out)["verify"]
             assert entry["classification"] == "Rejected"
             assert entry["escape"] is None
+        if argv[0] == "analyze":  # exact ranks see 10^400 as it is
+            lc, = [e["leaf_controllability"]
+                   for e in json.loads(out.out)["isolated"]]
+            assert (lc["bracket_rank"], lc["leaf_dimension"]) == (2, 2)
+        if argv[0] == "brackets":
+            assert json.loads(out.out)["rank"] == 3
 
     def test_domain_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.sys"
@@ -125,6 +133,11 @@ class TestExitCodes:
         # a step longer than the 0.1 s schedule
         ["simulate", EX1, "--x0", "0,1,0", "--control", "0.1:1,0",
          "--step", "1"],
+        # values that are not finite; ex3's a is unsigned
+        ["simulate", EX1, "--x0", "0,nan,0", "--control", "1:1,0"],
+        ["simulate", EX1, "--x0", "0,0,0", "--control", "1:1,nan"],
+        ["simulate", EX3, "--x0", "0,0,0,0", "--control", "1:1,0",
+         "--params", "a=inf"],
     ])
     def test_malformed_input_is_usage_error(self, argv, capsys):
         assert run(argv) == 2
@@ -232,18 +245,68 @@ class TestJsonOutput:
         code, payload = run_json(capsys, ["brackets", EX1, "--depth", "3"])
         assert code == 0
         assert payload["depth"] == 3
-        assert payload["rank_at_sample_point"] == 3
+        assert payload["rank"] == 3
 
-    def test_brackets_point_avoids_poles(self, capsys, tmp_path):
-        # seed 25 draws x = 0 first, where g1 = (1/x, 0) has its pole
+    def test_brackets_point_avoids_poles(self, capsys, tmp_path, monkeypatch):
+        # the first certification point puts x = 0, where g1 = (1/x, 0) has
+        # its pole: the rank passes over it
+        calls = on_hyperplane_first(monkeypatch, sp.Symbol("x"))
         path = tmp_path / "pole.sys"
         path.write_text("states: x y\ncontrol g1: [1/x, 0]\n"
                         "control g2: [0, 1]\n")
-        code, payload = run_json(capsys, ["brackets", str(path),
-                                          "--seed", "25"])
+        code, payload = run_json(capsys, ["brackets", str(path)])
         assert code == 0
-        assert payload["sample_point"]["x"] != 0
-        assert payload["rank_at_sample_point"] == 2
+        assert payload["rank"] == 2
+        assert calls[0][0] == 0 and len(calls) == 2
+
+    def test_tiny_coefficient_leaf_is_controllable(self, capsys, tmp_path):
+        # g1, g2 span {z = 0} wherever x != 0; x/10^10 once fell below a
+        # float rank tolerance and read rank 1/2
+        path = tmp_path / "tiny.sys"
+        path.write_text("states: x y z\ncontrol g1: [1, y, 0]\n"
+                        "control g2: [0, x/10000000000, 0]\n")
+        code, payload = run_json(capsys, ["analyze", str(path)] + FAST)
+        assert code == 0
+        lc, = [e["leaf_controllability"] for e in payload["foliation"]]
+        assert (lc["bracket_rank"], lc["leaf_dimension"]) == (2, 2)
+        assert lc["controllable_on_leaf"] is True
+        code, payload = run_json(capsys, ["brackets", str(path)])
+        assert code == 0 and payload["rank"] == 2
+
+    def test_leaf_not_solved_for_a_state_is_undetermined(self, capsys,
+                                                         tmp_path):
+        # x^2 + y^2 - 1 is linear in no state: no exact point on the circle
+        path = tmp_path / "circle.sys"
+        path.write_text("states: x y z\n"
+                        "control g1: [-y + x*(x^2+y^2-1), "
+                        "x + y*(x^2+y^2-1), 0]\ncontrol g2: [0, 0, 1]\n")
+        argv = ["verify", str(path), "--rho", "x^2+y^2-1"] + FAST
+        code, payload = run_json(capsys, argv)
+        assert code == 0
+        entry = payload["verify"]
+        assert entry["classification"] == "GeneralizedFirstIntegral"
+        assert entry["leaf_controllability"] == {
+            "leaf_dimension": 2, "bracket_rank": None, "tangent": True,
+            "controllable_on_leaf": None}
+        assert run(argv + ["--format", "text"]) == 0
+        assert capsys.readouterr().out.endswith(
+            "controllable-on-leaf: undetermined\n")
+
+    def test_leaf_evidence_does_not_depend_on_seed(self, capsys, tmp_path):
+        # the brackets' y entries stay below 1e-8 for |x| <= 1: a float rank
+        # at sampled leaf points once read 1 at seed 1 and 2 at seed 2
+        path = tmp_path / "small.sys"
+        path.write_text("states: x y z\ncontrol g1: [1, 0, 0]\n"
+                        "control g2: [0, x^4/3000000000, 0]\n")
+        evidence = []
+        for seed in ("1", "2"):
+            code, payload = run_json(capsys, ["verify", str(path), "--rho",
+                                              "z", "--seed", seed] + FAST)
+            assert code == 0
+            evidence.append(payload["verify"]["leaf_controllability"])
+        assert evidence[0] == evidence[1]
+        assert evidence[0]["bracket_rank"] == 2
+        assert evidence[0]["controllable_on_leaf"] is True
 
 
 class TestSimulateCommand:
@@ -317,7 +380,7 @@ class TestTextFormat:
         code = run(["brackets", EX1, "--depth", "2", "--format", "text"])
         assert code == 0
         lines = capsys.readouterr().out.splitlines()
-        assert lines[0] == "depth 2, rank 3 at sample point"
+        assert lines[0] == "depth 2, rank 3"
         assert lines[1] == "  (1, y, 0)"
 
     # simulate writes CSV and has no --format

@@ -1,8 +1,16 @@
-"""The systems of the byte-identity corpus (tests/corpus.py) parse."""
+"""The systems of the byte-identity corpus (tests/corpus.py) parse, and
+their exact bracket ranks agree with the float ranks they replaced."""
 
 from ctrlinv.dsl import parse_system
+from ctrlinv.numeric import bracket_rank
 
 import corpus
+
+# each system's depth-3 bracket rank by the float rule the exact rank
+# replaced: singular values above 1e-8 of the largest, at the point that
+# `brackets --seed 42` drew away from the brackets' poles
+FLOAT_RANKS = [3, 4, 2, 2, 3, 2, 2, 2, 4, 1, 1, 2, 2, 2, 2, 4, 4, 4, 2, 3,
+               3, 3, 2, 3, 2, 2, 2, 3, 4, 2]
 
 
 def test_corpus_systems_parse():
@@ -12,3 +20,11 @@ def test_corpus_systems_parse():
     for _, text in systems:
         system = parse_system(text)
         assert system.n in (3, 4) and system.m == 2
+
+
+def test_bracket_rank_matches_float_rank():
+    got = []
+    for _, text in corpus.systems():
+        system = parse_system(text)
+        got.append(bracket_rank(system.field_rows[1:], system.ctx, depth=3))
+    assert got == FLOAT_RANKS

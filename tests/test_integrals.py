@@ -581,7 +581,7 @@ def test_level_set_offset_is_exact(ex3, monkeypatch):
     def seen(sys, rhos, *args, **kwargs):
         raise Seen(rhos)
 
-    monkeypatch.setattr(integrals_module, "leaf_controllability", seen)
+    monkeypatch.setattr(integrals_module, "invariance_test", seen)
     with pytest.raises(Seen) as info:
         integrals_module.numeric_evidence(ex3, cand, 3, FAST, offset)
     level, = info.value.args[0]
