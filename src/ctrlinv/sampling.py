@@ -1,8 +1,9 @@
 """Numeric sampling of points on the zero locus of candidate functions,
 ctx.field elements.
 
-Shared by the membership checker (non-degeneracy, numeric fallback) and the
-trajectory verifier (initial conditions on a candidate submanifold).
+Shared by the membership checker (non-degeneracy, numeric fallback), the
+trajectory verifier (initial conditions on a candidate submanifold) and,
+with exact values, the bracket rank on a leaf.
 """
 
 from __future__ import annotations
