@@ -13,7 +13,7 @@ import numpy as np
 from .dsl import ControlSchedule, parse_expr, parse_system
 from .errors import CtrlInvError
 from .expr import from_field, sample_params, to_field, to_text
-from .flag import annihilator, derived_flag, exact_rank, flag_summary
+from .flag import annihilator, derived_flag, flag_summary
 from .integrals import (
     AnalysisConfig,
     analyze,
@@ -24,6 +24,7 @@ from .integrals import (
 )
 from .numeric import (
     BRACKET_DEPTH,
+    bracket_rank,
     iterated_brackets,
     require_count,
     require_positive,
@@ -152,7 +153,9 @@ def render_text(payload) -> str:
     if "verify" in payload:
         return _entry_text(payload["verify"])
     if "brackets" in payload:
-        lines = [f"depth {payload['depth']}, rank {payload['rank']}"]
+        rank = payload["rank"]
+        lines = [f"depth {payload['depth']}, rank "
+                 f"{'undetermined' if rank is None else rank}"]
         lines += ["  (" + ", ".join(F) + ")" for F in payload["brackets"]]
         return "\n".join(lines)
     return json.dumps(payload, indent=2, sort_keys=True)
@@ -273,12 +276,10 @@ def _brackets(args, system):
     ctx = system.ctx
     brackets = iterated_brackets(system.field_rows[1:], ctx, depth=args.depth)
     _emit({
-        "schema": 1,
-        "seed": args.seed,
+        "schema": 2,
         "depth": args.depth,
         "brackets": [[to_text(from_field(c)) for c in F] for F in brackets],
-        # numeric.bracket_rank of these brackets, not built again
-        "rank": exact_rank(brackets, system.n, ctx.field),
+        "rank": bracket_rank(brackets, ctx),
     }, args)
 
 

@@ -379,7 +379,7 @@ def divide_exact(num, den):
     return reduce_fraction(num.field(p.quo_ground(q.LC)))
 
 
-def _generators(f):
+def generators(f):
     """Positions in f.field.symbols of the generators f depends on."""
     return {i for p in (f.numer, f.denom) for m in p.itermonoms()
             for i, e in enumerate(m) if e}
@@ -390,7 +390,7 @@ def evaluate(f, point) -> float:
     value), by the float form of `kernels`."""
     count = len(f.field.symbols) // 3  # the declared symbols, then sin, cos
     ctx = SymbolContext(states=f.field.symbols[:count])
-    for i in _generators(f):
+    for i in generators(f):
         s = ctx.symbols[i if i < count else (i - count) // 2]
         if s not in point:
             raise UnknownSymbol(f"no value assigned for {s}")
@@ -428,7 +428,7 @@ def kernels(groups, ctx: SymbolContext, arrays=False):
     for g, group in enumerate(groups):
         source.append(f"def _k{g}(_x, _p, _out):")
         source += [f"    _g{i} = {reads[i]}"
-                   for i in sorted(set().union(*map(_generators, group)))]
+                   for i in sorted(set().union(*map(generators, group)))]
         for r, f in enumerate(group):
             value = _sum(f.numer, f.denom.LC)
             if not f.denom.is_ground:

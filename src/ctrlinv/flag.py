@@ -175,32 +175,34 @@ def clear_denominators(vec, ctx):
 def certify_rank(rows, rank, ctx):
     """Prove that field-element rows have rank `rank` (see `exact_rank`):
     one certification point above it, or none at it, raises RankNotConstant."""
-    nr = exact_rank(rows, rank, ctx.field)
+    nr = exact_rank(rows, rank, certification_points(ctx.field))
     if nr is not None and nr > rank:
-        raise RankNotConstant(f"rank {nr} > symbolic rank {rank} at a "
-                              "certification point")
+        raise RankNotConstant(f"rank {nr} > symbolic rank {rank}")
     if nr != rank:
         raise RankNotConstant(f"symbolic rank {rank} attained at none of "
                               f"{CERTIFY_POINTS} certification points")
 
 
-def exact_rank(rows, cap, K, place=lambda point: point):
-    """Largest exact rank over QQ of rows of K's elements at the
-    certification points, at most the generic rank, which a generic point
-    attains (Schwartz 1980; Zippel 1979); stops once one reaches cap.  Each
-    point is moved by `place`, which must not raise; one it maps to None, or
-    where a denominator vanishes, is passed over.  None when none is left."""
+def exact_rank(rows, cap, points):
+    """Largest exact rank over QQ of rows of field elements at exact points,
+    such as `certification_points`, where it is at most the generic rank and
+    a generic point attains it (Schwartz 1980; Zippel 1979); stops at cap.
+    A point at a pole is passed over.  None when no point is left."""
     best = None
-    points = (place(_certify_point(K, k)) for k in range(CERTIFY_POINTS))
-    for point in (p for p in points if p is not None):
+    for point in points:
         try:
-            best = max(best or 0, DM([[_value(e, point) for e in r]
+            best = max(best or 0, DM([[exact_value(e, point) for e in r]
                                       for r in rows], QQ).rank())
         except ZeroDivisionError:
             continue
         if best >= cap:
             break
     return best
+
+
+def certification_points(K):
+    """The CERTIFY_POINTS certification points of K, made as they are read."""
+    return (_certify_point(K, k) for k in range(CERTIFY_POINTS))
 
 
 def _certify_point(K, k):
@@ -216,7 +218,7 @@ def _certify_point(K, k):
     return point
 
 
-def _value(f, point):
+def exact_value(f, point):
     """Exact value of a field element at a point, term by term (sympy's
     `evaluate` builds a ring per generator); ZeroDivisionError at a pole."""
     num, den = (sum((c * math.prod(v**e for v, e in zip(point, m) if e)

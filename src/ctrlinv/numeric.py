@@ -15,8 +15,8 @@ import numpy as np
 from .dsl import ControlAffineSystem, ControlSchedule
 from .errors import DomainExit, EvalSingular, StepSingular
 from .expr import SymbolContext, differentiate, kernels, reduce_fraction
-from .flag import exact_rank
-from .sampling import CONSTRAINT_MARGIN, exact_zero_point, zero_locus_points
+from .flag import certification_points, exact_rank
+from .sampling import CONSTRAINT_MARGIN, exact_leaf_points, zero_locus_points
 
 # depth of the iterated Lie brackets behind every bracket-rank check
 BRACKET_DEPTH = 4
@@ -484,22 +484,20 @@ def matrix_at(rows, ctx):
         [float(point[s]) for s in ctx.symbols]), (len(rows), -1))
 
 
-def bracket_rank(fields, ctx, depth=BRACKET_DEPTH):
-    """Generic rank of the iterated brackets of ctx.field rows up to depth,
-    by `flag.exact_rank`; None when they have a pole at every point."""
-    return exact_rank(iterated_brackets(fields, ctx, depth=depth),
-                      len(ctx.states), ctx.field)
+def bracket_rank(brackets, ctx):
+    """Generic rank of ctx.field rows, such as `iterated_brackets`, by
+    `flag.exact_rank`; None when they have a pole at every point."""
+    return exact_rank(brackets, len(ctx.states),
+                      certification_points(ctx.field))
 
 
 def leaf_controllability(sys: ControlAffineSystem, rhos, leaf_dim):
     """Rashevsky-Chow check on the leaf {rho = 0} of an accepted entry: the
-    iterated g-brackets' exact rank at points placed on it by
-    `sampling.exact_zero_point` must reach leaf_dim.  With no rhos it is
-    their generic rank, the rank on a generic leaf of a foliation they are
-    tangent to.  With no point left, the rank and the verdict are None."""
+    iterated g-brackets' exact rank at `sampling.exact_leaf_points` must
+    reach leaf_dim.  With no rhos it is their generic rank, their rank on a
+    generic leaf of a foliation they are tangent to; None with no point."""
     rows = iterated_brackets(sys.field_rows[1:], sys.ctx)
-    rank = exact_rank(rows, leaf_dim, sys.ctx.field,
-                      exact_zero_point(rhos, rows, sys.ctx))
+    rank = exact_rank(rows, leaf_dim, exact_leaf_points(rhos, rows, sys.ctx))
     return {
         "leaf_dimension": leaf_dim,
         "bracket_rank": rank,

@@ -2,8 +2,7 @@
 ctx.field elements.
 
 Shared by the membership checker (non-degeneracy, numeric fallback), the
-trajectory verifier (initial conditions on a candidate submanifold) and,
-with exact values, the bracket rank on a leaf.
+trajectory verifier (initial conditions) and the leaf bracket rank (exact).
 """
 
 from __future__ import annotations
@@ -11,9 +10,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import SamplingFailed
-from .expr import (POINT_ERRORS, SymbolContext, _generators, differentiate,
+from .expr import (POINT_ERRORS, SymbolContext, differentiate, generators,
                    gradient, kernels)
-from .flag import _value
+from .flag import certification_points, exact_value
 
 NEWTON_RESIDUAL_TOL = 1e-10
 CONSTRAINT_MARGIN = 1e-6
@@ -84,8 +83,7 @@ def _linear_plan(rhos, grads, ctx):
     return plan
 
 
-def _solve_linear(plan, values, at=lambda f, values: f(values)[0],
-                  tol=1e-6):
+def _solve_linear(plan, values, at=lambda f, v: f(v)[0], tol=1e-6):
     """Solve the system one variable at a time where rhos are linear, by
     the plan's (v, index of v, a, rest) terms, valued by at(a, values).
 
@@ -112,18 +110,19 @@ def _solve_linear(plan, values, at=lambda f, values: f(values)[0],
     return True
 
 
-def exact_zero_point(rhos, rows, ctx):
-    """A map of a point of exact values (see `flag.exact_rank`) onto
-    {rho = 0} by `_solve_linear`, or to None.  A rho is solved only for a
-    state v whose sin(v), cos(v) occur in none of the rows and rhos: their
-    values at the point would not be v's."""
-    used = set().union(*(_generators(e) for F in [*rows, rhos] for e in F))
+def exact_leaf_points(rhos, rows, ctx):
+    """The certification points (`flag.certification_points`) moved onto
+    {rho = 0} by `_solve_linear` on exact values, those it cannot move left
+    out.  A rho is solved only for a state v whose sin(v), cos(v) occur in
+    none of the rows and rhos: their values at the point would not be v's."""
+    used = set().union(*(generators(e) for F in [*rows, rhos] for e in F))
     pos = ctx.state_generators  # v -> positions of v and sin(v); cos follows
     linear = [(symbols, [(v, pos[v][0], a, rest) for v, a, rest in terms
                          if not {pos[v][1], pos[v][1] + 1} & used])
               for symbols, terms in _linear_plan(
                   rhos, [gradient(r, ctx) for r in rhos], ctx)]
-    return lambda pt: pt if _solve_linear(linear, pt, _value, 0) else None
+    return (pt for pt in certification_points(ctx.field)
+            if _solve_linear(linear, pt, exact_value, 0))
 
 
 def _newton_project(newton, shape, values, steps):

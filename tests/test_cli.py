@@ -10,6 +10,7 @@ import sympy as sp
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import ctrlinv.flag as flag_module
 from ctrlinv.cli import run
 
 from conftest import SYSTEMS_DIR
@@ -244,6 +245,7 @@ class TestJsonOutput:
     def test_brackets_payload(self, capsys):
         code, payload = run_json(capsys, ["brackets", EX1, "--depth", "3"])
         assert code == 0
+        assert payload["schema"] == 2 and "seed" not in payload
         assert payload["depth"] == 3
         assert payload["rank"] == 3
 
@@ -258,6 +260,25 @@ class TestJsonOutput:
         assert code == 0
         assert payload["rank"] == 2
         assert calls[0][0] == 0 and len(calls) == 2
+
+    def test_brackets_rank_with_a_pole_at_every_point(self, capsys,
+                                                      tmp_path, monkeypatch):
+        real = flag_module._certify_point
+
+        def on_pole(K, k):
+            point = real(K, k)
+            point[K.symbols.index(sp.Symbol("x"))] = 0
+            return point
+
+        monkeypatch.setattr(flag_module, "_certify_point", on_pole)
+        path = tmp_path / "pole.sys"
+        path.write_text("states: x y\ncontrol g1: [1/x, 0]\n"
+                        "control g2: [0, 1]\n")
+        code, payload = run_json(capsys, ["brackets", str(path)])
+        assert code == 0 and payload["rank"] is None
+        assert run(["brackets", str(path), "--format", "text"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("depth 4, rank undetermined\n")
 
     def test_tiny_coefficient_leaf_is_controllable(self, capsys, tmp_path):
         # g1, g2 span {z = 0} wherever x != 0; x/10^10 once fell below a

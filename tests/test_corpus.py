@@ -2,7 +2,7 @@
 their exact bracket ranks agree with the float ranks they replaced."""
 
 from ctrlinv.dsl import parse_system
-from ctrlinv.numeric import bracket_rank
+from ctrlinv.numeric import bracket_rank, iterated_brackets
 
 import corpus
 
@@ -26,5 +26,7 @@ def test_bracket_rank_matches_float_rank():
     got = []
     for _, text in corpus.systems():
         system = parse_system(text)
-        got.append(bracket_rank(system.field_rows[1:], system.ctx, depth=3))
+        brackets = iterated_brackets(system.field_rows[1:], system.ctx,
+                                     depth=3)
+        got.append(bracket_rank(brackets, system.ctx))
     assert got == FLOAT_RANKS

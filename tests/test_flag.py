@@ -500,7 +500,7 @@ class TestErrorsPropagate:
             ctx.known_nonzero(F(x * y, ctx))
 
     def test_certify_rank_propagates_unrelated_error(self, monkeypatch):
-        monkeypatch.setattr(flag_module, "_value", self._raise)
+        monkeypatch.setattr(flag_module, "exact_value", self._raise)
         with pytest.raises(RuntimeError, match="unrelated failure"):
             certify_rank(field_rows([[1, 0], [0, x]], CTX), 2, CTX)
 

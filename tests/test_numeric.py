@@ -499,15 +499,18 @@ class TestLieBracket:
 
 class TestBracketRank:
     def test_full_rank(self, ex1):
-        assert bracket_rank(field_rows(ex1.controls, ex1.ctx), ex1.ctx) == 3
+        brackets = iterated_brackets(field_rows(ex1.controls, ex1.ctx),
+                                     ex1.ctx)
+        assert bracket_rank(brackets, ex1.ctx) == 3
 
     def test_rank_three_of_four(self, ex3):
-        assert bracket_rank(field_rows(ex3.controls, ex3.ctx), ex3.ctx,
-                            depth=4) == 3
+        brackets = iterated_brackets(field_rows(ex3.controls, ex3.ctx),
+                                     ex3.ctx, depth=4)
+        assert bracket_rank(brackets, ex3.ctx) == 3
 
     def test_involutive_stays_low(self):
         fields = field_rows([(1, 0, 0), (0, 1, 0)], CTX)
-        assert bracket_rank(fields, CTX) == 2
+        assert bracket_rank(iterated_brackets(fields, CTX), CTX) == 2
 
     def test_state_under_a_trig_atom_is_not_solved(self):
         # sin(x) in g2 keeps x at its certification value, whose circle
