@@ -10,9 +10,9 @@ import sys as _sys
 
 import numpy as np
 
-from .dsl import ControlSchedule, parse_expr, parse_system
+from .dsl import ControlSchedule, parse_into, parse_system
 from .errors import CtrlInvError
-from .expr import from_field, sample_params, to_field, to_text
+from .expr import from_field, sample_params, to_text
 from .flag import annihilator, derived_flag, flag_summary
 from .integrals import (
     AnalysisConfig,
@@ -72,7 +72,9 @@ def _build_parser():
     ps.add_argument("--step", type=float, default=1e-3,
                     help="spacing of the output grid and first step of "
                          "the error-controlled integration, at most the "
-                         "schedule's horizon")
+                         "schedule's horizon; 1000 attempted steps per unit "
+                         "of horizon, or one per grid interval if more, but "
+                         "at least 100, are its budget")
     ps.add_argument("--x0", required=True, help="comma-separated start state")
     ps.add_argument("--control", required=True,
                     help="schedule 'dur:u1,u2;dur:u1,u2;...'")
@@ -202,7 +204,7 @@ def _flag_payload(args, system):
     the annihilator, for `verify`)."""
     payload = {"schema": 1, "seed": args.seed}
     if args.command == "verify":
-        payload["verify"] = _verify_entry(args, system, annihilator(system))
+        payload["verify"] = _verify_entry(args, system)
         return payload
     flag = derived_flag(system)
     if args.command == "flag":
@@ -219,9 +221,10 @@ def _flag_payload(args, system):
     return payload
 
 
-def _verify_entry(args, system, pfaffian):
-    rhos = [to_field(parse_expr(r, system.ctx), system.ctx) for r in args.rho]
-    result = check_membership(rhos, pfaffian, system.ctx, seed=args.seed)
+def _verify_entry(args, system):
+    system, rhos = parse_into(system, args.rho)
+    result = check_membership(rhos, annihilator(system), system.ctx,
+                              seed=args.seed)
     entry = _integral_entry(result, None)
     entry.update(numeric_evidence(system, result, system.n - len(rhos),
                                   _config(args)))
@@ -261,8 +264,8 @@ def _simulate(args, system):
         raise SystemExit(f"--x0 needs {system.n} components")
     if any(len(u) != system.m for _, u in pieces):
         raise SystemExit(f"control value needs {system.m} components")
-    monitors = {f"rho{i+1}": to_field(parse_expr(m, ctx), ctx)
-                for i, m in enumerate(args.monitor)}
+    system, rows = parse_into(system, args.monitor)
+    monitors = {f"rho{i+1}": row for i, row in enumerate(rows)}
     try:
         traj = simulate(system, x0, schedule, h=args.step,
                         param_values=params, monitors=monitors)

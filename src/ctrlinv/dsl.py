@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import sympy as sp
 
-from .errors import ArityMismatch, EmptyControlSet, ParseError, UnknownSymbol
-from .expr import SymbolContext, normalize, to_field, to_text
+from .errors import (ArityMismatch, CtrlInvError, EmptyControlSet, ParseError,
+                     UnknownSymbol)
+from .expr import SymbolContext, normalize, to_field, to_text, trig_symbols
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()]))"
@@ -194,15 +195,36 @@ class _ExprParser:
         self.error(f"unexpected token {val!r}", col)
 
 
-def parse_expr(text, ctx: SymbolContext, line_no=None, col_offset=0):
-    """Parse one infix expression against a symbol context; normalized."""
+def parse_tree(text, ctx: SymbolContext, line_no=None, col_offset=0):
+    """Parse one infix expression against a symbol context, as written."""
     symbols = {str(s): s for s in ctx.symbols}
     tokens = _tokenize(text, line_no, col_offset)
-    e = _ExprParser(tokens, symbols, line_no).parse()
-    return normalize(e, ctx)
+    return _ExprParser(tokens, symbols, line_no).parse()
 
 
-def _parse_vector(text, ctx, line_no, col_offset):
+def parse_expr(text, ctx: SymbolContext, line_no=None, col_offset=0):
+    """Parse one infix expression against a symbol context; normalized."""
+    return normalize(parse_tree(text, ctx, line_no, col_offset), ctx)
+
+
+def parse_into(system: ControlAffineSystem, texts):
+    """The system, its field given a sin/cos pair also for each declared
+    symbol inside a trig atom of the texts, and the texts parsed as
+    elements of that field."""
+    ctx = system.ctx
+    trees = [parse_tree(t, ctx) for t in texts]
+    if ctx.trig is not None:  # None: the field has every pair
+        # the pairs the field has, then the texts'
+        trig = trig_symbols(ctx.symbols, [*map(sp.sin, ctx.trig), *trees])
+        if trig != ctx.trig:
+            system = replace(system, ctx=replace(ctx, trig=trig))
+    return system, [to_field(normalize(e, system.ctx), system.ctx)
+                    for e in trees]
+
+
+def _parse_vector(text, parse, line_no, col_offset):
+    """The components of a bracketed vector, each parse(text, line_no,
+    col_offset)."""
     text = text.strip()
     if not (text.startswith("[") and text.endswith("]")):
         raise ParseError("expected a bracketed vector [ ... ]", line_no, col_offset + 1)
@@ -222,7 +244,7 @@ def _parse_vector(text, ctx, line_no, col_offset):
             start = i + 1
     spans.append((start, len(inner)))
     for s, e in spans:
-        comps.append(parse_expr(inner[s:e], ctx, line_no, col_offset + 1 + s))
+        comps.append(parse(inner[s:e], line_no, col_offset + 1 + s))
     return tuple(comps)
 
 
@@ -285,29 +307,47 @@ def parse_system(text: str) -> ControlAffineSystem:
         raise EmptyControlSet("at least one control field is required")
 
     n = len(states)
-    base_ctx = SymbolContext(states=states, params=tuple(params),
-                             param_signs=param_signs)
-
-    nonzero = tuple(parse_expr(src, base_ctx, ln, c0) for src, ln, c0 in nonzero_srcs)
     ctx = SymbolContext(states=states, params=tuple(params),
-                        param_signs=param_signs, nonzero=nonzero)
+                        param_signs=param_signs)
+    trees = []  # every expression parsed, in file order
+
+    def tree(src, ln, c0):
+        trees.append(parse_tree(src, ctx, ln, c0))
+        return trees[-1]
 
     def vector(src, ln, c0, what):
-        v = _parse_vector(src, ctx, ln, c0)
+        v = _parse_vector(src, tree, ln, c0)
         if len(v) != n:
             raise ArityMismatch(
                 f"{what} has {len(v)} components for {n} states (line {ln})")
         return v
 
-    drift = (tuple(sp.Integer(0) for _ in range(n)) if drift_src is None
-             else vector(*drift_src, "drift"))
-    controls = tuple(vector(src, ln, c0, key)
-                     for key, src, ln, c0 in control_srcs)
-    candidates = tuple(parse_expr(src, ctx, ln, c0)
-                       for src, ln, c0 in candidate_srcs)
+    failure = None
+    try:
+        nonzero = [tree(*src) for src in nonzero_srcs]
+        drift = None if drift_src is None else vector(*drift_src, "drift")
+        controls = [vector(src, ln, c0, key)
+                    for key, src, ln, c0 in control_srcs]
+        candidates = [tree(*src) for src in candidate_srcs]
+    except CtrlInvError as e:
+        failure = e
+    # the field is built once, from the trees: a sin/cos pair only for the
+    # declared symbols inside a trig atom
+    ctx = replace(ctx, trig=trig_symbols(ctx.symbols, trees))
+    if failure is not None:
+        for e in trees:  # an earlier expression's error comes first
+            normalize(e, ctx)
+        raise failure
 
-    return ControlAffineSystem(ctx=ctx, drift=drift, controls=controls,
-                               candidates=candidates)
+    def normalized(v):
+        return tuple(normalize(e, ctx) for e in v)
+
+    ctx = replace(ctx, nonzero=normalized(nonzero))
+    drift = (tuple(sp.Integer(0) for _ in range(n)) if drift is None
+             else normalized(drift))
+    return ControlAffineSystem(ctx=ctx, drift=drift,
+                               controls=tuple(map(normalized, controls)),
+                               candidates=normalized(candidates))
 
 
 def print_system(sys: ControlAffineSystem) -> str:

@@ -8,9 +8,12 @@ rewrite sin(v)**2 -> 1 - cos(v)**2.
 
 The exact layer (forms, flag, integrals) computes on field elements: members
 of the one sparse rational-function field over QQ of a system,
-`SymbolContext.field`, kept reduced by `reduce_fraction`.  Expressions are
-built only at two boundaries: parsing in (`to_field`, `normalize`) and report
-text out (`from_field`, `to_text`).  Float evaluation reads field elements
+`SymbolContext.field`, kept reduced by `reduce_fraction`.  Its generators are
+the declared symbols and a sin/cos pair only for each declared symbol that
+occurs inside a trig atom of the system's expressions (`trig_symbols`), so
+no exact operation carries exponents of generators the system never uses.
+Expressions are built only at two boundaries: parsing in (`to_field`,
+`normalize`) and report text out (`from_field`, `to_text`).  Float evaluation reads field elements
 directly: one source generator writes a kernel from each element's numerator
 and denominator terms, compiled with floats and `math` or with numpy arrays
 (`kernels`, `evaluate`).
@@ -48,6 +51,15 @@ EVAL_SINGULAR_TOL = 1e-12
 # threshold or a value that is not finite, overflow in `**`, or math.sin of
 # an infinite value
 POINT_ERRORS = (EvalSingular, ArithmeticError, ValueError)
+_TRIG = (sp.sin, sp.cos)
+
+
+def trig_symbols(symbols, exprs):
+    """The symbols, in their order, that occur inside a sin or cos atom of
+    one of the expressions: those a system's field gives a sin/cos pair
+    (`SymbolContext.trig`)."""
+    inside = {a.args[0] for e in exprs for a in e.atoms(*_TRIG)}
+    return tuple(v for v in symbols if v in inside)
 
 
 @dataclass(frozen=True)
@@ -64,6 +76,9 @@ class SymbolContext:
     param_signs: dict = dataclass_field(default_factory=dict)
     # expressions the user asserts nonzero on the working domain
     nonzero: tuple = ()
+    # the declared symbols, in declaration order, given a sin/cos pair in
+    # the field (`trig_symbols`); None gives every declared symbol one
+    trig: tuple | None = None
 
     @property
     def symbols(self):
@@ -72,21 +87,25 @@ class SymbolContext:
     @functools.cached_property
     def field(self):
         """The system's rational-function field (rational_field) on the
-        generators: states, then parameters, then sin(v), cos(v) of each.
+        generators: states, then parameters, then sin(v), cos(v) of each
+        symbol v of `trig`.
 
         Its grlex order restricted to any expression's own generators is
         that expression's grlex order, and sin(v) precedes cos(v), so the
-        leading term of sin(v)**2 + cos(v)**2 - 1 is sin(v)**2.
+        leading term of sin(v)**2 + cos(v)**2 - 1 is sin(v)**2.  Grlex
+        ignores a generator no term uses, so the term order, and every
+        normal form, is the same whichever pairs the field has.
         """
+        trig = self.symbols if self.trig is None else self.trig
         return rational_field(self.symbols + tuple(
-            f(v) for v in self.symbols for f in (sp.sin, sp.cos)))
+            f(v) for v in trig for f in (sp.sin, sp.cos)))
 
     @functools.cached_property
     def state_generators(self):
-        """Each state v -> the positions in field.symbols of v and of sin(v);
-        cos(v) follows sin(v)."""
+        """Each state v -> the positions in field.symbols of v and of sin(v),
+        None when the field has no pair for v; cos(v) follows sin(v)."""
         index = {g: i for i, g in enumerate(self.field.symbols)}
-        return {v: (index[v], index[sp.sin(v)]) for v in self.states}
+        return {v: (index[v], index.get(sp.sin(v))) for v in self.states}
 
     @functools.cached_property
     def nonzero_elements(self):
@@ -110,11 +129,17 @@ class SymbolContext:
     def known_nonzero(self, f):
         """True when the field element f is nonzero and each irreducible
         factor of it is a known factor: dividing them out of its numerator
-        and denominator leaves constants (unique factorization in the ring)."""
+        and denominator leaves constants (unique factorization in the ring).
+        A one-term factor leaves in one pass over the terms: it divides a
+        polynomial exactly when every term carries at least its exponents,
+        and the quotient, up to a constant, subtracts them."""
         if not f:
             return False
         for part in (f.numer, f.denom):
             for p in self.known_factors:
+                if len(p) == 1:
+                    part = _monomial_cofactor(part, p.LM)
+                    continue
                 while not part.is_ground:
                     q, r = part.div(p)
                     if r:
@@ -141,10 +166,21 @@ class SymbolContext:
             names = ", ".join(sorted(str(s) for s in extra))
             raise UnknownSymbol(f"undeclared symbol(s): {names}")
         for f in e.atoms(sp.Function):
-            if not isinstance(f, (sp.sin, sp.cos)):
+            if not isinstance(f, _TRIG):
                 raise NotPolynomial(f"function outside expression class: {f}")
             if f.args[0] not in declared:
                 raise UnknownSymbol(f"trig atom of undeclared symbol: {f}")
+
+
+def _monomial_cofactor(p, e):
+    """The nonzero polynomial p divided by the highest power of the monomial
+    with exponents e that divides it, up to a constant."""
+    k = min(m[i] // e[i] for m in p.itermonoms()
+            for i in range(len(e)) if e[i])
+    if not k:
+        return p
+    return p.ring.from_dict({tuple(a - k * b for a, b in zip(m, e)): c
+                             for m, c in p.iterterms()})
 
 
 class Verdict(Enum):
@@ -281,10 +317,14 @@ def differentiate(f, v, ctx: SymbolContext):
     except KeyError:
         raise UnknownSymbol(f"not a declared state variable: {v}") from None
     K = f.field
-    sin, cos = K.ring.gens[j], K.ring.gens[j + 1]
+    if j is None:  # no sin(v), cos(v) in the field
+        def D(p):
+            return p.diff(i)
+    else:
+        sin, cos = K.ring.gens[j], K.ring.gens[j + 1]
 
-    def D(p):
-        return p.diff(i) + cos * p.diff(j) - sin * p.diff(j + 1)
+        def D(p):
+            return p.diff(i) + cos * p.diff(j) - sin * p.diff(j + 1)
 
     if f.denom.is_ground:
         return K.new(D(f.numer), f.denom)
@@ -388,10 +428,12 @@ def generators(f):
 def evaluate(f, point) -> float:
     """IEEE-double value of a field element at a point (declared symbol ->
     value), by the float form of `kernels`."""
-    count = len(f.field.symbols) // 3  # the declared symbols, then sin, cos
-    ctx = SymbolContext(states=f.field.symbols[:count])
+    gens = f.field.symbols
+    ctx = SymbolContext(
+        states=tuple(g for g in gens if not isinstance(g, _TRIG)),
+        trig=tuple(g.args[0] for g in gens if isinstance(g, sp.sin)))
     for i in generators(f):
-        s = ctx.symbols[i if i < count else (i - count) // 2]
+        s, = gens[i].free_symbols  # the symbol, or its trig atom's
         if s not in point:
             raise UnknownSymbol(f"no value assigned for {s}")
     value, = kernels([[f]], ctx)
@@ -420,10 +462,12 @@ def kernels(groups, ctx: SymbolContext, arrays=False):
     raises EvalSingular at a denominator below 1e-12 or a non-finite value
     (`**` and math.sin raise the rest of POINT_ERRORS)."""
     n = len(ctx.states)
-    # each declared symbol, then sin and cos of each, as ctx.field orders them
-    reads = [f"_x[{j}]" if j < n else f"_p[{j - n}]"
-             for j in range(len(ctx.symbols))]
-    reads += [f"{trig}({read})" for read in reads for trig in ("sin", "cos")]
+    # each generator of ctx.field: a declared symbol, sin or cos of one
+    index = {v: f"_x[{j}]" if j < n else f"_p[{j - n}]"
+             for j, v in enumerate(ctx.symbols)}
+    reads = [index[g] if g in index
+             else f"{type(g).__name__}({index[g.args[0]]})"
+             for g in ctx.field.symbols]
     source = []
     for g, group in enumerate(groups):
         source.append(f"def _k{g}(_x, _p, _out):")

@@ -207,14 +207,22 @@ def certification_points(K):
 
 def _certify_point(K, k):
     """The k-th certification point, a rational value per generator of K;
-    each (sin v, cos v) pair is the circle point (2t, 1 - t**2)/(1 + t**2)."""
-    rng, point = random.Random(k), []
-    for g in K.symbols:
-        t = QQ(rng.randint(-40, 40), rng.randint(1, 20))
-        if isinstance(g, sp.sin):
+    each (sin v, cos v) pair is the circle point (2t, 1 - t**2)/(1 + t**2).
+    Every declared symbol draws its value, then every one draws two more,
+    the first the t of its pair, whether or not K has the pair: a
+    generator's value does not depend on which pairs K has."""
+    rng = random.Random(k)
+
+    def draw():
+        return QQ(rng.randint(-40, 40), rng.randint(1, 20))
+
+    declared = [g for g in K.symbols if not isinstance(g, (sp.sin, sp.cos))]
+    paired = {g.args[0] for g in K.symbols if isinstance(g, sp.sin)}
+    point = [draw() for _ in declared]
+    for v in declared:
+        t, _ = draw(), draw()
+        if v in paired:
             point += [2 * t / (1 + t**2), (1 - t**2) / (1 + t**2)]
-        elif not isinstance(g, sp.cos):  # cos(v) is placed with sin(v)
-            point.append(t)
     return point
 
 

@@ -26,6 +26,8 @@ RTOL = 1e-10
 ATOL = 1e-12
 # fewest attempted steps the invariance test is given, whatever its step
 MIN_BUDGET = 100
+# attempted steps per unit of time simulate is given, whatever its grid
+SIMULATE_STEPS_PER_UNIT = 1000
 
 # Dormand & Prince (1980) 5(4) pair: the stage rows a_sj, whose last row is
 # the fifth-order weights (so the last stage is f at the new state), and the
@@ -177,7 +179,10 @@ def simulate(sys: ControlAffineSystem, x0, schedule: ControlSchedule,
     declared-nonzero constraints checked at every accepted step.  States
     are written on the grid t_i = i h below the horizon, then at the
     horizon, from each step's continuous extension; a grid time within
-    1e-9 h of a switch or of the horizon counts as reaching it.
+    1e-9 h of a switch or of the horizon counts as reaching it.  The sweep's
+    budget is SIMULATE_STEPS_PER_UNIT attempted steps per unit of the
+    horizon, or one per grid interval on a finer grid, and at least
+    MIN_BUDGET: the error-controlled steps do not follow the grid.
     """
     require_positive(step=h)
     if schedule.pieces and h > schedule.horizon:
@@ -199,7 +204,9 @@ def simulate(sys: ControlAffineSystem, x0, schedule: ControlSchedule,
     xs = np.empty((len(times), sys.n))
     xs[0] = [float(v) for v in x0]
     with np.errstate(all="ignore"):
-        sweep = _dp_sweep(rhs, xs[:1].T.copy(), p, ends, controls, h)
+        sweep = _dp_sweep(rhs, xs[:1].T.copy(), p, ends, controls, h,
+                          max(MIN_BUDGET, round(horizon * max(
+                              1 / h, SIMULATE_STEPS_PER_UNIT))))
         *_, prev = next(sweep)
         for c, value in zip(ctx.nonzero, prev[:, 0]):
             if not CONSTRAINT_MARGIN < abs(value) < math.inf:
@@ -267,7 +274,7 @@ def _dense(x, x_new, K, theta):
     return x + s * (d + (1 - s) * (b + s * (c + (1 - s) * (_DP_D @ K))))
 
 
-def _dp_sweep(rhs, x, p, ends, controls, h):
+def _dp_sweep(rhs, x, p, ends, controls, h, budget=None):
     """Error-controlled Dormand-Prince 5(4) integration of every trial of x:
     (n, N), component-major.  Trial i applies controls[i, k]: (m,) until
     time ends[i, k]; its last end is the horizon.
@@ -285,10 +292,12 @@ def _dp_sweep(rhs, x, p, ends, controls, h):
     (x, x_new, stages h k_j) and the monitors at x_new (the last two count
     only where accepted).  A trial leaves the batch at its horizon or after
     a non-finite step.  Raises StepSingular when a trial is short of the
-    horizon after max(MIN_BUDGET, round(horizon / h)) attempted steps.
+    horizon after `budget` attempted steps, by default
+    max(MIN_BUDGET, round(horizon / h)).
     """
     fields = rhs.fields
-    budget = max(MIN_BUDGET, round(float(ends[:, -1].max()) / h))
+    if budget is None:
+        budget = max(MIN_BUDGET, round(float(ends[:, -1].max()) / h))
     trials = np.arange(x.shape[1])
     horizon = ends[:, -1]
     piece = np.zeros(len(trials), dtype=int)

@@ -116,9 +116,10 @@ def exact_leaf_points(rhos, rows, ctx):
     out.  A rho is solved only for a state v whose sin(v), cos(v) occur in
     none of the rows and rhos: their values at the point would not be v's."""
     used = set().union(*(generators(e) for F in [*rows, rhos] for e in F))
-    pos = ctx.state_generators  # v -> positions of v and sin(v); cos follows
+    pos = ctx.state_generators  # v -> positions of v and sin(v) or None
     linear = [(symbols, [(v, pos[v][0], a, rest) for v, a, rest in terms
-                         if not {pos[v][1], pos[v][1] + 1} & used])
+                         if pos[v][1] is None
+                         or not {pos[v][1], pos[v][1] + 1} & used])
               for symbols, terms in _linear_plan(
                   rhos, [gradient(r, ctx) for r in rhos], ctx)]
     return (pt for pt in certification_points(ctx.field)

@@ -384,6 +384,55 @@ class TestSimulateCommand:
         assert abs(rows[1]["y"] - math.exp(0.1)) < 1e-9
 
 
+    def test_coarse_grid_over_long_horizon(self, capsys, tmp_path):
+        # the step budget once followed the grid: 100 steps, too few here
+        path = tmp_path / "rotation.sys"
+        path.write_text("states: x y\ncontrol g1: [-y, x]\n")
+        assert run(["simulate", str(path), "--x0", "1,0", "--control",
+                    "20:1", "--step", "1"]) == 0
+        t, xv, yv, _ = map(float,
+                           capsys.readouterr().out.splitlines()[-1].split(","))
+        assert t == 20
+        assert abs(xv - math.cos(20)) < 1e-6
+        assert abs(yv - math.sin(20)) < 1e-6
+
+
+class TestTrigOfCommandExpressions:
+    """A --rho or --monitor expression may take sin or cos of a symbol that
+    no trig atom of the system takes: the command's field gets that pair.
+    The expected outputs are those of the full field layout."""
+
+    def test_verify_rho(self, capsys):
+        assert run(["verify", EX1, "--rho", "sin(x)"]) == 0
+        out = capsys.readouterr()
+        assert out.err == ""
+        assert out.out == json.dumps({
+            "schema": 1, "seed": 42,
+            "verify": {
+                "classification": "Rejected",
+                "escape": {
+                    "schedule": [[5.0, [-0.9383643308641212,
+                                        -0.12656522153527527]]],
+                    "time": 0.13106519367655334,
+                    "value": 0.12267709167855124},
+                "evidence": {
+                    "coefficient": "cos(x)", "column": "dx",
+                    "reason": "membership failure: coefficient not "
+                              "divisible by candidate"},
+                "provenance": "UserDeclared",
+                "rho": ["sin(x)"]}}, indent=2, sort_keys=True) + "\n"
+
+    def test_simulate_monitor(self, capsys):
+        assert run(["simulate", EX1, "--x0", "1,0,0", "--control", "1:1,0",
+                    "--step", "0.5", "--monitor", "cos(y)"]) == 0
+        out = capsys.readouterr()
+        assert out.err == ""
+        assert out.out == ("t,x,y,z,u1,u2,rho1\n"
+                           "0.0,1.0,0.0,0.0,1.0,0.0,1.0\n"
+                           "0.5,1.5,0.0,0.0,1.0,0.0,1.0\n"
+                           "1.0,2.0,0.0,0.0,1.0,0.0,1.0\n")
+
+
 class TestTextFormat:
     def test_analyze_text(self, capsys):
         code = run(["analyze", EX1, "--format", "text"] + FAST)

@@ -111,6 +111,27 @@ class TestParseSystem:
             parse_system("states: x\nbogus: 1\ncontrol g1: [1]\n")
         assert exc.value.line == 2
 
+    @pytest.mark.parametrize("lines, error", [
+        (["assume_nonzero: 1/(x - x)", "control g1: [1, $]"],
+         DivisionByZeroExpr),
+        (["control g1: [1, $]", "candidate rho1: 1/(y - y)"], ParseError),
+        (["control g1: [1/(cos(x)^2 + sin(x)^2 - 1), y]",
+          "control g2: [1]"], DivisionByZeroExpr),
+    ])
+    def test_first_error_in_file_order(self, lines, error):
+        # the trees are parsed before any is normalized, and a parse error
+        # is raised after the expressions before it are normalized
+        with pytest.raises(error):
+            parse_system("\n".join(["states: x y", *lines]) + "\n")
+
+    def test_field_pairs_from_trig_atoms(self):
+        sys = parse_system("states: x y z\nparams: a\n"
+                           "control g1: [cos(z), 1, a]\n"
+                           "candidate rho1: sin(x)\n")
+        assert sys.ctx.trig == (x, z)
+        assert sys.ctx.field.symbols == (x, y, z, a, sp.sin(x), sp.cos(x),
+                                         sp.sin(z), sp.cos(z))
+
     def test_comments_and_blanks(self):
         sys = parse_system(
             "# heading\n\nstates: x y  # inline\ncontrol g1: [1, 0]\n")

@@ -230,6 +230,21 @@ class TestKnownNonzero:
         assert ctx.known_nonzero(F(element, ctx)) is known
         assert _reference_known_nonzero(F(element, ctx), ctx) is known
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_one_term_factors_need_no_division(self, seed, monkeypatch):
+        # monomial known factors leave in one pass over the terms
+        rng = random.Random(seed)
+        ctx = SymbolContext(states=(x, y, z, w), params=(a, b),
+                            param_signs={a: "+"},
+                            nonzero=(2 * x, sp.cos(w), b))
+        elements = [to_field(_random_element(rng) * x**rng.randint(0, 3)
+                             * sp.cos(w)**rng.randint(0, 2), ctx)
+                    for _ in range(40)]
+        want = [_reference_known_nonzero(f, ctx) for f in elements]
+        monkeypatch.setattr(type(ctx.field.ring.one), "div", None)
+        assert [ctx.known_nonzero(f) for f in elements] == want
+        assert set(want) == {True, False}
+
     def test_signed_parameters_only(self):
         ctx = SymbolContext(states=(x,), params=(a, b), param_signs={a: "-"})
         assert ctx.known_nonzero(F(a**2 / 3, ctx))

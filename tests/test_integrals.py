@@ -386,7 +386,7 @@ class TestDivideSequentialErrors:
 class TestCheckMembership:
     def test_generalized(self, ex1):
         ann = annihilator(ex1)
-        res = check_membership([F(z)], ann, ex1.ctx)
+        res = check_membership([F(z, ex1.ctx)], ann, ex1.ctx)
         assert res.classification is Classification.GENERALIZED
         # dz = theta - z*(x*y dx - x dy): quotients against rho = z
         q = res.evidence["quotients"]
@@ -395,12 +395,12 @@ class TestCheckMembership:
 
     def test_rejected(self, ex2):
         ann = annihilator(ex2)
-        res = check_membership([F(y)], ann, ex2.ctx)
+        res = check_membership([F(y, ex2.ctx)], ann, ex2.ctx)
         assert res.classification is Classification.REJECTED
 
     def test_rejected_second_factor(self, ex2):
         ann = annihilator(ex2)
-        res = check_membership([F(2 * x + 1)], ann, ex2.ctx)
+        res = check_membership([F(2 * x + 1, ex2.ctx)], ann, ex2.ctx)
         assert res.classification is Classification.REJECTED
 
     def test_drift_generalized(self, ex4):
@@ -420,7 +420,7 @@ class TestCheckMembership:
                            "control g1: [1, 0, 0]\ncontrol g2: [0, 0, 1]\n")
         ann = annihilator(sys)
         assert ann.rank == 0
-        res = check_membership([F(z)], ann, sys.ctx)
+        res = check_membership([F(z, sys.ctx)], ann, sys.ctx)
         assert res.classification is Classification.REJECTED
 
     def test_codimension_two_generalized(self):
