@@ -34,6 +34,7 @@ import numpy as np
 import sympy as sp
 from sympy.polys.domains import QQ
 from sympy.polys.fields import FracField
+from sympy.polys.groebnertools import groebner
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.orderings import grlex
 
@@ -210,11 +211,10 @@ def rational_field(gens):
 
 
 @functools.lru_cache(maxsize=None)
-def _relations(K):
-    """Indices of K's sin generators, and sin(v)**2 + cos(v)**2 - 1 of each
-    (sin, cos) generator pair."""
-    R = K.ring
-    sins = [i for i, g in enumerate(K.symbols) if isinstance(g, sp.sin)]
+def _relations(R):
+    """Indices of the sin generators of a field's polynomial ring R, and
+    sin(v)**2 + cos(v)**2 - 1 of each (sin, cos) generator pair."""
+    sins = [i for i, g in enumerate(R.symbols) if isinstance(g, sp.sin)]
     return sins, tuple(R.gens[i]**2 + R.gens[i + 1]**2 - 1 for i in sins)
 
 
@@ -225,6 +225,31 @@ def _rem(p, relations):
     if all(m[i] < 2 for m in p for i in sins):
         return p
     return p.rem(polys)
+
+
+def ideal_cofactors(p, polys):
+    """Cofactors q_i, reduced modulo the sin/cos relations of the
+    polynomials' ring, with p = sum q_i polys_i modulo the relations, or
+    None when p is not in the ideal (polys, relations).
+
+    Grlex division by polys, then by the relations, finds the cofactors of
+    most members.  A remainder left over is reduced by a Groebner basis of
+    the same ideal, which decides membership exactly (Cox, Little,
+    O'Shea, ch. 2); only a remainder it reduces to zero is lifted to
+    cofactors."""
+    R = p.ring
+    relations = _relations(R)
+    qs, r = p.div(list(polys))
+    r = _rem(r, relations)
+    if r:
+        basis = list(polys) + list(relations[1])
+        if r.rem(groebner(basis, R)):
+            return None
+        ideal = QQ.old_poly_ring(*R.symbols, order="grlex").ideal(
+            *[g.as_expr() for g in basis])
+        lift = ideal.in_terms_of_generators(r.as_expr())
+        qs = [q + R(ideal.ring.to_sympy(c)) for q, c in zip(qs, lift)]
+    return [_rem(q, relations) for q in qs]
 
 
 def to_field(e, ctx: SymbolContext):
@@ -245,7 +270,7 @@ def reduce_fraction(f):
     """f with sin**2 eliminated from numerator and denominator, cancelled
     again when the denominator is not a constant.  Field arithmetic cancels
     but knows nothing of the trig relations: exact results pass here once."""
-    relations = _relations(f.field)
+    relations = _relations(f.field.ring)
     num, den = _rem(f.numer, relations), _rem(f.denom, relations)
     if num is f.numer and den is f.denom:
         return f

@@ -30,14 +30,13 @@ from .errors import (
     UnknownSymbol,
 )
 from .expr import (
-    POINT_ERRORS,
     SymbolContext,
     determinant,
     divide_exact,
     factor,
     from_field,
     gradient,
-    kernels,
+    ideal_cofactors,
     reduce_fraction,
     to_field,
     to_text,
@@ -56,8 +55,6 @@ from .forms import (
     d,
     form_to_text,
     one_form,
-    pivot_solution,
-    reduce_mod,
 )
 from .numeric import (
     escape_test,
@@ -71,7 +68,6 @@ from .numeric import (
 from .sampling import zero_locus_points
 
 NONDEGENERACY_TOL = 1e-8
-NUMERIC_MEMBERSHIP_TOL = 1e-8
 
 
 class Classification(Enum):
@@ -236,7 +232,12 @@ def _clear_known_denominator(f, ctx):
 
 
 def nondegenerate(rhos, ctx, seed=0, points=10):
-    """drho^1 ^ ... ^ drho^d nonzero at sampled zero-locus points."""
+    """drho^1 ^ ... ^ drho^d nonzero at sampled zero-locus points, each rho
+    scaled to a primitive integer numerator over a monic denominator: a
+    constant factor moves neither the zero set nor its regularity, only the
+    size of the gradient the tolerance compares."""
+    rhos = [r.field.raw_new(r.numer.clear_denoms()[1].primitive()[1],
+                            r.denom.monic()) for r in rhos]
     grads = []
     for r in rhos:
         grad = gradient(r, ctx)
@@ -299,9 +300,12 @@ def check_membership(rhos, system: PfaffianSystem, ctx: SymbolContext,
     """Classify a candidate system rho^1..rho^d (field elements) against the
     ideal (rho, theta).
 
-    Reduces each d(rho^mu) modulo (theta); surviving coefficients must be
-    divisible by the candidate (with the reduction's cleared denominators
-    certified nonzero).  All outcomes are classifications, never exceptions.
+    With A the pivot block of theta, b = (pivot coefficients of d(rho^mu))
+    A^-1 is the theta part of d(rho^mu).  Each coefficient of the residue
+    d(rho^mu) - b . theta must lie in the ideal of the rho numerators
+    modulo sin**2 + cos**2 = 1 (`ideal_cofactors`), with its cleared
+    denominator certified nonzero.  All outcomes are classifications, never
+    exceptions.
     """
     rhos = tuple(rhos)
     ctxe = ctx.assuming(system.constraints)
@@ -312,24 +316,27 @@ def check_membership(rhos, system: PfaffianSystem, ctx: SymbolContext,
             provenance=provenance,
             evidence={"reason": "NonDegeneracyFailure"})
 
-    gens = list(system.generators)
-    pivots = list(system.pivots)
-    sol = pivot_solution(gens, pivots)
-    # inverse of theta's pivot columns: b . theta = d(rho) - reduced(d(rho))
-    theta_inv = DomainMatrix(
+    K = ctx.field
+    gens, pivots = system.generators, system.pivots
+    inverse = DomainMatrix(
         [[g.coeff((i,)) for i in pivots] for g in gens],
-        (len(gens), len(pivots)), ctx.field.to_domain()).inv()
-    quotient_cert = {}
+        (len(gens), len(pivots)), K.to_domain()).inv()
     theta_cert = {}
+    quotient_cert = {}
     cleared = {}
-    all_in_span = True
     for mu, rho in enumerate(rhos, start=1):
         drho = one_form(gradient(rho, ctx), ctx)
-        red = reduce_mod(drho, sol)
-        theta_cert[mu] = _theta_coefficients(drho, red, theta_inv, pivots)
-        residues = {}
-        for (i,), c in red.terms:
-            all_in_span = False
+        b, = (DomainMatrix([[drho.coeff((i,)) for i in pivots]],
+                           (1, len(pivots)), inverse.domain)
+              * inverse).to_list()
+        theta_cert[f"rho{mu}"] = [_text(reduce_fraction(e)) for e in b]
+        for i in range(len(names)):
+            if i in pivots:
+                continue
+            c = reduce_fraction(drho.coeff((i,)) - sum(
+                (e * g.coeff((i,)) for e, g in zip(b, gens)), K.zero))
+            if not c:
+                continue
             try:
                 num, den = _clear_known_denominator(c, ctxe)
             except NotPolynomial as e:
@@ -340,107 +347,38 @@ def check_membership(rhos, system: PfaffianSystem, ctx: SymbolContext,
                     evidence={"reason": str(e),
                               "coefficient": _text(c),
                               "column": f"d{names[i]}"})
-            residues[i] = (c, num, den)
-        if len(rhos) == 1:
-            verdict = _divide_single(rho, residues, names, quotient_cert,
-                                     cleared, mu)
-        else:
-            verdict = _divide_sequential(rhos, residues, names, ctx, ctxe,
-                                         quotient_cert, cleared, mu, seed)
-        if verdict is not None:
-            return CandidateIntegral(rhos=rhos, classification=verdict[0],
-                                     provenance=provenance,
-                                     evidence=verdict[1])
-    if all_in_span:
+            qs = ideal_cofactors(num.numer.quo_ground(num.denom.LC),
+                                 [r.numer for r in rhos])
+            if qs is None:
+                return CandidateIntegral(
+                    rhos=rhos, classification=Classification.REJECTED,
+                    provenance=provenance,
+                    evidence={"reason": "membership failure: coefficient "
+                                        "not divisible by candidate",
+                              "column": f"d{names[i]}",
+                              "coefficient": _text(c)})
+            key = f"rho{mu}:d{names[i]}"
+            for lam, (q, r) in enumerate(zip(qs, rhos), start=1):
+                label = key if len(rhos) == 1 else f"{key}:rho{lam}"
+                quotient_cert[label] = _text(
+                    reduce_fraction(K(q * r.denom) / den))
+            if den != 1:
+                cleared[key] = _text(den)
+    if not quotient_cert:
         return CandidateIntegral(
             rhos=rhos, classification=Classification.FIRST_INTEGRAL,
             provenance=provenance,
-            evidence={"theta_coefficients": _render_theta(theta_cert)})
+            evidence={"theta_coefficients": theta_cert})
     return CandidateIntegral(
         rhos=rhos, classification=Classification.GENERALIZED,
         provenance=provenance,
-        evidence={"theta_coefficients": _render_theta(theta_cert),
+        evidence={"theta_coefficients": theta_cert,
                   "quotients": quotient_cert,
                   "cleared_denominators": cleared})
 
 
 def _text(f):
     return to_text(from_field(f))
-
-
-def _theta_coefficients(drho, red, theta_inv, pivots):
-    """Row vector b with d(rho) - reduced(d(rho)) = b . theta."""
-    diff = drho - red
-    v = DomainMatrix([[diff.coeff((i,)) for i in pivots]], (1, len(pivots)),
-                     theta_inv.domain)
-    return [reduce_fraction(e) for e in (v * theta_inv).to_list()[0]]
-
-
-def _render_theta(theta_cert):
-    return {f"rho{mu}": [_text(e) for e in b]
-            for mu, b in theta_cert.items()}
-
-
-def _divide_single(rho, residues, names, quotient_cert, cleared, mu):
-    for i, (c, num, den) in residues.items():
-        q = divide_exact(num, rho)
-        if q is None:
-            return (Classification.REJECTED,
-                    {"reason": "membership failure: coefficient not "
-                               "divisible by candidate",
-                     "column": f"d{names[i]}",
-                     "coefficient": _text(c)})
-        quotient_cert[f"rho{mu}:d{names[i]}"] = _text(reduce_fraction(q / den))
-        if den != 1:
-            cleared[f"rho{mu}:d{names[i]}"] = _text(den)
-    return None
-
-
-def _divide_sequential(rhos, residues, names, ctx, ctxe, quotient_cert,
-                       cleared, mu, seed):
-    numeric_cols = []
-    exact = all(r.denom.is_ground for r in rhos)
-    # the grlex division of sympy's `reduced`, on the field's ring
-    divisors = [r.numer.quo_ground(r.denom.LC) for r in rhos] if exact else []
-    for i, (c, num, den) in residues.items():
-        qs, rem = (num.numer.quo_ground(num.denom.LC).div(divisors) if exact
-                   else (None, num))
-        if not rem:
-            for lam, q in enumerate(qs, start=1):
-                quotient_cert[f"rho{mu}:d{names[i]}:rho{lam}"] = \
-                    _text(reduce_fraction(num.field(q) / den))
-            if den != 1:
-                cleared[f"rho{mu}:d{names[i]}"] = _text(den)
-        else:
-            numeric_cols.append((i, c))
-    if not numeric_cols:
-        return None
-    # numeric fallback: coefficients must vanish on sampled zero-locus points
-    try:
-        pts = zero_locus_points(rhos, ctxe, np.random.default_rng(seed + 29),
-                                count=50)
-    except SamplingFailed:
-        return (Classification.UNDETERMINED,
-                {"reason": "zero-locus sampling failed for numeric fallback"})
-    worst = 0.0
-    values = kernels([[c] for _, c in numeric_cols], ctx)
-    for (i, _), value in zip(numeric_cols, values):
-        for pt in pts:
-            try:
-                worst = max(worst, abs(value([pt[s] for s in ctx.symbols])[0]))
-            except POINT_ERRORS:
-                return (Classification.UNDETERMINED,
-                        {"reason": "singular evaluation in numeric fallback",
-                         "column": f"d{names[i]}"})
-    if worst < NUMERIC_MEMBERSHIP_TOL:
-        return (Classification.UNDETERMINED,
-                {"reason": "membership supported numerically only",
-                 "max_residual": worst,
-                 "columns": [f"d{names[i]}" for i, _ in numeric_cols]})
-    return (Classification.REJECTED,
-            {"reason": "coefficient does not vanish on the zero locus",
-             "max_residual": worst,
-             "columns": [f"d{names[i]}" for i, _ in numeric_cols]})
 
 
 # --- orchestration -----------------------------------------------------------

@@ -1,8 +1,8 @@
 """Numeric sampling of points on the zero locus of candidate functions,
 ctx.field elements.
 
-Shared by the membership checker (non-degeneracy, numeric fallback), the
-trajectory verifier (initial conditions) and the leaf bracket rank (exact).
+Shared by the membership checker (non-degeneracy), the trajectory
+verifier (initial conditions) and the leaf bracket rank (exact).
 """
 
 from __future__ import annotations

@@ -7,8 +7,9 @@ negative, a drift in some systems, and sin(w), cos(w) with
 
     python tests/corpus.py
 
-runs `analyze`, `verify` and `brackets` of this checkout's ctrlinv on every
-system and prints one line per run: system, command, exit code and the
+runs `analyze`, `verify` of the first state, `verify` of the first two
+states together (`verify2`) and `brackets` of this checkout's ctrlinv on
+every system and prints one line per run: system, run, exit code and the
 sha256 of stdout followed by stderr (`timeout` instead of the last two for a
 run over 60 s).  Two checkouts that print the same lines produce the same
 reports, byte for byte.
@@ -25,10 +26,14 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 SEED = 2026
 COUNT = 30
 TIMEOUT_S = 60
-COMMANDS = {
-    "analyze": ["--trials", "30", "--horizon", "1", "--step", "0.01"],
-    "verify": ["--rho", None],  # None: the system's first state
-    "brackets": ["--depth", "3"],
+# run -> CLI command and its arguments; an int k stands for the system's
+# k-th state
+RUNS = {
+    "analyze": ("analyze", ["--trials", "30", "--horizon", "1",
+                            "--step", "0.01"]),
+    "verify": ("verify", ["--rho", 0]),
+    "verify2": ("verify", ["--rho", 0, "--rho", 1]),
+    "brackets": ("brackets", ["--depth", "3"]),
 }
 
 
@@ -78,12 +83,12 @@ def systems():
     return [(f"r{i:02d}", system_text(rng)) for i in range(COUNT)]
 
 
-def run(text, command):
-    """(exit code, sha256 of stdout + stderr) of one CLI run on a system,
-    or None past the timeout."""
-    args = list(COMMANDS[command])
-    if None in args:
-        args[args.index(None)] = text.split()[1]  # the first state
+def run(text, name):
+    """(exit code, sha256 of stdout + stderr) of one run on a system, or
+    None past the timeout."""
+    command, args = RUNS[name]
+    states = text.splitlines()[0].split()[1:]
+    args = [states[a] if isinstance(a, int) else a for a in args]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     try:
@@ -98,11 +103,11 @@ def run(text, command):
 
 
 def main():
-    for name, text in systems():
-        for command in COMMANDS:
-            result = run(text, command)
+    for system, text in systems():
+        for name in RUNS:
+            result = run(text, name)
             line = "timeout" if result is None else "%d %s" % result
-            print(f"{name} {command} {line}", flush=True)
+            print(f"{system} {name} {line}", flush=True)
 
 
 if __name__ == "__main__":

@@ -196,6 +196,18 @@ class TestJsonOutput:
         assert invariance["verdict"] == "Held"
         assert invariance["errors"] == []
 
+    def test_verify_small_scale_candidate(self, capsys):
+        # z/10^10 has the zero set of z: its gradient 1e-10 lies below the
+        # nondegeneracy tolerance until the candidate is scaled to z
+        code, payload = run_json(capsys,
+                                 ["verify", EX1, "--rho", "z/10000000000"])
+        assert code == 0
+        entry = payload["verify"]
+        assert entry["classification"] == "GeneralizedFirstIntegral"
+        assert entry["invariance"]["verdict"] == "Held"
+        lc = entry["leaf_controllability"]
+        assert (lc["bracket_rank"], lc["leaf_dimension"]) == (2, 2)
+
     @pytest.mark.parametrize("seed", ["42", "7", "61"])
     def test_verify_two_linear_functions(self, capsys, seed):
         # {x + y = 0, y + z = 0} is a line that g1 = (1, y, 0) leaves

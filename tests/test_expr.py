@@ -25,6 +25,7 @@ from ctrlinv.expr import (
     evaluate,
     factor,
     from_field,
+    ideal_cofactors,
     is_zero,
     kernels,
     normalize,
@@ -544,3 +545,68 @@ def test_normalize_matches_reference_kernel():
             assert to_text(got) == to_text(want), e
             kinds.add("fraction" if sp.fraction(want)[1] != 1 else "poly")
     assert kinds == {"raises", "fraction", "poly"}
+
+
+# the ring of a field with one sin/cos pair: x, y, z, w, sin(w), cos(w)
+TRIG_GENS = (x, y, z, w, sp.sin(w), sp.cos(w))
+TRIG_RING = SymbolContext(states=(x, y, z, w), trig=(w,)).field.ring
+
+
+def _cofactors(p, polys):
+    qs = ideal_cofactors(TRIG_RING(p), [TRIG_RING(g) for g in polys])
+    return None if qs is None else [q.as_expr() for q in qs]
+
+
+def _in_ideal_modulo_trig(p, polys, qs):
+    """p - sum q_i polys_i reduces to zero by sin(w)**2 + cos(w)**2 - 1."""
+    gap = sp.expand(p - sum(q * g for q, g in zip(qs, polys)))
+    return sp.reduced(gap, [PYTHAGORAS], *TRIG_GENS, order="grlex")[1] == 0
+
+
+class TestIdealCofactors:
+    def test_member_by_trig_relation(self):
+        # cos(w)*sin(w)**2 = (sin(w)*cos(w)) * sin(w), though its reduced
+        # form cos(w) - cos(w)**3 is not divisible by sin(w)
+        p = sp.cos(w) * sp.sin(w)**2
+        qs = _cofactors(p, [sp.sin(w)])
+        assert qs == [sp.sin(w) * sp.cos(w)]
+        assert _in_ideal_modulo_trig(p, [sp.sin(w)], qs)
+
+    def test_member_beyond_division(self):
+        # y leaves division by x, y + x*z unchanged: {x, y + x*z} is not a
+        # Groebner basis, yet y = -z*x + 1*(y + x*z)
+        qs = _cofactors(y, [x, y + x * z])
+        assert qs == [-z, 1]
+        assert _in_ideal_modulo_trig(y, [x, y + x * z], qs)
+
+    @pytest.mark.parametrize("p, polys", [
+        (x * y + 1, [x]), (sp.sin(w), [sp.cos(w)]), (x, [x + y, y + z])])
+    def test_non_member(self, p, polys):
+        assert _cofactors(p, polys) is None
+
+    def test_matches_groebner_membership(self):
+        # random ideals of one or two generators and random combinations of
+        # them, some with a term added: membership agrees with sympy's
+        # groebner, and each member's cofactors reproduce it
+        rng = random.Random(31)
+        members = nonmembers = 0
+        for _ in range(40):
+            polys = [random_poly(rng, (x, y, z), terms=2, trig_of=w)
+                     for _ in range(rng.randint(1, 2))]
+            if any(sp.expand(g) == 0 for g in polys):
+                continue
+            p = sum(random_poly(rng, (x, y), terms=2, degree=1, trig_of=w) * g
+                    for g in polys)
+            if rng.random() < 0.5:
+                p += random_poly(rng, (x, z), terms=1, trig_of=w)
+            p = sp.expand(p)
+            want = sp.groebner(polys + [PYTHAGORAS], *TRIG_GENS,
+                               order="grlex", domain=sp.QQ).contains(p)
+            qs = _cofactors(p, polys)
+            assert (qs is not None) == want, (p, polys)
+            if want:
+                assert _in_ideal_modulo_trig(p, polys, qs)
+                members += 1
+            else:
+                nonmembers += 1
+        assert members >= 10 and nonmembers >= 5

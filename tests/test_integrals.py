@@ -9,7 +9,7 @@ from sympy.polys.polyerrors import PolynomialError
 
 import ctrlinv.integrals as integrals_module
 from ctrlinv.dsl import parse_system
-from ctrlinv.errors import AnnihilationFailure, EvalSingular, NotClosed
+from ctrlinv.errors import AnnihilationFailure, NotClosed
 from ctrlinv.expr import (
     SymbolContext,
     from_field,
@@ -356,31 +356,27 @@ class TestGenericRankAgainstDmaxLoop:
         assert compared >= 10 and with_candidates >= 2
 
 
-class TestDivideSequentialErrors:
-    """The numeric fallback absorbs a singular point and nothing else."""
-
-    @staticmethod
-    def _divide(monkeypatch, exc):
-        def raising(values):
-            raise exc
-
-        monkeypatch.setattr(integrals_module, "kernels",
-                            lambda groups, ctx: [raising for _ in groups])
-        # z is not in the ideal (x, y), so the column goes to the fallback
-        return integrals_module._divide_sequential(
-            (F(x), F(y)), {2: (F(z), F(z), F(1))}, ["x", "y", "z"], CTX, CTX,
-            {}, {}, 1, 0)
-
-    def test_unrelated_error_propagates(self, monkeypatch):
-        with pytest.raises(RuntimeError, match="unrelated failure"):
-            self._divide(monkeypatch, RuntimeError("unrelated failure"))
-
-    def test_singular_point_is_undetermined(self, monkeypatch):
-        verdict, evidence = self._divide(
-            monkeypatch, EvalSingular("denominator below threshold"))
-        assert verdict is Classification.UNDETERMINED
-        assert evidence == {"reason": "singular evaluation in numeric "
-                                      "fallback", "column": "dz"}
+def assert_certificate(rhos, system, evidence):
+    """Each column of d(rho^mu) - b . theta, b the reported theta
+    coefficients, equals sum_lam q_lam rho^lam, q the reported quotients,
+    modulo sin(w)**2 + cos(w)**2 - 1: checked with plain sympy on
+    expressions."""
+    states = system.ctx.states
+    theta = [[from_field(g.coeff((i,))) for i in range(len(states))]
+             for g in annihilator(system).generators]
+    gens = states + (sp.sin(w), sp.cos(w))
+    for mu, rho in enumerate(rhos, start=1):
+        b = [sp.sympify(e) for e in evidence["theta_coefficients"][f"rho{mu}"]]
+        for i, v in enumerate(states):
+            keys = [f"rho{mu}:d{v}" + (f":rho{lam}" if len(rhos) > 1 else "")
+                    for lam in range(1, len(rhos) + 1)]
+            qs = [sp.sympify(evidence["quotients"].get(k, "0")) for k in keys]
+            residue = sp.diff(rho, v) - sum(e * t[i] for e, t in zip(b, theta))
+            gap = sp.numer(sp.together(
+                residue - sum(q * r for q, r in zip(qs, rhos))))
+            _, rem = sp.reduced(sp.expand(gap), [sp.sin(w)**2 + sp.cos(w)**2
+                                                 - 1], *gens, order="grlex")
+            assert rem == 0, (mu, v, gap)
 
 
 class TestCheckMembership:
@@ -410,7 +406,7 @@ class TestCheckMembership:
 
     def test_degenerate_candidate(self, ex1):
         ann = annihilator(ex1)
-        res = check_membership([F(z**2)], ann, ex1.ctx)
+        res = check_membership([F(z**2, ex1.ctx)], ann, ex1.ctx)
         assert res.classification is Classification.REJECTED
         assert res.evidence["reason"] == "NonDegeneracyFailure"
 
@@ -433,6 +429,41 @@ class TestCheckMembership:
         assert res.evidence["quotients"] == {
             "rho1:dz:rho1": "1", "rho1:dz:rho2": "0",
             "rho2:dw:rho1": "0", "rho2:dw:rho2": "1"}
+
+    def test_membership_modulo_trig_relation(self):
+        # {sin(w) = 0} is invariant: the dx residue cos(w)*sin(w)**2 lies in
+        # (sin(w)) only modulo sin(w)**2 + cos(w)**2 = 1
+        sys = parse_system("states: x w\ncontrol g1: [1, sin(w)^2]\n")
+        rhos = [sp.sin(w)]
+        res = check_membership([F(r, sys.ctx) for r in rhos],
+                               annihilator(sys), sys.ctx)
+        assert res.classification is Classification.GENERALIZED
+        assert res.evidence["quotients"] == {"rho1:dx": "sin(w)*cos(w)"}
+        assert_certificate(rhos, sys, res.evidence)
+
+    def test_codimension_two_beyond_division(self):
+        # {x = y + x*z = 0} is {x = y = 0}: division by x and y + x*z leaves
+        # the dw residue y, yet y = -z*x + 1*(y + x*z)
+        sys = parse_system("states: x y z w\ncontrol g1: [x, 0, 1, 0]\n"
+                           "control g2: [0, y, 0, 1]\n")
+        rhos = [x, y + x * z]
+        res = check_membership([F(r, sys.ctx) for r in rhos],
+                               annihilator(sys), sys.ctx)
+        assert res.classification is Classification.GENERALIZED
+        q = res.evidence["quotients"]
+        assert (q["rho2:dw:rho1"], q["rho2:dw:rho2"]) == ("-z", "1")
+        assert_certificate(rhos, sys, res.evidence)
+
+    def test_codimension_two_rejected_exactly(self, ex1):
+        # the line {x + y = y + z = 0} is not invariant: the dx residue 1 is
+        # outside the ideal (x + y, y + z)
+        res = check_membership([F(x + y, ex1.ctx), F(y + z, ex1.ctx)],
+                               annihilator(ex1), ex1.ctx)
+        assert res.classification is Classification.REJECTED
+        assert res.evidence == {
+            "reason": "membership failure: coefficient not divisible by "
+                      "candidate",
+            "column": "dx", "coefficient": "1"}
 
     def test_first_integral_detected(self, ex3):
         ann = annihilator(ex3)

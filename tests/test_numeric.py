@@ -9,7 +9,6 @@ import pytest
 import sympy as sp
 
 import ctrlinv.expr as expr_module
-import ctrlinv.integrals as integrals_module
 import ctrlinv.numeric as numeric_module
 import ctrlinv.sampling as sampling_module
 from ctrlinv.dsl import ControlAffineSystem, ControlSchedule, parse_system
@@ -1578,8 +1577,7 @@ def test_kernel_compiles_per_analyze(name, compiles, monkeypatch):
         calls.append(args)
         return real(*args, **kwargs)
 
-    for module in (expr_module, sampling_module, numeric_module,
-                   integrals_module):
+    for module in (expr_module, sampling_module, numeric_module):
         monkeypatch.setattr(module, "kernels", counting_kernels)
     analyze(load_system(name), GOLDEN_CONFIG)
     assert len(calls) == compiles
