@@ -227,29 +227,56 @@ def _rem(p, relations):
     return p.rem(polys)
 
 
-def ideal_cofactors(p, polys):
-    """Cofactors q_i, reduced modulo the sin/cos relations of the
-    polynomials' ring, with p = sum q_i polys_i modulo the relations, or
-    None when p is not in the ideal (polys, relations).
+def ideal_cofactors(p, polys, unit=None):
+    """Cofactors q_i, field elements reduced modulo the sin/cos relations
+    of the polynomials' ring, with p = sum q_i polys_i modulo the relations
+    wherever the polynomial `unit` is nonzero, or None when p is not in that
+    ideal.
 
     Grlex division by polys, then by the relations, finds the cofactors of
     most members.  A remainder left over is reduced by a Groebner basis of
     the same ideal, which decides membership exactly (Cox, Little,
     O'Shea, ch. 2); only a remainder it reduces to zero is lifted to
-    cofactors."""
+    cofactors.  A remainder outside the ideal is tested again in its
+    saturation by a non-constant unit: unit**k * r lies in the ideal for
+    some k iff r lies in the ideal with t*unit - 1 added in one more
+    generator t (ibid., ch. 4, section 4), and t = 1/unit in the lift."""
     R = p.ring
+    K = rational_field(R.symbols)
     relations = _relations(R)
     qs, r = p.div(list(polys))
+    qs = [K(q) for q in qs]
     r = _rem(r, relations)
     if r:
         basis = list(polys) + list(relations[1])
-        if r.rem(groebner(basis, R)):
+        lift = _lift(r, basis)
+        if lift is None and unit is not None and not unit.is_ground:
+            lift = _lift(r, basis, unit)
+        if lift is None:
             return None
-        ideal = QQ.old_poly_ring(*R.symbols, order="grlex").ideal(
-            *[g.as_expr() for g in basis])
-        lift = ideal.in_terms_of_generators(r.as_expr())
-        qs = [q + R(ideal.ring.to_sympy(c)) for q, c in zip(qs, lift)]
-    return [_rem(q, relations) for q in qs]
+        qs = [q + c for q, c in zip(qs, lift)]
+    return [reduce_fraction(q) for q in qs]
+
+
+def _lift(r, basis, unit=None):
+    """Field-element coefficients c_j with r = sum c_j basis_j, or None when
+    r is not in the ideal of the basis (saturated by unit when given)."""
+    S = R = r.ring
+    if unit is not None:
+        S = R.clone(symbols=R.symbols + (sp.Dummy("t"),))
+        basis = [g.set_ring(S) for g in basis] + [
+            S.gens[-1] * unit.set_ring(S) - 1]
+        r = r.set_ring(S)
+    if r.rem(groebner(basis, S)):
+        return None
+    ideal = QQ.old_poly_ring(*S.symbols, order="grlex").ideal(
+        *[g.as_expr() for g in basis])
+    lift = [ideal.ring.to_sympy(c)
+            for c in ideal.in_terms_of_generators(r.as_expr())]
+    if unit is not None:
+        lift = [c.subs(S.symbols[-1], 1 / unit.as_expr()) for c in lift]
+    K = rational_field(R.symbols)
+    return [K.from_expr(c) for c in lift]
 
 
 def to_field(e, ctx: SymbolContext):

@@ -11,6 +11,7 @@ annihilating 1-forms.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -302,9 +303,12 @@ def check_membership(rhos, system: PfaffianSystem, ctx: SymbolContext,
 
     With A the pivot block of theta, b = (pivot coefficients of d(rho^mu))
     A^-1 is the theta part of d(rho^mu).  Each coefficient of the residue
-    d(rho^mu) - b . theta must lie in the ideal of the rho numerators
-    modulo sin**2 + cos**2 = 1 (`ideal_cofactors`), with its cleared
-    denominator certified nonzero.  All outcomes are classifications, never
+    d(rho^mu) - b . theta must lie in the ideal of the rho numerators,
+    saturated by their denominators, modulo sin**2 + cos**2 = 1
+    (`ideal_cofactors`), with its cleared denominator certified nonzero.
+    Every column of d(rho^mu) is cleared before any is tested, so an
+    uncertified denominator reads Undetermined ahead of a membership
+    failure of the same rho^mu.  All outcomes are classifications, never
     exceptions.
     """
     rhos = tuple(rhos)
@@ -324,12 +328,15 @@ def check_membership(rhos, system: PfaffianSystem, ctx: SymbolContext,
     theta_cert = {}
     quotient_cert = {}
     cleared = {}
+    # nonzero wherever every rho is defined
+    unit = math.prod(r.denom for r in rhos)
     for mu, rho in enumerate(rhos, start=1):
         drho = one_form(gradient(rho, ctx), ctx)
         b, = (DomainMatrix([[drho.coeff((i,)) for i in pivots]],
                            (1, len(pivots)), inverse.domain)
               * inverse).to_list()
         theta_cert[f"rho{mu}"] = [_text(reduce_fraction(e)) for e in b]
+        residues = []
         for i in range(len(names)):
             if i in pivots:
                 continue
@@ -338,7 +345,7 @@ def check_membership(rhos, system: PfaffianSystem, ctx: SymbolContext,
             if not c:
                 continue
             try:
-                num, den = _clear_known_denominator(c, ctxe)
+                residues.append((i, c, *_clear_known_denominator(c, ctxe)))
             except NotPolynomial as e:
                 return CandidateIntegral(
                     rhos=rhos,
@@ -347,8 +354,9 @@ def check_membership(rhos, system: PfaffianSystem, ctx: SymbolContext,
                     evidence={"reason": str(e),
                               "coefficient": _text(c),
                               "column": f"d{names[i]}"})
+        for i, c, num, den in residues:
             qs = ideal_cofactors(num.numer.quo_ground(num.denom.LC),
-                                 [r.numer for r in rhos])
+                                 [r.numer for r in rhos], unit)
             if qs is None:
                 return CandidateIntegral(
                     rhos=rhos, classification=Classification.REJECTED,
@@ -361,7 +369,7 @@ def check_membership(rhos, system: PfaffianSystem, ctx: SymbolContext,
             for lam, (q, r) in enumerate(zip(qs, rhos), start=1):
                 label = key if len(rhos) == 1 else f"{key}:rho{lam}"
                 quotient_cert[label] = _text(
-                    reduce_fraction(K(q * r.denom) / den))
+                    reduce_fraction(q * r.denom / den))
             if den != 1:
                 cleared[key] = _text(den)
     if not quotient_cert:

@@ -552,14 +552,17 @@ TRIG_GENS = (x, y, z, w, sp.sin(w), sp.cos(w))
 TRIG_RING = SymbolContext(states=(x, y, z, w), trig=(w,)).field.ring
 
 
-def _cofactors(p, polys):
-    qs = ideal_cofactors(TRIG_RING(p), [TRIG_RING(g) for g in polys])
+def _cofactors(p, polys, unit=None):
+    qs = ideal_cofactors(TRIG_RING(p), [TRIG_RING(g) for g in polys],
+                         None if unit is None else TRIG_RING(unit))
     return None if qs is None else [q.as_expr() for q in qs]
 
 
 def _in_ideal_modulo_trig(p, polys, qs):
-    """p - sum q_i polys_i reduces to zero by sin(w)**2 + cos(w)**2 - 1."""
-    gap = sp.expand(p - sum(q * g for q, g in zip(qs, polys)))
+    """The numerator of p - sum q_i polys_i reduces to zero by
+    sin(w)**2 + cos(w)**2 - 1."""
+    gap = sp.expand(sp.numer(sp.together(
+        p - sum(q * g for q, g in zip(qs, polys)))))
     return sp.reduced(gap, [PYTHAGORAS], *TRIG_GENS, order="grlex")[1] == 0
 
 
@@ -578,6 +581,45 @@ class TestIdealCofactors:
         qs = _cofactors(y, [x, y + x * z])
         assert qs == [-z, 1]
         assert _in_ideal_modulo_trig(y, [x, y + x * z], qs)
+
+    def test_member_of_saturation(self):
+        # z is outside (x, x + y*z) = (x, y*z), but y*z is inside: where
+        # y != 0, z = -(1/y)*x + (1/y)*(x + y*z)
+        assert _cofactors(z, [x, x + y * z]) is None
+        qs = _cofactors(z, [x, x + y * z], unit=y)
+        assert qs == [-1 / y, 1 / y]
+        assert _in_ideal_modulo_trig(z, [x, x + y * z], qs)
+
+    def test_saturation_matches_groebner_membership(self):
+        # ideals (g, a*g + u*h) hold u*h, so h is in their saturation by u;
+        # membership agrees with sympy's groebner of the ideal with t*u - 1
+        # added, and each member's cofactors reproduce it where u != 0
+        rng = random.Random(7)
+        t = sp.Dummy("t")
+        beyond = nonmembers = 0
+        for _ in range(30):
+            u = random_poly(rng, (y, z), terms=2, degree=1, trig_of=w)
+            g = random_poly(rng, (x, y), terms=2, trig_of=w)
+            h = random_poly(rng, (x, z), terms=2, degree=1)
+            if sp.expand(g) == 0 or sp.expand(u).is_number:
+                continue
+            polys = [g, sp.expand(random_poly(rng, (x,), terms=1) * g
+                                  + u * h)]
+            p = sp.expand(h * random_poly(rng, (x, y), terms=2, degree=1))
+            if rng.random() < 0.5:
+                p += random_poly(rng, (y, z), terms=1, trig_of=w)
+            want = sp.groebner(polys + [PYTHAGORAS, t * u - 1],
+                               *TRIG_GENS, t, order="grlex",
+                               domain=sp.QQ).contains(sp.expand(p))
+            qs = _cofactors(sp.expand(p), polys, unit=u)
+            assert (qs is not None) == want, (p, polys, u)
+            if want:
+                assert _in_ideal_modulo_trig(p, polys, qs)
+                beyond += _cofactors(sp.expand(p), polys) is None
+            else:
+                nonmembers += 1
+        # members outside the unsaturated ideal, and non-members
+        assert beyond >= 5 and nonmembers >= 3
 
     @pytest.mark.parametrize("p, polys", [
         (x * y + 1, [x]), (sp.sin(w), [sp.cos(w)]), (x, [x + y, y + z])])

@@ -465,6 +465,34 @@ class TestCheckMembership:
                       "candidate",
             "column": "dx", "coefficient": "1"}
 
+    def test_membership_saturated_by_denominator(self):
+        # {x = z + x/y = 0} is {x = z = 0}, which g1 leaves invariant: the dw
+        # residue z lies in (x, y*z + x) only after multiplying by rho2's
+        # denominator y, and z = -(1/y)*x + 1*(z + x/y) wherever rho2 is
+        # defined
+        sys = parse_system("states: x y z w\ncontrol g1: [0, 0, z, 1]\n")
+        rhos = [x, z + x / y]
+        res = check_membership([F(r, sys.ctx) for r in rhos],
+                               annihilator(sys), sys.ctx)
+        assert res.classification is Classification.GENERALIZED
+        q = res.evidence["quotients"]
+        assert (q["rho2:dw:rho1"], q["rho2:dw:rho2"]) == ("-1/y", "1")
+        assert_certificate(rhos, sys, res.evidence)
+
+    def test_uncertified_denominator_before_membership_failure(self):
+        # the dx residue 1 is outside (y*z + x*z + 1), but every column is
+        # cleared first: the dz residue -1/z**2 has an uncertified
+        # denominator, so the verdict is Undetermined, not Rejected
+        sys = parse_system("states: x y z\ncontrol g1: [1, 0, 0]\n"
+                           "control g2: [0, 0, 1]\n")
+        res = check_membership([F(y + x + 1 / z, sys.ctx)],
+                               annihilator(sys), sys.ctx)
+        assert res.classification is Classification.UNDETERMINED
+        assert res.evidence == {
+            "reason": "denominator z**2 is not certified nonzero on the "
+                      "domain",
+            "coefficient": "-1/z**2", "column": "dz"}
+
     def test_first_integral_detected(self, ex3):
         ann = annihilator(ex3)
         res = check_membership([F(b * x - a * z, ex3.ctx)], ann, ex3.ctx)
