@@ -12,7 +12,7 @@ import numpy as np
 
 from .dsl import ControlSchedule, parse_into, parse_system
 from .errors import CtrlInvError
-from .expr import from_field, sample_params, to_text
+from .expr import sample_params, to_text
 from .flag import annihilator, derived_flag, flag_summary
 from .integrals import (
     AnalysisConfig,
@@ -120,9 +120,20 @@ def _write(text, args):
         _sys.stdout.write(text)
 
 
+def _locus_text(e) -> str:
+    """The locus {rho = 0} of a report entry; for an entry with no rho, the
+    generator or the potential it comes from, else its reason."""
+    if e["rho"]:
+        return "{" + ", ".join(e["rho"]) + " = 0}"
+    evidence = e["evidence"]
+    for key in ("generator", "potential_of"):
+        if key in evidence:
+            return f"{key.replace('_', ' ')} {evidence[key]}"
+    return f"({evidence['reason']})"
+
+
 def _entry_text(e) -> str:
     """One line for a report entry: locus, verdict and numeric evidence."""
-    rho = ", ".join(e["rho"]) if e["rho"] else "(none)"
     extra = ""
     if "invariance" in e and e["invariance"]:
         extra += f"  numeric: {e['invariance']['verdict']}"
@@ -134,7 +145,7 @@ def _entry_text(e) -> str:
             f"(rank {lc['bracket_rank']}/{lc['leaf_dimension']})")
     if e.get("escape"):
         extra += f"  escape at t={e['escape']['time']:g}"
-    return f"{{{rho} = 0}}: {e['classification']}{extra}"
+    return f"{_locus_text(e)}: {e['classification']}{extra}"
 
 
 def render_text(payload) -> str:
@@ -215,7 +226,7 @@ def _flag_payload(args, system):
     elif args.command == "candidates":
         T = flag.levels[0].torsion
         payload["candidates"] = [] if T is None or T.is_trivial else [
-            to_text(from_field(c)) for c in gfi_candidates(
+            to_text(c) for c in gfi_candidates(
                 T, system.ctx, seed=args.seed,
                 extra_nonzero=flag.levels[0].system.constraints)]
     return payload
@@ -281,7 +292,7 @@ def _brackets(args, system):
     _emit({
         "schema": 2,
         "depth": args.depth,
-        "brackets": [[to_text(from_field(c)) for c in F] for F in brackets],
+        "brackets": [[to_text(c) for c in F] for F in brackets],
         "rank": bracket_rank(brackets, ctx),
     }, args)
 

@@ -12,11 +12,14 @@ of the one sparse rational-function field over QQ of a system,
 the declared symbols and a sin/cos pair only for each declared symbol that
 occurs inside a trig atom of the system's expressions (`trig_symbols`), so
 no exact operation carries exponents of generators the system never uses.
-Expressions are built only at two boundaries: parsing in (`to_field`,
-`normalize`) and report text out (`from_field`, `to_text`).  Float evaluation reads field elements
-directly: one source generator writes a kernel from each element's numerator
-and denominator terms, compiled with floats and `math` or with numpy arrays
-(`kernels`, `evaluate`).
+Expressions are built at the parsing boundary (`to_field`, `normalize`);
+`from_field` turns an element back into one where an expression is needed
+(integration, factor order, error messages).  Report text is written
+straight from each element's numerator and denominator terms, exactly as
+sympy's sstr writes the element's expression (`to_text`).  Float evaluation
+reads field elements directly too: one source generator writes a kernel from
+each element's numerator and denominator terms, compiled with floats and
+`math` or with numpy arrays (`kernels`, `evaluate`).
 
 All functions here are pure; randomized ones take an explicit seed or a
 numpy Generator.
@@ -33,7 +36,7 @@ from fractions import Fraction
 import numpy as np
 import sympy as sp
 from sympy.polys.domains import QQ
-from sympy.polys.fields import FracField
+from sympy.polys.fields import FracElement, FracField
 from sympy.polys.groebnertools import groebner
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.orderings import grlex
@@ -314,20 +317,20 @@ def reduce_fraction(f):
 
 
 def determinant(rows):
-    """Reduced determinant of a square matrix of field elements.  A row with
-    polynomial denominators is first scaled to polynomials by their lcm,
-    which spares the elimination its costly cancellations."""
+    """Reduced determinant of a square matrix of field elements.  Each row
+    is scaled to polynomials by the lcm of its denominators, so Bareiss
+    elimination runs in the polynomial ring, where each step divides
+    exactly and takes no gcd; the product of the row scales divides the
+    result once."""
     K = rows[0][0].field
-    scale, scaled = K.one, []
+    scale, scaled = K.ring.one, []
     for row in rows:
         L = functools.reduce(lambda a, b: a.lcm(b), [
             e.denom for e in row if not e.denom.is_ground], K.ring.one)
-        if L != 1:
-            row = [K(e.numer * L.exquo(e.denom)) for e in row]
-            scale *= K(L)
-        scaled.append(row)
-    det = DomainMatrix(scaled, (len(rows),) * 2, K.to_domain()).det()
-    return reduce_fraction(det / scale if scale != 1 else det)
+        scaled.append([e.numer * L.exquo(e.denom) for e in row])
+        scale *= L
+    det = DomainMatrix(scaled, (len(rows),) * 2, K.ring.to_domain()).det()
+    return reduce_fraction(K.new(det, scale))
 
 
 def from_field(f):
@@ -566,5 +569,76 @@ def _sum(p, scale):
 
 
 def to_text(e) -> str:
-    """Canonical text rendering used in reports and golden tests."""
+    """Canonical text rendering used in reports and golden tests: sympy's
+    sstr in grlex order.  A field element is written straight from its
+    terms, as sstr writes `from_field` of it (`_element_text`); a parsed
+    expression goes through sstr itself."""
+    if isinstance(e, FracElement):
+        return _element_text(e)
     return sp.sstr(sp.sympify(e), order="grlex")
+
+
+@functools.lru_cache(maxsize=None)
+def _print_order(R):
+    """The positions of the generators of a field's ring R in sympy's
+    default sort order, and the text of each generator.  sstr writes the
+    factors of a term in this order and, in grlex order, compares the
+    exponents of terms of equal degree in it."""
+    order = sorted(range(R.ngens),
+                   key=lambda i: sp.default_sort_key(R.symbols[i]))
+    return tuple(order), [sp.sstr(g) for g in R.symbols]
+
+
+def _element_text(f):
+    """sstr of `from_field(f)`, written from the terms of f: num/den with a
+    monic denominator, each a sum in grlex order; a product writes its
+    numerator factors over its denominator factors."""
+    order, names = _print_order(f.field.ring)
+
+    def factors(m):
+        return [names[i] + (f"**{m[i]}" if m[i] > 1 else "")
+                for i in order if m[i]]
+
+    def sum_text(p):
+        terms = sorted(p.iterterms(), reverse=True, key=lambda t: (
+            sum(t[0]), tuple(t[0][i] for i in order)))
+        parts = []
+        for m, c in terms:
+            parts += [" - " if c < 0 else " + ", _product(abs(c), factors(m))]
+        if not parts:
+            return "0"
+        parts[0] = "-" if parts[0] == " - " else ""
+        return "".join(parts)
+
+    lc = f.denom.LC
+    num = f.numer.quo_ground(lc)
+    if f.denom.is_ground:
+        return sum_text(num)
+    den = f.denom.quo_ground(lc)
+    if len(den) > 1:
+        below = [f"({sum_text(den)})"]
+    else:
+        m, = den.itermonoms()
+        below = factors(m)
+        if num == 1 and len(below) == 1 and max(m) > 1:
+            # the power 1/v**e, which sstr writes with its exponent
+            return below[0].replace("**", "**(-") + ")"
+    if len(num) > 1:
+        return _product(QQ.one, [f"({sum_text(num)})"], below)
+    (m, c), = num.iterterms()
+    return _product(c, factors(m), below)
+
+
+def _product(c, factors, below=()):
+    """sstr of the product of the rational c and the factors, over the
+    factors `below`: the sign, |numerator of c| unless it is 1 beside other
+    factors, and the denominator of c first below."""
+    top = ([str(abs(c.numerator))]
+           if abs(c.numerator) != 1 or not factors else []) + factors
+    bottom = ([str(c.denominator)] if c.denominator != 1 else []) + list(below)
+    text = ("-" if c < 0 else "") + "*".join(top)
+    if len(bottom) == 1:
+        return f"{text}/{bottom[0]}"
+    if bottom:
+        return f"{text}/({'*'.join(bottom)})"
+    return text

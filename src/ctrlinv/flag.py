@@ -30,7 +30,6 @@ from .errors import (
 from .expr import (
     determinant,
     factor,
-    from_field,
     reduce_fraction,
     to_text,
 )
@@ -386,8 +385,7 @@ def flag_summary(flag: PfaffianFlag, ctx) -> dict:
             "rank": system.rank,
             "generators": [form_to_text(g) for g in system.generators],
             "pivots": [names[i] for i in system.pivots],
-            "domain_constraints": [to_text(from_field(c))
-                                   for c in system.constraints],
+            "domain_constraints": [to_text(c) for c in system.constraints],
         }
         if level.torsion is not None:
             T = level.torsion
@@ -395,7 +393,7 @@ def flag_summary(flag: PfaffianFlag, ctx) -> dict:
                 "omega": [f"d{names[i]}" for i in T.omega],
                 "columns": [f"d{names[T.omega[j]]}^d{names[T.omega[k]]}"
                             for j, k in T.labels],
-                "entries": [[to_text(from_field(e)) for e in row]
+                "entries": [[to_text(e) for e in row]
                             for row in T.entries],
             }
         levels.append(entry)

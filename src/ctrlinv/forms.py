@@ -18,7 +18,6 @@ from .expr import (
     SymbolContext,
     determinant,
     differentiate,
-    from_field,
     reduce_fraction,
     to_text,
 )
@@ -220,12 +219,12 @@ def reduce_mod(a: DifferentialForm, sol) -> DifferentialForm:
 def form_to_text(a: DifferentialForm) -> str:
     """Canonical text: sorted index tuples, kernel-canonical coefficients."""
     if a.degree == 0:
-        return to_text(from_field(a.coeff(()))) if a.terms else "0"
+        return to_text(a.coeff(())) if a.terms else "0"
     if not a.terms:
         return "0"
     names = [str(s) for s in a.ctx.states]
     parts = []
     for key, c in a.terms:
         basis = "^".join(f"d{names[i]}" for i in key)
-        parts.append(f"({to_text(from_field(c))}) {basis}")
+        parts.append(f"({to_text(c)}) {basis}")
     return " + ".join(parts)

@@ -335,7 +335,7 @@ def check_membership(rhos, system: PfaffianSystem, ctx: SymbolContext,
         b, = (DomainMatrix([[drho.coeff((i,)) for i in pivots]],
                            (1, len(pivots)), inverse.domain)
               * inverse).to_list()
-        theta_cert[f"rho{mu}"] = [_text(reduce_fraction(e)) for e in b]
+        theta_cert[f"rho{mu}"] = [to_text(reduce_fraction(e)) for e in b]
         residues = []
         for i in range(len(names)):
             if i in pivots:
@@ -352,7 +352,7 @@ def check_membership(rhos, system: PfaffianSystem, ctx: SymbolContext,
                     classification=Classification.UNDETERMINED,
                     provenance=provenance,
                     evidence={"reason": str(e),
-                              "coefficient": _text(c),
+                              "coefficient": to_text(c),
                               "column": f"d{names[i]}"})
         for i, c, num, den in residues:
             qs = ideal_cofactors(num.numer.quo_ground(num.denom.LC),
@@ -364,14 +364,14 @@ def check_membership(rhos, system: PfaffianSystem, ctx: SymbolContext,
                     evidence={"reason": "membership failure: coefficient "
                                         "not divisible by candidate",
                               "column": f"d{names[i]}",
-                              "coefficient": _text(c)})
+                              "coefficient": to_text(c)})
             key = f"rho{mu}:d{names[i]}"
             for lam, (q, r) in enumerate(zip(qs, rhos), start=1):
                 label = key if len(rhos) == 1 else f"{key}:rho{lam}"
-                quotient_cert[label] = _text(
+                quotient_cert[label] = to_text(
                     reduce_fraction(q * r.denom / den))
             if den != 1:
-                cleared[key] = _text(den)
+                cleared[key] = to_text(den)
     if not quotient_cert:
         return CandidateIntegral(
             rhos=rhos, classification=Classification.FIRST_INTEGRAL,
@@ -383,10 +383,6 @@ def check_membership(rhos, system: PfaffianSystem, ctx: SymbolContext,
         evidence={"theta_coefficients": theta_cert,
                   "quotients": quotient_cert,
                   "cleared_denominators": cleared})
-
-
-def _text(f):
-    return to_text(from_field(f))
 
 
 # --- orchestration -----------------------------------------------------------
@@ -478,7 +474,7 @@ def analyze(sys: ControlAffineSystem, config: AnalysisConfig | None = None) -> d
         "undetermined": [],
         "domain_constraints": sorted(
             {to_text(c) for c in ctx.nonzero} |
-            {_text(c) for lv in flag.levels
+            {to_text(c) for lv in flag.levels
              for c in lv.system.constraints}),
     }
     rng = np.random.default_rng(cfg.seed)
@@ -514,12 +510,14 @@ def analyze(sys: ControlAffineSystem, config: AnalysisConfig | None = None) -> d
                                      "FromTorsionMinors", {"reason": str(e)}),
                    None, n)
         for f in found:
-            if _text(f) not in seen:
-                seen.add(_text(f))
+            text = to_text(f)
+            if text not in seen:
+                seen.add(text)
                 candidates.append(((f,), "FromTorsionMinors"))
     for rho in sys.candidates:
-        if to_text(rho) not in seen:
-            seen.add(to_text(rho))
+        text = to_text(rho)
+        if text not in seen:
+            seen.add(text)
             candidates.append(((to_field(rho, ctx),), "UserDeclared"))
 
     for rhos, prov in candidates:
@@ -536,7 +534,7 @@ def analyze(sys: ControlAffineSystem, config: AnalysisConfig | None = None) -> d
 
 def _integral_entry(cand: CandidateIntegral, leaf_dim):
     entry = {
-        "rho": [_text(r) for r in cand.rhos],
+        "rho": [to_text(r) for r in cand.rhos],
         "classification": cand.classification.value,
         "provenance": cand.provenance,
         "evidence": cand.evidence,

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import ctrlinv.flag as flag_module
-from ctrlinv.cli import run
+from ctrlinv.cli import render_text, run
 
 from conftest import SYSTEMS_DIR
 from test_flag import on_hyperplane_first
@@ -465,6 +465,25 @@ class TestTextFormat:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "depth 2, rank 3"
         assert lines[1] == "  (1, y, 0)"
+
+    def test_entry_without_rho_prints_its_generator(self, tmp_path, capsys):
+        # the radial system's one generator is integrable but not closed:
+        # its FromFlag entry is Undetermined and has no rho
+        path = tmp_path / "radial.sys"
+        path.write_text("states: x y z\ncontrol g1: [x, y, 0]\n"
+                        "control g2: [0, 0, 1]\n")
+        code = run(["analyze", str(path), "--format", "text"] + FAST)
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[2].startswith(
+            "  [undetermined] generator (y) dx + (-x) dy: Undetermined")
+
+    def test_entry_without_rho_or_generator_prints_its_reason(self):
+        entry = {"rho": [], "classification": "Undetermined",
+                 "provenance": "FromTorsionMinors",
+                 "evidence": {"reason": "denominator x is not known nonzero"}}
+        assert render_text({"verify": entry}) == (
+            "(denominator x is not known nonzero): Undetermined")
 
     # simulate writes CSV and has no --format
     @pytest.mark.parametrize("argv", [

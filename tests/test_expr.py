@@ -6,6 +6,8 @@ import weakref
 import numpy as np
 import pytest
 import sympy as sp
+from sympy.polys.domains import QQ
+from sympy.polys.matrices import DomainMatrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +22,7 @@ from ctrlinv.expr import (
     EVAL_SINGULAR_TOL,
     SymbolContext,
     Verdict,
+    determinant,
     differentiate,
     divide_exact,
     evaluate,
@@ -652,3 +655,109 @@ class TestIdealCofactors:
             else:
                 nonmembers += 1
         assert members >= 10 and nonmembers >= 5
+
+
+# generators declared out of their sort order (x2 before x10, which sorts
+# first as a string; an uppercase X), two parameters and two sin/cos pairs
+PRINT_CTX = SymbolContext(states=sp.symbols("x2 x10 X v w"), params=(a, b))
+
+
+def _random_coefficient(rng):
+    kind = rng.randrange(8)
+    if kind < 3:
+        return QQ(rng.choice((1, -1)))
+    if kind < 5:
+        return QQ(rng.randint(-9, 9) or 1, rng.randint(2, 12))
+    if kind < 7:
+        return QQ(rng.randint(-6, 6) or 5)
+    return QQ(rng.choice((1, -1)) * rng.randint(2**64, 2**90))
+
+
+def _random_ring_element(rng, R, terms):
+    """A sum of random terms in R with each generator in about one term
+    in five, a sin generator at most to the first power."""
+    sins = {i for i, g in enumerate(R.symbols) if isinstance(g, sp.sin)}
+    p = R.zero
+    for _ in range(terms):
+        m = tuple(rng.choice((1,) if i in sins else (1, 1, 2))
+                  if rng.random() < 0.2 else 0 for i in range(R.ngens))
+        p += R({m: _random_coefficient(rng)})
+    return p
+
+
+class TestToText:
+    """The text of a field element, written from its terms, is sympy's
+    sstr of its expression in grlex order."""
+
+    @pytest.mark.parametrize("e, text", [
+        (1 / x**2, "x**(-2)"), (-1 / x**2, "-1/x**2"),
+        (1 / (2 * x**2), "1/(2*x**2)"), (1 / sp.cos(w), "1/cos(w)"),
+        ((a * z - b * x) / sp.cos(w), "(a*z - b*x)/cos(w)"),
+        (-a / (b * sp.cos(w)), "-a/(b*cos(w))"), (3 * x / 2, "3*x/2"),
+        (x / 2, "x/2"), (-x, "-x"), (sp.Integer(0), "0"),
+        (sp.Rational(-3, 2), "-3/2"), (1 / (x + 1), "1/(x + 1)"),
+        (sp.Rational(1, 2) / (x + 1), "1/(2*(x + 1))"),
+        ((x + 1) / (2 * y), "(x/2 + 1/2)/y"), (y / x**2, "y/x**2"),
+        (1 / (x * y), "1/(x*y)"), ((-x - y) / (z + 1), "(-x - y)/(z + 1)")])
+    def test_named_cases(self, e, text):
+        f = to_field(e, CTX4)
+        assert to_text(f) == text
+        assert sp.sstr(from_field(f), order="grlex") == text
+
+    def test_matches_sstr_of_expression(self):
+        # numerators of zero to three terms over ground, one-term and
+        # multi-term denominators
+        rng = random.Random(2021)
+        K = PRINT_CTX.field
+        R = K.ring
+        shapes = set()
+        for _ in range(5000):
+            num = _random_ring_element(rng, R, rng.choice((0, 1, 1, 2, 3)))
+            den = _random_ring_element(rng, R, rng.choice((1, 1, 2, 3)))
+            if not den:
+                continue
+            f = K.new(num, den)
+            assert to_text(f) == sp.sstr(from_field(f), order="grlex"), f
+            shapes.add((min(len(f.numer), 2), min(len(f.denom), 2),
+                        f.denom.is_ground))
+        assert {(0, 1, True), (1, 1, True), (2, 1, True), (1, 1, False),
+                (2, 1, False), (1, 2, False), (2, 2, False)} <= shapes
+
+    def test_parsed_expression_keeps_sstr(self):
+        assert to_text(x + sp.sin(w)**2) == "sin(w)**2 + x"
+
+
+class TestDeterminant:
+    """`determinant`, Bareiss over the polynomial ring, equals Bareiss
+    over the fraction field."""
+
+    @staticmethod
+    def _entry(rng, ctx):
+        kind = rng.randrange(4)
+        if kind == 0:  # rational constant
+            e = sp.Rational(rng.randint(-5, 5), rng.randint(1, 4))
+        elif kind == 1:  # polynomial denominator
+            e = (random_poly(rng, (x, y), terms=2, trig_of=w)
+                 / (z + random_poly(rng, (x, y), terms=2, degree=1)))
+        else:
+            e = random_poly(rng, (x, y, z), terms=2, trig_of=w)
+        return to_field(e, ctx)
+
+    def test_matches_field_bareiss(self):
+        rng = random.Random(97)
+        K = CTX4.field
+        singular = 0
+        for _ in range(60):
+            n = rng.randint(1, 3)
+            rows = [[self._entry(rng, CTX4) for _ in range(n)]
+                    for _ in range(n)]
+            if n > 1 and rng.random() < 0.3:  # a combination of two rows
+                c = self._entry(rng, CTX4)
+                rows[-1] = [reduce_fraction(p + c * q)
+                            for p, q in zip(rows[0], rows[1 % (n - 1)])]
+            want = reduce_fraction(DomainMatrix(
+                rows, (n, n), K.to_domain()).det())
+            got = determinant(rows)
+            assert (got.numer, got.denom) == (want.numer, want.denom), rows
+            singular += not want
+        assert singular >= 5

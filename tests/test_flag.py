@@ -5,6 +5,7 @@ import random
 import pytest
 import sympy as sp
 from sympy import ZZ
+from sympy.polys.rings import PolyElement
 
 import ctrlinv.expr as expr_module
 import ctrlinv.flag as flag_module
@@ -428,6 +429,21 @@ class TestDerivedFlag:
         assert len(s["levels"]) == 2
         assert s["levels"][0]["rank"] == 1
         assert s["levels"][1]["rank"] == 0
+
+    def test_summary_builds_no_expression(self, monkeypatch):
+        # report text is written from the terms of each field element:
+        # with expressions barred, poly(4)'s summary is unchanged
+        system = parse_system(POLY4)
+        flag = derived_flag(system)
+        want = flag_summary(flag, system.ctx)
+
+        def barred(*args, **kwargs):
+            raise AssertionError("report text built an expression")
+
+        monkeypatch.setattr(expr_module, "from_field", barred)
+        monkeypatch.setattr(PolyElement, "as_expr", barred)
+        assert flag_summary(flag, system.ctx) == want
+        assert want["levels"][0]["torsion"]["entries"]
 
 
 class TestDerivedSystem:
