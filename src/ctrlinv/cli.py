@@ -288,12 +288,13 @@ def _simulate(args, system):
 
 def _brackets(args, system):
     ctx = system.ctx
-    brackets = iterated_brackets(system.field_rows[1:], ctx, depth=args.depth)
+    layers = list(iterated_brackets(system.field_rows[1:], ctx,
+                                    depth=args.depth))
     _emit({
         "schema": 2,
         "depth": args.depth,
-        "brackets": [[to_text(c) for c in F] for F in brackets],
-        "rank": bracket_rank(brackets, ctx),
+        "brackets": [[to_text(c) for c in F] for L in layers for F in L],
+        "rank": bracket_rank(layers, ctx),
     }, args)
 
 

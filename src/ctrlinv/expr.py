@@ -507,7 +507,7 @@ _ARRAYS = {"sin": np.sin, "cos": np.cos, "den": lambda value, text: value,
            "inf": np.inf}
 
 
-def kernels(groups, ctx: SymbolContext, arrays=False):
+def kernels(groups, ctx: SymbolContext, arrays=False, field=None):
     """Per group of field elements, a kernel compiled from one source: each
     generator read once, each value num / den as `from_field` writes it,
     sums in grlex order, coefficients as float literals (inf beyond the
@@ -515,7 +515,14 @@ def kernels(groups, ctx: SymbolContext, arrays=False):
     states x: (n, N) and parameters p: (k, N) and leaves non-finite values;
     the float form maps the list of ctx.symbols' values to the group's and
     raises EvalSingular at a denominator below 1e-12 or a non-finite value
-    (`**` and math.sin raise the rest of POINT_ERRORS)."""
+    (`**` and math.sin raise the rest of POINT_ERRORS).
+
+    With `field`, the rows (f, g_1, ..., g_m) of a control-affine field, the
+    array form's first kernel, from the same source, is its stage kernel
+    stage(x, p, u, out): for controls u: (m, N) it writes each component of
+    ((f + g_1 u_1) + g_2 u_2) + ... into out: (n, N), where a zero entry
+    drops its term, an entry 1 adds u_j itself and -1 subtracts it; those
+    are the float operations of the whole sum but for the sign of a zero."""
     n = len(ctx.states)
     # each generator of ctx.field: a declared symbol, sin or cos of one
     index = {v: f"_x[{j}]" if j < n else f"_p[{j - n}]"
@@ -523,26 +530,51 @@ def kernels(groups, ctx: SymbolContext, arrays=False):
     reads = [index[g] if g in index
              else f"{type(g).__name__}({index[g.args[0]]})"
              for g in ctx.field.symbols]
-    source = []
-    for g, group in enumerate(groups):
-        source.append(f"def _k{g}(_x, _p, _out):")
-        source += [f"    _g{i} = {reads[i]}"
-                   for i in sorted(set().union(*map(generators, group)))]
-        for r, f in enumerate(group):
-            value = _sum(f.numer, f.denom.LC)
-            if not f.denom.is_ground:
-                den = f.denom.quo_ground(f.denom.LC)
-                value = f"({value}) / den({_sum(den, 1)}, {str(den)!r})"
-            source.append(f"    _out[{r}] = {value}")
+    source, names = [], []
+
+    def define(name, args, group, values):
+        source.append(f"def {name}({args}):")
+        source.extend(f"    _g{i} = {reads[i]}"
+                      for i in sorted(set().union(*map(generators, group))))
+        source.extend(f"    _out[{r}] = {v}" for r, v in enumerate(values))
         source.append("    return _out")
+        names.append(name)
+
+    if field is not None:
+        define("_stage", "_x, _p, _u, _out", [e for F in field for e in F],
+               map(_stage_value, *field))
+    for g, group in enumerate(groups):
+        define(f"_k{g}", "_x, _p, _out", group, map(_value, group))
     namespace = dict(_ARRAYS if arrays else _FLOATS)
     exec(compile("\n".join(source), "<ctrlinv kernel>", "exec"), namespace)
     # popped: a function left in its own globals is freed only by gc
-    fills = [namespace.pop(f"_k{g}") for g in range(len(groups))]
+    fills = [namespace.pop(name) for name in names]
     if arrays:
         return fills
     return [functools.partial(_at_point, fill, n, len(group))
             for fill, group in zip(fills, groups)]
+
+
+def _value(f):
+    """The generated expression of a field element's value."""
+    value = _sum(f.numer, f.denom.LC)
+    if not f.denom.is_ground:
+        den = f.denom.quo_ground(f.denom.LC)
+        value = f"({value}) / den({_sum(den, 1)}, {str(den)!r})"
+    return value
+
+
+def _stage_value(f, *gs):
+    """The generated expression of one component of f + sum_j g_j u_j, its
+    terms added in order: a zero term left out, g_j = 1 adding u_j and
+    g_j = -1 subtracting it."""
+    text = f" + ({_value(f)})" if f else ""
+    for j, g in enumerate(gs):
+        if g == -1:
+            text += f" - _u[{j}]"
+        elif g:
+            text += f" + _u[{j}]" if g == 1 else f" + ({_value(g)})*_u[{j}]"
+    return text.lstrip(" +") or "0.0"
 
 
 def _at_point(fill, n, size, values):

@@ -174,7 +174,7 @@ def clear_denominators(vec, ctx):
 def certify_rank(rows, rank, ctx):
     """Prove that field-element rows have rank `rank` (see `exact_rank`):
     one certification point above it, or none at it, raises RankNotConstant."""
-    nr = exact_rank(rows, rank, certification_points(ctx.field))
+    nr = exact_rank([rows], rank, certification_points(ctx.field))
     if nr is not None and nr > rank:
         raise RankNotConstant(f"rank {nr} > symbolic rank {rank}")
     if nr != rank:
@@ -182,18 +182,34 @@ def certify_rank(rows, rank, ctx):
                               f"{CERTIFY_POINTS} certification points")
 
 
-def exact_rank(rows, cap, points):
-    """Largest exact rank over QQ of rows of field elements at exact points,
-    such as `certification_points`, where it is at most the generic rank and
-    a generic point attains it (Schwartz 1980; Zippel 1979); stops at cap.
-    A point at a pole is passed over.  None when no point is left."""
+def exact_rank(layers, cap, points):
+    """Largest exact rank over QQ of layers of rows of field elements at
+    exact points, such as `certification_points`, where it is at most the
+    generic rank and a generic point attains it (Schwartz 1980; Zippel
+    1979); stops at cap.  A point reads the layers in order only until its
+    rank reaches cap, and each layer is read from `layers` once, when a
+    point first needs it.  A point where a row it reads has a pole is
+    passed over.  None when no point is left."""
+    layers, read = iter(layers), []
+
+    def each_layer():
+        yield from read
+        for layer in layers:
+            read.append(layer)
+            yield layer
+
     best = None
     for point in points:
+        values = []
         try:
-            best = max(best or 0, DM([[exact_value(e, point) for e in r]
-                                      for r in rows], QQ).rank())
+            for layer in each_layer():
+                values += [[exact_value(e, point) for e in r] for r in layer]
+                rank = DM(values, QQ).rank()
+                if rank >= cap:
+                    break
         except ZeroDivisionError:
             continue
+        best = max(best or 0, rank)
         if best >= cap:
             break
     return best

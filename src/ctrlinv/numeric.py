@@ -2,7 +2,11 @@
 invariance testing and escape testing, all on one error-controlled
 Dormand-Prince sweep, then Lie brackets and bracket-rank checks.  Loci,
 monitors and field rows are ctx.field elements, evaluated by the kernels of
-`expr.kernels`."""
+`expr.kernels`: one compile per system and monitor list gives the stage
+kernel, which writes each stage's f + sum_j g_j u_j, and the monitor kernel,
+which the sweep calls only where it reads the monitors (at the start and at
+the new state of each attempted step).  Brackets are made layer by layer,
+and the leaf check makes only the layers its rank needs."""
 
 from __future__ import annotations
 
@@ -89,61 +93,30 @@ class InvarianceVerdict:
         return self.verdict == "Held"
 
 
-class _FieldEvaluator:
-    """A system's field rows (its drift, then each control field) and monitor
-    rows, all ctx.field elements, filled component-major into one (rows, N)
-    block by one generated kernel.
-
-    `evaluate` fills every row at the states x: (N, n) and parameters
-    p: (N, k) and returns the monitor rows; `combine` forms the field of the
-    last fill under a control block u: (N, m).  The block is the first
-    N columns of a buffer that is reused while N does not grow, so a
-    returned monitor view holds until the next `evaluate`.
-    """
-
-    def __init__(self, ctx: SymbolContext, fields, monitors):
-        self._n, self._blocks = len(ctx.states), len(fields)
-        rows = [f for F in fields for f in F] + list(monitors)
-        self._count = len(rows) - len(monitors)  # then the monitor rows
-        self._fill, = kernels([rows], ctx, arrays=True)
-        self._buffer = np.empty((len(rows), 0))
-
-    def evaluate(self, x, p):
-        """Fill every row at x: (N, n) and p: (N, k); return the monitors as
-        a (monitors, N) view."""
-        if self._buffer.shape[1] < len(x):
-            self._buffer = np.empty((len(self._buffer), len(x)))
-        self._block = self._buffer[:, :len(x)]
-        self._fill(x.T, np.ascontiguousarray(p.T), self._block)
-        return self._block[self._count:]
-
-    def combine(self, u):
-        """((f + g_1 u_1) + g_2 u_2) + ... at the last evaluation, for
-        u: (N, m), as an (N, n) array that may hold non-finite values."""
-        n, block = self._n, self._block
-        k = block[:n].copy()
-        for j in range(1, self._blocks):
-            k += block[j * n:(j + 1) * n] * u[:, j - 1]
-        return k.T
-
-
 def rhs_function(sys: ControlAffineSystem, monitors=()):
-    """Batched right-hand side f(x) + sum_j g_j(x) u_j.
+    """Batched right-hand side f(x) + sum_j g_j(x) u_j, by the stage kernel
+    of `expr.kernels`.
 
     Returned callable maps (x: (N, n), u: (N, m), params: (N, k)) to (N, n),
-    leaving floating-point errors to the caller's `np.errstate` and
-    non-finite values in place.  It is `fields.evaluate` followed by
-    `fields.combine`; its `fields` evaluator also fills the monitor rows, so
-    the sweep takes the monitors at a new state and the next step's first
-    stage from one `fields.evaluate` and a `fields.combine`.
+    written into `out` when one is given, leaving floating-point errors to
+    the caller's `np.errstate` and non-finite values in place.  The kernel
+    reads one row per component, so it runs fastest on transposes of
+    C-ordered arrays, as the sweep passes them.  Its `monitors(x, p)`, from
+    the same compile, returns the monitor rows at x and p as (monitors, N).
     """
-    fields = _FieldEvaluator(sys.ctx, sys.field_rows, monitors)
+    stage, fill = kernels([list(monitors)], sys.ctx, arrays=True,
+                          field=sys.field_rows)
 
-    def rhs(x, u, p):
-        fields.evaluate(x, p)
-        return fields.combine(u)
+    def rhs(x, u, p, out=None):
+        if out is None:
+            out = np.empty(x.shape[::-1]).T
+        stage(x.T, p.T, u.T, out.T)
+        return out
 
-    rhs.fields = fields
+    def values(x, p):
+        return fill(x.T, p.T, np.empty((len(monitors), len(x))))
+
+    rhs.monitors = values
     return rhs
 
 
@@ -212,7 +185,7 @@ def simulate(sys: ControlAffineSystem, x0, schedule: ControlSchedule,
             if not CONSTRAINT_MARGIN < abs(value) < math.inf:
                 raise DomainExit(
                     f"initial point violates nonzero constraint {c}")
-        prev, i, t_prev = prev.copy(), 1, 0.0
+        i, t_prev = 1, 0.0
         for _, (t,), (accepted,), (finite,), (x, x_new, K), cur in sweep:
             if not finite:
                 raise StepSingular(_NON_FINITE)
@@ -222,44 +195,43 @@ def simulate(sys: ControlAffineSystem, x0, schedule: ControlSchedule,
                                 or np.any(cur * prev < 0)):
                 raise DomainExit("declared-nonzero constraint crossed zero "
                                  f"at t = {t:.6g}")
-            prev = cur.copy()
+            prev = cur
             j = np.searchsorted(times, t, side="right")
             xs[i:j] = _dense(x[:, 0], x_new[:, 0], K[:, :, 0],
                              (times[i:j] - t_prev) / (t - t_prev))
             i, t_prev = j, t
         rho_values = {}
         if monitors:  # one batched evaluation over the whole grid
-            vals = _FieldEvaluator(ctx, (), monitors.values()).evaluate(
-                xs, np.repeat(p, len(xs), axis=0))
-            rho_values = dict(zip(monitors, vals))
+            fill, = kernels([list(monitors.values())], ctx, arrays=True)
+            rho_values = dict(zip(monitors, fill(
+                xs.T, np.repeat(p.T, len(xs), axis=1),
+                np.empty((len(monitors), len(xs))))))
     piece = np.searchsorted(ends[0], times[:-1] + 1e-9 * h, side="right")
     return Trajectory(times=times, states=xs, controls=controls[0, piece],
                       schedule=schedule, rho_values=rho_values)
 
 
-def _dp_step(rhs, x, u, p, h, k1):
-    """One Dormand-Prince 5(4) step of every trial, component-major: x and
-    its first stage k1: (n, N), steps h: (N,).
+def _dp_step(rhs, x, u, p, h, k):
+    """One Dormand-Prince 5(4) step of every trial, component-major: x: (n, N)
+    and its stages k: (7, n, N), whose first holds k_1, under u: (N, m) and
+    p: (N, k) with steps h: (N,).  The stage kernel writes k_2 ... k_7 into
+    k; k_7 is f at the new state, the next step's first stage.
 
     Returns the fifth-order state, its difference to the embedded
     fourth-order one, the stages h k_j: (7, n, N), the monitors at the new
-    state, the last stage (f at the new state, the next step's first
-    stage) and, per trial, whether every stage and the new state are finite.
+    state and, per trial, whether every k_j and the new state are finite.
+    The k_j are tested, not h k_j, which may overflow where k_j does not.
     """
-    K = np.empty((7,) + x.shape)  # h k_j, stage by stage
-    np.multiply(k1, h, out=K[0])
-    finite = np.isfinite(k1).all(axis=0)
+    K = np.empty(k.shape)  # h k_j
+    np.multiply(k[0], h, out=K[0])
     for s in range(1, 7):
         xs = x + np.add.reduce(_DP_A[s, :s] * K[:s], axis=0)
-        if s < 6:
-            k = rhs(xs.T, u, p).T
-        else:  # the monitors and the last stage from one evaluation
-            rho = rhs.fields.evaluate(xs.T, p)
-            k = rhs.fields.combine(u).T
-        finite &= np.isfinite(k).all(axis=0)
-        np.multiply(k, h, out=K[s])
-    finite &= np.isfinite(xs).all(axis=0)  # finite stages may overflow it
-    return xs, np.add.reduce(_DP_E * K, axis=0), K, rho, k, finite
+        rhs(xs.T, u, p, out=k[s].T)
+        np.multiply(k[s], h, out=K[s])
+    # finite stages may overflow the new state
+    finite = np.isfinite(k).all(axis=(0, 1)) & np.isfinite(xs).all(axis=0)
+    return (xs, np.add.reduce(_DP_E * K, axis=0), K, rhs.monitors(xs.T, p),
+            finite)
 
 
 def _dense(x, x_new, K, theta):
@@ -295,7 +267,6 @@ def _dp_sweep(rhs, x, p, ends, controls, h, budget=None):
     horizon after `budget` attempted steps, by default
     max(MIN_BUDGET, round(horizon / h)).
     """
-    fields = rhs.fields
     if budget is None:
         budget = max(MIN_BUDGET, round(float(ends[:, -1].max()) / h))
     trials = np.arange(x.shape[1])
@@ -303,10 +274,13 @@ def _dp_sweep(rhs, x, p, ends, controls, h, budget=None):
     piece = np.zeros(len(trials), dtype=int)
     t = np.zeros(len(trials))
     h = np.full(len(trials), h)
-    u = controls[:, 0]
+    # the controls and parameters component-major, as the kernels read
+    # them, copied only when the batch or its controls change
+    u, p = np.ascontiguousarray(controls[:, 0].T), np.ascontiguousarray(p.T)
     finite = np.ones(len(trials), dtype=bool)
-    yield trials, t, finite, finite, (x, x, None), fields.evaluate(x.T, p)
-    k1 = fields.combine(u).T
+    yield trials, t, finite, finite, (x, x, None), rhs.monitors(x.T, p.T)
+    k = np.empty((7,) + x.shape)  # the stages, k[0] the next step's first
+    rhs(x.T, u.T, p.T, out=k[0].T)
     for _ in range(budget):
         live = (t < horizon) & finite
         if not live.any():
@@ -317,14 +291,16 @@ def _dp_sweep(rhs, x, p, ends, controls, h, budget=None):
         if np.count_nonzero(live) == 1:
             live[np.argmin(live | ~finite)] = True
         if not live.all():
-            x, k1 = x[:, live], k1[:, live]
-            trials, horizon, piece, t, h, u, p = (
-                a[live] for a in (trials, horizon, piece, t, h, u, p))
+            x = x[:, live]
+            # compress, unlike x[:, live], keeps the rows C-ordered
+            k, u, p = (a.compress(live, axis=-1) for a in (k, u, p))
+            trials, horizon, piece, t, h = (
+                a[live] for a in (trials, horizon, piece, t, h))
         stop = ends[trials, piece]
         lands = t + h >= stop
         t_new = np.where(lands, stop, t + h)
         step = t_new - t  # 0 once a trial is at its horizon
-        x_new, err, K, rho, k_new, finite = _dp_step(rhs, x, u, p, step, k1)
+        x_new, err, K, rho, finite = _dp_step(rhs, x, u.T, p.T, step, k)
         scale = ATOL + RTOL * np.maximum(np.abs(x), np.abs(x_new))
         e = np.sqrt(np.add.reduce(np.square(err / scale), axis=0) / len(x))
         e[np.isnan(e)] = np.inf
@@ -336,9 +312,9 @@ def _dp_sweep(rhs, x, p, ends, controls, h, budget=None):
         switched = accepted & lands & (t < horizon)
         if switched.any():  # the next piece's controls
             piece = piece + switched
-            u = controls[trials, piece]
-            k_new = fields.combine(u).T
-        k1 = np.where(accepted, k_new, k1)
+            u = np.ascontiguousarray(controls[trials, piece].T)
+            rhs(x_new.T, u.T, p.T, out=k[6].T)
+        np.copyto(k[0], k[6], where=accepted)
         yield trials, t, accepted, finite, (x_old, x_new, K), rho
     if np.any((t < horizon) & finite):
         raise StepSingular(f"error-controlled steps fell short of the "
@@ -469,20 +445,23 @@ def lie_bracket(X, Y, ctx: SymbolContext):
 
 
 def iterated_brackets(fields, ctx, depth=BRACKET_DEPTH):
-    """Nonzero left iterated brackets [X_{i1},[...,[X_{ik-1}, X_{ik}]...]]
-    of ctx.field rows to depth."""
-    layers = [list(fields)]
+    """Layers k = 1..depth of the left iterated brackets
+    [X_{i1},[...,[X_{ik-1}, X_{ik}]...]] of ctx.field rows, each made when
+    it is read: the fields, then the nonzero brackets of each field with
+    the layer before, until a layer is empty."""
+    layer = list(fields)
+    yield layer
     for _ in range(1, depth):
         new = []
-        for Y in layers[-1]:
+        for Y in layer:
             for X in fields:
                 br = lie_bracket(X, Y, ctx)
                 if any(br):
                     new.append(br)
         if not new:
-            break
-        layers.append(new)
-    return [F for layer in layers for F in layer]
+            return
+        layer = new
+        yield layer
 
 
 def matrix_at(rows, ctx):
@@ -493,20 +472,24 @@ def matrix_at(rows, ctx):
         [float(point[s]) for s in ctx.symbols]), (len(rows), -1))
 
 
-def bracket_rank(brackets, ctx):
-    """Generic rank of ctx.field rows, such as `iterated_brackets`, by
-    `flag.exact_rank`; None when they have a pole at every point."""
-    return exact_rank(brackets, len(ctx.states),
+def bracket_rank(layers, ctx):
+    """Generic rank of layers of ctx.field rows, such as `iterated_brackets`,
+    by `flag.exact_rank`; None when they have a pole at every point."""
+    return exact_rank(layers, len(ctx.states),
                       certification_points(ctx.field))
 
 
 def leaf_controllability(sys: ControlAffineSystem, rhos, leaf_dim):
     """Rashevsky-Chow check on the leaf {rho = 0} of an accepted entry: the
     iterated g-brackets' exact rank at `sampling.exact_leaf_points` must
-    reach leaf_dim.  With no rhos it is their generic rank, their rank on a
-    generic leaf of a foliation they are tangent to; None with no point."""
-    rows = iterated_brackets(sys.field_rows[1:], sys.ctx)
-    rank = exact_rank(rows, leaf_dim, exact_leaf_points(rhos, rows, sys.ctx))
+    reach leaf_dim; a point reads their layers only until it does, so the
+    brackets are made only as far as a point needs them.  With no rhos it
+    is their generic rank, their rank on a generic leaf of a foliation they
+    are tangent to; None with no point."""
+    fields = sys.field_rows[1:]
+    # brackets bring in no sin, cos pair the fields lack: the same points
+    rank = exact_rank(iterated_brackets(fields, sys.ctx), leaf_dim,
+                      exact_leaf_points(rhos, fields, sys.ctx))
     return {
         "leaf_dimension": leaf_dim,
         "bracket_rank": rank,

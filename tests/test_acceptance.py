@@ -443,7 +443,8 @@ def test_criterion_5_property_suites(ex1, ex2, ex3, ex4):
         ranks = []
         for depth in range(1, 5):
             brs = iterated_brackets(sys.exact_fields(), sys.ctx, depth=depth)
-            mat = np.array([[evaluate(c, point) for c in F] for F in brs])
+            mat = np.array([[evaluate(c, point) for c in F]
+                            for layer in brs for F in layer])
             sv = np.linalg.svd(mat, compute_uv=False)
             scale = max(1.0, sv[0])
             ranks.append(int(np.sum(sv > 1e-8 * scale)))

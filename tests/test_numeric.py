@@ -29,6 +29,7 @@ from ctrlinv.expr import (
     sample_params,
     to_field,
 )
+from ctrlinv.flag import exact_rank
 from ctrlinv.integrals import analyze
 from ctrlinv.numeric import (
     BRACKET_DEPTH,
@@ -44,10 +45,20 @@ from ctrlinv.numeric import (
     rhs_function,
     simulate,
 )
-from ctrlinv.sampling import CONSTRAINT_MARGIN, zero_locus_points
+from ctrlinv.sampling import (
+    CONSTRAINT_MARGIN,
+    exact_leaf_points,
+    zero_locus_points,
+)
 
+import corpus
 from conftest import elements, field_rows, load_system, random_poly
-from test_golden import CONFIG as GOLDEN_CONFIG, TRIG4
+from test_golden import (
+    CONFIG as GOLDEN_CONFIG,
+    TRIG4,
+    chained_text,
+    poly_text,
+)
 
 x, y, z, w = sp.symbols("x y z w")
 a, b = sp.symbols("a b")
@@ -113,10 +124,33 @@ class TestFusedEvaluator:
         assert out.shape == (rows, sys.n)
         assert np.array_equal(out, per_field_rhs(sys, x, u, p))
 
+    @pytest.mark.parametrize("name", ["units", "params", "singular",
+                                      "overflow", "blowup"])
+    @pytest.mark.parametrize("rows", [0, 1, 100, 1000])
+    def test_stage_kernel_matches_per_field_reference(self, name, rows,
+                                                      request):
+        # zero entries dropped, entries 1 and -1 read as +u_j and -u_j,
+        # constant and parameter-only entries, a pole of 1/x in the first
+        # half of the rows, and controls of 3 that overflow OVERFLOW's
+        # 1.5e308 in the first row
+        sys = oracle_system(name, request)
+        x, u, p = random_batch(sys, rows, seed=rows)
+        x[:(rows + 1) // 2, 0] = 0.0
+        u[:1] = 1.0
+        rhs = rhs_function(sys)
+        outs = []
+        for us in (3 * u, -u):  # the same callable after a control switch
+            with np.errstate(all="ignore"):
+                outs.append(rhs(x, us, p))
+            assert np.array_equal(outs[-1], per_field_rhs(sys, x, us, p),
+                                  equal_nan=True)
+        if rows and name in ("units", "singular", "overflow"):
+            assert not np.isfinite(outs[0][0]).all()
+
     def test_monitor_constant_and_parameter_only(self, ex4):
         xs, _, ps = random_batch(ex4, 7, seed=1)
         vals = rhs_function(ex4, elements([3, a, b * x - a * z], ex4.ctx)) \
-            .fields.evaluate(xs, ps).T
+            .monitors(xs, ps).T
         assert vals.shape == (7, 3)
         assert np.array_equal(vals[:, 0], np.full(7, 3.0))
         assert np.array_equal(vals[:, 1], ps[:, 0])
@@ -165,7 +199,7 @@ class TestFusedEvaluator:
                            rtol=1e-12, atol=1e-12)
         want = sp.lambdify(list(ctx.states) + list(ctx.params), monitors,
                            "numpy")(*xs.T, *ps.T)
-        got = rhs.fields.evaluate(xs, ps)
+        got = rhs.monitors(xs, ps)
         for row, vals in zip(got, want):
             assert np.allclose(row, np.broadcast_to(vals, row.shape),
                                rtol=1e-12, atol=1e-12)
@@ -200,29 +234,38 @@ class TestFusedEvaluator:
 
     @pytest.mark.parametrize("name", ["params", "dense", "shared"])
     def test_one_callable_across_batch_sizes(self, name, request):
-        # the block is reused while N stays the same and replaced when it
-        # changes; rhs calls and evaluate/field pairs interleave
+        # one callable for every N, into a fresh array or a given one, in
+        # either layout, its monitors called in between
         sys = oracle_system(name, request)
-        rhs = rhs_function(sys)
+        rhs = rhs_function(sys, elements([x], sys.ctx))
         for seed, rows in enumerate([1000, 1, 0, 100, 100, 1]):
             xs, us, ps = random_batch(sys, rows, seed=seed)
             want = per_field_rhs(sys, xs, us, ps)
             assert np.array_equal(rhs(xs, us, ps), want)
-            rhs.fields.evaluate(xs, ps)
-            assert np.array_equal(rhs.fields.combine(us), want)
-            other = -us
-            assert np.array_equal(rhs.fields.combine(other),
-                                  per_field_rhs(sys, xs, other, ps))
+            assert np.array_equal(rhs.monitors(xs, ps), xs.T[:1])
+            for out in (np.empty((rows, sys.n)), np.empty((sys.n, rows)).T):
+                assert rhs(xs, -us, ps, out=out) is out
+                assert np.array_equal(out, per_field_rhs(sys, xs, -us, ps))
 
 
-    def test_kernel_freed_without_cyclic_collector(self, ex4):
-        # the generated fill is freed with its evaluator, not by gc
+    def test_kernel_freed_without_cyclic_collector(self, ex4, monkeypatch):
+        # the generated stage and monitor kernels are freed with their
+        # right-hand side, not by gc
+        real = numeric_module.kernels
+        made = []
+
+        def recording_kernels(*args, **kwargs):
+            fills = real(*args, **kwargs)
+            made.extend(map(weakref.ref, fills))
+            return fills
+
+        monkeypatch.setattr(numeric_module, "kernels", recording_kernels)
         gc.disable()
         try:
             rhs = rhs_function(ex4, elements([x], ex4.ctx))
-            ref = weakref.ref(rhs.fields._fill)
+            assert len(made) == 2
             del rhs
-            assert ref() is None
+            assert [ref() for ref in made] == [None, None]
         finally:
             gc.enable()
 
@@ -385,6 +428,14 @@ def first_step(sys, x0, u, h=1e-2):
         return next(sweep)
 
 
+def first_stage(rhs, x, u, p):
+    """A stage array (7, n, N) for `_dp_step` from x: (n, N), its first
+    stage filled."""
+    k = np.empty((7,) + x.shape)
+    k[0] = rhs(x.T, u, p).T
+    return k
+
+
 class TestDormandPrince:
     ROTATION = "states: x y\ncontrol g1: [-y, x]\n"
 
@@ -397,9 +448,8 @@ class TestDormandPrince:
         errors, estimates = [], []
         for h in (0.2, 0.1, 0.05):
             x0 = np.array([[1.0], [0.0]])
-            rhs.fields.evaluate(x0.T, p)
             x5, err, *_ = numeric_module._dp_step(
-                rhs, x0, u, p, np.array([h]), rhs.fields.combine(u).T)
+                rhs, x0, u, p, np.array([h]), first_stage(rhs, x0, u, p))
             errors.append(np.linalg.norm(x5[:, 0]
                                          - [math.cos(h), math.sin(h)]))
             estimates.append(np.linalg.norm(err[:, 0]))
@@ -416,9 +466,8 @@ class TestDormandPrince:
         errors = []
         for h in (0.2, 0.1, 0.05):
             x0 = np.array([[1.0], [0.0]])
-            rhs.fields.evaluate(x0.T, p)
             x5, _, K, *_ = numeric_module._dp_step(
-                rhs, x0, u, p, np.array([h]), rhs.fields.combine(u).T)
+                rhs, x0, u, p, np.array([h]), first_stage(rhs, x0, u, p))
             mid, = numeric_module._dense(x0[:, 0], x5[:, 0], K[:, :, 0],
                                          np.array([0.5]))
             errors.append(np.linalg.norm(mid - [math.cos(h / 2),
@@ -523,9 +572,9 @@ class TestBracketRank:
         assert lc["bracket_rank"] == 2 and lc["controllable_on_leaf"]
 
     def test_iterated_brackets_grow(self, ex1):
-        brs = iterated_brackets(field_rows(ex1.controls, ex1.ctx), ex1.ctx,
-                                depth=2)
-        assert len(brs) > 2
+        brs = list(iterated_brackets(field_rows(ex1.controls, ex1.ctx),
+                                     ex1.ctx, depth=2))
+        assert [len(layer) for layer in brs] == [2, 2]
 
 
 def _reference_lie_bracket(X, Y, ctx: SymbolContext):
@@ -583,7 +632,7 @@ def assert_brackets_match(fields, ctx, depth):
     table, entry by entry and in order."""
     got = iterated_brackets(field_rows(fields, ctx), ctx, depth=depth)
     want = _reference_iterated_brackets(fields, ctx, depth=depth)
-    assert [tuple(map(from_field, F)) for F in got] == want
+    assert [tuple(map(from_field, F)) for L in got for F in L] == want
 
 
 class TestBracketsAgainstReference:
@@ -1041,6 +1090,11 @@ def _reference_escape_test(sys: ControlAffineSystem, rhos, seed=42, horizon=5.0,
 PARAM_ROWS = ("states: x y z\nparams: a\ndrift: [a, 0, x*y]\n"
               "control g1: [1, 2*a, z]\ncontrol g2: [y, a^2, 3]\n")
 SINGULAR = "states: x\ncontrol g1: [1/x]\n"
+# zero entries, entries 1 and -1, a parameter-only and a constant entry, a
+# pole, and a zero drift component
+UNITS = ("states: x y z\nparams: a\ndrift: [0, a, 1/x]\n"
+         "control g1: [1, -1, 0]\ncontrol g2: [-1, 2*a, x*y]\n"
+         "control g3: [0, 1, -3]\n")
 # rows whose u1 = 1 overflow to inf within one step and drop out of escape_test
 OVERFLOW = "states: x y\ncontrol g1: [15*10^307, 0]\ncontrol g2: [0, 1]\n"
 # g1 = 10^60 x^2 overflows in a later stage of the first step, never in k1
@@ -1078,6 +1132,7 @@ def oracle_system(name, request):
     if name == "shared":
         return SHARED
     text = {"dense": DENSE, "params": PARAM_ROWS, "singular": SINGULAR,
+            "units": UNITS,
             "overflow": OVERFLOW, "blowup": BLOWUP, "signs": SIGNS,
             "circle": CIRCLE, "chained8": CHAINED8}.get(name)
     return parse_system(text) if text else request.getfixturevalue(name)
@@ -1262,28 +1317,36 @@ class TestAgainstReferenceLoops:
 
 
 def test_invariance_attempt_evaluates_fields_six_times(ex3, monkeypatch):
-    # five stages, then the monitors and the last stage from one fused
-    # evaluation per attempted step, plus the evaluation at the start
+    # the stage kernel six times per attempted step, once at the start and
+    # once more on a step where a trial switches its controls; the monitor
+    # kernel once at the start and once per attempted step, at its new state
     real = numeric_module.kernels
-    calls = []
+    calls = {"stage": 0, "monitors": 0}
 
-    def counting_kernels(groups, ctx, arrays=False):
-        # the one generated function, which fills every row at a state
-        fn, = real(groups, ctx, arrays)
-
+    def counted(name, fn):
         def call(*values):
-            calls.append(fn)
+            calls[name] += 1
             return fn(*values)
 
-        return [call]
+        return call
+
+    def counting_kernels(groups, ctx, arrays=False, field=None):
+        stage, fill = real(groups, ctx, arrays, field)
+        return [counted("stage", stage), counted("monitors", fill)]
 
     monkeypatch.setattr(numeric_module, "kernels", counting_kernels)
     seen = recording_sweep(monkeypatch)
     invariance_test(ex3, elements([b * x - a * z], ex3.ctx), trials=7,
                     pieces=3, horizon=0.5, h=0.01, seed=3)
     attempts = len(seen) - 2  # the arguments and the start come first
-    assert attempts > 3
-    assert len(calls) == 1 + 6 * attempts
+    ends = seen[0][3]
+    # an accepted step that lands on a piece's end before the horizon
+    switches = sum(bool(np.any(accepted & (t < ends[i, -1]) & np.any(
+        ends[i, :-1] == t[:, None], axis=1)))
+        for i, t, accepted, *_ in seen[2:])
+    assert attempts > 3 and switches > 0
+    assert calls == {"stage": 1 + 6 * attempts + switches,
+                     "monitors": 1 + attempts}
 
 
 # --- block draws and the live-trial sweep against the loops they replace -----
@@ -1394,9 +1457,10 @@ def _reference_newton_project(rhos, grads, point, ctx, steps):
     return True
 
 
-def _checked_combine(fields, u):
-    """`fields.combine`, raising StepSingular on a non-finite value."""
-    k = fields.combine(u)
+def _checked_stage(rhs, x, u, p):
+    """The stage kernel's k at x: (n, N), raising StepSingular on a
+    non-finite value."""
+    k = rhs(x.T, u, p).T
     if not np.isfinite(k).all():
         raise StepSingular("vector field evaluation produced non-finite "
                            "values")
@@ -1404,7 +1468,6 @@ def _checked_combine(fields, u):
 
 
 def _reference_dp_sweep(rhs, x, p, ends, controls, h, budget):
-    fields = rhs.fields
     rows = np.arange(x.shape[1])
     horizon = ends[:, -1]
     piece = np.zeros(len(rows), dtype=int)
@@ -1412,8 +1475,9 @@ def _reference_dp_sweep(rhs, x, p, ends, controls, h, budget):
     h = np.full(len(rows), h)
     u = controls[:, 0]
     yield t, np.ones(len(rows), dtype=bool), np.zeros_like(x), \
-        fields.evaluate(x.T, p)
-    k1 = _checked_combine(fields, u).T
+        rhs.monitors(x.T, p)
+    k = np.empty((7,) + x.shape)
+    k[0] = _checked_stage(rhs, x, u, p)
     for _ in range(budget):
         if not np.any(t < horizon):
             return
@@ -1421,8 +1485,8 @@ def _reference_dp_sweep(rhs, x, p, ends, controls, h, budget):
         lands = t + h >= stop
         t_new = np.where(lands, stop, t + h)
         step = t_new - t  # 0 once a trial is at its horizon
-        x_new, err, _, rho, k_new, finite = numeric_module._dp_step(
-            rhs, x, u, p, step, k1)
+        x_new, err, _, rho, finite = numeric_module._dp_step(
+            rhs, x, u, p, step, k)
         if not finite.all():
             raise StepSingular("vector field evaluation produced non-finite "
                                "values")
@@ -1440,8 +1504,8 @@ def _reference_dp_sweep(rhs, x, p, ends, controls, h, budget):
         if switched.any():  # the next piece's controls
             piece = piece + switched
             u = controls[rows, piece]
-            k_new = _checked_combine(fields, u).T
-        k1 = np.where(accepted, k_new, k1)
+            k[6] = _checked_stage(rhs, x_new, u, p)
+        k[0] = np.where(accepted, k[6], k[0])
         yield t, accepted, chord, rho
     if np.any(t < horizon):
         raise StepSingular(f"error-controlled steps fell short of the "
@@ -1581,3 +1645,56 @@ def test_kernel_compiles_per_analyze(name, compiles, monkeypatch):
         monkeypatch.setattr(module, "kernels", counting_kernels)
     analyze(load_system(name), GOLDEN_CONFIG)
     assert len(calls) == compiles
+
+
+def assert_leaf_rank_is_full_table_rank(sys, rhos):
+    """leaf_controllability's rank, read layer by layer, is `exact_rank` of
+    the whole depth-4 bracket table at the points that the table's rows
+    place on the leaf, for every leaf_dim from that rank up: no tangent
+    bracket raises the rank on a leaf above its dimension."""
+    ctx = sys.ctx
+    table = [F for layer in iterated_brackets(sys.field_rows[1:], ctx)
+             for F in layer]
+
+    def full(cap):
+        return exact_rank([table], cap, exact_leaf_points(rhos, table, ctx))
+
+    for leaf_dim in range(full(sys.n) or 0, sys.n + 1):
+        assert leaf_controllability(sys, rhos, leaf_dim)["bracket_rank"] \
+            == full(leaf_dim)
+
+
+class TestLeafLayers:
+    @pytest.mark.parametrize("text", [t for _, t in corpus.systems()],
+                             ids=[label for label, _ in corpus.systems()])
+    def test_corpus_generic_leaf(self, text):
+        assert_leaf_rank_is_full_table_rank(parse_system(text), ())
+
+    @pytest.mark.parametrize("text", [poly_text(3), poly_text(4),
+                                      chained_text(6), TRIG4],
+                             ids=["poly3", "poly4", "chained6", "trig4"])
+    def test_golden_generic_leaf(self, text):
+        assert_leaf_rank_is_full_table_rank(parse_system(text), ())
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_LOCI))
+    def test_oracle_loci(self, name, request):
+        sys = oracle_system(name, request)
+        for rhos in [()] + field_rows(ORACLE_LOCI[name], sys.ctx):
+            assert_leaf_rank_is_full_table_rank(sys, rhos)
+
+    def test_spanned_leaf_makes_no_bracket(self, ex1, monkeypatch):
+        # g1 and g2 span ex1's leaf {z = 0}: the first layer reaches its
+        # dimension at the first point
+        calls = []
+
+        def counting_bracket(*args):
+            calls.append(args)
+            return lie_bracket(*args)
+
+        monkeypatch.setattr(numeric_module, "lie_bracket", counting_bracket)
+        lc = leaf_controllability(ex1, elements([z], ex1.ctx), leaf_dim=2)
+        assert lc["bracket_rank"] == 2 and lc["controllable_on_leaf"]
+        assert calls == []
+        # the generic leaf, three-dimensional, needs the second layer
+        assert leaf_controllability(ex1, (), leaf_dim=3)["bracket_rank"] == 3
+        assert len(calls) == 4
