@@ -288,7 +288,7 @@ def _simulate(args, system):
 
 def _brackets(args, system):
     ctx = system.ctx
-    layers = list(iterated_brackets(system.field_rows[1:], ctx,
+    layers = list(iterated_brackets(system.controls, ctx,
                                     depth=args.depth))
     _emit({
         "schema": 2,

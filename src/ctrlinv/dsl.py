@@ -11,14 +11,15 @@ File format (UTF-8, line oriented, ``#`` comments)::
     assume_nonzero: 1 + x
 
 Expressions use infix ``+ - * / ^`` with integer exponents, ``sin(v)``,
-``cos(v)`` and parentheses.
+``cos(v)`` and parentheses.  Each is parsed to a sympy tree as written,
+then turned once into an element of the system's field, `ctx.field`
+(`expr.to_field`): a parsed system holds only field elements.
 """
 
 from __future__ import annotations
 
-import functools
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import sympy as sp
 
@@ -33,11 +34,12 @@ _TOKEN_RE = re.compile(
 
 @dataclass(frozen=True)
 class ControlAffineSystem:
-    """Validated affine control system: dx/dt = f(x) + sum_j g_j(x) u_j."""
+    """Validated affine control system: dx/dt = f(x) + sum_j g_j(x) u_j,
+    every component an element of ctx.field."""
 
     ctx: SymbolContext
-    drift: tuple  # n-vector of exprs, all-zero when driftless
-    controls: tuple  # m field vectors, each an n-tuple of exprs
+    drift: tuple  # n-vector, all zero when driftless
+    controls: tuple  # m control fields, each an n-tuple
     candidates: tuple = ()  # user-declared candidate integrals
 
     @property
@@ -50,24 +52,26 @@ class ControlAffineSystem:
 
     @property
     def is_driftless(self):
-        return all(c == 0 for c in self.drift)
+        return not any(self.drift)
 
     def fields(self):
         """Drift (when nonzero) followed by the control fields."""
-        out = [] if self.is_driftless else [self.drift]
-        out.extend(self.controls)
-        return out
+        return list(self.controls if self.is_driftless
+                    else (self.drift, *self.controls))
 
-    @functools.cached_property
-    def field_rows(self):
-        """The drift, then each control field, as ctx.field rows."""
-        return tuple(tuple(to_field(e, self.ctx) for e in X)
-                     for X in (self.drift, *self.controls))
+    def with_trig(self, trig):
+        """This system in the field with a sin/cos pair for each symbol of
+        trig (`SymbolContext.trig`), every element, the declared-nonzero
+        ones too, moved into that field."""
+        ctx = replace(self.ctx, trig=trig)
 
-    def exact_fields(self):
-        """fields() with components in the system's field, ctx.field."""
-        rows = self.field_rows
-        return list(rows[1:] if self.is_driftless else rows)
+        def move(v):
+            return tuple(e.set_field(ctx.field) for e in v)
+
+        return ControlAffineSystem(
+            ctx=replace(ctx, nonzero=move(ctx.nonzero)),
+            drift=move(self.drift), controls=tuple(map(move, self.controls)),
+            candidates=move(self.candidates))
 
 
 @dataclass(frozen=True)
@@ -217,9 +221,8 @@ def parse_into(system: ControlAffineSystem, texts):
         # the pairs the field has, then the texts'
         trig = trig_symbols(ctx.symbols, [*map(sp.sin, ctx.trig), *trees])
         if trig != ctx.trig:
-            system = replace(system, ctx=replace(ctx, trig=trig))
-    return system, [to_field(normalize(e, system.ctx), system.ctx)
-                    for e in trees]
+            system = system.with_trig(trig)
+    return system, [to_field(e, system.ctx) for e in trees]
 
 
 def _parse_vector(text, parse, line_no, col_offset):
@@ -336,18 +339,17 @@ def parse_system(text: str) -> ControlAffineSystem:
     ctx = replace(ctx, trig=trig_symbols(ctx.symbols, trees))
     if failure is not None:
         for e in trees:  # an earlier expression's error comes first
-            normalize(e, ctx)
+            to_field(e, ctx)
         raise failure
 
-    def normalized(v):
-        return tuple(normalize(e, ctx) for e in v)
+    def elements(v):
+        return tuple(to_field(e, ctx) for e in v)
 
-    ctx = replace(ctx, nonzero=normalized(nonzero))
-    drift = (tuple(sp.Integer(0) for _ in range(n)) if drift is None
-             else normalized(drift))
+    ctx = replace(ctx, nonzero=elements(nonzero))
+    drift = (ctx.field.zero,) * n if drift is None else elements(drift)
     return ControlAffineSystem(ctx=ctx, drift=drift,
-                               controls=tuple(map(normalized, controls)),
-                               candidates=normalized(candidates))
+                               controls=tuple(map(elements, controls)),
+                               candidates=elements(candidates))
 
 
 def print_system(sys: ControlAffineSystem) -> str:

@@ -12,14 +12,15 @@ of the one sparse rational-function field over QQ of a system,
 the declared symbols and a sin/cos pair only for each declared symbol that
 occurs inside a trig atom of the system's expressions (`trig_symbols`), so
 no exact operation carries exponents of generators the system never uses.
-Expressions are built at the parsing boundary (`to_field`, `normalize`);
-`from_field` turns an element back into one where an expression is needed
-(integration, factor order, error messages).  Report text is written
-straight from each element's numerator and denominator terms, exactly as
-sympy's sstr writes the element's expression (`to_text`).  Float evaluation
-reads field elements directly too: one source generator writes a kernel from
-each element's numerator and denominator terms, compiled with floats and
-`math` or with numpy arrays (`kernels`, `evaluate`).
+A parsed expression becomes an element once, at the parsing boundary
+(`to_field`); `from_field` turns an element back into an expression only
+where one is needed (integration, factor order, error messages).  Report
+text is written straight from each element's numerator and denominator
+terms, exactly as sympy's sstr writes the element's expression
+(`to_text`).  Float evaluation reads field elements directly too: one
+source generator writes a kernel from each element's numerator and
+denominator terms, compiled with floats and `math` or with numpy arrays
+(`kernels`, `evaluate`).
 
 All functions here are pure; randomized ones take an explicit seed or a
 numpy Generator.
@@ -36,7 +37,7 @@ from fractions import Fraction
 import numpy as np
 import sympy as sp
 from sympy.polys.domains import QQ
-from sympy.polys.fields import FracElement, FracField
+from sympy.polys.fields import FracField
 from sympy.polys.groebnertools import groebner
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.orderings import grlex
@@ -78,7 +79,7 @@ class SymbolContext:
     params: tuple[sp.Symbol, ...] = ()
     # parameter -> '+' or '-' for declared sign constraints
     param_signs: dict = dataclass_field(default_factory=dict)
-    # expressions the user asserts nonzero on the working domain
+    # elements of `field` the user asserts nonzero on the working domain
     nonzero: tuple = ()
     # the declared symbols, in declaration order, given a sin/cos pair in
     # the field (`trig_symbols`); None gives every declared symbol one
@@ -112,11 +113,6 @@ class SymbolContext:
         return {v: (index[v], index.get(sp.sin(v))) for v in self.states}
 
     @functools.cached_property
-    def nonzero_elements(self):
-        """The declared-nonzero expressions as field elements."""
-        return tuple(to_field(c, self) for c in self.nonzero)
-
-    @functools.cached_property
     def known_factors(self):
         """Irreducible polynomials of the field's ring known nonzero on the
         working domain: the generator of each sign-constrained parameter, and
@@ -125,7 +121,7 @@ class SymbolContext:
         R = self.field.ring
         known = [R.gens[self.symbols.index(p)]
                  for p, sign in self.param_signs.items() if sign]
-        for e in self.nonzero_elements:
+        for e in self.nonzero:
             if e.denom.is_ground and [m for _, m in factor(e)] == [1]:
                 known.append(e.numer)
         return tuple(known)
@@ -155,8 +151,7 @@ class SymbolContext:
 
     def assuming(self, elements):
         """This context with the field elements also declared nonzero."""
-        extra = tuple(e for e in map(from_field, elements)
-                      if e not in self.nonzero)
+        extra = tuple(e for e in elements if e not in self.nonzero)
         if not extra:
             return self
         return replace(self, nonzero=self.nonzero + extra)
@@ -350,14 +345,6 @@ def normalize(e, ctx: SymbolContext):
     generators with sin**2 eliminated; the denominator is monic in grlex
     order (1 for polynomial input).
     """
-    e = sp.sympify(e)
-    if e.has(sp.zoo, sp.nan, sp.oo, -sp.oo):
-        raise DivisionByZeroExpr("denominator normalizes to zero")
-    # fast path: no quotients and no sin atoms means the fraction and
-    # sin**2-rewrite stages are identities, so expansion alone is canonical
-    if not e.has(sp.sin) and all(
-            p.exp.is_Integer and p.exp > 0 for p in e.atoms(sp.Pow)):
-        return sp.expand(e)
     return from_field(to_field(e, ctx))
 
 
@@ -411,7 +398,7 @@ def _random_rational(rng):
 def random_point(ctx: SymbolContext, rng, margin=1e-3, tries=200):
     """A random point satisfying sign and nonzero constraints: rational
     states and sample_params parameters, drawn from a numpy Generator."""
-    constraints, = kernels([ctx.nonzero_elements], ctx)
+    constraints, = kernels([ctx.nonzero], ctx)
     for _ in range(tries):
         point = {v: _random_rational(rng) for v in ctx.states}
         point.update(sample_params(ctx, rng))
@@ -600,16 +587,6 @@ def _sum(p, scale):
     return text.lstrip(" +") or "0.0"
 
 
-def to_text(e) -> str:
-    """Canonical text rendering used in reports and golden tests: sympy's
-    sstr in grlex order.  A field element is written straight from its
-    terms, as sstr writes `from_field` of it (`_element_text`); a parsed
-    expression goes through sstr itself."""
-    if isinstance(e, FracElement):
-        return _element_text(e)
-    return sp.sstr(sp.sympify(e), order="grlex")
-
-
 @functools.lru_cache(maxsize=None)
 def _print_order(R):
     """The positions of the generators of a field's ring R in sympy's
@@ -621,10 +598,12 @@ def _print_order(R):
     return tuple(order), [sp.sstr(g) for g in R.symbols]
 
 
-def _element_text(f):
-    """sstr of `from_field(f)`, written from the terms of f: num/den with a
-    monic denominator, each a sum in grlex order; a product writes its
-    numerator factors over its denominator factors."""
+def to_text(f) -> str:
+    """Canonical text of a field element, used in reports and golden tests:
+    sympy's sstr of `from_field(f)` in grlex order, written from the terms
+    of f.  It is num/den with a monic denominator, each a sum in grlex
+    order; a product writes its numerator factors over its denominator
+    factors."""
     order, names = _print_order(f.field.ring)
 
     def factors(m):

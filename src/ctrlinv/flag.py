@@ -30,6 +30,7 @@ from .errors import (
 from .expr import (
     determinant,
     factor,
+    from_field,
     reduce_fraction,
     to_text,
 )
@@ -255,15 +256,16 @@ def exact_value(f, point):
 def annihilator(sys: ControlAffineSystem) -> PfaffianSystem:
     """s = n - p independent 1-forms annihilating f and every g_j."""
     ctx = sys.ctx
-    rows = sys.exact_fields()
+    rows = sys.fields()
     basis = nullspace(rows, ctx)
     certify_rank(rows, sys.n - len(basis), ctx)
     generators = tuple(one_form(vec, ctx) for vec in basis)
     for g in generators:
-        for X, row in zip(sys.fields(), rows):
-            if contract(g, row):
+        for X in rows:
+            if contract(g, X):
                 raise AnnihilationFailure(
-                    f"annihilator generator fails against {X}")
+                    "annihilator generator fails against "
+                    f"{tuple(map(from_field, X))}")
     system = PfaffianSystem(generators=generators, pivots=(), constraints=())
     if not generators:
         return system

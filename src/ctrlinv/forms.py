@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from sympy.polys.domains import QQ
 from sympy.polys.matrices import DomainMatrix
 
 from .errors import SingularPivot
@@ -151,32 +152,42 @@ def contract(a: DifferentialForm, X):
     return reduce_fraction(total)
 
 
+def pivot_inverse(theta, pivots):
+    """The inverse, a DomainMatrix over ctx.field, of the pivot block A of
+    the generators theta: their coefficients of the pivot differentials.
+
+    Raises SingularPivot when the reduced determinant of A is zero:
+    DomainMatrix.inv alone knows nothing of sin**2 + cos**2 = 1.
+    """
+    s = len(theta)
+    if len(pivots) != s:
+        raise ValueError("pivot count must equal the number of generators")
+    A = [[t.coeff((i,)) for i in pivots] for t in theta]
+    if s and not determinant(A):
+        raise SingularPivot("pivot determinant is zero")
+    # the rank-0 system's empty block has no entry to take a domain from
+    K = theta[0].ctx.field.to_domain() if s else QQ
+    return DomainMatrix(A, (s, s), K).inv()
+
+
 def pivot_solution(theta, pivots):
     """Solve theta = 0 for the pivot differentials.
 
     Returns a map pivot index -> 1-form in the non-pivot differentials such
     that substituting it makes every generator vanish (empty for the rank-0
-    system).  Raises SingularPivot when the reduced pivot submatrix
-    determinant is zero: DomainMatrix.inv alone knows nothing of
-    sin**2 + cos**2 = 1.
+    system).  Raises SingularPivot as `pivot_inverse` does.
     """
     if not theta:
         return {}
     ctx = theta[0].ctx
     n = len(ctx.states)
     pivots = list(pivots)
-    s = len(theta)
-    if len(pivots) != s:
-        raise ValueError("pivot count must equal the number of generators")
+    inverse = pivot_inverse(theta, pivots)
     nonpivots = [i for i in range(n) if i not in pivots]
-    K = ctx.field.to_domain()
-    A = [[t.coeff((i,)) for i in pivots] for t in theta]
     B = DomainMatrix([[t.coeff((i,)) for i in nonpivots] for t in theta],
-                     (s, n - s), K)
-    if not determinant(A):
-        raise SingularPivot("pivot determinant is zero")
+                     (len(theta), len(nonpivots)), inverse.domain)
     # dx_pivot = -A^{-1} B dx_nonpivot
-    S = (DomainMatrix(A, (s, s), K).inv() * B).to_list()
+    S = (inverse * B).to_list()
     sol = {}
     for r, i in enumerate(pivots):
         sol[i] = make_form(1, {(q,): -S[r][c]

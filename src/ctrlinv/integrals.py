@@ -56,6 +56,7 @@ from .forms import (
     d,
     form_to_text,
     one_form,
+    pivot_inverse,
 )
 from .numeric import (
     escape_test,
@@ -92,7 +93,8 @@ def _base_point(ctx: SymbolContext):
     """Origin, shifted along constrained variables if a constraint vanishes."""
     base = {v: sp.Integer(0) for v in ctx.states}
     for _ in range(8):
-        bad = next((c for c in ctx.nonzero if c.subs(base) == 0), None)
+        bad = next((c for c in map(from_field, ctx.nonzero)
+                    if c.subs(base) == 0), None)
         if bad is None:
             return base
         for v in ctx.states:
@@ -165,7 +167,7 @@ def first_integrals(flag: PfaffianFlag, ctx: SymbolContext,
     Integrates closed terminal generators (and constant-coefficient pairs of
     non-closed ones); generators not captured are reported Undetermined with
     their closedness defect.  Each integral is checked to annihilate the
-    given fields (ControlAffineSystem.exact_fields).
+    given fields (ControlAffineSystem.fields).
     """
     terminal = flag.terminal
     out = []
@@ -322,9 +324,7 @@ def check_membership(rhos, system: PfaffianSystem, ctx: SymbolContext,
 
     K = ctx.field
     gens, pivots = system.generators, system.pivots
-    inverse = DomainMatrix(
-        [[g.coeff((i,)) for i in pivots] for g in gens],
-        (len(gens), len(pivots)), K.to_domain()).inv()
+    inverse = pivot_inverse(gens, pivots)
     theta_cert = {}
     quotient_cert = {}
     cleared = {}
@@ -493,7 +493,7 @@ def analyze(sys: ControlAffineSystem, config: AnalysisConfig | None = None) -> d
     # foliation by level sets of first integrals (terminal integrable system)
     leaf_dim = n - flag.q
     if flag.q >= 1:
-        for cand in first_integrals(flag, ctx, fields=sys.exact_fields()):
+        for cand in first_integrals(flag, ctx, fields=sys.fields()):
             record(cand, leaf_dim, leaf_dim)
 
     # candidates for isolated invariant submanifolds
@@ -518,7 +518,7 @@ def analyze(sys: ControlAffineSystem, config: AnalysisConfig | None = None) -> d
         text = to_text(rho)
         if text not in seen:
             seen.add(text)
-            candidates.append(((to_field(rho, ctx),), "UserDeclared"))
+            candidates.append(((rho,), "UserDeclared"))
 
     for rhos, prov in candidates:
         result = check_membership(rhos, level0, ctx, seed=cfg.seed,

@@ -18,7 +18,8 @@ import numpy as np
 
 from .dsl import ControlAffineSystem, ControlSchedule
 from .errors import DomainExit, EvalSingular, StepSingular
-from .expr import SymbolContext, differentiate, kernels, reduce_fraction
+from .expr import (SymbolContext, differentiate, from_field, kernels,
+                   reduce_fraction)
 from .flag import certification_points, exact_rank
 from .sampling import CONSTRAINT_MARGIN, exact_leaf_points, zero_locus_points
 
@@ -105,7 +106,7 @@ def rhs_function(sys: ControlAffineSystem, monitors=()):
     the same compile, returns the monitor rows at x and p as (monitors, N).
     """
     stage, fill = kernels([list(monitors)], sys.ctx, arrays=True,
-                          field=sys.field_rows)
+                          field=(sys.drift, *sys.controls))
 
     def rhs(x, u, p, out=None):
         if out is None:
@@ -166,7 +167,7 @@ def simulate(sys: ControlAffineSystem, x0, schedule: ControlSchedule,
     missing = [p for p in ctx.params if p not in param_values]
     if missing:
         raise EvalSingular(f"no parameter values for {missing}")
-    rhs = rhs_function(sys, ctx.nonzero_elements)
+    rhs = rhs_function(sys, ctx.nonzero)
     p = np.array([[float(param_values[q]) for q in ctx.params]])
     # no pieces: the start alone, a sweep whose horizon is 0
     pieces = schedule.pieces or ((0.0, (0.0,) * sys.m),)
@@ -184,7 +185,8 @@ def simulate(sys: ControlAffineSystem, x0, schedule: ControlSchedule,
         for c, value in zip(ctx.nonzero, prev[:, 0]):
             if not CONSTRAINT_MARGIN < abs(value) < math.inf:
                 raise DomainExit(
-                    f"initial point violates nonzero constraint {c}")
+                    "initial point violates nonzero constraint "
+                    f"{from_field(c)}")
         i, t_prev = 1, 0.0
         for _, (t,), (accepted,), (finite,), (x, x_new, K), cur in sweep:
             if not finite:
@@ -486,7 +488,7 @@ def leaf_controllability(sys: ControlAffineSystem, rhos, leaf_dim):
     brackets are made only as far as a point needs them.  With no rhos it
     is their generic rank, their rank on a generic leaf of a foliation they
     are tangent to; None with no point."""
-    fields = sys.field_rows[1:]
+    fields = sys.controls
     # brackets bring in no sin, cos pair the fields lack: the same points
     rank = exact_rank(iterated_brackets(fields, sys.ctx), leaf_dim,
                       exact_leaf_points(rhos, fields, sys.ctx))

@@ -32,7 +32,7 @@ def zero_locus_points(rhos, ctx: SymbolContext, rng, count=20, box=1.0,
     grads = [gradient(r, ctx) for r in rhos]
     plan = _linear_plan(rhos, grads, ctx)
     fns = iter(kernels(
-        [rhos + list(ctx.nonzero_elements), rhos + sum(grads, [])]
+        [rhos + list(ctx.nonzero), rhos + sum(grads, [])]
         + [[e] for _, ts in plan for _, *pair in ts for e in pair], ctx))
     check, newton = next(fns), next(fns)
     linear = [(symbols, [(v, states.index(v), next(fns), next(fns))

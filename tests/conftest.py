@@ -1,11 +1,12 @@
 import pathlib
 import random
+from dataclasses import replace
 
 import pytest
 import sympy as sp
 
-from ctrlinv.dsl import parse_system
-from ctrlinv.expr import to_field
+from ctrlinv.dsl import ControlAffineSystem, parse_system
+from ctrlinv.expr import SymbolContext, to_field
 
 SYSTEMS_DIR = pathlib.Path(__file__).resolve().parent.parent / "systems"
 
@@ -82,3 +83,20 @@ def elements(exprs, ctx):
 def field_rows(rows, ctx):
     """Rows of expressions as rows of field elements of ctx.field."""
     return [elements(r, ctx) for r in rows]
+
+
+def context(nonzero=(), **declared):
+    """A SymbolContext of the declared symbols whose declared-nonzero
+    elements are the given expressions'."""
+    ctx = SymbolContext(**declared)
+    return replace(ctx, nonzero=tuple(elements(nonzero, ctx)))
+
+
+def system(ctx, controls, drift=None, candidates=()):
+    """A ControlAffineSystem on ctx from rows of expressions; no drift is
+    the zero drift."""
+    drift = [0] * len(ctx.states) if drift is None else drift
+    return ControlAffineSystem(
+        ctx=ctx, drift=tuple(elements(drift, ctx)),
+        controls=tuple(tuple(elements(g, ctx)) for g in controls),
+        candidates=tuple(elements(candidates, ctx)))

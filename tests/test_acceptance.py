@@ -152,14 +152,14 @@ def test_criterion_3_foliation(ex3):
     assert _span_equal_by_minors(_exprs(coefficient_vector(term.generators[0])),
                                  [b, 0, -a, 0], ctx)
 
-    integrals = first_integrals(flag, ctx, fields=ex3.exact_fields())
+    integrals = first_integrals(flag, ctx, fields=ex3.fields())
     assert len(integrals) == 1
     cand = integrals[0]
     assert cand.classification is Classification.FIRST_INTEGRAL
     assert _unit_ratio(from_field(cand.rhos[0]), b * x - a * z, ctx) \
         is not None
 
-    br = lie_bracket(*field_rows(ex3.controls, ctx), ctx)
+    br = lie_bracket(*ex3.controls, ctx)
     want = (a * sp.sin(w), -sp.cos(w), b * sp.sin(w), 0)
     for got, exp in zip(br, want):
         assert not got - to_field(exp, ctx)
@@ -191,7 +191,7 @@ def _oracle_torsion(sys, pivot):
     """
     states = sys.ctx.states
     n = len(states)
-    M = sp.Matrix([list(X) for X in sys.fields()])
+    M = sp.Matrix([_exprs(X) for X in sys.fields()])
     null = M.nullspace()
     assert len(null) == 1
     theta = [sp.cancel(c) for c in null[0]]
@@ -268,7 +268,7 @@ def test_torsion_matches_oracle_on_random_rank_one_systems(drift, fields):
         text += f"drift: [{rows[2]}]\n"
     text += f"control g1: [{rows[0]}]\ncontrol g2: [{rows[1]}]\n"
     sys = parse_system(text)
-    M = sp.Matrix([list(X) for X in sys.fields()])
+    M = sp.Matrix([_exprs(X) for X in sys.fields()])
     assume(M.rank() == n - 1)
     pivot, entries = _report_torsion(sys)
     oracle = _oracle_torsion(sys, pivot)
@@ -442,7 +442,7 @@ def test_criterion_5_property_suites(ex1, ex2, ex3, ex4):
                       for i, p in enumerate(sys.ctx.params)})
         ranks = []
         for depth in range(1, 5):
-            brs = iterated_brackets(sys.exact_fields(), sys.ctx, depth=depth)
+            brs = iterated_brackets(sys.fields(), sys.ctx, depth=depth)
             mat = np.array([[evaluate(c, point) for c in F]
                             for layer in brs for F in layer])
             sv = np.linalg.svd(mat, compute_uv=False)

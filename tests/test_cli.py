@@ -293,6 +293,19 @@ class TestJsonOutput:
         out = capsys.readouterr().out
         assert out.startswith("depth 4, rank undetermined\n")
 
+    def test_verify_on_the_rank_zero_annihilator(self, capsys, tmp_path):
+        # g1, g2 span the plane: no 1-form annihilates them, so the pivot
+        # block is empty and dx, the whole of d(x), is the residue
+        path = tmp_path / "plane.sys"
+        path.write_text("states: x y\ncontrol g1: [1, 0]\n"
+                        "control g2: [0, 1]\n")
+        code, payload = run_json(capsys, ["verify", str(path), "--rho", "x"])
+        assert code == 0
+        entry = payload["verify"]
+        assert entry["classification"] == "Rejected"
+        assert entry["evidence"]["column"] == "dx"
+        assert entry["escape"] is not None
+
     def test_tiny_coefficient_leaf_is_controllable(self, capsys, tmp_path):
         # g1, g2 span {z = 0} wherever x != 0; x/10^10 once fell below a
         # float rank tolerance and read rank 1/2

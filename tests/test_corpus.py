@@ -26,7 +26,6 @@ def test_bracket_rank_matches_float_rank():
     got = []
     for _, text in corpus.systems():
         system = parse_system(text)
-        brackets = iterated_brackets(system.field_rows[1:], system.ctx,
-                                     depth=3)
+        brackets = iterated_brackets(system.controls, system.ctx, depth=3)
         got.append(bracket_rank(brackets, system.ctx))
     assert got == FLOAT_RANKS

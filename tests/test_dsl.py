@@ -16,7 +16,9 @@ from ctrlinv.errors import (
     ParseError,
     UnknownSymbol,
 )
-from ctrlinv.expr import SymbolContext, normalize
+from ctrlinv.expr import SymbolContext, normalize, to_text
+
+from conftest import elements, load_system
 
 x, y, z, w = sp.symbols("x y z w")
 a, b = sp.symbols("a b")
@@ -69,22 +71,34 @@ class TestParseExpr:
 class TestParseSystem:
     def test_bundled_driftless(self, ex1):
         assert ex1.n == 3 and ex1.m == 2
-        assert ex1.is_driftless
-        assert ex1.controls[0] == (1, y, 0)
-        assert ex1.controls[1] == (0, 1, x * z)
-        assert len(ex1.fields()) == 2
+        assert ex1.is_driftless and ex1.drift == (ex1.ctx.field.zero,) * 3
+        assert ex1.controls == (tuple(elements([1, y, 0], ex1.ctx)),
+                                tuple(elements([0, 1, x * z], ex1.ctx)))
+        assert ex1.fields() == list(ex1.controls)
 
     def test_bundled_params_and_constraints(self, ex3):
         assert ex3.ctx.params == (a, b)
         assert ex3.ctx.param_signs == {a: "+", b: "+"}
-        assert ex3.ctx.nonzero == (sp.cos(w),)
-        assert ex3.controls[0] == (a * sp.cos(w), sp.sin(w), b * sp.cos(w), 0)
+        assert ex3.ctx.nonzero == tuple(elements([sp.cos(w)], ex3.ctx))
+        assert ex3.controls[0] == tuple(elements(
+            [a * sp.cos(w), sp.sin(w), b * sp.cos(w), 0], ex3.ctx))
 
     def test_bundled_drift_and_candidate(self, ex4):
         assert not ex4.is_driftless
-        assert ex4.drift == (b * x - a * z, 1, 0, 0)
-        assert ex4.candidates == (b * x - a * z,)
-        assert len(ex4.fields()) == 3
+        assert ex4.drift == tuple(elements([b * x - a * z, 1, 0, 0], ex4.ctx))
+        assert ex4.candidates == tuple(elements([b * x - a * z], ex4.ctx))
+        assert ex4.fields() == [ex4.drift, *ex4.controls]
+
+    @pytest.mark.parametrize("name", ["ex1", "ex3", "ex4"])
+    def test_every_component_is_an_element_of_the_field(self, name):
+        # a driftless system, a declared-nonzero cos(w) and a candidate
+        sys = load_system(name)
+        K = sys.ctx.field
+        stored = [*sys.drift, *sum(sys.controls, ()), *sys.candidates,
+                  *sys.ctx.nonzero]
+        assert stored and all(e.field is K for e in stored)
+        assert {"ex1": sys.is_driftless, "ex3": sys.ctx.nonzero,
+                "ex4": sys.candidates}[name]
 
     def test_missing_states(self):
         with pytest.raises(ParseError):
@@ -131,6 +145,24 @@ class TestParseSystem:
         assert sys.ctx.trig == (x, z)
         assert sys.ctx.field.symbols == (x, y, z, a, sp.sin(x), sp.cos(x),
                                          sp.sin(z), sp.cos(z))
+
+    def test_with_trig_moves_every_element(self, ex1):
+        moved = ex1.with_trig((x,))
+        assert moved.ctx.trig == (x,) and ex1.ctx.trig == ()
+        K = moved.ctx.field
+        assert K.symbols == (x, y, z, sp.sin(x), sp.cos(x))
+        for old, new in zip((ex1.drift, *ex1.controls),
+                            (moved.drift, *moved.controls), strict=True):
+            assert list(map(to_text, new)) == list(map(to_text, old))
+            assert all(e.field is K for e in new)
+
+    def test_with_trig_moves_nonzero_and_candidates(self, ex4):
+        moved = ex4.with_trig(None)
+        K = moved.ctx.field
+        for old, new in ((ex4.ctx.nonzero, moved.ctx.nonzero),
+                         (ex4.candidates, moved.candidates)):
+            assert list(map(to_text, new)) == list(map(to_text, old))
+            assert all(e.field is K for e in new)
 
     def test_comments_and_blanks(self):
         sys = parse_system(

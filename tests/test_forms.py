@@ -5,19 +5,20 @@ import sympy as sp
 
 import ctrlinv.forms as forms_module
 from ctrlinv.errors import SingularPivot
-from ctrlinv.expr import SymbolContext, from_field, to_field
+from ctrlinv.expr import SymbolContext, from_field, reduce_fraction, to_field
 from ctrlinv.forms import (
     coefficient_vector,
     contract,
     d,
     make_form,
+    pivot_inverse,
     pivot_solution,
     reduce_mod,
     wedge,
     zero_form,
 )
 
-from conftest import one_form_of, random_form, random_poly
+from conftest import context, one_form_of, random_form, random_poly
 
 x, y, z, w = sp.symbols("x y z w")
 a, b = sp.symbols("a b")
@@ -36,9 +37,8 @@ def coefficient_exprs(f):
 
 
 CTX = SymbolContext(states=(x, y, z))
-CTX4 = SymbolContext(states=(x, y, z, w), params=(a, b),
-                     param_signs={a: "+", b: "+"},
-                     nonzero=(sp.cos(w),))
+CTX4 = context(states=(x, y, z, w), params=(a, b),
+               param_signs={a: "+", b: "+"}, nonzero=(sp.cos(w),))
 
 
 def field_vector(exprs, ctx=CTX):
@@ -186,6 +186,29 @@ class TestReduceMod:
                  one_form_of([1 + sp.cos(w), sp.sin(w), 0, 0], CTX4)]
         with pytest.raises(SingularPivot):
             pivot_solution(theta, [0, 1])
+
+    def test_pivot_inverse(self):
+        # the inverse of the pivot block, which the trig relation keeps
+        # nonsingular: det = sin(w)**2 + cos(w)**2 = 1
+        theta = [one_form_of([sp.sin(w), -sp.cos(w), x, 0], CTX4),
+                 one_form_of([sp.cos(w), sp.sin(w), 0, y], CTX4)]
+        inverse = pivot_inverse(theta, [0, 1]).to_list()
+        block = [[t.coeff((i,)) for i in (0, 1)] for t in theta]
+        for i, row in enumerate(inverse):
+            for j in range(2):
+                got = sum((row[k] * block[k][j] for k in range(2)),
+                          CTX4.field.zero)
+                assert not reduce_fraction(got - (i == j))
+
+    def test_pivot_inverse_of_the_rank_zero_system(self):
+        assert pivot_inverse([], []).shape == (0, 0)
+
+    def test_pivot_inverse_singular_and_miscounted(self):
+        theta = [one_form_of([x, y, 0], CTX)]
+        with pytest.raises(SingularPivot):
+            pivot_inverse(theta, [2])
+        with pytest.raises(ValueError):
+            pivot_inverse(theta, [0, 1])
 
     def test_two_generator_reduction(self):
         # theta1 = b dx - a dz reduced mod itself via pivot x

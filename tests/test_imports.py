@@ -1,0 +1,44 @@
+"""Every module-level import of a ctrlinv module is used by that module.
+
+No linter runs on the sources, so a deletion could leave an import behind.
+An import counts as used when the module reads the name it binds anywhere:
+as a name, or as the root of an attribute chain.  `__future__` imports and
+the re-exports of `__init__` are the exceptions.
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "ctrlinv"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source):
+    """(line, name) of each module-level import whose name is never read."""
+    tree = ast.parse(source)
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                bound.append((node.lineno, name))
+    read = {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return [(line, name) for line, name in bound if name not in read]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_unused_module_level_import(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_finds_an_unused_import():
+    source = ("from __future__ import annotations\n"
+              "import os\nimport numpy as np\n"
+              "from dataclasses import dataclass, field\n"
+              "@dataclass\nclass A:\n    x: np.ndarray\n")
+    assert unused_imports(source) == [(2, "os"), (4, "field")]

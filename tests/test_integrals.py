@@ -30,15 +30,14 @@ from ctrlinv.integrals import (
     poincare_integrate,
 )
 
-from conftest import one_form_of
+from conftest import context, one_form_of
 
 x, y, z, w = sp.symbols("x y z w")
 a, b = sp.symbols("a b")
 
 CTX = SymbolContext(states=(x, y, z))
-CTX4 = SymbolContext(states=(x, y, z, w), params=(a, b),
-                     param_signs={a: "+", b: "+"},
-                     nonzero=(sp.cos(w),))
+CTX4 = context(states=(x, y, z, w), params=(a, b),
+               param_signs={a: "+", b: "+"}, nonzero=(sp.cos(w),))
 
 FAST = AnalysisConfig(seed=42, trials=5, pieces=3, horizon=1.0, step=1e-3)
 
@@ -173,7 +172,7 @@ class TestGenericRankMinors:
         assert T.shape() == (4, 1)
         cands = gfi_candidates(T, sys.ctx, seed=42,
                                extra_nonzero=ann.constraints)
-        assert [to_text(c) for c in exprs(cands)] == ["z", "x + 1"]
+        assert [to_text(c) for c in cands] == ["z", "x + 1"]
 
     def test_chain_isolated_submanifold(self):
         rep = analyze(parse_system(CHAIN), AnalysisConfig(
@@ -197,7 +196,7 @@ class TestGenericRankMinors:
         # factor of that gcd, so F is the only one, and F is a recorded
         # domain constraint, nonzero on the domain: no candidate is left.
         F = "u*v**3*y*z - v**2*z**2 + 2*u*y**2 - 2*u*y - y + 1"
-        assert F in [to_text(c) for c in exprs(ann.constraints)]
+        assert F in [to_text(c) for c in ann.constraints]
         t = sp.Symbol("t")
         rng = random.Random(5)
         line = {v: rng.randint(-9, 9) + rng.randint(1, 9) * t
@@ -510,7 +509,7 @@ def test_closed_pair_combination():
 class TestFirstIntegrals:
     def test_foliation_integral(self, ex3):
         flag = derived_flag(ex3)
-        out = first_integrals(flag, ex3.ctx, fields=ex3.exact_fields())
+        out = first_integrals(flag, ex3.ctx, fields=ex3.fields())
         assert len(out) == 1
         cand = out[0]
         assert cand.classification is Classification.FIRST_INTEGRAL
@@ -524,7 +523,7 @@ class TestFirstIntegrals:
         sys = parse_system(
             "states: x y z\ncontrol g1: [1, 0, 0]\ncontrol g2: [0, 1, 0]\n")
         flag = derived_flag(sys)
-        out = first_integrals(flag, sys.ctx, fields=sys.exact_fields())
+        out = first_integrals(flag, sys.ctx, fields=sys.fields())
         assert len(out) == 1
         assert out[0].classification is Classification.FIRST_INTEGRAL
         assert from_field(out[0].rhos[0]) == z
@@ -622,7 +621,7 @@ def test_first_integral_annihilation_failure_raises(monkeypatch):
     flag = derived_flag(sys)
     monkeypatch.setattr(integrals_module, "contract", lambda form, X: 1)
     with pytest.raises(AnnihilationFailure):
-        first_integrals(flag, sys.ctx, fields=sys.exact_fields())
+        first_integrals(flag, sys.ctx, fields=sys.fields())
 
 
 def test_level_set_offset_is_exact(ex3, monkeypatch):
@@ -632,7 +631,7 @@ def test_level_set_offset_is_exact(ex3, monkeypatch):
     exact = QQ(*offset.as_integer_ratio())
     assert QQ.convert(offset) != exact
     cand, = first_integrals(derived_flag(ex3), ex3.ctx,
-                            fields=ex3.exact_fields())
+                            fields=ex3.fields())
 
     class Seen(Exception):
         pass

@@ -10,13 +10,12 @@ reports, on the corpus (tests/corpus.py) and the golden systems.
 """
 
 import json
-from dataclasses import replace
 
 import pytest
 import sympy as sp
 
 from ctrlinv.dsl import parse_system
-from ctrlinv.expr import from_field, to_text
+from ctrlinv.expr import to_text
 from ctrlinv.flag import certification_points
 from ctrlinv.integrals import AnalysisConfig, analyze
 from ctrlinv.numeric import bracket_rank, iterated_brackets
@@ -33,12 +32,12 @@ SYMBOLIC = [("poly3", poly_text(3)), ("poly4", poly_text(4)),
 
 def full_layout(system):
     """The system with a sin/cos pair for every declared symbol."""
-    return replace(system, ctx=replace(system.ctx, trig=None))
+    return system.with_trig(None)
 
 
 def rows_text(system):
-    return [[to_text(from_field(e)) for e in row]
-            for row in system.field_rows]
+    return [list(map(to_text, row))
+            for row in (system.drift, *system.controls)]
 
 
 SYSTEMS = corpus.systems() + EXAMPLES + SYMBOLIC
@@ -54,8 +53,8 @@ def test_same_rows_points_and_bracket_rank(name, text):
     for p, q in zip(certification_points(K), certification_points(L),
                     strict=True):
         assert p == [q[i] for i in shared]
-    ranks = [bracket_rank(iterated_brackets(s.field_rows[1:], s.ctx,
-                                            depth=3), s.ctx)
+    ranks = [bracket_rank(iterated_brackets(s.controls, s.ctx, depth=3),
+                          s.ctx)
              for s in (narrow, full)]
     assert ranks[0] == ranks[1]
 

@@ -52,7 +52,8 @@ from ctrlinv.sampling import (
 )
 
 import corpus
-from conftest import elements, field_rows, load_system, random_poly
+from conftest import (context, elements, field_rows, load_system,
+                      random_poly, system)
 from test_golden import (
     CONFIG as GOLDEN_CONFIG,
     TRIG4,
@@ -78,8 +79,8 @@ def per_field_rhs(sys, x, u, p):
 
     def field(F):
         return np.stack([np.broadcast_to(np.asarray(
-            sp.lambdify(args, c, modules="numpy")(*cols), dtype=float),
-            (len(x),)) for c in F], axis=1)
+            sp.lambdify(args, from_field(c), modules="numpy")(*cols),
+            dtype=float), (len(x),)) for c in F], axis=1)
 
     with np.errstate(all="ignore"):
         out = field(sys.drift)
@@ -104,8 +105,8 @@ DENSE = ("states: x y\nparams: a\ndrift: [x*y + a, y^2]\n"
 # whole row repeated, and a constant control g2; the loci's monitors share
 # cos(w) with the rows
 ZERO, ONE = sp.Integer(0), sp.Integer(1)
-SHARED = ControlAffineSystem(
-    ctx=SymbolContext(states=(x, y, z, w), params=(a, b)),
+SHARED = system(
+    SymbolContext(states=(x, y, z, w), params=(a, b)),
     drift=(a * b * sp.cos(w), y * z * sp.cos(w), ZERO, ONE),
     controls=((sp.cos(w) ** 2, sp.sin(w) / (2 + sp.cos(w)), y * z * sp.cos(w),
                ZERO),
@@ -189,9 +190,9 @@ class TestFusedEvaluator:
             return e
 
         ctx = SymbolContext(states=(x, y, z, w), params=(a,))
-        sys = ControlAffineSystem(
-            ctx=ctx, drift=tuple(draw() for _ in range(4)),
-            controls=tuple(tuple(draw() for _ in range(4)) for _ in range(2)))
+        sys = system(
+            ctx, drift=[draw() for _ in range(4)],
+            controls=[[draw() for _ in range(4)] for _ in range(2)])
         monitors = [draw() for _ in range(3)]
         xs, us, ps = random_batch(sys, 50, seed=seed)
         rhs = rhs_function(sys, elements(monitors, ctx))
@@ -512,7 +513,7 @@ class TestDormandPrince:
 
 class TestLieBracket:
     def test_worked_example(self, ex3):
-        g1, g2 = field_rows(ex3.controls, ex3.ctx)
+        g1, g2 = ex3.controls
         br = lie_bracket(g1, g2, ex3.ctx)
         want = (a * sp.sin(w), -sp.cos(w), b * sp.sin(w), 0)
         for got, exp in zip(br, want):
@@ -547,13 +548,11 @@ class TestLieBracket:
 
 class TestBracketRank:
     def test_full_rank(self, ex1):
-        brackets = iterated_brackets(field_rows(ex1.controls, ex1.ctx),
-                                     ex1.ctx)
+        brackets = iterated_brackets(ex1.controls, ex1.ctx)
         assert bracket_rank(brackets, ex1.ctx) == 3
 
     def test_rank_three_of_four(self, ex3):
-        brackets = iterated_brackets(field_rows(ex3.controls, ex3.ctx),
-                                     ex3.ctx, depth=4)
+        brackets = iterated_brackets(ex3.controls, ex3.ctx, depth=4)
         assert bracket_rank(brackets, ex3.ctx) == 3
 
     def test_involutive_stays_low(self):
@@ -572,8 +571,7 @@ class TestBracketRank:
         assert lc["bracket_rank"] == 2 and lc["controllable_on_leaf"]
 
     def test_iterated_brackets_grow(self, ex1):
-        brs = list(iterated_brackets(field_rows(ex1.controls, ex1.ctx),
-                                     ex1.ctx, depth=2))
+        brs = list(iterated_brackets(ex1.controls, ex1.ctx, depth=2))
         assert [len(layer) for layer in brs] == [2, 2]
 
 
@@ -627,6 +625,11 @@ def random_rational_system(rng):
     return [tuple(entry() for _ in range(3)) for _ in range(2)]
 
 
+def controls_exprs(sys):
+    """The control fields of a system as rows of expressions."""
+    return [tuple(map(from_field, g)) for g in sys.controls]
+
+
 def assert_brackets_match(fields, ctx, depth):
     """iterated_brackets of the fields as field rows is the reference's
     table, entry by entry and in order."""
@@ -639,11 +642,11 @@ class TestBracketsAgainstReference:
     @pytest.mark.parametrize("name", ["ex1", "ex2", "ex3", "ex4"])
     def test_worked_systems(self, name, request):
         sys = request.getfixturevalue(name)
-        assert_brackets_match(sys.controls, sys.ctx, 4)
+        assert_brackets_match(controls_exprs(sys), sys.ctx, 4)
 
     def test_trig4(self):
         sys = parse_system(TRIG4)
-        assert_brackets_match(sys.controls, sys.ctx, 4)
+        assert_brackets_match(controls_exprs(sys), sys.ctx, 4)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_random_rational_trig_systems(self, seed):
@@ -756,7 +759,7 @@ class TestSamplingErrors:
     @pytest.mark.parametrize("rhos, nonzero, target", SITES, ids=IDS)
     def test_unrelated_error_propagates(self, monkeypatch, rhos, nonzero,
                                         target):
-        ctx = SymbolContext(states=(x, y, z), nonzero=nonzero)
+        ctx = context(states=(x, y, z), nonzero=nonzero)
         self._failing_once(monkeypatch, ctx, target,
                            RuntimeError("unrelated"))
         with pytest.raises(RuntimeError, match="unrelated"):
@@ -766,7 +769,7 @@ class TestSamplingErrors:
     @pytest.mark.parametrize("rhos, nonzero, target", SITES, ids=IDS)
     def test_singular_point_is_skipped(self, monkeypatch, rhos, nonzero,
                                        target):
-        ctx = SymbolContext(states=(x, y, z), nonzero=nonzero)
+        ctx = context(states=(x, y, z), nonzero=nonzero)
         failed = self._failing_once(monkeypatch, ctx, target,
                                     EvalSingular("below threshold"))
         pts = zero_locus_points(elements(rhos, ctx), ctx,
@@ -862,8 +865,9 @@ def _reference_rhs_function(sys: ControlAffineSystem):
     rows; the control rows are then added into the drift rows in order.
     """
     n, m = sys.n, sys.m
-    fields = _reference_lambdify(list(sys.drift) + [c for g in sys.controls for c in g],
-                       sys.ctx)
+    fields = _reference_lambdify(
+        [from_field(c) for F in (sys.drift, *sys.controls) for c in F],
+        sys.ctx)
 
     def rhs(x, u, p):
         with np.errstate(all="ignore"):
@@ -928,13 +932,15 @@ def _reference_simulate(sys: ControlAffineSystem, x0, schedule: ControlSchedule,
         raise EvalSingular(f"no parameter values for {missing}")
     point0 = {v: float(x) for v, x in zip(ctx.states, x0)}
     point0.update(param_values)
-    for c, e in zip(ctx.nonzero, ctx.nonzero_elements):
+    for e in ctx.nonzero:
         if abs(_evaluate(e, point0, ctx)) <= CONSTRAINT_MARGIN:
-            raise DomainExit(f"initial point violates nonzero constraint {c}")
+            raise DomainExit("initial point violates nonzero constraint "
+                             f"{from_field(e)}")
 
     rhs = _reference_rhs_function(sys)
     p = np.array([[float(param_values[q]) for q in ctx.params]])
-    cons_fn = _reference_monitor_function(list(ctx.nonzero), ctx) if ctx.nonzero else None
+    cons_fn = _reference_monitor_function(
+        [from_field(e) for e in ctx.nonzero], ctx) if ctx.nonzero else None
 
     steps, total_steps = _piece_steps(schedule, h)
     xs = np.empty((total_steps + 1, sys.n))
@@ -1403,7 +1409,7 @@ def _reference_residual_ok(rhos, point, ctx):
 
 
 def _reference_constraints_ok(point, ctx: SymbolContext, margin):
-    for c in ctx.nonzero_elements:
+    for c in ctx.nonzero:
         try:
             if abs(_evaluate(c, point, ctx)) <= margin:
                 return False
@@ -1653,7 +1659,7 @@ def assert_leaf_rank_is_full_table_rank(sys, rhos):
     place on the leaf, for every leaf_dim from that rank up: no tangent
     bracket raises the rank on a leaf above its dimension."""
     ctx = sys.ctx
-    table = [F for layer in iterated_brackets(sys.field_rows[1:], ctx)
+    table = [F for layer in iterated_brackets(sys.controls, ctx)
              for F in layer]
 
     def full(cap):
