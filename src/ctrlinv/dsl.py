@@ -259,10 +259,9 @@ def parse_system(text: str) -> ControlAffineSystem:
     states = None
     params = []
     param_signs = {}
-    drift_src = None
-    control_srcs = []
-    candidate_srcs = []
-    nonzero_srcs = []
+    # (key, text, line, column) of each expression declaration, in file
+    # order; a later drift replaces an earlier one
+    declared = []
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
@@ -293,20 +292,17 @@ def parse_system(text: str) -> ControlAffineSystem:
                 params.append(s)
                 if m.group(2):
                     param_signs[s] = "+" if m.group(2) == ">" else "-"
-        elif key == "drift":
-            drift_src = (rest, line_no, col0)
-        elif key.startswith("control"):
-            control_srcs.append((key, rest, line_no, col0))
-        elif key.startswith("candidate"):
-            candidate_srcs.append((rest, line_no, col0))
-        elif key == "assume_nonzero":
-            nonzero_srcs.append((rest, line_no, col0))
+        elif (key in ("drift", "assume_nonzero")
+              or key.startswith(("control", "candidate"))):
+            if key == "drift":
+                declared = [d for d in declared if d[0] != "drift"]
+            declared.append((key, rest, line_no, col0))
         else:
             raise ParseError(f"unknown declaration {key!r}", line_no, 1)
 
     if states is None:
         raise ParseError("missing 'states:' declaration", 1, 1)
-    if not control_srcs:
+    if not any(d[0].startswith("control") for d in declared):
         raise EmptyControlSet("at least one control field is required")
 
     n = len(states)
@@ -325,13 +321,18 @@ def parse_system(text: str) -> ControlAffineSystem:
                 f"{what} has {len(v)} components for {n} states (line {ln})")
         return v
 
+    drift, controls, candidates, nonzero = None, [], [], []
     failure = None
     try:
-        nonzero = [tree(*src) for src in nonzero_srcs]
-        drift = None if drift_src is None else vector(*drift_src, "drift")
-        controls = [vector(src, ln, c0, key)
-                    for key, src, ln, c0 in control_srcs]
-        candidates = [tree(*src) for src in candidate_srcs]
+        for key, src, ln, c0 in declared:
+            if key == "drift":
+                drift = vector(src, ln, c0, "drift")
+            elif key.startswith("control"):
+                controls.append(vector(src, ln, c0, key))
+            elif key.startswith("candidate"):
+                candidates.append(tree(src, ln, c0))
+            else:
+                nonzero.append(tree(src, ln, c0))
     except CtrlInvError as e:
         failure = e
     # the field is built once, from the trees: a sin/cos pair only for the

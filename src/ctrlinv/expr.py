@@ -17,10 +17,12 @@ A parsed expression becomes an element once, at the parsing boundary
 where one is needed (integration, factor order, error messages).  Report
 text is written straight from each element's numerator and denominator
 terms, exactly as sympy's sstr writes the element's expression
-(`to_text`).  Float evaluation reads field elements directly too: one
-source generator writes a kernel from each element's numerator and
-denominator terms, compiled with floats and `math` or with numpy arrays
-(`kernels`, `evaluate`).
+(`to_text`).  Minors and determinants are expanded over the polynomial
+ring with every smaller minor kept, so they take no division until the
+row scales divide each minor once (`minors`).  Float evaluation reads
+field elements directly too: one source generator writes a kernel from
+each element's numerator and denominator terms, compiled with floats and
+`math` or with numpy arrays (`kernels`, `evaluate`).
 
 All functions here are pure; randomized ones take an explicit seed or a
 numpy Generator.
@@ -36,10 +38,9 @@ from fractions import Fraction
 
 import numpy as np
 import sympy as sp
-from sympy.polys.domains import QQ
+from sympy.polys.domains import QQ, ZZ
 from sympy.polys.fields import FracField
 from sympy.polys.groebnertools import groebner
-from sympy.polys.matrices import DomainMatrix
 from sympy.polys.orderings import grlex
 
 from .errors import (
@@ -311,21 +312,80 @@ def reduce_fraction(f):
     return f.field.raw_new(num, den)
 
 
-def determinant(rows):
-    """Reduced determinant of a square matrix of field elements.  Each row
-    is scaled to polynomials by the lcm of its denominators, so Bareiss
-    elimination runs in the polynomial ring, where each step divides
-    exactly and takes no gcd; the product of the row scales divides the
-    result once."""
+def common_denominator(row):
+    """A common denominator of field elements: the lcm of their constant
+    denominators as an int when every one is a constant, else their lcm
+    over ZZ as a polynomial of the field's ring.  (sympy's lcm over QQ is
+    monic: its rational coefficients would leave scaled numerators with
+    rational coefficients too.)"""
+    dens = [e.denom for e in row]
+    if all(d.is_ground for d in dens):
+        return math.lcm(*(int(d.LC) for d in dens))
+    R = dens[0].ring
+    Z = R.clone(domain=ZZ)
+    return functools.reduce(lambda a, b: a.lcm(b), [
+        d.set_ring(Z) for d in dens if d != 1]).set_ring(R)
+
+
+def numerator_over(e, L):
+    """The polynomial e * L for a common denominator L of the field element
+    e (`common_denominator`): e's numerator as it is when its denominator
+    is L, scaled by a constant when its denominator is a constant, and
+    multiplied by an exact quotient of polynomials only otherwise."""
+    d = e.denom
+    if d == L:
+        return e.numer
+    if d.is_ground:
+        if isinstance(L, int):
+            return e.numer * (L // int(d.LC))
+        return e.numer * L.quo_ground(d.LC)
+    return e.numer * L.exquo(d)
+
+
+def minors(rows):
+    """The reduced minors of s rows of field elements, as a function of an
+    increasing s-tuple of columns.
+
+    Each row is scaled to polynomials once, by a common denominator.  A
+    minor is expanded along its first row into minors of the rows below
+    it, and every minor of lower rows is kept, keyed by its columns, for
+    the other minors that contain it: the expansion takes only products
+    and sums in the polynomial ring, no division and no gcd.  A minor
+    divides by the product of the row scales once, at the end, and a zero
+    minor is K.zero unreduced.  The kept minors live as long as the
+    function."""
     K = rows[0][0].field
-    scale, scaled = K.ring.one, []
+    R = K.ring
+    s = len(rows)
+    scale, scaled = R.one, []
     for row in rows:
-        L = functools.reduce(lambda a, b: a.lcm(b), [
-            e.denom for e in row if not e.denom.is_ground], K.ring.one)
-        scaled.append([e.numer * L.exquo(e.denom) for e in row])
+        L = common_denominator(row)
+        scaled.append([numerator_over(e, L) for e in row])
         scale *= L
-    det = DomainMatrix(scaled, (len(rows),) * 2, K.ring.to_domain()).det()
-    return reduce_fraction(K.new(det, scale))
+    kept = {(): R.one}
+
+    def expand(cols):
+        if cols in kept:
+            return kept[cols]
+        row, total = scaled[s - len(cols)], R.zero
+        for j, c in enumerate(cols):
+            if row[c]:
+                m = expand(cols[:j] + cols[j + 1:])
+                if m:
+                    total = total - row[c] * m if j % 2 else total + row[c] * m
+        kept[cols] = total
+        return total
+
+    def minor(cols):
+        det = expand(tuple(cols))
+        return reduce_fraction(K.new(det, scale)) if det else K.zero
+
+    return minor
+
+
+def determinant(rows):
+    """Reduced determinant of a square matrix of field elements (`minors`)."""
+    return minors(rows)(range(len(rows)))
 
 
 def from_field(f):

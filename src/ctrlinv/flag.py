@@ -4,8 +4,11 @@ Pipeline: annihilator -> coframe completion -> torsion matrix -> left
 null-space -> derived system, iterated until the rank stabilizes.  Entries
 are reduced elements of the system's field, whose numerators are normal
 forms modulo sin**2 + cos**2 - 1, so a rank decision is the exact test
-`not f`.  certify_rank proves each symbolic rank attained by evaluating the
-rows exactly at a rational point.
+`not f`.  The pivot blocks of a coframe completion are minors of one
+kept-minor expansion (`expr.minors`), and vectors are cleared of
+denominators in integers wherever the denominators or entries are
+constants.  certify_rank proves each symbolic rank attained by evaluating
+the rows exactly at a rational point.
 """
 
 from __future__ import annotations
@@ -28,9 +31,11 @@ from .errors import (
     RankNotConstant,
 )
 from .expr import (
-    determinant,
+    common_denominator,
     factor,
     from_field,
+    minors,
+    numerator_over,
     reduce_fraction,
     to_text,
 )
@@ -155,20 +160,28 @@ def nullspace(rows, ctx):
 def clear_denominators(vec, ctx):
     """Scale a vector to polynomial entries that are primitive over ZZ
     together, the first nonzero one with positive grlex leading
-    coefficient."""
+    coefficient.  Their content is the integer gcd of every coefficient
+    when an entry is a nonzero constant, else their gcd over ZZ, taken from
+    the entry with the fewest terms up."""
     K = ctx.field
-    Z = K.ring.clone(domain=ZZ)
     vec = [reduce_fraction(e) for e in vec]
-    lcm = functools.reduce(lambda a, b: a.lcm(b),
-                           [e.denom.set_ring(Z) for e in vec], Z.one)
-    scaled = [e.numer * lcm.set_ring(K.ring).exquo(e.denom) for e in vec]
-    g = functools.reduce(lambda a, b: a.gcd(b),
-                         [p.set_ring(Z) for p in scaled], Z.zero)
-    if not g:
+    L = common_denominator(vec)
+    scaled = [numerator_over(e, L) for e in vec]
+    nonzero = sorted(filter(None, scaled), key=len)
+    if not nonzero:
         return vec
-    g = g.set_ring(K.ring)
+    if any(p.is_ground for p in nonzero):
+        g = K.ring(math.gcd(*(int(c) for p in nonzero
+                               for c in p.itercoeffs())))
+    else:
+        Z = K.ring.clone(domain=ZZ)
+        g = functools.reduce(lambda a, b: a.gcd(b),
+                             [p.set_ring(Z) for p in nonzero])
+        g = (-g if g.LC < 0 else g).set_ring(K.ring)
     if next(filter(None, scaled)).LC < 0:
         g = -g
+    if g.is_ground:
+        return [K(p.quo_ground(g.LC)) for p in scaled]
     return [K(p.exquo(g)) for p in scaled]
 
 
@@ -280,20 +293,19 @@ def complete_coframe(system: PfaffianSystem, ctx) -> PfaffianSystem:
     constraints.  Coordinate combinations are scanned in lexicographic
     order; the first whose determinant is a nonzero constant or a product
     of known-nonzero factors wins, else the first with any nonzero
-    determinant.  A block whose nonzero pattern has no perfect row-column
-    matching has every term of its determinant zero and is skipped.
+    determinant.  One expansion (`minors`) serves the whole scan: a
+    block shares the minors of its lower rows with the blocks before it,
+    and a block whose nonzero pattern has no perfect row-column matching
+    expands to zero through them, with no reduction.
     """
     s = system.rank
     n = len(ctx.states)
     if s == 0:
         return system
-    mat = system.coefficient_matrix()
+    minor = minors(system.coefficient_matrix())
     fallback = None
     for combo in itertools.combinations(range(n), s):
-        if not _has_matching(sorted(([c for c in combo if mat[r][c]]
-                                     for r in range(s)), key=len)):
-            continue
-        det = determinant([[mat[r][c] for c in combo] for r in range(s)])
+        det = minor(combo)
         if ctx.known_nonzero(det):
             return _with_pivots(system, combo, det)
         if det and fallback is None:
@@ -302,12 +314,6 @@ def complete_coframe(system: PfaffianSystem, ctx) -> PfaffianSystem:
         return _with_pivots(system, *fallback)
     raise NoValidCompletion("no coordinate completion with nonzero pivot "
                             "determinant")
-
-
-def _has_matching(columns, used=()):
-    """True when each row, given as its nonzero columns, takes its own."""
-    return not columns or any(_has_matching(columns[1:], used + (c,))
-                              for c in columns[0] if c not in used)
 
 
 def _with_pivots(system, combo, det):

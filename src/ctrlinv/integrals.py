@@ -32,12 +32,12 @@ from .errors import (
 )
 from .expr import (
     SymbolContext,
-    determinant,
     divide_exact,
     factor,
     from_field,
     gradient,
     ideal_cofactors,
+    minors,
     reduce_fraction,
     to_field,
     to_text,
@@ -276,23 +276,23 @@ def gfi_candidates(T: TorsionMatrix, ctx: SymbolContext, seed=0,
     s, ncols = T.shape()
     ctxe = ctx.assuming(extra_nonzero)
     for size in range(min(s, ncols), 0, -1):
-        minors = []
+        dets = []
         for rows in itertools.combinations(range(s), size):
+            minor = minors([T.entries[r] for r in rows])
             for cols in itertools.combinations(range(ncols), size):
-                det = determinant([[T.entries[r][c] for c in cols]
-                                   for r in rows])
+                det = minor(cols)
                 if det:
-                    minors.append(_clear_known_denominator(det, ctxe)[0])
-        if minors:
+                    dets.append(_clear_known_denominator(det, ctxe)[0])
+        if dets:
             break
     else:
         return []
     # generator positions of the parameters: a factor in them alone is skipped
     params = range(len(ctx.states), len(ctx.symbols))
-    return [f for f, _ in factor(minors[0])
+    return [f for f, _ in factor(dets[0])
             if any(k for i, k in enumerate(f.numer.degrees())
                    if i not in params)
-            and all(divide_exact(mnr, f) is not None for mnr in minors[1:])
+            and all(divide_exact(mnr, f) is not None for mnr in dets[1:])
             and nondegenerate([f], ctxe, seed=seed)]
 
 

@@ -131,6 +131,8 @@ class TestParseSystem:
         (["control g1: [1, $]", "candidate rho1: 1/(y - y)"], ParseError),
         (["control g1: [1/(cos(x)^2 + sin(x)^2 - 1), y]",
           "control g2: [1]"], DivisionByZeroExpr),
+        (["control g1: [1, q]", "candidate rho1: y", "assume_nonzero: x +"],
+         UnknownSymbol),
     ])
     def test_first_error_in_file_order(self, lines, error):
         # the trees are parsed before any is normalized, and a parse error

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import math
 import random
 import weakref
@@ -31,6 +32,7 @@ from ctrlinv.expr import (
     ideal_cofactors,
     is_zero,
     kernels,
+    minors,
     normalize,
     random_point,
     reduce_fraction,
@@ -758,12 +760,13 @@ class TestToText:
 
 
 class TestDeterminant:
-    """`determinant`, Bareiss over the polynomial ring, equals Bareiss
-    over the fraction field."""
+    """`determinant` and `minors`, a kept-minor expansion over the
+    polynomial ring, equal Bareiss elimination over the fraction field
+    (sympy's DomainMatrix.det), which shares no code with them."""
 
     @staticmethod
-    def _entry(rng, ctx):
-        kind = rng.randrange(4)
+    def _entry(rng, ctx, kinds=(0, 1, 2, 3)):
+        kind = rng.choice(kinds)
         if kind == 0:  # rational constant
             e = sp.Rational(rng.randint(-5, 5), rng.randint(1, 4))
         elif kind == 1:  # polynomial denominator
@@ -773,21 +776,72 @@ class TestDeterminant:
             e = random_poly(rng, (x, y, z), terms=2, trig_of=w)
         return to_field(e, ctx)
 
+    @staticmethod
+    def _field_det(rows):
+        K = rows[0][0].field
+        n = len(rows)
+        return reduce_fraction(DomainMatrix(
+            [list(r) for r in rows], (n, n), K.to_domain()).det())
+
+    def _rows(self, rng, s, n):
+        """s random rows of length n: all rational constants now and then,
+        else mixed entries, zeros among them; often a row a combination of
+        two others.  Four or more rows have no polynomial denominators:
+        field Bareiss takes seconds on a 4 x 4 determinant with them and up
+        to a minute on a 5 x 5 one."""
+        K = CTX4.field
+        kinds = ((0,) if rng.random() < 0.15
+                 else (0, 2, 3) if s > 3 else (0, 1, 2, 3))
+        rows = [[self._entry(rng, CTX4, kinds) if rng.random() < 0.7
+                 else K.zero for _ in range(n)] for _ in range(s)]
+        if s > 2 and rng.random() < 0.3:
+            c = self._entry(rng, CTX4, kinds)
+            rows[-1] = [reduce_fraction(p + c * q)
+                        for p, q in zip(rows[0], rows[1])]
+        return rows
+
     def test_matches_field_bareiss(self):
         rng = random.Random(97)
-        K = CTX4.field
-        singular = 0
+        singular = constant = 0
         for _ in range(60):
-            n = rng.randint(1, 3)
-            rows = [[self._entry(rng, CTX4) for _ in range(n)]
-                    for _ in range(n)]
-            if n > 1 and rng.random() < 0.3:  # a combination of two rows
-                c = self._entry(rng, CTX4)
-                rows[-1] = [reduce_fraction(p + c * q)
-                            for p, q in zip(rows[0], rows[1 % (n - 1)])]
-            want = reduce_fraction(DomainMatrix(
-                rows, (n, n), K.to_domain()).det())
+            n = rng.choice((1, 2, 2, 3, 3, 4, 4, 5))
+            rows = self._rows(rng, n, n)
+            want = self._field_det(rows)
             got = determinant(rows)
             assert (got.numer, got.denom) == (want.numer, want.denom), rows
             singular += not want
-        assert singular >= 5
+            constant += all(e.numer.is_ground and e.denom.is_ground
+                            for r in rows for e in r)
+        assert singular >= 5 and constant >= 5
+
+    def test_no_perfect_matching(self):
+        # two rows nonzero only in one column, and a 3 x 3 upper-left
+        # zero block of a 5 x 5 matrix: every term of either determinant
+        # has a zero factor
+        rng = random.Random(3)
+        K = CTX4.field
+        for zeros in ([(0, c) for c in range(1, 4)]
+                      + [(1, c) for c in range(1, 4)],
+                      [(r, c) for r in range(3) for c in range(3)]):
+            n = 4 if len(zeros) == 6 else 5
+            rows = [[K.zero if (r, c) in zeros else self._entry(rng, CTX4)
+                     for c in range(n)] for r in range(n)]
+            assert self._field_det(rows) == determinant(rows) == K.zero
+
+    def test_minors_match_field_bareiss(self):
+        # every column subset of s x n rows, s <= 4 and n <= 6, with two
+        # minors functions of the same shape queried in turn: a minor kept
+        # by one is never read by the other
+        rng = random.Random(41)
+        for _ in range(12):
+            s = rng.randint(1, 4)
+            n = rng.randint(s, 6)
+            pair = [self._rows(rng, s, n) for _ in range(2)]
+            kept = [minors(rows) for rows in pair]
+            for cols in itertools.combinations(range(n), s):
+                for rows, minor in zip(pair, kept):
+                    want = self._field_det(
+                        [[r[c] for c in cols] for r in rows])
+                    got = minor(cols)
+                    assert (got.numer, got.denom) == \
+                        (want.numer, want.denom), (rows, cols)

@@ -1,10 +1,12 @@
 import functools
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 import sympy as sp
 from sympy import ZZ
+from sympy.polys.matrices import DomainMatrix
 from sympy.polys.rings import PolyElement
 
 import ctrlinv.expr as expr_module
@@ -29,7 +31,7 @@ from ctrlinv.flag import (
 )
 from ctrlinv.forms import coefficient_vector, contract
 
-from conftest import context, field_rows, one_form_of, random_poly
+from conftest import context, field_rows, one_form_of, random_poly, system
 
 x, y, z, w = sp.symbols("x y z w")
 a, b = sp.symbols("a b")
@@ -111,9 +113,21 @@ class TestLinearAlgebra:
         assert vec == [F(x), F(y)]
 
     def test_clear_denominators_matches_reference(self):
-        # sin/cos entries, rational constants, zero entries and zero vectors
+        # constant denominators only, a constant entry, rational
+        # coefficients, denominators whose lcm over QQ is not integral;
+        # then random sin/cos entries, rational constants, zero entries and
+        # zero vectors
+        vectors = [
+            [x / 6, y / 4, sp.Rational(1, 10)],
+            [-3 * x / 2, 5 * y / 3, 0],
+            [2 * x + 4 * y, 6, 4 * z / 3],
+            [x * y, sp.Rational(-3, 7)],
+            [(x / 3 + y / 2) / (z + 1), 2 * x / 5],
+            [x / 3 + y / 2, y / 4 - z / 6],
+            [x / (15 * z + 25), -y / (18 * z + 30)],
+            [-sp.sin(w) / (15 * z + 25), (x + 1) / (18 * z + 30), y / 10],
+        ]
         rng = random.Random(11)
-        ctx = SymbolContext(states=(x, y, z, w))
         for _ in range(60):
             vec = []
             for _ in range(rng.randint(1, 4)):
@@ -122,6 +136,9 @@ class TestLinearAlgebra:
                 den = random_poly(rng, (x, z), terms=rng.randint(1, 2),
                                   trig_of=w)
                 vec.append(num / den if den != 0 else num)
+            vectors.append(vec)
+        ctx = SymbolContext(states=(x, y, z, w))
+        for vec in vectors:
             vec = [F(e, ctx) for e in vec]
             assert clear_denominators(vec, ctx) == \
                 _reference_clear_denominators(vec, ctx)
@@ -300,34 +317,93 @@ POLY4 = ("states: x1 x2 x3 x4\n"
          "control g2: [0, 1, x1^2+x3, x2^2+x4]\n")
 
 
+def _reference_determinant(rows):
+    """The reduced determinant by Bareiss elimination in the polynomial
+    ring, each row scaled by the lcm of its denominators: the determinant
+    of the pivot scan as it was before the kept-minor expansion."""
+    K = rows[0][0].field
+    scale, scaled = K.ring.one, []
+    for row in rows:
+        L = functools.reduce(lambda a, b: a.lcm(b), [
+            e.denom for e in row if not e.denom.is_ground], K.ring.one)
+        scaled.append([e.numer * L.exquo(e.denom) for e in row])
+        scale *= L
+    det = DomainMatrix(scaled, (len(rows),) * 2, K.ring.to_domain()).det()
+    return reduce_fraction(K.new(det, scale))
+
+
+def _has_matching(columns, used=()):
+    """True when each row, given as its nonzero columns, takes its own."""
+    return not columns or any(_has_matching(columns[1:], used + (c,))
+                              for c in columns[0] if c not in used)
+
+
+def _reference_scan(system, ctx):
+    """The pivots and determinant complete_coframe chose before one
+    expansion served its scan: a Bareiss determinant per block, in
+    lexicographic order, skipping each block whose nonzero pattern has no
+    perfect matching; the first known-nonzero determinant, else the first
+    nonzero one.  Also the number of blocks skipped."""
+    s, n = system.rank, len(ctx.states)
+    mat = system.coefficient_matrix()
+    fallback, skipped = None, 0
+    for combo in itertools.combinations(range(n), s):
+        if not _has_matching(sorted(([c for c in combo if mat[r][c]]
+                                     for r in range(s)), key=len)):
+            skipped += 1
+            continue
+        det = _reference_determinant(
+            [[mat[r][c] for c in combo] for r in range(s)])
+        if ctx.known_nonzero(det):
+            return combo, det, skipped
+        if det and fallback is None:
+            fallback = (combo, det)
+    return *fallback, skipped
+
+
+def _random_system(rng):
+    """A driftless system of 4 or 5 states and 1 to 3 controls, whose
+    entries are zero, rational constants or small polynomials, sometimes
+    with one entry declared nonzero."""
+    n = rng.randint(4, 5)
+    states = sp.symbols(f"x1:{n + 1}")
+    controls = [[0 if rng.random() < 0.4
+                 else random_poly(rng, states, terms=rng.randint(1, 2),
+                                  degree=rng.randint(0, 2))
+                 for _ in range(n)] for _ in range(rng.randint(1, 3))]
+    nonzero = [e for g in controls for e in g if e != 0][:1]
+    ctx = context(states=states,
+                  nonzero=nonzero if rng.random() < 0.5 else ())
+    return system(ctx, controls)
+
+
 class TestCompleteCoframe:
-    @pytest.mark.parametrize("columns, matched", [
-        ([[0, 1], [0]], True), ([[0], [0]], False), ([[1], [0, 2], [0]], True),
-        ([[0, 1], [0, 1], [1]], False), ([], True)])
-    def test_matching(self, columns, matched):
-        assert flag_module._has_matching(columns) is matched
-
-    def test_determinants_only_where_nonzero(self, monkeypatch):
-        # every zero pivot determinant of chained(8)'s flag is zero by its
-        # nonzero pattern alone, so each one computed is nonzero
-        def run(has_matching):
-            real, dets = flag_module.determinant, []
-
-            def determinant(rows):
-                dets.append(real(rows))
-                return dets[-1]
-
-            monkeypatch.setattr(flag_module, "determinant", determinant)
-            monkeypatch.setattr(flag_module, "_has_matching", has_matching)
-            flag = derived_flag(parse_system(CHAINED8))
-            monkeypatch.undo()
-            return flag, dets
-
-        flag, dets = run(flag_module._has_matching)
-        every_flag, every = run(lambda columns: True)  # no block skipped
-        assert len(dets) == sum(1 for d in every if d) == 27
-        assert all(dets) and len(every) == 246
-        assert flag == every_flag
+    def test_matches_reference_scan(self, ex1, ex2, ex3, ex4):
+        # each completion of the flags of chained(8), poly(4) and ex1-ex4,
+        # and of the annihilators of 20 random systems, picks the pivots
+        # and records the constraints the reference scan does
+        inputs = []
+        for sys in (parse_system(CHAINED8), parse_system(POLY4),
+                    ex1, ex2, ex3, ex4):
+            constraints = ()
+            for level in derived_flag(sys).levels:
+                if level.system.rank:
+                    inputs.append((replace(level.system, pivots=(),
+                                           constraints=constraints),
+                                   sys.ctx))
+                constraints = level.system.constraints
+        rng = random.Random(24)
+        for _ in range(20):
+            sys = _random_system(rng)
+            inputs.append((replace(annihilator(sys), pivots=(),
+                                   constraints=()), sys.ctx))
+        skipped = 0
+        for pfaffian, ctx in inputs:
+            combo, det, skip = _reference_scan(pfaffian, ctx)
+            want = flag_module._with_pivots(pfaffian, combo, det)
+            assert flag_module.complete_coframe(pfaffian, ctx) == want
+            skipped += skip
+        assert len(inputs) > 30 and skipped > 200
 
     def test_only_the_kept_determinant_is_factored(self, monkeypatch):
         # the scan decides known-nonzero by trial division; factoring is

@@ -1,9 +1,11 @@
-"""Every module-level import of a ctrlinv module is used by that module.
+"""Every module-level import of a ctrlinv module is used by that module,
+and no ctrlinv module has an `assert` statement.
 
 No linter runs on the sources, so a deletion could leave an import behind.
 An import counts as used when the module reads the name it binds anywhere:
 as a name, or as the root of an attribute chain.  `__future__` imports and
-the re-exports of `__init__` are the exceptions.
+the re-exports of `__init__` are the exceptions.  Invariants are raised
+errors: `python -O` strips an assert.
 """
 
 import ast
@@ -12,7 +14,8 @@ import pathlib
 import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "ctrlinv"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(SRC.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def unused_imports(source):
@@ -42,3 +45,20 @@ def test_finds_an_unused_import():
               "from dataclasses import dataclass, field\n"
               "@dataclass\nclass A:\n    x: np.ndarray\n")
     assert unused_imports(source) == [(2, "os"), (4, "field")]
+
+
+def asserts(source):
+    """Line of each assert statement."""
+    return [n.lineno for n in ast.walk(ast.parse(source))
+            if isinstance(n, ast.Assert)]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_assert(path):
+    assert asserts(path.read_text()) == []
+
+
+def test_finds_an_assert():
+    source = ("def f(x):\n    if x:\n        assert x > 0, 'positive'\n"
+              "    return x\n")
+    assert asserts(source) == [3]
