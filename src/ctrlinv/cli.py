@@ -24,10 +24,12 @@ from .integrals import (
 )
 from .numeric import (
     BRACKET_DEPTH,
+    ESCAPE_STEP,
     bracket_rank,
     iterated_brackets,
     require_count,
     require_positive,
+    require_steps,
     simulate,
 )
 
@@ -97,11 +99,16 @@ def _read_system(path):
 
 
 def _positive(args):
+    """Check the numeric options, and for the commands with a horizon its
+    ratio to every first step the run may take: --step and the escape
+    test's."""
     knobs = ("trials", "pieces", "horizon", "step", "depth")
     try:
         require_count(seed=args.seed)
         require_positive(**{k: getattr(args, k) for k in knobs
                             if hasattr(args, k)})
+        if hasattr(args, "horizon"):
+            require_steps(args.horizon, args.step, ESCAPE_STEP)
     except ValueError as e:
         raise SystemExit(f"--{e}") from None
 

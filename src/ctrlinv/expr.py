@@ -7,7 +7,7 @@ sin(v) and cos(v) are treated as independent indeterminates linked only by the
 rewrite sin(v)**2 -> 1 - cos(v)**2.
 
 The exact layer (forms, flag, integrals) computes on field elements: members
-of the one sparse rational-function field over QQ of a system,
+of the one sparse rational-function field over ZZ of a system,
 `SymbolContext.field`, kept reduced by `reduce_fraction`.  Its generators are
 the declared symbols and a sin/cos pair only for each declared symbol that
 occurs inside a trig atom of the system's expressions (`trig_symbols`), so
@@ -23,6 +23,16 @@ row scales divide each minor once (`minors`).  Float evaluation reads
 field elements directly too: one source generator writes a kernel from
 each element's numerator and denominator terms, compiled with floats and
 `math` or with numpy arrays (`kernels`, `evaluate`).
+
+A reduced element is the canonical pair of an integer-coefficient
+numerator and denominator, the denominator with positive leading
+coefficient: the pair a field over QQ keeps too, since its arithmetic
+clears denominators and cancels by the same gcd over ZZ.  Over ZZ,
+`quo_ground` and `monic` floor-divide and `div` divides only where leading
+coefficients divide, so where a value is divided by a leading coefficient
+it is read as rationals: per term, QQ(c, lc), in the text, the expression
+and the kernel literals, and in the ring's clone over QQ
+(`_rational_ring`) where ideal membership divides (`ideal_cofactors`).
 
 All functions here are pure; randomized ones take an explicit seed or a
 numpy Generator.
@@ -42,6 +52,7 @@ from sympy.polys.domains import QQ, ZZ
 from sympy.polys.fields import FracField
 from sympy.polys.groebnertools import groebner
 from sympy.polys.orderings import grlex
+from sympy.polys.polyutils import expr_from_dict
 
 from .errors import (
     DivisionByZeroExpr,
@@ -118,13 +129,15 @@ class SymbolContext:
         """Irreducible polynomials of the field's ring known nonzero on the
         working domain: the generator of each sign-constrained parameter, and
         the numerator of each declared-nonzero element that is a constant
-        times one irreducible polynomial of multiplicity 1."""
+        times one irreducible polynomial of multiplicity 1, each primitive:
+        over ZZ, `div` by a factor divides only where its leading
+        coefficient divides, and cos(w).div(2*cos(w)) is (0, cos(w))."""
         R = self.field.ring
         known = [R.gens[self.symbols.index(p)]
                  for p, sign in self.param_signs.items() if sign]
         for e in self.nonzero:
             if e.denom.is_ground and [m for _, m in factor(e)] == [1]:
-                known.append(e.numer)
+                known.append(e.numer.primitive()[1])
         return tuple(known)
 
     def known_nonzero(self, f):
@@ -205,8 +218,21 @@ class ZeroVerdict:
 
 @functools.lru_cache(maxsize=None)
 def rational_field(gens):
-    """Sparse rational-function field over QQ in grlex order on `gens`."""
-    return FracField(gens, QQ, grlex)
+    """Sparse rational-function field over ZZ in grlex order on `gens`.
+
+    Its elements are the reduced pairs of integer-coefficient numerator and
+    denominator that a field over QQ keeps too, but its `+`, `*` and `/`
+    cancel by the gcd over ZZ directly, with no clone of the ring to ZZ and
+    back.  A rational constant is an element with a constant denominator."""
+    return FracField(gens, ZZ, grlex)
+
+
+@functools.lru_cache(maxsize=None)
+def _rational_ring(R):
+    """The clone over QQ of a field's ring R, made once per ring: where a
+    step divides by leading coefficients that need not divide (ideal
+    membership) or writes a monic polynomial (a kernel's error text)."""
+    return R.clone(domain=QQ)
 
 
 @functools.lru_cache(maxsize=None)
@@ -230,7 +256,12 @@ def ideal_cofactors(p, polys, unit=None):
     """Cofactors q_i, field elements reduced modulo the sin/cos relations
     of the polynomials' ring, with p = sum q_i polys_i modulo the relations
     wherever the polynomial `unit` is nonzero, or None when p is not in that
-    ideal.
+    ideal.  p is a field element with a constant denominator; polys and
+    unit are polynomials of the field's ring or of its clone over QQ.
+
+    The division, the Groebner basis and the lift run in the clone over QQ
+    (`_rational_ring`): over ZZ, division stops at a leading coefficient
+    that does not divide.
 
     Grlex division by polys, then by the relations, finds the cofactors of
     most members.  A remainder left over is reduced by a Groebner basis of
@@ -240,14 +271,16 @@ def ideal_cofactors(p, polys, unit=None):
     saturation by a non-constant unit: unit**k * r lies in the ideal for
     some k iff r lies in the ideal with t*unit - 1 added in one more
     generator t (ibid., ch. 4, section 4), and t = 1/unit in the lift."""
-    R = p.ring
-    K = rational_field(R.symbols)
-    relations = _relations(R)
-    qs, r = p.div(list(polys))
+    K = p.field
+    Q = _rational_ring(K.ring)
+    relations = _relations(Q)
+    polys = [g.set_ring(Q) for g in polys]
+    unit = None if unit is None else unit.set_ring(Q)
+    qs, r = p.numer.set_ring(Q).quo_ground(p.denom.LC).div(polys)
     qs = [K(q) for q in qs]
     r = _rem(r, relations)
     if r:
-        basis = list(polys) + list(relations[1])
+        basis = polys + list(relations[1])
         lift = _lift(r, basis)
         if lift is None and unit is not None and not unit.is_ground:
             lift = _lift(r, basis, unit)
@@ -314,17 +347,14 @@ def reduce_fraction(f):
 
 def common_denominator(row):
     """A common denominator of field elements: the lcm of their constant
-    denominators as an int when every one is a constant, else their lcm
-    over ZZ as a polynomial of the field's ring.  (sympy's lcm over QQ is
-    monic: its rational coefficients would leave scaled numerators with
-    rational coefficients too.)"""
+    denominators as an int when every one is a constant, else their lcm as
+    a polynomial of the field's ring.  The ring is over ZZ, so the lcm has
+    integer coefficients and every scaled numerator stays integral."""
     dens = [e.denom for e in row]
     if all(d.is_ground for d in dens):
         return math.lcm(*(int(d.LC) for d in dens))
-    R = dens[0].ring
-    Z = R.clone(domain=ZZ)
-    return functools.reduce(lambda a, b: a.lcm(b), [
-        d.set_ring(Z) for d in dens if d != 1]).set_ring(R)
+    return functools.reduce(lambda a, b: a.lcm(b),
+                            [d for d in dens if d != 1])
 
 
 def numerator_over(e, L):
@@ -392,10 +422,17 @@ def from_field(f):
     """Expression num/den of a field element, the denominator monic in grlex
     order (a constant denominator is divided into the numerator)."""
     lc = f.denom.LC
-    num = f.numer.quo_ground(lc).as_expr()
+    num = _expr(f.numer, lc)
     if f.denom.is_ground:
         return num
-    return num / f.denom.quo_ground(lc).as_expr()
+    return num / _expr(f.denom, lc)
+
+
+def _expr(p, lc):
+    """The expression of the polynomial p / lc, written as sympy's as_expr
+    writes a polynomial over QQ, each coefficient QQ(c, lc)."""
+    return expr_from_dict({m: QQ.to_sympy(QQ(c, lc))
+                           for m, c in p.iterterms()}, *p.ring.symbols)
 
 
 def normalize(e, ctx: SymbolContext):
@@ -518,7 +555,7 @@ def divide_exact(num, den):
     _, p, q = (num.numer * den.denom).cofactors(num.denom * den.numer)
     if not q.is_ground:
         return None
-    return reduce_fraction(num.field(p.quo_ground(q.LC)))
+    return reduce_fraction(num.field.new(p, q))
 
 
 def generators(f):
@@ -603,11 +640,15 @@ def kernels(groups, ctx: SymbolContext, arrays=False, field=None):
 
 
 def _value(f):
-    """The generated expression of a field element's value."""
-    value = _sum(f.numer, f.denom.LC)
+    """The generated expression of a field element's value: its numerator
+    over its denominator, each divided by the denominator's leading
+    coefficient term by term; the text of an error names the monic
+    denominator as a polynomial over QQ prints it."""
+    lc = f.denom.LC
+    value = _sum(f.numer, lc)
     if not f.denom.is_ground:
-        den = f.denom.quo_ground(f.denom.LC)
-        value = f"({value}) / den({_sum(den, 1)}, {str(den)!r})"
+        den = f.denom.set_ring(_rational_ring(f.denom.ring)).monic()
+        value = f"({value}) / den({_sum(f.denom, lc)}, {str(den)!r})"
     return value
 
 
@@ -632,10 +673,11 @@ def _at_point(fill, n, size, values):
 
 
 def _sum(p, scale):
-    """p / scale as the sum of its terms in grlex order."""
+    """p / scale as the sum of its terms in grlex order, each coefficient
+    the float of the rational QQ(c, scale)."""
     text = ""
     for m, c in p.terms():
-        c /= scale
+        c = QQ(c, scale)
         try:
             literal = repr(float(abs(c)))
         except OverflowError:  # beyond the double range
@@ -662,9 +704,11 @@ def to_text(f) -> str:
     """Canonical text of a field element, used in reports and golden tests:
     sympy's sstr of `from_field(f)` in grlex order, written from the terms
     of f.  It is num/den with a monic denominator, each a sum in grlex
-    order; a product writes its numerator factors over its denominator
-    factors."""
+    order whose coefficients are the rationals QQ(c, lc) of f's integer
+    coefficients c over the denominator's leading coefficient lc; a
+    product writes its numerator factors over its denominator factors."""
     order, names = _print_order(f.field.ring)
+    num, den, lc = f.numer, f.denom, f.denom.LC
 
     def factors(m):
         return [names[i] + (f"**{m[i]}" if m[i] > 1 else "")
@@ -675,29 +719,27 @@ def to_text(f) -> str:
             sum(t[0]), tuple(t[0][i] for i in order)))
         parts = []
         for m, c in terms:
+            c = QQ(c, lc)
             parts += [" - " if c < 0 else " + ", _product(abs(c), factors(m))]
         if not parts:
             return "0"
         parts[0] = "-" if parts[0] == " - " else ""
         return "".join(parts)
 
-    lc = f.denom.LC
-    num = f.numer.quo_ground(lc)
-    if f.denom.is_ground:
+    if den.is_ground:
         return sum_text(num)
-    den = f.denom.quo_ground(lc)
     if len(den) > 1:
         below = [f"({sum_text(den)})"]
     else:
         m, = den.itermonoms()
         below = factors(m)
-        if num == 1 and len(below) == 1 and max(m) > 1:
+        if num == lc and len(below) == 1 and max(m) > 1:
             # the power 1/v**e, which sstr writes with its exponent
             return below[0].replace("**", "**(-") + ")"
     if len(num) > 1:
         return _product(QQ.one, [f"({sum_text(num)})"], below)
     (m, c), = num.iterterms()
-    return _product(c, factors(m), below)
+    return _product(QQ(c, lc), factors(m), below)
 
 
 def _product(c, factors, below=()):

@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass
 
 import sympy as sp
-from sympy.polys.domains import QQ, ZZ
+from sympy.polys.domains import QQ
 from sympy.polys.matrices import DM
 
 from .dsl import ControlAffineSystem
@@ -161,8 +161,9 @@ def clear_denominators(vec, ctx):
     """Scale a vector to polynomial entries that are primitive over ZZ
     together, the first nonzero one with positive grlex leading
     coefficient.  Their content is the integer gcd of every coefficient
-    when an entry is a nonzero constant, else their gcd over ZZ, taken from
-    the entry with the fewest terms up."""
+    when an entry is a nonzero constant, else their gcd in the field's
+    ring, which is over ZZ, taken from the entry with the fewest terms up:
+    both divide every entry exactly."""
     K = ctx.field
     vec = [reduce_fraction(e) for e in vec]
     L = common_denominator(vec)
@@ -174,10 +175,8 @@ def clear_denominators(vec, ctx):
         g = K.ring(math.gcd(*(int(c) for p in nonzero
                                for c in p.itercoeffs())))
     else:
-        Z = K.ring.clone(domain=ZZ)
-        g = functools.reduce(lambda a, b: a.gcd(b),
-                             [p.set_ring(Z) for p in nonzero])
-        g = (-g if g.LC < 0 else g).set_ring(K.ring)
+        g = functools.reduce(lambda a, b: a.gcd(b), nonzero)
+        g = -g if g.LC < 0 else g
     if next(filter(None, scaled)).LC < 0:
         g = -g
     if g.is_ground:

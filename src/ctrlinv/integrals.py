@@ -10,6 +10,7 @@ annihilating 1-forms.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -32,7 +33,6 @@ from .errors import (
 )
 from .expr import (
     SymbolContext,
-    divide_exact,
     factor,
     from_field,
     gradient,
@@ -59,6 +59,7 @@ from .forms import (
     pivot_inverse,
 )
 from .numeric import (
+    ESCAPE_STEP,
     escape_test,
     invariance_test,
     leaf_controllability,
@@ -66,6 +67,7 @@ from .numeric import (
     require_count,
     require_integer,
     require_positive,
+    require_steps,
 )
 from .sampling import zero_locus_points
 
@@ -152,7 +154,7 @@ def _closed_pair_combination(gi, gj):
         c1, c2 = di.coeff(key), dj.coeff(key)
         p1, p2 = c1.numer * c2.denom, c2.numer * c1.denom
         for mono in set(p1) | set(p2):
-            equations.append([p1.get(mono, QQ.zero), p2.get(mono, QQ.zero)])
+            equations.append([QQ(p1.get(mono, 0)), QQ(p2.get(mono, 0))])
     null = DomainMatrix(equations, (len(equations), 2), QQ).nullspace()
     if null.shape[0] == 0:
         return None
@@ -224,10 +226,13 @@ def _clear_known_denominator(f, ctx):
     """Split a field element into (numerator, cleared monic denominator).
 
     The denominator must be a product of declared- or certified-nonzero
-    factors; otherwise NotPolynomial is raised.
+    factors; otherwise NotPolynomial is raised.  Both parts are divided by
+    the denominator's leading coefficient as field elements: over ZZ, a
+    rational coefficient is held by a constant denominator.
     """
-    K, lc = f.field, f.denom.LC
-    num, den = K(f.numer.quo_ground(lc)), K(f.denom.quo_ground(lc))
+    K = f.field
+    lc = K.ring(f.denom.LC)
+    num, den = K.new(f.numer, lc), K.new(f.denom, lc)
     if not den.numer.is_ground and not ctx.known_nonzero(den):
         raise NotPolynomial(f"denominator {from_field(den)} is not "
                             "certified nonzero on the domain")
@@ -238,9 +243,12 @@ def nondegenerate(rhos, ctx, seed=0, points=10):
     """drho^1 ^ ... ^ drho^d nonzero at sampled zero-locus points, each rho
     scaled to a primitive integer numerator over a monic denominator: a
     constant factor moves neither the zero set nor its regularity, only the
-    size of the gradient the tolerance compares."""
-    rhos = [r.field.raw_new(r.numer.clear_denoms()[1].primitive()[1],
-                            r.denom.monic()) for r in rhos]
+    size of the gradient the tolerance compares.  The field is over ZZ, so
+    the scaled rho keeps its denominator and the numerator times that
+    denominator's leading coefficient: the same value, and the same
+    kernel, since a kernel divides both by that coefficient."""
+    rhos = [r.field.raw_new(r.numer.primitive()[1] * r.denom.LC, r.denom)
+            for r in rhos]
     grads = []
     for r in rhos:
         grad = gradient(r, ctx)
@@ -271,7 +279,8 @@ def gfi_candidates(T: TorsionMatrix, ctx: SymbolContext, seed=0,
     Minors are taken at the generic rank of T, the largest size with a
     nonzero minor: a common factor of all k-minors divides every
     (k+1)-minor by Laplace expansion, so smaller sizes add no candidate.
-    Factors of one minor that do not divide the rest are excluded.
+    The common irreducible factors are those of the gcd of the minors'
+    numerators.
     """
     s, ncols = T.shape()
     ctxe = ctx.assuming(extra_nonzero)
@@ -282,17 +291,17 @@ def gfi_candidates(T: TorsionMatrix, ctx: SymbolContext, seed=0,
             for cols in itertools.combinations(range(ncols), size):
                 det = minor(cols)
                 if det:
-                    dets.append(_clear_known_denominator(det, ctxe)[0])
+                    dets.append(_clear_known_denominator(det, ctxe)[0].numer)
         if dets:
             break
     else:
         return []
     # generator positions of the parameters: a factor in them alone is skipped
     params = range(len(ctx.states), len(ctx.symbols))
-    return [f for f, _ in factor(dets[0])
+    common = functools.reduce(lambda a, b: a.gcd(b), dets)
+    return [f for f, _ in factor(ctx.field(common))
             if any(k for i, k in enumerate(f.numer.degrees())
                    if i not in params)
-            and all(divide_exact(mnr, f) is not None for mnr in dets[1:])
             and nondegenerate([f], ctxe, seed=seed)]
 
 
@@ -355,8 +364,7 @@ def check_membership(rhos, system: PfaffianSystem, ctx: SymbolContext,
                               "coefficient": to_text(c),
                               "column": f"d{names[i]}"})
         for i, c, num, den in residues:
-            qs = ideal_cofactors(num.numer.quo_ground(num.denom.LC),
-                                 [r.numer for r in rhos], unit)
+            qs = ideal_cofactors(num, [r.numer for r in rhos], unit)
             if qs is None:
                 return CandidateIntegral(
                     rhos=rhos, classification=Classification.REJECTED,
@@ -397,7 +405,9 @@ class AnalysisConfig:
     with error-controlled Dormand-Prince 5(4) steps: `step` is each
     trial's first step, and max(MIN_BUDGET, round(horizon / step))
     attempted steps (MIN_BUDGET = 100) are the budget after which the
-    invariance test ends Violated with an error.
+    invariance test ends Violated with an error.  horizon / step, and
+    horizon over the escape test's first step, must be within the float
+    range.
     """
 
     seed: int = 42
@@ -411,6 +421,7 @@ class AnalysisConfig:
         require_integer(trials=self.trials, pieces=self.pieces)
         require_positive(trials=self.trials, pieces=self.pieces,
                          horizon=self.horizon, step=self.step)
+        require_steps(self.horizon, self.step, ESCAPE_STEP)
         require_count(seed=self.seed)
 
 

@@ -33,6 +33,8 @@ ATOL = 1e-12
 MIN_BUDGET = 100
 # attempted steps per unit of time simulate is given, whatever its grid
 SIMULATE_STEPS_PER_UNIT = 1000
+# the first step of escape_test
+ESCAPE_STEP = 1e-2
 
 # Dormand & Prince (1980) 5(4) pair: the stage rows a_sj, whose last row is
 # the fifth-order weights (so the last stage is f at the new state), and the
@@ -137,6 +139,16 @@ def require_integer(**values):
             raise ValueError(f"{name} must be an integer")
 
 
+def require_steps(horizon, *steps):
+    """Raise ValueError when horizon / h is beyond the float range for one
+    of the first steps h: a step budget or an output grid counts that many
+    steps."""
+    for h in steps:
+        if not math.isfinite(horizon / h):
+            raise ValueError(f"horizon {horizon:g} over step {h:g} is beyond "
+                             "the float range")
+
+
 def require_count(**values):
     """Raise ValueError naming the first value that is not a non-negative
     integer."""
@@ -162,6 +174,7 @@ def simulate(sys: ControlAffineSystem, x0, schedule: ControlSchedule,
     if schedule.pieces and h > schedule.horizon:
         raise ValueError("step must not exceed the schedule's horizon "
                          f"{schedule.horizon:g}")
+    require_steps(schedule.horizon, h, 1 / SIMULATE_STEPS_PER_UNIT)
     ctx = sys.ctx
     param_values = dict(param_values or {})
     missing = [p for p in ctx.params if p not in param_values]
@@ -335,6 +348,7 @@ def invariance_test(sys: ControlAffineSystem, rhos, trials=100, pieces=10,
     """
     require_integer(trials=trials, pieces=pieces)
     require_positive(trials=trials, pieces=pieces, horizon=horizon, h=h)
+    require_steps(horizon, h)
     require_count(seed=seed)
     ctx = sys.ctx
     rng = np.random.default_rng(seed)
@@ -385,7 +399,7 @@ def invariance_test(sys: ControlAffineSystem, rhos, trials=100, pieces=10,
 
 
 def escape_test(sys: ControlAffineSystem, rhos, seed=42, horizon=5.0,
-                h=1e-2, threshold=0.1, starts=20, random_controls=50):
+                h=ESCAPE_STEP, threshold=0.1, starts=20, random_controls=50):
     """Greedy search for a constant control leaving the zero locus of rhos.
 
     Integrates the 2m+1 axis controls {0, +-e_j} and random ones from each
@@ -397,6 +411,7 @@ def escape_test(sys: ControlAffineSystem, rhos, seed=42, horizon=5.0,
     """
     require_integer(starts=starts)
     require_positive(horizon=horizon, h=h, starts=starts, threshold=threshold)
+    require_steps(horizon, h)
     require_count(seed=seed, random_controls=random_controls)
     ctx = sys.ctx
     rng = np.random.default_rng(seed)

@@ -145,6 +145,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("usage error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["analyze", EX1, "--step", "1e-320"],
+        ["verify", EX1, "--rho", "x", "--horizon", "1e308"],
+        ["simulate", EX1, "--x0", "0,0,0", "--control", "1e308:1,1"],
+    ], ids=["analyze-step", "verify-horizon", "simulate-horizon"])
+    def test_ratio_beyond_float_range_is_usage_error(self, argv, capsys):
+        # once an OverflowError: a step budget or grid of infinitely many
+        # steps
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert "beyond the float range" in err
+
     def test_uncertified_minor_denominator_is_named_error(self, tmp_path,
                                                           capsys):
         path = tmp_path / "minor.sys"

@@ -8,10 +8,13 @@ import numpy as np
 import pytest
 import sympy as sp
 from sympy.polys.domains import QQ
+from sympy.polys.fields import FracField
 from sympy.polys.matrices import DomainMatrix
+from sympy.polys.orderings import grlex
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ctrlinv.expr as expr_module
 from ctrlinv.errors import (
     DivisionByZeroExpr,
     EvalSingular,
@@ -585,13 +588,15 @@ def test_normalize_matches_reference_kernel():
     assert kinds == {"raises", "fraction", "poly"}
 
 
-# the ring of a field with one sin/cos pair: x, y, z, w, sin(w), cos(w)
+# a field with one sin/cos pair: x, y, z, w, sin(w), cos(w), and the clone
+# over QQ of its ring, which holds random_poly's rational coefficients
 TRIG_GENS = (x, y, z, w, sp.sin(w), sp.cos(w))
-TRIG_RING = SymbolContext(states=(x, y, z, w), trig=(w,)).field.ring
+TRIG_FIELD = SymbolContext(states=(x, y, z, w), trig=(w,)).field
+TRIG_RING = TRIG_FIELD.ring.clone(domain=QQ)
 
 
 def _cofactors(p, polys, unit=None):
-    qs = ideal_cofactors(TRIG_RING(p), [TRIG_RING(g) for g in polys],
+    qs = ideal_cofactors(TRIG_FIELD(p), [TRIG_RING(g) for g in polys],
                          None if unit is None else TRIG_RING(unit))
     return None if qs is None else [q.as_expr() for q in qs]
 
@@ -744,14 +749,15 @@ class TestToText:
         # multi-term denominators
         rng = random.Random(2021)
         K = PRINT_CTX.field
-        R = K.ring
+        # the random coefficients are rational: the clone over QQ holds them
+        R = K.ring.clone(domain=QQ)
         shapes = set()
         for _ in range(5000):
             num = _random_ring_element(rng, R, rng.choice((0, 1, 1, 2, 3)))
             den = _random_ring_element(rng, R, rng.choice((1, 1, 2, 3)))
             if not den:
                 continue
-            f = K.new(num, den)
+            f = K(num) / K(den)
             assert to_text(f) == sp.sstr(from_field(f), order="grlex"), f
             shapes.add((min(len(f.numer), 2), min(len(f.denom), 2),
                         f.denom.is_ground))
@@ -845,3 +851,212 @@ class TestDeterminant:
                     got = minor(cols)
                     assert (got.numer, got.denom) == \
                         (want.numer, want.denom), (rows, cols)
+
+
+# --- the field over ZZ against the field over QQ it replaced ---------------
+
+# states x, y, w and the sin/cos pair of w; the reference field over QQ on
+# the same generators, in the same order
+RATIONAL_CTX = SymbolContext(states=(x, y, w), trig=(w,))
+ZZ_FIELD = RATIONAL_CTX.field
+QQ_FIELD = FracField(ZZ_FIELD.symbols, QQ, grlex)
+
+
+def _qq_from_field(f):
+    """from_field as it was over QQ: both parts divided by the denominator's
+    leading coefficient in their own ring."""
+    lc = f.denom.LC
+    num = f.numer.quo_ground(lc).as_expr()
+    if f.denom.is_ground:
+        return num
+    return num / f.denom.quo_ground(lc).as_expr()
+
+
+def _qq_value(f):
+    """The kernel expression of an element as it was written over QQ."""
+    value = _qq_sum(f.numer, f.denom.LC)
+    if not f.denom.is_ground:
+        den = f.denom.quo_ground(f.denom.LC)
+        value = f"({value}) / den({_qq_sum(den, 1)}, {str(den)!r})"
+    return value
+
+
+def _qq_sum(p, scale):
+    text = ""
+    for m, c in p.terms():
+        c /= scale
+        try:
+            literal = repr(float(abs(c)))
+        except OverflowError:
+            literal = "inf"
+        term = "*".join(([literal] if literal != "1.0" or not any(m) else [])
+                        + [f"_g{i}" + (f"**{e}" if e > 1 else "")
+                           for i, e in enumerate(m) if e])
+        text += (" - " if c < 0 else " + ") + term
+    return text.lstrip(" +") or "0.0"
+
+
+def _qq_divide_exact(num, den):
+    """divide_exact as it was over QQ, dividing by a constant cofactor with
+    quo_ground."""
+    _, p, q = (num.numer * den.denom).cofactors(num.denom * den.numer)
+    if not q.is_ground:
+        return None
+    return reduce_fraction(num.field(p.quo_ground(q.LC)))
+
+
+def _rational_coefficient(rng):
+    """An integer, a rational, or a rational beyond the double range."""
+    kind = rng.randrange(5)
+    if kind == 0:
+        return QQ(rng.randint(-9, 9) or 1, rng.randint(2, 12))
+    if kind == 1:
+        return QQ(rng.choice((1, -1)) * 3**rng.randint(650, 700),
+                  rng.randint(1, 4))
+    return QQ(rng.randint(-6, 6) or 1)
+
+
+def _random_pair(rng):
+    """A random numerator and nonzero denominator in the clone over QQ of
+    the field's ring; the denominator is non-monic and, half the time, has
+    a negative leading coefficient."""
+    R = QQ_FIELD.ring
+
+    def poly(terms):
+        p = R.zero
+        for _ in range(terms):
+            m = tuple(rng.choice((1,) if isinstance(g, sp.sin) else (1, 2))
+                      if rng.random() < 0.3 else 0 for g in R.symbols)
+            p += R({m: _rational_coefficient(rng)})
+        return p
+
+    num, den = poly(rng.randint(0, 3)), R.zero
+    while not den or den.LC == 1:
+        den = poly(rng.randint(1, 3))
+    if (den.LC > 0) == (rng.random() < 0.5):
+        den = -den
+    return num, den
+
+
+def _same_element(fz, fq):
+    return (fz.field is ZZ_FIELD and fq.field is QQ_FIELD
+            and dict(fz.numer) == dict(fq.numer)
+            and dict(fz.denom) == dict(fq.denom))
+
+
+def _point_values(fill, point):
+    try:
+        return fill(point)
+    except EvalSingular:
+        return EvalSingular
+
+
+class TestAgainstRationalField:
+    """Elements built alike in the field over ZZ and in a field over QQ are
+    the same reduced pairs, and every step that reads a value divided by a
+    leading coefficient gives what it gave over QQ."""
+
+    @pytest.fixture(scope="class")
+    def elements(self):
+        rng = random.Random(2501)
+        pairs = []
+        for _ in range(300):
+            num, den = _random_pair(rng)
+            fz = reduce_fraction(ZZ_FIELD(num) / ZZ_FIELD(den))
+            fq = reduce_fraction(QQ_FIELD.new(num, den))
+            pairs.append((fz, fq))
+        return pairs
+
+    def test_same_reduced_pairs(self, elements):
+        assert all(_same_element(fz, fq) for fz, fq in elements)
+        # rational, huge, non-monic and negative-leading inputs all occur
+        big = [fz for fz, _ in elements
+               if any(abs(c) > 2**1024 for c in fz.numer.itercoeffs())]
+        assert len(big) > 20
+        assert sum(not fz.denom.is_ground for fz, _ in elements) > 100
+
+    def test_text_and_expression(self, elements):
+        for fz, fq in elements:
+            expr = _qq_from_field(fq)
+            assert from_field(fz) == expr
+            assert to_text(fz) == sp.sstr(expr, order="grlex")
+
+    def test_kernel_values(self, elements, monkeypatch):
+        zz, qq = zip(*elements)
+        groups = [[f] for f in zz]
+        floats = kernels(groups, RATIONAL_CTX)
+        arrays = kernels(groups, RATIONAL_CTX, arrays=True)
+        monkeypatch.setattr(expr_module, "_value", _qq_value)
+        ref_floats = kernels([[f] for f in qq], RATIONAL_CTX)
+        ref_arrays = kernels([[f] for f in qq], RATIONAL_CTX, arrays=True)
+        rng = np.random.default_rng(5)
+        X = rng.uniform(-2, 2, size=(3, 40))
+        P = np.empty((0, 40))
+        for fill, ref in zip(floats, ref_floats):
+            for point in X.T.tolist():
+                assert _point_values(fill, point) == \
+                    _point_values(ref, point)
+        with np.errstate(all="ignore"):
+            for fill, ref in zip(arrays, ref_arrays):
+                got = fill(X, P, np.empty((1, 40)))
+                want = ref(X, P, np.empty((1, 40)))
+                assert np.array_equal(got, want, equal_nan=True)
+
+    def test_divide_exact(self, elements):
+        rng = random.Random(17)
+        exact = 0
+        for _ in range(150):
+            (az, aq), (bz, bq) = rng.sample(elements, 2)
+            if not bz:
+                continue
+            for num in ((az * bz, aq * bq), (az, aq)):
+                got = divide_exact(num[0], bz)
+                want = _qq_divide_exact(num[1], bq)
+                assert (got is None) == (want is None)
+                if got is not None:
+                    assert _same_element(got, want)
+                    exact += 1
+        assert exact > 50
+
+    def test_ideal_cofactors_verdicts(self):
+        # membership of p in (polys) modulo sin**2 + cos**2 - 1, against
+        # sympy's groebner over QQ, with rational, non-monic generators
+        rng = random.Random(23)
+        gens = (x, y, w, sp.sin(w), sp.cos(w))
+        pythagoras = sp.sin(w)**2 + sp.cos(w)**2 - 1
+        members = nonmembers = 0
+        for _ in range(20):
+            polys = [_random_pair(rng)[1] for _ in range(rng.randint(1, 2))]
+            p = sum((_random_pair(rng)[1] * g for g in polys),
+                    QQ_FIELD.ring.zero)
+            if rng.random() < 0.5:
+                p += _random_pair(rng)[1]
+            if not p:
+                continue
+            qs = ideal_cofactors(ZZ_FIELD(p), polys)
+            want = sp.groebner([g.as_expr() for g in polys] + [pythagoras],
+                               *gens, order="grlex",
+                               domain=sp.QQ).contains(p.as_expr())
+            assert (qs is not None) == want
+            if want:
+                gap = p - sum((q.numer.set_ring(QQ_FIELD.ring) * g
+                               / q.denom.LC for q, g in zip(qs, polys)),
+                              QQ_FIELD.ring.zero)
+                assert sp.reduced(gap.as_expr(), [pythagoras], *gens,
+                                  order="grlex")[1] == 0
+                members += 1
+            else:
+                nonmembers += 1
+        assert members >= 5 and nonmembers >= 3
+
+    def test_known_nonzero_with_declared_factor_two_cos(self):
+        # over ZZ, cos(w).div(2*cos(w)) is (0, cos(w)): the known factor is
+        # kept primitive, so 3*cos(w)**2 divides out to a constant
+        ctx = context(states=(x, w), nonzero=(2 * sp.cos(w),))
+        cos = ctx.field.ring.gens[-1]
+        assert ctx.known_factors == (cos,)
+        assert ctx.known_nonzero(to_field(3 * sp.cos(w)**2, ctx))
+        assert not ctx.known_nonzero(to_field(x / (2 * sp.cos(w)), ctx))
+        assert ctx.known_nonzero(to_field(sp.Rational(5, 2) / sp.cos(w),
+                                          ctx))
+        assert not ctx.known_nonzero(to_field(sp.sin(w), ctx))

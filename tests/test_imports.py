@@ -1,11 +1,13 @@
 """Every module-level import of a ctrlinv module is used by that module,
-and no ctrlinv module has an `assert` statement.
+no ctrlinv module has an `assert` statement, and none clones a ring to ZZ.
 
 No linter runs on the sources, so a deletion could leave an import behind.
 An import counts as used when the module reads the name it binds anywhere:
 as a name, or as the root of an attribute chain.  `__future__` imports and
 the re-exports of `__init__` are the exceptions.  Invariants are raised
-errors: `python -O` strips an assert.
+errors: `python -O` strips an assert.  The system field is over ZZ, the
+one coefficient representation: a clone of its ring to ZZ would be a
+second one.
 """
 
 import ast
@@ -62,3 +64,25 @@ def test_finds_an_assert():
     source = ("def f(x):\n    if x:\n        assert x > 0, 'positive'\n"
               "    return x\n")
     assert asserts(source) == [3]
+
+
+def clones_to_zz(source):
+    """Line of each call `.clone(domain=ZZ)`: every system field is over
+    ZZ already, so such a clone is a second representation of its ring."""
+    return [n.lineno for n in ast.walk(ast.parse(source))
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+            and n.func.attr == "clone"
+            and any(k.arg == "domain" and isinstance(k.value, ast.Name)
+                    and k.value.id == "ZZ" for k in n.keywords)]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_clone_to_zz(path):
+    assert clones_to_zz(path.read_text()) == []
+
+
+def test_finds_a_clone_to_zz():
+    source = ("def f(R, p):\n    Z = R.clone(domain=ZZ)\n"
+              "    Q = R.clone(domain=QQ)\n"
+              "    return p.set_ring(R.clone(symbols=R.symbols, domain=ZZ))\n")
+    assert clones_to_zz(source) == [2, 4]

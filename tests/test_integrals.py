@@ -608,6 +608,14 @@ class TestAnalyze:
         with pytest.raises(ValueError, match=f"^{field} must be {message}"):
             AnalysisConfig(**{field: value})
 
+    @pytest.mark.parametrize("settings", [
+        {"step": 1e-320}, {"horizon": 1e308}, {"horizon": 1e307, "step": 1.0}])
+    def test_ratio_beyond_float_range_rejected(self, settings):
+        # the last is within range for the step, not for the escape test's
+        # first step 0.01
+        with pytest.raises(ValueError, match="beyond the float range"):
+            AnalysisConfig(**settings)
+
     def test_drift_report(self, ex4):
         rep = analyze(ex4, FAST)
         rhos = [e["rho"] for e in rep["isolated"]]

@@ -370,6 +370,13 @@ class TestNumericSettings:
         with pytest.raises(ValueError, match=f"^{field} must be positive"):
             escape_test(ex1, [z], **{"horizon": 0.1, field: value})
 
+    def test_ratio_beyond_float_range_rejected(self, ex1):
+        # once an OverflowError from the default step budget
+        with pytest.raises(ValueError, match="beyond the float range"):
+            invariance_test(ex1, [z], trials=3, pieces=2, horizon=1e308)
+        with pytest.raises(ValueError, match="beyond the float range"):
+            escape_test(ex1, [z], horizon=1.0, h=1e-320)
+
     @pytest.mark.parametrize("field, value, message", [
         ("trials", 2.5, "an integer"), ("trials", True, "an integer"),
         ("pieces", 1.5, "an integer"), ("seed", -1, "non-negative"),
@@ -399,6 +406,14 @@ class TestNumericSettings:
         with pytest.raises(ValueError, match="^step must not exceed"):
             simulate(ex1, [0.0, 1.0, 0.0],
                      ControlSchedule(((0.1, (1.0, 0.0)),)), h=1.0)
+
+    @pytest.mark.parametrize("horizon, h", [(1e308, 1e-3), (1e306, 1e305)])
+    def test_simulate_rejects_ratio_beyond_float_range(self, ex1, horizon, h):
+        # once an OverflowError from the grid or from the budget of 1000
+        # steps per unit of horizon
+        with pytest.raises(ValueError, match="beyond the float range"):
+            simulate(ex1, [0.0, 1.0, 0.0],
+                     ControlSchedule(((horizon, (1.0, 0.0)),)), h=h)
 
 
 def recording_sweep(monkeypatch):
