@@ -2,8 +2,8 @@
 systems: derived flags of annihilating Pfaffian systems, first integrals and
 generalized first integrals, and trajectory-based verification."""
 
-from .dsl import ControlAffineSystem, ControlSchedule, parse_expr, parse_system
-from .expr import SymbolContext, ZeroVerdict, Verdict
+from .dsl import ControlAffineSystem, ControlSchedule, parse_system
+from .expr import SymbolContext
 from .flag import PfaffianFlag, PfaffianSystem, TorsionMatrix, derived_flag
 from .forms import (
     DifferentialForm,
@@ -47,8 +47,6 @@ __all__ = [
     "SymbolContext",
     "TorsionMatrix",
     "Trajectory",
-    "Verdict",
-    "ZeroVerdict",
     "analyze",
     "bracket_rank",
     "check_membership",
@@ -61,7 +59,6 @@ __all__ = [
     "invariance_test",
     "lie_bracket",
     "one_form",
-    "parse_expr",
     "parse_system",
     "poincare_integrate",
     "pivot_solution",

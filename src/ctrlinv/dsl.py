@@ -10,26 +10,31 @@ File format (UTF-8, line oriented, ``#`` comments)::
     candidate rho1: z
     assume_nonzero: 1 + x
 
-Expressions use infix ``+ - * / ^`` with integer exponents, ``sin(v)``,
-``cos(v)`` and parentheses.  Each is parsed to a sympy tree as written,
-then turned once into an element of the system's field, `ctx.field`
-(`expr.to_field`): a parsed system holds only field elements.
+Expressions use infix ``+ - * /``, the power ``^`` or ``**`` with an
+integer exponent, ``sin(v)``, ``cos(v)`` and parentheses; ``-x^2`` is
+-(x^2).  Each is computed on elements of the system's field, `ctx.field`,
+as it is parsed: a parsed system holds only field elements.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, replace
 
 import sympy as sp
 
-from .errors import (ArityMismatch, CtrlInvError, EmptyControlSet, ParseError,
-                     UnknownSymbol)
-from .expr import SymbolContext, normalize, to_field, to_text, trig_symbols
+from .errors import (ArityMismatch, DivisionByZeroExpr, EmptyControlSet,
+                     ParseError, UnknownSymbol)
+from .expr import SymbolContext, reduce_fraction, to_text
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()]))"
+    r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
+    r"|(?P<op>\*\*|[-+*/^()]))"
 )
+# a trig atom as the tokenizer reads one: sin or cos, then a name in
+# parentheses
+_TRIG_RE = re.compile(r"\b(?:sin|cos)\s*\(\s*([A-Za-z_][A-Za-z_0-9]*)\s*\)")
 
 
 @dataclass(frozen=True)
@@ -109,14 +114,19 @@ def _tokenize(text, line_no=None, col_offset=0):
 
 
 class _ExprParser:
-    """Precedence-climbing parser producing sympy expressions."""
+    """Precedence-climbing parser computing on elements of a field K: a
+    number is K(n), a declared symbol and sin(v), cos(v) their generators.
+    A power takes an integer exponent, and x^0 is one, 0^0 included."""
 
-    BINARY = {"+": 10, "-": 10, "*": 20, "/": 20, "^": 30}
+    POWER = 30
+    BINARY = {"+": 10, "-": 10, "*": 20, "/": 20, "^": POWER, "**": POWER}
 
-    def __init__(self, tokens, symbols, line_no=None):
+    def __init__(self, tokens, K, line_no=None):
         self.tokens = tokens
         self.pos = 0
-        self.symbols = symbols  # name -> sympy symbol
+        self.K = K
+        # generator text -> generator: "x", "sin(x)", "cos(x)"
+        self.gens = dict(zip(map(str, K.symbols), K.gens))
         self.line_no = line_no
 
     def peek(self):
@@ -147,8 +157,8 @@ class _ExprParser:
             if prec < min_prec:
                 return left
             self.next()
-            # ^ is right-associative, the rest left
-            right = self.expression(prec if val == "^" else prec + 1)
+            # a power is right-associative, the rest left
+            right = self.expression(prec if prec == self.POWER else prec + 1)
             if val == "+":
                 left = left + right
             elif val == "-":
@@ -158,57 +168,67 @@ class _ExprParser:
             elif val == "/":
                 left = left / right
             else:
-                if not right.is_Integer:
+                if not (right.denom.is_one and right.numer.is_ground):
                     self.error("exponent must be an integer literal", col)
-                left = left**right
+                k = int(right.numer.LC)
+                # the ring raises on 0**0, and a negative power of its own
+                # leaves the denominator's sign as it is: divide instead
+                left = (self.K.one if k == 0 else left**k if k > 0
+                        else self.K.one / left**-k)
         return left
 
     def atom(self):
         kind, val, col = self.next()
         if kind == "num":
-            return sp.Integer(int(val))
+            return self.K(int(val))
         if kind == "name":
             if val in ("sin", "cos"):
                 k2, v2, c2 = self.next()
                 if (k2, v2) != ("op", "("):
                     self.error(f"expected '(' after {val}", c2)
                 k3, v3, c3 = self.next()
-                if k3 != "name" or v3 not in self.symbols:
+                if k3 != "name" or v3 not in self.gens:
                     self.error(f"{val} takes a single declared variable", c3)
                 k4, v4, c4 = self.next()
                 if (k4, v4) != ("op", ")"):
                     self.error("expected ')'", c4)
-                fn = sp.sin if val == "sin" else sp.cos
-                return fn(self.symbols[v3])
-            if val not in self.symbols:
+                return self.gens[f"{val}({v3})"]
+            if val not in self.gens:
                 raise UnknownSymbol(f"undeclared symbol {val!r}"
                                     + (f" (line {self.line_no})" if self.line_no else ""))
-            return self.symbols[val]
+            return self.gens[val]
         if kind == "op" and val == "(":
             e = self.expression(0)
             k2, v2, c2 = self.next()
             if (k2, v2) != ("op", ")"):
                 self.error("expected ')'", c2)
             return e
-        if kind == "op" and val == "-":
-            return -self.atom()
-        if kind == "op" and val == "+":
-            return self.atom()
+        if kind == "op" and val in ("+", "-"):
+            # a unary sign applies to a whole power: -x^2 is -(x^2)
+            e = self.expression(self.POWER)
+            return -e if val == "-" else e
         if kind == "end":
             self.error("unexpected end of expression", col)
         self.error(f"unexpected token {val!r}", col)
 
 
-def parse_tree(text, ctx: SymbolContext, line_no=None, col_offset=0):
-    """Parse one infix expression against a symbol context, as written."""
-    symbols = {str(s): s for s in ctx.symbols}
+def _trig_symbols(symbols, texts):
+    """The symbols, in their order, named inside a sin or cos atom of one
+    of the texts: those the field gives a sin/cos pair
+    (`SymbolContext.trig`).  A scan, not the parser: it finds the pairs
+    before the field exists, and it raises nothing, so a text's error
+    comes when that text is parsed."""
+    inside = {name for t in texts for name in _TRIG_RE.findall(t)}
+    return tuple(v for v in symbols if str(v) in inside)
+
+
+def _parse(K, text, line_no=None, col_offset=0):
+    """One infix expression as a reduced element of the field K."""
     tokens = _tokenize(text, line_no, col_offset)
-    return _ExprParser(tokens, symbols, line_no).parse()
-
-
-def parse_expr(text, ctx: SymbolContext, line_no=None, col_offset=0):
-    """Parse one infix expression against a symbol context; normalized."""
-    return normalize(parse_tree(text, ctx, line_no, col_offset), ctx)
+    try:
+        return reduce_fraction(_ExprParser(tokens, K, line_no).parse())
+    except ZeroDivisionError:
+        raise DivisionByZeroExpr("denominator normalizes to zero") from None
 
 
 def parse_into(system: ControlAffineSystem, texts):
@@ -216,13 +236,12 @@ def parse_into(system: ControlAffineSystem, texts):
     symbol inside a trig atom of the texts, and the texts parsed as
     elements of that field."""
     ctx = system.ctx
-    trees = [parse_tree(t, ctx) for t in texts]
     if ctx.trig is not None:  # None: the field has every pair
-        # the pairs the field has, then the texts'
-        trig = trig_symbols(ctx.symbols, [*map(sp.sin, ctx.trig), *trees])
+        found = _trig_symbols(ctx.symbols, texts)
+        trig = tuple(v for v in ctx.symbols if v in ctx.trig or v in found)
         if trig != ctx.trig:
             system = system.with_trig(trig)
-    return system, [to_field(e, system.ctx) for e in trees]
+    return system, [_parse(system.ctx.field, t) for t in texts]
 
 
 def _parse_vector(text, parse, line_no, col_offset):
@@ -306,55 +325,39 @@ def parse_system(text: str) -> ControlAffineSystem:
         raise EmptyControlSet("at least one control field is required")
 
     n = len(states)
+    # the field is built once: a sin/cos pair only for the declared symbols
+    # inside a trig atom
     ctx = SymbolContext(states=states, params=tuple(params),
-                        param_signs=param_signs)
-    trees = []  # every expression parsed, in file order
-
-    def tree(src, ln, c0):
-        trees.append(parse_tree(src, ctx, ln, c0))
-        return trees[-1]
+                        param_signs=param_signs, trig=_trig_symbols(
+                            states + tuple(params), [d[1] for d in declared]))
+    K = ctx.field
+    element = functools.partial(_parse, K)
 
     def vector(src, ln, c0, what):
-        v = _parse_vector(src, tree, ln, c0)
+        v = _parse_vector(src, element, ln, c0)
         if len(v) != n:
             raise ArityMismatch(
                 f"{what} has {len(v)} components for {n} states (line {ln})")
         return v
 
-    drift, controls, candidates, nonzero = None, [], [], []
-    failure = None
-    try:
-        for key, src, ln, c0 in declared:
-            if key == "drift":
-                drift = vector(src, ln, c0, "drift")
-            elif key.startswith("control"):
-                controls.append(vector(src, ln, c0, key))
-            elif key.startswith("candidate"):
-                candidates.append(tree(src, ln, c0))
-            else:
-                nonzero.append(tree(src, ln, c0))
-    except CtrlInvError as e:
-        failure = e
-    # the field is built once, from the trees: a sin/cos pair only for the
-    # declared symbols inside a trig atom
-    ctx = replace(ctx, trig=trig_symbols(ctx.symbols, trees))
-    if failure is not None:
-        for e in trees:  # an earlier expression's error comes first
-            to_field(e, ctx)
-        raise failure
-
-    def elements(v):
-        return tuple(to_field(e, ctx) for e in v)
-
-    ctx = replace(ctx, nonzero=elements(nonzero))
-    drift = (ctx.field.zero,) * n if drift is None else elements(drift)
-    return ControlAffineSystem(ctx=ctx, drift=drift,
-                               controls=tuple(map(elements, controls)),
-                               candidates=elements(candidates))
+    drift, controls, candidates, nonzero = (K.zero,) * n, [], [], []
+    for key, src, ln, c0 in declared:  # in file order, each parsed once
+        if key == "drift":
+            drift = vector(src, ln, c0, "drift")
+        elif key.startswith("control"):
+            controls.append(vector(src, ln, c0, key))
+        elif key.startswith("candidate"):
+            candidates.append(element(src, ln, c0))
+        else:
+            nonzero.append(element(src, ln, c0))
+    return ControlAffineSystem(ctx=replace(ctx, nonzero=tuple(nonzero)),
+                               drift=drift, controls=tuple(controls),
+                               candidates=tuple(candidates))
 
 
 def print_system(sys: ControlAffineSystem) -> str:
-    """Canonical text rendering; parse(print_system(parse(t))) == parse(t)."""
+    """Canonical text rendering, which parse_system reads back to the
+    system's elements (to the system when they use each sin/cos pair)."""
     lines = ["states: " + " ".join(str(s) for s in sys.ctx.states)]
     if sys.ctx.params:
         parts = []

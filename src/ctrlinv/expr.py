@@ -10,11 +10,12 @@ The exact layer (forms, flag, integrals) computes on field elements: members
 of the one sparse rational-function field over ZZ of a system,
 `SymbolContext.field`, kept reduced by `reduce_fraction`.  Its generators are
 the declared symbols and a sin/cos pair only for each declared symbol that
-occurs inside a trig atom of the system's expressions (`trig_symbols`), so
+occurs inside a trig atom of the system's texts (`SymbolContext.trig`), so
 no exact operation carries exponents of generators the system never uses.
-A parsed expression becomes an element once, at the parsing boundary
-(`to_field`); `from_field` turns an element back into an expression only
-where one is needed (integration, factor order, error messages).  Report
+The parser computes on elements directly (`dsl`); an expression becomes an
+element only where integration makes one (`to_field`), and `from_field`
+turns an element back into an expression only where one is needed
+(integration, factor order, error messages).  Report
 text is written straight from each element's numerator and denominator
 terms, exactly as sympy's sstr writes the element's expression
 (`to_text`).  Minors and determinants are expanded over the polynomial
@@ -71,14 +72,6 @@ POINT_ERRORS = (EvalSingular, ArithmeticError, ValueError)
 _TRIG = (sp.sin, sp.cos)
 
 
-def trig_symbols(symbols, exprs):
-    """The symbols, in their order, that occur inside a sin or cos atom of
-    one of the expressions: those a system's field gives a sin/cos pair
-    (`SymbolContext.trig`)."""
-    inside = {a.args[0] for e in exprs for a in e.atoms(*_TRIG)}
-    return tuple(v for v in symbols if v in inside)
-
-
 @dataclass(frozen=True)
 class SymbolContext:
     """Declared symbols of a system: ordered states, parameters, constraints.
@@ -94,7 +87,7 @@ class SymbolContext:
     # elements of `field` the user asserts nonzero on the working domain
     nonzero: tuple = ()
     # the declared symbols, in declaration order, given a sin/cos pair in
-    # the field (`trig_symbols`); None gives every declared symbol one
+    # the field; None gives every declared symbol one
     trig: tuple | None = None
 
     @property
@@ -372,20 +365,17 @@ def numerator_over(e, L):
     return e.numer * L.exquo(d)
 
 
-def minors(rows):
-    """The reduced minors of s rows of field elements, as a function of an
-    increasing s-tuple of columns.
+def expansion(rows):
+    """The minors of s rows of field elements, each row scaled to
+    polynomials once by a common denominator, as a function of an
+    increasing s-tuple of columns, and the product of the row scales.
 
-    Each row is scaled to polynomials once, by a common denominator.  A
-    minor is expanded along its first row into minors of the rows below
+    A minor is expanded along its first row into minors of the rows below
     it, and every minor of lower rows is kept, keyed by its columns, for
     the other minors that contain it: the expansion takes only products
-    and sums in the polynomial ring, no division and no gcd.  A minor
-    divides by the product of the row scales once, at the end, and a zero
-    minor is K.zero unreduced.  The kept minors live as long as the
-    function."""
-    K = rows[0][0].field
-    R = K.ring
+    and sums in the polynomial ring, no division and no gcd.  The kept
+    minors live as long as the function."""
+    R = rows[0][0].field.ring
     s = len(rows)
     scale, scaled = R.one, []
     for row in rows:
@@ -406,16 +396,22 @@ def minors(rows):
         kept[cols] = total
         return total
 
+    return expand, scale
+
+
+def minors(rows):
+    """The reduced minors of s rows of field elements, as a function of an
+    increasing s-tuple of columns: each its `expansion` divided by the
+    product of the row scales once, at the end; a zero minor is K.zero
+    unreduced."""
+    K = rows[0][0].field
+    expand, scale = expansion(rows)
+
     def minor(cols):
         det = expand(tuple(cols))
         return reduce_fraction(K.new(det, scale)) if det else K.zero
 
     return minor
-
-
-def determinant(rows):
-    """Reduced determinant of a square matrix of field elements (`minors`)."""
-    return minors(rows)(range(len(rows)))
 
 
 def from_field(f):

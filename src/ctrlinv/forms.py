@@ -11,14 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from sympy.polys.domains import QQ
-from sympy.polys.matrices import DomainMatrix
-
 from .errors import SingularPivot
 from .expr import (
     SymbolContext,
-    determinant,
     differentiate,
+    expansion,
     reduce_fraction,
     to_text,
 )
@@ -153,21 +150,31 @@ def contract(a: DifferentialForm, X):
 
 
 def pivot_inverse(theta, pivots):
-    """The inverse, a DomainMatrix over ctx.field, of the pivot block A of
-    the generators theta: their coefficients of the pivot differentials.
+    """The inverse of the pivot block A of the generators theta, their
+    coefficients of the pivot differentials, as rows of field elements.
 
-    Raises SingularPivot when the reduced determinant of A is zero:
-    DomainMatrix.inv alone knows nothing of sin**2 + cos**2 = 1.
+    Cramer's rule on one kept-minor expansion of [A | I] (`expansion`):
+    entry (i, j) is the expansion of A with column i replaced by e_j over
+    that of A, both unreduced, so it is A^-1's entry in the field, the
+    entry a ratio of reduced minors could miss by sin**2 + cos**2 = 1.
+    Raises SingularPivot when the reduced determinant of A is zero.
     """
     s = len(theta)
     if len(pivots) != s:
         raise ValueError("pivot count must equal the number of generators")
-    A = [[t.coeff((i,)) for i in pivots] for t in theta]
-    if s and not determinant(A):
+    if not s:
+        return []
+    K = theta[0].ctx.field
+    expand, _ = expansion([[t.coeff((i,)) for i in pivots]
+                           + [K(int(r == j)) for j in range(s)]
+                           for r, t in enumerate(theta)])
+    det = expand(tuple(range(s)))
+    if not reduce_fraction(K(det)):
         raise SingularPivot("pivot determinant is zero")
-    # the rank-0 system's empty block has no entry to take a domain from
-    K = theta[0].ctx.field.to_domain() if s else QQ
-    return DomainMatrix(A, (s, s), K).inv()
+    # column s + j is e_j, moved from place i past the s - 1 - i after it
+    return [[K.new(expand((*range(i), *range(i + 1, s), s + j))
+                   * (-1)**(s - 1 - i), det) for j in range(s)]
+            for i in range(s)]
 
 
 def pivot_solution(theta, pivots):
@@ -180,19 +187,14 @@ def pivot_solution(theta, pivots):
     if not theta:
         return {}
     ctx = theta[0].ctx
-    n = len(ctx.states)
+    K = ctx.field
     pivots = list(pivots)
-    inverse = pivot_inverse(theta, pivots)
-    nonpivots = [i for i in range(n) if i not in pivots]
-    B = DomainMatrix([[t.coeff((i,)) for i in nonpivots] for t in theta],
-                     (len(theta), len(nonpivots)), inverse.domain)
+    nonpivots = [i for i in range(len(ctx.states)) if i not in pivots]
     # dx_pivot = -A^{-1} B dx_nonpivot
-    S = (inverse * B).to_list()
-    sol = {}
-    for r, i in enumerate(pivots):
-        sol[i] = make_form(1, {(q,): -S[r][c]
-                               for c, q in enumerate(nonpivots)}, ctx)
-    return sol
+    return {i: make_form(1, {(q,): -sum((a * t.coeff((q,))
+                                         for a, t in zip(row, theta)), K.zero)
+                             for q in nonpivots}, ctx)
+            for i, row in zip(pivots, pivot_inverse(theta, pivots))}
 
 
 def reduce_mod(a: DifferentialForm, sol) -> DifferentialForm:

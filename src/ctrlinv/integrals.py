@@ -341,9 +341,9 @@ def check_membership(rhos, system: PfaffianSystem, ctx: SymbolContext,
     unit = math.prod(r.denom for r in rhos)
     for mu, rho in enumerate(rhos, start=1):
         drho = one_form(gradient(rho, ctx), ctx)
-        b, = (DomainMatrix([[drho.coeff((i,)) for i in pivots]],
-                           (1, len(pivots)), inverse.domain)
-              * inverse).to_list()
+        p = [drho.coeff((i,)) for i in pivots]
+        b = [sum((c * row[k] for c, row in zip(p, inverse)), K.zero)
+             for k in range(len(pivots))]
         theta_cert[f"rho{mu}"] = [to_text(reduce_fraction(e)) for e in b]
         residues = []
         for i in range(len(names)):

@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctrlinv.dsl import (
+    ControlAffineSystem,
     ControlSchedule,
-    parse_expr,
+    parse_into,
     parse_system,
     print_system,
 )
@@ -16,14 +17,22 @@ from ctrlinv.errors import (
     ParseError,
     UnknownSymbol,
 )
-from ctrlinv.expr import SymbolContext, normalize, to_text
+from ctrlinv.expr import SymbolContext, from_field, normalize, to_text
+from ctrlinv.integrals import analyze
 
-from conftest import elements, load_system
+from conftest import SYSTEMS_DIR, elements, load_system
+from test_golden import CONFIG, TRIG4, poly_text
 
 x, y, z, w = sp.symbols("x y z w")
 a, b = sp.symbols("a b")
 
 CTX = SymbolContext(states=(x, y, z))
+
+
+def parse_expr(text, ctx):
+    """One text parsed into the field of ctx, as an expression."""
+    _, (e,) = parse_into(ControlAffineSystem(ctx, (), ()), [text])
+    return from_field(e)
 
 
 class TestParseExpr:
@@ -50,9 +59,10 @@ class TestParseExpr:
 
     def test_error_position(self):
         with pytest.raises(ParseError) as exc:
-            parse_expr("x + $", CTX, line_no=3)
+            parse_system("states: x y z\ncontrol g1: [1, 0, 0]\n"
+                         "candidate r: x + $\n")
         assert exc.value.line == 3
-        assert exc.value.column == 5
+        assert exc.value.column == 18
 
     def test_unbalanced_paren(self):
         with pytest.raises(ParseError):
@@ -180,6 +190,97 @@ class TestRoundTrip:
         again = parse_system(text)
         assert again == sys
         assert print_system(again) == text
+
+
+class TestPowerAndSign:
+    """A unary sign applies to a whole power, and `**` is `^`."""
+
+    @pytest.mark.parametrize("text, want", [
+        ("-x^2", -x**2), ("-2^2", -4), ("-x^2^2", -x**4), ("2*-x^2", -2 * x**2),
+        ("-(x+y)^2", -(x + y)**2), ("-x*y", -x * y), ("-x+y", y - x),
+        ("2^-1", sp.Rational(1, 2)), ("x^-2", x**-2), ("- -x^2", x**2),
+        ("+x^2", x**2)])
+    def test_unary_sign_binds_looser_than_power(self, text, want):
+        assert normalize(parse_expr(text, CTX) - want, CTX) == 0
+
+    @pytest.mark.parametrize("text, want", [
+        ("x**2", x**2), ("x**2**2", x**4), ("2**-1*x", x / 2),
+        ("x**(-2)", x**-2), ("-x**2", -x**2), ("x ** 3", x**3)])
+    def test_double_star_is_power(self, text, want):
+        assert normalize(parse_expr(text, CTX) - want, CTX) == 0
+
+    @pytest.mark.parametrize("text", [
+        *((SYSTEMS_DIR / f"ex{k}.sys").read_text() for k in range(1, 5)),
+        poly_text(3), TRIG4,
+        "states: x y\ncontrol g1: [-x^2, 1/(x+1)^2]\n"
+        "control g2: [x**(-2), 1]\ncandidate rho1: -x^2*y\n"],
+        ids=["ex1", "ex2", "ex3", "ex4", "poly3", "trig4", "powers"])
+    def test_print_system_round_trips(self, text):
+        sys = parse_system(text)
+        assert parse_system(print_system(sys)) == sys
+
+
+class TestParseEdgeCases:
+    """Powers of zero, negative and folded exponents, and denominators
+    that vanish, exactly or modulo sin**2 + cos**2 = 1."""
+
+    @pytest.mark.parametrize("text, want", [
+        ("0^0", 1), ("(x-x)^0", 1), ("2^-2", sp.Rational(1, 4)),
+        ("x^(3-5)", x**-2), ("x^(y-y)", 1), ("(-2)^-1", sp.Rational(-1, 2))])
+    def test_value(self, text, want):
+        assert normalize(parse_expr(text, CTX) - want, CTX) == 0
+
+    @pytest.mark.parametrize("text", [
+        "0^-1", "x/(y-y)", "(y-y)^-1*0", "1/(sin(x)^2+cos(x)^2-1)"])
+    def test_division_by_zero(self, text):
+        with pytest.raises(DivisionByZeroExpr,
+                           match="denominator normalizes to zero"):
+            parse_expr(text, CTX)
+
+    def test_negative_power_keeps_denominator_positive(self):
+        sys = parse_system("states: x y\ncontrol g1: [(-2)^-1, (-x)^-1]\n")
+        K = sys.ctx.field
+        assert list(sys.controls[0]) == [K(-1) / 2, -1 / K.gens[0]]
+        assert all(f.denom.LC > 0 for f in sys.controls[0])
+        assert list(map(to_text, sys.controls[0])) == ["-1/2", "-1/x"]
+
+
+class TestTrigScan:
+    """The field's sin/cos pairs come from a scan of the declaration texts
+    made before any of them is parsed."""
+
+    def test_extra_pair_moves_nothing(self):
+        base = (SYSTEMS_DIR / "ex1.sys").read_text()
+        assert "control g1: [1, y, 0]" in base
+        padded = base.replace("control g1: [1, y, 0]",
+                              "control g1: [sin(x) - sin(x) + 1, y, 0]")
+        sys, padded_sys = parse_system(base), parse_system(padded)
+        assert padded_sys.ctx.trig == (x,) and sys.ctx.trig == ()
+        assert padded_sys.controls == sys.with_trig((x,)).controls
+        assert analyze(padded_sys, CONFIG) == analyze(sys, CONFIG)
+
+    def test_pair_from_assume_nonzero_alone(self):
+        sys = parse_system("states: x w\ncontrol g1: [1, x]\n"
+                           "assume_nonzero: cos(w)\n")
+        assert sys.ctx.trig == (w,)
+        assert sys.ctx.nonzero == (sys.ctx.field.gens[3],)
+        assert from_field(sys.ctx.nonzero[0]) == sp.cos(w)
+
+    def test_earlier_error_first(self):
+        # the scan reads the malformed trig atom of line 3 without raising:
+        # line 2's error comes first
+        with pytest.raises(UnknownSymbol, match="line 2"):
+            parse_system("states: x w\ncontrol g1: [q, 0]\n"
+                         "control g2: [sin(w, 0]\n")
+        with pytest.raises(DivisionByZeroExpr):
+            parse_system("states: x w\ncontrol g1: [1/(x-x), 0]\n"
+                         "control g2: [sin(w)+, 0]\n")
+
+    def test_parse_into_adds_the_pairs_of_its_texts(self, ex1):
+        moved, (e,) = parse_into(ex1, ["sin(z)*x"])
+        assert moved.ctx.trig == (z,) and ex1.ctx.trig == ()
+        assert from_field(e) == sp.sin(z) * x
+        assert moved.controls == ex1.with_trig((z,)).controls
 
 
 class TestSchedule:

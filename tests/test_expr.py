@@ -26,7 +26,6 @@ from ctrlinv.expr import (
     EVAL_SINGULAR_TOL,
     SymbolContext,
     Verdict,
-    determinant,
     differentiate,
     divide_exact,
     evaluate,
@@ -766,7 +765,7 @@ class TestToText:
 
 
 class TestDeterminant:
-    """`determinant` and `minors`, a kept-minor expansion over the
+    """`minors`, a kept-minor expansion over the
     polynomial ring, equal Bareiss elimination over the fraction field
     (sympy's DomainMatrix.det), which shares no code with them."""
 
@@ -813,7 +812,7 @@ class TestDeterminant:
             n = rng.choice((1, 2, 2, 3, 3, 4, 4, 5))
             rows = self._rows(rng, n, n)
             want = self._field_det(rows)
-            got = determinant(rows)
+            got = minors(rows)(range(n))
             assert (got.numer, got.denom) == (want.numer, want.denom), rows
             singular += not want
             constant += all(e.numer.is_ground and e.denom.is_ground
@@ -832,7 +831,7 @@ class TestDeterminant:
             n = 4 if len(zeros) == 6 else 5
             rows = [[K.zero if (r, c) in zeros else self._entry(rng, CTX4)
                      for c in range(n)] for r in range(n)]
-            assert self._field_det(rows) == determinant(rows) == K.zero
+            assert self._field_det(rows) == minors(rows)(range(n)) == K.zero
 
     def test_minors_match_field_bareiss(self):
         # every column subset of s x n rows, s <= 4 and n <= 6, with two

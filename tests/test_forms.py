@@ -2,6 +2,7 @@ import random
 
 import pytest
 import sympy as sp
+from sympy.polys.matrices import DomainMatrix
 
 import ctrlinv.forms as forms_module
 from ctrlinv.errors import SingularPivot
@@ -192,7 +193,7 @@ class TestReduceMod:
         # nonsingular: det = sin(w)**2 + cos(w)**2 = 1
         theta = [one_form_of([sp.sin(w), -sp.cos(w), x, 0], CTX4),
                  one_form_of([sp.cos(w), sp.sin(w), 0, y], CTX4)]
-        inverse = pivot_inverse(theta, [0, 1]).to_list()
+        inverse = pivot_inverse(theta, [0, 1])
         block = [[t.coeff((i,)) for i in (0, 1)] for t in theta]
         for i, row in enumerate(inverse):
             for j in range(2):
@@ -201,7 +202,7 @@ class TestReduceMod:
                 assert not reduce_fraction(got - (i == j))
 
     def test_pivot_inverse_of_the_rank_zero_system(self):
-        assert pivot_inverse([], []).shape == (0, 0)
+        assert pivot_inverse([], []) == []
 
     def test_pivot_inverse_singular_and_miscounted(self):
         theta = [one_form_of([x, y, 0], CTX)]
@@ -235,3 +236,60 @@ class TestReduceMod:
         monkeypatch.setattr(forms_module, "make_form", counting)
         reduce_mod(f, sol)
         assert len(calls) == 1
+
+
+class TestPivotInverseAgainstDomainMatrix:
+    """`pivot_inverse`, Cramer's rule on one kept-minor expansion, against
+    sympy's DomainMatrix.inv over the field, which shares no code with it:
+    equal elements before any reduction, on seeded blocks of rational
+    and trig entries."""
+
+    @staticmethod
+    def _entry(rng, s):
+        """A rational constant or zero, a polynomial in x, y, z and the
+        pair of w, or, in a block of at most two rows, a quotient: field
+        Bareiss takes seconds on larger blocks of them."""
+        kind = rng.randrange(3 if s < 3 else 2)
+        if kind == 0:
+            return 0 if rng.random() < 0.3 else sp.Rational(
+                rng.randint(-5, 5), rng.randint(1, 4))
+        poly = random_poly(rng, (x, y, z), terms=2, degree=1 + (s < 3),
+                           trig_of=w)
+        if kind == 1:
+            return poly
+        return poly / (z + random_poly(rng, (x, y), terms=1, degree=1))
+
+    def test_matches_field_inverse(self):
+        rng = random.Random(29)
+        K = CTX4.field
+        sizes, singular = set(), 0
+        for _ in range(40):
+            s = rng.randint(1, 4)
+            rows = [[self._entry(rng, s) for _ in range(4)]
+                    for _ in range(s)]
+            if s > 1 and rng.random() < 0.2:  # a multiple of the first row
+                c = sp.Rational(rng.randint(-3, 3), rng.randint(1, 3))
+                rows[-1] = [c * e for e in rows[0]]
+            theta = [one_form_of(r, CTX4) for r in rows]
+            pivots = sorted(rng.sample(range(4), s))
+            block = DomainMatrix([[t.coeff((i,)) for i in pivots]
+                                  for t in theta], (s, s), K.to_domain())
+            if not reduce_fraction(block.det()):
+                singular += 1
+                with pytest.raises(SingularPivot):
+                    pivot_inverse(theta, pivots)
+                continue
+            assert pivot_inverse(theta, pivots) == block.inv().to_list()
+            sizes.add(s)
+        assert sizes == {1, 2, 3, 4} and singular >= 3
+
+    def test_singular_only_through_trig_identity(self):
+        # the field inverts the block: its determinant sin(w)**2 -
+        # (1 - cos(w))*(1 + cos(w)) is zero only by sin**2 + cos**2 = 1
+        theta = [one_form_of([sp.sin(w), 1 - sp.cos(w), 0, 0], CTX4),
+                 one_form_of([1 + sp.cos(w), sp.sin(w), 0, 0], CTX4)]
+        block = DomainMatrix([[t.coeff((i,)) for i in (0, 1)]
+                              for t in theta], (2, 2), CTX4.field.to_domain())
+        assert block.inv()
+        with pytest.raises(SingularPivot):
+            pivot_inverse(theta, [0, 1])

@@ -1,13 +1,15 @@
 """Every module-level import of a ctrlinv module is used by that module,
-no ctrlinv module has an `assert` statement, and none clones a ring to ZZ.
+no ctrlinv module has an `assert` statement, none clones a ring to ZZ or
+makes a sympy domain of a field, and the parser makes no expression.
 
 No linter runs on the sources, so a deletion could leave an import behind.
 An import counts as used when the module reads the name it binds anywhere:
 as a name, or as the root of an attribute chain.  `__future__` imports and
 the re-exports of `__init__` are the exceptions.  Invariants are raised
 errors: `python -O` strips an assert.  The system field is over ZZ, the
-one coefficient representation: a clone of its ring to ZZ would be a
-second one.
+one coefficient representation: a clone of its ring to ZZ, a domain of
+the field (`to_domain`) or a parsed expression turned into an element
+(`to_field` in the parser) would be a second one.
 """
 
 import ast
@@ -86,3 +88,27 @@ def test_finds_a_clone_to_zz():
               "    Q = R.clone(domain=QQ)\n"
               "    return p.set_ring(R.clone(symbols=R.symbols, domain=ZZ))\n")
     assert clones_to_zz(source) == [2, 4]
+
+
+def calls(source, name):
+    """Line of each call of `name`, as a function or as a method."""
+    return [n.lineno for n in ast.walk(ast.parse(source))
+            if isinstance(n, ast.Call)
+            and name in (getattr(n.func, "attr", None),
+                         getattr(n.func, "id", None))]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_to_domain(path):
+    assert calls(path.read_text(), "to_domain") == []
+
+
+def test_parser_makes_no_expression():
+    assert calls((SRC / "dsl.py").read_text(), "to_field") == []
+
+
+def test_finds_calls():
+    source = ("def f(K, e, ctx):\n    D = K.to_domain()\n"
+              "    return to_field(e, ctx), expr.to_field(e, D)\n")
+    assert calls(source, "to_domain") == [2]
+    assert calls(source, "to_field") == [3, 3]
