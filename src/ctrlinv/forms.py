@@ -155,9 +155,9 @@ def pivot_inverse(theta, pivots):
 
     Cramer's rule on one kept-minor expansion of [A | I] (`expansion`):
     entry (i, j) is the expansion of A with column i replaced by e_j over
-    that of A, both unreduced, so it is A^-1's entry in the field, the
-    entry a ratio of reduced minors could miss by sin**2 + cos**2 = 1.
-    Raises SingularPivot when the reduced determinant of A is zero.
+    that of A, both unreduced: A^-1's entry in the field, where a ratio of
+    reduced minors could differ modulo sin**2 + cos**2 - 1 and print
+    otherwise.  Raises SingularPivot when A's reduced determinant is 0.
     """
     s = len(theta)
     if len(pivots) != s:
@@ -187,13 +187,13 @@ def pivot_solution(theta, pivots):
     if not theta:
         return {}
     ctx = theta[0].ctx
-    K = ctx.field
     pivots = list(pivots)
     nonpivots = [i for i in range(len(ctx.states)) if i not in pivots]
+    B = [[t.coeff((q,)) for q in nonpivots] for t in theta]
     # dx_pivot = -A^{-1} B dx_nonpivot
-    return {i: make_form(1, {(q,): -sum((a * t.coeff((q,))
-                                         for a, t in zip(row, theta)), K.zero)
-                             for q in nonpivots}, ctx)
+    return {i: make_form(1, {(q,): -sum((a * b[c] for a, b in zip(row, B)),
+                                        ctx.field.zero)
+                             for c, q in enumerate(nonpivots)}, ctx)
             for i, row in zip(pivots, pivot_inverse(theta, pivots))}
 
 
