@@ -169,7 +169,7 @@ class _ExprParser:
                 left = left / right
             else:
                 if not (right.denom.is_one and right.numer.is_ground):
-                    self.error("exponent must be an integer literal", col)
+                    self.error("exponent must fold to an integer", col)
                 k = int(right.numer.LC)
                 # the ring raises on 0**0, and a negative power of its own
                 # leaves the denominator's sign as it is: divide instead
@@ -245,28 +245,19 @@ def parse_into(system: ControlAffineSystem, texts):
 
 
 def _parse_vector(text, parse, line_no, col_offset):
-    """The components of a bracketed vector, each parse(text, line_no,
-    col_offset)."""
+    """The components of a bracketed vector, split on the commas outside
+    parentheses, each parse(text, line_no, col_offset)."""
+    col_offset += len(text) - len(text.lstrip()) + 1
     text = text.strip()
     if not (text.startswith("[") and text.endswith("]")):
-        raise ParseError("expected a bracketed vector [ ... ]", line_no, col_offset + 1)
-    inner = text[1:-1]
-    comps = []
-    # split on top-level commas (no nesting other than parens)
-    depth = 0
-    start = 0
-    spans = []
+        raise ParseError("expected a bracketed vector [ ... ]", line_no, col_offset)
+    inner, start, depth, comps = text[1:-1], 0, 0, []
     for i, ch in enumerate(inner):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            spans.append((start, i))
+        depth += (ch == "(") - (ch == ")")
+        if ch == "," and depth == 0:
+            comps.append(parse(inner[start:i], line_no, col_offset + start))
             start = i + 1
-    spans.append((start, len(inner)))
-    for s, e in spans:
-        comps.append(parse(inner[s:e], line_no, col_offset + 1 + s))
+    comps.append(parse(inner[start:], line_no, col_offset + start))
     return tuple(comps)
 
 
@@ -275,6 +266,7 @@ _PARAM_RE = re.compile(r"^\s*([A-Za-z_][A-Za-z_0-9]*)\s*(?:([<>])\s*0\s*)?$")
 
 def parse_system(text: str) -> ControlAffineSystem:
     """Parse a full system definition file into a validated system."""
+    # (name, line, column) of each declared state and parameter
     states = None
     params = []
     param_signs = {}
@@ -298,19 +290,17 @@ def parse_system(text: str) -> ControlAffineSystem:
             for nm in names:
                 if not re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", nm):
                     raise ParseError(f"bad state name {nm!r}", line_no, col0)
-            if len(set(names)) != len(names):
-                raise ParseError("duplicate state variable", line_no, col0)
-            states = tuple(sp.Symbol(nm) for nm in names)
+            states = [(nm, line_no, col0) for nm in names]
         elif key == "params":
             for part in rest.split(","):
                 m = _PARAM_RE.match(part)
                 if not m:
                     raise ParseError(f"bad parameter declaration {part.strip()!r}",
                                      line_no, col0)
-                s = sp.Symbol(m.group(1))
-                params.append(s)
+                params.append((m.group(1), line_no, col0))
                 if m.group(2):
-                    param_signs[s] = "+" if m.group(2) == ">" else "-"
+                    param_signs[sp.Symbol(m.group(1))] = (
+                        "+" if m.group(2) == ">" else "-")
         elif (key in ("drift", "assume_nonzero")
               or key.startswith(("control", "candidate"))):
             if key == "drift":
@@ -321,15 +311,26 @@ def parse_system(text: str) -> ControlAffineSystem:
 
     if states is None:
         raise ParseError("missing 'states:' declaration", 1, 1)
+    # checked once all are declared: params may come before states
+    seen = set()
+    for nm, line_no, col0 in states + params:
+        if nm in ("sin", "cos"):
+            raise ParseError(f"{nm!r} is reserved for the trig functions",
+                             line_no, col0)
+        if nm in seen:
+            raise ParseError(f"{nm!r} is declared twice", line_no, col0)
+        seen.add(nm)
+    states, params = (tuple(sp.Symbol(d[0]) for d in v)
+                      for v in (states, params))
     if not any(d[0].startswith("control") for d in declared):
         raise EmptyControlSet("at least one control field is required")
 
     n = len(states)
     # the field is built once: a sin/cos pair only for the declared symbols
     # inside a trig atom
-    ctx = SymbolContext(states=states, params=tuple(params),
+    ctx = SymbolContext(states=states, params=params,
                         param_signs=param_signs, trig=_trig_symbols(
-                            states + tuple(params), [d[1] for d in declared]))
+                            states + params, [d[1] for d in declared]))
     K = ctx.field
     element = functools.partial(_parse, K)
 

@@ -20,7 +20,8 @@ text is written straight from each element's numerator and denominator
 terms, exactly as sympy's sstr writes the element's expression
 (`to_text`).  Minors and determinants are expanded over the polynomial
 ring with every smaller minor kept, so they take no division until the
-row scales divide each minor once (`minors`).  Float evaluation reads
+row scales divide each minor once (`minors`); a linear system is solved
+by Cramer's rule on one such expansion (`solve`).  Float evaluation reads
 field elements directly too: one source generator writes a kernel from
 each element's numerator and denominator terms, compiled with floats and
 `math` or with numpy arrays (`kernels`, `evaluate`).
@@ -60,6 +61,7 @@ from .errors import (
     EvalSingular,
     NotPolynomial,
     SamplingFailed,
+    SingularPivot,
     UnknownSymbol,
 )
 
@@ -412,6 +414,27 @@ def minors(rows):
         return reduce_fraction(K.new(det, scale)) if det else K.zero
 
     return minor
+
+
+def solve(rows):
+    """X with A X = C for s rows [A | C] of field elements, A square ([]
+    for no rows), by Cramer's rule on one `expansion`: entry (i, q) is the
+    unreduced expansion of A with column i replaced by C's column q over
+    that of A, cancelled once, so it is the entry in the field (a ratio of
+    reduced minors could differ modulo sin**2 + cos**2 - 1).  Raises
+    SingularPivot when A's reduced determinant is 0."""
+    s = len(rows)
+    if not s:
+        return []
+    K = rows[0][0].field
+    expand, _ = expansion(rows)
+    det = expand(tuple(range(s)))
+    if not reduce_fraction(K(det)):
+        raise SingularPivot("pivot determinant is zero")
+    # column q, moved from the end to place i, passes the s - 1 - i after it
+    return [[K.new(expand((*range(i), *range(i + 1, s), q))
+                   * (-1)**(s - 1 - i), det) for q in range(s, len(rows[0]))]
+            for i in range(s)]
 
 
 def from_field(f):

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import SingularPivot
 from .expr import (
     SymbolContext,
     differentiate,
-    expansion,
     reduce_fraction,
+    solve,
     to_text,
 )
 
@@ -149,52 +148,25 @@ def contract(a: DifferentialForm, X):
     return reduce_fraction(total)
 
 
-def pivot_inverse(theta, pivots):
-    """The inverse of the pivot block A of the generators theta, their
-    coefficients of the pivot differentials, as rows of field elements.
-
-    Cramer's rule on one kept-minor expansion of [A | I] (`expansion`):
-    entry (i, j) is the expansion of A with column i replaced by e_j over
-    that of A, both unreduced: A^-1's entry in the field, where a ratio of
-    reduced minors could differ modulo sin**2 + cos**2 - 1 and print
-    otherwise.  Raises SingularPivot when A's reduced determinant is 0.
-    """
-    s = len(theta)
-    if len(pivots) != s:
-        raise ValueError("pivot count must equal the number of generators")
-    if not s:
-        return []
-    K = theta[0].ctx.field
-    expand, _ = expansion([[t.coeff((i,)) for i in pivots]
-                           + [K(int(r == j)) for j in range(s)]
-                           for r, t in enumerate(theta)])
-    det = expand(tuple(range(s)))
-    if not reduce_fraction(K(det)):
-        raise SingularPivot("pivot determinant is zero")
-    # column s + j is e_j, moved from place i past the s - 1 - i after it
-    return [[K.new(expand((*range(i), *range(i + 1, s), s + j))
-                   * (-1)**(s - 1 - i), det) for j in range(s)]
-            for i in range(s)]
-
-
 def pivot_solution(theta, pivots):
     """Solve theta = 0 for the pivot differentials.
 
     Returns a map pivot index -> 1-form in the non-pivot differentials such
     that substituting it makes every generator vanish (empty for the rank-0
-    system).  Raises SingularPivot as `pivot_inverse` does.
+    system): dx_pivot = -A^-1 B dx_nonpivot, with A and B the generators'
+    coefficients of the pivot and the other differentials, by one
+    `expr.solve` of [A | -B].  Raises SingularPivot when A is singular.
     """
     if not theta:
         return {}
+    if len(pivots) != len(theta):
+        raise ValueError("pivot count must equal the number of generators")
     ctx = theta[0].ctx
-    pivots = list(pivots)
     nonpivots = [i for i in range(len(ctx.states)) if i not in pivots]
-    B = [[t.coeff((q,)) for q in nonpivots] for t in theta]
-    # dx_pivot = -A^{-1} B dx_nonpivot
-    return {i: make_form(1, {(q,): -sum((a * b[c] for a, b in zip(row, B)),
-                                        ctx.field.zero)
-                             for c, q in enumerate(nonpivots)}, ctx)
-            for i, row in zip(pivots, pivot_inverse(theta, pivots))}
+    X = solve([[t.coeff((i,)) for i in pivots]
+               + [-t.coeff((q,)) for q in nonpivots] for t in theta])
+    return {i: make_form(1, {(q,): e for q, e in zip(nonpivots, row)}, ctx)
+            for i, row in zip(pivots, X)}
 
 
 def reduce_mod(a: DifferentialForm, sol) -> DifferentialForm:

@@ -39,6 +39,7 @@ from .expr import (
     ideal_cofactors,
     minors,
     reduce_fraction,
+    solve,
     to_field,
     to_text,
 )
@@ -56,7 +57,6 @@ from .forms import (
     d,
     form_to_text,
     one_form,
-    pivot_inverse,
 )
 from .numeric import (
     ESCAPE_STEP,
@@ -312,11 +312,12 @@ def check_membership(rhos, system: PfaffianSystem, ctx: SymbolContext,
     """Classify a candidate system rho^1..rho^d (field elements) against the
     ideal (rho, theta).
 
-    With A the pivot block of theta, b = (pivot coefficients of d(rho^mu))
-    A^-1 is the theta part of d(rho^mu).  Each coefficient of the residue
-    d(rho^mu) - b . theta must lie in the ideal of the rho numerators,
-    saturated by their denominators, modulo sin**2 + cos**2 = 1
-    (`ideal_cofactors`), with its cleared denominator certified nonzero.
+    With A the pivot block of theta and p^mu the pivot coefficients of
+    d(rho^mu), b^mu A = p^mu gives the theta part of d(rho^mu), the
+    columns of one `solve` of [A^T | p^1 ... p^d].  Each coefficient of
+    the residue d(rho^mu) - b . theta must lie in the ideal of the rho
+    numerators, saturated by their denominators, modulo sin**2 + cos**2 =
+    1 (`ideal_cofactors`), with its cleared denominator certified nonzero.
     Every column of d(rho^mu) is cleared before any is tested, so an
     uncertified denominator reads Undetermined ahead of a membership
     failure of the same rho^mu.  All outcomes are classifications, never
@@ -333,17 +334,16 @@ def check_membership(rhos, system: PfaffianSystem, ctx: SymbolContext,
 
     K = ctx.field
     gens, pivots = system.generators, system.pivots
-    inverse = pivot_inverse(gens, pivots)
+    drhos = [one_form(gradient(rho, ctx), ctx) for rho in rhos]
+    X = solve([[g.coeff((i,)) for g in gens]
+               + [drho.coeff((i,)) for drho in drhos] for i in pivots])
     theta_cert = {}
     quotient_cert = {}
     cleared = {}
     # nonzero wherever every rho is defined
     unit = math.prod(r.denom for r in rhos)
-    for mu, rho in enumerate(rhos, start=1):
-        drho = one_form(gradient(rho, ctx), ctx)
-        p = [drho.coeff((i,)) for i in pivots]
-        b = [sum((c * row[k] for c, row in zip(p, inverse)), K.zero)
-             for k in range(len(pivots))]
+    for mu, drho in enumerate(drhos, start=1):
+        b = [row[mu - 1] for row in X]
         theta_cert[f"rho{mu}"] = [to_text(reduce_fraction(e)) for e in b]
         residues = []
         for i in range(len(names)):

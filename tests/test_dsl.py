@@ -3,6 +3,7 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ctrlinv.cli import run
 from ctrlinv.dsl import (
     ControlAffineSystem,
     ControlSchedule,
@@ -72,6 +73,15 @@ class TestParseExpr:
         with pytest.raises(ParseError):
             parse_expr("x^y", CTX)
 
+    @pytest.mark.parametrize("text", ["x^y", "x^(1/2)", "x^(y-y+1/2)"])
+    def test_exponent_must_fold_to_an_integer(self, text):
+        # x^(y-y+2) and x^(3-5) parse: the rule is an exponent that folds
+        # to an integer, not an integer literal; the column is the ^'s
+        with pytest.raises(ParseError) as exc:
+            parse_system(f"states: x y\ncontrol g1: [1, {text}]\n")
+        assert str(exc.value) == ("line 2, column 18: exponent must fold to "
+                                  "an integer")
+
     def test_trig_of_expression_rejected(self):
         ctx = SymbolContext(states=(x, w))
         with pytest.raises(ParseError):
@@ -129,6 +139,33 @@ class TestParseSystem:
     def test_duplicate_state(self):
         with pytest.raises(ParseError):
             parse_system("states: x x\ncontrol g1: [1, 0]\n")
+
+    @pytest.mark.parametrize("text, line, message", [
+        # a parameter named like a state made a field with a repeated
+        # generator, and a report read the parameter as the state
+        ("states: x y\nparams: x\n", 2, "'x' is declared twice"),
+        ("params: b > 0\nstates: b y\n", 1, "'b' is declared twice"),
+        ("states: x y\nparams: a, b,a\n", 2, "'a' is declared twice"),
+        ("states: x x\n", 1, "'x' is declared twice"),
+        # sin(v) and cos(v) are trig atoms: no expression could name such
+        # a symbol
+        ("states: x sin\n", 1, "'sin' is reserved for the trig functions"),
+        ("states: x y\nparams: a, cos\n", 2,
+         "'cos' is reserved for the trig functions"),
+    ], ids=["param-named-like-state", "param-before-states", "param-twice",
+            "state-twice", "state-sin", "param-cos"])
+    def test_names_declared_once_and_not_reserved(self, text, line, message):
+        with pytest.raises(ParseError) as exc:
+            parse_system(text + "control g1: [1, 0]\n")
+        assert str(exc.value) == f"line {line}, column 7: {message}"
+
+    def test_state_named_like_a_parameter_is_no_report(self, tmp_path,
+                                                       capsys):
+        # analyze read {x**2/2 - y = 0} as a first integral here, exit 0
+        path = tmp_path / "shadow.sys"
+        path.write_text("states: x y\nparams: x\ncontrol g1: [1, x]\n")
+        assert run(["analyze", str(path)]) == 1
+        assert "'x' is declared twice" in capsys.readouterr().err
 
     def test_unknown_declaration(self):
         with pytest.raises(ParseError) as exc:
@@ -226,7 +263,8 @@ class TestParseEdgeCases:
 
     @pytest.mark.parametrize("text, want", [
         ("0^0", 1), ("(x-x)^0", 1), ("2^-2", sp.Rational(1, 4)),
-        ("x^(3-5)", x**-2), ("x^(y-y)", 1), ("(-2)^-1", sp.Rational(-1, 2))])
+        ("x^(3-5)", x**-2), ("x^(y-y)", 1), ("(-2)^-1", sp.Rational(-1, 2)),
+        ("x^(y-y+2)", x**2)])
     def test_value(self, text, want):
         assert normalize(parse_expr(text, CTX) - want, CTX) == 0
 

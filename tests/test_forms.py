@@ -6,13 +6,18 @@ from sympy.polys.matrices import DomainMatrix
 
 import ctrlinv.forms as forms_module
 from ctrlinv.errors import SingularPivot
-from ctrlinv.expr import SymbolContext, from_field, reduce_fraction, to_field
+from ctrlinv.expr import (
+    SymbolContext,
+    from_field,
+    reduce_fraction,
+    solve,
+    to_field,
+)
 from ctrlinv.forms import (
     coefficient_vector,
     contract,
     d,
     make_form,
-    pivot_inverse,
     pivot_solution,
     reduce_mod,
     wedge,
@@ -190,26 +195,27 @@ class TestReduceMod:
 
     def test_pivot_inverse(self):
         # the inverse of the pivot block, which the trig relation keeps
-        # nonsingular: det = sin(w)**2 + cos(w)**2 = 1
+        # nonsingular (det = sin(w)**2 + cos(w)**2 = 1): `solve` of [A | I]
         theta = [one_form_of([sp.sin(w), -sp.cos(w), x, 0], CTX4),
                  one_form_of([sp.cos(w), sp.sin(w), 0, y], CTX4)]
-        inverse = pivot_inverse(theta, [0, 1])
+        K = CTX4.field
         block = [[t.coeff((i,)) for i in (0, 1)] for t in theta]
+        inverse = solve([row + [K(int(r == j)) for j in range(2)]
+                         for r, row in enumerate(block)])
         for i, row in enumerate(inverse):
             for j in range(2):
-                got = sum((row[k] * block[k][j] for k in range(2)),
-                          CTX4.field.zero)
+                got = sum((row[k] * block[k][j] for k in range(2)), K.zero)
                 assert not reduce_fraction(got - (i == j))
 
     def test_pivot_inverse_of_the_rank_zero_system(self):
-        assert pivot_inverse([], []) == []
+        assert solve([]) == [] and pivot_solution([], []) == {}
 
     def test_pivot_inverse_singular_and_miscounted(self):
         theta = [one_form_of([x, y, 0], CTX)]
         with pytest.raises(SingularPivot):
-            pivot_inverse(theta, [2])
+            solve([[theta[0].coeff((2,)), CTX.field.one]])
         with pytest.raises(ValueError):
-            pivot_inverse(theta, [0, 1])
+            pivot_solution(theta, [0, 1])
 
     def test_two_generator_reduction(self):
         # theta1 = b dx - a dz reduced mod itself via pivot x
@@ -238,11 +244,11 @@ class TestReduceMod:
         assert len(calls) == 1
 
 
-class TestPivotInverseAgainstDomainMatrix:
-    """`pivot_inverse`, Cramer's rule on one kept-minor expansion, against
-    sympy's DomainMatrix.inv over the field, which shares no code with it:
-    equal elements before any reduction, on seeded blocks of rational
-    and trig entries."""
+class TestSolveAgainstDomainMatrix:
+    """`expr.solve`, Cramer's rule on one kept-minor expansion of [A | C],
+    against sympy's DomainMatrix over the field, A.inv() * C, which shares
+    no code with it: equal elements before any reduction, on seeded blocks
+    of rational and trig entries."""
 
     @staticmethod
     def _entry(rng, s):
@@ -259,10 +265,12 @@ class TestPivotInverseAgainstDomainMatrix:
             return poly
         return poly / (z + random_poly(rng, (x, y), terms=1, degree=1))
 
-    def test_matches_field_inverse(self):
-        rng = random.Random(29)
+    def test_matches_field_solve(self):
+        # the right-hand sides draw from a generator of their own, so the
+        # blocks are the 40 of seed 29 whatever C's width
+        rng, rng_c = random.Random(29), random.Random(31)
         K = CTX4.field
-        sizes, singular = set(), 0
+        sizes, widths, singular = set(), set(), 0
         for _ in range(40):
             s = rng.randint(1, 4)
             rows = [[self._entry(rng, s) for _ in range(4)]
@@ -272,24 +280,31 @@ class TestPivotInverseAgainstDomainMatrix:
                 rows[-1] = [c * e for e in rows[0]]
             theta = [one_form_of(r, CTX4) for r in rows]
             pivots = sorted(rng.sample(range(4), s))
-            block = DomainMatrix([[t.coeff((i,)) for i in pivots]
-                                  for t in theta], (s, s), K.to_domain())
+            A = [[t.coeff((i,)) for i in pivots] for t in theta]
+            k = rng_c.randint(1, 3)
+            C = [[to_field(self._entry(rng_c, s), CTX4) for _ in range(k)]
+                 for _ in range(s)]
+            augmented = [a + c for a, c in zip(A, C)]
+            block = DomainMatrix(A, (s, s), K.to_domain())
             if not reduce_fraction(block.det()):
                 singular += 1
                 with pytest.raises(SingularPivot):
-                    pivot_inverse(theta, pivots)
+                    solve(augmented)
                 continue
-            assert pivot_inverse(theta, pivots) == block.inv().to_list()
+            want = block.inv() * DomainMatrix(C, (s, k), K.to_domain())
+            assert solve(augmented) == want.to_list()
             sizes.add(s)
-        assert sizes == {1, 2, 3, 4} and singular >= 3
+            widths.add(k)
+        assert sizes == {1, 2, 3, 4} and widths == {1, 2, 3}
+        assert singular >= 3
 
     def test_singular_only_through_trig_identity(self):
         # the field inverts the block: its determinant sin(w)**2 -
         # (1 - cos(w))*(1 + cos(w)) is zero only by sin**2 + cos**2 = 1
         theta = [one_form_of([sp.sin(w), 1 - sp.cos(w), 0, 0], CTX4),
                  one_form_of([1 + sp.cos(w), sp.sin(w), 0, 0], CTX4)]
-        block = DomainMatrix([[t.coeff((i,)) for i in (0, 1)]
-                              for t in theta], (2, 2), CTX4.field.to_domain())
-        assert block.inv()
+        K = CTX4.field
+        A = [[t.coeff((i,)) for i in (0, 1)] for t in theta]
+        assert DomainMatrix(A, (2, 2), K.to_domain()).inv()
         with pytest.raises(SingularPivot):
-            pivot_inverse(theta, [0, 1])
+            solve([row + [K.one] for row in A])

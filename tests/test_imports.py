@@ -1,6 +1,7 @@
 """Every module-level import of a ctrlinv module is used by that module,
 no ctrlinv module has an `assert` statement, none clones a ring to ZZ or
-makes a sympy domain of a field, and the parser makes no expression.
+makes a sympy domain of a field, the parser makes no expression, and only
+`expr` expands minors.
 
 No linter runs on the sources, so a deletion could leave an import behind.
 An import counts as used when the module reads the name it binds anywhere:
@@ -9,7 +10,9 @@ the re-exports of `__init__` are the exceptions.  Invariants are raised
 errors: `python -O` strips an assert.  The system field is over ZZ, the
 one coefficient representation: a clone of its ring to ZZ, a domain of
 the field (`to_domain`) or a parsed expression turned into an element
-(`to_field` in the parser) would be a second one.
+(`to_field` in the parser) would be a second one.  Determinants, minors
+and the Cramer solve of a linear system come from one kept-minor
+`expansion` in `expr`: a call elsewhere would be a second layout of it.
 """
 
 import ast
@@ -112,3 +115,17 @@ def test_finds_calls():
               "    return to_field(e, ctx), expr.to_field(e, D)\n")
     assert calls(source, "to_domain") == [2]
     assert calls(source, "to_field") == [3, 3]
+
+
+NOT_EXPR = [p for p in SOURCES if p.name != "expr.py"]
+
+
+@pytest.mark.parametrize("path", NOT_EXPR, ids=[p.name for p in NOT_EXPR])
+def test_only_expr_expands(path):
+    assert calls(path.read_text(), "expansion") == []
+
+
+def test_finds_expansion_calls():
+    source = ("def f(rows, expr):\n    expand, _ = expansion(rows)\n"
+              "    return expand, expr.expansion(rows[1:]), expansion\n")
+    assert calls(source, "expansion") == [2, 3]

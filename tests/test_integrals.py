@@ -5,6 +5,7 @@ import time
 import pytest
 import sympy as sp
 from sympy.polys.domains import QQ
+from sympy.polys.matrices import DomainMatrix
 from sympy.polys.polyerrors import PolynomialError
 
 import ctrlinv.integrals as integrals_module
@@ -13,11 +14,14 @@ from ctrlinv.errors import AnnihilationFailure, NotClosed
 from ctrlinv.expr import (
     SymbolContext,
     from_field,
+    gradient,
     normalize,
+    reduce_fraction,
     to_field,
     to_text,
 )
 from ctrlinv.flag import TorsionMatrix, annihilator, derived_flag, torsion
+from ctrlinv.forms import one_form
 from ctrlinv.integrals import (
     AnalysisConfig,
     Classification,
@@ -30,7 +34,7 @@ from ctrlinv.integrals import (
     poincare_integrate,
 )
 
-from conftest import context, one_form_of
+from conftest import context, load_system, one_form_of
 
 x, y, z, w = sp.symbols("x y z w")
 a, b = sp.symbols("a b")
@@ -378,7 +382,65 @@ def assert_certificate(rhos, system, evidence):
             assert rem == 0, (mu, v, gap)
 
 
+def theta_coefficients_by_inverse(rhos, system, ctx):
+    """The theta coefficients b^mu = p^mu A^-1 of each d(rho^mu), p^mu its
+    pivot coefficients and A the pivot block of the system, as sums of
+    field products over sympy's DomainMatrix inverse of A."""
+    K, gens, pivots = ctx.field, system.generators, system.pivots
+    s = len(pivots)
+    inverse = DomainMatrix([[g.coeff((i,)) for i in pivots] for g in gens],
+                           (s, s), K.to_domain()).inv().to_list() if s else []
+    out = []
+    for rho in rhos:
+        drho = one_form(gradient(rho, ctx), ctx)
+        p = [drho.coeff((i,)) for i in pivots]
+        out.append([sum((c * row[k] for c, row in zip(p, inverse)), K.zero)
+                    for k in range(s)])
+    return out
+
+
+PLANE = "states: x y\ncontrol g1: [1, 0]\ncontrol g2: [0, 1]\n"
+CODIM_TWO = ("states: x y z w\ncontrol g1: [x, 0, 1, 0]\n"
+             "control g2: [0, y, 0, 1]\n")
+
+
 class TestCheckMembership:
+    @pytest.mark.parametrize("source, rhos", [
+        ("ex1", ["z"]), ("ex2", ["y"]), ("ex3", ["b*x - a*z"]),
+        ("ex4", ["b*x - a*z"]), (CODIM_TWO, ["x", "y + x*z"]),
+        ("states: x w\ncontrol g1: [1, sin(w)^2]\n", ["sin(w)"]),
+        ("states: x y z w\ncontrol g1: [0, 0, z, 1]\n", ["x", "z + x/y"]),
+        (MINOR_DENOMINATOR, ["y*cos(w) + x"]), (PLANE, ["x"]),
+    ], ids=["ex1", "ex2", "ex3", "ex4", "codim2", "trig", "saturated",
+            "trig-block", "rank0"])
+    def test_theta_coefficients_match_the_inverse(self, monkeypatch, source,
+                                                  rhos):
+        # the columns of the one solve of [A^T | p^1 ... p^d] equal the
+        # sums p^mu A^-1 as field elements, before any reduction, and
+        # the report prints them reduced
+        sys = (parse_system(source) if "\n" in source
+               else load_system(source))
+        ann = annihilator(sys)
+        rhos = [F(r, sys.ctx) for r in rhos]
+        solved = []
+        real = integrals_module.solve
+
+        def recording(rows):
+            solved.append(real(rows))
+            return solved[-1]
+
+        monkeypatch.setattr(integrals_module, "solve", recording)
+        res = check_membership(rhos, ann, sys.ctx)
+        want = theta_coefficients_by_inverse(rhos, ann, sys.ctx)
+        X, = solved
+        assert [[row[mu] for row in X] for mu in range(len(rhos))] == want
+        if ann.rank == 0:
+            assert want == [[]] and res.evidence["column"] == "dx"
+        if "theta_coefficients" in res.evidence:
+            assert res.evidence["theta_coefficients"] == {
+                f"rho{mu}": [to_text(reduce_fraction(e)) for e in b]
+                for mu, b in enumerate(want, start=1)}
+
     def test_generalized(self, ex1):
         ann = annihilator(ex1)
         res = check_membership([F(z, ex1.ctx)], ann, ex1.ctx)
