@@ -284,6 +284,9 @@ def parse_system(text: str) -> ControlAffineSystem:
         key = head.strip()
         col0 = len(head) + 1
         if key == "states":
+            if states is not None:
+                raise ParseError("'states:' is declared twice, first on "
+                                 f"line {states[0][1]}", line_no, 1)
             names = rest.split()
             if not names:
                 raise ParseError("no state variables declared", line_no, col0)

@@ -24,7 +24,8 @@ row scales divide each minor once (`minors`); a linear system is solved
 by Cramer's rule on one such expansion (`solve`).  Float evaluation reads
 field elements directly too: one source generator writes a kernel from
 each element's numerator and denominator terms, compiled with floats and
-`math` or with numpy arrays (`kernels`, `evaluate`).
+`math`, with numpy arrays, or with numpy arrays whose values are the
+floats' own (`kernels`, `evaluate`).
 
 A reduced element is the canonical pair of an integer-coefficient
 numerator and denominator, the denominator with positive leading
@@ -68,7 +69,7 @@ from .errors import (
 NONZERO_WITNESS_TOL = 1e-9
 EVAL_SINGULAR_TOL = 1e-12
 # what evaluating at a sampled point may raise: a denominator below the
-# threshold or a value that is not finite, overflow in `**`, or math.sin of
+# threshold or a value that is not finite, overflow in `pow`, or math.sin of
 # an infinite value
 POINT_ERRORS = (EvalSingular, ArithmeticError, ValueError)
 _TRIG = (sp.sin, sp.cos)
@@ -604,21 +605,53 @@ def _checked(value, text):
     return value
 
 
-# the names in the generated kernels: the float form and the array form
-_FLOATS = {"sin": math.sin, "cos": math.cos, "den": _checked, "inf": math.inf}
-_ARRAYS = {"sin": np.sin, "cos": np.cos, "den": lambda value, text: value,
-           "inf": np.inf}
+def _each(fn):
+    """fn of each entry of an array, on Python floats; NaN where fn raises
+    (`pow` overflowing, math.sin of an infinite value): no float operation
+    turns NaN back into a number, as it can an infinity."""
+    def each(a, *args):
+        values = a.tolist()
+        for i, v in enumerate(values):
+            try:
+                values[i] = fn(v, *args)
+            except (ArithmeticError, ValueError):
+                values[i] = math.nan
+        return np.array(values)
+
+    return each
 
 
-def kernels(groups, ctx: SymbolContext, arrays=False, field=None):
+def _nan_below(value, text):
+    return np.where(np.abs(value) < EVAL_SINGULAR_TOL, np.nan, value)
+
+
+# the names in the generated kernels, per form
+_FORMS = {
+    "float": {"sin": math.sin, "cos": math.cos, "den": _checked,
+              "inf": math.inf},
+    "array": {"sin": np.sin, "cos": np.cos, "den": lambda value, text: value,
+              "inf": np.inf},
+    "sampling": {"sin": _each(math.sin), "cos": _each(math.cos),
+                 "pow": _each(pow), "den": _nan_below, "inf": np.inf},
+}
+
+
+def kernels(groups, ctx: SymbolContext, form="float", field=None):
     """Per group of field elements, a kernel compiled from one source: each
     generator read once, each value num / den as `from_field` writes it,
     sums in grlex order, coefficients as float literals (inf beyond the
-    double range).  The array form fill(x, p, out) takes numpy rows of the
-    states x: (n, N) and parameters p: (k, N) and leaves non-finite values;
-    the float form maps the list of ctx.symbols' values to the group's and
-    raises EvalSingular at a denominator below 1e-12 or a non-finite value
-    (`**` and math.sin raise the rest of POINT_ERRORS).
+    double range).  Three forms:
+
+    * "float" maps the list of ctx.symbols' values to the group's and
+      raises EvalSingular at a denominator below 1e-12 or a non-finite
+      value (`pow` and math.sin raise the rest of POINT_ERRORS);
+    * "array", fill(x, p, out), takes numpy rows of the states x: (n, N)
+      and parameters p: (k, N) and leaves non-finite values;
+    * "sampling" maps rows of ctx.symbols' values, (N, n + k), to the
+      group's values, (len(group), N): the float form's values, bit for
+      bit, since its powers and trig atoms are Python's per entry (numpy's
+      power is not libm's pow), and a value that is not finite, NaN at a
+      denominator below 1e-12, wherever the float form raises.
 
     With `field`, the rows (f, g_1, ..., g_m) of a control-affine field, the
     array form's first kernel, from the same source, is its stage kernel
@@ -648,13 +681,14 @@ def kernels(groups, ctx: SymbolContext, arrays=False, field=None):
                map(_stage_value, *field))
     for g, group in enumerate(groups):
         define(f"_k{g}", "_x, _p, _out", group, map(_value, group))
-    namespace = dict(_ARRAYS if arrays else _FLOATS)
+    namespace = dict(_FORMS[form])
     exec(compile("\n".join(source), "<ctrlinv kernel>", "exec"), namespace)
     # popped: a function left in its own globals is freed only by gc
     fills = [namespace.pop(name) for name in names]
-    if arrays:
+    if form == "array":
         return fills
-    return [functools.partial(_at_point, fill, n, len(group))
+    wrap = _at_point if form == "float" else _at_rows
+    return [functools.partial(wrap, fill, n, len(group))
             for fill, group in zip(fills, groups)]
 
 
@@ -691,9 +725,16 @@ def _at_point(fill, n, size, values):
     return out
 
 
+def _at_rows(fill, n, size, rows):
+    cols = rows.T
+    with np.errstate(all="ignore"):
+        return fill(cols, cols[n:], np.empty((size, len(rows))))
+
+
 def _sum(p, scale):
     """p / scale as the sum of its terms in grlex order, each coefficient
-    the float of the rational QQ(c, scale)."""
+    the float of the rational QQ(c, scale) and each power of a generator
+    `pow(g, e)`: the builtin, `**` itself, but in the sampling form."""
     text = ""
     for m, c in p.terms():
         c = QQ(c, scale)
@@ -702,7 +743,7 @@ def _sum(p, scale):
         except OverflowError:  # beyond the double range
             literal = "inf"
         term = "*".join(([literal] if literal != "1.0" or not any(m) else [])
-                        + [f"_g{i}" + (f"**{e}" if e > 1 else "")
+                        + [f"pow(_g{i}, {e})" if e > 1 else f"_g{i}"
                            for i, e in enumerate(m) if e])
         text += (" - " if c < 0 else " + ") + term
     return text.lstrip(" +") or "0.0"

@@ -107,7 +107,7 @@ def rhs_function(sys: ControlAffineSystem, monitors=()):
     C-ordered arrays, as the sweep passes them.  Its `monitors(x, p)`, from
     the same compile, returns the monitor rows at x and p as (monitors, N).
     """
-    stage, fill = kernels([list(monitors)], sys.ctx, arrays=True,
+    stage, fill = kernels([list(monitors)], sys.ctx, "array",
                           field=(sys.drift, *sys.controls))
 
     def rhs(x, u, p, out=None):
@@ -217,7 +217,7 @@ def simulate(sys: ControlAffineSystem, x0, schedule: ControlSchedule,
             i, t_prev = j, t
         rho_values = {}
         if monitors:  # one batched evaluation over the whole grid
-            fill, = kernels([list(monitors.values())], ctx, arrays=True)
+            fill, = kernels([list(monitors.values())], ctx, "array")
             rho_values = dict(zip(monitors, fill(
                 xs.T, np.repeat(p.T, len(xs), axis=1),
                 np.empty((len(monitors), len(xs))))))
@@ -226,18 +226,18 @@ def simulate(sys: ControlAffineSystem, x0, schedule: ControlSchedule,
                       schedule=schedule, rho_values=rho_values)
 
 
-def _dp_step(rhs, x, u, p, h, k):
+def _dp_step(rhs, x, u, p, h, k, K):
     """One Dormand-Prince 5(4) step of every trial, component-major: x: (n, N)
     and its stages k: (7, n, N), whose first holds k_1, under u: (N, m) and
     p: (N, k) with steps h: (N,).  The stage kernel writes k_2 ... k_7 into
     k; k_7 is f at the new state, the next step's first stage.
 
     Returns the fifth-order state, its difference to the embedded
-    fourth-order one, the stages h k_j: (7, n, N), the monitors at the new
-    state and, per trial, whether every k_j and the new state are finite.
-    The k_j are tested, not h k_j, which may overflow where k_j does not.
+    fourth-order one, the stages h k_j: (7, n, N), written into K, the
+    monitors at the new state and, per trial, whether every k_j and the new
+    state are finite.  The k_j are tested, not h k_j, which may overflow
+    where k_j does not.
     """
-    K = np.empty(k.shape)  # h k_j
     np.multiply(k[0], h, out=K[0])
     for s in range(1, 7):
         xs = x + np.add.reduce(_DP_A[s, :s] * K[:s], axis=0)
@@ -277,61 +277,70 @@ def _dp_sweep(rhs, x, p, ends, controls, h, budget=None):
     after every attempted step: each column's trial, time, whether its step
     was accepted and whether its stages and x_new were finite, the step
     (x, x_new, stages h k_j) and the monitors at x_new (the last two count
-    only where accepted).  A trial leaves the batch at its horizon or after
-    a non-finite step.  Raises StepSingular when a trial is short of the
-    horizon after `budget` attempted steps, by default
-    max(MIN_BUDGET, round(horizon / h)).
+    only where accepted, and the stages only until the next step).  A trial
+    leaves the batch at its horizon or after a non-finite step.  Raises
+    StepSingular when a trial is short of the horizon after `budget`
+    attempted steps, by default max(MIN_BUDGET, round(horizon / h)).
     """
     if budget is None:
         budget = max(MIN_BUDGET, round(float(ends[:, -1].max()) / h))
     trials = np.arange(x.shape[1])
     horizon = ends[:, -1]
     piece = np.zeros(len(trials), dtype=int)
+    stop = ends[:, 0]  # each trial's next switch or its horizon
     t = np.zeros(len(trials))
     h = np.full(len(trials), h)
     # the controls and parameters component-major, as the kernels read
     # them, copied only when the batch or its controls change
     u, p = np.ascontiguousarray(controls[:, 0].T), np.ascontiguousarray(p.T)
     finite = np.ones(len(trials), dtype=bool)
+    ahead = t < horizon
     yield trials, t, finite, finite, (x, x, None), rhs.monitors(x.T, p.T)
     k = np.empty((7,) + x.shape)  # the stages, k[0] the next step's first
+    K = np.empty(k.shape)  # h k_j
     rhs(x.T, u.T, p.T, out=k[0].T)
     for _ in range(budget):
-        live = (t < horizon) & finite
-        if not live.any():
+        live = ahead & finite
+        alive = np.count_nonzero(live)
+        if not alive:
             return
         # numpy sums the components of a lone column pairwise (n >= 8), not
         # in order as across a wider block: one finished trial, which takes
         # steps of 0, stays beside the last live one
-        if np.count_nonzero(live) == 1:
-            live[np.argmin(live | ~finite)] = True
-        if not live.all():
+        if alive == 1:
+            j = np.argmin(live | ~finite)
+            alive += not live[j]
+            live[j] = True
+        if alive < len(live):
             x = x[:, live]
             # compress, unlike x[:, live], keeps the rows C-ordered
             k, u, p = (a.compress(live, axis=-1) for a in (k, u, p))
-            trials, horizon, piece, t, h = (
-                a[live] for a in (trials, horizon, piece, t, h))
-        stop = ends[trials, piece]
-        lands = t + h >= stop
-        t_new = np.where(lands, stop, t + h)
+            K = np.empty(k.shape)
+            trials, horizon, piece, stop, t, h, ahead = (
+                a[live] for a in (trials, horizon, piece, stop, t, h, ahead))
+        t_next = t + h
+        lands = t_next >= stop
+        t_new = np.where(lands, stop, t_next)
         step = t_new - t  # 0 once a trial is at its horizon
-        x_new, err, K, rho, finite = _dp_step(rhs, x, u.T, p.T, step, k)
+        x_new, err, K, rho, finite = _dp_step(rhs, x, u.T, p.T, step, k, K)
         scale = ATOL + RTOL * np.maximum(np.abs(x), np.abs(x_new))
         e = np.sqrt(np.add.reduce(np.square(err / scale), axis=0) / len(x))
         e[np.isnan(e)] = np.inf
-        accepted = (t < horizon) & (e <= 1.0) & finite
+        accepted = ahead & (e <= 1.0) & finite
         proposed = step * np.clip(0.9 * e ** -0.2, 0.2, 5.0)
         h = np.where(accepted & lands, np.maximum(h, proposed), proposed)
         x_old, x = x, np.where(accepted, x_new, x)
         t = np.where(accepted, t_new, t)
-        switched = accepted & lands & (t < horizon)
+        ahead = t < horizon
+        switched = accepted & lands & ahead
         if switched.any():  # the next piece's controls
             piece = piece + switched
+            stop = ends[trials, piece]
             u = np.ascontiguousarray(controls[trials, piece].T)
             rhs(x_new.T, u.T, p.T, out=k[6].T)
         np.copyto(k[0], k[6], where=accepted)
         yield trials, t, accepted, finite, (x_old, x_new, K), rho
-    if np.any((t < horizon) & finite):
+    if np.any(ahead & finite):
         raise StepSingular(f"error-controlled steps fell short of the "
                            f"horizon within the budget of {budget} steps")
 
@@ -353,10 +362,7 @@ def invariance_test(sys: ControlAffineSystem, rhos, trials=100, pieces=10,
     ctx = sys.ctx
     rng = np.random.default_rng(seed)
     starts = zero_locus_points(rhos, ctx, rng, count=trials)
-
-    x = np.array([[pt[v] for v in ctx.states] for pt in starts]).T.copy()
-    p = np.array([[pt[q] for q in ctx.params] for pt in starts],
-                 dtype=float).reshape(trials, len(ctx.params))
+    x, p = starts[:, :sys.n].T.copy(), starts[:, sys.n:]
     # each trial's pieces - 1 switch times, then its controls, drawn as
     # rng.uniform(lo, hi) draws them: lo + (hi - lo) u
     draws = rng.random((trials, pieces - 1 + pieces * sys.m))
@@ -375,6 +381,8 @@ def invariance_test(sys: ControlAffineSystem, rhos, trials=100, pieces=10,
         try:
             for i, _, accepted, finite, (x_old, x_new, _), rho in _dp_sweep(
                     rhs, x, p, ends, controls, h):
+                if len(i) == trials:  # the whole batch: a view, not a copy
+                    i = slice(None)
                 if not finite.all():
                     errors.append(_NON_FINITE)
                     break
@@ -389,8 +397,7 @@ def invariance_test(sys: ControlAffineSystem, rhos, trials=100, pieces=10,
     # an arc length that overflowed gives no bound at all
     held = bool(np.all(max_rho < tols) and np.all(np.isfinite(tols))) \
         and not errors
-    per_trial = tuple((float(m_), float(a), float(t_))
-                      for m_, a, t_ in zip(max_rho, arclen, tols))
+    per_trial = tuple(zip(max_rho.tolist(), arclen.tolist(), tols.tolist()))
     return InvarianceVerdict(
         verdict="Held" if held else "Violated",
         max_rho=float(np.max(max_rho)),
@@ -421,11 +428,9 @@ def escape_test(sys: ControlAffineSystem, rhos, seed=42, horizon=5.0,
     controls = [np.zeros(m)] + [s * e for e in np.eye(m) for s in (1.0, -1.0)]
     controls += list(rng.uniform(-1, 1, size=(random_controls, m)))
     # one trial per (start, control)
-    x = np.array([[pt[v] for v in ctx.states] for pt in pts
-                  for _ in controls]).T.copy()
-    p = np.array([[pt[q] for q in ctx.params] for pt in pts for _ in controls],
-                 dtype=float).reshape(x.shape[1], len(ctx.params))
-    u = np.array(controls * len(pts))[:, None]
+    rows = np.repeat(pts, len(controls), axis=0)
+    x, p = rows[:, :sys.n].T.copy(), rows[:, sys.n:]
+    u = np.tile(controls, (len(pts), 1))[:, None]
     ends = np.full((len(u), 1), float(horizon))
     sweep = _dp_sweep(rhs_function(sys, rhos), x, p, ends, u, h)
     with np.errstate(all="ignore"):
@@ -482,11 +487,11 @@ def iterated_brackets(fields, ctx, depth=BRACKET_DEPTH):
 
 
 def matrix_at(rows, ctx):
-    """The values of ctx.field rows at a point (symbol -> value) as a
-    matrix, a function taking every entry by one kernel."""
+    """The values of ctx.field rows at a point, an array of values in
+    ctx.symbols order as `zero_locus_points` returns them, as a matrix: a
+    function taking every entry by one kernel."""
     values, = kernels([[c for F in rows for c in F]], ctx)
-    return lambda point: np.reshape(values(
-        [float(point[s]) for s in ctx.symbols]), (len(rows), -1))
+    return lambda point: np.reshape(values(point.tolist()), (len(rows), -1))
 
 
 def bracket_rank(layers, ctx):

@@ -20,38 +20,58 @@ CONSTRAINT_MARGIN = 1e-6
 
 def zero_locus_points(rhos, ctx: SymbolContext, rng, count=20, box=1.0,
                       newton_steps=20):
-    """Points (state + parameter assignments) on the common zero set of rhos.
+    """Points (state and parameter values) on the common zero set of rhos,
+    as rows (count, len(ctx.symbols)) of values in ctx.symbols order.
 
     Solves for one state variable when some rho is linear in it; otherwise
     projects random points by damped Newton steps.  Points that fail to
     converge or violate domain constraints are discarded and resampled.
-    Each round draws as many attempts as points are missing in one block;
-    every value is taken by the kernels of one compile.
+    Each round draws as many attempts as points are missing in one block,
+    solves the linear plan and checks every attempt on the whole block by
+    the sampling form of `expr.kernels`, compiled once per call, and keeps
+    the accepted rows in attempt order; only a row the plan cannot solve is
+    projected, by the float form, compiled when the first such row comes.
     """
-    rhos, states = list(rhos), list(ctx.states)
+    rhos, states = list(rhos), ctx.states
     grads = [gradient(r, ctx) for r in rhos]
-    plan = _linear_plan(rhos, grads, ctx)
-    fns = iter(kernels(
-        [rhos + list(ctx.nonzero), rhos + sum(grads, [])]
-        + [[e] for _, ts in plan for _, *pair in ts for e in pair], ctx))
-    check, newton = next(fns), next(fns)
-    linear = [(symbols, [(v, states.index(v), next(fns), next(fns))
-                         for v, _, _ in ts]) for symbols, ts in plan]
-    points = []
+    # per rho, its terms in states no earlier rho mentions: solving for one
+    # leaves the earlier equations satisfied
+    fixed, plan = set(), []
+    for symbols, terms in _linear_plan(rhos, grads, ctx):
+        plan.append([(states.index(v), a, rest) for v, a, rest in terms
+                     if v not in fixed])
+        fixed |= symbols
+    check, *linear = kernels(
+        [rhos + list(ctx.nonzero)]
+        + [[e for _, *pair in terms for e in pair] for terms in plan],
+        ctx, "sampling")
+    linear = [(fill, [i for i, _, _ in terms])
+              for fill, terms in zip(linear, plan)]
+    newton = None
+    blocks, kept = [np.empty((0, len(ctx.symbols)))], 0
     attempts, budget = 0, 60 * count
-    while len(points) < count and attempts < budget:
-        # the loop would make at least this many attempts
-        for values in map(np.ndarray.tolist, _attempts(
-                ctx, rng, min(count - len(points), budget - attempts), box)):
-            attempts += 1
-            if (_solve_linear(linear, values) or _newton_project(
-                    newton, (len(rhos), len(states)), values, newton_steps)) \
-                    and _accepted(check, len(rhos), values):
-                points.append(dict(zip(ctx.symbols, values)))
-    if len(points) < count:
+    while kept < count and attempts < budget:
+        block = _attempts(ctx, rng, min(count - kept, budget - attempts), box)
+        attempts += len(block)
+        solved = _solve_linear_rows(linear, block)
+        for row in np.flatnonzero(~solved):
+            if newton is None:
+                newton, = kernels([rhos + sum(grads, [])], ctx)
+            values = block[row].tolist()
+            if _newton_project(newton, (len(rhos), len(states)), values,
+                               newton_steps):
+                block[row], solved[row] = values, True
+        values = check(block)
+        r, c = np.abs(values[:len(rhos)]), np.abs(values[len(rhos):])
+        # NaN, where the float form raises, fails both comparisons
+        solved &= (r <= NEWTON_RESIDUAL_TOL).all(axis=0) \
+            & (c > CONSTRAINT_MARGIN).all(axis=0) & np.isfinite(c).all(axis=0)
+        blocks.append(block[solved])
+        kept += len(blocks[-1])
+    if kept < count:
         raise SamplingFailed(
-            f"zero-locus sampling produced {len(points)}/{count} points")
-    return points
+            f"zero-locus sampling produced {kept}/{count} points")
+    return np.concatenate(blocks)
 
 
 def _attempts(ctx, rng, k, box):
@@ -83,13 +103,37 @@ def _linear_plan(rhos, grads, ctx):
     return plan
 
 
-def _solve_linear(plan, values, at=lambda f, v: f(v)[0], tol=1e-6):
+def _solve_linear_rows(linear, block, tol=1e-6):
+    """Solve the rows of block in place one rho at a time, by each rho's
+    kernel of (a, rest) per term and the terms' state columns; True for a
+    row solved for every rho.
+
+    A row takes a rho's first term whose a is more than tol in absolute
+    value, or fails at the first whose a, or that term's rest, is NaN or
+    infinite, as the float form would raise; a row that fails stays as the
+    earlier rhos left it.
+    """
+    solved = np.ones(len(block), dtype=bool)
+    for fill, columns in linear:
+        values = fill(block)
+        pending = solved.copy()
+        for i, a, rest in zip(columns, values[::2], values[1::2]):
+            stop = pending & ~(np.abs(a) <= tol)
+            ok = stop & np.isfinite(a) & np.isfinite(rest)
+            block[ok, i] = -rest[ok] / a[ok]
+            solved &= ok | ~stop
+            pending &= ~stop
+        solved &= ~pending
+    return solved
+
+
+def _solve_linear(plan, values):
     """Solve the system one variable at a time where rhos are linear, by
-    the plan's (v, index of v, a, rest) terms, valued by at(a, values).
+    the plan's (v, index of v, a, rest) terms, on the exact values; a term
+    whose a is 0 is passed over.
 
     Each rho is solved for a state that no earlier solved rho mentions, so
-    later solutions leave the earlier equations satisfied; a term whose a
-    is at most tol in absolute value is passed over.
+    later solutions leave the earlier equations satisfied.
     """
     fixed = set()
     for symbols, terms in plan:
@@ -97,10 +141,10 @@ def _solve_linear(plan, values, at=lambda f, v: f(v)[0], tol=1e-6):
             if v in fixed:
                 continue
             try:
-                aval = at(a, values)
-                if abs(aval) <= tol:
+                aval = exact_value(a, values)
+                if not aval:
                     continue
-                values[i] = -at(rest, values) / aval
+                values[i] = -exact_value(rest, values) / aval
             except POINT_ERRORS:
                 return False
             fixed |= symbols
@@ -123,7 +167,7 @@ def exact_leaf_points(rhos, rows, ctx):
               for symbols, terms in _linear_plan(
                   rhos, [gradient(r, ctx) for r in rhos], ctx)]
     return (pt for pt in certification_points(ctx.field)
-            if _solve_linear(linear, pt, exact_value, 0))
+            if _solve_linear(linear, pt))
 
 
 def _newton_project(newton, shape, values, steps):
@@ -145,15 +189,3 @@ def _newton_project(newton, shape, values, steps):
         x = x - 0.8 * step
     values[:n] = x.tolist()
     return True
-
-
-def _accepted(check, k, values):
-    """True when check evaluates at the values, its first k values (the
-    rhos) within the residual tolerance and the rest (the declared-nonzero
-    elements) beyond the margin in absolute value."""
-    try:
-        out = check(values)
-    except POINT_ERRORS:
-        return False
-    return all(abs(r) <= NEWTON_RESIDUAL_TOL for r in out[:k]) and \
-        all(abs(c) > CONSTRAINT_MARGIN for c in out[k:])

@@ -159,6 +159,13 @@ class TestParseSystem:
             parse_system(text + "control g1: [1, 0]\n")
         assert str(exc.value) == f"line {line}, column 7: {message}"
 
+    def test_states_declared_twice(self):
+        # a second states: line replaced the first: a one-state system in z
+        with pytest.raises(ParseError) as exc:
+            parse_system("states: x y\nstates: z\ncontrol g1: [1]\n")
+        assert str(exc.value) == ("line 2, column 1: 'states:' is declared "
+                                  "twice, first on line 1")
+
     def test_state_named_like_a_parameter_is_no_report(self, tmp_path,
                                                        capsys):
         # analyze read {x**2/2 - y = 0} as a first integral here, exit 0

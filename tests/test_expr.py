@@ -262,7 +262,7 @@ class TestEvaluate:
         big = [F(10**400 * x + 1), F(1 - 10**400 * x)]
         out = np.empty((2, 2))
         with np.errstate(invalid="ignore"):
-            fill, = kernels([big], CTX, arrays=True)
+            fill, = kernels([big], CTX, "array")
             fill(np.array([[1.0, 0.0], [0, 0], [0, 0]]), np.ones((1, 2)), out)
         assert out[:, 0].tolist() == [math.inf, -math.inf]
         assert np.isnan(out[:, 1]).all()
@@ -376,7 +376,7 @@ class TestCompiledEvaluators:
         values = [[[_result(_reference_eval, from_field(f), p) for p in points]
                    for f in group] for group in groups]
         fns = kernels(groups, CTX5)
-        fills = kernels(groups, CTX5, arrays=True)
+        fills = kernels(groups, CTX5, "array")
         args = np.array([[p[s] for s in CTX5.symbols] for p in points]).T
         singular = 0
         for group, kernel, fill, want in zip(groups, fns, fills, values):
@@ -406,10 +406,37 @@ class TestCompiledEvaluators:
                             <= 1e-12 * _magnitude(f, point), (f, point)
         assert singular > 5
 
+    def test_sampling_form_is_the_float_form_per_element(self):
+        # bit for bit where one element's float form returns, not finite
+        # where it raises: at a vanishing denominator, at x**3 overflowing
+        # (NaN: an inf would make 1/x**3 a finite 0) and at sin of an
+        # infinity
+        rng = random.Random(20262)
+        group = [_random_element(rng) for _ in range(40)]
+        group += [F(x**3, CTX5), F(1 / x**3, CTX5), F(sp.sin(x) * y, CTX5)]
+        rows = [[rng.uniform(-2, 2) for _ in CTX5.symbols]
+                for _ in range(30)]
+        for j, s in enumerate(CTX5.states):  # a vanishing denominator
+            rows[j][j] = 0.0
+        rows += [[1e200, 1.0, 1.0, 1.0, 1.0, 1.0],
+                 [math.inf, 1.0, 1.0, 1.0, 1.0, 1.0]]
+        sample, = kernels([group], CTX5, "sampling")
+        got = sample(np.array(rows)).T.tolist()
+        singles = kernels([[f] for f in group], CTX5)
+        raised = 0
+        for row, values in zip(rows, got):
+            want = [_result(fn, row) for fn in singles]
+            raised += sum(isinstance(v, type) for v in want)
+            assert repr(values) == repr([
+                v[0] if isinstance(v, list)
+                else value if not math.isfinite(value) else "finite"
+                for v, value in zip(want, values)])
+        assert raised > 10 and all(math.isnan(v) for v in got[-2][-3:-1])
+
     def test_raises_when_called(self):
         group = [F(x + 1), F(1 / y), F(c), F(1 / (x * y + y))]
-        (value,), (fill,) = (kernels([group], CTX, arrays=arrays)
-                             for arrays in (False, True))
+        (value,), (fill,) = (kernels([group], CTX, form)
+                             for form in ("float", "array"))
         with pytest.raises(EvalSingular, match="denominator below threshold"):
             value([0.5, 0.0, 0.0, 1.0])
         assert value([1.0, 2.0, 0.0, 3.0]) == [2.0, 0.5, 3.0, 0.25]
@@ -425,7 +452,7 @@ class TestCompiledEvaluators:
         gc.disable()
         try:
             fns = kernels([[F(x + y)], [F(1 / x), F(c)]], CTX)
-            fns += kernels([[F(x + y), F(1 / x)]], CTX, arrays=True)
+            fns += kernels([[F(x + y), F(1 / x)]], CTX, "array")
             refs = [weakref.ref(fn) for fn in fns]
             del fns
             assert [ref() for ref in refs] == [None, None, None]
@@ -984,10 +1011,10 @@ class TestAgainstRationalField:
         zz, qq = zip(*elements)
         groups = [[f] for f in zz]
         floats = kernels(groups, RATIONAL_CTX)
-        arrays = kernels(groups, RATIONAL_CTX, arrays=True)
+        arrays = kernels(groups, RATIONAL_CTX, "array")
         monkeypatch.setattr(expr_module, "_value", _qq_value)
         ref_floats = kernels([[f] for f in qq], RATIONAL_CTX)
-        ref_arrays = kernels([[f] for f in qq], RATIONAL_CTX, arrays=True)
+        ref_arrays = kernels([[f] for f in qq], RATIONAL_CTX, "array")
         rng = np.random.default_rng(5)
         X = rng.uniform(-2, 2, size=(3, 40))
         P = np.empty((0, 40))

@@ -464,8 +464,9 @@ class TestDormandPrince:
         errors, estimates = [], []
         for h in (0.2, 0.1, 0.05):
             x0 = np.array([[1.0], [0.0]])
+            k = first_stage(rhs, x0, u, p)
             x5, err, *_ = numeric_module._dp_step(
-                rhs, x0, u, p, np.array([h]), first_stage(rhs, x0, u, p))
+                rhs, x0, u, p, np.array([h]), k, np.empty(k.shape))
             errors.append(np.linalg.norm(x5[:, 0]
                                          - [math.cos(h), math.sin(h)]))
             estimates.append(np.linalg.norm(err[:, 0]))
@@ -482,8 +483,9 @@ class TestDormandPrince:
         errors = []
         for h in (0.2, 0.1, 0.05):
             x0 = np.array([[1.0], [0.0]])
+            k = first_stage(rhs, x0, u, p)
             x5, _, K, *_ = numeric_module._dp_step(
-                rhs, x0, u, p, np.array([h]), first_stage(rhs, x0, u, p))
+                rhs, x0, u, p, np.array([h]), k, np.empty(k.shape))
             mid, = numeric_module._dense(x0[:, 0], x5[:, 0], K[:, :, 0],
                                          np.array([0.5]))
             errors.append(np.linalg.norm(mid - [math.cos(h / 2),
@@ -669,23 +671,27 @@ class TestBracketsAgainstReference:
             random_rational_system(random.Random(500 + seed)), CTX3, 3)
 
 
+def columns(rows, ctx):
+    """Sampled rows as one column of values per symbol of ctx."""
+    return dict(zip(ctx.symbols, rows.T))
+
+
 class TestZeroLocusSampling:
     def test_points_on_locus(self, ex4):
         rng = np.random.default_rng(3)
         pts = zero_locus_points(elements([b * x - a * z], ex4.ctx), ex4.ctx,
                                 rng, count=10)
-        assert len(pts) == 10
-        for pt in pts:
-            val = pt[b] * pt[x] - pt[a] * pt[z]
-            assert abs(val) < 1e-9
-            assert abs(math.cos(pt[w])) > 1e-6
+        assert pts.shape == (10, len(ex4.ctx.symbols))
+        v = columns(pts, ex4.ctx)
+        assert np.all(np.abs(v[b] * v[x] - v[a] * v[z]) < 1e-9)
+        assert np.all(np.abs(np.cos(v[w])) > 1e-6)
 
     def test_nonlinear_locus(self):
         rng = np.random.default_rng(4)
         pts = zero_locus_points(elements([x**2 + y**2 - 1], CTX), CTX, rng,
                                 count=5)
-        for pt in pts:
-            assert abs(pt[x] ** 2 + pt[y] ** 2 - 1) < 1e-9
+        v = columns(pts, CTX)
+        assert np.all(np.abs(v[x] ** 2 + v[y] ** 2 - 1) < 1e-9)
 
     def test_linear_system_sharing_a_state(self):
         # solving y + z for y would break x + y = 0, already solved for x
@@ -693,9 +699,34 @@ class TestZeroLocusSampling:
         pts = zero_locus_points(elements([x + y, y + z], CTX), CTX, rng,
                                 count=5)
         assert len(pts) == 5
-        for pt in pts:
-            assert abs(pt[x] + pt[y]) < 1e-12
-            assert abs(pt[y] + pt[z]) < 1e-12
+        v = columns(pts, CTX)
+        assert np.all(np.abs(v[x] + v[y]) < 1e-12)
+        assert np.all(np.abs(v[y] + v[z]) < 1e-12)
+
+    def test_block_sampler_compiles_once_and_calls_no_float_kernel(
+            self, ex1, monkeypatch):
+        # ex1's {z} is solved by the linear plan on every attempt: one
+        # compile, a handful of block calls and no per-row evaluation
+        real = sampling_module.kernels
+        compiles, calls = [], []
+
+        def counted(fn, form):
+            def call(*args):
+                calls.append(form)
+                return fn(*args)
+
+            return call
+
+        def counting_kernels(groups, ctx, form="float"):
+            compiles.append(form)
+            return [counted(fn, form) for fn in real(groups, ctx, form)]
+
+        monkeypatch.setattr(sampling_module, "kernels", counting_kernels)
+        pts = zero_locus_points(elements([z], ex1.ctx), ex1.ctx,
+                                np.random.default_rng(0), count=1000)
+        assert pts.shape == (1000, 3) and not pts[:, 2].any()
+        assert compiles == ["sampling"]
+        assert "float" not in calls and len(calls) <= 4
 
     def test_linear_plan_built_once_per_call(self, monkeypatch):
         real = sampling_module.differentiate
@@ -750,23 +781,29 @@ class TestSamplingErrors:
     @staticmethod
     def _failing_once(monkeypatch, ctx, target, exc):
         """The first call of a compiled function that evaluates target
-        raises exc."""
+        fails: the float form raises exc; the sampling form, which reports
+        a singular value by a NaN, gives target a NaN in the first row for
+        an EvalSingular and raises any other exc."""
         real = sampling_module.kernels
         target = to_field(target, ctx)
         failed = []
 
-        def failing_first(fn, group):
+        def failing_first(fn, group, form):
             def call(values):
-                if not failed:
-                    failed.append(group)
-                    raise exc
-                return fn(values)
+                if failed:
+                    return fn(values)
+                failed.append(group)
+                if form == "sampling" and isinstance(exc, EvalSingular):
+                    out = fn(values)
+                    out[group.index(target), 0] = math.nan
+                    return out
+                raise exc
 
             return call if target in group else fn
 
-        def kernels(groups, ctx):
-            return [failing_first(fn, group)
-                    for fn, group in zip(real(groups, ctx), groups)]
+        def kernels(groups, ctx, form="float"):
+            return [failing_first(fn, group, form)
+                    for fn, group in zip(real(groups, ctx, form), groups)]
 
         monkeypatch.setattr(sampling_module, "kernels", kernels)
         return failed
@@ -784,12 +821,18 @@ class TestSamplingErrors:
     @pytest.mark.parametrize("rhos, nonzero, target", SITES, ids=IDS)
     def test_singular_point_is_skipped(self, monkeypatch, rhos, nonzero,
                                        target):
+        # the first attempt's point is lost (the linear solve's attempt goes
+        # to Newton instead), the others are kept and count is still met
         ctx = context(states=(x, y, z), nonzero=nonzero)
+        first, *rest = zero_locus_points(elements(rhos, ctx), ctx,
+                                         np.random.default_rng(7),
+                                         count=3).tolist()
         failed = self._failing_once(monkeypatch, ctx, target,
                                     EvalSingular("below threshold"))
         pts = zero_locus_points(elements(rhos, ctx), ctx,
-                                np.random.default_rng(7), count=3)
+                                np.random.default_rng(7), count=3).tolist()
         assert failed and len(pts) == 3
+        assert first not in pts and all(pt in pts for pt in rest)
 
 
 class TestInvariance:
@@ -1149,6 +1192,19 @@ ORACLE_LOCI = {
 }
 
 
+# loci only the sampler oracle samples: a power in a solved term; a linear
+# coefficient at most 1e-6 at some attempts, where the next term or, with
+# none left, Newton solves; and a pole in the solved remainder, whose rows
+# go to Newton between rows the plan solves.  Their context declares an
+# element nonzero whose value overflows where |y| > 1.34, in the box 2.5.
+SAMPLER_CTX = context(states=(x, y, z), nonzero=(10**308 * y**2,))
+SAMPLER_LOCI = {
+    "cube": [[y - x**3 * z]],
+    "flat": [[x * y**8 + z], [y**8 * (x - z)]],
+    "pole": [[x - z / y**12]],
+}
+
+
 def oracle_system(name, request):
     if name == "shared":
         return SHARED
@@ -1351,8 +1407,8 @@ def test_invariance_attempt_evaluates_fields_six_times(ex3, monkeypatch):
 
         return call
 
-    def counting_kernels(groups, ctx, arrays=False, field=None):
-        stage, fill = real(groups, ctx, arrays, field)
+    def counting_kernels(groups, ctx, form="float", field=None):
+        stage, fill = real(groups, ctx, form, field)
         return [counted("stage", stage), counted("monitors", fill)]
 
     monkeypatch.setattr(numeric_module, "kernels", counting_kernels)
@@ -1507,7 +1563,7 @@ def _reference_dp_sweep(rhs, x, p, ends, controls, h, budget):
         t_new = np.where(lands, stop, t + h)
         step = t_new - t  # 0 once a trial is at its horizon
         x_new, err, _, rho, finite = numeric_module._dp_step(
-            rhs, x, u, p, step, k)
+            rhs, x, u, p, step, k, np.empty(k.shape))
         if not finite.all():
             raise StepSingular("vector field evaluation produced non-finite "
                                "values")
@@ -1580,18 +1636,25 @@ def _reference_sweep_invariance_test(sys: ControlAffineSystem, rhos,
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestBlocksAgainstLoops:
-    @pytest.mark.parametrize("name", sorted(ORACLE_LOCI))
+    @pytest.mark.parametrize("name", sorted(ORACLE_LOCI)
+                             + sorted(SAMPLER_LOCI))
     @pytest.mark.parametrize("count, seed, box", [(1, 2, 1.0), (30, 3, 1.0),
                                                   (200, 8, 2.5)])
     def test_zero_locus_points(self, name, count, seed, box, request):
-        ctx = oracle_system(name, request).ctx
-        for rhos in field_rows(ORACLE_LOCI[name], ctx):
+        ctx = SAMPLER_CTX if name in SAMPLER_LOCI \
+            else oracle_system(name, request).ctx
+        loci = SAMPLER_LOCI.get(name) or ORACLE_LOCI[name]
+        for rhos in field_rows(loci, ctx):
             got_rng, want_rng = (np.random.default_rng(seed) for _ in "ab")
-            assert_same(
-                outcome(zero_locus_points, rhos, ctx, got_rng, count=count,
-                        box=box),
-                outcome(_reference_zero_locus_points, rhos, ctx, want_rng,
-                        count=count, box=box))
+            got = outcome(zero_locus_points, rhos, ctx, got_rng, count=count,
+                          box=box)
+            want = outcome(_reference_zero_locus_points, rhos, ctx, want_rng,
+                           count=count, box=box)
+            if isinstance(want, list):  # rows in ctx.symbols order
+                assert got.shape == (count, len(ctx.symbols))
+                got = got.tolist()
+                want = [[pt[s] for s in ctx.symbols] for pt in want]
+            assert_same(got, want)
             assert got_rng.random() == want_rng.random()
 
     def test_sampling_failure_leaves_same_generator(self):
