@@ -30,12 +30,19 @@ floats' own (`kernels`, `evaluate`).
 A reduced element is the canonical pair of an integer-coefficient
 numerator and denominator, the denominator with positive leading
 coefficient: the pair a field over QQ keeps too, since its arithmetic
-clears denominators and cancels by the same gcd over ZZ.  Over ZZ,
-`quo_ground` and `monic` floor-divide and `div` divides only where leading
-coefficients divide, so where a value is divided by a leading coefficient
-it is read as rationals: per term, QQ(c, lc), in the text, the expression
-and the kernel literals, and in the ring's clone over QQ
-(`_rational_ring`) where ideal membership divides (`ideal_cofactors`).
+clears denominators and cancels by a gcd over ZZ, which is unique up to
+sign.  Every gcd in the ring of a field made by `rational_field` (each
+field `+`, `*` and `/`, and every `gcd`, `lcm` and `cofactors`) is
+sympy's heuristic gcd step for step, with its trial divisions in the
+ring's clone in lex order (`_gcd_ZZ`), where each leading term is a
+native max over exponent tuples instead of a max under the grlex key; the
+result is sympy's own, sign included, so every normal form is unchanged.
+Over ZZ, `quo_ground` and `monic` floor-divide and `div` divides only
+where leading coefficients divide, so where a value is divided by a
+leading coefficient it is read as rationals: per term, QQ(c, lc), in the
+text, the expression and the kernel literals, and in the ring's clone
+over QQ (`_rational_ring`) where ideal membership divides
+(`ideal_cofactors`).
 
 All functions here are pure; randomized ones take an explicit seed or a
 numpy Generator.
@@ -51,11 +58,14 @@ from fractions import Fraction
 
 import numpy as np
 import sympy as sp
+from sympy.polys import heuristicgcd
 from sympy.polys.domains import QQ, ZZ
 from sympy.polys.fields import FracField
 from sympy.polys.groebnertools import groebner
-from sympy.polys.orderings import grlex
+from sympy.polys.orderings import grlex, lex
+from sympy.polys.polyerrors import HeuristicGCDFailed
 from sympy.polys.polyutils import expr_from_dict
+from sympy.polys.rings import PolyElement
 
 from .errors import (
     DivisionByZeroExpr,
@@ -212,6 +222,12 @@ class ZeroVerdict:
         return self.kind is Verdict.PROVEN_NONZERO
 
 
+# id -> the ring of each field made by `rational_field`: the gcd hook tells
+# these rings by identity, as a ring built elsewhere on the same generators
+# compares equal to one
+_FIELD_RINGS = {}
+
+
 @functools.lru_cache(maxsize=None)
 def rational_field(gens):
     """Sparse rational-function field over ZZ in grlex order on `gens`.
@@ -219,8 +235,86 @@ def rational_field(gens):
     Its elements are the reduced pairs of integer-coefficient numerator and
     denominator that a field over QQ keeps too, but its `+`, `*` and `/`
     cancel by the gcd over ZZ directly, with no clone of the ring to ZZ and
-    back.  A rational constant is an element with a constant denominator."""
-    return FracField(gens, ZZ, grlex)
+    back; that gcd, and every other one in the field's ring, runs in the
+    ring's lex clone (`_gcd_ZZ`).  A rational constant is an element with a
+    constant denominator."""
+    K = FracField(gens, ZZ, grlex)
+    _FIELD_RINGS[id(K.ring)] = K.ring
+    return K
+
+
+@functools.lru_cache(maxsize=None)
+def _lex_ring(R):
+    """The clone in lex order of a field's ring R, made once per ring."""
+    return R.clone(order=lex)
+
+
+def _gcd_ZZ(f, g):
+    """`PolyElement._gcd_ZZ` of every ring: sympy's heuristic gcd h of f
+    and g with the cofactors f/h and g/h, its trial divisions taken in the
+    lex clone of a ring made by `rational_field` (`_heugcd`), and in the
+    ring itself otherwise."""
+    R = f.ring
+    if _FIELD_RINGS.get(id(R)) is not R:
+        return heuristicgcd.heugcd(f, g)
+    return _heugcd(f, g, _lex_ring(R))
+
+
+def _heugcd(f, g, L):
+    """sympy's `heugcd` of f and g in a field's grlex ring R, step for step,
+    with the recursion and every trial division in R's lex clone L.
+
+    The heuristic (Char, Geddes & Gonnet 1989) evaluates f and g at
+    x0 = x, takes the gcd of the images and interpolates a candidate gcd,
+    then a candidate cofactor of each; each candidate is checked by trial
+    division, and each division step finds a leading term by a max over
+    the remaining terms: under the grlex key in R, natively on the exponent
+    tuples in L.  A division's quotient, and whether it leaves a remainder,
+    do not depend on the term order.  What does is taken in R, as sympy
+    takes it there: the leading coefficients that bound x and the sign of
+    each interpolated polynomial.  The gcd of the images is unique up to
+    sign, which the interpolation fixes, so the candidates, the checks and
+    the result are sympy's own, sign included (a sign rule applied to
+    sympy's result in L misses where a cofactor's check succeeds)."""
+    R = f.ring
+    x0 = L.gens[0]
+    gcd, f, g = f.extract_ground(g)
+    f_norm, g_norm = f.max_norm(), g.max_norm()
+    B = ZZ(2 * min(f_norm, g_norm) + 29)
+    x = max(min(B, 99 * ZZ.sqrt(B)),
+            2 * min(f_norm // abs(f.LC), g_norm // abs(g.LC)) + 4)
+    f, g = L.dtype(f), L.dtype(g)
+    for _ in range(heuristicgcd.HEU_GCD_MAX):
+        ff, gg = f.evaluate(x0, x), g.evaluate(x0, x)
+        if ff and gg:
+            if L.ngens == 1:
+                h, cff, cfg = ZZ.cofactors(ff, gg)
+            else:
+                h, cff, cfg = heuristicgcd.heugcd(ff, gg)
+            h = heuristicgcd._gcd_interpolate(h, x, R).primitive()[1]
+            hl = L.dtype(h)
+            cff_, r = f.div(hl)
+            if not r:
+                cfg_, r = g.div(hl)
+                if not r:
+                    return h.mul_ground(gcd), R.dtype(cff_), R.dtype(cfg_)
+            cff = heuristicgcd._gcd_interpolate(cff, x, R)
+            h, r = f.div(L.dtype(cff))
+            if not r:
+                cfg_, r = g.div(h)
+                if not r:
+                    return R.dtype(h).mul_ground(gcd), cff, R.dtype(cfg_)
+            cfg = heuristicgcd._gcd_interpolate(cfg, x, R)
+            h, r = g.div(L.dtype(cfg))
+            if not r:
+                cff_, r = f.div(h)
+                if not r:
+                    return R.dtype(h).mul_ground(gcd), R.dtype(cff_), cfg
+        x = 73794 * x * ZZ.sqrt(ZZ.sqrt(x)) // 27011
+    raise HeuristicGCDFailed("no luck")
+
+
+PolyElement._gcd_ZZ = _gcd_ZZ
 
 
 @functools.lru_cache(maxsize=None)
@@ -239,13 +333,34 @@ def _relations(R):
     return sins, tuple(R.gens[i]**2 + R.gens[i + 1]**2 - 1 for i in sins)
 
 
+@functools.lru_cache(maxsize=None)
+def _cos_powers(k):
+    """(2j, (-1)**j * C(k, j)) for each term cos**(2j) of (1 - cos**2)**k."""
+    return tuple((2 * j, (-1)**j * math.comb(k, j)) for j in range(k + 1))
+
+
 def _rem(p, relations):
     """p modulo the relations; p itself, found in linear time, when no
-    monomial has a squared sin factor."""
-    sins, polys = relations
+    monomial has a squared sin factor.
+
+    Each term's sin(v)**e becomes sin(v)**(e % 2) * (1 - cos(v)**2)**(e // 2),
+    pair by pair, in one pass over the terms.  The relations' leading terms
+    sin(v)**2 are pairwise coprime, so the relations are a Groebner basis
+    (Cox, Little, O'Shea, ch. 2) and this is the unique remainder, the one
+    `p.rem(relations)` finds by division."""
+    sins, _ = relations
     if all(m[i] < 2 for m in p for i in sins):
         return p
-    return p.rem(polys)
+    terms = {}
+    for m, c in p.iterterms():
+        parts = [(m, c)]
+        for i in sins:
+            if m[i] > 1:
+                parts = [(n[:i] + (m[i] % 2, n[i + 1] + d) + n[i + 2:], b * k)
+                         for n, b in parts for d, k in _cos_powers(m[i] // 2)]
+        for n, b in parts:
+            terms[n] = terms.get(n, 0) + b
+    return p.new({n: b for n, b in terms.items() if b})
 
 
 def ideal_cofactors(p, polys, unit=None):

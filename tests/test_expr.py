@@ -7,10 +7,13 @@ import weakref
 import numpy as np
 import pytest
 import sympy as sp
-from sympy.polys.domains import QQ
+from sympy.polys import heuristicgcd
+from sympy.polys import rings as sympy_rings
+from sympy.polys.domains import QQ, ZZ
 from sympy.polys.fields import FracField
 from sympy.polys.matrices import DomainMatrix
-from sympy.polys.orderings import grlex
+from sympy.polys.orderings import grlex, lex
+from sympy.polys.rings import ring
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -42,7 +45,11 @@ from ctrlinv.expr import (
     to_text,
 )
 
+from ctrlinv.dsl import parse_system
+from ctrlinv.integrals import AnalysisConfig, analyze
+
 from conftest import context, random_poly
+from test_golden import poly_text
 
 x, y, z, w = sp.symbols("x y z w")
 a, b, c = sp.symbols("a b c")
@@ -1086,3 +1093,156 @@ class TestAgainstRationalField:
         assert ctx.known_nonzero(to_field(sp.Rational(5, 2) / sp.cos(w),
                                           ctx))
         assert not ctx.known_nonzero(to_field(sp.sin(w), ctx))
+
+
+# --- trig remainder and the field's gcd against sympy's own ----------------
+
+# one and two sin/cos pairs, and none
+ONE_PAIR = SymbolContext(states=(x, y, w), trig=(w,)).field.ring
+TWO_PAIRS = SymbolContext(states=(x, y, z, w), trig=(z, w)).field.ring
+NO_PAIR = SymbolContext(states=(x, y, z), params=(a,), trig=()).field.ring
+
+
+def _integer_poly(rng, R, terms, degree, sin_degree=2):
+    """A sum of random integer multiples of monomials of R, each with up to
+    `degree` generator factors and sin exponents up to `sin_degree`."""
+    sins = {i for i, g in enumerate(R.symbols) if isinstance(g, sp.sin)}
+    p = R.zero
+    for _ in range(terms):
+        m = [0] * R.ngens
+        for _ in range(rng.randint(0, degree)):
+            m[rng.randrange(R.ngens)] += 1
+        for i in sins:
+            if rng.random() < 0.5:
+                m[i] = rng.randint(0, sin_degree)
+        p += R({tuple(m): rng.choice((-3, -2, -1, 1, 2, 5, 2**70 + 1))})
+    return p
+
+
+class TestTrigRemainder:
+    """The one-pass rewrite sin**e -> sin**(e % 2)*(1 - cos**2)**(e // 2)
+    is the remainder by the sin/cos relations that sympy's division finds."""
+
+    @pytest.mark.parametrize("R", [ONE_PAIR, TWO_PAIRS], ids=["one", "two"])
+    def test_matches_division(self, R):
+        rng = random.Random(41)
+        relations = expr_module._relations(R)
+        rewritten = 0
+        for _ in range(150):
+            p = _integer_poly(rng, R, rng.randint(1, 5), 3, sin_degree=5)
+            r = expr_module._rem(p, relations)
+            assert r == p.rem(list(relations[1]))
+            rewritten += r is not p
+        assert rewritten > 50
+
+    def test_relation_itself_and_identity(self):
+        relations = expr_module._relations(TWO_PAIRS)
+        for g in relations[1]:
+            assert expr_module._rem(g, relations) == 0
+            assert expr_module._rem(g**3 + g * TWO_PAIRS.gens[0],
+                                    relations) == 0
+        # no squared sin: p itself, which reduce_fraction reads by identity
+        p = TWO_PAIRS.gens[3] * TWO_PAIRS.gens[4] + TWO_PAIRS.gens[5]**3
+        assert expr_module._rem(p, relations) is p
+
+    def test_over_rationals(self):
+        # ideal_cofactors reduces in the ring's clone over QQ
+        rng = random.Random(43)
+        Q = TWO_PAIRS.clone(domain=QQ)
+        relations = expr_module._relations(Q)
+        for _ in range(40):
+            p = _integer_poly(rng, TWO_PAIRS, 4, 3, sin_degree=5).set_ring(Q) / 6
+            assert expr_module._rem(p, relations) == p.rem(
+                list(relations[1]))
+
+
+def _sympy_cofactors(f, g):
+    """sympy's own `cofactors` of f and g with two or more terms each:
+    heugcd on the deflated pair in their grlex ring itself."""
+    J, (f, g) = f.deflate(g)
+    return tuple(p.inflate(J) for p in heuristicgcd.heugcd(f, g))
+
+
+def _gcd_pairs(R, seed, count=120):
+    """Seeded pairs f = a*c, g = b*c of two or more terms in R, the signs
+    of a, b and c random, so leading coefficients of either sign occur."""
+    rng = random.Random(seed)
+    pairs = []
+    while len(pairs) < count:
+        a, b, c = (_integer_poly(rng, R, rng.randint(1, 4), 3)
+                   * rng.choice((1, -1)) for _ in range(3))
+        f, g = a * c, b * c
+        if len(f) > 1 and len(g) > 1:
+            pairs.append((f, g))
+    return pairs
+
+
+class TestFieldGcd:
+    """A field's ring takes its gcd in its lex clone and gets sympy's own
+    grlex result back, sign included; other rings keep sympy's path."""
+
+    @pytest.mark.parametrize("R", [NO_PAIR, ONE_PAIR, TWO_PAIRS],
+                             ids=["none", "one", "two"])
+    def test_cofactors_match_sympy(self, R):
+        pairs = _gcd_pairs(R, seed=len(R.symbols))
+        wants = [_sympy_cofactors(f, g) for f, g in pairs]
+        for (f, g), want in zip(pairs, wants):
+            got = f.cofactors(g)
+            assert all(p.ring is R for p in got)
+            assert got == want
+        # negative leading coefficients in, nontrivial gcds, and gcds whose
+        # sign sympy took from a cofactor's check (negative h) out
+        assert any(f.LC < 0 for f, _ in pairs)
+        assert any(not h.is_ground for h, _, _ in wants)
+        assert any(h.LC < 0 for h, _, _ in wants)
+
+    @pytest.mark.parametrize("R", [NO_PAIR, TWO_PAIRS], ids=["none", "two"])
+    def test_cancel_and_fractions_unchanged(self, R):
+        # the same generators in a ring and a field built outside
+        # rational_field, which take sympy's own gcd
+        K = expr_module.rational_field(R.symbols)
+        assert K.ring is R
+        S = FracField(R.symbols, ZZ, grlex)
+        assert S.ring == R and S.ring is not R
+        for f, g in _gcd_pairs(R, seed=5, count=60):
+            fs, gs = S.ring.dtype(f), S.ring.dtype(g)
+            assert f.cancel(g) == fs.cancel(gs)
+            got, want = K.new(f, g), S.new(fs, gs)
+            assert (got.numer, got.denom) == (want.numer, want.denom)
+
+    def test_no_grlex_gcd_in_analyze(self, monkeypatch):
+        # poly(4): poly(3) takes no gcd of two polynomials of two terms
+        orders = _record_heugcd(monkeypatch)
+        analyze(parse_system(poly_text(4)),
+                AnalysisConfig(seed=61, run_numeric=False))
+        assert orders and set(orders) == {lex}
+
+    def test_other_rings_keep_sympy_path(self, monkeypatch):
+        orders = _record_heugcd(monkeypatch)
+        R, u, v = ring("u,v", ZZ, grlex)
+        assert (u**2 - v**2).cofactors(u**2 + 2 * u * v + v**2) == (
+            u + v, u - v, u + v)
+        assert orders and set(orders) == {grlex}
+        # equal to a field's ring, yet not made by rational_field
+        orders.clear()
+        S = ring(NO_PAIR.symbols, ZZ, grlex)[0]
+        assert S == NO_PAIR and S is not NO_PAIR
+        f, g = _gcd_pairs(NO_PAIR, seed=9, count=1)[0]
+        S.dtype(f).cofactors(S.dtype(g))
+        assert orders and set(orders) == {grlex}
+
+
+def _record_heugcd(monkeypatch):
+    """Record the order of the ring of every heuristic gcd: sympy's own
+    path calls heugcd through its name in sympy.polys.rings, the field's
+    hook and heugcd's recursion through sympy.polys.heuristicgcd."""
+    orders = []
+    heugcd = heuristicgcd.heugcd
+
+    def recorded(f, g):
+        orders.append(f.ring.order)
+        return heugcd(f, g)
+
+    monkeypatch.setattr(heuristicgcd, "heugcd", recorded)
+    monkeypatch.setattr(sympy_rings, "heugcd", recorded)
+    return orders
