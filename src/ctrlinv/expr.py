@@ -23,9 +23,9 @@ ring with every smaller minor kept, so they take no division until the
 row scales divide each minor once (`minors`); a linear system is solved
 by Cramer's rule on one such expansion (`solve`).  Float evaluation reads
 field elements directly too: one source generator writes a kernel from
-each element's numerator and denominator terms, compiled with floats and
-`math`, with numpy arrays, or with numpy arrays whose values are the
-floats' own (`kernels`, `evaluate`).
+each element's numerator and denominator terms, compiled on numpy rows in
+two forms: the integrator's array form and the sampling form, Python's
+floats with NaN where a value is not defined (`kernels`, `evaluate`).
 
 A reduced element is the canonical pair of an integer-coefficient
 numerator and denominator, the denominator with positive leading
@@ -78,10 +78,6 @@ from .errors import (
 
 NONZERO_WITNESS_TOL = 1e-9
 EVAL_SINGULAR_TOL = 1e-12
-# what evaluating at a sampled point may raise: a denominator below the
-# threshold or a value that is not finite, overflow in `pow`, or math.sin of
-# an infinite value
-POINT_ERRORS = (EvalSingular, ArithmeticError, ValueError)
 _TRIG = (sp.sin, sp.cos)
 
 
@@ -319,9 +315,9 @@ PolyElement._gcd_ZZ = _gcd_ZZ
 
 @functools.lru_cache(maxsize=None)
 def _rational_ring(R):
-    """The clone over QQ of a field's ring R, made once per ring: where a
-    step divides by leading coefficients that need not divide (ideal
-    membership) or writes a monic polynomial (a kernel's error text)."""
+    """The clone over QQ of a field's ring R, made once per ring, for ideal
+    membership, which divides by leading coefficients that need not
+    divide."""
     return R.clone(domain=QQ)
 
 
@@ -635,10 +631,10 @@ def random_point(ctx: SymbolContext, rng, margin=1e-3, tries=200):
         point = {v: _random_rational(rng) for v in ctx.states}
         point.update(sample_params(ctx, rng))
         try:  # each declared-nonzero element evaluates beyond margin
-            if all(abs(c) > margin for c in constraints(
-                    [float(point[s]) for s in ctx.symbols])):
+            if all(abs(c) > margin for c in _at_row(
+                    constraints, [float(point[s]) for s in ctx.symbols])):
                 return point
-        except POINT_ERRORS:
+        except EvalSingular:
             pass
     raise SamplingFailed("could not sample a point satisfying domain "
                          "constraints")
@@ -701,7 +697,7 @@ def generators(f):
 
 def evaluate(f, point) -> float:
     """IEEE-double value of a field element at a point (declared symbol ->
-    value), by the float form of `kernels`."""
+    value), one row of the sampling form of `kernels`."""
     gens = f.field.symbols
     ctx = SymbolContext(
         states=tuple(g for g in gens if not isinstance(g, _TRIG)),
@@ -711,13 +707,15 @@ def evaluate(f, point) -> float:
         if s not in point:
             raise UnknownSymbol(f"no value assigned for {s}")
     value, = kernels([[f]], ctx)
-    return value([float(point.get(s, 0.0)) for s in ctx.symbols])[0]
+    return _at_row(value, [float(point.get(s, 0.0)) for s in ctx.symbols])[0]
 
 
-def _checked(value, text):
-    if abs(value) < EVAL_SINGULAR_TOL:
-        raise EvalSingular(f"denominator below threshold: {text}")
-    return value
+def _at_row(kernel, values):
+    """A sampling kernel's values at one row, EvalSingular if not finite."""
+    out = kernel(np.array([values]))[:, 0]
+    if not np.isfinite(out).all():
+        raise EvalSingular("evaluation produced a non-finite value")
+    return out.tolist()
 
 
 def _each(fn):
@@ -736,37 +734,32 @@ def _each(fn):
     return each
 
 
-def _nan_below(value, text):
+def _nan_below(value):
     return np.where(np.abs(value) < EVAL_SINGULAR_TOL, np.nan, value)
 
 
 # the names in the generated kernels, per form
 _FORMS = {
-    "float": {"sin": math.sin, "cos": math.cos, "den": _checked,
-              "inf": math.inf},
-    "array": {"sin": np.sin, "cos": np.cos, "den": lambda value, text: value,
+    "array": {"sin": np.sin, "cos": np.cos, "den": lambda value: value,
               "inf": np.inf},
     "sampling": {"sin": _each(math.sin), "cos": _each(math.cos),
                  "pow": _each(pow), "den": _nan_below, "inf": np.inf},
 }
 
 
-def kernels(groups, ctx: SymbolContext, form="float", field=None):
+def kernels(groups, ctx: SymbolContext, form="sampling", field=None):
     """Per group of field elements, a kernel compiled from one source: each
     generator read once, each value num / den as `from_field` writes it,
     sums in grlex order, coefficients as float literals (inf beyond the
-    double range).  Three forms:
+    double range).  Two forms:
 
-    * "float" maps the list of ctx.symbols' values to the group's and
-      raises EvalSingular at a denominator below 1e-12 or a non-finite
-      value (`pow` and math.sin raise the rest of POINT_ERRORS);
-    * "array", fill(x, p, out), takes numpy rows of the states x: (n, N)
-      and parameters p: (k, N) and leaves non-finite values;
     * "sampling" maps rows of ctx.symbols' values, (N, n + k), to the
-      group's values, (len(group), N): the float form's values, bit for
-      bit, since its powers and trig atoms are Python's per entry (numpy's
-      power is not libm's pow), and a value that is not finite, NaN at a
-      denominator below 1e-12, wherever the float form raises.
+      group's values, (len(group), N): Python's floats, bit for bit, its
+      powers and trig atoms taken per entry (numpy's power is not libm's
+      pow), and NaN at a denominator below 1e-12 and where `pow` overflows
+      or math.sin raises;
+    * "array", fill(x, p, out), takes numpy rows of the states x: (n, N)
+      and parameters p: (k, N) and leaves non-finite values.
 
     With `field`, the rows (f, g_1, ..., g_m) of a control-affine field, the
     array form's first kernel, from the same source, is its stage kernel
@@ -802,21 +795,18 @@ def kernels(groups, ctx: SymbolContext, form="float", field=None):
     fills = [namespace.pop(name) for name in names]
     if form == "array":
         return fills
-    wrap = _at_point if form == "float" else _at_rows
-    return [functools.partial(wrap, fill, n, len(group))
+    return [functools.partial(_at_rows, fill, n, len(group))
             for fill, group in zip(fills, groups)]
 
 
 def _value(f):
     """The generated expression of a field element's value: its numerator
     over its denominator, each divided by the denominator's leading
-    coefficient term by term; the text of an error names the monic
-    denominator as a polynomial over QQ prints it."""
+    coefficient term by term."""
     lc = f.denom.LC
     value = _sum(f.numer, lc)
     if not f.denom.is_ground:
-        den = f.denom.set_ring(_rational_ring(f.denom.ring)).monic()
-        value = f"({value}) / den({_sum(f.denom, lc)}, {str(den)!r})"
+        value = f"({value}) / den({_sum(f.denom, lc)})"
     return value
 
 
@@ -833,13 +823,6 @@ def _stage_value(f, *gs):
     return text.lstrip(" +") or "0.0"
 
 
-def _at_point(fill, n, size, values):
-    out = fill(values, values[n:], [0.0] * size)
-    if not all(map(math.isfinite, out)):
-        raise EvalSingular("evaluation produced a non-finite value")
-    return out
-
-
 def _at_rows(fill, n, size, rows):
     cols = rows.T
     with np.errstate(all="ignore"):
@@ -849,7 +832,7 @@ def _at_rows(fill, n, size, rows):
 def _sum(p, scale):
     """p / scale as the sum of its terms in grlex order, each coefficient
     the float of the rational QQ(c, scale) and each power of a generator
-    `pow(g, e)`: the builtin, `**` itself, but in the sampling form."""
+    `pow(g, e)`, numpy's in the array form and Python's in the other."""
     text = ""
     for m, c in p.terms():
         c = QQ(c, scale)

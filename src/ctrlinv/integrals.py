@@ -26,6 +26,7 @@ from .dsl import ControlAffineSystem, print_system
 from .errors import (
     AnnihilationFailure,
     DivisionByZeroExpr,
+    EvalSingular,
     NotClosed,
     NotPolynomial,
     SamplingFailed,
@@ -37,6 +38,7 @@ from .expr import (
     from_field,
     gradient,
     ideal_cofactors,
+    kernels,
     minors,
     reduce_fraction,
     solve,
@@ -63,7 +65,6 @@ from .numeric import (
     escape_test,
     invariance_test,
     leaf_controllability,
-    matrix_at,
     require_count,
     require_integer,
     require_positive,
@@ -72,6 +73,8 @@ from .numeric import (
 from .sampling import zero_locus_points
 
 NONDEGENERACY_TOL = 1e-8
+# zero-locus points at which the non-degeneracy test reads the Jacobian
+NONDEGENERACY_POINTS = 10
 
 
 class Classification(Enum):
@@ -239,14 +242,17 @@ def _clear_known_denominator(f, ctx):
     return num, den
 
 
-def nondegenerate(rhos, ctx, seed=0, points=10):
+def nondegenerate(rhos, ctx, seed=0):
     """drho^1 ^ ... ^ drho^d nonzero at sampled zero-locus points, each rho
     scaled to a primitive integer numerator over a monic denominator: a
     constant factor moves neither the zero set nor its regularity, only the
     size of the gradient the tolerance compares.  The field is over ZZ, so
     the scaled rho keeps its denominator and the numerator times that
     denominator's leading coefficient: the same value, and the same
-    kernel, since a kernel divides both by that coefficient."""
+    kernel, since a kernel divides both by that coefficient.  The Jacobians
+    at all points take one kernel call and one stacked SVD; each needs d
+    singular values (none has for d > n), the least above the tolerance.
+    EvalSingular at a non-finite Jacobian before the first degenerate one."""
     rhos = [r.field.raw_new(r.numer.primitive()[1] * r.denom.LC, r.denom)
             for r in rhos]
     grads = []
@@ -260,14 +266,18 @@ def nondegenerate(rhos, ctx, seed=0, points=10):
         grads.append(grad)
     try:
         pts = zero_locus_points(rhos, ctx, np.random.default_rng(seed + 13),
-                                count=points)
+                                count=NONDEGENERACY_POINTS)
     except SamplingFailed:
         return False
-    jacobian = matrix_at(grads, ctx)
-    for pt in pts:
-        sv = np.linalg.svd(jacobian(pt), compute_uv=False)
-        if sv.size == 0 or sv[-1] <= NONDEGENERACY_TOL:
-            return False
+    jacobian, = kernels([[c for F in grads for c in F]], ctx)
+    J = jacobian(pts).T.reshape(len(pts), len(grads), len(ctx.states))
+    finite = np.isfinite(J).all(axis=(1, 2))
+    end = len(J) if finite.all() else int(np.argmin(finite))
+    sv = np.linalg.svd(J[:end], compute_uv=False)
+    if sv.shape[1] < len(grads) or (sv[:, -1] <= NONDEGENERACY_TOL).any():
+        return False
+    if end < len(J):
+        raise EvalSingular("evaluation produced a non-finite value")
     return True
 
 

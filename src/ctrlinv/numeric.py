@@ -1,8 +1,8 @@
 """Numeric evidence: simulation under piecewise-constant controls,
 invariance testing and escape testing, all on one error-controlled
 Dormand-Prince sweep, then Lie brackets and bracket-rank checks.  Loci,
-monitors and field rows are ctx.field elements, evaluated by the kernels of
-`expr.kernels`: one compile per system and monitor list gives the stage
+monitors and field rows are ctx.field elements, evaluated by the array form
+of `expr.kernels`: one compile per system and monitor list gives the stage
 kernel, which writes each stage's f + sum_j g_j u_j, and the monitor kernel,
 which the sweep calls only where it reads the monitors (at the start and at
 the new state of each attempted step).  Brackets are made layer by layer,
@@ -35,6 +35,8 @@ MIN_BUDGET = 100
 SIMULATE_STEPS_PER_UNIT = 1000
 # the first step of escape_test
 ESCAPE_STEP = 1e-2
+# the max |rho| at which escape_test counts a trial as having left the locus
+ESCAPE_THRESHOLD = 0.1
 
 # Dormand & Prince (1980) 5(4) pair: the stage rows a_sj, whose last row is
 # the fifth-order weights (so the last stage is f at the new state), and the
@@ -406,18 +408,18 @@ def invariance_test(sys: ControlAffineSystem, rhos, trials=100, pieces=10,
 
 
 def escape_test(sys: ControlAffineSystem, rhos, seed=42, horizon=5.0,
-                h=ESCAPE_STEP, threshold=0.1, starts=20, random_controls=50):
+                h=ESCAPE_STEP, starts=20, random_controls=50):
     """Greedy search for a constant control leaving the zero locus of rhos.
 
     Integrates the 2m+1 axis controls {0, +-e_j} and random ones from each
     of several zero-locus starts as one-piece trials of the Dormand-Prince
     sweep (see `_dp_sweep`), h their first step.  Returns (schedule, time,
     value) at the end of the first accepted step, in sweep order, whose
-    max |rho| exceeds the threshold, or None when no trial gets there within
+    max |rho| exceeds ESCAPE_THRESHOLD, or None when no trial gets there within
     the sweep's budget.  A trial with a non-finite stage drops out.
     """
     require_integer(starts=starts)
-    require_positive(horizon=horizon, h=h, starts=starts, threshold=threshold)
+    require_positive(horizon=horizon, h=h, starts=starts)
     require_steps(horizon, h)
     require_count(seed=seed, random_controls=random_controls)
     ctx = sys.ctx
@@ -438,7 +440,7 @@ def escape_test(sys: ControlAffineSystem, rhos, seed=42, horizon=5.0,
         try:
             for trials, t, accepted, _, _, rho in sweep:
                 value = np.maximum.reduce(np.abs(rho), axis=0)
-                hit = np.flatnonzero(accepted & (value > threshold))
+                hit = np.flatnonzero(accepted & (value > ESCAPE_THRESHOLD))
                 if hit.size:
                     j = hit[0]
                     uc = controls[trials[j] % len(controls)]
@@ -484,14 +486,6 @@ def iterated_brackets(fields, ctx, depth=BRACKET_DEPTH):
             return
         layer = new
         yield layer
-
-
-def matrix_at(rows, ctx):
-    """The values of ctx.field rows at a point, an array of values in
-    ctx.symbols order as `zero_locus_points` returns them, as a matrix: a
-    function taking every entry by one kernel."""
-    values, = kernels([[c for F in rows for c in F]], ctx)
-    return lambda point: np.reshape(values(point.tolist()), (len(rows), -1))
 
 
 def bracket_rank(layers, ctx):

@@ -2,7 +2,8 @@
 ctx.field elements.
 
 Shared by the membership checker (non-degeneracy), the trajectory
-verifier (initial conditions) and the leaf bracket rank (exact).
+verifier (initial conditions) and the leaf bracket rank (exact), by the
+sampling form of `expr.kernels` on a round's attempts as one block.
 """
 
 from __future__ import annotations
@@ -10,16 +11,17 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import SamplingFailed
-from .expr import (POINT_ERRORS, SymbolContext, differentiate, generators,
-                   gradient, kernels)
+from .expr import (SymbolContext, differentiate, generators, gradient,
+                   kernels)
 from .flag import certification_points, exact_value
 
 NEWTON_RESIDUAL_TOL = 1e-10
 CONSTRAINT_MARGIN = 1e-6
+# damped Newton steps at most per projected attempt
+NEWTON_STEPS = 20
 
 
-def zero_locus_points(rhos, ctx: SymbolContext, rng, count=20, box=1.0,
-                      newton_steps=20):
+def zero_locus_points(rhos, ctx: SymbolContext, rng, count=20, box=1.0):
     """Points (state and parameter values) on the common zero set of rhos,
     as rows (count, len(ctx.symbols)) of values in ctx.symbols order.
 
@@ -27,10 +29,9 @@ def zero_locus_points(rhos, ctx: SymbolContext, rng, count=20, box=1.0,
     projects random points by damped Newton steps.  Points that fail to
     converge or violate domain constraints are discarded and resampled.
     Each round draws as many attempts as points are missing in one block,
-    solves the linear plan and checks every attempt on the whole block by
-    the sampling form of `expr.kernels`, compiled once per call, and keeps
-    the accepted rows in attempt order; only a row the plan cannot solve is
-    projected, by the float form, compiled when the first such row comes.
+    solves the linear plan, projects the rows it leaves unsolved as one
+    block (`_newton_project`) and checks every attempt, by the sampling
+    form of `expr.kernels`, and keeps the accepted rows in attempt order.
     """
     rhos, states = list(rhos), ctx.states
     grads = [gradient(r, ctx) for r in rhos]
@@ -43,8 +44,7 @@ def zero_locus_points(rhos, ctx: SymbolContext, rng, count=20, box=1.0,
         fixed |= symbols
     check, *linear = kernels(
         [rhos + list(ctx.nonzero)]
-        + [[e for _, *pair in terms for e in pair] for terms in plan],
-        ctx, "sampling")
+        + [[e for _, *pair in terms for e in pair] for terms in plan], ctx)
     linear = [(fill, [i for i, _, _ in terms])
               for fill, terms in zip(linear, plan)]
     newton = None
@@ -54,16 +54,15 @@ def zero_locus_points(rhos, ctx: SymbolContext, rng, count=20, box=1.0,
         block = _attempts(ctx, rng, min(count - kept, budget - attempts), box)
         attempts += len(block)
         solved = _solve_linear_rows(linear, block)
-        for row in np.flatnonzero(~solved):
+        rows = np.flatnonzero(~solved)
+        if rows.size:
             if newton is None:
                 newton, = kernels([rhos + sum(grads, [])], ctx)
-            values = block[row].tolist()
-            if _newton_project(newton, (len(rhos), len(states)), values,
-                               newton_steps):
-                block[row], solved[row] = values, True
+            solved[rows] = _newton_project(
+                newton, (len(rhos), len(states)), block, rows)
         values = check(block)
         r, c = np.abs(values[:len(rhos)]), np.abs(values[len(rhos):])
-        # NaN, where the float form raises, fails both comparisons
+        # NaN, where a value is not defined, fails both comparisons
         solved &= (r <= NEWTON_RESIDUAL_TOL).all(axis=0) \
             & (c > CONSTRAINT_MARGIN).all(axis=0) & np.isfinite(c).all(axis=0)
         blocks.append(block[solved])
@@ -110,8 +109,7 @@ def _solve_linear_rows(linear, block, tol=1e-6):
 
     A row takes a rho's first term whose a is more than tol in absolute
     value, or fails at the first whose a, or that term's rest, is NaN or
-    infinite, as the float form would raise; a row that fails stays as the
-    earlier rhos left it.
+    infinite; a row that fails stays as the earlier rhos left it.
     """
     solved = np.ones(len(block), dtype=bool)
     for fill, columns in linear:
@@ -145,7 +143,7 @@ def _solve_linear(plan, values):
                 if not aval:
                     continue
                 values[i] = -exact_value(rest, values) / aval
-            except POINT_ERRORS:
+            except ZeroDivisionError:  # a pole of a or rest
                 return False
             fixed |= symbols
             break
@@ -170,22 +168,36 @@ def exact_leaf_points(rhos, rows, ctx):
             if _solve_linear(linear, pt))
 
 
-def _newton_project(newton, shape, values, steps):
-    """Damped Newton steps on values[:n] by newton's k rhos and Jacobian."""
+def _newton_project(newton, shape, block, rows):
+    """Damped Newton steps x - 0.8 J^T (J J^T)^-1 r (Ben-Israel 1966) on the
+    states of block's rows by newton's k rhos r and Jacobian J, per step one
+    kernel call and one stacked solve on the rows still moving: the floats
+    each row gets alone.  True for a row projected, its states written into
+    block; a row stops once each |rho| <= NEWTON_RESIDUAL_TOL and fails at
+    a value that is not finite, as a singular J J^T's NaN step makes."""
     k, n = shape
-    x = np.array(values[:n], dtype=float)
-    for _ in range(steps):
-        try:
-            out = newton(x.tolist() + values[n:])
-        except POINT_ERRORS:
-            return False
-        r, J = np.array(out[:k]), np.array(out[k:]).reshape(shape)
-        if np.max(np.abs(r)) <= NEWTON_RESIDUAL_TOL:
+    x, ok, moving = block[rows], np.ones(len(rows), bool), np.arange(len(rows))
+    for _ in range(NEWTON_STEPS):
+        out = newton(x[moving])
+        finite = np.isfinite(out).all(axis=0)
+        ok[moving[~finite]] = False
+        live = finite & ~(np.abs(out[:k]) <= NEWTON_RESIDUAL_TOL).all(axis=0)
+        moving, out = moving[live], out[:, live]
+        if not moving.size:
             break
+        # each J contiguous, as alone: a strided one takes another matmul
+        J = np.ascontiguousarray(out[k:].T).reshape(-1, k, n)
+        Jt, r = J.transpose(0, 2, 1), out[:k].T[..., None]
+        A = J @ Jt
         try:
-            step = J.T @ np.linalg.solve(J @ J.T, r)
-        except np.linalg.LinAlgError:
-            return False
-        x = x - 0.8 * step
-    values[:n] = x.tolist()
-    return True
+            s = np.linalg.solve(A, r)
+        except np.linalg.LinAlgError:  # some J J^T is singular: row by row
+            s = np.full(r.shape, np.nan)
+            for i in range(len(A)):
+                try:
+                    s[i] = np.linalg.solve(A[i], r[i])
+                except np.linalg.LinAlgError:
+                    pass
+        x[moving, :n] -= 0.8 * (Jt @ s)[..., 0]
+    block[rows[ok]] = x[ok]
+    return ok

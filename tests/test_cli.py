@@ -244,6 +244,21 @@ class TestJsonOutput:
         assert entry["evidence"] == {"reason": "NonDegeneracyFailure"}
         assert entry["escape"] is None
 
+    def test_verify_more_functions_than_states_rejected(self, capsys,
+                                                        tmp_path):
+        # four functions of three states: drho^1 ^ ... ^ drho^4 = 0, though
+        # the Jacobian's three singular values are all positive
+        path = tmp_path / "planar.sys"
+        path.write_text("states: x y z\ncontrol g1: [1, 0, 0]\n"
+                        "control g2: [0, 1, 0]\n")
+        code, payload = run_json(capsys, [
+            "verify", str(path), "--rho", "x", "--rho", "y", "--rho", "z",
+            "--rho", "x+y"] + FAST)
+        assert code == 0
+        entry = payload["verify"]
+        assert entry["classification"] == "Rejected"
+        assert entry["evidence"] == {"reason": "NonDegeneracyFailure"}
+
     def test_analyze_reports_candidate_with_empty_locus(self, capsys,
                                                         tmp_path):
         path = tmp_path / "ex1_candidate.sys"

@@ -265,7 +265,7 @@ class TestEvaluate:
 
     def test_coefficient_beyond_double_range_is_infinite(self):
         # a float literal of 10^400 would not fit: it is written as inf,
-        # and the float form takes a value that is not finite as singular
+        # and `evaluate` takes a value that is not finite as singular
         big = [F(10**400 * x + 1), F(1 - 10**400 * x)]
         out = np.empty((2, 2))
         with np.errstate(invalid="ignore"):
@@ -382,76 +382,54 @@ class TestCompiledEvaluators:
             points.append(point)
         values = [[[_result(_reference_eval, from_field(f), p) for p in points]
                    for f in group] for group in groups]
-        fns = kernels(groups, CTX5)
+        samples = kernels(groups, CTX5)
         fills = kernels(groups, CTX5, "array")
-        args = np.array([[p[s] for s in CTX5.symbols] for p in points]).T
+        rows = np.array([[p[s] for s in CTX5.symbols] for p in points])
+        args = rows.T
         singular = 0
-        for group, kernel, fill, want in zip(groups, fns, fills, values):
-            # the float form, point by point: a group raises EvalSingular
-            # where the reference does for one of its elements
-            for j, point in enumerate(points):
-                got = _result(kernel, [point[s] for s in CTX5.symbols])
-                if any(row[j] is EvalSingular for row in want):
-                    assert got is EvalSingular, group
-                    singular += 1
-                    continue
-                assert isinstance(got, list), group
-                for f, row, value in zip(group, want, got):
-                    assert abs(value - row[j]) \
-                        <= 1e-12 * _magnitude(f, point), (f, point)
-            # the array form, all points at once: not finite where the
+        for group, sample, fill, want in zip(groups, samples, fills, values):
+            # both forms take all points at once: the sampling form gives
+            # NaN and the array form a value that is not finite where the
             # reference raises
             out = np.empty((len(group), len(points)))
             with np.errstate(all="ignore"):
                 fill(args[:4], args[4:], out)
-            for f, row, got in zip(group, want, out):
-                for j, point in enumerate(points):
-                    if row[j] is EvalSingular:
-                        assert not math.isfinite(got[j]), (f, point)
-                    else:
-                        assert abs(got[j] - row[j]) \
-                            <= 1e-12 * _magnitude(f, point), (f, point)
+            for got, undefined in ((sample(rows), math.isnan),
+                                   (out, lambda v: not math.isfinite(v))):
+                for f, row, values_ in zip(group, want, got):
+                    for j, point in enumerate(points):
+                        if row[j] is EvalSingular:
+                            assert undefined(values_[j]), (f, point)
+                        else:
+                            assert abs(values_[j] - row[j]) \
+                                <= 1e-12 * _magnitude(f, point), (f, point)
+            singular += sum(v is EvalSingular for row in want for v in row)
         assert singular > 5
 
-    def test_sampling_form_is_the_float_form_per_element(self):
-        # bit for bit where one element's float form returns, not finite
-        # where it raises: at a vanishing denominator, at x**3 overflowing
-        # (NaN: an inf would make 1/x**3 a finite 0) and at sin of an
-        # infinity
-        rng = random.Random(20262)
-        group = [_random_element(rng) for _ in range(40)]
-        group += [F(x**3, CTX5), F(1 / x**3, CTX5), F(sp.sin(x) * y, CTX5)]
-        rows = [[rng.uniform(-2, 2) for _ in CTX5.symbols]
-                for _ in range(30)]
-        for j, s in enumerate(CTX5.states):  # a vanishing denominator
-            rows[j][j] = 0.0
-        rows += [[1e200, 1.0, 1.0, 1.0, 1.0, 1.0],
-                 [math.inf, 1.0, 1.0, 1.0, 1.0, 1.0]]
-        sample, = kernels([group], CTX5, "sampling")
-        got = sample(np.array(rows)).T.tolist()
-        singles = kernels([[f] for f in group], CTX5)
-        raised = 0
-        for row, values in zip(rows, got):
-            want = [_result(fn, row) for fn in singles]
-            raised += sum(isinstance(v, type) for v in want)
-            assert repr(values) == repr([
-                v[0] if isinstance(v, list)
-                else value if not math.isfinite(value) else "finite"
-                for v, value in zip(want, values)])
-        assert raised > 10 and all(math.isnan(v) for v in got[-2][-3:-1])
-
     def test_raises_when_called(self):
-        group = [F(x + 1), F(1 / y), F(c), F(1 / (x * y + y))]
-        (value,), (fill,) = (kernels([group], CTX, form)
-                             for form in ("float", "array"))
-        with pytest.raises(EvalSingular, match="denominator below threshold"):
-            value([0.5, 0.0, 0.0, 1.0])
-        assert value([1.0, 2.0, 0.0, 3.0]) == [2.0, 0.5, 3.0, 0.25]
-        out = np.empty((4, 2))
+        # compiled for every point, singular only where called: the sampling
+        # form gives NaN at a vanishing denominator, where x**3 overflows
+        # (an inf would make 1/x**3 a finite 0) and at sin of an infinity,
+        # and `evaluate` raises there; the array form leaves the infinities
+        group = [F(x + 1), F(1 / y), F(c), F(1 / (x * y + y)),
+                 F(1 / x**3), F(sp.sin(x) * y)]
+        with pytest.raises(KeyError):  # the two forms only
+            kernels([group], CTX, "float")
+        (sample,), (fill,) = (kernels([group], CTX, form)
+                              for form in ("sampling", "array"))
+        got = sample(np.array([[0.5, 0.0, 0.0, 1.0], [1.0, 2.0, 0.0, 3.0],
+                               [1e200, 1.0, 0.0, 1.0],
+                               [math.inf, 1.0, 0.0, 1.0]])).T.tolist()
+        assert repr(got[0][:4]) == repr([1.5, math.nan, 1.0, math.nan])
+        assert got[1] == [2.0, 0.5, 3.0, 0.25, 1.0, math.sin(1.0) * 2.0]
+        assert math.isnan(got[2][4]) and math.isnan(got[3][5])
+        with pytest.raises(EvalSingular, match="non-finite value"):
+            evaluate(group[1], {y: 0.0})
+        out = np.empty((6, 2))
         with np.errstate(divide="ignore"):
             fill(np.array([[0.5, 1.0], [0.0, 2.0], [0.0, 0.0]]),
                  np.array([[1.0, 3.0]]), out)
-        assert out[:, 1].tolist() == [2.0, 0.5, 3.0, 0.25]
+        assert out[:4, 1].tolist() == [2.0, 0.5, 3.0, 0.25]
         assert out[1, 0] == math.inf and out[3, 0] == math.inf
 
     def test_functions_freed_without_cyclic_collector(self):
@@ -910,7 +888,7 @@ def _qq_value(f):
     value = _qq_sum(f.numer, f.denom.LC)
     if not f.denom.is_ground:
         den = f.denom.quo_ground(f.denom.LC)
-        value = f"({value}) / den({_qq_sum(den, 1)}, {str(den)!r})"
+        value = f"({value}) / den({_qq_sum(den, 1)})"
     return value
 
 
@@ -923,7 +901,7 @@ def _qq_sum(p, scale):
         except OverflowError:
             literal = "inf"
         term = "*".join(([literal] if literal != "1.0" or not any(m) else [])
-                        + [f"_g{i}" + (f"**{e}" if e > 1 else "")
+                        + [f"pow(_g{i}, {e})" if e > 1 else f"_g{i}"
                            for i, e in enumerate(m) if e])
         text += (" - " if c < 0 else " + ") + term
     return text.lstrip(" +") or "0.0"
@@ -977,13 +955,6 @@ def _same_element(fz, fq):
             and dict(fz.denom) == dict(fq.denom))
 
 
-def _point_values(fill, point):
-    try:
-        return fill(point)
-    except EvalSingular:
-        return EvalSingular
-
-
 class TestAgainstRationalField:
     """Elements built alike in the field over ZZ and in a field over QQ are
     the same reduced pairs, and every step that reads a value divided by a
@@ -1017,18 +988,16 @@ class TestAgainstRationalField:
     def test_kernel_values(self, elements, monkeypatch):
         zz, qq = zip(*elements)
         groups = [[f] for f in zz]
-        floats = kernels(groups, RATIONAL_CTX)
+        samples = kernels(groups, RATIONAL_CTX)
         arrays = kernels(groups, RATIONAL_CTX, "array")
         monkeypatch.setattr(expr_module, "_value", _qq_value)
-        ref_floats = kernels([[f] for f in qq], RATIONAL_CTX)
+        ref_samples = kernels([[f] for f in qq], RATIONAL_CTX)
         ref_arrays = kernels([[f] for f in qq], RATIONAL_CTX, "array")
         rng = np.random.default_rng(5)
         X = rng.uniform(-2, 2, size=(3, 40))
         P = np.empty((0, 40))
-        for fill, ref in zip(floats, ref_floats):
-            for point in X.T.tolist():
-                assert _point_values(fill, point) == \
-                    _point_values(ref, point)
+        for sample, ref in zip(samples, ref_samples):
+            assert np.array_equal(sample(X.T), ref(X.T), equal_nan=True)
         with np.errstate(all="ignore"):
             for fill, ref in zip(arrays, ref_arrays):
                 got = fill(X, P, np.empty((1, 40)))

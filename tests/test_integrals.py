@@ -129,6 +129,12 @@ class TestNondegenerate:
         # dz(z^2) = 2z dz vanishes on the zero locus {z = 0}
         assert not nondegenerate([F(z**2)], CTX)
 
+    def test_more_functions_than_states_degenerate(self):
+        # a d x n Jacobian with d > n has only n singular values, yet the
+        # wedge of d one-forms in n variables is 0
+        assert nondegenerate([F(x), F(y), F(z)], CTX)
+        assert not nondegenerate([F(x), F(y), F(z), F(x + y)], CTX)
+
 
 class TestGfiCandidates:
     def test_single_isolated(self, ex1):

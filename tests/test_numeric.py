@@ -9,6 +9,7 @@ import pytest
 import sympy as sp
 
 import ctrlinv.expr as expr_module
+import ctrlinv.integrals as integrals_module
 import ctrlinv.numeric as numeric_module
 import ctrlinv.sampling as sampling_module
 from ctrlinv.dsl import ControlAffineSystem, ControlSchedule, parse_system
@@ -20,7 +21,6 @@ from ctrlinv.errors import (
     StepSingular,
 )
 from ctrlinv.expr import (
-    POINT_ERRORS,
     SymbolContext,
     from_field,
     gradient,
@@ -364,8 +364,7 @@ class TestNumericSettings:
 
     @pytest.mark.parametrize("field, value", [
         ("starts", 0), ("horizon", -1.0), ("horizon", math.nan),
-        ("h", 0.0), ("h", math.inf), ("threshold", -1.0),
-        ("threshold", math.nan)])
+        ("h", 0.0), ("h", math.inf)])
     def test_escape_test_rejects(self, ex1, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be positive"):
             escape_test(ex1, [z], **{"horizon": 0.1, field: value})
@@ -717,7 +716,7 @@ class TestZeroLocusSampling:
 
             return call
 
-        def counting_kernels(groups, ctx, form="float"):
+        def counting_kernels(groups, ctx, form="sampling"):
             compiles.append(form)
             return [counted(fn, form) for fn in real(groups, ctx, form)]
 
@@ -725,8 +724,56 @@ class TestZeroLocusSampling:
         pts = zero_locus_points(elements([z], ex1.ctx), ex1.ctx,
                                 np.random.default_rng(0), count=1000)
         assert pts.shape == (1000, 3) and not pts[:, 2].any()
-        assert compiles == ["sampling"]
-        assert "float" not in calls and len(calls) <= 4
+        assert compiles == ["sampling"] and len(calls) <= 4
+
+    def test_newton_projects_each_round_as_one_block(self, monkeypatch):
+        # the circle has no linear plan, so every attempt goes to Newton:
+        # one kernel call per damped step of a round, on the rows still
+        # moving, never one per row
+        real = sampling_module.kernels
+        calls = []  # (group size, rows) per kernel call
+
+        def counting_kernels(groups, ctx, form="sampling"):
+            def counted(fn, size):
+                def call(rows):
+                    calls.append((size, len(rows)))
+                    return fn(rows)
+
+                return call
+
+            return [counted(fn, len(group))
+                    for fn, group in zip(real(groups, ctx, form), groups)]
+
+        monkeypatch.setattr(sampling_module, "kernels", counting_kernels)
+        pts = zero_locus_points(elements([x**2 + y**2 - 1], CTX), CTX,
+                                np.random.default_rng(3), count=200)
+        assert pts.shape == (200, 3)
+        rounds = [rows for size, rows in calls if size == 1]  # the check
+        newton = [rows for size, rows in calls if size == 1 + 3]
+        assert rounds == [200] and newton[0] == 200
+        assert len(newton) <= sampling_module.NEWTON_STEPS
+
+    def test_singular_row_fails_alone_in_its_block(self):
+        # at x = y = 0 the circle's gradient vanishes and J J^T = 0: those
+        # rows fail, every other row of the block gets the floats it gets
+        # alone
+        rhos = elements([x**2 + y**2 - 1], CTX)
+        grads = [gradient(r, CTX) for r in rhos]
+        newton, = kernels([rhos + sum(grads, [])], CTX)
+        block = np.random.default_rng(4).uniform(-1, 1, (40, 3))
+        block[[3, 17], :2] = 0.0
+        want = []
+        for row in block.tolist():
+            point = dict(zip(CTX.symbols, row))
+            projected = _reference_newton_project(
+                rhos, grads, point, CTX, sampling_module.NEWTON_STEPS)
+            want.append([point[s] for s in CTX.symbols] if projected
+                        else None)
+        ok = sampling_module._newton_project(newton, (1, 3), block,
+                                             np.arange(40))
+        got = [row if kept else None for row, kept in zip(block.tolist(), ok)]
+        assert repr(got) == repr(want)
+        assert [i for i, row in enumerate(want) if row is None] == [3, 17]
 
     def test_linear_plan_built_once_per_call(self, monkeypatch):
         real = sampling_module.differentiate
@@ -781,19 +828,19 @@ class TestSamplingErrors:
     @staticmethod
     def _failing_once(monkeypatch, ctx, target, exc):
         """The first call of a compiled function that evaluates target
-        fails: the float form raises exc; the sampling form, which reports
-        a singular value by a NaN, gives target a NaN in the first row for
-        an EvalSingular and raises any other exc."""
+        fails: a kernel reports a singular value by a NaN, so it gives
+        target a NaN in the first row for an EvalSingular and raises any
+        other exc."""
         real = sampling_module.kernels
         target = to_field(target, ctx)
         failed = []
 
-        def failing_first(fn, group, form):
+        def failing_first(fn, group):
             def call(values):
                 if failed:
                     return fn(values)
                 failed.append(group)
-                if form == "sampling" and isinstance(exc, EvalSingular):
+                if isinstance(exc, EvalSingular):
                     out = fn(values)
                     out[group.index(target), 0] = math.nan
                     return out
@@ -801,8 +848,8 @@ class TestSamplingErrors:
 
             return call if target in group else fn
 
-        def kernels(groups, ctx, form="float"):
-            return [failing_first(fn, group, form)
+        def kernels(groups, ctx, form="sampling"):
+            return [failing_first(fn, group)
                     for fn, group in zip(real(groups, ctx, form), groups)]
 
         monkeypatch.setattr(sampling_module, "kernels", kernels)
@@ -1407,7 +1454,7 @@ def test_invariance_attempt_evaluates_fields_six_times(ex3, monkeypatch):
 
         return call
 
-    def counting_kernels(groups, ctx, form="float", field=None):
+    def counting_kernels(groups, ctx, form="sampling", field=None):
         stage, fill = real(groups, ctx, form, field)
         return [counted("stage", stage), counted("monitors", fill)]
 
@@ -1432,19 +1479,25 @@ def test_invariance_attempt_evaluates_fields_six_times(ex3, monkeypatch):
 # element and point), _reference_dp_sweep (every trial to the end) and
 # _reference_sweep_invariance_test (one `_reference_random_schedule` per
 # trial, the sums over the whole batch) are the earlier code, kept verbatim
-# but for evaluating field elements by the generator's float form and for
-# a residual or linear solution that cannot be evaluated rejecting the
-# point: the same floats, verdicts and generator state are required.
+# but for evaluating field elements by one row of the generator's sampling
+# form and for a residual or linear solution that cannot be evaluated
+# rejecting the point: the same floats, verdicts and generator state are
+# required.
 
 _POINT_VALUES = {}
 
 
 def _evaluate(f, point, ctx):
-    """`evaluate` of a field element, its kernel compiled once."""
+    """`evaluate` of a field element, its kernel compiled once: one row of
+    the sampling form, EvalSingular where the value is not finite."""
     key = f, len(ctx.states)
     if key not in _POINT_VALUES:
         _POINT_VALUES[key], = kernels([[f]], ctx)
-    return _POINT_VALUES[key]([float(point[s]) for s in ctx.symbols])[0]
+    value = _POINT_VALUES[key](
+        np.array([[float(point[s]) for s in ctx.symbols]]))[0, 0].item()
+    if not math.isfinite(value):
+        raise EvalSingular("evaluation produced a non-finite value")
+    return value
 
 
 def _reference_zero_locus_points(rhos, ctx: SymbolContext, rng, count=20,
@@ -1474,7 +1527,7 @@ def _reference_zero_locus_points(rhos, ctx: SymbolContext, rng, count=20,
 def _reference_residual_ok(rhos, point, ctx):
     try:
         res = max(abs(_evaluate(r, point, ctx)) for r in rhos)
-    except POINT_ERRORS:
+    except EvalSingular:
         return False
     return res <= sampling_module.NEWTON_RESIDUAL_TOL
 
@@ -1484,7 +1537,7 @@ def _reference_constraints_ok(point, ctx: SymbolContext, margin):
         try:
             if abs(_evaluate(c, point, ctx)) <= margin:
                 return False
-        except POINT_ERRORS:
+        except EvalSingular:
             return False
     return True
 
@@ -1500,7 +1553,7 @@ def _reference_solve_linear(plan, point, ctx):
                 if abs(aval) < 1e-6:
                     continue
                 point[v] = -_evaluate(rest, point, ctx) / aval
-            except POINT_ERRORS:
+            except EvalSingular:
                 return False
             fixed |= symbols
             break
@@ -1520,7 +1573,7 @@ def _reference_newton_project(rhos, grads, point, ctx, steps):
             r = np.array([_evaluate(rho, at, ctx) for rho in rhos])
             J = np.array([[_evaluate(g, at, ctx) for g in row]
                           for row in grads])
-        except POINT_ERRORS:
+        except EvalSingular:
             return False
         if np.max(np.abs(r)) <= sampling_module.NEWTON_RESIDUAL_TOL:
             break
@@ -1725,7 +1778,8 @@ def test_kernel_compiles_per_analyze(name, compiles, monkeypatch):
         calls.append(args)
         return real(*args, **kwargs)
 
-    for module in (expr_module, sampling_module, numeric_module):
+    for module in (expr_module, sampling_module, numeric_module,
+                   integrals_module):
         monkeypatch.setattr(module, "kernels", counting_kernels)
     analyze(load_system(name), GOLDEN_CONFIG)
     assert len(calls) == compiles
