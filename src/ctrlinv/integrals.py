@@ -1,7 +1,9 @@
 """First integrals and generalized first integrals.
 
-First integrals come from closed generators of the terminal (integrable)
-derived system via the straight-line homotopy of the Poincare lemma.
+First integrals are the potentials, by the straight-line homotopy of the
+Poincare lemma, of the closed constant combinations of the generators of
+the terminal (integrable) derived system: one null space over QQ holds
+them all, closed generators and combinations of any number of them.
 Generalized first integrals are non-degenerate common factors of the torsion
 minors, confirmed by the ideal-membership condition: the differential of the
 candidate must lie in the ideal generated by the candidate and the
@@ -34,12 +36,14 @@ from .errors import (
 )
 from .expr import (
     SymbolContext,
+    common_denominator,
     factor,
     from_field,
     gradient,
     ideal_cofactors,
     kernels,
     minors,
+    numerator_over,
     reduce_fraction,
     solve,
     to_field,
@@ -54,7 +58,6 @@ from .flag import (
 )
 from .forms import (
     DifferentialForm,
-    coefficient_vector,
     contract,
     d,
     form_to_text,
@@ -145,82 +148,70 @@ def poincare_integrate(omega: DifferentialForm):
     return rho
 
 
-def _closed_pair_combination(gi, gj):
-    """Rational constants (l, m) with d(l*gi + m*gj) = 0, or None: every
-    monomial coefficient of l*P1*Q2 + m*P2*Q1 vanishes, where P/Q are the
-    coefficients of d(gi), d(gj).  Every free unknown is set to 1."""
-    di, dj = d(gi), d(gj)
-    if di.is_zero_form and dj.is_zero_form:
-        return None  # both closed: their potentials already failed
+def closed_combinations(generators):
+    """A basis over QQ of {l : d(sum_i l_i theta_i) = 0} for 1-forms
+    theta_i, as rows: the unit vectors first, in generator order, then the
+    combinations.
+
+    d is linear over the constants, so l solves one equation per monomial
+    of each 2-form coefficient of the d(theta_i), those coefficients scaled
+    by their common denominator and reduced modulo sin**2 + cos**2 = 1:
+    one null space.  A closed generator gives a zero column, so its unit
+    vector is a basis row.
+    """
+    defects = [d(g) for g in generators]
     equations = []
-    for key in {k for k, _ in di.terms + dj.terms}:
-        c1, c2 = di.coeff(key), dj.coeff(key)
-        p1, p2 = c1.numer * c2.denom, c2.numer * c1.denom
-        for mono in set(p1) | set(p2):
-            equations.append([QQ(p1.get(mono, 0)), QQ(p2.get(mono, 0))])
-    null = DomainMatrix(equations, (len(equations), 2), QQ).nullspace()
-    if null.shape[0] == 0:
-        return None
-    lv, mv = (sum(col, QQ.zero) for col in zip(*null.to_list()))
-    return lv, mv
+    for key in {k for form in defects for k, _ in form.terms}:
+        row = [form.coeff(key) for form in defects]
+        K, L = row[0].field, common_denominator(row)
+        nums = [reduce_fraction(K.raw_new(numerator_over(c, L), K.ring.one))
+                .numer for c in row]
+        equations += [[QQ(p.get(mono, 0)) for p in nums]
+                      for mono in set().union(*nums)]
+    null = DomainMatrix(equations, (len(equations), len(generators)),
+                        QQ).nullspace().to_list()
+    return sorted(null, key=lambda l: sum(map(bool, l)) > 1)
 
 
-def first_integrals(flag: PfaffianFlag, ctx: SymbolContext,
-                    fields=None) -> list:
+def first_integrals(flag: PfaffianFlag, ctx: SymbolContext, fields) -> list:
     """First integrals from the terminal integrable system.
 
-    Integrates closed terminal generators (and constant-coefficient pairs of
-    non-closed ones); generators not captured are reported Undetermined with
-    their closedness defect.  Each integral is checked to annihilate the
-    given fields (ControlAffineSystem.fields).
+    Integrates each closed constant combination of the terminal generators
+    (`closed_combinations`), the closed generators first; each generator
+    that is not closed or whose potential failed is reported Undetermined
+    with its closedness defect while fewer than q entries are found.  Each
+    integral is checked to annihilate the given fields
+    (ControlAffineSystem.fields).
     """
-    terminal = flag.terminal
-    out = []
-    unresolved = []
-    for g in terminal.generators:
-        if d(g).is_zero_form:
-            rho = poincare_integrate(g)
-            if rho is not None:
-                out.append(_validated_first_integral(rho, g, ctx, fields))
-                continue
-        unresolved.append(g)
-    for gi, gj in itertools.combinations(unresolved, 2):
-        if len(out) >= flag.q:
-            break
-        combo = _closed_pair_combination(gi, gj)
-        if combo is None:
+    gens = flag.terminal.generators
+    out, integrated = [], []
+    for l in closed_combinations(gens):
+        comb = functools.reduce(DifferentialForm.__add__,
+                                [g.scale(c) for c, g in zip(l, gens) if c])
+        rho = poincare_integrate(comb)
+        if rho is None:
             continue
-        lv, mv = combo
-        comb = one_form(
-            [lv * a + mv * b for a, b in
-             zip(coefficient_vector(gi), coefficient_vector(gj))], ctx)
-        if d(comb).is_zero_form:
-            rho = poincare_integrate(comb)
-            if rho is not None:
-                out.append(_validated_first_integral(rho, comb, ctx, fields))
-    for g in unresolved:
-        if len(out) >= flag.q:
-            break
-        out.append(CandidateIntegral(
-            rhos=(), classification=Classification.UNDETERMINED,
-            provenance="FromFlag",
-            evidence={"generator": form_to_text(g),
-                      "closedness_defect": form_to_text(d(g))}))
-    return out[: flag.q]
-
-
-def _validated_first_integral(rho, generator, ctx, fields):
-    evidence = {"potential_of": form_to_text(generator)}
-    if fields:
         drho = one_form(gradient(rho, ctx), ctx)
         for X in fields:
             if contract(drho, X):
                 raise AnnihilationFailure(
                     f"first integral fails annihilation against {X}")
-        evidence["annihilates_fields"] = True
-    return CandidateIntegral(rhos=(rho,),
-                             classification=Classification.FIRST_INTEGRAL,
-                             provenance="FromFlag", evidence=evidence)
+        integrated.append(comb)
+        out.append(CandidateIntegral(
+            rhos=(rho,), classification=Classification.FIRST_INTEGRAL,
+            provenance="FromFlag",
+            evidence={"potential_of": form_to_text(comb),
+                      "annihilates_fields": True}))
+    for g in gens:
+        if len(out) >= flag.q:
+            break
+        if g not in integrated:
+            out.append(CandidateIntegral(
+                rhos=(), classification=Classification.UNDETERMINED,
+                provenance="FromFlag",
+                evidence={"generator": form_to_text(g),
+                          "closedness_defect": form_to_text(d(g))}))
+    return out
 
 
 # --- candidates from torsion minors -----------------------------------------

@@ -37,6 +37,9 @@ SIMULATE_STEPS_PER_UNIT = 1000
 ESCAPE_STEP = 1e-2
 # the max |rho| at which escape_test counts a trial as having left the locus
 ESCAPE_THRESHOLD = 0.1
+# escape_test's zero-locus starts, and its random controls beside the axes
+ESCAPE_STARTS = 20
+ESCAPE_CONTROLS = 50
 
 # Dormand & Prince (1980) 5(4) pair: the stage rows a_sj, whose last row is
 # the fifth-order weights (so the last stage is f at the new state), and the
@@ -407,34 +410,33 @@ def invariance_test(sys: ControlAffineSystem, rhos, trials=100, pieces=10,
         trials=per_trial, seed=seed, errors=tuple(errors))
 
 
-def escape_test(sys: ControlAffineSystem, rhos, seed=42, horizon=5.0,
-                h=ESCAPE_STEP, starts=20, random_controls=50):
+def escape_test(sys: ControlAffineSystem, rhos, seed=42, horizon=5.0):
     """Greedy search for a constant control leaving the zero locus of rhos.
 
-    Integrates the 2m+1 axis controls {0, +-e_j} and random ones from each
-    of several zero-locus starts as one-piece trials of the Dormand-Prince
-    sweep (see `_dp_sweep`), h their first step.  Returns (schedule, time,
-    value) at the end of the first accepted step, in sweep order, whose
-    max |rho| exceeds ESCAPE_THRESHOLD, or None when no trial gets there within
-    the sweep's budget.  A trial with a non-finite stage drops out.
+    Integrates the 2m+1 axis controls {0, +-e_j} and ESCAPE_CONTROLS random
+    ones from each of ESCAPE_STARTS zero-locus starts as one-piece trials of
+    the Dormand-Prince sweep (see `_dp_sweep`), ESCAPE_STEP their first
+    step.  Returns (schedule, time, value) at the end of the first accepted
+    step, in sweep order, whose max |rho| exceeds ESCAPE_THRESHOLD, or None
+    when no trial gets there within the sweep's budget.  A trial with a
+    non-finite stage drops out.
     """
-    require_integer(starts=starts)
-    require_positive(horizon=horizon, h=h, starts=starts)
-    require_steps(horizon, h)
-    require_count(seed=seed, random_controls=random_controls)
+    require_positive(horizon=horizon)
+    require_steps(horizon, ESCAPE_STEP)
+    require_count(seed=seed)
     ctx = sys.ctx
     rng = np.random.default_rng(seed)
-    pts = zero_locus_points(rhos, ctx, rng, count=starts)
+    pts = zero_locus_points(rhos, ctx, rng, count=ESCAPE_STARTS)
     m = sys.m
     # the axis controls 0, e_1, -e_1, ..., e_m, -e_m, then random ones
     controls = [np.zeros(m)] + [s * e for e in np.eye(m) for s in (1.0, -1.0)]
-    controls += list(rng.uniform(-1, 1, size=(random_controls, m)))
+    controls += list(rng.uniform(-1, 1, size=(ESCAPE_CONTROLS, m)))
     # one trial per (start, control)
     rows = np.repeat(pts, len(controls), axis=0)
     x, p = rows[:, :sys.n].T.copy(), rows[:, sys.n:]
     u = np.tile(controls, (len(pts), 1))[:, None]
     ends = np.full((len(u), 1), float(horizon))
-    sweep = _dp_sweep(rhs_function(sys, rhos), x, p, ends, u, h)
+    sweep = _dp_sweep(rhs_function(sys, rhos), x, p, ends, u, ESCAPE_STEP)
     with np.errstate(all="ignore"):
         next(sweep)  # the starts, on the locus
         try:

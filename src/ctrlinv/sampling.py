@@ -19,9 +19,13 @@ NEWTON_RESIDUAL_TOL = 1e-10
 CONSTRAINT_MARGIN = 1e-6
 # damped Newton steps at most per projected attempt
 NEWTON_STEPS = 20
+# each state's attempts are drawn uniformly from [-BOX, BOX]
+BOX = 1.0
+# a linear rho is solved for a state whose coefficient exceeds this
+LINEAR_COEFFICIENT_TOL = 1e-6
 
 
-def zero_locus_points(rhos, ctx: SymbolContext, rng, count=20, box=1.0):
+def zero_locus_points(rhos, ctx: SymbolContext, rng, count=20):
     """Points (state and parameter values) on the common zero set of rhos,
     as rows (count, len(ctx.symbols)) of values in ctx.symbols order.
 
@@ -51,7 +55,7 @@ def zero_locus_points(rhos, ctx: SymbolContext, rng, count=20, box=1.0):
     blocks, kept = [np.empty((0, len(ctx.symbols)))], 0
     attempts, budget = 0, 60 * count
     while kept < count and attempts < budget:
-        block = _attempts(ctx, rng, min(count - kept, budget - attempts), box)
+        block = _attempts(ctx, rng, min(count - kept, budget - attempts))
         attempts += len(block)
         solved = _solve_linear_rows(linear, block)
         rows = np.flatnonzero(~solved)
@@ -73,9 +77,9 @@ def zero_locus_points(rhos, ctx: SymbolContext, rng, count=20, box=1.0):
     return np.concatenate(blocks)
 
 
-def _attempts(ctx, rng, k, box):
+def _attempts(ctx, rng, k):
     """k attempts' rows of values in ctx.symbols order, drawn as sample_params
-    and a uniform(-box, box) per state do: uniform(lo, hi) = lo+(hi-lo)u."""
+    and a uniform(-BOX, BOX) per state do: uniform(lo, hi) = lo+(hi-lo)u."""
     signs = [ctx.param_signs.get(q) for q in ctx.params]
     u = rng.random((k, len(signs) + signs.count(None) + len(ctx.states)))
     params, col = [], 0
@@ -86,7 +90,7 @@ def _attempts(ctx, rng, k, box):
             v = np.where(u[:, col] < 0.5, -v, v)
         params.append(-v if sign == "-" else v)
         col += 1
-    states = -box + (box - -box) * u[:, col:]
+    states = -BOX + (BOX - -BOX) * u[:, col:]
     return np.column_stack([states, *params])
 
 
@@ -102,21 +106,22 @@ def _linear_plan(rhos, grads, ctx):
     return plan
 
 
-def _solve_linear_rows(linear, block, tol=1e-6):
+def _solve_linear_rows(linear, block):
     """Solve the rows of block in place one rho at a time, by each rho's
     kernel of (a, rest) per term and the terms' state columns; True for a
     row solved for every rho.
 
-    A row takes a rho's first term whose a is more than tol in absolute
-    value, or fails at the first whose a, or that term's rest, is NaN or
-    infinite; a row that fails stays as the earlier rhos left it.
+    A row takes a rho's first term whose a is more than
+    LINEAR_COEFFICIENT_TOL in absolute value, or fails at the first whose
+    a, or that term's rest, is NaN or infinite; a row that fails stays as
+    the earlier rhos left it.
     """
     solved = np.ones(len(block), dtype=bool)
     for fill, columns in linear:
         values = fill(block)
         pending = solved.copy()
         for i, a, rest in zip(columns, values[::2], values[1::2]):
-            stop = pending & ~(np.abs(a) <= tol)
+            stop = pending & ~(np.abs(a) <= LINEAR_COEFFICIENT_TOL)
             ok = stop & np.isfinite(a) & np.isfinite(rest)
             block[ok, i] = -rest[ok] / a[ok]
             solved &= ok | ~stop

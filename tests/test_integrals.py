@@ -20,14 +20,23 @@ from ctrlinv.expr import (
     to_field,
     to_text,
 )
-from ctrlinv.flag import TorsionMatrix, annihilator, derived_flag, torsion
-from ctrlinv.forms import one_form
+from ctrlinv.flag import (
+    FlagLevel,
+    PfaffianFlag,
+    PfaffianSystem,
+    TorsionMatrix,
+    annihilator,
+    derived_flag,
+    torsion,
+)
+from ctrlinv.forms import d, one_form, zero_form
 from ctrlinv.integrals import (
     AnalysisConfig,
     Classification,
     _clear_known_denominator,
     analyze,
     check_membership,
+    closed_combinations,
     first_integrals,
     gfi_candidates,
     nondegenerate,
@@ -569,9 +578,94 @@ class TestCheckMembership:
 def test_closed_pair_combination():
     # d(x dy) = dx^dy and d(2y dx) = -2 dx^dy: 2 (x dy) + 1 (2y dx) = d(2xy)
     gi, gj = one_form_of([0, x, 0], CTX), one_form_of([2 * y, 0, 0], CTX)
-    assert integrals_module._closed_pair_combination(gi, gj) == (2, 1)
+    assert closed_combinations([gi, gj]) == [[2, 1]]
     closed = one_form_of([1, 0, 0], CTX)
-    assert integrals_module._closed_pair_combination(closed, closed) is None
+    assert closed_combinations([closed, closed]) == [[1, 0], [0, 1]]
+
+
+def _random_polynomial(rng):
+    """A random polynomial of degree at most 2 in x, y, z with small integer
+    coefficients, some terms times sin(z), cos(z) or sin(x)."""
+    monomials = [sp.Integer(1), x, y, z, x * y, y * z, x**2, z**2]
+    trig = [sp.Integer(1)] * 3 + [sp.sin(z), sp.cos(z), sp.sin(x)]
+    return sum(rng.randint(-3, 3) * rng.choice(monomials) * rng.choice(trig)
+               for _ in range(rng.randint(1, 3)))
+
+
+def _random_generators(seed):
+    """2 to 4 random 1-forms on x, y, z, by seed: some closed, and the last
+    often dF minus a combination of the others, so the combination with it
+    is closed."""
+    rng = random.Random(seed)
+    states = CTX.states
+    gens = []
+    for _ in range(rng.randint(2, 4)):
+        if rng.random() < 0.25:  # closed
+            F = _random_polynomial(rng)
+            gens.append([sp.diff(F, v) for v in states])
+        else:
+            gens.append([_random_polynomial(rng) for _ in states])
+    if rng.random() < 0.7:
+        F = _random_polynomial(rng)
+        ls = [rng.randint(-2, 2) for _ in gens[:-1]]
+        gens[-1] = [sp.expand(sp.diff(F, v) - sum(
+            c * g[i] for c, g in zip(ls, gens[:-1])))
+            for i, v in enumerate(states)]
+    return gens
+
+
+# x/(sin cos) - x sin/cos - x cos/sin = 0 only modulo sin**2 + cos**2 = 1
+TRIG_DENOMINATORS = [
+    [0, x / (sp.sin(z) * sp.cos(z)), 0],
+    [0, -x * sp.sin(z) / sp.cos(z), 0],
+    [0, -x * sp.cos(z) / sp.sin(z), 0]]
+
+
+def _oracle_null_space(coeffs):
+    """Null space, by sympy's Matrix.nullspace, of the equations of
+    d(sum_i l_i theta_i) = 0 on plain expressions: per coefficient of dx_j
+    ^ dx_k, the numerator of the combination reduced modulo sin**2 +
+    cos**2 - 1, one equation per monomial."""
+    states = CTX.states
+    ls = sp.symbols(f"l0:{len(coeffs)}")
+    pairs = [(sp.sin(v), sp.cos(v)) for v in states]
+    gens = [*states, *itertools.chain(*pairs)]
+    relations = [s**2 + c**2 - 1 for s, c in pairs]
+    equations = []
+    for j, k in itertools.combinations(range(len(states)), 2):
+        total = sum(l * (sp.diff(a[k], states[j]) - sp.diff(a[j], states[k]))
+                    for l, a in zip(ls, coeffs))
+        num = sp.expand(sp.numer(sp.together(total)))
+        if num:
+            rem = sp.reduced(num, relations, *gens)[1]
+            equations += sp.Poly(rem, *gens).coeffs() if rem else []
+    if not equations:
+        return sp.eye(len(ls)).tolist()
+    A, _ = sp.linear_eq_to_matrix(equations, ls)
+    return [list(v) for v in A.nullspace()]
+
+
+@pytest.mark.parametrize("seed", [*range(10), "trig-denominators"])
+def test_closed_combinations_match_sympy_nullspace(seed):
+    coeffs = TRIG_DENOMINATORS if seed == "trig-denominators" \
+        else _random_generators(seed)
+    forms = [one_form_of(c, CTX) for c in coeffs]
+    got = closed_combinations(forms)
+
+    def span(rows):  # the reduced echelon basis of the rows' span
+        M = sp.Matrix(len(rows), len(forms), [sp.Rational(str(e))
+                                              for r in rows for e in r])
+        return M.rref()[0][:M.rank(), :]
+
+    assert span(got) == span(_oracle_null_space(coeffs))
+    assert len(got) == span(got).rows
+    units = [r for r in got if sum(map(bool, r)) == 1]
+    assert got[:len(units)] == units  # unit vectors first, in order
+    assert units == sorted(units, reverse=True)
+    for r in got:
+        comb = sum((f.scale(c) for c, f in zip(r, forms) if c),
+                   zero_form(1, CTX))
+        assert d(comb).is_zero_form
 
 
 class TestFirstIntegrals:
@@ -595,6 +689,41 @@ class TestFirstIntegrals:
         assert len(out) == 1
         assert out[0].classification is Classification.FIRST_INTEGRAL
         assert from_field(out[0].rhos[0]) == z
+
+    @staticmethod
+    def terminal_flag(rows, ctx):
+        """A flag whose terminal system is the 1-forms of rows, q of them."""
+        gens = tuple(one_form_of(r, ctx) for r in rows)
+        system = PfaffianSystem(generators=gens, pivots=(), constraints=())
+        return PfaffianFlag(levels=(FlagLevel(system, None),), nu=0,
+                            q=len(gens))
+
+    def test_three_generator_combination(self):
+        # no generator and no pair is closed, but the sum of all three is dw
+        ctx = SymbolContext(states=(x, y, z, w))
+        rows = [[-y, 0, 0, 0], [0, -z, 0, 0], [y, z, 0, 1]]
+        fields = [tuple(F(e, ctx) for e in X)
+                  for X in ([1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0])]
+        first, *rest = first_integrals(self.terminal_flag(rows, ctx), ctx,
+                                       fields)
+        assert first.classification is Classification.FIRST_INTEGRAL
+        assert from_field(first.rhos[0]) == w
+        assert first.evidence == {"potential_of": "(1) dw",
+                                  "annihilates_fields": True}
+        assert [c.classification for c in rest] == [
+            Classification.UNDETERMINED] * 2
+        assert [c.evidence["generator"] for c in rest] == [
+            "(-y) dx", "(-z) dy"]
+
+    def test_closed_generator_reported_first(self):
+        # -y dx + (y dx + dz) = dz is closed, but the closed dw comes first
+        ctx = SymbolContext(states=(x, y, z, w))
+        rows = [[-y, 0, 0, 0], [y, 0, 1, 0], [0, 0, 0, 1]]
+        fields = [(F(1, ctx),) + (F(0, ctx),) * 3]
+        out = first_integrals(self.terminal_flag(rows, ctx), ctx, fields)
+        assert [from_field(c.rhos[0]) for c in out[:2]] == [w, z]
+        assert out[2].classification is Classification.UNDETERMINED
+        assert out[2].evidence["generator"] == "(-y) dx"
 
 
 class TestAnalyze:

@@ -363,8 +363,7 @@ class TestNumericSettings:
                                          "horizon": 0.1, field: value})
 
     @pytest.mark.parametrize("field, value", [
-        ("starts", 0), ("horizon", -1.0), ("horizon", math.nan),
-        ("h", 0.0), ("h", math.inf)])
+        ("horizon", -1.0), ("horizon", math.nan)])
     def test_escape_test_rejects(self, ex1, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be positive"):
             escape_test(ex1, [z], **{"horizon": 0.1, field: value})
@@ -374,7 +373,7 @@ class TestNumericSettings:
         with pytest.raises(ValueError, match="beyond the float range"):
             invariance_test(ex1, [z], trials=3, pieces=2, horizon=1e308)
         with pytest.raises(ValueError, match="beyond the float range"):
-            escape_test(ex1, [z], horizon=1.0, h=1e-320)
+            escape_test(ex1, [z], horizon=1e307)
 
     @pytest.mark.parametrize("field, value, message", [
         ("trials", 2.5, "an integer"), ("trials", True, "an integer"),
@@ -386,10 +385,7 @@ class TestNumericSettings:
                                          "horizon": 0.1, field: value})
 
     @pytest.mark.parametrize("field, value, message", [
-        ("starts", 2.5, "an integer"), ("starts", True, "an integer"),
-        ("seed", -1, "non-negative"), ("seed", 1.5, "an integer"),
-        ("random_controls", -1, "non-negative"),
-        ("random_controls", 2.5, "an integer")])
+        ("seed", -1, "non-negative"), ("seed", 1.5, "an integer")])
     def test_escape_test_rejects_count(self, ex1, field, value, message):
         with pytest.raises(ValueError, match=f"^{field} must be {message}"):
             escape_test(ex1, [z], **{"horizon": 0.1, field: value})
@@ -1305,6 +1301,15 @@ def assert_same_verdict(got, want):
     assert got_len[finite] == pytest.approx(want_len[finite], rel=1e-2)
 
 
+@pytest.fixture
+def few_escapes(monkeypatch):
+    """escape_test with 4 starts and 5 random controls, and the reference's
+    settings for the same."""
+    monkeypatch.setattr(numeric_module, "ESCAPE_STARTS", 4)
+    monkeypatch.setattr(numeric_module, "ESCAPE_CONTROLS", 5)
+    return dict(starts=4, random_controls=5)
+
+
 # the reference loops warn on overflow outside their np.errstate blocks
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestAgainstReferenceLoops:
@@ -1349,15 +1354,15 @@ class TestAgainstReferenceLoops:
             simulate(sys, [1.0, 0.0], ControlSchedule(((1.0, (1.0, 0.0)),)),
                      h=1e-2)
 
-    def test_overflowing_rows_drop_out_of_escape(self):
+    def test_overflowing_rows_drop_out_of_escape(self, few_escapes):
         # the fixed steps of u = e1 overflow and drop out; the sweep's stay
         # finite, and neither leaves {y = 0}
         sys = parse_system(OVERFLOW)
-        kwargs = dict(seed=4, horizon=0.5, starts=4, random_controls=5)
+        kwargs = dict(seed=4, horizon=0.5)
         rhos = elements([y], sys.ctx)
         got = escape_test(sys, rhos, **kwargs)
         assert got[0].pieces[0][1] == (0.0, 1.0)
-        want = _reference_escape_test(sys, rhos, **kwargs)
+        want = _reference_escape_test(sys, rhos, **kwargs, **few_escapes)
         assert_valid_escape(got, want, 0.5)
         assert got[0] == want[0]
 
@@ -1370,9 +1375,9 @@ class TestAgainstReferenceLoops:
         assert_valid_escape(got, got, 5.0)
 
     @pytest.mark.parametrize("name", sorted(ORACLE_LOCI))
-    def test_escape_test(self, name, request):
+    def test_escape_test(self, name, request, few_escapes):
         sys = oracle_system(name, request)
-        kwargs = dict(seed=4, horizon=0.5, starts=4, random_controls=5)
+        kwargs = dict(seed=4, horizon=0.5)
         if name == "blowup":
             # the reference stops the whole search at the first singular row
             # and finds nothing; the rows of u1 != 0 blow up and drop out,
@@ -1386,7 +1391,8 @@ class TestAgainstReferenceLoops:
         for rhos in field_rows(ORACLE_LOCI[name], sys.ctx):
             assert_valid_escape(
                 outcome(escape_test, sys, rhos, **kwargs),
-                outcome(_reference_escape_test, sys, rhos, **kwargs), 0.5)
+                outcome(_reference_escape_test, sys, rhos, **kwargs,
+                        **few_escapes), 0.5)
 
     @pytest.mark.parametrize("name", sorted(ORACLE_LOCI))
     def test_simulate(self, name, request):
@@ -1693,14 +1699,15 @@ class TestBlocksAgainstLoops:
                              + sorted(SAMPLER_LOCI))
     @pytest.mark.parametrize("count, seed, box", [(1, 2, 1.0), (30, 3, 1.0),
                                                   (200, 8, 2.5)])
-    def test_zero_locus_points(self, name, count, seed, box, request):
+    def test_zero_locus_points(self, name, count, seed, box, request,
+                               monkeypatch):
         ctx = SAMPLER_CTX if name in SAMPLER_LOCI \
             else oracle_system(name, request).ctx
         loci = SAMPLER_LOCI.get(name) or ORACLE_LOCI[name]
+        monkeypatch.setattr(sampling_module, "BOX", box)
         for rhos in field_rows(loci, ctx):
             got_rng, want_rng = (np.random.default_rng(seed) for _ in "ab")
-            got = outcome(zero_locus_points, rhos, ctx, got_rng, count=count,
-                          box=box)
+            got = outcome(zero_locus_points, rhos, ctx, got_rng, count=count)
             want = outcome(_reference_zero_locus_points, rhos, ctx, want_rng,
                            count=count, box=box)
             if isinstance(want, list):  # rows in ctx.symbols order
